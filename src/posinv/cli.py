@@ -27,6 +27,7 @@ import time
 import numpy as np
 
 from . import pine
+from .kernels import ShapeError
 from .model import (
     GenerationParams,
     Model,
@@ -45,17 +46,6 @@ from .oracle import enumerate_orders, run_suite
 from .prompts import PromptError, SegmentedPrompt, detokenize, parse_prompt_file, tokenize
 
 ARTIFACT_VERSION = "1"
-
-# Which modes guarantee identical outputs under document permutation.
-EXPECTED_INVARIANT = {
-    "vanilla": False,
-    "nia": False,
-    "pcw": True,
-    "sp": True,
-    "pine": True,
-    "pine_noreassign": False,
-    "pine_reverse": True,
-}
 
 USAGE_ERROR, IO_ERROR, INVARIANCE_FAILURE = 1, 2, 3
 
@@ -173,6 +163,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_invariance(args) -> int:
+    if args.limit < 2:
+        raise CliError("invariance needs --limit >= 2 orders", USAGE_ERROR)
     model = _load_model(args)
     prompt = _load_prompt(args.prompt)
     if prompt.k < 2:
@@ -189,7 +181,7 @@ def cmd_invariance(args) -> int:
         )
         report["timings"][mode.variant + "_s"] = time.perf_counter() - t0
         invariant = rep.outputs_identical and rep.max_abs_logit_diff <= args.tolerance
-        expected = EXPECTED_INVARIANT[mode.variant]
+        expected = mode.invariant
         passed = invariant if expected else not invariant
         ok &= passed
         results[mode.variant] = {
@@ -280,8 +272,9 @@ def cmd_bench(args) -> int:
     tokens, layout = tokenize(prompt, bos=args.bos)
     report = _base_report(args, vars(model.config))
     modes = _modes(args)
-    if "vanilla" not in [m.variant for m in modes]:
-        modes.insert(0, AttentionMode("vanilla"))
+    baseline = AttentionMode("vanilla", aggregation=args.aggregation)
+    if baseline not in modes:
+        modes.insert(0, baseline)
     medians = {}
     print("mode\tmedian_s\tratio_vs_vanilla")
     for mode in modes:
@@ -295,7 +288,7 @@ def cmd_bench(args) -> int:
             times.append(time.perf_counter() - t0)
         medians[mode.variant] = statistics.median(times)
     for mode in modes:
-        ratio = medians[mode.variant] / medians["vanilla"]
+        ratio = medians[mode.variant] / medians[baseline.variant]
         print(f"{mode.variant}\t{medians[mode.variant]:.4f}\t{ratio:.2f}")
     counts = comparator_counts_per_token(model, [2, 4, 8, 16, 32])
     print("k\tcomparator_invocations_per_decoded_token")
@@ -303,11 +296,18 @@ def cmd_bench(args) -> int:
         print(f"{k}\t{c}")
     report["results"] = {
         "median_s": medians,
-        "ratio_vs_vanilla": {m: medians[m] / medians["vanilla"] for m in medians},
+        "ratio_vs_vanilla": {m: medians[m] / medians[baseline.variant] for m in medians},
         "comparator_counts": counts,
     }
     _write_report(args, report)
     return 0
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _add_common(p, prompt_required=True):
@@ -344,20 +344,20 @@ def build_parser() -> _Parser:
     p = sub.add_parser("run", help="generate a continuation")
     _add_common(p)
     p.add_argument("--mode", default="pine", choices=VARIANTS)
-    p.add_argument("--max-new-tokens", type=int, default=32)
+    p.add_argument("--max-new-tokens", type=_count, default=32)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compare", help="generate under several modes")
     _add_common(p)
     p.add_argument("--modes", default="vanilla,pine")
-    p.add_argument("--max-new-tokens", type=int, default=32)
+    p.add_argument("--max-new-tokens", type=_count, default=32)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("invariance", help="permutation invariance suite")
     _add_common(p)
     p.add_argument("--modes", default="pine,pcw,sp")
     p.add_argument("--limit", type=int, default=24, help="max permutations to test")
-    p.add_argument("--max-new-tokens", type=int, default=8)
+    p.add_argument("--max-new-tokens", type=_count, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=cmd_invariance)
@@ -372,7 +372,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--modes", default="vanilla,pine")
     p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--max-new-tokens", type=int, default=8)
+    p.add_argument("--max-new-tokens", type=_count, default=8)
     p.set_defaults(func=cmd_bench)
 
     return parser
@@ -386,6 +386,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except ShapeError as exc:  # an input the model cannot take, e.g. too long
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

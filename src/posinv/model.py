@@ -17,7 +17,6 @@ import numpy as np
 from .kernels import ShapeError, matmul, rms_norm, swiglu
 from .modes import AttentionMode, attention_forward
 from .prompts import SequenceLayout
-from .rope import apply_rope  # noqa: F401  (re-exported runtime op)
 
 _DTYPES = {"F32": np.float32, "F64": np.float64}
 _DTYPE_NAMES = {np.dtype(np.float32): "F32", np.dtype(np.float64): "F64"}
@@ -177,12 +176,15 @@ def load_config(path) -> ModelConfig:
             fields[key.strip()] = value.strip()
     kwargs = {}
     for key, value in fields.items():
-        if key in ("rope_theta", "norm_eps"):
-            kwargs[key] = float(value)
-        elif key == "tie_embeddings":
-            kwargs[key] = value.lower() in ("true", "1", "yes")
-        else:
-            kwargs[key] = int(value)
+        try:
+            if key in ("rope_theta", "norm_eps"):
+                kwargs[key] = float(value)
+            elif key == "tie_embeddings":
+                kwargs[key] = value.lower() in ("true", "1", "yes")
+            else:
+                kwargs[key] = int(value)
+        except ValueError as exc:
+            raise WeightError(f"{path}: bad value for {key}: {value!r}") from exc
     try:
         return ModelConfig(**kwargs)
     except TypeError as exc:
@@ -235,7 +237,7 @@ class KVCache:
 
 
 def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
-                   mode: AttentionMode, q_indices: list[int] | None, canonical: bool,
+                   mode: AttentionMode, q_start: int, canonical: bool,
                    append: bool) -> np.ndarray:
     cfg = model.config
     w = model.weights
@@ -253,7 +255,7 @@ def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
             cache.v[layer] = np.concatenate([cache.v[layer], v], axis=0)
     attn = attention_forward(
         mode, q, cache.k_raw[layer], cache.v[layer], cache.layout,
-        q_indices=q_indices, rope_theta=cfg.rope_theta, canonical=canonical,
+        q_start=q_start, rope_theta=cfg.rope_theta, canonical=canonical,
     )
     x = x + matmul(attn.reshape(attn.shape[0], -1), w[p + "o_proj.weight"])
     h2 = rms_norm(x, w[p + "ffn_norm.weight"], cfg.norm_eps)
@@ -285,7 +287,7 @@ def prefill(
     cache = KVCache(layout=layout)
     x = model.weights["embed.weight"][np.asarray(tokens, dtype=np.int64)]
     for layer in range(cfg.n_layers):
-        x = _layer_forward(model, x, layer, cache, mode, None, canonical, append=True)
+        x = _layer_forward(model, x, layer, cache, mode, 0, canonical, append=True)
     return cache, _logits(model, x[-1:])
 
 
@@ -305,7 +307,7 @@ def decode_step(
         raise ShapeError(f"decode_step: cache full at max_seq_len {cfg.max_seq_len}")
     x = model.weights["embed.weight"][np.asarray([token], dtype=np.int64)]
     for layer in range(cfg.n_layers):
-        x = _layer_forward(model, x, layer, cache, mode, [t], canonical, append=True)
+        x = _layer_forward(model, x, layer, cache, mode, t, canonical, append=True)
     return _logits(model, x)
 
 

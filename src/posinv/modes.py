@@ -11,6 +11,11 @@ Seven variants share one row-wise attention core:
   pine_noreassign  pine mask, input positions (ablation; not invariant)
   pine_reverse     pine with the sort direction flipped
 
+``_MODE_TABLE`` is the one place these rules live.  Masks, positions,
+the sp rescale and the CLI's invariance verdict all read them through
+the properties of ``AttentionMode``.  Only the float64 oracle in
+``oracle.py`` keeps its own copy, so that it stays independent.
+
 The single shared core guarantees that whenever two modes produce the
 same mask and positions (e.g. k <= 1), their outputs are bitwise equal.
 """
@@ -18,6 +23,7 @@ same mask and positions (e.g. k <= 1), their outputs are bitwise equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -26,33 +32,61 @@ from .kernels import NumericError, row_softmax
 from .prompts import SequenceLayout
 from .rope import rotate
 
-VARIANTS = ("vanilla", "nia", "pcw", "sp", "pine", "pine_noreassign", "pine_reverse")
-PINE_FAMILY = ("pine", "pine_noreassign", "pine_reverse")
-SEPARATE_DOC_MASK = ("nia", "pcw", "sp")
+
+class _Rules(NamedTuple):
+    doc_mask: Literal["causal", "separate", "bidirectional"]  # between documents
+    positions: Literal["input", "shared", "importance"]  # key positions
+    rescales: bool  # sp: scale suffix->document attention by 1/k
+    invariant: bool  # outputs independent of the document order
+    direction: pine.Direction = "closer"  # sort order of "importance" positions
+
+
+_MODE_TABLE = {
+    "vanilla": _Rules("causal", "input", False, False),
+    "nia": _Rules("separate", "input", False, False),
+    "pcw": _Rules("separate", "shared", False, True),
+    "sp": _Rules("separate", "shared", True, True),
+    "pine": _Rules("bidirectional", "importance", False, True),
+    "pine_noreassign": _Rules("bidirectional", "input", False, False),
+    "pine_reverse": _Rules("bidirectional", "importance", False, True, "reversed"),
+}
+VARIANTS = tuple(_MODE_TABLE)
 
 
 @dataclass(frozen=True)
 class AttentionMode:
     variant: str
-    aggregation: str = "mean"  # pine family only; ignored elsewhere
+    aggregation: str = "mean"  # importance-position modes only; ignored elsewhere
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        if self.variant not in _MODE_TABLE:
             raise ValueError(f"unknown attention mode {self.variant!r}")
         if self.aggregation not in ("mean", "sum", "max"):
             raise ValueError(f"unknown aggregation {self.aggregation!r}")
 
     @property
-    def is_pine_family(self) -> bool:
-        return self.variant in PINE_FAMILY
+    def doc_mask(self) -> str:
+        return _MODE_TABLE[self.variant].doc_mask
+
+    @property
+    def positions(self) -> str:
+        return _MODE_TABLE[self.variant].positions
+
+    @property
+    def rescales(self) -> bool:
+        return _MODE_TABLE[self.variant].rescales
+
+    @property
+    def invariant(self) -> bool:
+        return _MODE_TABLE[self.variant].invariant
+
+    @property
+    def direction(self) -> pine.Direction:
+        return _MODE_TABLE[self.variant].direction
 
     @property
     def reassigns(self) -> bool:
-        return self.variant in ("pine", "pine_reverse")
-
-    @property
-    def direction(self) -> str:
-        return "reversed" if self.variant == "pine_reverse" else "closer"
+        return self.positions == "importance"
 
 
 def doc_id_array(layout: SequenceLayout, total_len: int) -> np.ndarray:
@@ -66,13 +100,13 @@ def doc_id_array(layout: SequenceLayout, total_len: int) -> np.ndarray:
 def build_mask(mode: AttentionMode, layout: SequenceLayout, total_len: int) -> np.ndarray:
     """Boolean visibility matrix; entry [q, k] says query q may see key k."""
     m = np.tril(np.ones((total_len, total_len), dtype=bool))
-    if layout.k >= 2:
+    if layout.k >= 2 and mode.doc_mask != "causal":
         ids = doc_id_array(layout, total_len)
         in_doc = ids >= 0
         cross = in_doc[:, None] & in_doc[None, :] & (ids[:, None] != ids[None, :])
-        if mode.variant in SEPARATE_DOC_MASK:
+        if mode.doc_mask == "separate":
             m &= ~cross
-        elif mode.is_pine_family:
+        else:
             m |= cross
     return m
 
@@ -101,18 +135,16 @@ def assign_positions(
     """Position map for one query under a mode.
 
     For the re-assigning modes the caller supplies the importance-sorted
-    document order of the query's group (from pine.group_ordering).
+    document order of the query's group (from pine.group_ordering);
+    prefix queries belong to no group and keep their input positions.
     """
     total_len = total_len if total_len is not None else layout.n
-    if mode.reassigns and layout.k >= 2:
+    group = _group_of(layout, q_index) if mode.reassigns and layout.k >= 2 else None
+    if group is not None:
         if ordered_docs is None:
             raise ValueError(f"mode {mode.variant} requires an importance ordering")
-        group = _group_of(layout, q_index)
-        if group is not None:
-            pos = pine.pine_key_positions(layout, ordered_docs, group, total_len)
-        else:
-            pos = np.arange(total_len, dtype=np.int64)
-    elif mode.variant in ("pcw", "sp"):
+        pos = pine.pine_key_positions(layout, ordered_docs, group, total_len)
+    elif mode.positions == "shared":
         pos = shared_block_positions(layout, total_len)
     else:
         pos = np.arange(total_len, dtype=np.int64)
@@ -151,16 +183,17 @@ def attention_forward(
     k_raw: np.ndarray,
     v: np.ndarray,
     layout: SequenceLayout,
-    q_indices: list[int] | None = None,
+    q_start: int = 0,
     rope_theta: float = 10000.0,
     canonical: bool = True,
 ) -> np.ndarray:
     """One layer of multi-head attention under a mode.
 
-    q_raw: [t, n_heads, d_head] pre-rotation queries for the rows being
-    computed; k_raw/v: [s, n_kv_heads, d_head] covering all cached
-    tokens.  q_indices maps query rows to storage indices (prefill: the
-    identity; decode: the new token's index).  Returns [t, n_heads, d].
+    q_raw: [t, n_heads, d_head] pre-rotation queries for the contiguous
+    rows q_start .. q_start + t - 1 (prefill: every row from 0; decode:
+    the new token's index); k_raw/v: [s, n_kv_heads, d_head] covering
+    all cached tokens.  The rows must hold every query of each document
+    group they touch.  Returns [t, n_heads, d].
 
     With canonical=True the value reduction runs in ascending assigned-
     position order (ties broken by document content hash), which makes
@@ -169,11 +202,8 @@ def attention_forward(
     t, n_heads, d_head = q_raw.shape
     s, n_kv, _ = k_raw.shape
     rep = n_heads // n_kv
-    if q_indices is None:
-        q_indices = list(range(t))
     mask = build_mask(mode, layout, s)
-    ids = doc_id_array(layout, s)
-    doc_flags = ids >= 0
+    doc_flags = doc_id_array(layout, s) >= 0
     # Secondary sort key: content hash of the owning document (0 outside
     # documents, where assigned positions are already unique).
     hash_key = np.zeros(s, dtype=np.uint64)
@@ -181,38 +211,27 @@ def attention_forward(
         hash_key[ds:de] = np.uint64(layout.doc_hashes[j])
 
     needs_ordering = mode.reassigns and layout.k >= 2
-    shared_pos: np.ndarray | None = None
-    if not needs_ordering:
-        shared_pos = assign_positions(mode, layout, 0, total_len=s).key_positions
-
     out = np.zeros((t, n_heads, d_head), dtype=q_raw.dtype)
     scale = 1.0 / np.sqrt(np.float32(d_head))
     for h in range(n_heads):
         g = h // rep
         k_h = k_raw[:, g, :]
         v_h = v[:, g, :]
-        group_pos: dict[tuple, np.ndarray] = {}
-        for i, qi in enumerate(q_indices):
-            if needs_ordering:
-                group = _group_of(layout, qi)
-                if group is None:
-                    pos = np.arange(s, dtype=np.int64)
-                else:
-                    key = (group.kind, group.q_start)
-                    if key not in group_pos:
-                        ordered, _ = pine.group_ordering(
-                            _full_or_local(q_raw, q_indices, group, h, i, qi),
-                            k_h,
-                            layout,
-                            group,
-                            d_head,
-                            mode.aggregation,
-                            mode.direction,
-                        )
-                        group_pos[key] = pine.pine_key_positions(layout, ordered, group, s)
-                    pos = group_pos[key]
-            else:
-                pos = shared_pos
+        # Key positions per query group; rows outside any group share one map.
+        group_pos: dict[tuple | None, np.ndarray] = {}
+        for i in range(t):
+            qi = q_start + i
+            group = _group_of(layout, qi) if needs_ordering else None
+            key = None if group is None else (group.kind, group.q_start)
+            if key not in group_pos:
+                ordered = None
+                if group is not None:
+                    rows = q_raw[group.q_start - q_start : group.q_end - q_start, h, :]
+                    ordered, _ = pine.group_ordering(
+                        rows, k_h, layout, group, d_head, mode.aggregation, mode.direction
+                    )
+                group_pos[key] = assign_positions(mode, layout, qi, ordered, s).key_positions
+            pos = group_pos[key]
             visible = np.nonzero(mask[qi, :s])[0]
             if visible.size == 0:
                 raise NumericError(f"fully masked attention row for query {qi}")
@@ -225,20 +244,7 @@ def attention_forward(
             k_rot = rotate(k_h[visible], kp, rope_theta)
             logits = k_rot @ q_rot
             w = row_softmax(logits[None, :], scale=scale)[0]
-            if mode.variant == "sp" and layout.k > 1 and qi >= layout.suffix_start:
+            if mode.rescales and layout.k > 1 and qi >= layout.suffix_start:
                 w = _rescale(w, doc_flags[visible], layout.k)
             out[i, h, :] = w @ v_h[visible]
     return out
-
-
-def _full_or_local(q_raw, q_indices, group: pine.QueryGroup, h: int, i: int, qi: int):
-    """Query rows of a group within the q_raw buffer.
-
-    During prefill q_raw covers the whole sequence and a document
-    group's rows are at their storage indices; during decode q_raw holds
-    only the new token, which is necessarily its own token group.
-    """
-    if group.kind == "token":
-        return q_raw[i : i + 1, h, :]
-    first = q_indices[0]
-    return q_raw[group.q_start - first : group.q_end - first, h, :]

@@ -62,17 +62,6 @@ class PositionMap:
     key_positions: np.ndarray
 
 
-def query_groups(layout: SequenceLayout, total_len: int) -> list[QueryGroup]:
-    """Groups for all token indices in [0, total_len); prefix tokens are
-    not grouped (their attention is untouched)."""
-    groups: list[QueryGroup] = []
-    for j, (s, e) in enumerate(layout.doc_spans):
-        groups.append(QueryGroup("doc", s, e, doc_index=j))
-    for t in range(layout.suffix_start, total_len):
-        groups.append(QueryGroup("token", t, t + 1))
-    return groups
-
-
 def canonical_candidates(layout: SequenceLayout, group: QueryGroup) -> list[int]:
     """Candidate documents in a storage-order-independent ordering.
 
@@ -208,28 +197,3 @@ def pine_key_positions(
         cursor += e - s
     return pos
 
-
-def pine_attention(
-    q_raw: np.ndarray,
-    k_raw: np.ndarray,
-    v: np.ndarray,
-    layout: SequenceLayout,
-    aggregation: Aggregation = "mean",
-    direction: Direction = "closer",
-    rope_theta: float = 10000.0,
-    canonical: bool = True,
-) -> np.ndarray:
-    """Single-head full-sequence attention under the order-invariant mode."""
-    from .modes import AttentionMode, attention_forward
-
-    variant = "pine" if direction == "closer" else "pine_reverse"
-    mode = AttentionMode(variant, aggregation=aggregation)
-    return attention_forward(
-        mode,
-        q_raw[:, None, :],
-        k_raw[:, None, :],
-        v[:, None, :],
-        layout,
-        rope_theta=rope_theta,
-        canonical=canonical,
-    )[:, 0, :]

@@ -23,25 +23,22 @@ def rope_angles(positions: np.ndarray, d_head: int, theta: float) -> tuple[np.nd
 
 
 def rotate(x: np.ndarray, positions, theta: float) -> np.ndarray:
-    """Rotate rows of x (shape [t, d_head]) by their positions."""
+    """Rotate rows of x ([t, d_head] or [t, n_heads, d_head]) by their
+    positions; every head of a row shares its position."""
     x = np.atleast_2d(x)
     cos, sin = rope_angles(np.asarray(positions), x.shape[-1], theta)
-    even = x[:, 0::2]
-    odd = x[:, 1::2]
+    if x.ndim == 3:
+        cos, sin = cos[:, None, :], sin[:, None, :]
+    even = x[..., 0::2]
+    odd = x[..., 1::2]
     out = np.empty_like(x)
-    out[:, 0::2] = even * cos - odd * sin
-    out[:, 1::2] = even * sin + odd * cos
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = even * sin + odd * cos
     return out
 
 
 def apply_rope(x: np.ndarray, positions, theta: float = 10000.0) -> np.ndarray:
     """Rotate a [t, n_heads, d_head] tensor; one position per token."""
-    positions = np.asarray(positions)
-    if x.ndim == 2:
-        return rotate(x, positions, theta)
-    if x.ndim != 3:
+    if x.ndim not in (2, 3):
         raise ShapeError(f"apply_rope: expected [t, h, d] tensor, got shape {x.shape}")
-    out = np.empty_like(x)
-    for h in range(x.shape[1]):
-        out[:, h, :] = rotate(x[:, h, :], positions, theta)
-    return out
+    return rotate(x, positions, theta)

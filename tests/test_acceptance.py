@@ -6,11 +6,16 @@ so running with ``pytest -s`` gives a one-line-per-criterion summary.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import posinv
 from posinv import (
     AttentionMode,
     GenerationParams,
@@ -32,6 +37,7 @@ from posinv import (
     tokenize,
 )
 from posinv.cli import comparator_counts_per_token, main as cli_main
+from posinv.modes import VARIANTS
 from posinv.rope import rotate
 
 from conftest import random_config
@@ -78,6 +84,62 @@ def test_criterion_01_invariant_modes_bitwise(lemma_model, lemma_prompt):
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     report_pass(1, f"4 invariant modes, 6 permutations, bitwise, {elapsed:.2f}s")
+
+
+def test_invariant_modes_match_the_mode_table():
+    # The runtime's own table must agree with this file's independent list.
+    assert {v for v in VARIANTS if AttentionMode(v).invariant} == set(INVARIANT_MODES)
+
+
+# Prefill logits of every order, one SHA-256 digest each, computed in a
+# child process so that OpenBLAS runs with 2 threads.
+REALISTIC_CHILD = """
+import hashlib, json, sys
+from posinv import (AttentionMode, Model, ModelConfig, SegmentedPrompt, init_random,
+                    permute_documents, prefill, tokenize)
+
+spec = json.loads(sys.argv[1])
+config = ModelConfig(**spec["config"])
+model = Model(config, init_random(config, 7))
+prompt = SegmentedPrompt(spec["prefix"], tuple(spec["docs"]), spec["suffix"])
+digests = {}
+for variant in spec["modes"]:
+    digests[variant] = []
+    for order in spec["orders"]:
+        tokens, layout = tokenize(permute_documents(prompt, order))
+        _, logits = prefill(model, tokens, layout, AttentionMode(variant))
+        digests[variant].append(hashlib.sha256(logits.tobytes()).hexdigest())
+print(json.dumps(digests))
+"""
+
+
+def test_invariance_at_realistic_size_with_two_blas_threads(lemma_config):
+    words = "alpha bravo charlie delta echo foxtrot golf hotel india juliet".split()
+    lengths = (38, 71, 45, 64, 52, 58)  # unequal on purpose
+    docs = ["".join(f"{words[(j + i) % 10]} " for i in range(20))[:n]
+            for j, n in enumerate(lengths)]
+    spec = {
+        "config": {**vars(lemma_config), "max_seq_len": 512},
+        "prefix": "system: answer from the passages below. ",
+        "docs": docs,
+        "suffix": " question: which passage is first?",
+        "orders": [list(range(6)), [5, 4, 3, 2, 1, 0], [2, 0, 4, 1, 5, 3]],
+        "modes": [*INVARIANT_MODES, "vanilla"],
+    }
+    _, layout = tokenize(SegmentedPrompt(spec["prefix"], tuple(docs), spec["suffix"]))
+    assert layout.k == 6 and 380 <= layout.n <= 420
+    src = str(Path(posinv.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", REALISTIC_CHILD, json.dumps(spec)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    digests = json.loads(done.stdout)
+    for variant in INVARIANT_MODES:
+        assert len(set(digests[variant])) == 1, variant
+    # Control: an order-sensitive mode must tell these orders apart.
+    assert len(set(digests["vanilla"])) == 3
+    report_pass(1, f"n={layout.n}, k=6, 3 orders, 2 BLAS threads: bitwise invariant")
 
 
 def test_criterion_02_non_invariance_witnesses(lemma_config, lemma_prompt):

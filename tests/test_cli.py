@@ -107,6 +107,17 @@ class TestInvariance:
         capsys.readouterr()
         assert code == 1
 
+    @pytest.mark.parametrize("limit", ["0", "1"])
+    def test_fewer_than_two_orders_usage_error(self, model_files, prompt_file, limit, capsys):
+        # One order cannot show invariance; the suite must refuse, not pass.
+        w, c = model_files
+        code = run_cli(["invariance", "--model", w, "--config", c, "--prompt", prompt_file,
+                        "--limit", limit])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert "invariant" not in out
+        assert "--limit" in err
+
 
 class TestBiasScan:
     def test_pine_flat_vanilla_reported(self, model_files, tmp_path, capsys):
@@ -158,3 +169,38 @@ class TestExitCodes:
                         "--prompt", prompt_file, "--mode", "pine"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("cmd", ["run", "compare", "invariance", "bench"])
+    def test_negative_max_new_tokens_usage_error(self, model_files, prompt_file, cmd, capsys):
+        w, c = model_files
+        code = run_cli([cmd, "--model", w, "--config", c, "--prompt", prompt_file,
+                        "--max-new-tokens", "-3"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert "--max-new-tokens" in err
+
+    def test_non_numeric_config_value_io_error(self, model_files, prompt_file, tmp_path, capsys):
+        w, c = model_files
+        bad = tmp_path / "bad.txt"
+        lines = open(c, encoding="utf-8").read().splitlines()
+        bad.write_text("\n".join("n_layers=two" if l.startswith("n_layers=") else l
+                                 for l in lines) + "\n")
+        code = run_cli(["run", "--model", w, "--config", str(bad), "--prompt", prompt_file])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "n_layers" in err
+
+    def test_prompt_longer_than_max_seq_len_usage_error(self, tmp_path, capsys):
+        w, c = str(tmp_path / "w.bin"), str(tmp_path / "c.txt")
+        assert main(["init", "--model", w, "--config", c, "--n-layers", "1",
+                     "--n-heads", "2", "--n-kv-heads", "1", "--d-head", "16",
+                     "--d-ff", "64", "--max-seq-len", "16"]) == 0
+        p = tmp_path / "long.json"
+        p.write_text(json.dumps({"prefix": "x" * 20, "documents": ["a", "b"], "suffix": "Q"}))
+        capsys.readouterr()
+        code = run_cli(["run", "--model", w, "--config", c, "--prompt", str(p),
+                        "--max-new-tokens", "2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "max_seq_len" in err

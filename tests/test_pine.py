@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from posinv import (
+    AttentionMode,
     SegmentedPrompt,
+    attention_forward,
     doc_importance,
     order_documents,
-    pine_attention,
     pine_key_positions,
     token_importance,
     tokenize,
@@ -155,10 +156,15 @@ def random_head(layout, seed, d=8):
     return q, k, v
 
 
+def pine_attention(q, k, v, layout):
+    """Single-head full-sequence attention under the pine mode."""
+    return attention_forward(
+        AttentionMode("pine"), q[:, None, :], k[:, None, :], v[:, None, :], layout
+    )[:, 0, :]
+
+
 class TestPineAttention:
     def test_degenerate_matches_vanilla_bitwise(self):
-        from posinv import attention_forward, AttentionMode
-
         for docs in ((), ("ABC",)):
             _, layout = tokenize(SegmentedPrompt("SY", docs, "QR"))
             q, k, v = random_head(layout, 0)
