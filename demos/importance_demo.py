@@ -50,7 +50,7 @@ def main():
     )
     print(f"\nkey order, least important first: {ordered}")
 
-    pos = pine_key_positions(layout, ordered, group, layout.n)
+    pos = pine_key_positions(layout, ordered, layout.n)
     print("assigned key positions per storage index:")
     print([int(p) for p in pos])
     print("\nthe highest-scoring document ends up adjacent to the query;")

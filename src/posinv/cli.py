@@ -112,11 +112,14 @@ def _base_report(args, extra_cfg) -> dict:
 
 
 def cmd_init(args) -> int:
-    config = ModelConfig(
-        n_layers=args.n_layers, n_heads=args.n_heads, n_kv_heads=args.n_kv_heads,
-        d_model=args.n_heads * args.d_head, d_head=args.d_head, d_ff=args.d_ff,
-        vocab_size=args.vocab_size, max_seq_len=args.max_seq_len,
-    )
+    try:
+        config = ModelConfig(
+            n_layers=args.n_layers, n_heads=args.n_heads, n_kv_heads=args.n_kv_heads,
+            d_model=args.n_heads * args.d_head, d_head=args.d_head, d_ff=args.d_ff,
+            vocab_size=args.vocab_size, max_seq_len=args.max_seq_len,
+        )
+    except WeightError as exc:
+        raise CliError(f"bad model shape: {exc}", USAGE_ERROR)
     weights = init_random(config, args.seed)
     save_weights(args.model, args.config, Model(config, weights))
     print(f"wrote {args.model} and {args.config} (seed {args.seed})")

@@ -3,12 +3,13 @@
 RMS-norm, rotary embeddings, grouped-query attention, gated FFN, greedy
 decoding.  The KV cache stores keys BEFORE rotary rotation: the
 re-assigning attention modes give the same key different positions for
-different queries, so rotation happens lazily per attention row.
+different queries, so attention rotates keys once per query group.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .kernels import ShapeError, matmul, rms_norm, swiglu
 from .modes import AttentionMode, attention_forward
-from .prompts import SequenceLayout
+from .prompts import BYTE_VOCAB, N_SPECIALS, SequenceLayout
 
 _DTYPES = {"F32": np.float32, "F64": np.float64}
 _DTYPE_NAMES = {np.dtype(np.float32): "F32", np.dtype(np.float64): "F64"}
@@ -49,6 +50,9 @@ class ModelConfig:
             raise WeightError(f"n_heads {self.n_heads} not divisible by n_kv_heads {self.n_kv_heads}")
         if self.d_head % 2 != 0:
             raise WeightError(f"d_head {self.d_head} must be even for rotary encoding")
+        if self.vocab_size < BYTE_VOCAB + N_SPECIALS:
+            raise WeightError(f"vocab_size {self.vocab_size} < {BYTE_VOCAB + N_SPECIALS}: "
+                              "every byte id and BOS/EOS need an embedding")
 
 
 def _tensor_schema(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -138,23 +142,37 @@ def load_tensors(path) -> dict[str, np.ndarray]:
     if len(data) < 8:
         raise WeightError(f"{path}: truncated container")
     (header_len,) = struct.unpack("<Q", data[:8])
+    if header_len > len(data) - 8:
+        raise WeightError(f"{path}: header length {header_len} runs past the end of the file")
     try:
         header = json.loads(data[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise WeightError(f"{path}: malformed header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise WeightError(f"{path}: header is not a JSON object")
     payload = data[8 + header_len :]
-    tensors = {}
-    for name, meta in header.items():
-        if meta["dtype"] not in _DTYPES:
-            raise WeightError(f"tensor {name!r}: unsupported dtype {meta['dtype']}")
-        dt = np.dtype(_DTYPES[meta["dtype"]]).newbyteorder("<")
-        s, e = meta["data_offsets"]
-        arr = np.frombuffer(payload[s:e], dtype=dt).astype(_DTYPES[meta["dtype"]])
-        expected = int(np.prod(meta["shape"], dtype=np.int64)) if meta["shape"] else 1
-        if arr.size != expected:
-            raise WeightError(f"tensor {name!r}: payload size {arr.size} != shape {meta['shape']}")
-        tensors[name] = arr.reshape(meta["shape"])
-    return tensors
+    return {name: _read_tensor(name, meta, payload) for name, meta in header.items()}
+
+
+def _read_tensor(name: str, meta, payload: bytes) -> np.ndarray:
+    """Decode one header entry, checking every field against the payload."""
+    if not isinstance(meta, dict) or not {"dtype", "shape", "data_offsets"} <= meta.keys():
+        raise WeightError(f"tensor {name!r}: entry needs dtype, shape and data_offsets")
+    dtype, shape, offsets = meta["dtype"], meta["shape"], meta["data_offsets"]
+    if not isinstance(dtype, str) or dtype not in _DTYPES:
+        raise WeightError(f"tensor {name!r}: unsupported dtype {dtype!r}")
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise WeightError(f"tensor {name!r}: bad shape {shape!r}")
+    if not (isinstance(offsets, list) and len(offsets) == 2
+            and all(type(o) is int for o in offsets)
+            and 0 <= offsets[0] <= offsets[1] <= len(payload)):
+        raise WeightError(f"tensor {name!r}: data_offsets {offsets!r} outside the "
+                          f"{len(payload)}-byte payload")
+    dt = np.dtype(_DTYPES[dtype]).newbyteorder("<")
+    s, e = offsets
+    if e - s != math.prod(shape) * dt.itemsize:
+        raise WeightError(f"tensor {name!r}: payload size {e - s} B != shape {shape}")
+    return np.frombuffer(payload[s:e], dtype=dt).astype(_DTYPES[dtype]).reshape(shape)
 
 
 def save_config(path, config: ModelConfig) -> None:
@@ -237,8 +255,7 @@ class KVCache:
 
 
 def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
-                   mode: AttentionMode, q_start: int, canonical: bool,
-                   append: bool) -> np.ndarray:
+                   mode: AttentionMode, q_start: int, canonical: bool) -> np.ndarray:
     cfg = model.config
     w = model.weights
     p = f"layers.{layer}."
@@ -246,13 +263,12 @@ def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
     q = matmul(h, w[p + "q_proj.weight"]).reshape(-1, cfg.n_heads, cfg.d_head)
     k = matmul(h, w[p + "k_proj.weight"]).reshape(-1, cfg.n_kv_heads, cfg.d_head)
     v = matmul(h, w[p + "v_proj.weight"]).reshape(-1, cfg.n_kv_heads, cfg.d_head)
-    if append:
-        if len(cache.k_raw) <= layer:
-            cache.k_raw.append(k)
-            cache.v.append(v)
-        else:
-            cache.k_raw[layer] = np.concatenate([cache.k_raw[layer], k], axis=0)
-            cache.v[layer] = np.concatenate([cache.v[layer], v], axis=0)
+    if len(cache.k_raw) <= layer:
+        cache.k_raw.append(k)
+        cache.v.append(v)
+    else:
+        cache.k_raw[layer] = np.concatenate([cache.k_raw[layer], k], axis=0)
+        cache.v[layer] = np.concatenate([cache.v[layer], v], axis=0)
     attn = attention_forward(
         mode, q, cache.k_raw[layer], cache.v[layer], cache.layout,
         q_start=q_start, rope_theta=cfg.rope_theta, canonical=canonical,
@@ -287,7 +303,7 @@ def prefill(
     cache = KVCache(layout=layout)
     x = model.weights["embed.weight"][np.asarray(tokens, dtype=np.int64)]
     for layer in range(cfg.n_layers):
-        x = _layer_forward(model, x, layer, cache, mode, 0, canonical, append=True)
+        x = _layer_forward(model, x, layer, cache, mode, 0, canonical)
     return cache, _logits(model, x[-1:])
 
 
@@ -307,7 +323,7 @@ def decode_step(
         raise ShapeError(f"decode_step: cache full at max_seq_len {cfg.max_seq_len}")
     x = model.weights["embed.weight"][np.asarray([token], dtype=np.int64)]
     for layer in range(cfg.n_layers):
-        x = _layer_forward(model, x, layer, cache, mode, t, canonical, append=True)
+        x = _layer_forward(model, x, layer, cache, mode, t, canonical)
     return _logits(model, x)
 
 

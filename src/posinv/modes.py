@@ -22,6 +22,7 @@ same mask and positions (e.g. k <= 1), their outputs are bitwise equal.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
@@ -139,11 +140,10 @@ def assign_positions(
     prefix queries belong to no group and keep their input positions.
     """
     total_len = total_len if total_len is not None else layout.n
-    group = _group_of(layout, q_index) if mode.reassigns and layout.k >= 2 else None
-    if group is not None:
+    if _group_of(mode, layout, q_index) is not None:
         if ordered_docs is None:
             raise ValueError(f"mode {mode.variant} requires an importance ordering")
-        pos = pine.pine_key_positions(layout, ordered_docs, group, total_len)
+        pos = pine.pine_key_positions(layout, ordered_docs, total_len)
     elif mode.positions == "shared":
         pos = shared_block_positions(layout, total_len)
     else:
@@ -151,7 +151,11 @@ def assign_positions(
     return pine.PositionMap(query_position=int(pos[q_index]), key_positions=pos)
 
 
-def _group_of(layout: SequenceLayout, q_index: int) -> pine.QueryGroup | None:
+def _group_of(mode: AttentionMode, layout: SequenceLayout, q_index: int) -> pine.QueryGroup | None:
+    """The query group whose ordering sets q_index's key positions; None
+    where the positions need no ordering (prefix rows, other modes, k < 2)."""
+    if not mode.reassigns or layout.k < 2:
+        return None
     if q_index >= layout.suffix_start:
         return pine.QueryGroup("token", q_index, q_index + 1)
     j = layout.doc_of(q_index)
@@ -195,6 +199,10 @@ def attention_forward(
     all cached tokens.  The rows must hold every query of each document
     group they touch.  Returns [t, n_heads, d].
 
+    Each (head, query group) computes its key positions, canonical key
+    order and rotated keys once; rows outside any group share one such
+    plan per KV head.  A row then only picks its visible keys.
+
     With canonical=True the value reduction runs in ascending assigned-
     position order (ties broken by document content hash), which makes
     order-invariant modes bitwise invariant under document permutation.
@@ -203,48 +211,38 @@ def attention_forward(
     s, n_kv, _ = k_raw.shape
     rep = n_heads // n_kv
     mask = build_mask(mode, layout, s)
-    doc_flags = doc_id_array(layout, s) >= 0
+    ids = doc_id_array(layout, s)
     # Secondary sort key: content hash of the owning document (0 outside
     # documents, where assigned positions are already unique).
-    hash_key = np.zeros(s, dtype=np.uint64)
-    for j, (ds, de) in enumerate(layout.doc_spans):
-        hash_key[ds:de] = np.uint64(layout.doc_hashes[j])
+    hash_key = np.array([0, *layout.doc_hashes], dtype=np.uint64)[ids + 1]
+    storage = np.arange(s)
 
-    needs_ordering = mode.reassigns and layout.k >= 2
+    def plan(qi, ordered, g):
+        pos = assign_positions(mode, layout, qi, ordered, s).key_positions
+        order = np.lexsort((storage, hash_key, pos)) if canonical else storage
+        return pos, order, rotate(k_raw[:, g, :], pos, rope_theta)
+
+    groups = itertools.groupby(range(q_start, q_start + t), lambda qi: _group_of(mode, layout, qi))
     out = np.zeros((t, n_heads, d_head), dtype=q_raw.dtype)
     scale = 1.0 / np.sqrt(np.float32(d_head))
-    for h in range(n_heads):
-        g = h // rep
-        k_h = k_raw[:, g, :]
-        v_h = v[:, g, :]
-        # Key positions per query group; rows outside any group share one map.
-        group_pos: dict[tuple | None, np.ndarray] = {}
-        for i in range(t):
-            qi = q_start + i
-            group = _group_of(layout, qi) if needs_ordering else None
-            key = None if group is None else (group.kind, group.q_start)
-            if key not in group_pos:
-                ordered = None
-                if group is not None:
-                    rows = q_raw[group.q_start - q_start : group.q_end - q_start, h, :]
-                    ordered, _ = pine.group_ordering(
-                        rows, k_h, layout, group, d_head, mode.aggregation, mode.direction
-                    )
-                group_pos[key] = assign_positions(mode, layout, qi, ordered, s).key_positions
-            pos = group_pos[key]
-            visible = np.nonzero(mask[qi, :s])[0]
-            if visible.size == 0:
-                raise NumericError(f"fully masked attention row for query {qi}")
-            kp = pos[visible]
-            if canonical:
-                order = np.lexsort((visible, hash_key[visible], kp))
-                visible = visible[order]
-                kp = kp[order]
-            q_rot = rotate(q_raw[i, h, :][None, :], [int(pos[qi])], rope_theta)[0]
-            k_rot = rotate(k_h[visible], kp, rope_theta)
-            logits = k_rot @ q_rot
-            w = row_softmax(logits[None, :], scale=scale)[0]
-            if mode.rescales and layout.k > 1 and qi >= layout.suffix_start:
-                w = _rescale(w, doc_flags[visible], layout.k)
-            out[i, h, :] = w @ v_h[visible]
+    for group, rows in groups:
+        rows = list(rows)
+        i0, i1 = rows[0] - q_start, rows[-1] + 1 - q_start
+        for h in range(n_heads):
+            g = h // rep
+            if group is not None:
+                ordered, _ = pine.group_ordering(q_raw[i0:i1, h, :], k_raw[:, g, :], layout,
+                                                 group, d_head, mode.aggregation, mode.direction)
+                pos, order, keys = plan(rows[0], ordered, g)
+            elif h % rep == 0:  # rows outside any group: one plan per KV head
+                pos, order, keys = plan(rows[0], None, g)
+            q_rot = rotate(q_raw[i0:i1, h, :], pos[rows], rope_theta)
+            for i, qi in enumerate(rows):
+                visible = order[mask[qi, order]]
+                if visible.size == 0:
+                    raise NumericError(f"fully masked attention row for query {qi}")
+                w = row_softmax((keys[visible] @ q_rot[i])[None, :], scale=scale)[0]
+                if mode.rescales and layout.k > 1 and qi >= layout.suffix_start:
+                    w = _rescale(w, ids[visible] >= 0, layout.k)
+                out[i0 + i, h, :] = w @ v[:, g, :][visible]
     return out

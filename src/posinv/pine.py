@@ -177,7 +177,7 @@ def group_ordering(
 
 
 def pine_key_positions(
-    layout: SequenceLayout, ordered_docs: list[int], group: QueryGroup, total_len: int
+    layout: SequenceLayout, ordered_docs: list[int], total_len: int
 ) -> np.ndarray:
     """Assigned key positions for one group, as an array over storage
     indices.

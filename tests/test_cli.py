@@ -204,3 +204,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert "max_seq_len" in err
+
+
+    @pytest.mark.parametrize("shape", [
+        ["--d-head", "15"],
+        ["--n-heads", "3", "--n-kv-heads", "2"],
+        ["--vocab-size", "100"],
+    ])
+    def test_init_bad_shape_usage_error(self, tmp_path, shape, capsys):
+        w, c = str(tmp_path / "w.bin"), str(tmp_path / "c.txt")
+        code = run_cli(["init", "--model", w, "--config", c, *shape])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+        assert not (tmp_path / "w.bin").exists()
+
+    def test_config_vocab_too_small_io_error(self, model_files, prompt_file, tmp_path, capsys):
+        w, c = model_files
+        bad = tmp_path / "bad.txt"
+        lines = open(c, encoding="utf-8").read().splitlines()
+        bad.write_text("\n".join("vocab_size=100" if l.startswith("vocab_size=") else l
+                                 for l in lines) + "\n")
+        code = run_cli(["run", "--model", w, "--config", str(bad), "--prompt", prompt_file,
+                        "--max-new-tokens", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "vocab_size" in err

@@ -1,5 +1,12 @@
+import json
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posinv import (
     AttentionMode,
@@ -38,6 +45,14 @@ class TestConfig:
             ModelConfig(n_layers=1, n_heads=3, n_kv_heads=2, d_model=48, d_head=16,
                         d_ff=32, vocab_size=260)
 
+    def test_vocab_must_cover_bytes_and_specials(self):
+        # Byte ids 0-255, BOS 256 and EOS 257 all need an embedding row.
+        ModelConfig(n_layers=1, n_heads=2, n_kv_heads=1, d_model=32, d_head=16,
+                    d_ff=32, vocab_size=258)
+        with pytest.raises(WeightError, match="vocab_size"):
+            ModelConfig(n_layers=1, n_heads=2, n_kv_heads=1, d_model=32, d_head=16,
+                        d_ff=32, vocab_size=257)
+
 
 class TestWeightIO:
     def test_roundtrip(self, tmp_path, tiny_model):
@@ -65,6 +80,75 @@ class TestWeightIO:
         save_tensors(wpath, tensors)
         with pytest.raises(WeightError, match="embed.weight"):
             load_weights(wpath, cpath)
+
+
+
+def write_container(path, header, payload=b"", header_len=None):
+    blob = json.dumps(header).encode()
+    n = len(blob) if header_len is None else header_len
+    Path(path).write_bytes(struct.pack("<Q", n) + blob + payload)
+    return path
+
+
+F32_ENTRY = {"dtype": "F32", "shape": [2], "data_offsets": [0, 8]}
+
+
+class TestMalformedContainer:
+    @pytest.mark.parametrize("header, match", [
+        ({"t": {"shape": [2], "data_offsets": [0, 8]}}, "dtype"),
+        ([F32_ENTRY], "JSON object"),
+        ({"t": {**F32_ENTRY, "shape": "ab"}}, "shape"),
+        ({"t": {**F32_ENTRY, "shape": [-2]}}, "shape"),
+        ({"t": {**F32_ENTRY, "dtype": ["F32"]}}, "dtype"),
+        ({"t": {**F32_ENTRY, "data_offsets": [0, 16]}}, "data_offsets"),
+        ({"t": {**F32_ENTRY, "data_offsets": [8, 0]}}, "data_offsets"),
+        ({"t": {**F32_ENTRY, "data_offsets": [-4, 4]}}, "data_offsets"),
+        ({"t": {**F32_ENTRY, "data_offsets": [0, 4]}}, "payload size"),
+        ({"t": "F32"}, "entry"),
+    ])
+    def test_typed_error(self, tmp_path, header, match):
+        path = write_container(tmp_path / "w.bin", header, bytes(8))
+        with pytest.raises(WeightError, match=match):
+            load_tensors(path)
+
+    def test_header_length_past_end_of_file(self, tmp_path):
+        path = write_container(tmp_path / "w.bin", {"t": F32_ENTRY}, bytes(8), header_len=10_000)
+        with pytest.raises(WeightError, match="past the end"):
+            load_tensors(path)
+
+    def test_well_formed_entry_loads(self, tmp_path):
+        payload = np.asarray([1.5, -2.0], dtype="<f4").tobytes()
+        path = write_container(tmp_path / "w.bin", {"t": F32_ENTRY}, payload)
+        assert np.array_equal(load_tensors(path)["t"], [1.5, -2.0])
+
+    @given(st.one_of(
+        st.binary(max_size=64),
+        st.builds(
+            lambda header, payload, cut: struct.pack("<Q", len(header)) + header[:cut] + payload,
+            st.dictionaries(
+                st.sampled_from(["a", "b"]),
+                st.fixed_dictionaries({}, optional={
+                    "dtype": st.sampled_from(["F32", "F64", "I8", 4, None]),
+                    "shape": st.one_of(st.lists(st.integers(-2, 4), max_size=3),
+                                       st.text(max_size=2)),
+                    "data_offsets": st.lists(st.integers(-4, 40), max_size=3),
+                }),
+                max_size=2,
+            ).map(lambda h: json.dumps(h).encode()),
+            st.binary(max_size=40),
+            st.integers(0, 200),
+        ),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_any_bytes_load_or_raise_weight_error(self, data):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "w.bin"
+            path.write_bytes(data)
+            try:
+                tensors = load_tensors(path)
+            except WeightError:
+                return
+        assert all(isinstance(arr, np.ndarray) for arr in tensors.values())
 
 
 class TestInitRandom:

@@ -13,6 +13,8 @@ from posinv import (
     sp_rescale,
     tokenize,
 )
+from posinv import modes
+from posinv.modes import VARIANTS
 from posinv.rope import rotate
 
 
@@ -188,6 +190,27 @@ class TestAttentionForward:
         for variant in ("nia", "pcw", "sp", "pine", "pine_noreassign", "pine_reverse"):
             out = attention_forward(AttentionMode(variant), q, k, v, layout)
             assert np.array_equal(out[: layout.prefix_len], base[: layout.prefix_len]), variant
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_keys_rotated_once_per_query_group(self, variant, monkeypatch):
+        # Key positions change per query group, not per row: one rotation of
+        # the keys and of the group's queries per (head, group), plus one
+        # shared map for rows outside any group, bounds the rotated rows.
+        _, layout = tokenize(SegmentedPrompt("SYS: ", ("alpha doc", "bravo!", "charlie c"), " Q?"))
+        n_heads = 4
+        q, k, v = random_qkv(layout, n_heads, 2, 8, 5)
+        rotated = []
+
+        def counting_rotate(x, positions, theta):
+            rotated.append(np.atleast_2d(x).shape[0])
+            return rotate(x, positions, theta)
+
+        monkeypatch.setattr(modes, "rotate", counting_rotate)
+        mode = AttentionMode(variant)
+        attention_forward(mode, q, k, v, layout)
+        suffix_rows = layout.n - layout.suffix_start
+        groups = 1 + layout.k + suffix_rows if mode.reassigns else 1
+        assert sum(rotated) <= n_heads * (groups + 1) * layout.n
 
     def test_permutation_invariance_and_witness(self):
         prompt = SegmentedPrompt("S", ("ab", "cde", "fghi"), "Q")

@@ -129,22 +129,19 @@ class TestOrderDocuments:
 class TestPineKeyPositions:
     def test_proof_geometry(self):
         _, layout = tokenize(SegmentedPrompt("S", ("AB", "CD", "EF"), "Q"))
-        group = QueryGroup("doc", 1, 3, doc_index=0)
-        pos = pine_key_positions(layout, [2, 1, 0], group, 8)
+        pos = pine_key_positions(layout, [2, 1, 0], 8)
         # prefix -> 0; D3 -> {1,2}; D2 -> {3,4}; D1 -> {5,6}
         assert list(pos) == [0, 5, 6, 3, 4, 1, 2, 7]
 
     def test_suffix_token_keeps_own_position(self):
         _, layout = tokenize(SegmentedPrompt("S", ("AB", "CD", "EF"), "Q"))
-        group = QueryGroup("token", 7, 8)
-        pos = pine_key_positions(layout, [1, 0, 2], group, 8)
+        pos = pine_key_positions(layout, [1, 0, 2], 8)
         assert pos[7] == 7
         assert sorted(pos[1:7]) == [1, 2, 3, 4, 5, 6]
 
     def test_k1_identity(self):
         _, layout = tokenize(SegmentedPrompt("S", ("AB",), "Q"))
-        group = QueryGroup("doc", 1, 3, doc_index=0)
-        pos = pine_key_positions(layout, [0], group, layout.n)
+        pos = pine_key_positions(layout, [0], layout.n)
         assert list(pos) == list(range(layout.n))
 
 
