@@ -3,19 +3,9 @@ bias scans, and overhead benchmarking.
 
 Exit codes: 0 success / assertions hold; 1 usage error; 2 model or
 prompt I/O error; 3 invariance assertion failure.
-
-Set POSINV_NUM_THREADS to cap BLAS thread counts (must be read before
-numpy loads, which is why it is handled at the top of this module).
 """
 
 from __future__ import annotations
-
-import os
-
-if "POSINV_NUM_THREADS" in os.environ:
-    _cap = os.environ["POSINV_NUM_THREADS"]
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _cap)
 
 import argparse
 import hashlib
@@ -48,6 +38,8 @@ from .prompts import PromptError, SegmentedPrompt, detokenize, parse_prompt_file
 ARTIFACT_VERSION = "1"
 
 USAGE_ERROR, IO_ERROR, INVARIANCE_FAILURE = 1, 2, 3
+
+SCAN_METRICS = ("gold_token_logprob", "exact_match")
 
 
 class CliError(Exception):
@@ -208,13 +200,30 @@ def _load_scan(path) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
             scan = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise CliError(f"cannot load scan config: {exc}", IO_ERROR)
+    if not isinstance(scan, dict):
+        raise CliError("scan config must be a JSON object", USAGE_ERROR)
     for key in ("prefix", "needle", "gold", "distractors", "suffix"):
         if key not in scan:
             raise CliError(f"scan config missing key {key!r}", USAGE_ERROR)
-    if not scan["needle"]:
-        raise CliError("scan needle must be non-empty", USAGE_ERROR)
+    for key in ("prefix", "needle", "gold", "suffix"):
+        if not isinstance(scan[key], str):
+            raise CliError(f"scan {key} must be a string", USAGE_ERROR)
+        if key in ("needle", "gold") and not scan[key]:
+            raise CliError(f"scan {key} must be non-empty", USAGE_ERROR)
+    distractors = scan["distractors"]
+    if not isinstance(distractors, list) or not all(isinstance(d, str) and d for d in distractors):
+        raise CliError("scan distractors must be a list of non-empty strings", USAGE_ERROR)
+    k = len(distractors) + 1
+    positions = scan.get("positions")
+    if "positions" in scan and not (isinstance(positions, list) and positions and all(
+            type(p) is int and 0 <= p < k for p in positions)):
+        raise CliError(f"scan positions must be a non-empty list of ints in 0..{k - 1}",
+                       USAGE_ERROR)
+    if scan.get("metric", SCAN_METRICS[0]) not in SCAN_METRICS:
+        raise CliError(f"unknown metric {scan['metric']!r}; use one of {SCAN_METRICS}",
+                       USAGE_ERROR)
     return scan
 
 
@@ -223,7 +232,7 @@ def cmd_bias_scan(args) -> int:
     scan = _load_scan(args.scan)
     k = len(scan["distractors"]) + 1
     positions = scan.get("positions", list(range(k)))
-    metric = scan.get("metric", "gold_token_logprob")
+    metric = scan.get("metric", SCAN_METRICS[0])
     gold_tokens = list(scan["gold"].encode("utf-8"))
     report = _base_report(args, scan)
     rows = []
@@ -238,13 +247,11 @@ def cmd_bias_scan(args) -> int:
                 value = continuation_logprob(
                     model, tokens, layout, mode, gold_tokens, canonical=args.canonical
                 )
-            elif metric == "exact_match":
+            else:  # exact_match
                 params = GenerationParams(
                     max_new_tokens=len(gold_tokens), mode=mode, canonical=args.canonical
                 )
                 value = float(generate(model, tokens, layout, params) == gold_tokens)
-            else:
-                raise CliError(f"unknown metric {metric!r}", USAGE_ERROR)
             rows.append({"mode": mode.variant, "gold_position": p, "value": value})
             print(f"{mode.variant}\t{p}\t{value:.6f}")
     report["results"] = {"metric": metric, "rows": rows}

@@ -4,6 +4,10 @@ RMS-norm, rotary embeddings, grouped-query attention, gated FFN, greedy
 decoding.  The KV cache stores keys BEFORE rotary rotation: the
 re-assigning attention modes give the same key different positions for
 different queries, so attention rotates keys once per query group.
+
+Prefill and decoding share one forward pass: a decode step is the
+prefill of one more row after the cached ones.  Each layer computes
+only the new rows, attending to every cached key.
 """
 
 from __future__ import annotations
@@ -42,6 +46,13 @@ class ModelConfig:
     tie_embeddings: bool = False
 
     def __post_init__(self):
+        for name in ("n_layers", "n_heads", "n_kv_heads", "d_model", "d_head", "d_ff",
+                     "vocab_size", "max_seq_len"):
+            if getattr(self, name) < 1:
+                raise WeightError(f"{name} {getattr(self, name)} must be at least 1")
+        for name in ("rope_theta", "norm_eps"):
+            if not getattr(self, name) > 0:  # also rejects NaN
+                raise WeightError(f"{name} {getattr(self, name)} must be positive")
         if self.d_model != self.n_heads * self.d_head:
             raise WeightError(
                 f"d_model {self.d_model} != n_heads {self.n_heads} * d_head {self.d_head}"
@@ -281,8 +292,19 @@ def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
     return x
 
 
-def _logits(model: Model, x_last: np.ndarray) -> np.ndarray:
-    h = rms_norm(x_last, model.weights["final_norm.weight"], model.config.norm_eps)
+def _forward(model: Model, cache: KVCache, tokens: list[int], mode: AttentionMode,
+             canonical: bool) -> np.ndarray:
+    """Run tokens as the rows after the cache, appending their keys and
+    values; returns the logits of the last row."""
+    cfg = model.config
+    q_start = cache.n_cached
+    if q_start + len(tokens) > cfg.max_seq_len:
+        raise ShapeError(f"sequence length {q_start + len(tokens)} exceeds "
+                         f"max_seq_len {cfg.max_seq_len}")
+    x = model.weights["embed.weight"][np.asarray(tokens, dtype=np.int64)]
+    for layer in range(cfg.n_layers):
+        x = _layer_forward(model, x, layer, cache, mode, q_start, canonical)
+    h = rms_norm(x[-1:], model.weights["final_norm.weight"], cfg.norm_eps)
     return matmul(h, model.head_matrix())[0]
 
 
@@ -295,16 +317,12 @@ def prefill(
 ) -> tuple[KVCache, np.ndarray]:
     """Run the whole prompt; returns the filled cache and the logits of
     the last prompt token."""
-    cfg = model.config
-    if len(tokens) > cfg.max_seq_len:
-        raise ShapeError(f"prompt length {len(tokens)} exceeds max_seq_len {cfg.max_seq_len}")
+    if len(tokens) == 0:
+        raise ShapeError("prefill: the prompt is empty")
     if len(tokens) != layout.n:
         raise ShapeError(f"token count {len(tokens)} != layout.n {layout.n}")
     cache = KVCache(layout=layout)
-    x = model.weights["embed.weight"][np.asarray(tokens, dtype=np.int64)]
-    for layer in range(cfg.n_layers):
-        x = _layer_forward(model, x, layer, cache, mode, 0, canonical)
-    return cache, _logits(model, x[-1:])
+    return cache, _forward(model, cache, tokens, mode, canonical)
 
 
 def decode_step(
@@ -315,16 +333,9 @@ def decode_step(
     canonical: bool = True,
 ) -> np.ndarray:
     """Append one token to the cache and return next-token logits."""
-    cfg = model.config
-    t = cache.n_cached
-    if t == 0:
+    if cache.n_cached == 0:
         raise ShapeError("decode_step: cache is empty; run prefill first")
-    if t >= cfg.max_seq_len:
-        raise ShapeError(f"decode_step: cache full at max_seq_len {cfg.max_seq_len}")
-    x = model.weights["embed.weight"][np.asarray([token], dtype=np.int64)]
-    for layer in range(cfg.n_layers):
-        x = _layer_forward(model, x, layer, cache, mode, t, canonical)
-    return _logits(model, x)
+    return _forward(model, cache, [token], mode, canonical)
 
 
 def greedy_pick(logits: np.ndarray) -> int:

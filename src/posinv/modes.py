@@ -29,7 +29,7 @@ from typing import Literal, NamedTuple
 import numpy as np
 
 from . import pine
-from .kernels import NumericError, row_softmax
+from .kernels import row_softmax
 from .prompts import SequenceLayout
 from .rope import rotate
 
@@ -98,13 +98,14 @@ def doc_id_array(layout: SequenceLayout, total_len: int) -> np.ndarray:
     return ids
 
 
-def build_mask(mode: AttentionMode, layout: SequenceLayout, total_len: int) -> np.ndarray:
-    """Boolean visibility matrix; entry [q, k] says query q may see key k."""
-    m = np.tril(np.ones((total_len, total_len), dtype=bool))
+def build_mask(mode: AttentionMode, layout: SequenceLayout, total_len: int,
+               q_start: int = 0) -> np.ndarray:
+    """Visibility rows q_start .. total_len-1; entry [q - q_start, k]: query q may see key k."""
+    m = np.arange(total_len) <= np.arange(q_start, total_len)[:, None]
     if layout.k >= 2 and mode.doc_mask != "causal":
         ids = doc_id_array(layout, total_len)
-        in_doc = ids >= 0
-        cross = in_doc[:, None] & in_doc[None, :] & (ids[:, None] != ids[None, :])
+        q_ids = ids[q_start:, None]
+        cross = (q_ids >= 0) & (ids >= 0) & (q_ids != ids)
         if mode.doc_mask == "separate":
             m &= ~cross
         else:
@@ -200,8 +201,8 @@ def attention_forward(
     group they touch.  Returns [t, n_heads, d].
 
     Each (head, query group) computes its key positions, canonical key
-    order and rotated keys once; rows outside any group share one such
-    plan per KV head.  A row then only picks its visible keys.
+    order and rotated keys once (rows outside any group: once per KV
+    head).  A row then picks its visible keys from the mask of rows q_start on.
 
     With canonical=True the value reduction runs in ascending assigned-
     position order (ties broken by document content hash), which makes
@@ -210,7 +211,7 @@ def attention_forward(
     t, n_heads, d_head = q_raw.shape
     s, n_kv, _ = k_raw.shape
     rep = n_heads // n_kv
-    mask = build_mask(mode, layout, s)
+    mask = build_mask(mode, layout, s, q_start)
     ids = doc_id_array(layout, s)
     # Secondary sort key: content hash of the owning document (0 outside
     # documents, where assigned positions are already unique).
@@ -238,9 +239,7 @@ def attention_forward(
                 pos, order, keys = plan(rows[0], None, g)
             q_rot = rotate(q_raw[i0:i1, h, :], pos[rows], rope_theta)
             for i, qi in enumerate(rows):
-                visible = order[mask[qi, order]]
-                if visible.size == 0:
-                    raise NumericError(f"fully masked attention row for query {qi}")
+                visible = order[mask[i0 + i, order]]
                 w = row_softmax((keys[visible] @ q_rot[i])[None, :], scale=scale)[0]
                 if mode.rescales and layout.k > 1 and qi >= layout.suffix_start:
                     w = _rescale(w, ids[visible] >= 0, layout.k)

@@ -86,7 +86,7 @@ def parse_prompt_file(path) -> SegmentedPrompt:
     with open(path, encoding="utf-8") as f:
         try:
             obj = json.load(f)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise PromptError(f"malformed prompt file {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise PromptError("prompt file must hold a JSON object")

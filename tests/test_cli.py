@@ -91,6 +91,15 @@ class TestCompare:
             assert mode in out
 
 
+    def test_unknown_mode_usage_error(self, model_files, prompt_file, capsys):
+        w, c = model_files
+        code = run_cli(["compare", "--model", w, "--config", c, "--prompt", prompt_file,
+                        "--modes", "vanilla,bogus", "--max-new-tokens", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "bogus" in err
+
+
 class TestInvariance:
     def test_expected_behavior_exit_zero(self, model_files, prompt_file, capsys):
         w, c = model_files
@@ -131,6 +140,65 @@ class TestBiasScan:
         assert len(values) == 4
         assert max(values) - min(values) <= 1e-4
 
+    def test_exact_match_metric(self, model_files, tmp_path, capsys):
+        w, c = model_files
+        scan = tmp_path / "scan.json"
+        scan.write_text(json.dumps({**SCAN, "metric": "exact_match", "positions": [0, 3]}))
+        assert run_cli(["bias-scan", "--model", w, "--config", c, "--scan", str(scan),
+                        "--modes", "vanilla,pine"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "mode\tgold_position\texact_match"
+        rows = [l.split("\t") for l in out.splitlines()[1:]]
+        assert [(m, p) for m, p, _ in rows] == [("vanilla", "0"), ("vanilla", "3"),
+                                                ("pine", "0"), ("pine", "3")]
+        assert all(float(v) in (0.0, 1.0) for _, _, v in rows)
+
+    @pytest.mark.parametrize("bad", [
+        {"needle": ""},
+        {"gold": ""},
+        {"prefix": 5},
+        {"gold": ["4", "2"]},
+        {"distractors": "nothing here"},
+        {"distractors": ["nothing here", ""]},
+        {"distractors": ["nothing here", 7]},
+        {"positions": [7]},
+        {"positions": [-1]},
+        {"positions": [0.5]},
+        {"positions": []},
+        {"positions": 0},
+        {"positions": None},
+        {"positions": [True]},
+        {"metric": "bogus"},
+    ])
+    def test_malformed_scan_usage_error(self, model_files, tmp_path, bad, capsys):
+        w, c = model_files
+        scan = tmp_path / "scan.json"
+        scan.write_text(json.dumps({**SCAN, **bad}))
+        code = run_cli(["bias-scan", "--model", w, "--config", c, "--scan", str(scan)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: scan") or err.startswith("error: unknown metric")
+
+    def test_scan_not_an_object_usage_error(self, model_files, tmp_path, capsys):
+        w, c = model_files
+        scan = tmp_path / "scan.json"
+        scan.write_text(json.dumps(list(SCAN)))
+        code = run_cli(["bias-scan", "--model", w, "--config", c, "--scan", str(scan)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: scan config must be")
+
+    @pytest.mark.parametrize("content", [None, b"{not json", b"\xff\xfe", b"[" * 100_000],
+                             ids=["missing", "not-json", "not-utf8", "too-deep"])
+    def test_unreadable_scan_io_error(self, model_files, tmp_path, content, capsys):
+        w, c = model_files
+        scan = tmp_path / "scan.json"
+        if content is not None:
+            scan.write_bytes(content)
+        code = run_cli(["bias-scan", "--model", w, "--config", c, "--scan", str(scan)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot load scan config")
+
     def test_missing_scan_key(self, model_files, tmp_path, capsys):
         w, c = model_files
         scan = tmp_path / "scan.json"
@@ -169,6 +237,28 @@ class TestExitCodes:
                         "--prompt", prompt_file, "--mode", "pine"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe", b"[" * 100_000],
+                             ids=["missing", "not-utf8", "too-deep"])
+    def test_unreadable_prompt_io_error(self, model_files, tmp_path, content, capsys):
+        w, c = model_files
+        p = tmp_path / "prompt.json"
+        if content is not None:
+            p.write_bytes(content)
+        code = run_cli(["run", "--model", w, "--config", c, "--prompt", str(p)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot load prompt")
+
+    def test_empty_prompt_usage_error(self, model_files, tmp_path, capsys):
+        w, c = model_files
+        p = tmp_path / "empty.json"
+        p.write_text(json.dumps({"prefix": "", "documents": [], "suffix": ""}))
+        code = run_cli(["run", "--model", w, "--config", c, "--prompt", str(p)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "empty" in err
 
     @pytest.mark.parametrize("cmd", ["run", "compare", "invariance", "bench"])
     def test_negative_max_new_tokens_usage_error(self, model_files, prompt_file, cmd, capsys):
@@ -210,6 +300,10 @@ class TestExitCodes:
         ["--d-head", "15"],
         ["--n-heads", "3", "--n-kv-heads", "2"],
         ["--vocab-size", "100"],
+        ["--n-kv-heads", "0"],
+        ["--d-ff", "-4"],
+        ["--n-layers", "-1"],
+        ["--max-seq-len", "0"],
     ])
     def test_init_bad_shape_usage_error(self, tmp_path, shape, capsys):
         w, c = str(tmp_path / "w.bin"), str(tmp_path / "c.txt")
@@ -230,3 +324,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert "vocab_size" in err
+
+    @pytest.mark.parametrize("line", ["norm_eps=0", "n_layers=0"])
+    def test_config_non_positive_value_io_error(self, model_files, prompt_file, tmp_path,
+                                                line, capsys):
+        w, c = model_files
+        key = line.split("=")[0]
+        bad = tmp_path / "bad.txt"
+        lines = open(c, encoding="utf-8").read().splitlines()
+        bad.write_text("\n".join(line if l.startswith(key + "=") else l for l in lines) + "\n")
+        code = run_cli(["run", "--model", w, "--config", str(bad), "--prompt", prompt_file,
+                        "--max-new-tokens", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert key in err

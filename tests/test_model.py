@@ -15,6 +15,7 @@ from posinv import (
     ModelConfig,
     SegmentedPrompt,
     WeightError,
+    build_mask,
     decode_step,
     generate,
     init_random,
@@ -23,6 +24,7 @@ from posinv import (
     save_weights,
     tokenize,
 )
+from posinv import modes
 from posinv.kernels import ShapeError
 from posinv.model import load_tensors, save_tensors
 
@@ -52,6 +54,15 @@ class TestConfig:
         with pytest.raises(WeightError, match="vocab_size"):
             ModelConfig(n_layers=1, n_heads=2, n_kv_heads=1, d_model=32, d_head=16,
                         d_ff=32, vocab_size=257)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_layers", 0), ("n_layers", -1), ("n_heads", 0), ("n_kv_heads", 0), ("d_head", 0),
+        ("d_ff", -4), ("max_seq_len", 0), ("norm_eps", 0.0), ("norm_eps", -1e-5),
+        ("norm_eps", float("nan")), ("rope_theta", 0.0),
+    ])
+    def test_non_positive_size_or_constant_rejected(self, tiny_config, field, value):
+        with pytest.raises(WeightError, match=field):
+            ModelConfig(**{**vars(tiny_config), field: value})
 
 
 class TestWeightIO:
@@ -187,6 +198,11 @@ class TestPrefill:
         with pytest.raises(ShapeError):
             prefill(tiny_model, tokens, layout, VANILLA)
 
+    def test_empty_prompt_rejected(self, tiny_model):
+        tokens, layout = tokenize(SegmentedPrompt("", (), ""))
+        with pytest.raises(ShapeError, match="empty"):
+            prefill(tiny_model, tokens, layout, VANILLA)
+
 
 class TestDecodeStep:
     @pytest.mark.parametrize("variant", ["vanilla", "pine"])
@@ -209,6 +225,24 @@ class TestDecodeStep:
             cache, logits = prefill(tiny_model, tokens, layout, PINE)
             outs.append(decode_step(tiny_model, cache, int(np.argmax(logits)), PINE))
         assert np.array_equal(outs[0], outs[1])
+
+    @pytest.mark.parametrize("variant", ["vanilla", "pine"])
+    def test_decode_builds_only_the_new_mask_row(self, tiny_config, variant, monkeypatch):
+        config = ModelConfig(**{**vars(tiny_config), "n_layers": 2})
+        model = Model(config, init_random(config, 0))
+        mode = AttentionMode(variant)
+        tokens, layout = tokenize(SegmentedPrompt("SYS", ("abc", "de"), "q"))
+        cache, logits = prefill(model, tokens, layout, mode)
+        shapes = []
+
+        def recording_build_mask(*args):
+            mask = build_mask(*args)
+            shapes.append(mask.shape)
+            return mask
+
+        monkeypatch.setattr(modes, "build_mask", recording_build_mask)
+        decode_step(model, cache, int(np.argmax(logits)), mode)
+        assert shapes == [(1, layout.n + 1)] * config.n_layers
 
     def test_empty_cache_rejected(self, tiny_model):
         tokens, layout = tokenize(SegmentedPrompt("SYS", (), "q"))

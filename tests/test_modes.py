@@ -76,6 +76,18 @@ class TestBuildMask:
             m = build_mask(AttentionMode(variant), layout, 8)
             assert m.diagonal().all(), variant
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("docs", [("AB", "CD", "EF"), ("AB",)])
+    def test_rows_from_q_start_are_the_full_matrix_rows(self, variant, docs):
+        # Decoding extends the sequence past the prompt layout, so cover
+        # total_len > layout.n as well.
+        _, layout = tokenize(SegmentedPrompt("S", docs, "Q"))
+        mode = AttentionMode(variant)
+        for total_len in (layout.n, layout.n + 2):
+            full = build_mask(mode, layout, total_len)
+            for q in range(total_len + 1):
+                assert np.array_equal(build_mask(mode, layout, total_len, q), full[q:]), q
+
 
 class TestAssignPositions:
     def test_vanilla_identity(self):
