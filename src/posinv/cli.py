@@ -160,6 +160,8 @@ def cmd_compare(args) -> int:
 def cmd_invariance(args) -> int:
     if args.limit < 2:
         raise CliError("invariance needs --limit >= 2 orders", USAGE_ERROR)
+    if not args.tolerance >= 0:  # also rejects NaN
+        raise CliError(f"--tolerance must be >= 0, got {args.tolerance}", USAGE_ERROR)
     model = _load_model(args)
     prompt = _load_prompt(args.prompt)
     if prompt.k < 2:
@@ -200,7 +202,7 @@ def _load_scan(path) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
             scan = json.load(f)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # also bad UTF-8, huge ints
         raise CliError(f"cannot load scan config: {exc}", IO_ERROR)
     if not isinstance(scan, dict):
         raise CliError("scan config must be a JSON object", USAGE_ERROR)
@@ -215,6 +217,11 @@ def _load_scan(path) -> dict:
     distractors = scan["distractors"]
     if not isinstance(distractors, list) or not all(isinstance(d, str) and d for d in distractors):
         raise CliError("scan distractors must be a list of non-empty strings", USAGE_ERROR)
+    try:
+        for text in (scan["prefix"], scan["needle"], scan["gold"], scan["suffix"], *distractors):
+            text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise CliError(f"cannot load scan config: text is not UTF-8: {exc}", IO_ERROR)
     k = len(distractors) + 1
     positions = scan.get("positions")
     if "positions" in scan and not (isinstance(positions, list) and positions and all(
@@ -341,7 +348,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("init", help="create a random tiny model")
     p.add_argument("--model", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--n-layers", type=int, default=2)
     p.add_argument("--n-heads", type=int, default=4)
     p.add_argument("--n-kv-heads", type=int, default=2)
@@ -368,7 +375,7 @@ def build_parser() -> _Parser:
     p.add_argument("--modes", default="pine,pcw,sp")
     p.add_argument("--limit", type=int, default=24, help="max permutations to test")
     p.add_argument("--max-new-tokens", type=_count, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=cmd_invariance)
 

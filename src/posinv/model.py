@@ -194,15 +194,19 @@ def save_config(path, config: ModelConfig) -> None:
 
 def load_config(path) -> ModelConfig:
     fields = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise WeightError(f"{path}: bad config line {line!r}")
-            key, value = line.split("=", 1)
-            fields[key.strip()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as exc:
+        raise WeightError(f"{path}: not UTF-8 text: {exc}") from exc
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise WeightError(f"{path}: bad config line {line!r}")
+        key, value = line.split("=", 1)
+        fields[key.strip()] = value.strip()
     kwargs = {}
     for key, value in fields.items():
         try:

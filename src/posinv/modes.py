@@ -1,6 +1,6 @@
 """Attention modes: visibility masks, position assignment, and dispatch.
 
-Seven variants share one row-wise attention core:
+Seven variants share one attention core over blocks of query rows:
 
   vanilla          causal mask, input positions
   nia              causal mask minus inter-document pairs, input positions
@@ -29,7 +29,7 @@ from typing import Literal, NamedTuple
 import numpy as np
 
 from . import pine
-from .kernels import row_softmax
+from .kernels import NEG_INF, row_softmax
 from .prompts import SequenceLayout
 from .rope import rotate
 
@@ -52,6 +52,7 @@ _MODE_TABLE = {
     "pine_reverse": _Rules("bidirectional", "importance", False, True, "reversed"),
 }
 VARIANTS = tuple(_MODE_TABLE)
+_BLOCK_SCORES = 1 << 16  # scores per row block: caps [rows, keys] temporaries (peak RSS)
 
 
 @dataclass(frozen=True)
@@ -173,13 +174,12 @@ def sp_rescale(weights: np.ndarray, layout: SequenceLayout, q_index: int, k: int
         # 1/k scaling with k <= 1 is the identity; skipping it keeps the
         # row bitwise equal to the unrescaled computation.
         return weights
-    flags = doc_id_array(layout, len(weights)) >= 0
-    return _rescale(weights, flags, k)
+    return _rescale(weights, doc_id_array(layout, len(weights)) >= 0, k)
 
 
 def _rescale(weights: np.ndarray, doc_flags: np.ndarray, k: int) -> np.ndarray:
     scaled = np.where(doc_flags, weights / np.float32(k), weights)
-    return (scaled / scaled.sum()).astype(weights.dtype, copy=False)
+    return (scaled / scaled.sum(axis=-1, keepdims=True)).astype(weights.dtype, copy=False)
 
 
 def attention_forward(
@@ -202,26 +202,29 @@ def attention_forward(
 
     Each (head, query group) computes its key positions, canonical key
     order and rotated keys once (rows outside any group: once per KV
-    head).  A row then picks its visible keys from the mask of rows q_start on.
+    head), then runs the group's rows in blocks: one score matrix with
+    hidden keys at NEG_INF, one softmax and one V product per block.
 
-    With canonical=True the value reduction runs in ascending assigned-
-    position order (ties broken by document content hash), which makes
-    order-invariant modes bitwise invariant under document permutation.
+    With canonical=True keys and rows run in ascending assigned-position
+    order (ties broken by document content hash), so every block makes
+    the same products whatever the document order: bitwise invariance.
     """
     t, n_heads, d_head = q_raw.shape
-    s, n_kv, _ = k_raw.shape
-    rep = n_heads // n_kv
+    s, rep = len(k_raw), n_heads // k_raw.shape[1]
     mask = build_mask(mode, layout, s, q_start)
     ids = doc_id_array(layout, s)
     # Secondary sort key: content hash of the owning document (0 outside
     # documents, where assigned positions are already unique).
     hash_key = np.array([0, *layout.doc_hashes], dtype=np.uint64)[ids + 1]
     storage = np.arange(s)
+    block = max(1, _BLOCK_SCORES // s)
 
-    def plan(qi, ordered, g):
-        pos = assign_positions(mode, layout, qi, ordered, s).key_positions
+    def plan(rows, ordered, g):
+        pos = assign_positions(mode, layout, rows[0], ordered, s).key_positions
         order = np.lexsort((storage, hash_key, pos)) if canonical else storage
-        return pos, order, rotate(k_raw[:, g, :], pos, rope_theta)
+        qs = order[(order >= rows[0]) & (order <= rows[-1])]  # the rows, in key order
+        keys = rotate(k_raw[order, g, :], pos[order], rope_theta)
+        return qs, pos[qs], mask[qs - q_start][:, order], keys, v[order, g, :], ids[order] >= 0
 
     groups = itertools.groupby(range(q_start, q_start + t), lambda qi: _group_of(mode, layout, qi))
     out = np.zeros((t, n_heads, d_head), dtype=q_raw.dtype)
@@ -234,14 +237,15 @@ def attention_forward(
             if group is not None:
                 ordered, _ = pine.group_ordering(q_raw[i0:i1, h, :], k_raw[:, g, :], layout,
                                                  group, d_head, mode.aggregation, mode.direction)
-                pos, order, keys = plan(rows[0], ordered, g)
+                qs, q_pos, seen, keys, vals, in_doc = plan(rows, ordered, g)
             elif h % rep == 0:  # rows outside any group: one plan per KV head
-                pos, order, keys = plan(rows[0], None, g)
-            q_rot = rotate(q_raw[i0:i1, h, :], pos[rows], rope_theta)
-            for i, qi in enumerate(rows):
-                visible = order[mask[i0 + i, order]]
-                w = row_softmax((keys[visible] @ q_rot[i])[None, :], scale=scale)[0]
-                if mode.rescales and layout.k > 1 and qi >= layout.suffix_start:
-                    w = _rescale(w, ids[visible] >= 0, layout.k)
-                out[i0 + i, h, :] = w @ v[:, g, :][visible]
+                qs, q_pos, seen, keys, vals, in_doc = plan(rows, None, g)
+            q_rot = rotate(q_raw[qs - q_start, h, :], q_pos, rope_theta)
+            for b in range(0, len(qs), block):
+                rb = slice(b, b + block)
+                w = row_softmax(np.where(seen[rb], q_rot[rb] @ keys.T, NEG_INF), scale)
+                if mode.rescales and layout.k > 1:
+                    late = qs[rb] >= layout.suffix_start
+                    w[late] = _rescale(w[late], in_doc, layout.k)
+                out[qs[rb] - q_start, h, :] = w @ vals
     return out

@@ -32,6 +32,11 @@ class SegmentedPrompt:
         for d in self.documents:
             if d == "":
                 raise PromptError("empty document")
+        for text in (self.prefix, *self.documents, self.suffix):
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise PromptError(f"prompt text is not encodable as UTF-8: {exc}") from exc
 
     @property
     def k(self) -> int:
@@ -86,7 +91,7 @@ def parse_prompt_file(path) -> SegmentedPrompt:
     with open(path, encoding="utf-8") as f:
         try:
             obj = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge ints
             raise PromptError(f"malformed prompt file {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise PromptError("prompt file must hold a JSON object")

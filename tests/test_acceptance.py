@@ -30,6 +30,7 @@ from posinv import (
     enumerate_orders,
     generate,
     init_random,
+    permute_documents,
     prefill,
     run_suite,
     save_weights,
@@ -140,6 +141,27 @@ def test_invariance_at_realistic_size_with_two_blas_threads(lemma_config):
     # Control: an order-sensitive mode must tell these orders apart.
     assert len(set(digests["vanilla"])) == 3
     report_pass(1, f"n={layout.n}, k=6, 3 orders, 2 BLAS threads: bitwise invariant")
+
+
+def test_decode_step_logits_bitwise_invariant(lemma_model):
+    # run_suite compares prefill logits and greedy tokens; this also pins
+    # the logits of every decode step.
+    prompt = SegmentedPrompt("system: passages follow. ",
+                             ("alpha bravo", "charlie delta echo", "foxtrot", "golf hotel"),
+                             " question: first?")
+    orders = [(0, 1, 2, 3), (3, 2, 1, 0), (2, 0, 3, 1)]
+    for variant in INVARIANT_MODES:
+        mode = AttentionMode(variant)
+        runs = []
+        for order in orders:
+            tokens, layout = tokenize(permute_documents(prompt, order))
+            cache, logits = prefill(lemma_model, tokens, layout, mode)
+            steps = [logits]
+            for _ in range(3):
+                steps.append(decode_step(lemma_model, cache, int(np.argmax(steps[-1])), mode))
+            runs.append(np.stack(steps))
+        for other in runs[1:]:
+            assert np.array_equal(runs[0], other), variant
 
 
 def test_criterion_02_non_invariance_witnesses(lemma_config, lemma_prompt):

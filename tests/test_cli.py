@@ -199,6 +199,29 @@ class TestBiasScan:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: cannot load scan config")
 
+    @pytest.mark.parametrize("bad", [
+        {"prefix": "\ud800"},
+        {"needle": "the answer is \udfff"},
+        {"distractors": ["nothing here", "\ud800"]},
+    ])
+    def test_unencodable_scan_io_error(self, model_files, tmp_path, bad, capsys):
+        w, c = model_files
+        scan = tmp_path / "scan.json"
+        scan.write_text(json.dumps({**SCAN, **bad}))
+        code = run_cli(["bias-scan", "--model", w, "--config", c, "--scan", str(scan)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot load scan config")
+
+    def test_integer_too_long_to_parse_io_error(self, model_files, tmp_path, capsys):
+        w, c = model_files
+        scan = tmp_path / "scan.json"
+        scan.write_text(json.dumps(SCAN)[:-1] + ', "positions": [' + "1" * 5000 + "]}")
+        code = run_cli(["bias-scan", "--model", w, "--config", c, "--scan", str(scan)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot load scan config")
+
     def test_missing_scan_key(self, model_files, tmp_path, capsys):
         w, c = model_files
         scan = tmp_path / "scan.json"
@@ -269,6 +292,52 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "--max-new-tokens" in err
+
+    @pytest.mark.parametrize("cmd", ["run", "compare", "invariance", "bench"])
+    @pytest.mark.parametrize("field", ["prefix", "documents", "suffix"])
+    def test_unencodable_prompt_io_error(self, model_files, tmp_path, cmd, field, capsys):
+        w, c = model_files
+        p = tmp_path / "prompt.json"
+        text = ["ok", "bad \ud800"] if field == "documents" else "bad \ud800"
+        p.write_text(json.dumps({**PROMPT, field: text}))
+        code = run_cli([cmd, "--model", w, "--config", c, "--prompt", str(p)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot load prompt")
+
+    @pytest.mark.parametrize("tolerance", ["-1", "nan"])
+    def test_bad_tolerance_usage_error(self, model_files, prompt_file, tolerance, capsys):
+        w, c = model_files
+        code = run_cli(["invariance", "--model", w, "--config", c, "--prompt", prompt_file,
+                        "--tolerance", tolerance])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert "--tolerance" in err
+
+    def test_negative_seed_usage_error(self, model_files, prompt_file, tmp_path, capsys):
+        w, c = model_files
+        code = run_cli(["init", "--model", str(tmp_path / "w.bin"),
+                        "--config", str(tmp_path / "c.txt"), "--seed", "-1"])
+        assert code == 1
+        assert not (tmp_path / "w.bin").exists()
+        # --limit 2 of the 6 orders samples them with the seed.
+        code = run_cli(["invariance", "--model", w, "--config", c, "--prompt", prompt_file,
+                        "--limit", "2", "--seed", "-1"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert "--seed" in err
+
+    def test_non_utf8_config_io_error(self, model_files, prompt_file, tmp_path, capsys):
+        w, _ = model_files
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"n_layers=2\n\xff=1\n")
+        code = run_cli(["run", "--model", w, "--config", str(bad), "--prompt", prompt_file])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot load model")
 
     def test_non_numeric_config_value_io_error(self, model_files, prompt_file, tmp_path, capsys):
         w, c = model_files

@@ -26,7 +26,7 @@ from posinv import (
 )
 from posinv import modes
 from posinv.kernels import ShapeError
-from posinv.model import load_tensors, save_tensors
+from posinv.model import load_config, load_tensors, save_tensors
 
 VANILLA = AttentionMode("vanilla")
 PINE = AttentionMode("pine")
@@ -63,6 +63,28 @@ class TestConfig:
     def test_non_positive_size_or_constant_rejected(self, tiny_config, field, value):
         with pytest.raises(WeightError, match=field):
             ModelConfig(**{**vars(tiny_config), field: value})
+
+    # Lines of known or arbitrary keys and values, mixed with raw bytes.
+    _config_line = st.builds(
+        lambda key, value: f"{key}={value}".encode("utf-8", "surrogatepass"),
+        st.sampled_from([*ModelConfig.__dataclass_fields__, "bogus"]) | st.text(max_size=4),
+        st.integers(-2, 300).map(str) | st.text(max_size=6),
+    )
+
+    @given(st.one_of(
+        st.binary(max_size=64),
+        st.lists(_config_line | st.binary(max_size=6), max_size=12).map(b"\n".join),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_any_bytes_load_or_raise_weight_error(self, data):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "c.txt"
+            path.write_bytes(data)
+            try:
+                config = load_config(path)
+            except WeightError:
+                return
+        assert isinstance(config, ModelConfig)
 
 
 class TestWeightIO:

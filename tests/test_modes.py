@@ -14,6 +14,7 @@ from posinv import (
     tokenize,
 )
 from posinv import modes
+from posinv.kernels import row_softmax
 from posinv.modes import VARIANTS
 from posinv.rope import rotate
 
@@ -223,6 +224,26 @@ class TestAttentionForward:
         suffix_rows = layout.n - layout.suffix_start
         groups = 1 + layout.k + suffix_rows if mode.reassigns else 1
         assert sum(rotated) <= n_heads * (groups + 1) * layout.n
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_softmax_per_block_of_query_rows(self, variant, monkeypatch):
+        # Rows go through the softmax in blocks, not one call per row.
+        _, layout = tokenize(SegmentedPrompt("SYS: ", ("alpha doc", "bravo!", "charlie c"), " Q?"))
+        n_heads = 4
+        q, k, v = random_qkv(layout, n_heads, 2, 8, 5)
+        calls = []
+
+        def counting_softmax(x, scale=1.0):
+            calls.append(np.atleast_2d(x).shape[0])
+            return row_softmax(x, scale)
+
+        monkeypatch.setattr(modes, "row_softmax", counting_softmax)
+        mode = AttentionMode(variant)
+        attention_forward(mode, q, k, v, layout)
+        suffix_rows = layout.n - layout.suffix_start
+        groups = 1 + layout.k + suffix_rows if mode.reassigns else 1
+        assert len(calls) <= n_heads * (groups + 1)
+        assert sum(calls) == n_heads * layout.n
 
     def test_permutation_invariance_and_witness(self):
         prompt = SegmentedPrompt("S", ("ab", "cde", "fghi"), "Q")

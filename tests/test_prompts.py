@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,38 @@ class TestParsePromptFile:
         path = write_prompt(tmp_path, {"prefix": "S", "documents": []})
         with pytest.raises(PromptError):
             parse_prompt_file(path)
+
+    def test_integer_too_long_to_parse(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"prefix": ' + "1" * 5000 + ', "documents": [], "suffix": ""}')
+        with pytest.raises(PromptError):
+            parse_prompt_file(path)
+
+    def test_lone_surrogate_rejected(self, tmp_path):
+        path = write_prompt(tmp_path, {"prefix": "S", "documents": ["A\ud800"], "suffix": "Q"})
+        with pytest.raises(PromptError, match="UTF-8"):
+            parse_prompt_file(path)
+
+    # Raw bytes, plus JSON prompts whose text includes lone surrogates,
+    # which raw bytes almost never spell out.
+    _text = st.text(st.characters() | st.characters(categories=["Cs"]), max_size=6)
+
+    @given(st.one_of(
+        st.binary(max_size=64),
+        st.builds(lambda p, d, s: json.dumps({"prefix": p, "documents": d, "suffix": s}).encode(),
+                  _text, st.lists(_text, max_size=3), _text),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_any_bytes_raise_prompt_error_or_tokenize(self, data):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "prompt.json"
+            path.write_bytes(data)
+            try:
+                prompt = parse_prompt_file(path)
+            except PromptError:
+                return
+        tokens, layout = tokenize(prompt)
+        assert layout.n == len(tokens)
 
 
 class TestTokenize:
