@@ -94,6 +94,20 @@ def _write_report(args, report: dict) -> None:
             f.write("\n")
 
 
+def _check_fits(model: Model, n_prompt: int, new_tokens: int) -> None:
+    """Refuse up front a generation the cache cannot hold: the prompt and
+    every generated token but the last are fed through the model."""
+    need = n_prompt + max(new_tokens - 1, 0)
+    if need > model.config.max_seq_len:
+        raise CliError(f"prompt of {n_prompt} tokens plus {new_tokens} new tokens needs {need} "
+                       f"positions, more than max_seq_len {model.config.max_seq_len}",
+                       USAGE_ERROR)
+
+
+_EMPTY_SUFFIX = ("with an empty suffix the last prompt token belongs to a document, "
+                 "so its logits depend on the document order")
+
+
 def _base_report(args, extra_cfg) -> dict:
     return {
         "artifact_version": ARTIFACT_VERSION,
@@ -123,6 +137,7 @@ def cmd_run(args) -> int:
     prompt = _load_prompt(args.prompt)
     mode = _mode(args.mode, args.aggregation)
     tokens, layout = tokenize(prompt, bos=args.bos)
+    _check_fits(model, len(tokens), args.max_new_tokens)
     report = _base_report(args, vars(model.config))
     t0 = time.perf_counter()
     params = GenerationParams(
@@ -141,6 +156,7 @@ def cmd_compare(args) -> int:
     model = _load_model(args)
     prompt = _load_prompt(args.prompt)
     tokens, layout = tokenize(prompt, bos=args.bos)
+    _check_fits(model, len(tokens), args.max_new_tokens)
     report = _base_report(args, vars(model.config))
     results = {}
     for mode in _modes(args):
@@ -166,6 +182,9 @@ def cmd_invariance(args) -> int:
     prompt = _load_prompt(args.prompt)
     if prompt.k < 2:
         raise CliError("invariance requires a prompt with k >= 2 documents", USAGE_ERROR)
+    if not prompt.suffix:
+        raise CliError(f"invariance needs a non-empty suffix: {_EMPTY_SUFFIX}", USAGE_ERROR)
+    _check_fits(model, len(tokenize(prompt, bos=args.bos)[0]), args.max_new_tokens)
     orders = enumerate_orders(prompt.k, args.limit, seed=args.seed)
     report = _base_report(args, vars(model.config))
     results = {}
@@ -214,6 +233,8 @@ def _load_scan(path) -> dict:
             raise CliError(f"scan {key} must be a string", USAGE_ERROR)
         if key in ("needle", "gold") and not scan[key]:
             raise CliError(f"scan {key} must be non-empty", USAGE_ERROR)
+    if not scan["suffix"]:
+        raise CliError(f"scan suffix must be non-empty: {_EMPTY_SUFFIX}", USAGE_ERROR)
     distractors = scan["distractors"]
     if not isinstance(distractors, list) or not all(isinstance(d, str) and d for d in distractors):
         raise CliError("scan distractors must be a list of non-empty strings", USAGE_ERROR)
@@ -241,6 +262,9 @@ def cmd_bias_scan(args) -> int:
     positions = scan.get("positions", list(range(k)))
     metric = scan.get("metric", SCAN_METRICS[0])
     gold_tokens = list(scan["gold"].encode("utf-8"))
+    docs = (scan["needle"], *scan["distractors"])  # every gold position gives this length
+    n_prompt = len(tokenize(SegmentedPrompt(scan["prefix"], docs, scan["suffix"]), bos=args.bos)[0])
+    _check_fits(model, n_prompt, len(gold_tokens))
     report = _base_report(args, scan)
     rows = []
     print("mode\tgold_position\t" + metric)
@@ -267,12 +291,15 @@ def cmd_bias_scan(args) -> int:
 
 
 def comparator_counts_per_token(model: Model, k_values: list[int], doc_len: int = 3) -> dict[int, int]:
-    """Sort-comparator invocations during one decoded token, per k."""
+    """Sort-comparator invocations during one decoded token, per k; a k
+    whose prompt and decoded token do not fit in max_seq_len is skipped."""
     counts = {}
     for k in k_values:
         docs = tuple(chr(ord("a") + (j % 26)) * doc_len for j in range(k))
         prompt = SegmentedPrompt("sys:", docs, "q?")
         tokens, layout = tokenize(prompt)
+        if len(tokens) + 1 > model.config.max_seq_len:
+            continue
         mode = AttentionMode("pine")
         cache, logits = prefill(model, tokens, layout, mode)
         pine.reset_comparison_count()
@@ -287,6 +314,7 @@ def cmd_bench(args) -> int:
     if args.repeats < 3:
         raise CliError("bench needs --repeats >= 3", USAGE_ERROR)
     tokens, layout = tokenize(prompt, bos=args.bos)
+    _check_fits(model, len(tokens), args.max_new_tokens)
     report = _base_report(args, vars(model.config))
     modes = _modes(args)
     baseline = AttentionMode("vanilla", aggregation=args.aggregation)

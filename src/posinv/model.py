@@ -1,9 +1,12 @@
 """Decoder-only transformer runtime.
 
 RMS-norm, rotary embeddings, grouped-query attention, gated FFN, greedy
-decoding.  The KV cache stores keys BEFORE rotary rotation: the
-re-assigning attention modes give the same key different positions for
-different queries, so attention rotates keys once per query group.
+decoding.  The KV cache stores each key twice: raw (pine's importance
+scores are position-free) and rotated once, when it is written, at a base
+position that never changes (``modes.base_positions``).  The
+re-assigning attention modes give a document's keys a different start
+for each query group; attention moves that shift onto the queries, so no
+cached key is rotated again.
 
 Prefill and decoding share one forward pass: a decode step is the
 prefill of one more row after the cached ones.  Each layer computes
@@ -20,11 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import ShapeError, matmul, rms_norm, swiglu
-from .modes import AttentionMode, attention_forward
+from .modes import AttentionMode, attention_forward, rotate_keys
 from .prompts import BYTE_VOCAB, N_SPECIALS, SequenceLayout
 
 _DTYPES = {"F32": np.float32, "F64": np.float64}
 _DTYPE_NAMES = {np.dtype(np.float32): "F32", np.dtype(np.float64): "F64"}
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 class WeightError(ValueError):
@@ -213,10 +217,10 @@ def load_config(path) -> ModelConfig:
             if key in ("rope_theta", "norm_eps"):
                 kwargs[key] = float(value)
             elif key == "tie_embeddings":
-                kwargs[key] = value.lower() in ("true", "1", "yes")
+                kwargs[key] = _BOOLS[value.lower()]
             else:
                 kwargs[key] = int(value)
-        except ValueError as exc:
+        except (ValueError, KeyError) as exc:
             raise WeightError(f"{path}: bad value for {key}: {value!r}") from exc
     try:
         return ModelConfig(**kwargs)
@@ -258,11 +262,15 @@ class GenerationParams:
 
 @dataclass
 class KVCache:
-    """Per-layer un-rotated keys and values for one generation stream."""
+    """Per-layer keys and values for one generation stream.  Keys are held
+    raw and rotated at their base positions under the mode rule
+    ``positions`` (an ``AttentionMode.positions`` value)."""
 
     layout: SequenceLayout
     k_raw: list[np.ndarray] = field(default_factory=list)  # per layer [t, n_kv, d_head]
     v: list[np.ndarray] = field(default_factory=list)
+    k_base: list[np.ndarray] = field(default_factory=list)
+    positions: str | None = None
 
     @property
     def n_cached(self) -> int:
@@ -278,15 +286,19 @@ def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
     q = matmul(h, w[p + "q_proj.weight"]).reshape(-1, cfg.n_heads, cfg.d_head)
     k = matmul(h, w[p + "k_proj.weight"]).reshape(-1, cfg.n_kv_heads, cfg.d_head)
     v = matmul(h, w[p + "v_proj.weight"]).reshape(-1, cfg.n_kv_heads, cfg.d_head)
+    k_base = rotate_keys(mode, cache.layout, k, q_start, cfg.rope_theta)
     if len(cache.k_raw) <= layer:
         cache.k_raw.append(k)
+        cache.k_base.append(k_base)
         cache.v.append(v)
     else:
         cache.k_raw[layer] = np.concatenate([cache.k_raw[layer], k], axis=0)
+        cache.k_base[layer] = np.concatenate([cache.k_base[layer], k_base], axis=0)
         cache.v[layer] = np.concatenate([cache.v[layer], v], axis=0)
     attn = attention_forward(
         mode, q, cache.k_raw[layer], cache.v[layer], cache.layout,
         q_start=q_start, rope_theta=cfg.rope_theta, canonical=canonical,
+        k_base=cache.k_base[layer],
     )
     x = x + matmul(attn.reshape(attn.shape[0], -1), w[p + "o_proj.weight"])
     h2 = rms_norm(x, w[p + "ffn_norm.weight"], cfg.norm_eps)
@@ -305,6 +317,9 @@ def _forward(model: Model, cache: KVCache, tokens: list[int], mode: AttentionMod
     if q_start + len(tokens) > cfg.max_seq_len:
         raise ShapeError(f"sequence length {q_start + len(tokens)} exceeds "
                          f"max_seq_len {cfg.max_seq_len}")
+    if cache.positions != mode.positions:  # keys cached under another position rule
+        cache.k_base = [rotate_keys(mode, cache.layout, k, 0, cfg.rope_theta) for k in cache.k_raw]
+        cache.positions = mode.positions
     x = model.weights["embed.weight"][np.asarray(tokens, dtype=np.int64)]
     for layer in range(cfg.n_layers):
         x = _layer_forward(model, x, layer, cache, mode, q_start, canonical)
@@ -354,6 +369,12 @@ def generate(
     params: GenerationParams,
 ) -> list[int]:
     cache, logits = prefill(model, tokens, layout, params.mode, params.canonical)
+    return _greedy_decode(model, cache, logits, params)
+
+
+def _greedy_decode(model: Model, cache: KVCache, logits: np.ndarray,
+                   params: GenerationParams) -> list[int]:
+    """Greedy tokens from a prefilled cache and its last logits."""
     out: list[int] = []
     for _ in range(params.max_new_tokens):
         tok = greedy_pick(logits)

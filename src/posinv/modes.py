@@ -182,6 +182,55 @@ def _rescale(weights: np.ndarray, doc_flags: np.ndarray, k: int) -> np.ndarray:
     return (scaled / scaled.sum(axis=-1, keepdims=True)).astype(weights.dtype, copy=False)
 
 
+def base_positions(mode: AttentionMode, layout: SequenceLayout, total_len: int) -> np.ndarray:
+    """The position each key is rotated at, once, when it enters the cache.
+
+    pcw/sp: the shared-block position.  Re-assigning modes with k >= 2: a
+    document key's offset inside its own document (attention adds the
+    block's assigned start on the query side); prefix and suffix keys keep
+    their input positions.  Every other mode: the input position.  A key's
+    base position never changes as the sequence grows.
+    """
+    if mode.positions == "shared":
+        return shared_block_positions(layout, total_len)
+    pos = np.arange(total_len, dtype=np.int64)
+    if mode.reassigns and layout.k >= 2:
+        for s, e in layout.doc_spans:
+            pos[s:e] -= s
+    return pos
+
+
+def rotate_keys(mode: AttentionMode, layout: SequenceLayout, k_raw: np.ndarray,
+                start: int, rope_theta: float) -> np.ndarray:
+    """Keys of storage rows start .. start + len(k_raw) - 1 rotated at
+    their base positions: what the KV cache holds next to the raw keys."""
+    return rotate(k_raw, base_positions(mode, layout, start + len(k_raw))[start:], rope_theta)
+
+
+def _pine_spans(layout: SequenceLayout, group: pine.QueryGroup, ordered: list[int],
+                rows: np.ndarray, total_len: int, canonical: bool):
+    """Key blocks and query positions of one pine group.
+
+    The blocks are the prefix, the documents (in assigned order under
+    canonical reduction, else in storage order) and the suffix, each as
+    (storage start, storage end, assigned start of the block).  Prefix
+    and suffix keys sit at their base positions, so their start is 0.
+    """
+    start = {}
+    cursor = layout.prefix_len
+    for j in ordered:
+        start[j] = cursor
+        cursor += layout.doc_len(j)
+    spans = [(0, layout.prefix_len, 0)]
+    spans += [(*layout.doc_spans[j], start[j]) for j in (ordered if canonical else range(layout.k))]
+    spans.append((layout.suffix_start, total_len, 0))
+    if group.doc_index is None:
+        q_pos = rows
+    else:
+        q_pos = start[group.doc_index] + rows - layout.doc_spans[group.doc_index][0]
+    return [span for span in spans if span[1] > span[0]], q_pos
+
+
 def attention_forward(
     mode: AttentionMode,
     q_raw: np.ndarray,
@@ -191,19 +240,27 @@ def attention_forward(
     q_start: int = 0,
     rope_theta: float = 10000.0,
     canonical: bool = True,
+    k_base: np.ndarray | None = None,
 ) -> np.ndarray:
     """One layer of multi-head attention under a mode.
 
     q_raw: [t, n_heads, d_head] pre-rotation queries for the contiguous
     rows q_start .. q_start + t - 1 (prefill: every row from 0; decode:
     the new token's index); k_raw/v: [s, n_kv_heads, d_head] covering
-    all cached tokens.  The rows must hold every query of each document
+    all cached tokens.  k_base: the same keys rotated at their base
+    positions (``rotate_keys``), as the KV cache holds them; computed
+    here when None.  The rows must hold every query of each document
     group they touch.  Returns [t, n_heads, d].
 
-    Each (head, query group) computes its key positions, canonical key
-    order and rotated keys once (rows outside any group: once per KV
-    head), then runs the group's rows in blocks: one score matrix with
-    hidden keys at NEG_INF, one softmax and one V product per block.
+    No key is rotated again: RoPE scores depend only on relative
+    positions, <R(p)q, R(c + o)k> = <R(p - c)q, R(o)k>, so a key block
+    whose keys sit at base offset o and assigned position c + o is
+    scored with the queries rotated by p - c.  Only pine groups have
+    blocks with c != 0: per (head, pine group) the document order gives
+    each document block its start c, and the queries are rotated once
+    per block.  Rows outside any pine group share one key order per KV
+    head.  The rows then run in blocks: one score matrix with hidden
+    keys at NEG_INF, one softmax and one V product per block.
 
     With canonical=True keys and rows run in ascending assigned-position
     order (ties broken by document content hash), so every block makes
@@ -211,39 +268,57 @@ def attention_forward(
     """
     t, n_heads, d_head = q_raw.shape
     s, rep = len(k_raw), n_heads // k_raw.shape[1]
+    base = base_positions(mode, layout, s)
+    if k_base is None:
+        k_base = rotate(k_raw, base, rope_theta)
     mask = build_mask(mode, layout, s, q_start)
     ids = doc_id_array(layout, s)
-    # Secondary sort key: content hash of the owning document (0 outside
-    # documents, where assigned positions are already unique).
-    hash_key = np.array([0, *layout.doc_hashes], dtype=np.uint64)[ids + 1]
     storage = np.arange(s)
+    if canonical and mode.positions == "shared":
+        # Documents share positions: ties break by content hash, then storage index.
+        hash_key = np.array([0, *layout.doc_hashes], dtype=np.uint64)[ids + 1]
+        plain = np.lexsort((storage, hash_key, base))
+    else:
+        plain = storage  # input positions: unique and ascending
+    candidates = {}  # own document (None: suffix rows) -> pine.Candidates, shared by all heads
     block = max(1, _BLOCK_SCORES // s)
-
-    def plan(rows, ordered, g):
-        pos = assign_positions(mode, layout, rows[0], ordered, s).key_positions
-        order = np.lexsort((storage, hash_key, pos)) if canonical else storage
-        qs = order[(order >= rows[0]) & (order <= rows[-1])]  # the rows, in key order
-        keys = rotate(k_raw[order, g, :], pos[order], rope_theta)
-        return qs, pos[qs], mask[qs - q_start][:, order], keys, v[order, g, :], ids[order] >= 0
 
     groups = itertools.groupby(range(q_start, q_start + t), lambda qi: _group_of(mode, layout, qi))
     out = np.zeros((t, n_heads, d_head), dtype=q_raw.dtype)
     scale = 1.0 / np.sqrt(np.float32(d_head))
     for group, rows in groups:
-        rows = list(rows)
-        i0, i1 = rows[0] - q_start, rows[-1] + 1 - q_start
+        rows = np.fromiter(rows, dtype=np.int64)
         for h in range(n_heads):
             g = h // rep
             if group is not None:
-                ordered, _ = pine.group_ordering(q_raw[i0:i1, h, :], k_raw[:, g, :], layout,
-                                                 group, d_head, mode.aggregation, mode.direction)
-                qs, q_pos, seen, keys, vals, in_doc = plan(rows, ordered, g)
-            elif h % rep == 0:  # rows outside any group: one plan per KV head
-                qs, q_pos, seen, keys, vals, in_doc = plan(rows, None, g)
-            q_rot = rotate(q_raw[qs - q_start, h, :], q_pos, rope_theta)
+                if group.doc_index not in candidates:
+                    candidates[group.doc_index] = pine.candidate_keys(layout, group)
+                ordered, _ = pine.group_ordering(
+                    q_raw[rows - q_start, h, :], k_raw[:, g, :], layout, group, d_head,
+                    mode.aggregation, mode.direction, candidates[group.doc_index])
+                spans, q_pos = _pine_spans(layout, group, ordered, rows, s, canonical)
+                order = np.concatenate([storage[a:b] for a, b, _ in spans])
+                keys = [k_base[a:b, g, :] for a, b, _ in spans]
+                # Per key block, the rows rotate by their position minus the block's start.
+                rot_pos = (q_pos - np.array([c for _, _, c in spans])[:, None]).ravel()
+                qs = rows
+            elif h % rep == 0:  # rows outside any pine group: one plan per KV head
+                order = plain
+                qs = order[(order >= rows[0]) & (order <= rows[-1])]  # the rows, in key order
+                keys, rot_pos = [k_base[order, g, :]], base[qs]
+            if group is not None or h % rep == 0:
+                seen = mask[qs - q_start][:, order]
+                vals = v[order, g, :]
+                in_doc = ids[order] >= 0 if mode.rescales else None
+            q_rows = q_raw[qs - q_start, h, :]
+            if len(keys) > 1:  # one copy of the rows per key block
+                q_rows = np.tile(q_rows, (len(keys), 1))
+            q_rot = rotate(q_rows, rot_pos, rope_theta).reshape(len(keys), len(qs), d_head)
             for b in range(0, len(qs), block):
                 rb = slice(b, b + block)
-                w = row_softmax(np.where(seen[rb], q_rot[rb] @ keys.T, NEG_INF), scale)
+                scores = [q_rot[i, rb] @ kb.T for i, kb in enumerate(keys)]
+                scores = scores[0] if len(scores) == 1 else np.concatenate(scores, axis=1)
+                w = row_softmax(np.where(seen[rb], scores, NEG_INF), scale)
                 if mode.rescales and layout.k > 1:
                     late = qs[rb] >= layout.suffix_start
                     w[late] = _rescale(w[late], in_doc, layout.k)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -87,7 +87,7 @@ def token_importance(q_rows: np.ndarray, k_rows: np.ndarray, d_head: int) -> np.
 
 def doc_importance(
     probs: np.ndarray,
-    blocks: list[tuple[int, int]],
+    blocks: Sequence[tuple[int, int]],
     aggregation: Aggregation = "mean",
 ) -> list[float]:
     """Aggregate token-level probabilities into one score per candidate.
@@ -140,6 +140,33 @@ def order_documents(
     return sorted(scores.keys(), key=cmp_to_key(cmp))
 
 
+@dataclass(frozen=True)
+class Candidates:
+    """A group's candidate documents in canonical order, the storage
+    indices of their key tokens in that order, and each candidate's
+    column range [start, end) within those indices."""
+
+    docs: tuple[int, ...]
+    key_idx: np.ndarray
+    blocks: tuple[tuple[int, int], ...]
+
+
+def candidate_keys(layout: SequenceLayout, group: QueryGroup) -> Candidates:
+    """The candidate key index arrays of a group.  They depend only on the
+    layout and the group's own document, so one build serves every layer
+    and head."""
+    docs = tuple(canonical_candidates(layout, group))
+    key_idx = [np.zeros(0, dtype=np.int64)]
+    blocks = []
+    cursor = 0
+    for j in docs:
+        s, e = layout.doc_spans[j]
+        key_idx.append(np.arange(s, e))
+        blocks.append((cursor, cursor + (e - s)))
+        cursor += e - s
+    return Candidates(docs, np.concatenate(key_idx), tuple(blocks))
+
+
 def group_ordering(
     q_rows: np.ndarray,
     k_head: np.ndarray,
@@ -148,28 +175,24 @@ def group_ordering(
     d_head: int,
     aggregation: Aggregation = "mean",
     direction: Direction = "closer",
+    candidates: Candidates | None = None,
 ) -> tuple[list[int], dict[int, float]]:
     """Full key-block document order for one group at one (layer, head).
 
     ``q_rows`` are the group's pre-rotation query rows ([|group|, d]);
     ``k_head`` covers all cached key tokens at their storage indices.
-    Returns (ordered document indices, candidate scores).  For document
-    groups the group's own document is appended last (the query document
-    always occupies the final block).
+    ``candidates`` is ``candidate_keys(layout, group)``, built here when
+    not given.  Returns (ordered document indices, candidate scores).  For
+    document groups the group's own document is appended last (the query
+    document always occupies the final block).
     """
-    cands = canonical_candidates(layout, group)
-    if not cands:
+    cands = candidates if candidates is not None else candidate_keys(layout, group)
+    if not cands.docs:
         ordered = [] if group.doc_index is None else [group.doc_index]
         return ordered, {}
-    key_idx: list[int] = []
-    blocks: list[tuple[int, int]] = []
-    for j in cands:
-        s, e = layout.doc_spans[j]
-        blocks.append((len(key_idx), len(key_idx) + (e - s)))
-        key_idx.extend(range(s, e))
-    probs = token_importance(q_rows, k_head[key_idx], d_head)
-    score_list = doc_importance(probs, blocks, aggregation)
-    scores = dict(zip(cands, score_list))
+    probs = token_importance(q_rows, k_head[cands.key_idx], d_head)
+    score_list = doc_importance(probs, cands.blocks, aggregation)
+    scores = dict(zip(cands.docs, score_list))
     ordered = order_documents(scores, layout.doc_hashes, direction)
     if group.doc_index is not None:
         ordered.append(group.doc_index)

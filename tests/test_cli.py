@@ -407,3 +407,103 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert key in err
+
+
+@pytest.fixture(scope="module")
+def short_model_files(tmp_path_factory):
+    """A model with max_seq_len 24."""
+    d = tmp_path_factory.mktemp("short")
+    w, c = str(d / "w.bin"), str(d / "c.txt")
+    assert main(["init", "--model", w, "--config", c, "--n-layers", "1", "--n-heads", "2",
+                 "--n-kv-heads", "1", "--d-head", "16", "--d-ff", "64",
+                 "--max-seq-len", "24"]) == 0
+    return w, c
+
+
+ELEVEN_TOKENS = {"prefix": "S", "documents": ["abc", "de", "fg"], "suffix": " Q?"}
+
+
+class TestEmptySuffix:
+    def test_invariance_usage_error(self, model_files, tmp_path, capsys):
+        w, c = model_files
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps({"prefix": "sys ", "documents": ["alpha", "beta beta", "c"],
+                                 "suffix": ""}))
+        code = run_cli(["invariance", "--model", w, "--config", c, "--prompt", str(p)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert "empty suffix" in err
+
+    def test_bias_scan_usage_error(self, model_files, tmp_path, capsys):
+        w, c = model_files
+        scan = tmp_path / "scan.json"
+        scan.write_text(json.dumps({**SCAN, "suffix": ""}))
+        code = run_cli(["bias-scan", "--model", w, "--config", c, "--scan", str(scan)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: scan suffix")
+
+
+class TestRefuseWhatCannotFit:
+    @pytest.mark.parametrize("cmd", ["run", "compare", "invariance", "bench"])
+    def test_generation_past_max_seq_len_usage_error(self, short_model_files, tmp_path, cmd,
+                                                     capsys):
+        w, c = short_model_files
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(ELEVEN_TOKENS))
+        code = run_cli([cmd, "--model", w, "--config", c, "--prompt", str(p),
+                        "--max-new-tokens", "15"])  # 11 + 15 - 1 = 25 > 24
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert "15 new tokens" in err and "max_seq_len 24" in err
+
+    def test_generation_filling_max_seq_len_runs(self, short_model_files, tmp_path, capsys):
+        w, c = short_model_files
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(ELEVEN_TOKENS))
+        code = run_cli(["run", "--model", w, "--config", c, "--prompt", str(p),
+                        "--max-new-tokens", "14"])  # 11 + 14 - 1 = 24
+        capsys.readouterr()
+        assert code == 0
+
+    @pytest.mark.parametrize("metric", ["exact_match", "gold_token_logprob"])
+    def test_bias_scan_past_max_seq_len_usage_error(self, short_model_files, tmp_path, metric,
+                                                    capsys):
+        w, c = short_model_files
+        scan = tmp_path / "scan.json"
+        scan.write_text(json.dumps({"prefix": "S:", "needle": "n", "gold": "g" * 21,
+                                    "distractors": ["d"], "suffix": "?", "metric": metric}))
+        code = run_cli(["bias-scan", "--model", w, "--config", c, "--scan", str(scan)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert "max_seq_len 24" in err
+
+    def test_bench_skips_comparator_prompts_that_do_not_fit(self, short_model_files, tmp_path,
+                                                            capsys):
+        w, c = short_model_files
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(ELEVEN_TOKENS))
+        report = tmp_path / "report.json"
+        code = run_cli(["bench", "--model", w, "--config", c, "--prompt", str(p),
+                        "--repeats", "3", "--max-new-tokens", "1",
+                        "--report-out", str(report)])
+        capsys.readouterr()
+        assert code == 0
+        # "sys:", k documents of 3 bytes and "q?", plus one decoded token:
+        # k = 2 and 4 fit in 24 positions, 8 does not.
+        assert list(json.loads(report.read_text())["results"]["comparator_counts"]) == ["2", "4"]
+
+
+def test_config_tie_embeddings_not_boolean_io_error(model_files, prompt_file, tmp_path, capsys):
+    w, c = model_files
+    bad = tmp_path / "bad.txt"
+    bad.write_text(open(c, encoding="utf-8").read() + "tie_embeddings=maybe\n")
+    code = run_cli(["run", "--model", w, "--config", str(bad), "--prompt", prompt_file,
+                    "--max-new-tokens", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "tie_embeddings" in err

@@ -301,3 +301,46 @@ class TestGenerate:
         params = GenerationParams(max_new_tokens=6, mode=PINE)
         runs = [generate(tiny_model, tokens, layout, params) for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
+
+
+class TestBaseRotatedCache:
+    @pytest.mark.parametrize("variant", modes.VARIANTS)
+    def test_cached_keys_rotated_once_at_base_positions(self, tiny_model, variant):
+        mode = AttentionMode(variant)
+        tokens, layout = tokenize(SegmentedPrompt("SYS", ("abc", "de", "fgh"), "qq"))
+        cache, logits = prefill(tiny_model, tokens, layout, mode)
+        for _ in range(2):
+            logits = decode_step(tiny_model, cache, int(np.argmax(logits)), mode)
+        theta = tiny_model.config.rope_theta
+        for k_raw, k_base in zip(cache.k_raw, cache.k_base):
+            assert np.array_equal(k_base, modes.rotate_keys(mode, layout, k_raw, 0, theta))
+
+    def test_decode_under_another_mode_rotates_the_cache_for_it(self, tiny_model):
+        # A cache filled under vanilla (input positions) decoded under pine
+        # (document offsets) must hold pine's base-rotated keys.
+        tokens, layout = tokenize(SegmentedPrompt("SYS", ("abc", "de", "fgh"), "qq"))
+        cache, logits = prefill(tiny_model, tokens, layout, VANILLA)
+        decode_step(tiny_model, cache, int(np.argmax(logits)), PINE)
+        theta = tiny_model.config.rope_theta
+        for k_raw, k_base in zip(cache.k_raw, cache.k_base):
+            assert np.array_equal(k_base, modes.rotate_keys(PINE, layout, k_raw, 0, theta))
+
+
+class TestTieEmbeddingsConfig:
+    @pytest.mark.parametrize("value, expected", [
+        ("true", True), ("True", True), ("1", True), ("YES", True),
+        ("false", False), ("FALSE", False), ("0", False), ("no", False),
+    ])
+    def test_boolean_spellings(self, tmp_path, tiny_config, value, expected):
+        path = tmp_path / "c.txt"
+        lines = [f"{k}={v}" for k, v in vars(tiny_config).items() if k != "tie_embeddings"]
+        path.write_text("\n".join([*lines, f"tie_embeddings={value}"]) + "\n")
+        assert load_config(path).tie_embeddings is expected
+
+    @pytest.mark.parametrize("value", ["maybe", "", "2", "on", "yes please"])
+    def test_other_values_rejected(self, tmp_path, tiny_config, value):
+        path = tmp_path / "c.txt"
+        lines = [f"{k}={v}" for k, v in vars(tiny_config).items() if k != "tie_embeddings"]
+        path.write_text("\n".join([*lines, f"tie_embeddings={value}"]) + "\n")
+        with pytest.raises(WeightError, match="tie_embeddings"):
+            load_config(path)

@@ -282,3 +282,89 @@ class TestAttentionForward:
                 assert np.array_equal(a, aligned), variant
             else:
                 assert np.max(np.abs(a - aligned)) > 1e-6, variant
+
+
+def four_doc_prompt(doc_bytes):
+    """k=4 prompt whose length grows with doc_bytes (n = 4 * doc_bytes + 8)."""
+    docs = tuple(chr(ord("a") + j) * (doc_bytes - 1) + "." for j in range(4))
+    return tokenize(SegmentedPrompt("SYS: ", docs, " Q?"))
+
+
+class TestBaseRotatedKeys:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_decode_step_rotations_independent_of_prompt_length(self, tiny_config, variant,
+                                                                monkeypatch):
+        # Cached keys are never rotated again: a decode step rotates the new
+        # key and a fixed number of query rows per head, whatever n is.
+        from posinv import Model, ModelConfig, decode_step, init_random, prefill
+
+        config = ModelConfig(**{**vars(tiny_config), "max_seq_len": 512})
+        model = Model(config, init_random(config, 0))
+        mode = AttentionMode(variant)
+        counts = []
+        for doc_bytes in (13, 73):  # n = 60 and n = 300
+            tokens, layout = four_doc_prompt(doc_bytes)
+            cache, logits = prefill(model, tokens, layout, mode)
+            rotated = []
+
+            def counting_rotate(x, positions, theta):
+                rotated.append(np.atleast_2d(x).shape[0])
+                return rotate(x, positions, theta)
+
+            with monkeypatch.context() as m:
+                m.setattr(modes, "rotate", counting_rotate)
+                decode_step(model, cache, int(np.argmax(logits)), mode)
+            counts.append(sum(rotated))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("canonical", [True, False])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_cached_base_keys_equal_own_rotation_bitwise(self, variant, canonical):
+        # Keys rotated piecewise as the cache writes them (prompt, then one
+        # row per decode step) give the same attention, bitwise, as
+        # attention_forward rotating the raw keys itself.
+        _, layout = tokenize(SegmentedPrompt("SYS: ", ("alpha doc", "bravo!", "charlie c"), " Q?"))
+        n = layout.n
+        q, k, v = random_qkv(layout.extend(2), 4, 2, 8, 6)
+        mode = AttentionMode(variant)
+        k_base = np.concatenate([modes.rotate_keys(mode, layout, k[:n], 0, 10000.0),
+                                 modes.rotate_keys(mode, layout, k[n:n + 1], n, 10000.0),
+                                 modes.rotate_keys(mode, layout, k[n + 1:], n + 1, 10000.0)])
+        own = attention_forward(mode, q[:n], k[:n], v[:n], layout, canonical=canonical)
+        cached = attention_forward(mode, q[:n], k[:n], v[:n], layout, canonical=canonical,
+                                   k_base=k_base[:n])
+        assert np.array_equal(own, cached)
+        own = attention_forward(mode, q[-1:], k, v, layout, q_start=n + 1, canonical=canonical)
+        cached = attention_forward(mode, q[-1:], k, v, layout, q_start=n + 1,
+                                   canonical=canonical, k_base=k_base)
+        assert np.array_equal(own, cached)
+
+    def test_base_positions_shared_block(self):
+        _, layout = running_example()  # S | AB CD EF | Q
+        for variant in ("pcw", "sp"):
+            pos = modes.base_positions(AttentionMode(variant), layout, layout.n + 2)
+            assert pos.tolist() == [0, 1, 2, 1, 2, 1, 2, 3, 4, 5]
+
+    def test_base_positions_pine_local_offsets(self):
+        _, layout = running_example()
+        for variant in ("pine", "pine_reverse"):
+            pos = modes.base_positions(AttentionMode(variant), layout, layout.n + 1)
+            assert pos.tolist() == [0, 0, 1, 0, 1, 0, 1, 7, 8]
+
+    def test_base_positions_input_elsewhere(self):
+        _, layout = running_example()
+        for variant in ("vanilla", "nia", "pine_noreassign"):
+            pos = modes.base_positions(AttentionMode(variant), layout, layout.n)
+            assert pos.tolist() == list(range(layout.n))
+        for docs in ((), ("ABC",)):  # k <= 1: nothing is re-assigned
+            _, layout = tokenize(SegmentedPrompt("SY", docs, "QR"))
+            for variant in ("pine", "pine_reverse"):
+                pos = modes.base_positions(AttentionMode(variant), layout, layout.n)
+                assert pos.tolist() == list(range(layout.n))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_base_positions_do_not_move_as_the_sequence_grows(self, variant):
+        _, layout = tokenize(SegmentedPrompt("SYS", ("abc", "de", "fgh"), "q"))
+        mode = AttentionMode(variant)
+        grown = modes.base_positions(mode, layout, layout.n + 5)
+        assert np.array_equal(grown[: layout.n], modes.base_positions(mode, layout, layout.n))

@@ -106,3 +106,27 @@ class TestPermutationVote:
     def test_no_match_error(self):
         with pytest.raises(ValueError):
             permutation_vote(["nothing here"], r"\[\[([AB])\]\]")
+
+
+class TestRunSuitePrefills:
+    def test_one_prefill_per_order_and_outputs_match_generate(self, tiny_model, prompt,
+                                                              monkeypatch):
+        from posinv import GenerationParams, generate, model, oracle, permute_documents
+
+        mode = AttentionMode("pine")
+        orders = enumerate_orders(3, 10)
+        calls = []
+
+        def counting_prefill(*args, **kwargs):
+            calls.append(1)
+            return prefill(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "prefill", counting_prefill)
+        monkeypatch.setattr(model, "prefill", counting_prefill)
+        rep = run_suite(tiny_model, prompt, mode, orders, 5)
+        assert len(calls) == len(orders)
+        monkeypatch.undo()
+        params = GenerationParams(max_new_tokens=5, mode=mode)
+        for perm, out in zip(orders, rep.greedy_outputs):
+            tokens, layout = tokenize(permute_documents(prompt, perm))
+            assert out == generate(tiny_model, tokens, layout, params)
