@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import pine
-from .kernels import ShapeError
+from .kernels import NumericError, ShapeError
 from .model import (
     GenerationParams,
     Model,
@@ -434,6 +434,9 @@ def main(argv=None) -> int:
     except ShapeError as exc:  # an input the model cannot take, e.g. too long
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except NumericError as exc:  # finite weights whose products overflow
+        print(f"error: weights overflow: {exc}", file=sys.stderr)
+        return IO_ERROR
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@ scores are position-free) and rotated once, when it is written, at a base
 position that never changes (``modes.base_positions``).  The
 re-assigning attention modes give a document's keys a different start
 for each query group; attention moves that shift onto the queries, so no
-cached key is rotated again.
+cached key is rotated again.  Per (layer, KV head), one importance pass
+orders the documents for every query group at once, and every row then
+goes through the same blocked softmax core as the other modes.
 
 Prefill and decoding share one forward pass: a decode step is the
 prefill of one more row after the cached ones.  Each layer computes

@@ -22,7 +22,6 @@ same mask and positions (e.g. k <= 1), their outputs are bitwise equal.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
@@ -91,20 +90,12 @@ class AttentionMode:
         return self.positions == "importance"
 
 
-def doc_id_array(layout: SequenceLayout, total_len: int) -> np.ndarray:
-    """Document number per storage index; -1 for prefix/suffix tokens."""
-    ids = np.full(total_len, -1, dtype=np.int64)
-    for j, (s, e) in enumerate(layout.doc_spans):
-        ids[s:e] = j
-    return ids
-
-
 def build_mask(mode: AttentionMode, layout: SequenceLayout, total_len: int,
                q_start: int = 0) -> np.ndarray:
     """Visibility rows q_start .. total_len-1; entry [q - q_start, k]: query q may see key k."""
     m = np.arange(total_len) <= np.arange(q_start, total_len)[:, None]
     if layout.k >= 2 and mode.doc_mask != "causal":
-        ids = doc_id_array(layout, total_len)
+        ids = pine.doc_id_array(layout, total_len)
         q_ids = ids[q_start:, None]
         cross = (q_ids >= 0) & (ids >= 0) & (q_ids != ids)
         if mode.doc_mask == "separate":
@@ -142,7 +133,7 @@ def assign_positions(
     prefix queries belong to no group and keep their input positions.
     """
     total_len = total_len if total_len is not None else layout.n
-    if _group_of(mode, layout, q_index) is not None:
+    if mode.reassigns and layout.k >= 2 and q_index >= layout.prefix_len:
         if ordered_docs is None:
             raise ValueError(f"mode {mode.variant} requires an importance ordering")
         pos = pine.pine_key_positions(layout, ordered_docs, total_len)
@@ -153,20 +144,6 @@ def assign_positions(
     return pine.PositionMap(query_position=int(pos[q_index]), key_positions=pos)
 
 
-def _group_of(mode: AttentionMode, layout: SequenceLayout, q_index: int) -> pine.QueryGroup | None:
-    """The query group whose ordering sets q_index's key positions; None
-    where the positions need no ordering (prefix rows, other modes, k < 2)."""
-    if not mode.reassigns or layout.k < 2:
-        return None
-    if q_index >= layout.suffix_start:
-        return pine.QueryGroup("token", q_index, q_index + 1)
-    j = layout.doc_of(q_index)
-    if j is None:
-        return None
-    s, e = layout.doc_spans[j]
-    return pine.QueryGroup("doc", s, e, doc_index=j)
-
-
 def sp_rescale(weights: np.ndarray, layout: SequenceLayout, q_index: int, k: int) -> np.ndarray:
     """Scale document-key attention of suffix/decoded queries by 1/k and
     renormalize; other queries (and k=0) pass through unchanged."""
@@ -174,7 +151,7 @@ def sp_rescale(weights: np.ndarray, layout: SequenceLayout, q_index: int, k: int
         # 1/k scaling with k <= 1 is the identity; skipping it keeps the
         # row bitwise equal to the unrescaled computation.
         return weights
-    return _rescale(weights, doc_id_array(layout, len(weights)) >= 0, k)
+    return _rescale(weights, pine.doc_id_array(layout, len(weights)) >= 0, k)
 
 
 def _rescale(weights: np.ndarray, doc_flags: np.ndarray, k: int) -> np.ndarray:
@@ -207,30 +184,6 @@ def rotate_keys(mode: AttentionMode, layout: SequenceLayout, k_raw: np.ndarray,
     return rotate(k_raw, base_positions(mode, layout, start + len(k_raw))[start:], rope_theta)
 
 
-def _pine_spans(layout: SequenceLayout, group: pine.QueryGroup, ordered: list[int],
-                rows: np.ndarray, total_len: int, canonical: bool):
-    """Key blocks and query positions of one pine group.
-
-    The blocks are the prefix, the documents (in assigned order under
-    canonical reduction, else in storage order) and the suffix, each as
-    (storage start, storage end, assigned start of the block).  Prefix
-    and suffix keys sit at their base positions, so their start is 0.
-    """
-    start = {}
-    cursor = layout.prefix_len
-    for j in ordered:
-        start[j] = cursor
-        cursor += layout.doc_len(j)
-    spans = [(0, layout.prefix_len, 0)]
-    spans += [(*layout.doc_spans[j], start[j]) for j in (ordered if canonical else range(layout.k))]
-    spans.append((layout.suffix_start, total_len, 0))
-    if group.doc_index is None:
-        q_pos = rows
-    else:
-        q_pos = start[group.doc_index] + rows - layout.doc_spans[group.doc_index][0]
-    return [span for span in spans if span[1] > span[0]], q_pos
-
-
 def attention_forward(
     mode: AttentionMode,
     q_raw: np.ndarray,
@@ -252,75 +205,77 @@ def attention_forward(
     here when None.  The rows must hold every query of each document
     group they touch.  Returns [t, n_heads, d].
 
+    Keys are taken in one order for every row: prefix, documents by
+    content hash (storage order with canonical=False), suffix.  The rows
+    take the same order.  Per KV head, the rows of its query heads are
+    stacked and run in blocks: one score matrix with hidden keys at
+    NEG_INF, one softmax and one V product per block.
+
     No key is rotated again: RoPE scores depend only on relative
     positions, <R(p)q, R(c + o)k> = <R(p - c)q, R(o)k>, so a key block
     whose keys sit at base offset o and assigned position c + o is
-    scored with the queries rotated by p - c.  Only pine groups have
-    blocks with c != 0: per (head, pine group) the document order gives
-    each document block its start c, and the queries are rotated once
-    per block.  Rows outside any pine group share one key order per KV
-    head.  The rows then run in blocks: one score matrix with hidden
-    keys at NEG_INF, one softmax and one V product per block.
+    scored with the query rotated by p - c.  Only the re-assigning modes
+    have blocks with c != 0: ``pine.document_starts`` scores every
+    (query head, row) against every document in one importance pass and
+    gives each document's start c in the row's group order; each
+    document block is then scored with the queries rotated by p - c.
+    Every other mode has one key block and no shift.
 
-    With canonical=True keys and rows run in ascending assigned-position
-    order (ties broken by document content hash), so every block makes
-    the same products whatever the document order: bitwise invariance.
+    With canonical=True every block of rows makes the same products, on
+    keys in the same columns, whatever the document order: bitwise
+    invariance.
     """
     t, n_heads, d_head = q_raw.shape
-    s, rep = len(k_raw), n_heads // k_raw.shape[1]
+    s, n_kv = k_raw.shape[:2]
+    rep = n_heads // n_kv
     base = base_positions(mode, layout, s)
     if k_base is None:
         k_base = rotate(k_raw, base, rope_theta)
-    mask = build_mask(mode, layout, s, q_start)
-    ids = doc_id_array(layout, s)
-    storage = np.arange(s)
-    if canonical and mode.positions == "shared":
-        # Documents share positions: ties break by content hash, then storage index.
-        hash_key = np.array([0, *layout.doc_hashes], dtype=np.uint64)[ids + 1]
-        plain = np.lexsort((storage, hash_key, base))
-    else:
-        plain = storage  # input positions: unique and ascending
-    candidates = {}  # own document (None: suffix rows) -> pine.Candidates, shared by all heads
-    block = max(1, _BLOCK_SCORES // s)
-
-    groups = itertools.groupby(range(q_start, q_start + t), lambda qi: _group_of(mode, layout, qi))
-    out = np.zeros((t, n_heads, d_head), dtype=q_raw.dtype)
+    docs = pine.canonical_order(layout) if canonical else range(layout.k)
+    spans = [(0, layout.prefix_len), *(layout.doc_spans[j] for j in docs), (layout.suffix_start, s)]
+    order = np.concatenate([np.arange(a, b) for a, b in spans])
+    rows = order[(order >= q_start) & (order < q_start + t)]
+    hidden = ~build_mask(mode, layout, s, q_start)[np.ix_(rows - q_start, order)]
+    ids = pine.doc_id_array(layout, s)
+    in_doc = ids[order] >= 0
+    late = rows >= layout.suffix_start
+    block = max(1, _BLOCK_SCORES // (s * rep))
     scale = 1.0 / np.sqrt(np.float32(d_head))
-    for group, rows in groups:
-        rows = np.fromiter(rows, dtype=np.int64)
-        for h in range(n_heads):
-            g = h // rep
-            if group is not None:
-                if group.doc_index not in candidates:
-                    candidates[group.doc_index] = pine.candidate_keys(layout, group)
-                ordered, _ = pine.group_ordering(
-                    q_raw[rows - q_start, h, :], k_raw[:, g, :], layout, group, d_head,
-                    mode.aggregation, mode.direction, candidates[group.doc_index])
-                spans, q_pos = _pine_spans(layout, group, ordered, rows, s, canonical)
-                order = np.concatenate([storage[a:b] for a, b, _ in spans])
-                keys = [k_base[a:b, g, :] for a, b, _ in spans]
-                # Per key block, the rows rotate by their position minus the block's start.
-                rot_pos = (q_pos - np.array([c for _, _, c in spans])[:, None]).ravel()
-                qs = rows
-            elif h % rep == 0:  # rows outside any pine group: one plan per KV head
-                order = plain
-                qs = order[(order >= rows[0]) & (order <= rows[-1])]  # the rows, in key order
-                keys, rot_pos = [k_base[order, g, :]], base[qs]
-            if group is not None or h % rep == 0:
-                seen = mask[qs - q_start][:, order]
-                vals = v[order, g, :]
-                in_doc = ids[order] >= 0 if mode.rescales else None
-            q_rows = q_raw[qs - q_start, h, :]
-            if len(keys) > 1:  # one copy of the rows per key block
-                q_rows = np.tile(q_rows, (len(keys), 1))
-            q_rot = rotate(q_rows, rot_pos, rope_theta).reshape(len(keys), len(qs), d_head)
-            for b in range(0, len(qs), block):
-                rb = slice(b, b + block)
-                scores = [q_rot[i, rb] @ kb.T for i, kb in enumerate(keys)]
-                scores = scores[0] if len(scores) == 1 else np.concatenate(scores, axis=1)
-                w = row_softmax(np.where(seen[rb], scores, NEG_INF), scale)
-                if mode.rescales and layout.k > 1:
-                    late = qs[rb] >= layout.suffix_start
-                    w[late] = _rescale(w[late], in_doc, layout.k)
-                out[qs[rb] - q_start, h, :] = w @ vals
+    q_pos = np.broadcast_to(base[rows, None], (len(rows), n_heads))
+    # Each key block: its column range and which of `shifts` its queries take.
+    if mode.reassigns and layout.k >= 2:
+        starts = pine.document_starts(q_raw[rows - q_start], k_raw, layout, rows, d_head,
+                                      mode.aggregation, mode.direction, block)
+        own = ids[rows]
+        own_start = starts[np.arange(len(rows)), :, np.maximum(own, 0)]
+        q_pos = q_pos + np.where(own[:, None] >= 0, own_start, 0)
+        # Shift 0 (none) serves the prefix and suffix, shift 1 + i the i-th document.
+        shifts = np.concatenate([np.zeros_like(starts[..., :1]), starts[..., list(docs)]], axis=2)
+        edges = np.cumsum([0, *(b - a for a, b in spans)])
+        key_blocks = [(c0, c1, i) for c0, c1, i in
+                      zip(edges[:-1], edges[1:], [0, *range(1, layout.k + 1), 0]) if c1 > c0]
+    else:
+        shifts, key_blocks = np.zeros((len(rows), n_heads, 1), dtype=np.int64), [(0, s, 0)]
+
+    out = np.empty((t, n_heads, d_head), dtype=q_raw.dtype)
+    for g in range(n_kv):
+        heads = slice(g * rep, (g + 1) * rep)
+        q = q_raw[rows - q_start, heads, :]  # [rows, rep, d]: the KV head's query heads
+        keys, vals = k_base[order, g, :], v[order, g, :]
+        for b in range(0, len(rows), block):
+            rb = slice(b, b + block)
+            q_rows = q[rb].reshape(-1, d_head)
+            # One rotation of every (row, head) query per shift: p - c.
+            pos = np.moveaxis(q_pos[rb, heads, None] - shifts[rb, heads], 2, 0)
+            q_rot = rotate(np.broadcast_to(q_rows, (len(pos),) + q_rows.shape).reshape(-1, d_head),
+                           pos.ravel(), rope_theta).reshape(len(pos), -1, d_head)
+            scores = np.empty((len(q_rows), s), dtype=q_rows.dtype)
+            for c0, c1, i in key_blocks:
+                np.matmul(q_rot[i], keys[c0:c1].T, out=scores[:, c0:c1])
+            scores = scores.reshape(-1, rep, s)
+            np.copyto(scores, NEG_INF, where=hidden[rb, None, :])
+            w = row_softmax(scores.reshape(-1, s), scale).reshape(-1, rep, s)
+            if mode.rescales and layout.k > 1:
+                w[late[rb]] = _rescale(w[late[rb]], in_doc, layout.k)
+            out[rows[rb] - q_start, heads, :] = (w.reshape(-1, s) @ vals).reshape(-1, rep, d_head)
     return out

@@ -5,7 +5,9 @@ position-free attention mass, sorts them, and lays their key positions
 out contiguously so that more important documents sit closer to the
 query.  Everything here is computed per layer and per head from
 pre-rotation queries and keys, which is what makes the resulting
-ordering independent of the input document order.
+ordering independent of the input document order.  ``document_starts``
+scores every query group of a layer at once, a few matrix products per
+KV head; ``group_ordering`` is its one-group case.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .kernels import row_softmax
+from .kernels import NEG_INF, row_softmax
 from .prompts import SequenceLayout
 
 Aggregation = Literal["mean", "sum", "max"]
@@ -49,9 +51,6 @@ class QueryGroup:
     q_end: int  # half-open; q_end == q_start + 1 for token groups
     doc_index: int | None = None
 
-    def candidate_docs(self, layout: SequenceLayout) -> tuple[int, ...]:
-        return tuple(j for j in range(layout.k) if j != self.doc_index)
-
 
 @dataclass(frozen=True)
 class PositionMap:
@@ -62,15 +61,11 @@ class PositionMap:
     key_positions: np.ndarray
 
 
-def canonical_candidates(layout: SequenceLayout, group: QueryGroup) -> list[int]:
-    """Candidate documents in a storage-order-independent ordering.
-
-    Sorting by content hash (then input index, which only matters for
-    identical contents) makes the downstream softmax reduction order,
-    and hence the scores, bitwise independent of the input permutation.
-    """
-    cands = group.candidate_docs(layout)
-    return sorted(cands, key=lambda j: (layout.doc_hashes[j], j))
+def canonical_order(layout: SequenceLayout) -> list[int]:
+    """Documents by content hash, then input index (which only matters for
+    identical contents): an order independent of the input permutation,
+    so reductions taken in it are bitwise independent of it too."""
+    return sorted(range(layout.k), key=lambda j: (layout.doc_hashes[j], j))
 
 
 def token_importance(q_rows: np.ndarray, k_rows: np.ndarray, d_head: int) -> np.ndarray:
@@ -140,33 +135,6 @@ def order_documents(
     return sorted(scores.keys(), key=cmp_to_key(cmp))
 
 
-@dataclass(frozen=True)
-class Candidates:
-    """A group's candidate documents in canonical order, the storage
-    indices of their key tokens in that order, and each candidate's
-    column range [start, end) within those indices."""
-
-    docs: tuple[int, ...]
-    key_idx: np.ndarray
-    blocks: tuple[tuple[int, int], ...]
-
-
-def candidate_keys(layout: SequenceLayout, group: QueryGroup) -> Candidates:
-    """The candidate key index arrays of a group.  They depend only on the
-    layout and the group's own document, so one build serves every layer
-    and head."""
-    docs = tuple(canonical_candidates(layout, group))
-    key_idx = [np.zeros(0, dtype=np.int64)]
-    blocks = []
-    cursor = 0
-    for j in docs:
-        s, e = layout.doc_spans[j]
-        key_idx.append(np.arange(s, e))
-        blocks.append((cursor, cursor + (e - s)))
-        cursor += e - s
-    return Candidates(docs, np.concatenate(key_idx), tuple(blocks))
-
-
 def group_ordering(
     q_rows: np.ndarray,
     k_head: np.ndarray,
@@ -175,28 +143,126 @@ def group_ordering(
     d_head: int,
     aggregation: Aggregation = "mean",
     direction: Direction = "closer",
-    candidates: Candidates | None = None,
 ) -> tuple[list[int], dict[int, float]]:
     """Full key-block document order for one group at one (layer, head).
 
     ``q_rows`` are the group's pre-rotation query rows ([|group|, d]);
     ``k_head`` covers all cached key tokens at their storage indices.
-    ``candidates`` is ``candidate_keys(layout, group)``, built here when
-    not given.  Returns (ordered document indices, candidate scores).  For
-    document groups the group's own document is appended last (the query
-    document always occupies the final block).
+    Returns (ordered document indices, candidate scores).  For document
+    groups the group's own document is appended last (the query document
+    always occupies the final block).  This is the one-group, one-head
+    case of the scorer behind ``document_starts``.
     """
-    cands = candidates if candidates is not None else candidate_keys(layout, group)
-    if not cands.docs:
-        ordered = [] if group.doc_index is None else [group.doc_index]
-        return ordered, {}
-    probs = token_importance(q_rows, k_head[cands.key_idx], d_head)
-    score_list = doc_importance(probs, cands.blocks, aggregation)
-    scores = dict(zip(cands.docs, score_list))
-    ordered = order_documents(scores, layout.doc_hashes, direction)
-    if group.doc_index is not None:
-        ordered.append(group.doc_index)
-    return ordered, scores
+    own = -1 if group.doc_index is None else group.doc_index
+    if layout.k == (own >= 0):  # no candidate document
+        return ([own] if own >= 0 else []), {}
+    (per_head,) = _group_orders(q_rows[:, None, :], k_head[:, None, :], layout,
+                                np.full(len(q_rows), own), np.zeros(1, dtype=np.int64),
+                                d_head, aggregation, direction, len(q_rows))
+    return per_head[0]
+
+
+def document_starts(
+    q: np.ndarray,
+    k_raw: np.ndarray,
+    layout: SequenceLayout,
+    rows: np.ndarray,
+    d_head: int,
+    aggregation: Aggregation,
+    direction: Direction,
+    block: int,
+) -> np.ndarray:
+    """Assigned start position of every document for each query row and
+    head, with k >= 2: [len(rows), n_heads, k].
+
+    ``rows`` are storage indices in canonical row order: prefix rows
+    first, then each document's rows together, then suffix rows.  ``q``
+    ([len(rows), n_heads, d]) holds their pre-rotation queries and
+    ``k_raw`` ([s, n_kv_heads, d]) every raw key.  A document's rows form
+    one query group and each suffix row its own; prefix rows belong to
+    no group and get 0.  Importance rows go through the softmax ``block``
+    rows of each KV head at a time.
+    """
+    first = int(np.count_nonzero(rows < layout.prefix_len))
+    own = doc_id_array(layout, len(k_raw))[rows[first:]]
+    new_group = np.ones(len(own), dtype=bool)
+    new_group[1:] = (own[1:] != own[:-1]) | (own[1:] < 0)
+    bounds = np.flatnonzero(new_group)
+    lens = [layout.doc_len(j) for j in range(layout.k)]
+    group_starts = []
+    for per_head in _group_orders(q[first:], k_raw, layout, own, bounds, d_head, aggregation,
+                                  direction, block):
+        group_starts.append([])
+        for ordered, _ in per_head:
+            at, cursor = [0] * layout.k, layout.prefix_len
+            for j in ordered:
+                at[j], cursor = cursor, cursor + lens[j]
+            group_starts[-1].append(at)
+    starts = np.zeros((len(rows), q.shape[1], layout.k), dtype=np.int64)
+    starts[first:] = np.repeat(np.array(group_starts, dtype=np.int64),
+                               np.diff([*bounds, len(own)]), axis=0)
+    return starts
+
+
+def _group_orders(q, k_raw, layout, own, bounds, d_head, aggregation, direction, block):
+    """Document order and scores of every query group at every head.
+
+    q: [r, n_heads, d] pre-rotation query rows; k_raw: [s, n_kv_heads, d];
+    own: each row's own document (-1: none); bounds: first row of each
+    group, rows of a group being contiguous.  Per KV head, its query
+    heads' copies of each row are stacked and scored against all
+    document keys, in ``canonical_order``, with the row's own document
+    at NEG_INF: one score matrix and
+    one ``row_softmax`` per block of ``block`` rows.  Summing (max: taking
+    the maximum of) each document's columns and then each group's rows
+    gives every group's scores at once; only the comparator sort runs per
+    (group, head).  Returns orders[group][head] = (ordered documents,
+    candidate scores).
+    """
+    if aggregation not in ("mean", "sum", "max"):
+        raise ValueError(f"unknown aggregation {aggregation!r}")
+    reduce = np.maximum if aggregation == "max" else np.add
+    docs = canonical_order(layout)
+    lens = np.array([layout.doc_len(j) for j in docs], dtype=np.int64)
+    col_doc = np.repeat(docs, lens)  # the document of each key column
+    col_ends = np.cumsum(lens)
+    key_idx = np.concatenate([np.arange(*layout.doc_spans[j]) for j in docs])
+    r, n_heads, d = q.shape
+    rep = n_heads // k_raw.shape[1]
+    totals = np.empty((r, n_heads, layout.k), dtype=q.dtype)
+    scale = 1.0 / np.sqrt(np.float32(d_head))
+    for g in range(k_raw.shape[1]):
+        heads = slice(g * rep, (g + 1) * rep)
+        keys_t = k_raw[key_idx, g, :].T
+        for b in range(0, r, block):
+            rb = slice(b, b + block)
+            logits = (q[rb, heads].reshape(-1, d) @ keys_t).reshape(-1, rep, len(col_doc))
+            np.copyto(logits, NEG_INF, where=(col_doc == own[rb, None])[:, None, :])
+            probs = row_softmax(logits.reshape(-1, len(col_doc)), scale).reshape(logits.shape)
+            # Each document's slice of a row is reduced on its own (a pairwise
+            # sum, as doc_importance does), not by reduceat's running sum, so a
+            # one-row group scores bitwise as doc_importance(token_importance).
+            for c, (c0, c1) in enumerate(zip(col_ends - lens, col_ends)):
+                totals[rb, heads, c] = reduce.reduce(probs[..., c0:c1], axis=2)
+    orders = []
+    for a, group_totals in zip(bounds, reduce.reduceat(totals, bounds, axis=0).tolist()):
+        per_head = []
+        for values in group_totals:
+            if aggregation == "mean":
+                values = [v / int(n) for v, n in zip(values, lens)]
+            scores = {j: v for j, v in zip(docs, values) if j != own[a]}
+            ordered = order_documents(scores, layout.doc_hashes, direction)
+            per_head.append((ordered + [int(own[a])] if own[a] >= 0 else ordered, scores))
+        orders.append(per_head)
+    return orders
+
+
+def doc_id_array(layout: SequenceLayout, total_len: int) -> np.ndarray:
+    """Document number per storage index; -1 for prefix/suffix tokens."""
+    ids = np.full(total_len, -1, dtype=np.int64)
+    for j, (s, e) in enumerate(layout.doc_spans):
+        ids[s:e] = j
+    return ids
 
 
 def pine_key_positions(

@@ -7,6 +7,8 @@ positions.  Rotation preserves the vector norm.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .kernels import ShapeError
@@ -16,10 +18,18 @@ def rope_angles(positions: np.ndarray, d_head: int, theta: float) -> tuple[np.nd
     """cos/sin tables of shape (len(positions), d_head // 2)."""
     if d_head % 2 != 0:
         raise ShapeError(f"rope: head dimension must be even, got {d_head}")
+    ang = np.asarray(positions, dtype=np.float32)[:, None] * _inv_freq(d_head, theta)[None, :]
+    return np.cos(ang), np.sin(ang)
+
+
+@lru_cache(maxsize=16)
+def _inv_freq(d_head: int, theta: float) -> np.ndarray:
+    """theta**(-2i/d) for each pair i; built once per (d_head, theta) and
+    read-only, since every caller shares the cached array."""
     exponents = np.arange(0, d_head, 2, dtype=np.float32) / np.float32(d_head)
     inv_freq = np.float32(theta) ** (-exponents)
-    ang = np.asarray(positions, dtype=np.float32)[:, None] * inv_freq[None, :]
-    return np.cos(ang), np.sin(ang)
+    inv_freq.flags.writeable = False
+    return inv_freq
 
 
 def rotate(x: np.ndarray, positions, theta: float) -> np.ndarray:

@@ -350,6 +350,21 @@ class TestExitCodes:
         assert code == 2
         assert "n_layers" in err
 
+    def test_overflowing_weights_io_error(self, model_files, prompt_file, tmp_path, capsys):
+        # Finite weights pass validation, but their products overflow float32.
+        from posinv import load_weights, save_weights
+        from posinv.model import Model
+
+        config, weights = load_weights(*model_files)
+        weights.tensors["layers.0.q_proj.weight"][:] = 3e38
+        w, c = str(tmp_path / "w.bin"), str(tmp_path / "c.txt")
+        save_weights(w, c, Model(config, weights))
+        code = run_cli(["run", "--model", w, "--config", c, "--prompt", prompt_file,
+                        "--mode", "pine"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: weights overflow")
+
     def test_prompt_longer_than_max_seq_len_usage_error(self, tmp_path, capsys):
         w, c = str(tmp_path / "w.bin"), str(tmp_path / "c.txt")
         assert main(["init", "--model", w, "--config", c, "--n-layers", "1",

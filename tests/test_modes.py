@@ -245,6 +245,41 @@ class TestAttentionForward:
         assert len(calls) <= n_heads * (groups + 1)
         assert sum(calls) == n_heads * layout.n
 
+    def test_pine_softmax_calls_independent_of_query_groups(self, monkeypatch):
+        # Pine scores every group at once: the softmax calls of one call
+        # depend on n, not on k or on the suffix rows (each its own group),
+        # while the comparator sort still runs once per (head, group).
+        from posinv import pine
+
+        n_heads = 4
+        prompts = [
+            SegmentedPrompt("SYS: ", ("a" * 146, "b" * 146), " Q?"),
+            SegmentedPrompt("SYS: ", tuple(c * (49 if c < "e" else 48) for c in "abcdef"), " Q?"),
+            SegmentedPrompt("SYS: ", ("a" * 116, "b" * 116), " Q?" + "x" * 60),
+        ]
+        counts = []
+        for prompt in prompts:
+            _, layout = tokenize(prompt)
+            assert layout.n == 300  # several row blocks per KV head
+            q, k, v = random_qkv(layout, n_heads, 1, 8, 7)
+            calls = {"modes": 0, "pine": 0, "sort": 0}
+
+            def counting(name, fn):
+                def wrapped(*args, **kwargs):
+                    calls[name] += 1
+                    return fn(*args, **kwargs)
+                return wrapped
+
+            with monkeypatch.context() as m:
+                m.setattr(modes, "row_softmax", counting("modes", row_softmax))
+                m.setattr(pine, "row_softmax", counting("pine", row_softmax))
+                m.setattr(pine, "order_documents", counting("sort", pine.order_documents))
+                attention_forward(AttentionMode("pine"), q, k, v, layout)
+            assert calls["sort"] == n_heads * (layout.k + layout.n - layout.suffix_start)
+            counts.append((calls["modes"], calls["pine"]))
+        assert counts[0][0] > 1 and counts[0][1] > 1
+        assert counts[0] == counts[1] == counts[2]
+
     def test_permutation_invariance_and_witness(self):
         prompt = SegmentedPrompt("S", ("ab", "cde", "fghi"), "Q")
         toks, layout = tokenize(prompt)

@@ -310,3 +310,30 @@ class TestGroupOrdering:
         ordered, scores = group_ordering(q[g.q_start : g.q_end], k, layout, g, 8)
         assert ordered[-1] == 1
         assert 1 not in scores
+
+    @pytest.mark.parametrize("aggregation", ["mean", "sum", "max"])
+    def test_matches_token_and_doc_importance(self, aggregation):
+        # The batched scorer's one-group case against the building blocks:
+        # a suffix row scores bitwise as doc_importance(token_importance)
+        # over the candidates in content-hash order; a document group agrees
+        # to float32 rounding.
+        _, layout = tokenize(SegmentedPrompt("S", ("abc", "de", "fghi", "j"), "QR"))
+        rng = np.random.default_rng(6)
+        q = rng.normal(size=(layout.n, 8)).astype(np.float32)
+        k = rng.normal(size=(layout.n, 8)).astype(np.float32)
+        groups = [QueryGroup("token", layout.suffix_start, layout.suffix_start + 1),
+                  QueryGroup("doc", *layout.doc_spans[2], doc_index=2)]
+        for g in groups:
+            cands = sorted((j for j in range(layout.k) if j != g.doc_index),
+                           key=lambda j: (layout.doc_hashes[j], j))
+            idx = np.concatenate([np.arange(*layout.doc_spans[j]) for j in cands])
+            probs = token_importance(q[g.q_start:g.q_end], k[idx], 8)
+            lens = np.array([layout.doc_len(j) for j in cands])
+            ends = np.cumsum(lens)
+            ref = doc_importance(probs, list(zip(ends - lens, ends)), aggregation)
+            _, scores = group_ordering(q[g.q_start:g.q_end], k, layout, g, 8, aggregation)
+            got = [scores[j] for j in cands]
+            if g.kind == "token":
+                assert got == ref
+            else:
+                assert np.allclose(got, ref, rtol=1e-6, atol=0)

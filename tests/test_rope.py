@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from posinv.kernels import ShapeError
+from posinv import rope
 from posinv.rope import apply_rope, rotate
 
 
@@ -38,3 +39,16 @@ class TestApplyRope:
         out = apply_rope(x, pos)
         for h in range(2):
             assert np.array_equal(out[:, h, :], rotate(x[:, h, :], pos, 10000.0))
+
+
+class TestRopeAngles:
+    def test_frequency_table_cached_read_only_and_exact(self):
+        table = rope._inv_freq(16, 10000.0)
+        assert rope._inv_freq(16, 10000.0) is table
+        assert not table.flags.writeable
+        exponents = np.arange(0, 16, 2, dtype=np.float32) / np.float32(16)
+        assert np.array_equal(table, np.float32(10000.0) ** (-exponents))
+        pos = np.array([0, 3, 250, 4095])
+        cos, sin = rope.rope_angles(pos, 16, 10000.0)
+        ang = pos.astype(np.float32)[:, None] * (np.float32(10000.0) ** (-exponents))[None, :]
+        assert np.array_equal(cos, np.cos(ang)) and np.array_equal(sin, np.sin(ang))
