@@ -11,10 +11,11 @@ the resulting key positions.
 import numpy as np
 
 from posinv import (
+    AttentionMode,
     SegmentedPrompt,
+    assign_positions,
     doc_importance,
     order_documents,
-    pine_key_positions,
     token_importance,
     tokenize,
 )
@@ -50,7 +51,7 @@ def main():
     )
     print(f"\nkey order, least important first: {ordered}")
 
-    pos = pine_key_positions(layout, ordered, layout.n)
+    pos = assign_positions(AttentionMode("pine"), layout, group.q_start, ordered).key_positions
     print("assigned key positions per storage index:")
     print([int(p) for p in pos])
     print("\nthe highest-scoring document ends up adjacent to the query;")

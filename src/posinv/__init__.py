@@ -29,7 +29,6 @@ from .pine import (
     QueryGroup,
     doc_importance,
     order_documents,
-    pine_key_positions,
     token_importance,
 )
 from .prompts import (
@@ -80,7 +79,6 @@ __all__ = [
     "parse_prompt_file",
     "permutation_vote",
     "permute_documents",
-    "pine_key_positions",
     "prefill",
     "rms_norm",
     "row_softmax",

@@ -84,14 +84,20 @@ def _mode(name: str, aggregation: str) -> AttentionMode:
 
 
 def _modes(args) -> list[AttentionMode]:
-    return [_mode(m.strip(), args.aggregation) for m in args.modes.split(",") if m.strip()]
+    modes = [_mode(m.strip(), args.aggregation) for m in args.modes.split(",") if m.strip()]
+    if not modes:
+        raise CliError(f"--modes {args.modes!r} names no mode", USAGE_ERROR)
+    return modes
 
 
 def _write_report(args, report: dict) -> None:
     if getattr(args, "report_out", None):
-        with open(args.report_out, "w", encoding="utf-8") as f:
-            json.dump(report, f, indent=2)
-            f.write("\n")
+        try:
+            with open(args.report_out, "w", encoding="utf-8") as f:
+                json.dump(report, f, indent=2)
+                f.write("\n")
+        except OSError as exc:
+            raise CliError(f"cannot write report: {exc}", IO_ERROR)
 
 
 def _check_fits(model: Model, n_prompt: int, new_tokens: int) -> None:
@@ -127,7 +133,10 @@ def cmd_init(args) -> int:
     except WeightError as exc:
         raise CliError(f"bad model shape: {exc}", USAGE_ERROR)
     weights = init_random(config, args.seed)
-    save_weights(args.model, args.config, Model(config, weights))
+    try:
+        save_weights(args.model, args.config, Model(config, weights))
+    except OSError as exc:
+        raise CliError(f"cannot write model: {exc}", IO_ERROR)
     print(f"wrote {args.model} and {args.config} (seed {args.seed})")
     return 0
 
@@ -266,9 +275,10 @@ def cmd_bias_scan(args) -> int:
     n_prompt = len(tokenize(SegmentedPrompt(scan["prefix"], docs, scan["suffix"]), bos=args.bos)[0])
     _check_fits(model, n_prompt, len(gold_tokens))
     report = _base_report(args, scan)
+    modes = _modes(args)
     rows = []
     print("mode\tgold_position\t" + metric)
-    for mode in _modes(args):
+    for mode in modes:
         for p in positions:
             docs = list(scan["distractors"])
             docs.insert(p, scan["needle"])
@@ -427,7 +437,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # Overflow is reported once, as a NumericError from the kernels'
+        # finiteness check, not also as numpy's RuntimeWarning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -105,42 +105,26 @@ def build_mask(mode: AttentionMode, layout: SequenceLayout, total_len: int,
     return m
 
 
-def shared_block_positions(layout: SequenceLayout, total_len: int) -> np.ndarray:
-    """PCW/SP positions: every document starts at the prefix boundary;
-    the suffix continues after the longest document."""
-    pos = np.arange(total_len, dtype=np.int64)
-    max_len = max((e - s for s, e in layout.doc_spans), default=0)
-    for s, e in layout.doc_spans:
-        pos[s:e] = layout.prefix_len + np.arange(e - s, dtype=np.int64)
-    tail = layout.prefix_len + max_len
-    pos[layout.suffix_start : total_len] = tail + np.arange(
-        total_len - layout.suffix_start, dtype=np.int64
-    )
-    return pos
-
-
 def assign_positions(
     mode: AttentionMode,
     layout: SequenceLayout,
     q_index: int,
     ordered_docs: list[int] | None = None,
-    total_len: int | None = None,
 ) -> pine.PositionMap:
-    """Position map for one query under a mode.
-
-    For the re-assigning modes the caller supplies the importance-sorted
-    document order of the query's group (from pine.group_ordering);
-    prefix queries belong to no group and keep their input positions.
+    """Position map for one query as ``attention_forward`` applies it:
+    ``base_positions`` plus, in re-assigning modes with k >= 2, each document's
+    ``pine.block_starts`` start in ``ordered_docs``, the query group's order
+    (pine.group_ordering).  Prefix queries have no group: storage order gives
+    back their input positions.  Decoded queries take ``layout.extend``.
     """
-    total_len = total_len if total_len is not None else layout.n
-    if mode.reassigns and layout.k >= 2 and q_index >= layout.prefix_len:
-        if ordered_docs is None:
+    pos = base_positions(mode, layout, layout.n)
+    if mode.reassigns and layout.k >= 2:
+        if q_index < layout.prefix_len:
+            ordered_docs = range(layout.k)
+        elif ordered_docs is None:
             raise ValueError(f"mode {mode.variant} requires an importance ordering")
-        pos = pine.pine_key_positions(layout, ordered_docs, total_len)
-    elif mode.positions == "shared":
-        pos = shared_block_positions(layout, total_len)
-    else:
-        pos = np.arange(total_len, dtype=np.int64)
+        for (s, e), start in zip(layout.doc_spans, pine.block_starts(layout, ordered_docs)):
+            pos[s:e] += start
     return pine.PositionMap(query_position=int(pos[q_index]), key_positions=pos)
 
 
@@ -162,16 +146,20 @@ def _rescale(weights: np.ndarray, doc_flags: np.ndarray, k: int) -> np.ndarray:
 def base_positions(mode: AttentionMode, layout: SequenceLayout, total_len: int) -> np.ndarray:
     """The position each key is rotated at, once, when it enters the cache.
 
-    pcw/sp: the shared-block position.  Re-assigning modes with k >= 2: a
-    document key's offset inside its own document (attention adds the
-    block's assigned start on the query side); prefix and suffix keys keep
-    their input positions.  Every other mode: the input position.  A key's
-    base position never changes as the sequence grows.
+    pcw/sp: every document from the prefix boundary, the suffix after the
+    longest.  Re-assigning modes with k >= 2: a document key's offset
+    inside its own document (attention adds its ``pine.block_starts`` start
+    on the query side); prefix and suffix keys keep their input positions.
+    Every other mode: the input position.  A key's base position never
+    changes as the sequence grows.
     """
-    if mode.positions == "shared":
-        return shared_block_positions(layout, total_len)
     pos = np.arange(total_len, dtype=np.int64)
-    if mode.reassigns and layout.k >= 2:
+    if mode.positions == "shared":
+        for s, e in layout.doc_spans:
+            pos[s:e] -= s - layout.prefix_len
+        longest = max((e - s for s, e in layout.doc_spans), default=0)
+        pos[layout.suffix_start:] -= layout.suffix_start - layout.prefix_len - longest
+    elif mode.reassigns and layout.k >= 2:
         for s, e in layout.doc_spans:
             pos[s:e] -= s
     return pos

@@ -8,6 +8,9 @@ pre-rotation queries and keys, which is what makes the resulting
 ordering independent of the input document order.  ``document_starts``
 scores every query group of a layer at once, a few matrix products per
 KV head; ``group_ordering`` is its one-group case.
+
+``block_starts`` is the one rule that lays documents out: a document key
+sits at its document's start plus its offset inside the document.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ class QueryGroup:
 @dataclass(frozen=True)
 class PositionMap:
     """Positions used in one attention row: the query's own position and
-    one assigned position per key storage index (-1 where unassigned)."""
+    one assigned position per key storage index."""
 
     query_position: int
     key_positions: np.ndarray
@@ -188,20 +191,24 @@ def document_starts(
     new_group = np.ones(len(own), dtype=bool)
     new_group[1:] = (own[1:] != own[:-1]) | (own[1:] < 0)
     bounds = np.flatnonzero(new_group)
-    lens = [layout.doc_len(j) for j in range(layout.k)]
-    group_starts = []
-    for per_head in _group_orders(q[first:], k_raw, layout, own, bounds, d_head, aggregation,
-                                  direction, block):
-        group_starts.append([])
-        for ordered, _ in per_head:
-            at, cursor = [0] * layout.k, layout.prefix_len
-            for j in ordered:
-                at[j], cursor = cursor, cursor + lens[j]
-            group_starts[-1].append(at)
+    group_starts = [[block_starts(layout, ordered) for ordered, _ in per_head]
+                    for per_head in _group_orders(q[first:], k_raw, layout, own, bounds, d_head,
+                                                  aggregation, direction, block)]
     starts = np.zeros((len(rows), q.shape[1], layout.k), dtype=np.int64)
     starts[first:] = np.repeat(np.array(group_starts, dtype=np.int64),
                                np.diff([*bounds, len(own)]), axis=0)
     return starts
+
+
+def block_starts(layout: SequenceLayout, ordered: Sequence[int]) -> list[int]:
+    """Start position of each document (indexed by document) when all are
+    laid out contiguously from the prefix boundary in ``ordered`` order;
+    storage order gives back their input starts."""
+    at, cursor = [0] * layout.k, layout.prefix_len
+    for j in ordered:
+        s, e = layout.doc_spans[j]
+        at[j], cursor = cursor, cursor + e - s
+    return at
 
 
 def _group_orders(q, k_raw, layout, own, bounds, d_head, aggregation, direction, block):
@@ -263,26 +270,3 @@ def doc_id_array(layout: SequenceLayout, total_len: int) -> np.ndarray:
     for j, (s, e) in enumerate(layout.doc_spans):
         ids[s:e] = j
     return ids
-
-
-def pine_key_positions(
-    layout: SequenceLayout, ordered_docs: list[int], total_len: int
-) -> np.ndarray:
-    """Assigned key positions for one group, as an array over storage
-    indices.
-
-    Prefix keys keep 0..L_pre-1; document blocks are laid out
-    contiguously from L_pre in the given order, each internally in token
-    order; suffix keys keep their original positions.  The query's own
-    position is the entry at its storage index (document queries sit on
-    the diagonal of their final block; suffix queries keep their input
-    position).
-    """
-    pos = np.arange(total_len, dtype=np.int64)
-    cursor = layout.prefix_len
-    for j in ordered_docs:
-        s, e = layout.doc_spans[j]
-        pos[s:e] = np.arange(cursor, cursor + (e - s), dtype=np.int64)
-        cursor += e - s
-    return pos
-

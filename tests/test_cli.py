@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -522,3 +523,66 @@ def test_config_tie_embeddings_not_boolean_io_error(model_files, prompt_file, tm
     err = capsys.readouterr().err
     assert code == 2
     assert "tie_embeddings" in err
+
+
+class TestEmptyModeList:
+    @pytest.mark.parametrize("cmd", ["compare", "invariance", "bias-scan", "bench"])
+    def test_usage_error(self, model_files, prompt_file, tmp_path, cmd, capsys):
+        # An empty list would test nothing and pass.
+        w, c = model_files
+        scan = tmp_path / "scan.json"
+        scan.write_text(json.dumps(SCAN))
+        source = ["--scan", str(scan)] if cmd == "bias-scan" else ["--prompt", prompt_file]
+        code = run_cli([cmd, "--model", w, "--config", c, *source, "--modes", ",",
+                        "--report-out", str(tmp_path / "r.json")])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert "names no mode" in err
+        assert not (tmp_path / "r.json").exists()
+
+
+def unwritable(tmp_path, where):
+    """A path no file can be written at: under a missing directory, or a directory."""
+    return str(tmp_path / "missing" / "out") if where == "missing_dir" else str(tmp_path)
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_report_out_io_error(self, model_files, prompt_file, tmp_path, where, capsys):
+        w, c = model_files
+        code = run_cli(["run", "--model", w, "--config", c, "--prompt", prompt_file,
+                        "--max-new-tokens", "1", "--report-out", unwritable(tmp_path, where)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot write report") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--model", "--config"])
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_init_io_error(self, tmp_path, flag, where, capsys):
+        paths = {"--model": str(tmp_path / "w.bin"), "--config": str(tmp_path / "c.txt")}
+        paths[flag] = unwritable(tmp_path, where)
+        code = run_cli(["init", "--model", paths["--model"], "--config", paths["--config"],
+                        "--n-layers", "1", "--d-head", "8", "--d-ff", "16"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write model") and err.count("\n") == 1
+
+
+def test_overflow_reported_once(model_files, prompt_file, tmp_path, capsys):
+    # The typed error is the only report: numpy's overflow warning stays silent.
+    from posinv import load_weights, save_weights
+    from posinv.model import Model
+
+    config, weights = load_weights(*model_files)
+    weights.tensors["layers.0.q_proj.weight"][:] = 3e38
+    w, c = str(tmp_path / "w.bin"), str(tmp_path / "c.txt")
+    save_weights(w, c, Model(config, weights))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(["run", "--model", w, "--config", c, "--prompt", prompt_file])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert not [x for x in caught if issubclass(x.category, RuntimeWarning)]
+    assert err.startswith("error: weights overflow") and err.count("\n") == 1

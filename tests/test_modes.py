@@ -14,8 +14,9 @@ from posinv import (
     tokenize,
 )
 from posinv import modes
-from posinv.kernels import row_softmax
+from posinv.kernels import NEG_INF, row_softmax
 from posinv.modes import VARIANTS
+from posinv.pine import QueryGroup, group_ordering
 from posinv.rope import rotate
 
 
@@ -120,6 +121,52 @@ class TestAssignPositions:
         # D3 -> {1,2}, D2 -> {3,4}, D1 -> {5,6}; prefix stays at 0.
         assert list(pm.key_positions[:8]) == [0, 5, 6, 3, 4, 1, 2, 7]
         assert pm.query_position == 5
+
+    @pytest.mark.parametrize("docs, q_index, ordered, keys", [
+        # prefix -> 0; D3 -> {1,2}; D2 -> {3,4}; D1 -> {5,6}
+        (("AB", "CD", "EF"), 7, [2, 1, 0], [0, 5, 6, 3, 4, 1, 2, 7]),
+        # the suffix query keeps its own position
+        (("AB", "CD", "EF"), 7, [1, 0, 2], [0, 3, 4, 1, 2, 5, 6, 7]),
+        # k = 1: nothing is re-assigned
+        (("AB",), 2, [0], [0, 1, 2, 3]),
+    ], ids=["proof_geometry", "suffix_keeps_own_position", "k1_identity"])
+    def test_pine_layout(self, docs, q_index, ordered, keys):
+        _, layout = tokenize(SegmentedPrompt("S", docs, "Q"))
+        pm = assign_positions(AttentionMode("pine"), layout, q_index, ordered_docs=ordered)
+        assert list(pm.key_positions) == keys
+        assert pm.query_position == keys[q_index]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("prompt", [
+        SegmentedPrompt("S", ("AB", "CD", "EF"), "Q"),
+        SegmentedPrompt("SYS: ", ("alpha", "be", "gamma!", "d", "epsilon"), " Q?"),
+    ], ids=["running_example", "k5"])
+    def test_is_the_runtime_rule(self, variant, prompt):
+        # A prefix, a document and a suffix row of every query head, computed
+        # at assign_positions' positions, match attention_forward's rows.
+        _, layout = tokenize(prompt)
+        mode = AttentionMode(variant)
+        q, k, v = random_qkv(layout, 4, 2, 8, 3)
+        out = attention_forward(mode, q, k, v, layout)
+        mask = build_mask(mode, layout, layout.n)
+        s1, e1 = layout.doc_spans[1]
+        groups = {0: None, e1 - 1: QueryGroup("doc", s1, e1, 1),
+                  layout.suffix_start: QueryGroup("token", layout.suffix_start,
+                                                  layout.suffix_start + 1)}
+        for row, group in groups.items():
+            for h in range(4):
+                ordered = None
+                if mode.reassigns and group is not None:
+                    ordered = group_ordering(q[group.q_start:group.q_end, h], k[:, h // 2],
+                                             layout, group, 8, mode.aggregation,
+                                             mode.direction)[0]
+                pm = assign_positions(mode, layout, row, ordered)
+                scores = (rotate(q[row, h][None], [pm.query_position], 10000.0)
+                          @ rotate(k[:, h // 2], pm.key_positions, 10000.0).T)
+                w = row_softmax(np.where(mask[row], scores, NEG_INF), 1 / np.sqrt(np.float32(8)))[0]
+                if mode.rescales:
+                    w = sp_rescale(w, layout, row, layout.k)
+                assert np.allclose(w @ v[:, h // 2], out[row, h], rtol=0, atol=1e-6), (row, h)
 
 
 class TestSpRescale:

@@ -9,7 +9,6 @@ from posinv import (
     attention_forward,
     doc_importance,
     order_documents,
-    pine_key_positions,
     token_importance,
     tokenize,
 )
@@ -124,25 +123,6 @@ class TestOrderDocuments:
         reset_comparison_count()
         order_documents({i: float(i) for i in range(8)}, tuple(range(8)), "closer")
         assert comparison_count() > 0
-
-
-class TestPineKeyPositions:
-    def test_proof_geometry(self):
-        _, layout = tokenize(SegmentedPrompt("S", ("AB", "CD", "EF"), "Q"))
-        pos = pine_key_positions(layout, [2, 1, 0], 8)
-        # prefix -> 0; D3 -> {1,2}; D2 -> {3,4}; D1 -> {5,6}
-        assert list(pos) == [0, 5, 6, 3, 4, 1, 2, 7]
-
-    def test_suffix_token_keeps_own_position(self):
-        _, layout = tokenize(SegmentedPrompt("S", ("AB", "CD", "EF"), "Q"))
-        pos = pine_key_positions(layout, [1, 0, 2], 8)
-        assert pos[7] == 7
-        assert sorted(pos[1:7]) == [1, 2, 3, 4, 5, 6]
-
-    def test_k1_identity(self):
-        _, layout = tokenize(SegmentedPrompt("S", ("AB",), "Q"))
-        pos = pine_key_positions(layout, [0], layout.n)
-        assert list(pos) == list(range(layout.n))
 
 
 def random_head(layout, seed, d=8):
