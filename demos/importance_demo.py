@@ -19,7 +19,6 @@ from posinv import (
     token_importance,
     tokenize,
 )
-from posinv.pine import QueryGroup
 
 
 def main():
@@ -34,9 +33,9 @@ def main():
     k = rng.normal(size=(layout.n, d)).astype(np.float32)
 
     # score the suffix token's view of the three documents
-    group = QueryGroup("token", layout.suffix_start, layout.suffix_start + 1)
+    row = layout.suffix_start
     doc_keys = k[layout.doc_spans[0][0] : layout.doc_spans[-1][1]]
-    probs = token_importance(q[group.q_start : group.q_end], doc_keys, d)
+    probs = token_importance(q[row : row + 1], doc_keys, d)
     print("token-level importance (one row per query token):")
     print(np.round(probs, 4))
 
@@ -51,7 +50,7 @@ def main():
     )
     print(f"\nkey order, least important first: {ordered}")
 
-    pos = assign_positions(AttentionMode("pine"), layout, group.q_start, ordered).key_positions
+    pos = assign_positions(AttentionMode("pine"), layout, row, ordered).key_positions
     print("assigned key positions per storage index:")
     print([int(p) for p in pos])
     print("\nthe highest-scoring document ends up adjacent to the query;")

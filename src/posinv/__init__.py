@@ -26,7 +26,6 @@ from .oracle import (
 )
 from .pine import (
     PositionMap,
-    QueryGroup,
     doc_importance,
     order_documents,
     token_importance,
@@ -55,7 +54,6 @@ __all__ = [
     "NumericError",
     "PositionMap",
     "PromptError",
-    "QueryGroup",
     "SegmentedPrompt",
     "SequenceLayout",
     "ShapeError",

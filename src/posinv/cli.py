@@ -319,10 +319,10 @@ def comparator_counts_per_token(model: Model, k_values: list[int], doc_len: int 
 
 
 def cmd_bench(args) -> int:
-    model = _load_model(args)
-    prompt = _load_prompt(args.prompt)
     if args.repeats < 3:
         raise CliError("bench needs --repeats >= 3", USAGE_ERROR)
+    model = _load_model(args)
+    prompt = _load_prompt(args.prompt)
     tokens, layout = tokenize(prompt, bos=args.bos)
     _check_fits(model, len(tokens), args.max_new_tokens)
     report = _base_report(args, vars(model.config))

@@ -13,6 +13,14 @@ import numpy as np
 # Additive mask sentinel: exp(-inf) == 0 exactly after softmax.
 NEG_INF = np.float32(-np.inf)
 
+# Scores per block of query rows: caps the [rows, keys] temporaries (peak RSS).
+_BLOCK_SCORES = 1 << 16
+
+
+def row_block(n_keys: int, rep: int) -> int:
+    """Rows per block when ``rep`` heads score each row against ``n_keys`` keys."""
+    return max(1, _BLOCK_SCORES // (n_keys * rep))
+
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible with the kernel's contract."""

@@ -28,7 +28,7 @@ from typing import Literal, NamedTuple
 import numpy as np
 
 from . import pine
-from .kernels import NEG_INF, row_softmax
+from .kernels import NEG_INF, row_block, row_softmax
 from .prompts import SequenceLayout
 from .rope import rotate
 
@@ -51,7 +51,6 @@ _MODE_TABLE = {
     "pine_reverse": _Rules("bidirectional", "importance", False, True, "reversed"),
 }
 VARIANTS = tuple(_MODE_TABLE)
-_BLOCK_SCORES = 1 << 16  # scores per row block: caps [rows, keys] temporaries (peak RSS)
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ def assign_positions(
     """Position map for one query as ``attention_forward`` applies it:
     ``base_positions`` plus, in re-assigning modes with k >= 2, each document's
     ``pine.block_starts`` start in ``ordered_docs``, the query group's order
-    (pine.group_ordering).  Prefix queries have no group: storage order gives
+    (a permutation, as pine.group_ordering gives).  Prefix queries have no group: storage order gives
     back their input positions.  Decoded queries take ``layout.extend``.
     """
     pos = base_positions(mode, layout, layout.n)
@@ -123,6 +122,9 @@ def assign_positions(
             ordered_docs = range(layout.k)
         elif ordered_docs is None:
             raise ValueError(f"mode {mode.variant} requires an importance ordering")
+        elif sorted(ordered_docs) != list(range(layout.k)):
+            raise ValueError(f"ordered_docs {list(ordered_docs)} is not a permutation of "
+                             f"the {layout.k} documents")
         for (s, e), start in zip(layout.doc_spans, pine.block_starts(layout, ordered_docs)):
             pos[s:e] += start
     return pine.PositionMap(query_position=int(pos[q_index]), key_positions=pos)
@@ -227,13 +229,13 @@ def attention_forward(
     ids = pine.doc_id_array(layout, s)
     in_doc = ids[order] >= 0
     late = rows >= layout.suffix_start
-    block = max(1, _BLOCK_SCORES // (s * rep))
+    block = row_block(s, rep)
     scale = 1.0 / np.sqrt(np.float32(d_head))
     q_pos = np.broadcast_to(base[rows, None], (len(rows), n_heads))
     # Each key block: its column range and which of `shifts` its queries take.
     if mode.reassigns and layout.k >= 2:
-        starts = pine.document_starts(q_raw[rows - q_start], k_raw, layout, rows, d_head,
-                                      mode.aggregation, mode.direction, block)
+        starts = pine.document_starts(q_raw[rows - q_start], k_raw, layout, rows,
+                                      mode.aggregation, mode.direction)
         own = ids[rows]
         own_start = starts[np.arange(len(rows)), :, np.maximum(own, 0)]
         q_pos = q_pos + np.where(own[:, None] >= 0, own_start, 0)

@@ -5,9 +5,10 @@ position-free attention mass, sorts them, and lays their key positions
 out contiguously so that more important documents sit closer to the
 query.  Everything here is computed per layer and per head from
 pre-rotation queries and keys, which is what makes the resulting
-ordering independent of the input document order.  ``document_starts``
-scores every query group of a layer at once, a few matrix products per
-KV head; ``group_ordering`` is its one-group case.
+ordering independent of the input document order.  ``group_ordering``
+is the runtime's scorer: it orders the documents for every query group
+of a layer at once, a few matrix products per KV head, and
+``document_starts`` turns its orders into each row's document starts.
 
 ``block_starts`` is the one rule that lays documents out: a document key
 sits at its document's start plus its offset inside the document.
@@ -21,7 +22,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .kernels import NEG_INF, row_softmax
+from .kernels import NEG_INF, row_block, row_softmax
 from .prompts import SequenceLayout
 
 Aggregation = Literal["mean", "sum", "max"]
@@ -38,21 +39,6 @@ def reset_comparison_count() -> None:
 
 def comparison_count() -> int:
     return _comparisons
-
-
-@dataclass(frozen=True)
-class QueryGroup:
-    """The unit sharing one document ordering.
-
-    A whole document (kind="doc") shares one ordering for all its query
-    tokens; every suffix or decoded token (kind="token") gets its own.
-    The group's own document is never a candidate: it is pinned last.
-    """
-
-    kind: Literal["doc", "token"]
-    q_start: int
-    q_end: int  # half-open; q_end == q_start + 1 for token groups
-    doc_index: int | None = None
 
 
 @dataclass(frozen=True)
@@ -138,65 +124,25 @@ def order_documents(
     return sorted(scores.keys(), key=cmp_to_key(cmp))
 
 
-def group_ordering(
-    q_rows: np.ndarray,
-    k_head: np.ndarray,
-    layout: SequenceLayout,
-    group: QueryGroup,
-    d_head: int,
-    aggregation: Aggregation = "mean",
-    direction: Direction = "closer",
-) -> tuple[list[int], dict[int, float]]:
-    """Full key-block document order for one group at one (layer, head).
-
-    ``q_rows`` are the group's pre-rotation query rows ([|group|, d]);
-    ``k_head`` covers all cached key tokens at their storage indices.
-    Returns (ordered document indices, candidate scores).  For document
-    groups the group's own document is appended last (the query document
-    always occupies the final block).  This is the one-group, one-head
-    case of the scorer behind ``document_starts``.
-    """
-    own = -1 if group.doc_index is None else group.doc_index
-    if layout.k == (own >= 0):  # no candidate document
-        return ([own] if own >= 0 else []), {}
-    (per_head,) = _group_orders(q_rows[:, None, :], k_head[:, None, :], layout,
-                                np.full(len(q_rows), own), np.zeros(1, dtype=np.int64),
-                                d_head, aggregation, direction, len(q_rows))
-    return per_head[0]
-
-
-def document_starts(
-    q: np.ndarray,
-    k_raw: np.ndarray,
-    layout: SequenceLayout,
-    rows: np.ndarray,
-    d_head: int,
-    aggregation: Aggregation,
-    direction: Direction,
-    block: int,
-) -> np.ndarray:
+def document_starts(q: np.ndarray, k_raw: np.ndarray, layout: SequenceLayout, rows: np.ndarray,
+                    aggregation: Aggregation, direction: Direction) -> np.ndarray:
     """Assigned start position of every document for each query row and
     head, with k >= 2: [len(rows), n_heads, k].
 
-    ``rows`` are storage indices in canonical row order: prefix rows
-    first, then each document's rows together, then suffix rows.  ``q``
-    ([len(rows), n_heads, d]) holds their pre-rotation queries and
-    ``k_raw`` ([s, n_kv_heads, d]) every raw key.  A document's rows form
-    one query group and each suffix row its own; prefix rows belong to
-    no group and get 0.  Importance rows go through the softmax ``block``
-    rows of each KV head at a time.
+    ``rows`` are storage indices in canonical row order (prefix, each
+    document's rows together, suffix); ``q`` ([len(rows), n_heads, d])
+    holds their pre-rotation queries and ``k_raw`` every raw key.  Prefix
+    rows belong to no query group and get 0; every other row gets its
+    group's ``group_ordering`` order laid out by ``block_starts``.
     """
     first = int(np.count_nonzero(rows < layout.prefix_len))
     own = doc_id_array(layout, len(k_raw))[rows[first:]]
-    new_group = np.ones(len(own), dtype=bool)
-    new_group[1:] = (own[1:] != own[:-1]) | (own[1:] < 0)
-    bounds = np.flatnonzero(new_group)
     group_starts = [[block_starts(layout, ordered) for ordered, _ in per_head]
-                    for per_head in _group_orders(q[first:], k_raw, layout, own, bounds, d_head,
-                                                  aggregation, direction, block)]
+                    for per_head in group_ordering(q[first:], k_raw, layout, own,
+                                                   aggregation, direction)]
     starts = np.zeros((len(rows), q.shape[1], layout.k), dtype=np.int64)
     starts[first:] = np.repeat(np.array(group_starts, dtype=np.int64),
-                               np.diff([*bounds, len(own)]), axis=0)
+                               np.diff([*_group_bounds(own), len(own)]), axis=0)
     return starts
 
 
@@ -211,21 +157,23 @@ def block_starts(layout: SequenceLayout, ordered: Sequence[int]) -> list[int]:
     return at
 
 
-def _group_orders(q, k_raw, layout, own, bounds, d_head, aggregation, direction, block):
-    """Document order and scores of every query group at every head.
+def group_ordering(q: np.ndarray, k_raw: np.ndarray, layout: SequenceLayout, own: np.ndarray,
+                   aggregation: Aggregation = "mean", direction: Direction = "closer",
+                   ) -> list[list[tuple[list[int], dict[int, float]]]]:
+    """Document order and scores of every query group at every head, k >= 2.
 
     q: [r, n_heads, d] pre-rotation query rows; k_raw: [s, n_kv_heads, d];
-    own: each row's own document (-1: none); bounds: first row of each
-    group, rows of a group being contiguous.  Per KV head, its query
-    heads' copies of each row are stacked and scored against all
-    document keys, in ``canonical_order``, with the row's own document
-    at NEG_INF: one score matrix and
-    one ``row_softmax`` per block of ``block`` rows.  Summing (max: taking
-    the maximum of) each document's columns and then each group's rows
-    gives every group's scores at once; only the comparator sort runs per
-    (group, head).  Returns orders[group][head] = (ordered documents,
-    candidate scores).
+    own: each row's own document (-1: none), never a candidate and last in
+    its group's order.  Groups follow ``_group_bounds``.  Per KV head, its
+    query heads' copies of each row are scored against all document keys
+    in ``canonical_order``: one score matrix and one ``row_softmax`` per
+    ``row_block`` of rows.  Summing (max: taking the maximum of) each
+    document's columns, then each group's rows, gives every group's scores
+    at once; only the comparator sort runs per (group, head).  Returns
+    orders[group][head] = (ordered documents, candidate scores).
     """
+    if layout.k < 2:
+        raise ValueError(f"group_ordering needs k >= 2 documents, got {layout.k}")
     if aggregation not in ("mean", "sum", "max"):
         raise ValueError(f"unknown aggregation {aggregation!r}")
     reduce = np.maximum if aggregation == "max" else np.add
@@ -236,8 +184,10 @@ def _group_orders(q, k_raw, layout, own, bounds, d_head, aggregation, direction,
     key_idx = np.concatenate([np.arange(*layout.doc_spans[j]) for j in docs])
     r, n_heads, d = q.shape
     rep = n_heads // k_raw.shape[1]
+    block = row_block(len(k_raw), rep)
+    bounds = _group_bounds(own)
     totals = np.empty((r, n_heads, layout.k), dtype=q.dtype)
-    scale = 1.0 / np.sqrt(np.float32(d_head))
+    scale = 1.0 / np.sqrt(np.float32(d))
     for g in range(k_raw.shape[1]):
         heads = slice(g * rep, (g + 1) * rep)
         keys_t = k_raw[key_idx, g, :].T
@@ -262,6 +212,15 @@ def _group_orders(q, k_raw, layout, own, bounds, d_head, aggregation, direction,
             per_head.append((ordered + [int(own[a])] if own[a] >= 0 else ordered, scores))
         orders.append(per_head)
     return orders
+
+
+def _group_bounds(own: np.ndarray) -> np.ndarray:
+    """First row of each query group, given each row's own document (-1:
+    none): consecutive rows of one document form one group, and every
+    other row is its own."""
+    new_group = np.ones(len(own), dtype=bool)
+    new_group[1:] = (own[1:] != own[:-1]) | (own[1:] < 0)
+    return np.flatnonzero(new_group)
 
 
 def doc_id_array(layout: SequenceLayout, total_len: int) -> np.ndarray:

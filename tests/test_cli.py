@@ -1,6 +1,7 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from posinv.cli import main
@@ -249,6 +250,15 @@ class TestBench:
         capsys.readouterr()
         assert code == 1
 
+    def test_too_few_repeats_checked_before_loading(self, tmp_path, prompt_file, capsys):
+        # A usage error is reported before any file is read, as in invariance.
+        missing = str(tmp_path / "missing")
+        code = run_cli(["bench", "--model", missing, "--config", missing, "--prompt", prompt_file,
+                        "--repeats", "1"])
+        _, err = capsys.readouterr()
+        assert code == 1
+        assert "--repeats" in err
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):
@@ -262,8 +272,14 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 2
 
-    @pytest.mark.parametrize("content", [None, b"\xff\xfe", b"[" * 100_000],
-                             ids=["missing", "not-utf8", "too-deep"])
+    @pytest.mark.parametrize("content", [
+        None, b"\xff\xfe", b"[" * 100_000, b'["S", ["A"], "Q"]',
+        b'{"prefix": "S", "documents": "AB", "suffix": "Q"}',
+        b'{"prefix": "S", "documents": ["A", 3], "suffix": "Q"}',
+        b'{"prefix": 1, "documents": ["A"], "suffix": "Q"}',
+        b'{"prefix": "S", "documents": ["A"], "suffix": null}',
+    ], ids=["missing", "not-utf8", "too-deep", "not-an-object", "documents-a-string",
+            "non-string-document", "number-prefix", "null-suffix"])
     def test_unreadable_prompt_io_error(self, model_files, tmp_path, content, capsys):
         w, c = model_files
         p = tmp_path / "prompt.json"
@@ -272,6 +288,19 @@ class TestExitCodes:
         code = run_cli(["run", "--model", w, "--config", c, "--prompt", str(p)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: cannot load prompt")
+
+    def test_non_finite_weights_io_error(self, model_files, prompt_file, tmp_path, capsys):
+        from posinv.model import load_tensors, save_tensors
+
+        w, c = model_files
+        tensors = load_tensors(w)
+        tensors["embed.weight"][0, 0] = np.nan
+        bad = str(tmp_path / "w.bin")
+        save_tensors(bad, tensors)
+        code = run_cli(["run", "--model", bad, "--config", c, "--prompt", prompt_file])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot load model") and "non-finite" in err
 
     def test_empty_prompt_usage_error(self, model_files, tmp_path, capsys):
         w, c = model_files

@@ -5,6 +5,10 @@ so no draw allocates more than a few MB or runs long), and for each path
 flag an input that exists, a file of the wrong kind, a missing file, a
 directory, or a path under a missing directory.  Every draw must end in
 a documented exit code, 0 to 3, and never raise out of ``cli.main``.
+
+A second test draws the contents of the prompt or scan file instead: any
+JSON value, or the good object with fields dropped or swapped for any
+JSON value, run by a command on a good model.
 """
 
 import json
@@ -115,6 +119,40 @@ def resolve(arg, inputs, out):
     return arg
 
 
+MISSING = object()  # a dropped field
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def contents(good):
+    """Any JSON value, or mostly ``good`` with each field mostly kept and
+    otherwise dropped or swapped for any JSON value."""
+    obj = st.fixed_dictionaries({k: mostly(st.just(v), st.just(MISSING) | JSON)
+                                 for k, v in good.items()})
+    return mostly(obj.map(lambda d: {k: v for k, v in d.items() if v is not MISSING}), JSON)
+
+
+@st.composite
+def file_runs(draw):
+    """(command argv without the file, file flag, file contents)."""
+    cmd = draw(st.sampled_from(["run", "compare", "invariance", "bias-scan", "bench"]))
+    args = [cmd, "--model", "in:w.bin", "--config", "in:c.txt"]
+    if cmd == "bias-scan":
+        return args + ["--modes", "vanilla,pine"], "--scan", draw(contents(SCAN))
+    args += ["--max-new-tokens", draw(st.sampled_from(["0", "1"]))]
+    if cmd == "invariance":
+        args += ["--limit", "2"]
+    if cmd in ("compare", "bench"):
+        args += ["--modes", "vanilla,pine"]
+    if cmd == "bench":
+        args += ["--repeats", "3"]
+    return args, "--prompt", draw(contents(PROMPT))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(argv=argvs())
@@ -126,3 +164,16 @@ def test_every_argv_ends_in_an_exit_code(inputs, argv, capsys):
         code = main([resolve(a, inputs, out) for a in argv])
     capsys.readouterr()
     assert code in (0, 1, 2, 3), argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(run=file_runs())
+def test_every_prompt_and_scan_file_ends_in_an_exit_code(inputs, run, capsys):
+    args, name, body = run
+    with tempfile.TemporaryDirectory(dir=inputs) as tmp:
+        path = Path(tmp) / "file.json"
+        path.write_text(json.dumps(body))
+        code = main([resolve(a, inputs, Path(tmp)) for a in args] + [name, str(path)])
+    capsys.readouterr()
+    assert code in (0, 1, 2, 3), (args, body)

@@ -105,6 +105,15 @@ class TestWeightIO:
         with pytest.raises(WeightError, match="layers.0.q_proj.weight"):
             load_weights(wpath, cpath)
 
+    def test_non_finite_tensor_named(self, tmp_path, tiny_model):
+        wpath, cpath = tmp_path / "w.bin", tmp_path / "c.txt"
+        save_weights(wpath, cpath, tiny_model)
+        tensors = load_tensors(wpath)
+        tensors["layers.0.v_proj.weight"][3, 5] = np.nan
+        save_tensors(wpath, tensors)
+        with pytest.raises(WeightError, match="layers.0.v_proj.weight.*non-finite"):
+            load_weights(wpath, cpath)
+
     def test_shape_mismatch_named(self, tmp_path, tiny_model):
         wpath, cpath = tmp_path / "w.bin", tmp_path / "c.txt"
         save_weights(wpath, cpath, tiny_model)
@@ -219,6 +228,11 @@ class TestPrefill:
         tokens, layout = tokenize(prompt)
         with pytest.raises(ShapeError):
             prefill(tiny_model, tokens, layout, VANILLA)
+
+    def test_token_count_must_match_layout(self, tiny_model):
+        tokens, layout = tokenize(SegmentedPrompt("S", ("AB",), "Q"))
+        with pytest.raises(ShapeError, match="layout.n"):
+            prefill(tiny_model, tokens[:-1], layout, VANILLA)
 
     def test_empty_prompt_rejected(self, tiny_model):
         tokens, layout = tokenize(SegmentedPrompt("", (), ""))

@@ -16,7 +16,7 @@ from posinv import (
 from posinv import modes
 from posinv.kernels import NEG_INF, row_softmax
 from posinv.modes import VARIANTS
-from posinv.pine import QueryGroup, group_ordering
+from posinv.pine import group_ordering
 from posinv.rope import rotate
 
 
@@ -115,6 +115,13 @@ class TestAssignPositions:
         with pytest.raises(ValueError, match="importance ordering"):
             assign_positions(AttentionMode("pine"), layout, 1)
 
+    @pytest.mark.parametrize("ordered", [[0], [0, 0, 1], [5, 1, 0]],
+                             ids=["missing", "repeated", "out_of_range"])
+    def test_pine_rejects_a_non_permutation(self, ordered):
+        _, layout = running_example()
+        with pytest.raises(ValueError, match="not a permutation"):
+            assign_positions(AttentionMode("pine"), layout, 7, ordered_docs=ordered)
+
     def test_pine_with_ordering_matches_proof_layout(self):
         _, layout = running_example()
         pm = assign_positions(AttentionMode("pine"), layout, 1, ordered_docs=[2, 1, 0])
@@ -150,16 +157,16 @@ class TestAssignPositions:
         out = attention_forward(mode, q, k, v, layout)
         mask = build_mask(mode, layout, layout.n)
         s1, e1 = layout.doc_spans[1]
-        groups = {0: None, e1 - 1: QueryGroup("doc", s1, e1, 1),
-                  layout.suffix_start: QueryGroup("token", layout.suffix_start,
-                                                  layout.suffix_start + 1)}
+        groups = {0: None, e1 - 1: (s1, e1, 1),
+                  layout.suffix_start: (layout.suffix_start, layout.suffix_start + 1, -1)}
         for row, group in groups.items():
             for h in range(4):
                 ordered = None
                 if mode.reassigns and group is not None:
-                    ordered = group_ordering(q[group.q_start:group.q_end, h], k[:, h // 2],
-                                             layout, group, 8, mode.aggregation,
-                                             mode.direction)[0]
+                    a, b, own = group
+                    ordered = group_ordering(q[a:b, h, None], k[:, h // 2, None], layout,
+                                             np.full(b - a, own), mode.aggregation,
+                                             mode.direction)[0][0][0]
                 pm = assign_positions(mode, layout, row, ordered)
                 scores = (rotate(q[row, h][None], [pm.query_position], 10000.0)
                           @ rotate(k[:, h // 2], pm.key_positions, 10000.0).T)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,6 +85,18 @@ class TestDenseReference:
         mode = AttentionMode(variant)
         _, logits = prefill(tiny_model, tokens, layout, mode)
         ref = dense_reference(tiny_model, tokens, layout, mode)
+        assert np.max(np.abs(logits - ref)) < 1e-4
+
+    @pytest.mark.parametrize("variant", ALL_MODES)
+    def test_tied_embeddings_agreement(self, tiny_config, variant):
+        # The output head is the transposed embedding in both computations.
+        config = replace(tiny_config, tie_embeddings=True)
+        model = Model(config, init_random(config, 4))
+        assert "lm_head.weight" not in model.weights.tensors
+        tokens, layout = tokenize(SegmentedPrompt("S", ("AB", "CD", "EF"), "Q"))
+        mode = AttentionMode(variant)
+        _, logits = prefill(model, tokens, layout, mode)
+        ref = dense_reference(model, tokens, layout, mode)
         assert np.max(np.abs(logits - ref)) < 1e-4
 
     def test_size_cap(self, tiny_model):

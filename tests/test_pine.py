@@ -13,7 +13,6 @@ from posinv import (
     tokenize,
 )
 from posinv.pine import (
-    QueryGroup,
     comparison_count,
     group_ordering,
     reset_comparison_count,
@@ -262,8 +261,9 @@ class TestGroupOrdering:
         per_token = {t: rng.normal(size=(2, 8)).astype(np.float32) for t in set(toks)}
         q = np.stack([per_token[t][0] for t in toks])
         k = np.stack([per_token[t][1] for t in toks])
-        g = QueryGroup("token", layout.suffix_start, layout.suffix_start + 1)
-        ordered, scores = group_ordering(q[g.q_start : g.q_end], k, layout, g, 8)
+        a = layout.suffix_start
+        ordered, scores = group_ordering(q[a : a + 1, None], k[:, None], layout,
+                                         np.full(1, -1))[0][0]
 
         from posinv import permute_documents
 
@@ -271,8 +271,9 @@ class TestGroupOrdering:
         toks2, layout2 = tokenize(p2)
         q2 = np.stack([per_token[t][0] for t in toks2])
         k2 = np.stack([per_token[t][1] for t in toks2])
-        g2 = QueryGroup("token", layout2.suffix_start, layout2.suffix_start + 1)
-        ordered2, scores2 = group_ordering(q2[g2.q_start : g2.q_end], k2, layout2, g2, 8)
+        a2 = layout2.suffix_start
+        ordered2, scores2 = group_ordering(q2[a2 : a2 + 1, None], k2[:, None], layout2,
+                                           np.full(1, -1))[0][0]
         # align by content hash: doc j in original == doc perm.index(j) in permuted
         for old_j, score in scores.items():
             new_j = [2, 0, 1].index(old_j)
@@ -286,8 +287,9 @@ class TestGroupOrdering:
         rng = np.random.default_rng(5)
         q = rng.normal(size=(layout.n, 8)).astype(np.float32)
         k = rng.normal(size=(layout.n, 8)).astype(np.float32)
-        g = QueryGroup("doc", *layout.doc_spans[1], doc_index=1)
-        ordered, scores = group_ordering(q[g.q_start : g.q_end], k, layout, g, 8)
+        a, b = layout.doc_spans[1]
+        ordered, scores = group_ordering(q[a:b, None], k[:, None], layout,
+                                         np.full(b - a, 1))[0][0]
         assert ordered[-1] == 1
         assert 1 not in scores
 
@@ -301,19 +303,28 @@ class TestGroupOrdering:
         rng = np.random.default_rng(6)
         q = rng.normal(size=(layout.n, 8)).astype(np.float32)
         k = rng.normal(size=(layout.n, 8)).astype(np.float32)
-        groups = [QueryGroup("token", layout.suffix_start, layout.suffix_start + 1),
-                  QueryGroup("doc", *layout.doc_spans[2], doc_index=2)]
-        for g in groups:
-            cands = sorted((j for j in range(layout.k) if j != g.doc_index),
+        groups = [(layout.suffix_start, layout.suffix_start + 1, -1), (*layout.doc_spans[2], 2)]
+        for a, b, own in groups:
+            cands = sorted((j for j in range(layout.k) if j != own),
                            key=lambda j: (layout.doc_hashes[j], j))
             idx = np.concatenate([np.arange(*layout.doc_spans[j]) for j in cands])
-            probs = token_importance(q[g.q_start:g.q_end], k[idx], 8)
+            probs = token_importance(q[a:b], k[idx], 8)
             lens = np.array([layout.doc_len(j) for j in cands])
             ends = np.cumsum(lens)
             ref = doc_importance(probs, list(zip(ends - lens, ends)), aggregation)
-            _, scores = group_ordering(q[g.q_start:g.q_end], k, layout, g, 8, aggregation)
+            _, scores = group_ordering(q[a:b, None], k[:, None], layout, np.full(b - a, own),
+                                       aggregation)[0][0]
             got = [scores[j] for j in cands]
-            if g.kind == "token":
+            if own < 0:
                 assert got == ref
             else:
                 assert np.allclose(got, ref, rtol=1e-6, atol=0)
+
+    @pytest.mark.parametrize("docs", [(), ("ab",)], ids=["k0", "k1"])
+    def test_fewer_than_two_documents_rejected(self, docs):
+        # With k < 2 there is nothing to order; the runtime never asks.
+        _, layout = tokenize(SegmentedPrompt("S", docs, "Q"))
+        q = np.ones((1, 1, 8), dtype=np.float32)
+        k = np.ones((layout.n, 1, 8), dtype=np.float32)
+        with pytest.raises(ValueError, match="k >= 2"):
+            group_ordering(q, k, layout, np.full(1, -1))

@@ -58,6 +58,18 @@ class TestParsePromptFile:
         with pytest.raises(PromptError):
             parse_prompt_file(path)
 
+    @pytest.mark.parametrize("obj, match", [
+        (["S", ["A"], "Q"], "JSON object"),
+        ({"prefix": "S", "documents": "AB", "suffix": "Q"}, "array of strings"),
+        ({"prefix": "S", "documents": ["A", 3], "suffix": "Q"}, "array of strings"),
+        ({"prefix": 1, "documents": ["A"], "suffix": "Q"}, "prefix and suffix"),
+        ({"prefix": "S", "documents": ["A"], "suffix": None}, "prefix and suffix"),
+    ], ids=["not-an-object", "documents-a-string", "non-string-document", "number-prefix",
+            "null-suffix"])
+    def test_wrong_types_rejected(self, tmp_path, obj, match):
+        with pytest.raises(PromptError, match=match):
+            parse_prompt_file(write_prompt(tmp_path, obj))
+
     def test_lone_surrogate_rejected(self, tmp_path):
         path = write_prompt(tmp_path, {"prefix": "S", "documents": ["A\ud800"], "suffix": "Q"})
         with pytest.raises(PromptError, match="UTF-8"):
