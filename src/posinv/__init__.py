@@ -39,7 +39,6 @@ from .prompts import (
     permute_documents,
     tokenize,
 )
-from .rope import apply_rope
 
 __version__ = "0.1.0"
 
@@ -59,7 +58,6 @@ __all__ = [
     "ShapeError",
     "WeightError",
     "Weights",
-    "apply_rope",
     "assign_positions",
     "attention_forward",
     "build_mask",

@@ -77,14 +77,14 @@ def _load_prompt(path) -> SegmentedPrompt:
         raise CliError(f"cannot load prompt: {exc}", IO_ERROR)
 
 
-def _mode(name: str, aggregation: str) -> AttentionMode:
+def _mode(name: str, args) -> AttentionMode:
     if name not in VARIANTS:
         raise CliError(f"unknown mode {name!r}", USAGE_ERROR)
-    return AttentionMode(name, aggregation=aggregation)
+    return AttentionMode(name, aggregation=args.aggregation, canonical=args.canonical)
 
 
 def _modes(args) -> list[AttentionMode]:
-    modes = [_mode(m.strip(), args.aggregation) for m in args.modes.split(",") if m.strip()]
+    modes = [_mode(m.strip(), args) for m in args.modes.split(",") if m.strip()]
     if not modes:
         raise CliError(f"--modes {args.modes!r} names no mode", USAGE_ERROR)
     return modes
@@ -115,12 +115,23 @@ _EMPTY_SUFFIX = ("with an empty suffix the last prompt token belongs to a docume
 
 
 def _base_report(args, extra_cfg) -> dict:
+    options = {k: v for k, v in vars(args).items() if k != "func"}
     return {
         "artifact_version": ARTIFACT_VERSION,
         "command": " ".join(sys.argv[1:]),
-        "config_hash": _config_hash(vars(args), extra_cfg),
+        "config_hash": _config_hash(options, extra_cfg),
         "timings": {},
     }
+
+
+def _load_request(args):
+    """The model, the prompt, its tokens and layout, checked to fit with
+    --max-new-tokens, and the base report."""
+    model = _load_model(args)
+    prompt = _load_prompt(args.prompt)
+    tokens, layout = tokenize(prompt, bos=args.bos)
+    _check_fits(model, len(tokens), args.max_new_tokens)
+    return model, prompt, tokens, layout, _base_report(args, vars(model.config))
 
 
 def cmd_init(args) -> int:
@@ -142,16 +153,10 @@ def cmd_init(args) -> int:
 
 
 def cmd_run(args) -> int:
-    model = _load_model(args)
-    prompt = _load_prompt(args.prompt)
-    mode = _mode(args.mode, args.aggregation)
-    tokens, layout = tokenize(prompt, bos=args.bos)
-    _check_fits(model, len(tokens), args.max_new_tokens)
-    report = _base_report(args, vars(model.config))
+    model, _, tokens, layout, report = _load_request(args)
+    mode = _mode(args.mode, args)
     t0 = time.perf_counter()
-    params = GenerationParams(
-        max_new_tokens=args.max_new_tokens, mode=mode, canonical=args.canonical
-    )
+    params = GenerationParams(max_new_tokens=args.max_new_tokens, mode=mode)
     out = generate(model, tokens, layout, params)
     report["timings"]["generate_s"] = time.perf_counter() - t0
     text = detokenize(out)
@@ -162,17 +167,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    model = _load_model(args)
-    prompt = _load_prompt(args.prompt)
-    tokens, layout = tokenize(prompt, bos=args.bos)
-    _check_fits(model, len(tokens), args.max_new_tokens)
-    report = _base_report(args, vars(model.config))
+    model, _, tokens, layout, report = _load_request(args)
     results = {}
     for mode in _modes(args):
         t0 = time.perf_counter()
-        params = GenerationParams(
-            max_new_tokens=args.max_new_tokens, mode=mode, canonical=args.canonical
-        )
+        params = GenerationParams(max_new_tokens=args.max_new_tokens, mode=mode)
         out = generate(model, tokens, layout, params)
         results[mode.variant] = {"tokens": out, "text": detokenize(out)}
         report["timings"][mode.variant + "_s"] = time.perf_counter() - t0
@@ -187,23 +186,17 @@ def cmd_invariance(args) -> int:
         raise CliError("invariance needs --limit >= 2 orders", USAGE_ERROR)
     if not args.tolerance >= 0:  # also rejects NaN
         raise CliError(f"--tolerance must be >= 0, got {args.tolerance}", USAGE_ERROR)
-    model = _load_model(args)
-    prompt = _load_prompt(args.prompt)
+    model, prompt, _, _, report = _load_request(args)
     if prompt.k < 2:
         raise CliError("invariance requires a prompt with k >= 2 documents", USAGE_ERROR)
     if not prompt.suffix:
         raise CliError(f"invariance needs a non-empty suffix: {_EMPTY_SUFFIX}", USAGE_ERROR)
-    _check_fits(model, len(tokenize(prompt, bos=args.bos)[0]), args.max_new_tokens)
     orders = enumerate_orders(prompt.k, args.limit, seed=args.seed)
-    report = _base_report(args, vars(model.config))
     results = {}
     ok = True
     for mode in _modes(args):
         t0 = time.perf_counter()
-        rep = run_suite(
-            model, prompt, mode, orders, args.max_new_tokens,
-            canonical=args.canonical, bos=args.bos,
-        )
+        rep = run_suite(model, prompt, mode, orders, args.max_new_tokens, bos=args.bos)
         report["timings"][mode.variant + "_s"] = time.perf_counter() - t0
         invariant = rep.outputs_identical and rep.max_abs_logit_diff <= args.tolerance
         expected = mode.invariant
@@ -285,13 +278,9 @@ def cmd_bias_scan(args) -> int:
             prompt = SegmentedPrompt(scan["prefix"], tuple(docs), scan["suffix"])
             tokens, layout = tokenize(prompt, bos=args.bos)
             if metric == "gold_token_logprob":
-                value = continuation_logprob(
-                    model, tokens, layout, mode, gold_tokens, canonical=args.canonical
-                )
+                value = continuation_logprob(model, tokens, layout, mode, gold_tokens)
             else:  # exact_match
-                params = GenerationParams(
-                    max_new_tokens=len(gold_tokens), mode=mode, canonical=args.canonical
-                )
+                params = GenerationParams(max_new_tokens=len(gold_tokens), mode=mode)
                 value = float(generate(model, tokens, layout, params) == gold_tokens)
             rows.append({"mode": mode.variant, "gold_position": p, "value": value})
             print(f"{mode.variant}\t{p}\t{value:.6f}")
@@ -321,24 +310,18 @@ def comparator_counts_per_token(model: Model, k_values: list[int], doc_len: int 
 def cmd_bench(args) -> int:
     if args.repeats < 3:
         raise CliError("bench needs --repeats >= 3", USAGE_ERROR)
-    model = _load_model(args)
-    prompt = _load_prompt(args.prompt)
-    tokens, layout = tokenize(prompt, bos=args.bos)
-    _check_fits(model, len(tokens), args.max_new_tokens)
-    report = _base_report(args, vars(model.config))
+    model, _, tokens, layout, report = _load_request(args)
     modes = _modes(args)
-    baseline = AttentionMode("vanilla", aggregation=args.aggregation)
+    baseline = _mode("vanilla", args)
     if baseline not in modes:
         modes.insert(0, baseline)
     medians = {}
     print("mode\tmedian_s\tratio_vs_vanilla")
     for mode in modes:
         times = []
+        params = GenerationParams(max_new_tokens=args.max_new_tokens, mode=mode)
         for _ in range(args.repeats):
             t0 = time.perf_counter()
-            params = GenerationParams(
-                max_new_tokens=args.max_new_tokens, mode=mode, canonical=args.canonical
-            )
             generate(model, tokens, layout, params)
             times.append(time.perf_counter() - t0)
         medians[mode.variant] = statistics.median(times)

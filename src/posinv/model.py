@@ -259,7 +259,6 @@ class GenerationParams:
     max_new_tokens: int
     mode: AttentionMode
     eos_token: int | None = None
-    canonical: bool = True
 
 
 @dataclass
@@ -280,7 +279,7 @@ class KVCache:
 
 
 def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
-                   mode: AttentionMode, q_start: int, canonical: bool) -> np.ndarray:
+                   mode: AttentionMode, q_start: int) -> np.ndarray:
     cfg = model.config
     w = model.weights
     p = f"layers.{layer}."
@@ -297,11 +296,9 @@ def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
         cache.k_raw[layer] = np.concatenate([cache.k_raw[layer], k], axis=0)
         cache.k_base[layer] = np.concatenate([cache.k_base[layer], k_base], axis=0)
         cache.v[layer] = np.concatenate([cache.v[layer], v], axis=0)
-    attn = attention_forward(
-        mode, q, cache.k_raw[layer], cache.v[layer], cache.layout,
-        q_start=q_start, rope_theta=cfg.rope_theta, canonical=canonical,
-        k_base=cache.k_base[layer],
-    )
+    attn = attention_forward(mode, q, cache.k_raw[layer], cache.v[layer], cache.layout,
+                             q_start=q_start, rope_theta=cfg.rope_theta,
+                             k_base=cache.k_base[layer])
     x = x + matmul(attn.reshape(attn.shape[0], -1), w[p + "o_proj.weight"])
     h2 = rms_norm(x, w[p + "ffn_norm.weight"], cfg.norm_eps)
     gate = matmul(h2, w[p + "gate_proj.weight"])
@@ -310,8 +307,7 @@ def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
     return x
 
 
-def _forward(model: Model, cache: KVCache, tokens: list[int], mode: AttentionMode,
-             canonical: bool) -> np.ndarray:
+def _forward(model: Model, cache: KVCache, tokens: list[int], mode: AttentionMode) -> np.ndarray:
     """Run tokens as the rows after the cache, appending their keys and
     values; returns the logits of the last row."""
     cfg = model.config
@@ -324,7 +320,7 @@ def _forward(model: Model, cache: KVCache, tokens: list[int], mode: AttentionMod
         cache.positions = mode.positions
     x = model.weights["embed.weight"][np.asarray(tokens, dtype=np.int64)]
     for layer in range(cfg.n_layers):
-        x = _layer_forward(model, x, layer, cache, mode, q_start, canonical)
+        x = _layer_forward(model, x, layer, cache, mode, q_start)
     h = rms_norm(x[-1:], model.weights["final_norm.weight"], cfg.norm_eps)
     return matmul(h, model.head_matrix())[0]
 
@@ -334,7 +330,6 @@ def prefill(
     tokens: list[int],
     layout: SequenceLayout,
     mode: AttentionMode,
-    canonical: bool = True,
 ) -> tuple[KVCache, np.ndarray]:
     """Run the whole prompt; returns the filled cache and the logits of
     the last prompt token."""
@@ -343,7 +338,7 @@ def prefill(
     if len(tokens) != layout.n:
         raise ShapeError(f"token count {len(tokens)} != layout.n {layout.n}")
     cache = KVCache(layout=layout)
-    return cache, _forward(model, cache, tokens, mode, canonical)
+    return cache, _forward(model, cache, tokens, mode)
 
 
 def decode_step(
@@ -351,12 +346,11 @@ def decode_step(
     cache: KVCache,
     token: int,
     mode: AttentionMode,
-    canonical: bool = True,
 ) -> np.ndarray:
     """Append one token to the cache and return next-token logits."""
     if cache.n_cached == 0:
         raise ShapeError("decode_step: cache is empty; run prefill first")
-    return _forward(model, cache, [token], mode, canonical)
+    return _forward(model, cache, [token], mode)
 
 
 def greedy_pick(logits: np.ndarray) -> int:
@@ -370,7 +364,7 @@ def generate(
     layout: SequenceLayout,
     params: GenerationParams,
 ) -> list[int]:
-    cache, logits = prefill(model, tokens, layout, params.mode, params.canonical)
+    cache, logits = prefill(model, tokens, layout, params.mode)
     return _greedy_decode(model, cache, logits, params)
 
 
@@ -385,7 +379,7 @@ def _greedy_decode(model: Model, cache: KVCache, logits: np.ndarray,
             break
         if len(out) == params.max_new_tokens:
             break
-        logits = decode_step(model, cache, tok, params.mode, params.canonical)
+        logits = decode_step(model, cache, tok, params.mode)
     return out
 
 
@@ -395,15 +389,14 @@ def continuation_logprob(
     layout: SequenceLayout,
     mode: AttentionMode,
     continuation: list[int],
-    canonical: bool = True,
 ) -> float:
     """Teacher-forced total log-probability of a continuation."""
-    cache, logits = prefill(model, tokens, layout, mode, canonical)
+    cache, logits = prefill(model, tokens, layout, mode)
     total = 0.0
     for i, tok in enumerate(continuation):
         z = logits.astype(np.float64)
         z = z - z.max()
         total += float(z[tok] - np.log(np.exp(z).sum()))
         if i + 1 < len(continuation):
-            logits = decode_step(model, cache, tok, mode, canonical)
+            logits = decode_step(model, cache, tok, mode)
     return total

@@ -55,14 +55,22 @@ VARIANTS = tuple(_MODE_TABLE)
 
 @dataclass(frozen=True)
 class AttentionMode:
+    """A variant of ``_MODE_TABLE`` and its numeric settings: ``aggregation``
+    of pine's importance scores, and ``canonical`` reduction, which reduces
+    documents in content-hash order (bitwise invariance) or, when False,
+    in storage order (invariance up to float rounding)."""
+
     variant: str
     aggregation: str = "mean"  # importance-position modes only; ignored elsewhere
+    canonical: bool = True
 
     def __post_init__(self):
         if self.variant not in _MODE_TABLE:
             raise ValueError(f"unknown attention mode {self.variant!r}")
         if self.aggregation not in ("mean", "sum", "max"):
             raise ValueError(f"unknown aggregation {self.aggregation!r}")
+        if not isinstance(self.canonical, bool):
+            raise ValueError(f"canonical must be a bool, got {self.canonical!r}")
 
     @property
     def doc_mask(self) -> str:
@@ -182,7 +190,6 @@ def attention_forward(
     layout: SequenceLayout,
     q_start: int = 0,
     rope_theta: float = 10000.0,
-    canonical: bool = True,
     k_base: np.ndarray | None = None,
 ) -> np.ndarray:
     """One layer of multi-head attention under a mode.
@@ -196,8 +203,8 @@ def attention_forward(
     group they touch.  Returns [t, n_heads, d].
 
     Keys are taken in one order for every row: prefix, documents by
-    content hash (storage order with canonical=False), suffix.  The rows
-    take the same order.  Per KV head, the rows of its query heads are
+    content hash (storage order when ``mode.canonical`` is False),
+    suffix.  The rows take the same order.  Per KV head, the rows of its query heads are
     stacked and run in blocks: one score matrix with hidden keys at
     NEG_INF, one softmax and one V product per block.
 
@@ -211,8 +218,8 @@ def attention_forward(
     document block is then scored with the queries rotated by p - c.
     Every other mode has one key block and no shift.
 
-    With canonical=True every block of rows makes the same products, on
-    keys in the same columns, whatever the document order: bitwise
+    With ``mode.canonical`` every block of rows makes the same products,
+    on keys in the same columns, whatever the document order: bitwise
     invariance.
     """
     t, n_heads, d_head = q_raw.shape
@@ -221,7 +228,7 @@ def attention_forward(
     base = base_positions(mode, layout, s)
     if k_base is None:
         k_base = rotate(k_raw, base, rope_theta)
-    docs = pine.canonical_order(layout) if canonical else range(layout.k)
+    docs = pine.canonical_order(layout) if mode.canonical else range(layout.k)
     spans = [(0, layout.prefix_len), *(layout.doc_spans[j] for j in docs), (layout.suffix_start, s)]
     order = np.concatenate([np.arange(a, b) for a, b in spans])
     rows = order[(order >= q_start) & (order < q_start + t)]

@@ -45,10 +45,3 @@ def rotate(x: np.ndarray, positions, theta: float) -> np.ndarray:
     out[..., 0::2] = even * cos - odd * sin
     out[..., 1::2] = even * sin + odd * cos
     return out
-
-
-def apply_rope(x: np.ndarray, positions, theta: float = 10000.0) -> np.ndarray:
-    """Rotate a [t, n_heads, d_head] tensor; one position per token."""
-    if x.ndim not in (2, 3):
-        raise ShapeError(f"apply_rope: expected [t, h, d] tensor, got shape {x.shape}")
-    return rotate(x, positions, theta)

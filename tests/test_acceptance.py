@@ -75,11 +75,12 @@ def test_criterion_01_invariant_modes_bitwise(lemma_model, lemma_prompt):
     orders = enumerate_orders(3, 6)
     assert len(orders) == 6
     for variant in INVARIANT_MODES:
-        mode = AttentionMode(variant)
-        rep = run_suite(lemma_model, lemma_prompt, mode, orders, 16, canonical=False)
+        mode = AttentionMode(variant, canonical=False)
+        rep = run_suite(lemma_model, lemma_prompt, mode, orders, 16)
         assert rep.outputs_identical, variant
         assert rep.max_abs_logit_diff <= 1e-4, variant
-        rep = run_suite(lemma_model, lemma_prompt, mode, orders, 16, canonical=True)
+        mode = AttentionMode(variant, canonical=True)
+        rep = run_suite(lemma_model, lemma_prompt, mode, orders, 16)
         assert rep.outputs_identical, variant
         assert rep.max_abs_logit_diff == 0.0, variant
     elapsed = time.perf_counter() - start

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import posinv
 from posinv.cli import main
 
 PROMPT = {"prefix": "SYS: ", "documents": ["alpha doc", "bravo doc", "chrly"], "suffix": " Q?"}
@@ -233,6 +238,21 @@ class TestBiasScan:
         assert code == 1
 
 
+    def test_report_mode_entries_share_keys(self, model_files, prompt_file, tmp_path, capsys):
+        w, c = model_files
+        report = tmp_path / "report.json"
+        assert run_cli(["invariance", "--model", w, "--config", c, "--prompt", prompt_file,
+                        "--modes", "pine,vanilla", "--max-new-tokens", "2",
+                        "--report-out", str(report)]) == 0
+        capsys.readouterr()
+        results = json.loads(report.read_text())["results"]
+        assert list(results) == ["pine", "vanilla"]
+        assert results["pine"].keys() == results["vanilla"].keys()
+        assert results["pine"]["witness_pair"] is None  # bitwise invariant: no pair differs
+        pair = results["vanilla"]["witness_pair"]
+        assert isinstance(pair, list) and len(pair) == 2
+
+
 class TestBench:
     def test_reports_ratio_and_counts(self, model_files, prompt_file, capsys):
         w, c = model_files
@@ -242,6 +262,20 @@ class TestBench:
         out = capsys.readouterr().out
         assert "ratio_vs_vanilla" in out
         assert "comparator_invocations_per_decoded_token" in out
+
+    def test_no_canonical_reduction_times_vanilla_once(self, model_files, prompt_file,
+                                                       tmp_path, capsys):
+        # The vanilla baseline is built like the listed modes, so it is found
+        # among them under --no-canonical-reduction too.
+        w, c = model_files
+        report = tmp_path / "report.json"
+        assert run_cli(["bench", "--model", w, "--config", c, "--prompt", prompt_file,
+                        "--modes", "pine,vanilla", "--repeats", "3", "--max-new-tokens", "1",
+                        "--no-canonical-reduction", "--report-out", str(report)]) == 0
+        out = capsys.readouterr().out
+        assert [line.split("\t")[0] for line in out.splitlines()[1:3]] == ["pine", "vanilla"]
+        assert sum(line.startswith("vanilla\t") for line in out.splitlines()) == 1
+        assert list(json.loads(report.read_text())["results"]["median_s"]) == ["pine", "vanilla"]
 
     def test_too_few_repeats(self, model_files, prompt_file, capsys):
         w, c = model_files
@@ -258,6 +292,29 @@ class TestBench:
         _, err = capsys.readouterr()
         assert code == 1
         assert "--repeats" in err
+
+
+class TestConfigHash:
+    # Each run is its own process, as from a shell: the hash must not take
+    # in anything that differs between processes, such as an address.
+    def hash_of(self, model_files, prompt_file, tmp_path, mode):
+        w, c = model_files
+        report = tmp_path / "report.json"
+        src = str(Path(posinv.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "posinv.cli", "run", "--model", w, "--config", c,
+             "--prompt", prompt_file, "--mode", mode, "--max-new-tokens", "1",
+             "--report-out", str(report)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(report.read_text())["config_hash"]
+
+    def test_same_arguments_same_hash(self, model_files, prompt_file, tmp_path):
+        first = self.hash_of(model_files, prompt_file, tmp_path, "pine")
+        assert self.hash_of(model_files, prompt_file, tmp_path, "pine") == first
+        assert self.hash_of(model_files, prompt_file, tmp_path, "pcw") != first
 
 
 class TestExitCodes:

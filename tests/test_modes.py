@@ -25,6 +25,17 @@ def running_example():
     return tokenize(SegmentedPrompt("S", ("AB", "CD", "EF"), "Q"))
 
 
+class TestAttentionModeSettings:
+    def test_unknown_aggregation_rejected(self):
+        with pytest.raises(ValueError, match="aggregation"):
+            AttentionMode("pine", aggregation="median")
+
+    @pytest.mark.parametrize("canonical", [1, 0, "yes", None])
+    def test_non_bool_canonical_rejected(self, canonical):
+        with pytest.raises(ValueError, match="canonical"):
+            AttentionMode("pine", canonical=canonical)
+
+
 def mask_from_rows(rows):
     return np.asarray(rows, dtype=bool)
 
@@ -415,17 +426,15 @@ class TestBaseRotatedKeys:
         _, layout = tokenize(SegmentedPrompt("SYS: ", ("alpha doc", "bravo!", "charlie c"), " Q?"))
         n = layout.n
         q, k, v = random_qkv(layout.extend(2), 4, 2, 8, 6)
-        mode = AttentionMode(variant)
+        mode = AttentionMode(variant, canonical=canonical)
         k_base = np.concatenate([modes.rotate_keys(mode, layout, k[:n], 0, 10000.0),
                                  modes.rotate_keys(mode, layout, k[n:n + 1], n, 10000.0),
                                  modes.rotate_keys(mode, layout, k[n + 1:], n + 1, 10000.0)])
-        own = attention_forward(mode, q[:n], k[:n], v[:n], layout, canonical=canonical)
-        cached = attention_forward(mode, q[:n], k[:n], v[:n], layout, canonical=canonical,
-                                   k_base=k_base[:n])
+        own = attention_forward(mode, q[:n], k[:n], v[:n], layout)
+        cached = attention_forward(mode, q[:n], k[:n], v[:n], layout, k_base=k_base[:n])
         assert np.array_equal(own, cached)
-        own = attention_forward(mode, q[-1:], k, v, layout, q_start=n + 1, canonical=canonical)
-        cached = attention_forward(mode, q[-1:], k, v, layout, q_start=n + 1,
-                                   canonical=canonical, k_base=k_base)
+        own = attention_forward(mode, q[-1:], k, v, layout, q_start=n + 1)
+        cached = attention_forward(mode, q[-1:], k, v, layout, q_start=n + 1, k_base=k_base)
         assert np.array_equal(own, cached)
 
     def test_base_positions_shared_block(self):

@@ -3,7 +3,7 @@ import pytest
 
 from posinv.kernels import ShapeError
 from posinv import rope
-from posinv.rope import apply_rope, rotate
+from posinv.rope import rotate
 
 
 class TestRotate:
@@ -36,7 +36,7 @@ class TestApplyRope:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(4, 2, 8)).astype(np.float32)
         pos = [0, 2, 5, 9]
-        out = apply_rope(x, pos)
+        out = rotate(x, pos, 10000.0)
         for h in range(2):
             assert np.array_equal(out[:, h, :], rotate(x[:, h, :], pos, 10000.0))
 
