@@ -1,5 +1,7 @@
 """Minimal decoder-only transformer runtime with order-invariant attention modes."""
 
+from types import ModuleType as _ModuleType
+
 from .kernels import NEG_INF, NumericError, ShapeError, matmul, rms_norm, row_softmax, swiglu
 from .model import (
     GenerationParams,
@@ -16,7 +18,8 @@ from .model import (
     prefill,
     save_weights,
 )
-from .modes import AttentionMode, assign_positions, attention_forward, build_mask, sp_rescale
+from .modes import (AttentionMode, AttentionPlan, assign_positions, attention_forward,
+                    build_mask, sp_rescale)
 from .oracle import (
     DivergenceReport,
     dense_reference,
@@ -42,46 +45,6 @@ from .prompts import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttentionMode",
-    "DivergenceReport",
-    "GenerationParams",
-    "KVCache",
-    "Model",
-    "ModelConfig",
-    "NEG_INF",
-    "NumericError",
-    "PositionMap",
-    "PromptError",
-    "SegmentedPrompt",
-    "SequenceLayout",
-    "ShapeError",
-    "WeightError",
-    "Weights",
-    "assign_positions",
-    "attention_forward",
-    "build_mask",
-    "continuation_logprob",
-    "decode_step",
-    "dense_reference",
-    "detokenize",
-    "doc_importance",
-    "enumerate_orders",
-    "generate",
-    "init_random",
-    "load_weights",
-    "matmul",
-    "order_documents",
-    "parse_prompt_file",
-    "permutation_vote",
-    "permute_documents",
-    "prefill",
-    "rms_norm",
-    "row_softmax",
-    "run_suite",
-    "save_weights",
-    "sp_rescale",
-    "swiglu",
-    "token_importance",
-    "tokenize",
-]
+# The public names are the ones imported above.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -33,7 +33,8 @@ from .model import (
 )
 from .modes import VARIANTS, AttentionMode
 from .oracle import enumerate_orders, run_suite
-from .prompts import PromptError, SegmentedPrompt, detokenize, parse_prompt_file, tokenize
+from .prompts import (PromptDecodeError, PromptError, SegmentedPrompt, detokenize,
+                      parse_prompt_file, read_json_object, tokenize)
 
 ARTIFACT_VERSION = "1"
 
@@ -70,11 +71,11 @@ def _load_model(args) -> Model:
     return Model(config, weights)
 
 
-def _load_prompt(path) -> SegmentedPrompt:
-    try:
-        return parse_prompt_file(path)
-    except (OSError, PromptError) as exc:
-        raise CliError(f"cannot load prompt: {exc}", IO_ERROR)
+def _load_error(what: str, exc: Exception) -> CliError:
+    """A file that cannot be read as JSON or encoded is an I/O error; JSON
+    of the wrong shape (not an object, a field missing or mistyped) a usage error."""
+    code = IO_ERROR if isinstance(exc, (OSError, PromptDecodeError)) else USAGE_ERROR
+    return CliError(f"cannot load {what}: {exc}", code)
 
 
 def _mode(name: str, args) -> AttentionMode:
@@ -115,10 +116,10 @@ _EMPTY_SUFFIX = ("with an empty suffix the last prompt token belongs to a docume
 
 
 def _base_report(args, extra_cfg) -> dict:
-    options = {k: v for k, v in vars(args).items() if k != "func"}
+    options = {k: v for k, v in vars(args).items() if k not in ("func", "argv")}
     return {
         "artifact_version": ARTIFACT_VERSION,
-        "command": " ".join(sys.argv[1:]),
+        "command": " ".join(args.argv),
         "config_hash": _config_hash(options, extra_cfg),
         "timings": {},
     }
@@ -128,7 +129,10 @@ def _load_request(args):
     """The model, the prompt, its tokens and layout, checked to fit with
     --max-new-tokens, and the base report."""
     model = _load_model(args)
-    prompt = _load_prompt(args.prompt)
+    try:
+        prompt = parse_prompt_file(args.prompt)
+    except (OSError, PromptError) as exc:
+        raise _load_error("prompt", exc)
     tokens, layout = tokenize(prompt, bos=args.bos)
     _check_fits(model, len(tokens), args.max_new_tokens)
     return model, prompt, tokens, layout, _base_report(args, vars(model.config))
@@ -221,12 +225,9 @@ def cmd_invariance(args) -> int:
 
 def _load_scan(path) -> dict:
     try:
-        with open(path, encoding="utf-8") as f:
-            scan = json.load(f)
-    except (OSError, ValueError, RecursionError) as exc:  # also bad UTF-8, huge ints
-        raise CliError(f"cannot load scan config: {exc}", IO_ERROR)
-    if not isinstance(scan, dict):
-        raise CliError("scan config must be a JSON object", USAGE_ERROR)
+        scan = read_json_object(path, "scan config")
+    except (OSError, PromptError) as exc:
+        raise _load_error("scan config", exc)
     for key in ("prefix", "needle", "gold", "distractors", "suffix"):
         if key not in scan:
             raise CliError(f"scan config missing key {key!r}", USAGE_ERROR)
@@ -418,8 +419,10 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        args.argv = argv  # the report's command
         # Overflow is reported once, as a NumericError from the kernels'
         # finiteness check, not also as numpy's RuntimeWarning.
         with np.errstate(over="ignore", invalid="ignore"):

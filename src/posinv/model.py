@@ -1,18 +1,18 @@
 """Decoder-only transformer runtime.
 
 RMS-norm, rotary embeddings, grouped-query attention, gated FFN, greedy
-decoding.  The KV cache stores each key twice: raw (pine's importance
-scores are position-free) and rotated once, when it is written, at a base
-position that never changes (``modes.base_positions``).  The
-re-assigning attention modes give a document's keys a different start
-for each query group; attention moves that shift onto the queries, so no
-cached key is rotated again.  Per (layer, KV head), one importance pass
-orders the documents for every query group at once, and every row then
-goes through the same blocked softmax core as the other modes.
+decoding.  A stream's attention plan (``modes.AttentionPlan``) is built
+once per (layout, mode) and held by its KV cache, which stores keys and
+values in the plan's column order (prefix, documents by content hash,
+suffix, decoded tokens): prefill permutes the prompt's rows once, as it
+writes them, and attention reads keys as views.  Keys are held raw (pine's
+importance scores are position-free) and rotated once, when written, at a
+base position that never changes; the re-assigning modes move a
+document's per-group start onto the queries instead.
 
 Prefill and decoding share one forward pass: a decode step is the
-prefill of one more row after the cached ones.  Each layer computes
-only the new rows, attending to every cached key.
+prefill of one more row after the cached ones.  That row appends a column
+to an unchanged plan and sees every cached key, so it builds no mask.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import ShapeError, matmul, rms_norm, swiglu
-from .modes import AttentionMode, attention_forward, rotate_keys
+from .modes import AttentionMode, AttentionPlan, attention_forward
 from .prompts import BYTE_VOCAB, N_SPECIALS, SequenceLayout
 
 _DTYPES = {"F32": np.float32, "F64": np.float64}
@@ -263,42 +263,52 @@ class GenerationParams:
 
 @dataclass
 class KVCache:
-    """Per-layer keys and values for one generation stream.  Keys are held
-    raw and rotated at their base positions under the mode rule
-    ``positions`` (an ``AttentionMode.positions`` value)."""
+    """Per-layer keys and values for one generation stream, in the column
+    order of ``plan``, the ``AttentionPlan`` of the mode it last ran under.
+    Keys are held raw and in ``k_base``, rotated at their columns' base
+    positions.  Prefill writes the prompt's rows permuted into column order;
+    a decode step appends one column, builds no mask and leaves the plan
+    as it is.  Decoding under a mode with another plan re-lays the cache."""
 
     layout: SequenceLayout
     k_raw: list[np.ndarray] = field(default_factory=list)  # per layer [t, n_kv, d_head]
     v: list[np.ndarray] = field(default_factory=list)
     k_base: list[np.ndarray] = field(default_factory=list)
-    positions: str | None = None
+    plan: AttentionPlan | None = None
 
     @property
     def n_cached(self) -> int:
         return 0 if not self.k_raw else self.k_raw[0].shape[0]
 
+    def use_plan(self, plan: AttentionPlan, rope_theta: float) -> None:
+        """Switch to another mode's plan: re-permute the cache into its
+        column order and rotate the keys at its base positions."""
+        if s := self.n_cached:
+            take = np.argsort(self.plan.columns(0, s)[0])[plan.columns(0, s)[0]]
+            self.k_raw, self.v = [k[take] for k in self.k_raw], [v[take] for v in self.v]
+            self.k_base = [plan.rotate_keys(k, 0, rope_theta) for k in self.k_raw]
+        self.plan = plan
+
 
 def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
-                   mode: AttentionMode, q_start: int) -> np.ndarray:
+                   q_start: int) -> np.ndarray:
     cfg = model.config
     w = model.weights
     p = f"layers.{layer}."
+    plan = cache.plan
     h = rms_norm(x, w[p + "attn_norm.weight"], cfg.norm_eps)
     q = matmul(h, w[p + "q_proj.weight"]).reshape(-1, cfg.n_heads, cfg.d_head)
     k = matmul(h, w[p + "k_proj.weight"]).reshape(-1, cfg.n_kv_heads, cfg.d_head)
     v = matmul(h, w[p + "v_proj.weight"]).reshape(-1, cfg.n_kv_heads, cfg.d_head)
-    k_base = rotate_keys(mode, cache.layout, k, q_start, cfg.rope_theta)
-    if len(cache.k_raw) <= layer:
-        cache.k_raw.append(k)
-        cache.k_base.append(k_base)
-        cache.v.append(v)
-    else:
-        cache.k_raw[layer] = np.concatenate([cache.k_raw[layer], k], axis=0)
-        cache.k_base[layer] = np.concatenate([cache.k_base[layer], k_base], axis=0)
-        cache.v[layer] = np.concatenate([cache.v[layer], v], axis=0)
-    attn = attention_forward(mode, q, cache.k_raw[layer], cache.v[layer], cache.layout,
-                             q_start=q_start, rope_theta=cfg.rope_theta,
-                             k_base=cache.k_base[layer])
+    k, v = plan.lay_out(k, q_start), plan.lay_out(v, q_start)
+    k_base = plan.rotate_keys(k, q_start, cfg.rope_theta)
+    for stored, new in ((cache.k_raw, k), (cache.k_base, k_base), (cache.v, v)):
+        if len(stored) <= layer:
+            stored.append(new)
+        else:
+            stored[layer] = np.concatenate([stored[layer], new], axis=0)
+    attn = attention_forward(plan, q, cache.k_raw[layer], cache.v[layer], q_start=q_start,
+                             rope_theta=cfg.rope_theta, k_base=cache.k_base[layer])
     x = x + matmul(attn.reshape(attn.shape[0], -1), w[p + "o_proj.weight"])
     h2 = rms_norm(x, w[p + "ffn_norm.weight"], cfg.norm_eps)
     gate = matmul(h2, w[p + "gate_proj.weight"])
@@ -315,12 +325,11 @@ def _forward(model: Model, cache: KVCache, tokens: list[int], mode: AttentionMod
     if q_start + len(tokens) > cfg.max_seq_len:
         raise ShapeError(f"sequence length {q_start + len(tokens)} exceeds "
                          f"max_seq_len {cfg.max_seq_len}")
-    if cache.positions != mode.positions:  # keys cached under another position rule
-        cache.k_base = [rotate_keys(mode, cache.layout, k, 0, cfg.rope_theta) for k in cache.k_raw]
-        cache.positions = mode.positions
+    if cache.plan is None or cache.plan.mode != mode:
+        cache.use_plan(AttentionPlan(mode, cache.layout), cfg.rope_theta)
     x = model.weights["embed.weight"][np.asarray(tokens, dtype=np.int64)]
     for layer in range(cfg.n_layers):
-        x = _layer_forward(model, x, layer, cache, mode, q_start)
+        x = _layer_forward(model, x, layer, cache, q_start)
     h = rms_norm(x[-1:], model.weights["final_norm.weight"], cfg.norm_eps)
     return matmul(h, model.head_matrix())[0]
 

@@ -18,12 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Literal, Sequence
+from typing import TYPE_CHECKING, Literal, Sequence
 
 import numpy as np
 
 from .kernels import NEG_INF, row_block, row_softmax
 from .prompts import SequenceLayout
+
+if TYPE_CHECKING:
+    from .modes import AttentionPlan
 
 Aggregation = Literal["mean", "sum", "max"]
 Direction = Literal["closer", "reversed"]
@@ -124,26 +127,17 @@ def order_documents(
     return sorted(scores.keys(), key=cmp_to_key(cmp))
 
 
-def document_starts(q: np.ndarray, k_raw: np.ndarray, layout: SequenceLayout, rows: np.ndarray,
-                    aggregation: Aggregation, direction: Direction) -> np.ndarray:
-    """Assigned start position of every document for each query row and
-    head, with k >= 2: [len(rows), n_heads, k].
-
-    ``rows`` are storage indices in canonical row order (prefix, each
-    document's rows together, suffix); ``q`` ([len(rows), n_heads, d])
-    holds their pre-rotation queries and ``k_raw`` every raw key.  Prefix
-    rows belong to no query group and get 0; every other row gets its
-    group's ``group_ordering`` order laid out by ``block_starts``.
-    """
-    first = int(np.count_nonzero(rows < layout.prefix_len))
-    own = doc_id_array(layout, len(k_raw))[rows[first:]]
-    group_starts = [[block_starts(layout, ordered) for ordered, _ in per_head]
-                    for per_head in group_ordering(q[first:], k_raw, layout, own,
-                                                   aggregation, direction)]
-    starts = np.zeros((len(rows), q.shape[1], layout.k), dtype=np.int64)
-    starts[first:] = np.repeat(np.array(group_starts, dtype=np.int64),
-                               np.diff([*_group_bounds(own), len(own)]), axis=0)
-    return starts
+def document_starts(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
+                    own: np.ndarray) -> np.ndarray:
+    """Start of every document for each query row and head, k >= 2:
+    [len(q), n_heads, k].  ``q``: pre-rotation queries of rows in column
+    order that each belong to a query group; ``own``: each row's document
+    (-1: suffix or decoded); ``k_raw``: raw keys in ``plan``'s column order.
+    Each row gets its group's ``group_ordering`` order, by ``block_starts``."""
+    group_starts = [[block_starts(plan.layout, ordered) for ordered, _ in per_head]
+                    for per_head in group_ordering(q, k_raw, plan, own)]
+    return np.repeat(np.array(group_starts, dtype=np.int64),
+                     np.diff([*_group_bounds(own), len(own)]), axis=0)
 
 
 def block_starts(layout: SequenceLayout, ordered: Sequence[int]) -> list[int]:
@@ -157,31 +151,27 @@ def block_starts(layout: SequenceLayout, ordered: Sequence[int]) -> list[int]:
     return at
 
 
-def group_ordering(q: np.ndarray, k_raw: np.ndarray, layout: SequenceLayout, own: np.ndarray,
-                   aggregation: Aggregation = "mean", direction: Direction = "closer",
-                   ) -> list[list[tuple[list[int], dict[int, float]]]]:
+def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
+                   own: np.ndarray) -> list[list[tuple[list[int], dict[int, float]]]]:
     """Document order and scores of every query group at every head, k >= 2.
 
-    q: [r, n_heads, d] pre-rotation query rows; k_raw: [s, n_kv_heads, d];
-    own: each row's own document (-1: none), never a candidate and last in
-    its group's order.  Groups follow ``_group_bounds``.  Per KV head, its
-    query heads' copies of each row are scored against all document keys
-    in ``canonical_order``: one score matrix and one ``row_softmax`` per
-    ``row_block`` of rows.  Summing (max: taking the maximum of) each
-    document's columns, then each group's rows, gives every group's scores
-    at once; only the comparator sort runs per (group, head).  Returns
-    orders[group][head] = (ordered documents, candidate scores).
+    q: [r, n_heads, d] pre-rotation query rows; k_raw: [s, n_kv_heads, d]
+    in ``plan``'s column order; own: each row's own document (-1: none),
+    never a candidate and last in its group's order.  Groups follow
+    ``_group_bounds``; aggregation and sort direction are ``plan.mode``'s.
+    Per KV head, its query heads' copies of each row are scored against all
+    document keys in ``canonical_order`` (``plan.ranked_cols``): one score
+    matrix and one ``row_softmax`` per ``row_block`` of rows.  Summing (max:
+    taking the maximum of) each document's columns, then each group's rows,
+    gives every group's scores at once; only the comparator sort runs per
+    (group, head).  Returns orders[group][head] = (ordered documents,
+    candidate scores).
     """
+    layout, mode = plan.layout, plan.mode
     if layout.k < 2:
         raise ValueError(f"group_ordering needs k >= 2 documents, got {layout.k}")
-    if aggregation not in ("mean", "sum", "max"):
-        raise ValueError(f"unknown aggregation {aggregation!r}")
-    reduce = np.maximum if aggregation == "max" else np.add
-    docs = canonical_order(layout)
-    lens = np.array([layout.doc_len(j) for j in docs], dtype=np.int64)
-    col_doc = np.repeat(docs, lens)  # the document of each key column
-    col_ends = np.cumsum(lens)
-    key_idx = np.concatenate([np.arange(*layout.doc_spans[j]) for j in docs])
+    reduce = np.maximum if mode.aggregation == "max" else np.add
+    col_doc = plan.ranked_col_doc  # the document of each scored key column
     r, n_heads, d = q.shape
     rep = n_heads // k_raw.shape[1]
     block = row_block(len(k_raw), rep)
@@ -190,7 +180,7 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, layout: SequenceLayout, own
     scale = 1.0 / np.sqrt(np.float32(d))
     for g in range(k_raw.shape[1]):
         heads = slice(g * rep, (g + 1) * rep)
-        keys_t = k_raw[key_idx, g, :].T
+        keys_t = k_raw[plan.ranked_cols, g, :].T
         for b in range(0, r, block):
             rb = slice(b, b + block)
             logits = (q[rb, heads].reshape(-1, d) @ keys_t).reshape(-1, rep, len(col_doc))
@@ -199,16 +189,16 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, layout: SequenceLayout, own
             # Each document's slice of a row is reduced on its own (a pairwise
             # sum, as doc_importance does), not by reduceat's running sum, so a
             # one-row group scores bitwise as doc_importance(token_importance).
-            for c, (c0, c1) in enumerate(zip(col_ends - lens, col_ends)):
+            for c, (c0, c1) in enumerate(plan.ranked_spans):
                 totals[rb, heads, c] = reduce.reduce(probs[..., c0:c1], axis=2)
     orders = []
     for a, group_totals in zip(bounds, reduce.reduceat(totals, bounds, axis=0).tolist()):
         per_head = []
         for values in group_totals:
-            if aggregation == "mean":
-                values = [v / int(n) for v, n in zip(values, lens)]
-            scores = {j: v for j, v in zip(docs, values) if j != own[a]}
-            ordered = order_documents(scores, layout.doc_hashes, direction)
+            if mode.aggregation == "mean":
+                values = [v / (c1 - c0) for v, (c0, c1) in zip(values, plan.ranked_spans)]
+            scores = {j: v for j, v in zip(plan.ranked, values) if j != own[a]}
+            ordered = order_documents(scores, layout.doc_hashes, mode.direction)
             per_head.append((ordered + [int(own[a])] if own[a] >= 0 else ordered, scores))
         orders.append(per_head)
     return orders

@@ -22,6 +22,10 @@ class PromptError(ValueError):
     """Malformed prompt file or invalid segment structure."""
 
 
+class PromptDecodeError(PromptError):
+    """A file that is not JSON in UTF-8, or text that cannot be encoded as UTF-8."""
+
+
 @dataclass(frozen=True)
 class SegmentedPrompt:
     prefix: str
@@ -36,7 +40,7 @@ class SegmentedPrompt:
             try:
                 text.encode("utf-8")
             except UnicodeEncodeError as exc:
-                raise PromptError(f"prompt text is not encodable as UTF-8: {exc}") from exc
+                raise PromptDecodeError(f"prompt text is not encodable as UTF-8: {exc}") from exc
 
     @property
     def k(self) -> int:
@@ -86,15 +90,21 @@ def content_hash(token_ids: Sequence[int]) -> int:
     return int.from_bytes(hashlib.blake2b(raw, digest_size=8).digest(), "little")
 
 
-def parse_prompt_file(path) -> SegmentedPrompt:
-    """Load a JSON prompt file with keys prefix, documents, suffix."""
+def read_json_object(path, what: str) -> dict:
+    """The JSON object a UTF-8 file holds; ``what`` names the file in errors."""
     with open(path, encoding="utf-8") as f:
         try:
             obj = json.load(f)
-        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge ints
-            raise PromptError(f"malformed prompt file {path}: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge ints, too deep
+            raise PromptDecodeError(f"malformed {what} {path}: {exc}") from exc
     if not isinstance(obj, dict):
-        raise PromptError("prompt file must hold a JSON object")
+        raise PromptError(f"{what} must be a JSON object")
+    return obj
+
+
+def parse_prompt_file(path) -> SegmentedPrompt:
+    """Load a JSON prompt file with keys prefix, documents, suffix."""
+    obj = read_json_object(path, "prompt file")
     try:
         prefix = obj["prefix"]
         documents = obj["documents"]

@@ -87,6 +87,17 @@ class TestRun:
         assert "config_hash" in data
         assert data["results"]["mode"] == "pine"
 
+    def test_report_records_the_argv_given_to_main(self, model_files, prompt_file, tmp_path,
+                                                    capsys, monkeypatch):
+        # The command is main's argv, not the host process's arguments.
+        monkeypatch.setattr(sys, "argv", ["host", "unrelated", "--flag"])
+        w, c = model_files
+        argv = ["run", "--model", w, "--config", c, "--prompt", prompt_file, "--mode", "pine",
+                "--max-new-tokens", "1", "--report-out", str(tmp_path / "report.json")]
+        assert run_cli(argv) == 0
+        capsys.readouterr()
+        assert json.loads((tmp_path / "report.json").read_text())["command"] == " ".join(argv)
+
 
 class TestCompare:
     def test_lists_all_modes(self, model_files, prompt_file, capsys):
@@ -193,7 +204,8 @@ class TestBiasScan:
         scan.write_text(json.dumps(list(SCAN)))
         code = run_cli(["bias-scan", "--model", w, "--config", c, "--scan", str(scan)])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: scan config must be")
+        assert capsys.readouterr().err == ("error: cannot load scan config: "
+                                           "scan config must be a JSON object\n")
 
     @pytest.mark.parametrize("content", [None, b"{not json", b"\xff\xfe", b"[" * 100_000],
                              ids=["missing", "not-json", "not-utf8", "too-deep"])
@@ -329,22 +341,49 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 2
 
-    @pytest.mark.parametrize("content", [
-        None, b"\xff\xfe", b"[" * 100_000, b'["S", ["A"], "Q"]',
-        b'{"prefix": "S", "documents": "AB", "suffix": "Q"}',
-        b'{"prefix": "S", "documents": ["A", 3], "suffix": "Q"}',
-        b'{"prefix": 1, "documents": ["A"], "suffix": "Q"}',
-        b'{"prefix": "S", "documents": ["A"], "suffix": null}',
+    # A file that cannot be read as JSON is an I/O error (2); well-formed
+    # JSON of the wrong shape is a usage error (1), as for a scan file.
+    @pytest.mark.parametrize("content, expected", [
+        (None, 2), (b"\xff\xfe", 2), (b"[" * 100_000, 2), (b'["S", ["A"], "Q"]', 1),
+        (b'{"prefix": "S", "documents": "AB", "suffix": "Q"}', 1),
+        (b'{"prefix": "S", "documents": ["A", 3], "suffix": "Q"}', 1),
+        (b'{"prefix": 1, "documents": ["A"], "suffix": "Q"}', 1),
+        (b'{"prefix": "S", "documents": ["A"], "suffix": null}', 1),
     ], ids=["missing", "not-utf8", "too-deep", "not-an-object", "documents-a-string",
             "non-string-document", "number-prefix", "null-suffix"])
-    def test_unreadable_prompt_io_error(self, model_files, tmp_path, content, capsys):
+    def test_unreadable_prompt_io_error(self, model_files, tmp_path, content, expected, capsys):
         w, c = model_files
         p = tmp_path / "prompt.json"
         if content is not None:
             p.write_bytes(content)
         code = run_cli(["run", "--model", w, "--config", c, "--prompt", str(p)])
-        assert code == 2
+        assert code == expected
         assert capsys.readouterr().err.startswith("error: cannot load prompt")
+
+    @pytest.mark.parametrize("defect", [
+        {"suffix": None}, {"prefix": 3}, {"suffix": "missing"}, "array", "not-json", "no-file",
+    ], ids=["null-suffix", "number-prefix", "missing-key", "top-level-array", "not-json",
+            "missing-file"])
+    def test_prompt_and_scan_defects_share_an_exit_code(self, model_files, tmp_path, defect,
+                                                        capsys):
+        # The same defect in a prompt file and in a scan file ends in the
+        # same exit code: 1 for JSON of the wrong shape, 2 for unreadable JSON.
+        w, c = model_files
+        codes = []
+        for flag, good, cmd in [("--prompt", PROMPT, "run"), ("--scan", SCAN, "bias-scan")]:
+            path = tmp_path / f"{cmd}.json"
+            if defect == "array":
+                path.write_text(json.dumps(list(good.values())))
+            elif defect == "not-json":
+                path.write_text("{not json")
+            elif defect != "no-file":
+                body = {**good, **defect}
+                if body["suffix"] == "missing":
+                    del body["suffix"]
+                path.write_text(json.dumps(body))
+            codes.append(run_cli([cmd, "--model", w, "--config", c, flag, str(path)]))
+        capsys.readouterr()
+        assert codes[0] == codes[1] == (2 if defect in ("not-json", "no-file") else 1)
 
     def test_non_finite_weights_io_error(self, model_files, prompt_file, tmp_path, capsys):
         from posinv.model import load_tensors, save_tensors

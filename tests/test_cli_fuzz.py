@@ -9,6 +9,9 @@ a documented exit code, 0 to 3, and never raise out of ``cli.main``.
 A second test draws the contents of the prompt or scan file instead: any
 JSON value, or the good object with fields dropped or swapped for any
 JSON value, run by a command on a good model.
+
+A third draws the model: ``init`` flags, mostly ones that build a model,
+then one ``run``, ``compare``, ``invariance`` or ``bench`` command on it.
 """
 
 import json
@@ -153,6 +156,32 @@ def file_runs(draw):
     return args, "--prompt", draw(contents(PROMPT))
 
 
+# init flag values that build a model of a few kB (with n_heads a multiple
+# of n_kv_heads), or one too short for the prompt; texts() adds bad ones.
+MODEL_FLAGS = [("--n-layers", ("1", "2")), ("--n-heads", ("2", "4")),
+               ("--n-kv-heads", ("1", "2")), ("--d-head", ("4", "8")),
+               ("--d-ff", ("8", "16")), ("--vocab-size", ("260", "300")),
+               ("--max-seq-len", ("64", "256", "8")), ("--seed", ("0", "5"))]
+
+
+@st.composite
+def model_runs(draw):
+    """(init flags, command argv without --model, --config and --prompt)."""
+    init = [a for name, values in MODEL_FLAGS for a in draw(flag(name, texts(*values)))]
+    cmd = draw(st.sampled_from(["run", "compare", "invariance", "bench"]))
+    args = [cmd]
+    args += draw(flag("--mode", texts(*VARIANTS))) if cmd == "run" else draw(flag("--modes", MODES))
+    args += draw(flag("--aggregation", texts("mean", "sum", "max")))
+    args += draw(st.sampled_from([[], ["--bos"]]))
+    args += draw(st.sampled_from([[], ["--no-canonical-reduction"]]))
+    args += draw(flag("--max-new-tokens", texts("0", "1", "2")))
+    if cmd == "invariance":
+        args += ["--limit", draw(st.sampled_from(["2", "3"]))]
+    if cmd == "bench":
+        args += ["--repeats", "3"]
+    return init, args
+
+
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(argv=argvs())
@@ -177,3 +206,16 @@ def test_every_prompt_and_scan_file_ends_in_an_exit_code(inputs, run, capsys):
         code = main([resolve(a, inputs, Path(tmp)) for a in args] + [name, str(path)])
     capsys.readouterr()
     assert code in (0, 1, 2, 3), (args, body)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(run=model_runs())
+def test_every_command_on_a_drawn_model_ends_in_an_exit_code(inputs, run, capsys):
+    init, args = run
+    with tempfile.TemporaryDirectory(dir=inputs) as tmp:
+        w, c = str(Path(tmp) / "w.bin"), str(Path(tmp) / "c.txt")
+        built = main(["init", "--model", w, "--config", c, *init])
+        code = main(args + ["--model", w, "--config", c, "--prompt", str(inputs / "prompt.json")])
+    capsys.readouterr()
+    assert built in (0, 1) and code in (0, 1, 2, 3), (init, args)

@@ -24,9 +24,10 @@ from posinv import (
     save_weights,
     tokenize,
 )
-from posinv import modes
+from posinv import modes, pine
 from posinv.kernels import ShapeError
 from posinv.model import load_config, load_tensors, save_tensors
+from posinv.rope import rotate
 
 VANILLA = AttentionMode("vanilla")
 PINE = AttentionMode("pine")
@@ -262,8 +263,9 @@ class TestDecodeStep:
             outs.append(decode_step(tiny_model, cache, int(np.argmax(logits)), PINE))
         assert np.array_equal(outs[0], outs[1])
 
-    @pytest.mark.parametrize("variant", ["vanilla", "pine"])
-    def test_decode_builds_only_the_new_mask_row(self, tiny_config, variant, monkeypatch):
+    @pytest.mark.parametrize("variant", modes.VARIANTS)
+    def test_decode_builds_no_mask(self, tiny_config, variant, monkeypatch):
+        # A decoded row sees every earlier key in every mode: no mask at all.
         config = ModelConfig(**{**vars(tiny_config), "n_layers": 2})
         model = Model(config, init_random(config, 0))
         mode = AttentionMode(variant)
@@ -277,8 +279,9 @@ class TestDecodeStep:
             return mask
 
         monkeypatch.setattr(modes, "build_mask", recording_build_mask)
-        decode_step(model, cache, int(np.argmax(logits)), mode)
-        assert shapes == [(1, layout.n + 1)] * config.n_layers
+        for _ in range(2):
+            logits = decode_step(model, cache, int(np.argmax(logits)), mode)
+        assert shapes == []
 
     def test_empty_cache_rejected(self, tiny_model):
         tokens, layout = tokenize(SegmentedPrompt("SYS", (), "q"))
@@ -317,6 +320,11 @@ class TestGenerate:
         assert runs[0] == runs[1] == runs[2]
 
 
+def storage_order(cache, x):
+    """A cached array back in storage order."""
+    return x[np.argsort(cache.plan.columns(0, len(x))[0])]
+
+
 class TestBaseRotatedCache:
     @pytest.mark.parametrize("variant", modes.VARIANTS)
     def test_cached_keys_rotated_once_at_base_positions(self, tiny_model, variant):
@@ -326,18 +334,42 @@ class TestBaseRotatedCache:
         for _ in range(2):
             logits = decode_step(tiny_model, cache, int(np.argmax(logits)), mode)
         theta = tiny_model.config.rope_theta
+        s = layout.n + 2
         for k_raw, k_base in zip(cache.k_raw, cache.k_base):
-            assert np.array_equal(k_base, modes.rotate_keys(mode, layout, k_raw, 0, theta))
+            # Column order: each column's storage row, rotated at its base position.
+            storage = cache.plan.columns(0, s)[0]
+            assert sorted(storage) == list(range(s))
+            assert np.array_equal(k_base, rotate(k_raw, modes.base_positions(mode, layout, s)[storage],
+                                                 theta))
 
     def test_decode_under_another_mode_rotates_the_cache_for_it(self, tiny_model):
-        # A cache filled under vanilla (input positions) decoded under pine
-        # (document offsets) must hold pine's base-rotated keys.
+        # A cache filled under one mode and decoded under another holds the
+        # same raw keys and values in the new plan's column order, with keys
+        # rotated at the new base positions: vanilla -> pine moves the
+        # positions, canonical -> storage order moves only the columns.
         tokens, layout = tokenize(SegmentedPrompt("SYS", ("abc", "de", "fgh"), "qq"))
-        cache, logits = prefill(tiny_model, tokens, layout, VANILLA)
-        decode_step(tiny_model, cache, int(np.argmax(logits)), PINE)
+        assert pine.canonical_order(layout) != list(range(layout.k))
         theta = tiny_model.config.rope_theta
-        for k_raw, k_base in zip(cache.k_raw, cache.k_base):
-            assert np.array_equal(k_base, modes.rotate_keys(PINE, layout, k_raw, 0, theta))
+        n = layout.n
+        for before, after, moved in [(VANILLA, PINE, "positions"),
+                                     (PINE, AttentionMode("pine", canonical=False), "columns")]:
+            cache, logits = prefill(tiny_model, tokens, layout, before)
+            old_order = cache.plan.order
+            same_positions = np.array_equal(modes.base_positions(before, layout, n),
+                                            modes.base_positions(after, layout, n))
+            assert same_positions == (moved == "columns")
+            k_raw = [storage_order(cache, k) for k in cache.k_raw]
+            v = [storage_order(cache, x) for x in cache.v]
+            decode_step(tiny_model, cache, int(np.argmax(logits)), after)
+            plan = cache.plan
+            assert plan.mode == after
+            assert np.array_equal(plan.order, old_order) == (moved == "positions")
+            storage = plan.columns(0, n + 1)[0]
+            base = modes.base_positions(after, layout, n + 1)[storage]
+            for layer in range(tiny_model.config.n_layers):
+                assert np.array_equal(cache.k_raw[layer][:n], k_raw[layer][plan.order])
+                assert np.array_equal(cache.v[layer][:n], v[layer][plan.order])
+                assert np.array_equal(cache.k_base[layer], rotate(cache.k_raw[layer], base, theta))
 
 
 class TestTieEmbeddingsConfig:

@@ -5,6 +5,7 @@ import pytest
 
 from posinv import (
     AttentionMode,
+    AttentionPlan,
     SegmentedPrompt,
     assign_positions,
     attention_forward,
@@ -165,7 +166,7 @@ class TestAssignPositions:
         _, layout = tokenize(prompt)
         mode = AttentionMode(variant)
         q, k, v = random_qkv(layout, 4, 2, 8, 3)
-        out = attention_forward(mode, q, k, v, layout)
+        out = attend(mode, q, k, v, layout)
         mask = build_mask(mode, layout, layout.n)
         s1, e1 = layout.doc_spans[1]
         groups = {0: None, e1 - 1: (s1, e1, 1),
@@ -175,9 +176,9 @@ class TestAssignPositions:
                 ordered = None
                 if mode.reassigns and group is not None:
                     a, b, own = group
-                    ordered = group_ordering(q[a:b, h, None], k[:, h // 2, None], layout,
-                                             np.full(b - a, own), mode.aggregation,
-                                             mode.direction)[0][0][0]
+                    plan = AttentionPlan(mode, layout)
+                    ordered = group_ordering(q[a:b, h, None], plan.lay_out(k)[:, h // 2, None],
+                                             plan, np.full(b - a, own))[0][0][0]
                 pm = assign_positions(mode, layout, row, ordered)
                 scores = (rotate(q[row, h][None], [pm.query_position], 10000.0)
                           @ rotate(k[:, h // 2], pm.key_positions, 10000.0).T)
@@ -217,6 +218,13 @@ class TestSpRescale:
         assert np.array_equal(sp_rescale(row, layout, 2, 3), row)
 
 
+def attend(mode, q, k, v, layout):
+    """attention_forward of the whole sequence on storage-order keys and
+    values, laid out in the columns of the stream's plan."""
+    plan = AttentionPlan(mode, layout)
+    return attention_forward(plan, q, plan.lay_out(k), plan.lay_out(v))
+
+
 def random_qkv(layout, n_heads, n_kv, d_head, seed):
     rng = np.random.default_rng(seed)
     q = rng.normal(size=(layout.n, n_heads, d_head)).astype(np.float32)
@@ -229,7 +237,7 @@ class TestAttentionForward:
     def test_vanilla_matches_naive_causal_reference(self):
         _, layout = running_example()
         q, k, v = random_qkv(layout, 2, 1, 8, 0)
-        out = attention_forward(AttentionMode("vanilla"), q, k, v, layout)
+        out = attend(AttentionMode("vanilla"), q, k, v, layout)
         for h in range(2):
             for qi in range(layout.n):
                 qr = rotate(q[qi, h][None, :], [qi], 10000.0)[0].astype(np.float64)
@@ -246,8 +254,8 @@ class TestAttentionForward:
     def test_k1_pine_bitwise_vanilla(self):
         _, layout = tokenize(SegmentedPrompt("S", ("ABC",), "QR"))
         q, k, v = random_qkv(layout, 2, 1, 8, 1)
-        a = attention_forward(AttentionMode("vanilla"), q, k, v, layout)
-        b = attention_forward(AttentionMode("pine"), q, k, v, layout)
+        a = attend(AttentionMode("vanilla"), q, k, v, layout)
+        b = attend(AttentionMode("pine"), q, k, v, layout)
         assert np.array_equal(a, b)
 
     def test_nia_masked_independence(self):
@@ -257,16 +265,16 @@ class TestAttentionForward:
         q, k, v = random_qkv(layout, 2, 1, 8, 2)
         v2 = v.copy()
         v2[3:5] = 0.0
-        a = attention_forward(AttentionMode("nia"), q, k, v, layout)
-        b = attention_forward(AttentionMode("nia"), q, k, v2, layout)
+        a = attend(AttentionMode("nia"), q, k, v, layout)
+        b = attend(AttentionMode("nia"), q, k, v2, layout)
         assert np.array_equal(a[1:3], b[1:3])
 
     def test_prefix_rows_bitwise_vanilla_in_all_modes(self):
         _, layout = tokenize(SegmentedPrompt("SYS", ("ab", "cd", "ef"), "Q"))
         q, k, v = random_qkv(layout, 2, 1, 8, 3)
-        base = attention_forward(AttentionMode("vanilla"), q, k, v, layout)
+        base = attend(AttentionMode("vanilla"), q, k, v, layout)
         for variant in ("nia", "pcw", "sp", "pine", "pine_noreassign", "pine_reverse"):
-            out = attention_forward(AttentionMode(variant), q, k, v, layout)
+            out = attend(AttentionMode(variant), q, k, v, layout)
             assert np.array_equal(out[: layout.prefix_len], base[: layout.prefix_len]), variant
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -285,7 +293,7 @@ class TestAttentionForward:
 
         monkeypatch.setattr(modes, "rotate", counting_rotate)
         mode = AttentionMode(variant)
-        attention_forward(mode, q, k, v, layout)
+        attend(mode, q, k, v, layout)
         suffix_rows = layout.n - layout.suffix_start
         groups = 1 + layout.k + suffix_rows if mode.reassigns else 1
         assert sum(rotated) <= n_heads * (groups + 1) * layout.n
@@ -304,7 +312,7 @@ class TestAttentionForward:
 
         monkeypatch.setattr(modes, "row_softmax", counting_softmax)
         mode = AttentionMode(variant)
-        attention_forward(mode, q, k, v, layout)
+        attend(mode, q, k, v, layout)
         suffix_rows = layout.n - layout.suffix_start
         groups = 1 + layout.k + suffix_rows if mode.reassigns else 1
         assert len(calls) <= n_heads * (groups + 1)
@@ -339,7 +347,7 @@ class TestAttentionForward:
                 m.setattr(modes, "row_softmax", counting("modes", row_softmax))
                 m.setattr(pine, "row_softmax", counting("pine", row_softmax))
                 m.setattr(pine, "order_documents", counting("sort", pine.order_documents))
-                attention_forward(AttentionMode("pine"), q, k, v, layout)
+                attend(AttentionMode("pine"), q, k, v, layout)
             assert calls["sort"] == n_heads * (layout.k + layout.n - layout.suffix_start)
             counts.append((calls["modes"], calls["pine"]))
         assert counts[0][0] > 1 and counts[0][1] > 1
@@ -375,8 +383,8 @@ class TestAttentionForward:
 
         mapping = token_map()
         for variant, invariant in [("pine", True), ("pcw", True), ("vanilla", False)]:
-            a = attention_forward(AttentionMode(variant), *qkv_for(toks), layout)
-            b = attention_forward(AttentionMode(variant), *qkv_for(ptoks), playout)
+            a = attend(AttentionMode(variant), *qkv_for(toks), layout)
+            b = attend(AttentionMode(variant), *qkv_for(ptoks), playout)
             aligned = np.stack([b[mapping[i]] for i in range(layout.n)])
             if invariant:
                 assert np.array_equal(a, aligned), variant
@@ -427,14 +435,16 @@ class TestBaseRotatedKeys:
         n = layout.n
         q, k, v = random_qkv(layout.extend(2), 4, 2, 8, 6)
         mode = AttentionMode(variant, canonical=canonical)
-        k_base = np.concatenate([modes.rotate_keys(mode, layout, k[:n], 0, 10000.0),
-                                 modes.rotate_keys(mode, layout, k[n:n + 1], n, 10000.0),
-                                 modes.rotate_keys(mode, layout, k[n + 1:], n + 1, 10000.0)])
-        own = attention_forward(mode, q[:n], k[:n], v[:n], layout)
-        cached = attention_forward(mode, q[:n], k[:n], v[:n], layout, k_base=k_base[:n])
+        plan = AttentionPlan(mode, layout)
+        k, v = plan.lay_out(k), plan.lay_out(v)
+        k_base = np.concatenate([plan.rotate_keys(k[:n], 0, 10000.0),
+                                 plan.rotate_keys(k[n:n + 1], n, 10000.0),
+                                 plan.rotate_keys(k[n + 1:], n + 1, 10000.0)])
+        own = attention_forward(plan, q[:n], k[:n], v[:n])
+        cached = attention_forward(plan, q[:n], k[:n], v[:n], k_base=k_base[:n])
         assert np.array_equal(own, cached)
-        own = attention_forward(mode, q[-1:], k, v, layout, q_start=n + 1)
-        cached = attention_forward(mode, q[-1:], k, v, layout, q_start=n + 1, k_base=k_base)
+        own = attention_forward(plan, q[-1:], k, v, q_start=n + 1)
+        cached = attention_forward(plan, q[-1:], k, v, q_start=n + 1, k_base=k_base)
         assert np.array_equal(own, cached)
 
     def test_base_positions_shared_block(self):

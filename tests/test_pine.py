@@ -5,6 +5,7 @@ import pytest
 
 from posinv import (
     AttentionMode,
+    AttentionPlan,
     SegmentedPrompt,
     attention_forward,
     doc_importance,
@@ -132,11 +133,20 @@ def random_head(layout, seed, d=8):
     return q, k, v
 
 
-def pine_attention(q, k, v, layout):
-    """Single-head full-sequence attention under the pine mode."""
+def pine_attention(q, k, v, layout, variant="pine"):
+    """Single-head full-sequence attention under the pine mode (or ``variant``)
+    on storage-order keys and values, laid out in the plan's columns."""
+    plan = AttentionPlan(AttentionMode(variant), layout)
     return attention_forward(
-        AttentionMode("pine"), q[:, None, :], k[:, None, :], v[:, None, :], layout
+        plan, q[:, None, :], plan.lay_out(k)[:, None, :], plan.lay_out(v)[:, None, :]
     )[:, 0, :]
+
+
+def ordering(q, k, layout, own, aggregation="mean"):
+    """group_ordering of query rows against storage-order keys, laid out
+    in the columns of pine's plan."""
+    plan = AttentionPlan(AttentionMode("pine", aggregation), layout)
+    return group_ordering(q, plan.lay_out(k), plan, own)
 
 
 class TestPineAttention:
@@ -145,9 +155,7 @@ class TestPineAttention:
             _, layout = tokenize(SegmentedPrompt("SY", docs, "QR"))
             q, k, v = random_head(layout, 0)
             h_pine = pine_attention(q, k, v, layout)
-            h_van = attention_forward(
-                AttentionMode("vanilla"), q[:, None, :], k[:, None, :], v[:, None, :], layout
-            )[:, 0, :]
+            h_van = pine_attention(q, k, v, layout, "vanilla")
             assert np.array_equal(h_pine, h_van)
 
     def test_identical_documents_swap_is_bitwise_noop(self):
@@ -262,8 +270,7 @@ class TestGroupOrdering:
         q = np.stack([per_token[t][0] for t in toks])
         k = np.stack([per_token[t][1] for t in toks])
         a = layout.suffix_start
-        ordered, scores = group_ordering(q[a : a + 1, None], k[:, None], layout,
-                                         np.full(1, -1))[0][0]
+        ordered, scores = ordering(q[a : a + 1, None], k[:, None], layout, np.full(1, -1))[0][0]
 
         from posinv import permute_documents
 
@@ -272,8 +279,8 @@ class TestGroupOrdering:
         q2 = np.stack([per_token[t][0] for t in toks2])
         k2 = np.stack([per_token[t][1] for t in toks2])
         a2 = layout2.suffix_start
-        ordered2, scores2 = group_ordering(q2[a2 : a2 + 1, None], k2[:, None], layout2,
-                                           np.full(1, -1))[0][0]
+        ordered2, scores2 = ordering(q2[a2 : a2 + 1, None], k2[:, None], layout2,
+                                     np.full(1, -1))[0][0]
         # align by content hash: doc j in original == doc perm.index(j) in permuted
         for old_j, score in scores.items():
             new_j = [2, 0, 1].index(old_j)
@@ -288,8 +295,7 @@ class TestGroupOrdering:
         q = rng.normal(size=(layout.n, 8)).astype(np.float32)
         k = rng.normal(size=(layout.n, 8)).astype(np.float32)
         a, b = layout.doc_spans[1]
-        ordered, scores = group_ordering(q[a:b, None], k[:, None], layout,
-                                         np.full(b - a, 1))[0][0]
+        ordered, scores = ordering(q[a:b, None], k[:, None], layout, np.full(b - a, 1))[0][0]
         assert ordered[-1] == 1
         assert 1 not in scores
 
@@ -312,8 +318,8 @@ class TestGroupOrdering:
             lens = np.array([layout.doc_len(j) for j in cands])
             ends = np.cumsum(lens)
             ref = doc_importance(probs, list(zip(ends - lens, ends)), aggregation)
-            _, scores = group_ordering(q[a:b, None], k[:, None], layout, np.full(b - a, own),
-                                       aggregation)[0][0]
+            _, scores = ordering(q[a:b, None], k[:, None], layout, np.full(b - a, own),
+                                 aggregation)[0][0]
             got = [scores[j] for j in cands]
             if own < 0:
                 assert got == ref
@@ -327,4 +333,4 @@ class TestGroupOrdering:
         q = np.ones((1, 1, 8), dtype=np.float32)
         k = np.ones((layout.n, 1, 8), dtype=np.float32)
         with pytest.raises(ValueError, match="k >= 2"):
-            group_ordering(q, k, layout, np.full(1, -1))
+            ordering(q, k, layout, np.full(1, -1))
