@@ -18,10 +18,16 @@ attributes of ``AttentionMode``.  Only the float64 oracle in
 
 The single shared core guarantees that whenever two modes produce the
 same mask and positions (e.g. k <= 1), their outputs are bitwise equal.
+It runs query rows in blocks, and a block scores only the key blocks
+(prefix, each document, suffix with the decoded tokens) that one of its
+rows can see: ``AttentionPlan.kept_columns`` decides this from the key
+blocks alone.  ``build_mask`` then builds each block's mask over its rows
+and its kept columns, so no mask grows beyond one row block.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
@@ -83,14 +89,16 @@ class AttentionMode:
         return self.positions == "importance"
 
 
-def build_mask(mode: AttentionMode, layout: SequenceLayout, total_len: int,
-               q_start: int = 0) -> np.ndarray:
-    """Visibility rows q_start .. total_len-1; entry [q - q_start, k]: query q may see key k."""
-    m = np.arange(total_len) <= np.arange(q_start, total_len)[:, None]
+def build_mask(mode: AttentionMode, layout: SequenceLayout, rows, keys) -> np.ndarray:
+    """Visibility of keys to query rows, both given by storage index (at or
+    past ``layout.n``: decoded tokens): entry [i, j] is True when query
+    ``rows[i]`` may see key ``keys[j]``."""
+    rows, keys = np.asarray(rows, dtype=np.int64), np.asarray(keys, dtype=np.int64)
+    m = keys <= rows[:, None]
     if layout.k >= 2 and mode.doc_mask != "causal":
-        ids = pine.doc_id_array(layout, total_len)
-        q_ids = ids[q_start:, None]
-        cross = (q_ids >= 0) & (ids >= 0) & (q_ids != ids)
+        ids = pine.doc_id_array(layout, 1 + max(rows.max(initial=0), keys.max(initial=0)))
+        q_ids, k_ids = ids[rows, None], ids[keys]
+        cross = (q_ids >= 0) & (k_ids >= 0) & (q_ids != k_ids)
         if mode.doc_mask == "separate":
             m &= ~cross
         else:
@@ -124,7 +132,12 @@ def assign_positions(mode: AttentionMode, layout: SequenceLayout, q_index: int,
 def sp_rescale(weights: np.ndarray, layout: SequenceLayout, q_index: int, k: int) -> np.ndarray:
     """Scale document-key attention of suffix/decoded queries by 1/k and
     renormalize; other queries (and k=0) pass through unchanged.  Documents
-    fill keys prefix_len .. suffix_start - 1 in storage and in column order."""
+    fill keys prefix_len .. suffix_start - 1 in storage and in column order.
+
+    Attention passes the weights of the columns a row block keeps.  A block
+    with suffix rows keeps every column up to its last row, since those rows
+    see every earlier key, so its document columns are still that range.
+    """
     if k <= 1 or q_index < layout.suffix_start:
         # 1/k scaling with k <= 1 is the identity; skipping it keeps the
         # row bitwise equal to the unrescaled computation.
@@ -181,13 +194,21 @@ class AttentionPlan:
         pos = base_positions(mode, layout, layout.n + 1)
         self.base, self.offset = pos[self.order], int(pos[-1]) - layout.n
         self.col_doc = pine.doc_id_array(layout, layout.n)[self.order]
-        # Key blocks: (first column, end column, query shift), shift 0 for
-        # none and 1 + i for the i-th document of ``docs``.
-        self.key_blocks = [(0, None, 0)]
-        if self.reorders:
-            edges = np.cumsum([layout.prefix_len, *(layout.doc_len(j) for j in self.docs)]).tolist()
-            self.key_blocks = [(0, layout.prefix_len, 0), *zip(edges, edges[1:], range(1, layout.k + 1)),
-                               (layout.suffix_start, None, 0)]
+        # Key blocks: prefix, each document of ``docs``, then the suffix with
+        # the decoded tokens (end None).  (first column, end column, query
+        # shift): shift 1 + i for the i-th document when the plan reorders,
+        # else 0.  Empty prefix and documents are left out.
+        edges = np.cumsum([0, layout.prefix_len, *(layout.doc_len(j) for j in self.docs)]).tolist()
+        shifts = [0, *(range(1, layout.k + 1) if self.reorders else [0] * layout.k)]
+        self.key_blocks = [(c0, c1, i) for c0, c1, i in zip(edges, edges[1:], shifts) if c0 < c1]
+        self.key_blocks.append((layout.suffix_start, None, 0))
+        self.block_starts = [c0 for c0, _, _ in self.key_blocks]
+        # sees[a, b]: the rows of block a see every key of block b.  Between
+        # two blocks the mask is all or nothing, so each block's first token
+        # stands for it.  A block's own keys are causal: see ``kept_columns``.
+        firsts = self.columns(0, layout.suffix_start + 1)[0][self.block_starts]
+        self.sees = build_mask(mode, layout, firsts, firsts)
+        np.fill_diagonal(self.sees, False)
         # The importance pass reads the documents in ``ranked`` order: a slice
         # of the columns, or a gather of them when canonical is False.
         region = slice(layout.prefix_len, layout.suffix_start)
@@ -203,6 +224,31 @@ class AttentionPlan:
                 np.concatenate([self.base[c0:c1], past + self.offset]),
                 np.concatenate([self.col_doc[c0:c1], np.full(len(past), -1)]))
 
+    def kept_columns(self, r0: int, r1: int, s: int) -> list[tuple[int, int, int]]:
+        """The key columns, of s, that a block of query rows at columns
+        r0 .. r1 - 1 must score, as (first column, end column, query shift)
+        runs.
+
+        A key block is kept whole when rows of another block see it, and up
+        to the last row when only its own rows, which see it causally, are in
+        the row block; otherwise no row sees it and it is skipped.  Adjacent
+        kept blocks with one shift form one run.  This reads only the column
+        structure, so the same rows keep the same columns whatever the
+        storage order of the documents.
+        """
+        lo, hi = (bisect_right(self.block_starts, c) - 1 for c in (r0, r1 - 1))
+        whole = self.sees[lo:hi + 1].any(axis=0).tolist()
+        kept = []
+        for b, (c0, c1, shift) in enumerate(self.key_blocks):
+            c1 = s if c1 is None else c1
+            if not whole[b]:
+                if not lo <= b <= hi:
+                    continue
+                c1 = min(c1, r1)
+            if c0 < c1:
+                kept.append((c0, c1, shift))
+        return _join(kept)
+
     def lay_out(self, x: np.ndarray, c0: int = 0) -> np.ndarray:
         """Storage rows c0 .. c0 + len(x) - 1 of ``x`` in column order.  The
         rows must not cut the documents: c0 is 0 or at least ``suffix_start``."""
@@ -212,6 +258,16 @@ class AttentionPlan:
         """Keys of columns c0 .. c0 + len(k) - 1 rotated at their base positions:
         what the KV cache holds next to the raw keys."""
         return rotate(k, self.columns(c0, c0 + len(k))[1], rope_theta)
+
+
+def _join(runs: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """Column runs (first, end, shift) with each touching pair of one shift joined."""
+    joined: list[tuple[int, int, int]] = []
+    for c0, c1, shift in runs:
+        if joined and joined[-1][1] == c0 and joined[-1][2] == shift:
+            c0 = joined.pop()[0]
+        joined.append((c0, c1, shift))
+    return joined
 
 
 def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray, v: np.ndarray,
@@ -227,11 +283,15 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray,
     (``plan.rotate_keys``), computed here when None.  Returns
     [t, n_heads, d_head] in storage order.
 
-    Per KV head, keys and values are views of the cache, and the rows of its
-    query heads, in column order, are stacked and run in blocks: one score
-    matrix with hidden keys at NEG_INF, one softmax and one V product per
-    block.  A lone suffix or decoded row sees every earlier key in every
-    mode, so a decode step builds no mask.
+    Keys and values are per-KV-head views of the cache.  The rows, in column
+    order, run in blocks of ``row_block`` rows; each block scores only the
+    columns ``plan.kept_columns`` keeps for its rows (whole key blocks that
+    other rows of the block see, its own block up to its last row), with one
+    score product per run of kept columns and one value product per
+    contiguous span.  A block's mask (``build_mask``, over its rows and its
+    kept columns) sets hidden keys to NEG_INF before its one softmax per KV
+    head, so neither masks nor scores grow beyond one row block.  A lone suffix or decoded row sees every earlier
+    key in every mode, so a decode step builds no mask.
 
     No key is rotated again: RoPE scores depend only on relative positions,
     <R(p)q, R(c + o)k> = <R(p - c)q, R(o)k>, so a key block at base offset o
@@ -239,8 +299,9 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray,
     the re-assigning modes have blocks with c != 0: ``pine.document_starts``
     scores every (query head, row) against every document in one importance
     pass and gives each document's start in the row's group order.  With
-    ``mode.canonical`` every block of rows makes the same products, on keys
-    in the same columns, whatever the document order: bitwise invariance.
+    ``mode.canonical`` the kept columns depend only on the column order, so
+    every block of rows makes the same products, on keys in the same
+    columns, whatever the document order: bitwise invariance.
     """
     mode, layout = plan.mode, plan.layout
     t, n_heads, d_head = q_raw.shape
@@ -249,9 +310,8 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray,
     if k_base is None:
         k_base = plan.rotate_keys(k_raw, 0, rope_theta)
     rows, q_base, own = plan.columns(q_start, q_start + t)  # the rows, in column order
-    hidden = None  # a lone suffix or decoded row sees every earlier key
-    if t > 1 or q_start < layout.suffix_start:
-        hidden = ~build_mask(mode, layout, s, q_start)[np.ix_(rows - q_start, plan.columns(0, s)[0])]
+    masked = t > 1 or q_start < layout.suffix_start  # a lone suffix or decoded row sees every key
+    key_at = plan.columns(0, s)[0] if masked else None  # each column's storage index
     late = rows >= layout.suffix_start
     block = row_block(s, rep)
     scale = 1.0 / np.sqrt(np.float32(d_head))
@@ -266,26 +326,43 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray,
         q_pos = q_pos + np.where(own[:, None] >= 0, own_start, 0)
         shifts = np.concatenate([shifts, starts[..., plan.docs]], axis=2)
 
+    # Each KV head's query heads, rows in column order: [n_kv, t, rep, d], and
+    # the position p - c each is rotated to per shift: [shifts, n_kv, t, rep].
+    q = np.ascontiguousarray(q_raw[rows - q_start].reshape(t, n_kv, rep, d_head).swapaxes(0, 1))
+    pos = (q_pos[:, :, None] - shifts).reshape(t, n_kv, rep, -1).transpose(3, 1, 0, 2)
     out = np.empty((t, n_heads, d_head), dtype=q_raw.dtype)
-    for g in range(n_kv):
-        heads = slice(g * rep, (g + 1) * rep)
-        q = q_raw[rows - q_start, heads, :]  # [rows, rep, d]: the KV head's query heads
-        keys, vals = k_base[:, g, :], v[:, g, :]
-        for b in range(0, t, block):
-            rb = slice(b, b + block)
-            q_rows = q[rb].reshape(-1, d_head)
-            # One rotation of every (row, head) query per shift: p - c.
-            pos = np.moveaxis(q_pos[rb, heads, None] - shifts[rb, heads], 2, 0)
-            q_rot = rotate(np.broadcast_to(q_rows, (len(pos),) + q_rows.shape).reshape(-1, d_head),
-                           pos.ravel(), rope_theta).reshape(len(pos), -1, d_head)
-            scores = np.empty((len(q_rows), s), dtype=q_rows.dtype)
-            for c0, c1, i in plan.key_blocks:
-                np.matmul(q_rot[i], keys[c0:c1].T, out=scores[:, c0:c1])
-            scores = scores.reshape(-1, rep, s)
-            if hidden is not None:
-                np.copyto(scores, NEG_INF, where=hidden[rb, None, :])
-            w = row_softmax(scores.reshape(-1, s), scale).reshape(-1, rep, s)
-            if mode.rescales:  # the late rows: each at or after suffix_start
+    for b in range(0, t, block):
+        rb = slice(b, b + block)
+        runs = plan.kept_columns(q_start + b, q_start + min(b + block, t), s)
+        width = sum(c1 - c0 for c0, c1, _ in runs)
+        if masked:
+            cols = np.concatenate([np.arange(c0, c1) for c0, c1, _ in runs])  # the kept columns
+            hidden = ~build_mask(mode, layout, rows[rb], key_at[cols])[:, None, :]
+        spans = _join([(c0, c1, 0) for c0, c1, _ in runs])  # the V product ignores shifts
+        # One rotation of the block's queries per shift, for every KV head.
+        pos_b = pos[:, :, rb]
+        q_rot = rotate(np.broadcast_to(q[:, rb], pos_b.shape + (d_head,)).reshape(-1, d_head),
+                       pos_b.ravel(), rope_theta).reshape(pos_b.shape[:2] + (-1, d_head))
+        for g in range(n_kv):
+            heads = slice(g * rep, (g + 1) * rep)
+            keys, vals = k_base[:, g, :], v[:, g, :]
+            scores = np.empty((q_rot.shape[2], width), dtype=q_raw.dtype)
+            at = 0
+            for c0, c1, i in runs:
+                np.matmul(q_rot[i, g], keys[c0:c1].T, out=scores[:, at:at + c1 - c0])
+                at += c1 - c0
+            scores = scores.reshape(-1, rep, width)
+            if masked:
+                np.copyto(scores, NEG_INF, where=hidden)
+            w = row_softmax(scores.reshape(-1, width), scale).reshape(-1, rep, width)
+            if mode.rescales and late[rb].any():  # the rows at or after suffix_start
+                # A block with late rows keeps columns 0 .. its last row.
                 w[late[rb]] = sp_rescale(w[late[rb]], layout, layout.suffix_start, layout.k)
-            out[rows[rb] - q_start, heads, :] = (w.reshape(-1, s) @ vals).reshape(-1, rep, d_head)
+            w = w.reshape(-1, width)
+            at = 0
+            for c0, c1, _ in spans:
+                part = w[:, at:at + c1 - c0] @ vals[c0:c1]
+                acc = part if at == 0 else acc + part
+                at += c1 - c0
+            out[rows[rb] - q_start, heads, :] = acc.reshape(-1, rep, d_head)
     return out

@@ -184,7 +184,8 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
         for b in range(0, r, block):
             rb = slice(b, b + block)
             logits = (q[rb, heads].reshape(-1, d) @ keys_t).reshape(-1, rep, len(col_doc))
-            np.copyto(logits, NEG_INF, where=(col_doc == own[rb, None])[:, None, :])
+            if (own[rb] >= 0).any():  # a suffix or decoded row (own -1) has no column to hide
+                np.copyto(logits, NEG_INF, where=(col_doc == own[rb, None])[:, None, :])
             probs = row_softmax(logits.reshape(-1, len(col_doc)), scale).reshape(logits.shape)
             # Each document's slice of a row is reduced on its own (a pairwise
             # sum, as doc_importance does), not by reduceat's running sum, so a

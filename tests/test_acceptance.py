@@ -269,7 +269,7 @@ def test_criterion_06_geometry_goldens():
         [1, 1, 1, 1, 1, 1, 1, 0],
         [1, 1, 1, 1, 1, 1, 1, 1],
     ], dtype=bool)
-    assert np.array_equal(build_mask(AttentionMode("pine"), layout, 8), pine_mask)
+    assert np.array_equal(build_mask(AttentionMode("pine"), layout, range(8), range(8)), pine_mask)
 
     pcw_mask = np.asarray([
         [1, 0, 0, 0, 0, 0, 0, 0],
@@ -281,7 +281,7 @@ def test_criterion_06_geometry_goldens():
         [1, 0, 0, 0, 0, 1, 1, 0],
         [1, 1, 1, 1, 1, 1, 1, 1],
     ], dtype=bool)
-    assert np.array_equal(build_mask(AttentionMode("pcw"), layout, 8), pcw_mask)
+    assert np.array_equal(build_mask(AttentionMode("pcw"), layout, range(8), range(8)), pcw_mask)
 
     # first document as query group, second document scored above the third:
     # least important document lands closest to the prefix

@@ -17,15 +17,17 @@ from posinv import (
     WeightError,
     build_mask,
     decode_step,
+    dense_reference,
     generate,
     init_random,
     load_weights,
+    permute_documents,
     prefill,
     save_weights,
     tokenize,
 )
-from posinv import modes, pine
-from posinv.kernels import ShapeError
+from posinv import kernels, modes, pine
+from posinv.kernels import ShapeError, row_block
 from posinv.model import load_config, load_tensors, save_tensors
 from posinv.rope import rotate
 
@@ -297,6 +299,50 @@ class TestDecodeStep:
         cache, logits = prefill(model, tokens, layout, VANILLA)
         with pytest.raises(ShapeError):
             decode_step(model, cache, 0, VANILLA)
+
+
+class TestRowBlocks:
+    """Prefill runs query rows in blocks; each block scores and masks only
+    the key blocks its rows can see."""
+
+    @pytest.mark.parametrize("variant", modes.VARIANTS)
+    def test_prefill_holds_no_n_by_n_mask(self, tiny_config, variant, monkeypatch):
+        config = ModelConfig(**{**vars(tiny_config), "max_seq_len": 512})
+        model = Model(config, init_random(config, 0))
+        tokens, layout = tokenize(SegmentedPrompt("SYS: ", tuple(c * 48 for c in "abcdef"), " Q?"))
+        shapes = []
+
+        def recording_build_mask(*args):
+            mask = build_mask(*args)
+            shapes.append(mask.shape)
+            return mask
+
+        monkeypatch.setattr(modes, "build_mask", recording_build_mask)
+        prefill(model, tokens, layout, AttentionMode(variant))
+        block = row_block(layout.n, config.n_heads // config.n_kv_heads)
+        assert block < layout.n  # several row blocks
+        assert shapes and max(rows for rows, _ in shapes) <= block
+
+    def test_blocks_that_cut_documents(self, monkeypatch):
+        # Row blocks of 4 rows start and end inside documents.
+        config = ModelConfig(n_layers=2, n_heads=4, n_kv_heads=2, d_model=32, d_head=8,
+                             d_ff=64, vocab_size=260, max_seq_len=128)
+        model = Model(config, init_random(config, 1))
+        prompt = SegmentedPrompt("SYS: ", ("alpha doc one", "bravo two!", "charlie three c"), " Q?")
+        tokens, layout = tokenize(prompt)
+        orders = [(0, 1, 2), (2, 0, 1), (1, 2, 0)]
+        default = {v: prefill(model, tokens, layout, AttentionMode(v))[1] for v in modes.VARIANTS}
+        monkeypatch.setattr(kernels, "_BLOCK_SCORES", 4 * 2 * layout.n)
+        assert row_block(layout.n, 2) == 4
+        for variant in modes.VARIANTS:
+            mode = AttentionMode(variant)
+            logits = [prefill(model, *tokenize(permute_documents(prompt, order)), mode)[1]
+                      for order in orders]
+            if mode.invariant:
+                assert all(np.array_equal(logits[0], other) for other in logits[1:]), variant
+            ref = dense_reference(model, tokens, layout, mode)
+            assert np.max(np.abs(logits[0] - ref)) <= 1e-4, variant
+            assert np.max(np.abs(logits[0] - default[variant])) <= 1e-6, variant
 
 
 class TestGenerate:

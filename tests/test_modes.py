@@ -44,7 +44,7 @@ def mask_from_rows(rows):
 class TestBuildMask:
     def test_vanilla_lower_triangular(self):
         _, layout = running_example()
-        m = build_mask(AttentionMode("vanilla"), layout, 8)
+        m = build_mask(AttentionMode("vanilla"), layout, range(8), range(8))
         assert np.array_equal(m, np.tril(np.ones((8, 8), dtype=bool)))
 
     def test_pine_running_example_golden(self):
@@ -61,17 +61,18 @@ class TestBuildMask:
             [1, 1, 1, 1, 1, 1, 1, 0],
             [1, 1, 1, 1, 1, 1, 1, 1],
         ])
-        assert np.array_equal(build_mask(AttentionMode("pine"), layout, 8), expected)
+        m = build_mask(AttentionMode("pine"), layout, range(8), range(8))
+        assert np.array_equal(m, expected)
 
     def test_pcw_first_token_of_second_doc(self):
         _, layout = running_example()
-        m = build_mask(AttentionMode("pcw"), layout, 8)
+        m = build_mask(AttentionMode("pcw"), layout, range(8), range(8))
         # Token 3 (first token of the second doc) sees prefix and itself only.
         assert list(np.nonzero(m[3])[0]) == [0, 3]
 
     def test_nia_blocks_inter_document_pairs(self):
         _, layout = running_example()
-        m = build_mask(AttentionMode("nia"), layout, 8)
+        m = build_mask(AttentionMode("nia"), layout, range(8), range(8))
         for q, k in itertools.product(range(1, 7), range(1, 7)):
             dq, dk = layout.doc_of(q), layout.doc_of(k)
             if dq != dk:
@@ -80,14 +81,14 @@ class TestBuildMask:
     def test_k1_pine_equals_vanilla(self):
         _, layout = tokenize(SegmentedPrompt("S", ("AB",), "Q"))
         assert np.array_equal(
-            build_mask(AttentionMode("pine"), layout, layout.n),
-            build_mask(AttentionMode("vanilla"), layout, layout.n),
+            build_mask(AttentionMode("pine"), layout, range(layout.n), range(layout.n)),
+            build_mask(AttentionMode("vanilla"), layout, range(layout.n), range(layout.n)),
         )
 
     def test_every_query_sees_itself(self):
         _, layout = running_example()
         for variant in ("vanilla", "nia", "pcw", "sp", "pine"):
-            m = build_mask(AttentionMode(variant), layout, 8)
+            m = build_mask(AttentionMode(variant), layout, range(8), range(8))
             assert m.diagonal().all(), variant
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -97,10 +98,16 @@ class TestBuildMask:
         # total_len > layout.n as well.
         _, layout = tokenize(SegmentedPrompt("S", docs, "Q"))
         mode = AttentionMode(variant)
+        # Rows and keys in any order, as a row block asks for its kept keys,
+        # select the same entries.
+        rng = np.random.default_rng(0)
         for total_len in (layout.n, layout.n + 2):
-            full = build_mask(mode, layout, total_len)
+            full = build_mask(mode, layout, range(total_len), range(total_len))
             for q in range(total_len + 1):
-                assert np.array_equal(build_mask(mode, layout, total_len, q), full[q:]), q
+                rows = range(q, total_len)
+                assert np.array_equal(build_mask(mode, layout, rows, range(total_len)), full[q:]), q
+            rows, keys = rng.permutation(total_len)[:5], rng.permutation(total_len)[:7]
+            assert np.array_equal(build_mask(mode, layout, rows, keys), full[np.ix_(rows, keys)])
 
 
 class TestAssignPositions:
@@ -167,7 +174,7 @@ class TestAssignPositions:
         mode = AttentionMode(variant)
         q, k, v = random_qkv(layout, 4, 2, 8, 3)
         out = attend(mode, q, k, v, layout)
-        mask = build_mask(mode, layout, layout.n)
+        mask = build_mask(mode, layout, range(layout.n), range(layout.n))
         s1, e1 = layout.doc_spans[1]
         groups = {0: None, e1 - 1: (s1, e1, 1),
                   layout.suffix_start: (layout.suffix_start, layout.suffix_start + 1, -1)}
@@ -317,6 +324,30 @@ class TestAttentionForward:
         groups = 1 + layout.k + suffix_rows if mode.reassigns else 1
         assert len(calls) <= n_heads * (groups + 1)
         assert sum(calls) == n_heads * layout.n
+
+    @pytest.mark.parametrize("variant, ceiling", [
+        ("vanilla", 0.7), ("nia", 0.35), ("pcw", 0.35), ("sp", 0.35),
+        ("pine", 1.0), ("pine_noreassign", 1.0), ("pine_reverse", 1.0),
+    ])
+    def test_hidden_key_blocks_are_not_scored(self, variant, ceiling, monkeypatch):
+        # Six documents over six row blocks: a block scores the key blocks some
+        # of its rows see, and its own block up to its last row.  The ceiling
+        # is the share of the [n, n] scores this prompt's plan keeps, rounded up.
+        _, layout = tokenize(SegmentedPrompt("SYS: ", tuple(c * 48 for c in "abcdef"), " Q?"))
+        n, n_heads = layout.n, 4
+        q, k, v = random_qkv(layout, n_heads, 1, 8, 8)
+        scored = []
+
+        def recording_softmax(x, scale=1.0):
+            scored.append(x.size)
+            return row_softmax(x, scale)
+
+        monkeypatch.setattr(modes, "row_softmax", recording_softmax)
+        mode = AttentionMode(variant)
+        attend(mode, q, k, v, layout)
+        assert len(scored) == 6
+        visible = int(build_mask(mode, layout, range(n), range(n)).sum())
+        assert n_heads * visible <= sum(scored) < ceiling * n_heads * n * n
 
     def test_pine_softmax_calls_independent_of_query_groups(self, monkeypatch):
         # Pine scores every group at once: the softmax calls of one call
