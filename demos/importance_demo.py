@@ -3,22 +3,21 @@
 For each query group the pine mode scores every other document by the
 position-free attention mass it receives, then lays documents out so that
 the most important one sits closest to the query. This script runs the
-machinery on one head of random projections and prints the intermediate
-artifacts: token-level scores, document scores, the chosen ordering, and
-the resulting key positions.
+runtime's scorer, ``pine.group_ordering``, on one head of random
+projections for the suffix token and prints what it decided: the document
+scores, the chosen ordering, and the resulting key positions.
 """
 
 import numpy as np
 
 from posinv import (
     AttentionMode,
+    AttentionPlan,
     SegmentedPrompt,
     assign_positions,
-    doc_importance,
-    order_documents,
-    token_importance,
     tokenize,
 )
+from posinv.pine import group_ordering
 
 
 def main():
@@ -29,28 +28,23 @@ def main():
 
     rng = np.random.default_rng(0)
     d = 8
-    q = rng.normal(size=(layout.n, d)).astype(np.float32)
-    k = rng.normal(size=(layout.n, d)).astype(np.float32)
+    q = rng.normal(size=(layout.n, 1, d)).astype(np.float32)  # [tokens, heads, d]
+    k = rng.normal(size=(layout.n, 1, d)).astype(np.float32)
 
-    # score the suffix token's view of the three documents
+    # score the suffix token's view of the three documents; the plan holds
+    # the keys in its column order, as the KV cache does
+    mode = AttentionMode("pine")
+    plan = AttentionPlan(mode, layout)
     row = layout.suffix_start
-    doc_keys = k[layout.doc_spans[0][0] : layout.doc_spans[-1][1]]
-    probs = token_importance(q[row : row + 1], doc_keys, d)
-    print("token-level importance (one row per query token):")
-    print(np.round(probs, 4))
-
-    blocks = [(s - layout.prefix_len, e - layout.prefix_len) for s, e in layout.doc_spans]
-    scores = doc_importance(probs, blocks, "mean")
-    print("\nlength-normalized document scores:")
-    for j, s in enumerate(scores):
+    [[(ordered, scores)]] = group_ordering(q[row : row + 1], plan.lay_out(k), plan,
+                                           np.full(1, -1))
+    print("length-normalized document scores:")
+    for j, s in sorted(scores.items()):
         print(f"  doc {j} (len {layout.doc_len(j)}): {s:.4f}")
 
-    ordered = order_documents(
-        dict(enumerate(scores)), layout.doc_hashes, "closer"
-    )
     print(f"\nkey order, least important first: {ordered}")
 
-    pos = assign_positions(AttentionMode("pine"), layout, row, ordered).key_positions
+    pos = assign_positions(mode, layout, row, ordered)
     print("assigned key positions per storage index:")
     print([int(p) for p in pos])
     print("\nthe highest-scoring document ends up adjacent to the query;")

@@ -27,12 +27,7 @@ from .oracle import (
     permutation_vote,
     run_suite,
 )
-from .pine import (
-    PositionMap,
-    doc_importance,
-    order_documents,
-    token_importance,
-)
+from .pine import order_documents
 from .prompts import (
     PromptError,
     SegmentedPrompt,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Literal, NamedTuple
+from typing import Literal, NamedTuple, get_args
 
 import numpy as np
 
@@ -67,13 +67,13 @@ class AttentionMode:
     in storage order (invariance up to float rounding)."""
 
     variant: str
-    aggregation: str = "mean"  # importance-position modes only; ignored elsewhere
+    aggregation: pine.Aggregation = "mean"  # importance-position modes only; ignored elsewhere
     canonical: bool = True
 
     def __post_init__(self):
         if self.variant not in _MODE_TABLE:
             raise ValueError(f"unknown attention mode {self.variant!r}")
-        if self.aggregation not in ("mean", "sum", "max"):
+        if self.aggregation not in get_args(pine.Aggregation):
             raise ValueError(f"unknown aggregation {self.aggregation!r}")
         if not isinstance(self.canonical, bool):
             raise ValueError(f"canonical must be a bool, got {self.canonical!r}")
@@ -107,14 +107,17 @@ def build_mask(mode: AttentionMode, layout: SequenceLayout, rows, keys) -> np.nd
 
 
 def assign_positions(mode: AttentionMode, layout: SequenceLayout, q_index: int,
-                     ordered_docs: list[int] | None = None) -> pine.PositionMap:
-    """Position map for one query, by storage index, as ``attention_forward``
-    applies it: ``base_positions`` plus, in re-assigning modes with k >= 2,
-    each document's ``pine.block_starts`` start in ``ordered_docs``, the
-    query group's order (a permutation, as pine.group_ordering gives).
-    Prefix queries have no group: storage order gives back their input
-    positions.  Decoded queries take ``layout.extend``.
+                     ordered_docs: list[int] | None = None) -> np.ndarray:
+    """Every key's position, by storage index, as ``attention_forward``
+    applies it for query ``q_index``, whose own position is ``pos[q_index]``:
+    ``base_positions`` plus, in re-assigning modes with k >= 2, each
+    document's ``pine.block_starts`` start in ``ordered_docs``, the query
+    group's order (a permutation, as pine.group_ordering gives).  Prefix
+    queries have no group: storage order gives back their input positions.
+    Decoded queries take ``layout.extend``.
     """
+    if not 0 <= q_index < layout.n:
+        raise ValueError(f"q_index {q_index} is outside the {layout.n} tokens")
     pos = base_positions(mode, layout, layout.n)
     if mode.reassigns and layout.k >= 2:
         if q_index < layout.prefix_len:
@@ -126,7 +129,7 @@ def assign_positions(mode: AttentionMode, layout: SequenceLayout, q_index: int,
                              f"the {layout.k} documents")
         for (s, e), start in zip(layout.doc_spans, pine.block_starts(layout, ordered_docs)):
             pos[s:e] += start
-    return pine.PositionMap(query_position=int(pos[q_index]), key_positions=pos)
+    return pos
 
 
 def sp_rescale(weights: np.ndarray, layout: SequenceLayout, q_index: int, k: int) -> np.ndarray:
@@ -214,8 +217,8 @@ class AttentionPlan:
         region = slice(layout.prefix_len, layout.suffix_start)
         self.ranked_cols = region if mode.canonical else ranked[region]
         self.ranked_col_doc = self.col_doc[self.ranked_cols]
-        ends = np.cumsum([layout.doc_len(j) for j in self.ranked], dtype=np.int64).tolist()
-        self.ranked_spans = list(zip([0, *ends], ends))  # each document's part of ranked_cols
+        lens = [layout.doc_len(j) for j in self.ranked]
+        self.ranked_starts = np.cumsum([0, *lens[:-1]])  # each document's first ranked column
 
     def columns(self, c0: int, c1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Storage index, base position and document (-1: none) of columns c0 .. c1 - 1."""

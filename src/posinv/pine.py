@@ -6,8 +6,8 @@ out contiguously so that more important documents sit closer to the
 query.  Everything here is computed per layer and per head from
 pre-rotation queries and keys, which is what makes the resulting
 ordering independent of the input document order.  ``group_ordering``
-is the runtime's scorer: it orders the documents for every query group
-of a layer at once, a few matrix products per KV head, and
+is the one scorer: it orders the documents for every query group of a
+layer at once, a few matrix products per KV head, and
 ``document_starts`` turns its orders into each row's document starts.
 
 ``block_starts`` is the one rule that lays documents out: a document key
@@ -16,7 +16,6 @@ sits at its document's start plus its offset inside the document.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import TYPE_CHECKING, Literal, Sequence
 
@@ -44,57 +43,11 @@ def comparison_count() -> int:
     return _comparisons
 
 
-@dataclass(frozen=True)
-class PositionMap:
-    """Positions used in one attention row: the query's own position and
-    one assigned position per key storage index."""
-
-    query_position: int
-    key_positions: np.ndarray
-
-
 def canonical_order(layout: SequenceLayout) -> list[int]:
     """Documents by content hash, then input index (which only matters for
     identical contents): an order independent of the input permutation,
     so reductions taken in it are bitwise independent of it too."""
     return sorted(range(layout.k), key=lambda j: (layout.doc_hashes[j], j))
-
-
-def token_importance(q_rows: np.ndarray, k_rows: np.ndarray, d_head: int) -> np.ndarray:
-    """Per-query softmax over all candidate-document key tokens.
-
-    Inputs are pre-rotation query/key rows; no position information
-    enters, so the result depends only on document contents.
-    """
-    if k_rows.shape[0] == 0:
-        return np.zeros((q_rows.shape[0], 0), dtype=q_rows.dtype)
-    logits = q_rows @ k_rows.T
-    return row_softmax(logits, scale=1.0 / np.sqrt(np.float32(d_head)))
-
-
-def doc_importance(
-    probs: np.ndarray,
-    blocks: Sequence[tuple[int, int]],
-    aggregation: Aggregation = "mean",
-) -> list[float]:
-    """Aggregate token-level probabilities into one score per candidate.
-
-    ``blocks`` are column ranges of ``probs``, one per candidate document.
-    Mean aggregation divides by document length to avoid favoring long
-    documents; sum and max are exposed for ablation.
-    """
-    scores = []
-    for s, e in blocks:
-        block = probs[:, s:e]
-        if aggregation == "mean":
-            scores.append(float(block.sum()) / (e - s))
-        elif aggregation == "sum":
-            scores.append(float(block.sum()))
-        elif aggregation == "max":
-            scores.append(float(block.max()))
-        else:
-            raise ValueError(f"unknown aggregation {aggregation!r}")
-    return scores
 
 
 def order_documents(
@@ -161,11 +114,11 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
     ``_group_bounds``; aggregation and sort direction are ``plan.mode``'s.
     Per KV head, its query heads' copies of each row are scored against all
     document keys in ``canonical_order`` (``plan.ranked_cols``): one score
-    matrix and one ``row_softmax`` per ``row_block`` of rows.  Summing (max:
-    taking the maximum of) each document's columns, then each group's rows,
-    gives every group's scores at once; only the comparator sort runs per
-    (group, head).  Returns orders[group][head] = (ordered documents,
-    candidate scores).
+    matrix and one ``row_softmax`` per ``row_block`` of rows.  One
+    ``reduceat`` sums (max: takes the maximum of) each document's columns,
+    another each group's rows, which gives every group's scores at once; only
+    the comparator sort runs per (group, head).  Returns
+    orders[group][head] = (ordered documents, candidate scores).
     """
     layout, mode = plan.layout, plan.mode
     if layout.k < 2:
@@ -187,17 +140,15 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
             if (own[rb] >= 0).any():  # a suffix or decoded row (own -1) has no column to hide
                 np.copyto(logits, NEG_INF, where=(col_doc == own[rb, None])[:, None, :])
             probs = row_softmax(logits.reshape(-1, len(col_doc)), scale).reshape(logits.shape)
-            # Each document's slice of a row is reduced on its own (a pairwise
-            # sum, as doc_importance does), not by reduceat's running sum, so a
-            # one-row group scores bitwise as doc_importance(token_importance).
-            for c, (c0, c1) in enumerate(plan.ranked_spans):
-                totals[rb, heads, c] = reduce.reduce(probs[..., c0:c1], axis=2)
+            totals[rb, heads] = reduce.reduceat(probs, plan.ranked_starts, axis=2)
+    # in float64, so the mean rounds as a division of the Python floats would
+    group_totals = reduce.reduceat(totals, bounds, axis=0).astype(np.float64)
+    if mode.aggregation == "mean":
+        group_totals /= [layout.doc_len(j) for j in plan.ranked]
     orders = []
-    for a, group_totals in zip(bounds, reduce.reduceat(totals, bounds, axis=0).tolist()):
+    for a, group_scores in zip(bounds, group_totals.tolist()):
         per_head = []
-        for values in group_totals:
-            if mode.aggregation == "mean":
-                values = [v / (c1 - c0) for v, (c0, c1) in zip(values, plan.ranked_spans)]
+        for values in group_scores:
             scores = {j: v for j, v in zip(plan.ranked, values) if j != own[a]}
             ordered = order_documents(scores, layout.doc_hashes, mode.direction)
             per_head.append((ordered + [int(own[a])] if own[a] >= 0 else ordered, scores))

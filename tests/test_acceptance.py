@@ -18,6 +18,7 @@ import pytest
 import posinv
 from posinv import (
     AttentionMode,
+    AttentionPlan,
     GenerationParams,
     Model,
     ModelConfig,
@@ -26,7 +27,6 @@ from posinv import (
     build_mask,
     decode_step,
     dense_reference,
-    doc_importance,
     enumerate_orders,
     generate,
     init_random,
@@ -34,11 +34,11 @@ from posinv import (
     prefill,
     run_suite,
     save_weights,
-    token_importance,
     tokenize,
 )
 from posinv.cli import comparator_counts_per_token, main as cli_main
 from posinv.modes import VARIANTS
+from posinv.pine import group_ordering
 from posinv.rope import rotate
 
 from conftest import random_config
@@ -216,45 +216,61 @@ def test_criterion_04_dense_reference_agreement():
     report_pass(4, "25 random instances match the float64 dense reference in all 7 modes")
 
 
+def importance_scores(q, kk, layout, rows, own, aggregation="mean"):
+    """Scores that pine.group_ordering gives the query groups at storage rows
+    ``rows`` (one group, or one per suffix row when ``own`` is -1) on one
+    head; keys by storage index."""
+    plan = AttentionPlan(AttentionMode("pine", aggregation), layout)
+    a, b = rows
+    orders = group_ordering(q[a:b, None], plan.lay_out(kk)[:, None], plan, np.full(b - a, own))
+    return [per_head[0][1] for per_head in orders]
+
+
 def test_criterion_05_importance_correctness():
     rng = np.random.default_rng(13)
-    # mass identity: mean scores weighted by block length recover the
-    # number of query rows, because each row's softmax sums to one
+    # mass identity: mean scores weighted by document length recover the
+    # number of rows of a document's query group, because each row's
+    # softmax sums to one
     for _ in range(100):
         m = int(rng.integers(1, 7))
         lengths = [int(rng.integers(1, 6)) for _ in range(int(rng.integers(1, 6)))]
-        q = rng.normal(size=(m, 8)).astype(np.float32)
-        kk = rng.normal(size=(sum(lengths), 8)).astype(np.float32)
-        probs = token_importance(q, kk, 8)
-        blocks, c = [], 0
-        for ln in lengths:
-            blocks.append((c, c + ln))
-            c += ln
-        scores = doc_importance(probs, blocks, "mean")
-        total = sum(s * ln for s, ln in zip(scores, lengths))
+        docs = [chr(97 + j) * ln for j, ln in enumerate([m, *lengths])]
+        _, layout = tokenize(SegmentedPrompt("S", tuple(docs), "Q"))
+        q = rng.normal(size=(layout.n, 8)).astype(np.float32)
+        kk = rng.normal(size=(layout.n, 8)).astype(np.float32)
+        [scores] = importance_scores(q, kk, layout, layout.doc_spans[0], 0)
+        total = sum(s * layout.doc_len(j) for j, s in scores.items())
         assert abs(total - m) <= 1e-5
 
-    # hand-loop reference for the softmax itself
-    q = rng.normal(size=(4, 8)).astype(np.float32)
-    kk = rng.normal(size=(6, 8)).astype(np.float32)
-    probs = token_importance(q, kk, 8)
-    for i in range(4):
-        logits = [sum(float(q[i, d]) * float(kk[j, d]) for d in range(8)) / math.sqrt(8)
-                  for j in range(6)]
+    # hand-loop reference for the softmax itself: with one-token documents
+    # and sum aggregation, each suffix row's scores are its probabilities
+    _, layout = tokenize(SegmentedPrompt("S", tuple("abcdef"), "QRST"))
+    q = rng.normal(size=(layout.n, 8)).astype(np.float32)
+    kk = rng.normal(size=(layout.n, 8)).astype(np.float32)
+    rows = (layout.suffix_start, layout.n)
+    keys = [s for s, _ in layout.doc_spans]
+    for i, scores in enumerate(importance_scores(q, kk, layout, rows, -1, "sum")):
+        r = layout.suffix_start + i
+        logits = [sum(float(q[r, d]) * float(kk[t, d]) for d in range(8)) / math.sqrt(8)
+                  for t in keys]
         mx = max(logits)
         exps = [math.exp(z - mx) for z in logits]
         ref = [e / sum(exps) for e in exps]
-        assert np.max(np.abs(probs[i] - ref)) <= 1e-6
+        assert np.max(np.abs([scores[j] - ref[j] for j in range(6)])) <= 1e-6
 
-    # worked two-candidate example, oracle computed right here
-    q1 = np.asarray([[1.0, 0.0]], dtype=np.float32)
-    k1 = np.asarray([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
+    # worked two-candidate example, oracle computed right here: d=2, one head
+    _, layout = tokenize(SegmentedPrompt("S", ("A", "B"), "Q"))
+    q1 = np.zeros((layout.n, 2), dtype=np.float32)
+    k1 = np.zeros((layout.n, 2), dtype=np.float32)
+    q1[layout.suffix_start] = [1.0, 0.0]
+    k1[layout.prefix_len:layout.suffix_start] = [[1.0, 0.0], [0.0, 1.0]]
     z = math.exp(1.0 / math.sqrt(2.0)) + 1.0
     expected = [math.exp(1.0 / math.sqrt(2.0)) / z, 1.0 / z]
-    got = token_importance(q1, k1, 2)[0]
+    [got] = importance_scores(q1, k1, layout, (layout.suffix_start, layout.n), -1, "sum")
     assert abs(got[0] - 0.6698) <= 1e-3 and abs(expected[0] - 0.6698) <= 1e-3
     assert abs(got[1] - 0.3302) <= 1e-3 and abs(expected[1] - 0.3302) <= 1e-3
-    report_pass(5, "importance mass identity, hand-loop softmax and worked example")
+    report_pass(5, "importance mass identity, hand-loop softmax and worked example "
+                   "on pine.group_ordering")
 
 
 def test_criterion_06_geometry_goldens():
@@ -285,8 +301,8 @@ def test_criterion_06_geometry_goldens():
 
     # first document as query group, second document scored above the third:
     # least important document lands closest to the prefix
-    pm = assign_positions(AttentionMode("pine"), layout, 1, ordered_docs=[2, 1, 0])
-    assert list(pm.key_positions) == [0, 5, 6, 3, 4, 1, 2, 7]
+    pos = assign_positions(AttentionMode("pine"), layout, 1, ordered_docs=[2, 1, 0])
+    assert list(pos) == [0, 5, 6, 3, 4, 1, 2, 7]
     report_pass(6, "pine mask, pcw mask and reassigned positions match hand-coded goldens")
 
 

@@ -1,0 +1,42 @@
+"""The benchmark's tracer still finds every function it wraps.
+
+``perfbench/tracer.py`` replaces posinv functions by module attribute
+name.  A refactor that renames or moves one of them breaks the traced
+benchmark run; this test installs the tracer the way ``perfbench/bench.py``
+does and runs one small pine prefill through it.
+"""
+
+from pathlib import Path
+
+import numpy as np
+
+import posinv
+from posinv import AttentionMode, SegmentedPrompt, modes, oracle, pine, prefill, tokenize
+from posinv import model as model_mod
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_tracer_hooks_resolve_and_restore(tiny_config, tiny_model, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import HOOKS, Tracer
+
+    modules = {"api": posinv, "model": model_mod, "modes": modes, "pine": pine, "oracle": oracle}
+    originals = {(mod, attr): getattr(modules[mod], attr)
+                 for _, sites in HOOKS for mod, attr in sites}
+    tokens, layout = tokenize(SegmentedPrompt("S", ("ab", "cde", "f"), "Q"))
+    _, untraced = prefill(tiny_model, tokens, layout, AttentionMode("pine"))
+
+    tracer = Tracer(modules, vocab=tiny_config.vocab_size, d_ff=tiny_config.d_ff)
+    try:
+        tracer.install()
+        _, traced = posinv.prefill(tiny_model, tokens, layout, AttentionMode("pine"))
+    finally:
+        tracer.uninstall()
+
+    table = tracer.table()
+    assert table["pine.group_ordering"][0] > 0
+    assert table["kernels.row_softmax"][0] > 0
+    assert np.array_equal(traced, untraced)
+    for (mod, attr), fn in originals.items():
+        assert getattr(modules[mod], attr) is fn, f"{mod}.{attr}"

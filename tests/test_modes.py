@@ -113,21 +113,21 @@ class TestBuildMask:
 class TestAssignPositions:
     def test_vanilla_identity(self):
         _, layout = running_example()
-        pm = assign_positions(AttentionMode("vanilla"), layout, 5)
-        assert pm.query_position == 5
-        assert np.array_equal(pm.key_positions, np.arange(8))
+        pos = assign_positions(AttentionMode("vanilla"), layout, 5)
+        assert pos[5] == 5
+        assert np.array_equal(pos, np.arange(8))
 
     def test_pcw_running_example(self):
         _, layout = running_example()
-        pm = assign_positions(AttentionMode("pcw"), layout, 7)
+        pos = assign_positions(AttentionMode("pcw"), layout, 7)
         # All three docs share positions {1, 2}; the suffix token gets 3.
-        assert list(pm.key_positions) == [0, 1, 2, 1, 2, 1, 2, 3]
-        assert pm.query_position == 3
+        assert list(pos) == [0, 1, 2, 1, 2, 1, 2, 3]
+        assert pos[7] == 3
 
     def test_pcw_k1_identity(self):
         _, layout = tokenize(SegmentedPrompt("S", ("AB",), "Q"))
-        pm = assign_positions(AttentionMode("pcw"), layout, 3)
-        assert np.array_equal(pm.key_positions, np.arange(layout.n))
+        pos = assign_positions(AttentionMode("pcw"), layout, 3)
+        assert np.array_equal(pos, np.arange(layout.n))
 
     def test_pine_requires_ordering(self):
         _, layout = running_example()
@@ -143,10 +143,10 @@ class TestAssignPositions:
 
     def test_pine_with_ordering_matches_proof_layout(self):
         _, layout = running_example()
-        pm = assign_positions(AttentionMode("pine"), layout, 1, ordered_docs=[2, 1, 0])
+        pos = assign_positions(AttentionMode("pine"), layout, 1, ordered_docs=[2, 1, 0])
         # D3 -> {1,2}, D2 -> {3,4}, D1 -> {5,6}; prefix stays at 0.
-        assert list(pm.key_positions[:8]) == [0, 5, 6, 3, 4, 1, 2, 7]
-        assert pm.query_position == 5
+        assert list(pos[:8]) == [0, 5, 6, 3, 4, 1, 2, 7]
+        assert pos[1] == 5
 
     @pytest.mark.parametrize("docs, q_index, ordered, keys", [
         # prefix -> 0; D3 -> {1,2}; D2 -> {3,4}; D1 -> {5,6}
@@ -158,9 +158,14 @@ class TestAssignPositions:
     ], ids=["proof_geometry", "suffix_keeps_own_position", "k1_identity"])
     def test_pine_layout(self, docs, q_index, ordered, keys):
         _, layout = tokenize(SegmentedPrompt("S", docs, "Q"))
-        pm = assign_positions(AttentionMode("pine"), layout, q_index, ordered_docs=ordered)
-        assert list(pm.key_positions) == keys
-        assert pm.query_position == keys[q_index]
+        assert list(assign_positions(AttentionMode("pine"), layout, q_index, ordered)) == keys
+
+    @pytest.mark.parametrize("variant", ["vanilla", "pine"])
+    @pytest.mark.parametrize("q_index", [-1, 8], ids=["negative", "n"])
+    def test_rejects_a_query_outside_the_tokens(self, variant, q_index):
+        _, layout = running_example()
+        with pytest.raises(ValueError, match="outside the 8 tokens"):
+            assign_positions(AttentionMode(variant), layout, q_index, ordered_docs=[0, 1, 2])
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("prompt", [
@@ -186,9 +191,9 @@ class TestAssignPositions:
                     plan = AttentionPlan(mode, layout)
                     ordered = group_ordering(q[a:b, h, None], plan.lay_out(k)[:, h // 2, None],
                                              plan, np.full(b - a, own))[0][0][0]
-                pm = assign_positions(mode, layout, row, ordered)
-                scores = (rotate(q[row, h][None], [pm.query_position], 10000.0)
-                          @ rotate(k[:, h // 2], pm.key_positions, 10000.0).T)
+                pos = assign_positions(mode, layout, row, ordered)
+                scores = (rotate(q[row, h][None], [pos[row]], 10000.0)
+                          @ rotate(k[:, h // 2], pos, 10000.0).T)
                 w = row_softmax(np.where(mask[row], scores, NEG_INF), 1 / np.sqrt(np.float32(8)))[0]
                 if mode.rescales:
                     w = sp_rescale(w, layout, row, layout.k)

@@ -8,9 +8,8 @@ from posinv import (
     AttentionPlan,
     SegmentedPrompt,
     attention_forward,
-    doc_importance,
     order_documents,
-    token_importance,
+    permute_documents,
     tokenize,
 )
 from posinv.pine import (
@@ -18,68 +17,109 @@ from posinv.pine import (
     group_ordering,
     reset_comparison_count,
 )
-from posinv.prompts import content_hash
+
+
+def one_token_docs(k):
+    """A 1-token prefix, k one-token documents and a 3-token suffix."""
+    return tokenize(SegmentedPrompt("S", tuple("abcdefgh"[:k]), "QRT"))[1]
+
+
+def one_suffix_row(q_row, doc_keys):
+    """One-token documents keyed by ``doc_keys`` and the first suffix row
+    querying them with ``q_row``, every other row zero: (layout, q, k, rows)."""
+    layout = one_token_docs(len(doc_keys))
+    q = np.zeros((layout.n, len(q_row)), dtype=np.float32)
+    k = np.zeros_like(q)
+    q[layout.suffix_start] = q_row
+    k[layout.prefix_len:layout.suffix_start] = doc_keys
+    return layout, q, k, (layout.suffix_start, layout.suffix_start + 1)
+
+
+def group_scores(q, k, layout, rows, own, aggregation="mean"):
+    """One head's scores of the query group at storage rows ``rows``, whose
+    own document is ``own`` (-1: a single suffix row), from group_ordering."""
+    a, b = rows
+    return ordering(q[a:b, None], k[:, None], layout, np.full(b - a, own), aggregation)[0][0][1]
+
+
+def hand_loop_scores(q, k, layout, rows, own, aggregation):
+    """Float64 pure-Python scores of every document but ``own`` for the
+    query group at storage rows ``rows``, on one head: each row's softmax
+    over the candidates' keys, summed (max: maximized) over each document's
+    tokens and the group's rows, and for mean divided by the length."""
+    cands = [j for j in range(layout.k) if j != own]
+    keys = [(j, t) for j in cands for t in range(*layout.doc_spans[j])]
+    d = q.shape[1]
+    scores = {j: 0.0 for j in cands}
+    for r in range(*rows):
+        logits = [sum(float(q[r, i]) * float(k[t, i]) for i in range(d)) / math.sqrt(d)
+                  for _, t in keys]
+        mx = max(logits)
+        exps = [math.exp(z - mx) for z in logits]
+        for (j, _), e in zip(keys, exps):
+            p = e / sum(exps)
+            scores[j] = max(scores[j], p) if aggregation == "max" else scores[j] + p
+    if aggregation == "mean":
+        scores = {j: v / layout.doc_len(j) for j, v in scores.items()}
+    return scores
 
 
 class TestTokenImportance:
+    # With one-token documents and sum aggregation, a suffix row's scores
+    # are its softmax probabilities over the candidate tokens.
     def test_singleton_softmax(self):
-        q = np.asarray([[1.0, 2.0]], dtype=np.float32)
-        k = np.asarray([[0.5, 0.5]], dtype=np.float32)
-        probs = token_importance(q, k, 2)
-        assert probs.shape == (1, 1)
-        assert probs[0, 0] == 1.0
+        _, layout = tokenize(SegmentedPrompt("S", ("a", "b"), "Q"))
+        q = np.asarray([[1.0, 2.0]] * layout.n, dtype=np.float32)
+        k = np.asarray([[0.5, 0.5]] * layout.n, dtype=np.float32)
+        a, _ = layout.doc_spans[0]
+        assert group_scores(q, k, layout, (a, a + 1), 0) == {1: 1.0}
 
     def test_orthogonal_queries_uniform(self):
-        q = np.asarray([[0.0, 0.0, 1.0]], dtype=np.float32)
-        k = np.asarray([[1, 0, 0], [0, 1, 0]], dtype=np.float32)
-        probs = token_importance(q, k, 3)
-        assert np.allclose(probs, 0.5, atol=1e-7)
+        layout, q, k, rows = one_suffix_row([0, 0, 1], [[1, 0, 0], [0, 1, 0]])
+        scores = group_scores(q, k, layout, rows, -1)
+        assert np.allclose(list(scores.values()), 0.5, atol=1e-7)
 
     def test_worked_two_candidate_example(self):
         # q=[1,0], k1=[1,0], k2=[0,1], d=2: logits [1/sqrt(2), 0].
-        q = np.asarray([[1.0, 0.0]], dtype=np.float32)
-        k = np.asarray([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
-        probs = token_importance(q, k, 2)
+        layout, q, k, rows = one_suffix_row([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+        scores = group_scores(q, k, layout, rows, -1, "sum")
         z = math.exp(1.0 / math.sqrt(2.0)) + math.exp(0.0)
         expected = [math.exp(1.0 / math.sqrt(2.0)) / z, 1.0 / z]
         assert abs(expected[0] - 0.6698) < 1e-3
         assert abs(expected[1] - 0.3302) < 1e-3
-        assert np.max(np.abs(probs[0] - expected)) < 1e-6
-
-    def test_empty_candidates(self):
-        q = np.zeros((2, 4), dtype=np.float32)
-        probs = token_importance(q, np.zeros((0, 4), dtype=np.float32), 4)
-        assert probs.shape == (2, 0)
+        assert np.max(np.abs([scores[0] - expected[0], scores[1] - expected[1]])) < 1e-6
 
     def test_hand_loop_reference(self):
+        layout = one_token_docs(5)
         rng = np.random.default_rng(0)
-        q = rng.normal(size=(3, 8)).astype(np.float32)
-        k = rng.normal(size=(5, 8)).astype(np.float32)
-        probs = token_importance(q, k, 8)
-        for i in range(3):
-            logits = [sum(float(q[i, d]) * float(k[j, d]) for d in range(8)) / math.sqrt(8)
-                      for j in range(5)]
-            m = max(logits)
-            exps = [math.exp(z - m) for z in logits]
-            ref = [e / sum(exps) for e in exps]
-            assert np.max(np.abs(probs[i] - ref)) < 1e-6
+        q = rng.normal(size=(layout.n, 8)).astype(np.float32)
+        k = rng.normal(size=(layout.n, 8)).astype(np.float32)
+        a = layout.suffix_start
+        orders = ordering(q[a:, None], k[:, None], layout, np.full(layout.n - a, -1), "sum")
+        for i, per_head in enumerate(orders):
+            scores = per_head[0][1]
+            ref = hand_loop_scores(q, k, layout, (a + i, a + i + 1), -1, "sum")
+            assert max(abs(scores[j] - ref[j]) for j in ref) < 1e-6
 
 
 class TestDocImportance:
     def test_continues_worked_example(self):
-        probs = np.asarray([[0.6698, 0.3302]], dtype=np.float32)
-        scores = doc_importance(probs, [(0, 1), (1, 2)], "mean")
-        assert abs(scores[0] - 0.6698) < 1e-6
-        assert abs(scores[1] - 0.3302) < 1e-6
-        # mean == sum == max for 1x1 blocks
-        assert scores == doc_importance(probs, [(0, 1), (1, 2)], "sum")
-        assert scores == doc_importance(probs, [(0, 1), (1, 2)], "max")
+        # mean == sum == max for one row over one-token documents
+        layout, q, k, rows = one_suffix_row([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+        scores = group_scores(q, k, layout, rows, -1, "mean")
+        z = math.exp(1.0 / math.sqrt(2.0)) + 1.0
+        assert abs(scores[0] - math.exp(1.0 / math.sqrt(2.0)) / z) < 1e-6
+        assert abs(scores[1] - 1.0 / z) < 1e-6
+        assert scores == group_scores(q, k, layout, rows, -1, "sum")
+        assert scores == group_scores(q, k, layout, rows, -1, "max")
 
     def test_identical_contents_equal_scores(self):
-        q = np.asarray([[0.3, -0.2, 0.9]], dtype=np.float32)
-        k = np.asarray([[1, 2, 3], [1, 2, 3]], dtype=np.float32)
-        probs = token_importance(q, k, 3)
-        s = doc_importance(probs, [(0, 1), (1, 2)], "mean")
+        _, layout = tokenize(SegmentedPrompt("S", ("XY", "XY", "Z"), "Q"))
+        rng = np.random.default_rng(7)
+        q = rng.normal(size=(layout.n, 3)).astype(np.float32)
+        k = rng.normal(size=(layout.n, 3)).astype(np.float32)
+        k[slice(*layout.doc_spans[1])] = k[slice(*layout.doc_spans[0])]
+        s = group_scores(q, k, layout, (layout.suffix_start, layout.suffix_start + 1), -1)
         assert s[0] == s[1]
 
     def test_mean_aggregation_identity(self):
@@ -88,15 +128,12 @@ class TestDocImportance:
         for _ in range(20):
             m = int(rng.integers(1, 6))
             lengths = [int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 5)))]
-            q = rng.normal(size=(m, 8)).astype(np.float32)
-            k = rng.normal(size=(sum(lengths), 8)).astype(np.float32)
-            probs = token_importance(q, k, 8)
-            blocks, c = [], 0
-            for ln in lengths:
-                blocks.append((c, c + ln))
-                c += ln
-            scores = doc_importance(probs, blocks, "mean")
-            total = sum(s * ln for s, ln in zip(scores, lengths))
+            _, layout = tokenize(SegmentedPrompt("S", ("x" * m, *("y" * ln for ln in lengths)),
+                                                 "Q"))
+            q = rng.normal(size=(layout.n, 8)).astype(np.float32)
+            k = rng.normal(size=(layout.n, 8)).astype(np.float32)
+            scores = group_scores(q, k, layout, layout.doc_spans[0], 0)
+            total = sum(s * layout.doc_len(j) for j, s in scores.items())
             assert abs(total - m) < 1e-5
 
 
@@ -262,32 +299,32 @@ class TestComplexity:
 
 
 class TestGroupOrdering:
-    def test_permutation_invariant_scores(self):
-        prompt = SegmentedPrompt("S", ("abc", "de", "fgh"), "Q")
-        toks, layout = tokenize(prompt)
+    @pytest.mark.parametrize("aggregation", ["mean", "sum", "max"])
+    def test_permutation_invariant_scores(self, aggregation):
+        # Every query group of a GQA layout (4 query heads over 2 KV heads),
+        # in column order as attention passes them: scores and orders, keyed
+        # by content hash, are bitwise equal under every document order.
+        prompt = SegmentedPrompt("S", ("abc", "de", "fgh", "ij", "klmn"), "QR")
         rng = np.random.default_rng(4)
-        per_token = {t: rng.normal(size=(2, 8)).astype(np.float32) for t in set(toks)}
-        q = np.stack([per_token[t][0] for t in toks])
-        k = np.stack([per_token[t][1] for t in toks])
-        a = layout.suffix_start
-        ordered, scores = ordering(q[a : a + 1, None], k[:, None], layout, np.full(1, -1))[0][0]
+        per_token = {t: (rng.normal(size=(4, 8)).astype(np.float32),
+                         rng.normal(size=(2, 8)).astype(np.float32))
+                     for t in sorted(set(tokenize(prompt)[0]))}
 
-        from posinv import permute_documents
+        def by_hash(perm):
+            toks, layout = tokenize(permute_documents(prompt, perm))
+            plan = AttentionPlan(AttentionMode("pine", aggregation), layout)
+            q = plan.lay_out(np.stack([per_token[t][0] for t in toks]))
+            k = plan.lay_out(np.stack([per_token[t][1] for t in toks]))
+            p = layout.prefix_len
+            orders = group_ordering(q[p:], k, plan, plan.col_doc[p:])
+            h = layout.doc_hashes
+            return [[([h[j] for j in ordered], {h[j]: v for j, v in scores.items()})
+                     for ordered, scores in per_head] for per_head in orders]
 
-        p2 = permute_documents(prompt, [2, 0, 1])
-        toks2, layout2 = tokenize(p2)
-        q2 = np.stack([per_token[t][0] for t in toks2])
-        k2 = np.stack([per_token[t][1] for t in toks2])
-        a2 = layout2.suffix_start
-        ordered2, scores2 = ordering(q2[a2 : a2 + 1, None], k2[:, None], layout2,
-                                     np.full(1, -1))[0][0]
-        # align by content hash: doc j in original == doc perm.index(j) in permuted
-        for old_j, score in scores.items():
-            new_j = [2, 0, 1].index(old_j)
-            assert abs(score - scores2[new_j]) < 1e-6
-        assert [layout.doc_hashes[j] for j in ordered] == [
-            layout2.doc_hashes[j] for j in ordered2
-        ]
+        ref = by_hash([0, 1, 2, 3, 4])
+        assert len(ref) == 5 + 2 and len(ref[0]) == 4
+        for perm in ([4, 2, 0, 3, 1], [1, 0, 3, 4, 2], [2, 3, 4, 1, 0]):
+            assert by_hash(perm) == ref, perm
 
     def test_own_document_pinned_last(self):
         _, layout = tokenize(SegmentedPrompt("S", ("ab", "cd", "ef"), "Q"))
@@ -299,32 +336,19 @@ class TestGroupOrdering:
         assert ordered[-1] == 1
         assert 1 not in scores
 
+    @pytest.mark.parametrize("group", ["suffix_row", "document_group"])
     @pytest.mark.parametrize("aggregation", ["mean", "sum", "max"])
-    def test_matches_token_and_doc_importance(self, aggregation):
-        # The batched scorer's one-group case against the building blocks:
-        # a suffix row scores bitwise as doc_importance(token_importance)
-        # over the candidates in content-hash order; a document group agrees
-        # to float32 rounding.
+    def test_matches_float64_hand_loop(self, aggregation, group):
         _, layout = tokenize(SegmentedPrompt("S", ("abc", "de", "fghi", "j"), "QR"))
         rng = np.random.default_rng(6)
         q = rng.normal(size=(layout.n, 8)).astype(np.float32)
         k = rng.normal(size=(layout.n, 8)).astype(np.float32)
-        groups = [(layout.suffix_start, layout.suffix_start + 1, -1), (*layout.doc_spans[2], 2)]
-        for a, b, own in groups:
-            cands = sorted((j for j in range(layout.k) if j != own),
-                           key=lambda j: (layout.doc_hashes[j], j))
-            idx = np.concatenate([np.arange(*layout.doc_spans[j]) for j in cands])
-            probs = token_importance(q[a:b], k[idx], 8)
-            lens = np.array([layout.doc_len(j) for j in cands])
-            ends = np.cumsum(lens)
-            ref = doc_importance(probs, list(zip(ends - lens, ends)), aggregation)
-            _, scores = ordering(q[a:b, None], k[:, None], layout, np.full(b - a, own),
-                                 aggregation)[0][0]
-            got = [scores[j] for j in cands]
-            if own < 0:
-                assert got == ref
-            else:
-                assert np.allclose(got, ref, rtol=1e-6, atol=0)
+        rows, own = {"suffix_row": ((layout.suffix_start, layout.suffix_start + 1), -1),
+                     "document_group": (layout.doc_spans[2], 2)}[group]
+        got = group_scores(q, k, layout, rows, own, aggregation)
+        ref = hand_loop_scores(q, k, layout, rows, own, aggregation)
+        assert got.keys() == ref.keys()
+        assert np.allclose([got[j] for j in ref], list(ref.values()), rtol=1e-6, atol=0)
 
     @pytest.mark.parametrize("docs", [(), ("ab",)], ids=["k0", "k1"])
     def test_fewer_than_two_documents_rejected(self, docs):
