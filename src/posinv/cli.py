@@ -147,7 +147,10 @@ def cmd_init(args) -> int:
         )
     except WeightError as exc:
         raise CliError(f"bad model shape: {exc}", USAGE_ERROR)
-    weights = init_random(config, args.seed)
+    try:
+        weights = init_random(config, args.seed)
+    except MemoryError as exc:
+        raise CliError(f"cannot allocate model: {exc}", USAGE_ERROR)
     try:
         save_weights(args.model, args.config, Model(config, weights))
     except OSError as exc:

@@ -1,11 +1,11 @@
 """Decoder-only transformer runtime.
 
 RMS-norm, rotary embeddings, grouped-query attention, gated FFN, greedy
-decoding.  A stream's attention plan (``modes.AttentionPlan``) is built
-once per (layout, mode) and held by its KV cache, which stores keys and
-values in the plan's column order (prefix, documents by content hash,
-suffix, decoded tokens): prefill permutes the prompt's rows once, as it
-writes them, and attention reads keys as views.  Keys are held raw (pine's
+decoding.  Prefill builds a stream's attention plan (``modes.AttentionPlan``)
+once and binds it to the stream's KV cache, which stores keys and values
+in the plan's column order (prefix, documents by content hash, suffix,
+decoded tokens): prefill permutes the prompt's rows once, as it writes
+them, and attention reads keys as views.  Keys are held raw (pine's
 importance scores are position-free) and rotated once, when written, at a
 base position that never changes; the re-assigning modes move a
 document's per-group start onto the queries instead.
@@ -189,7 +189,11 @@ def _read_tensor(name: str, meta, payload: bytes) -> np.ndarray:
     s, e = offsets
     if e - s != math.prod(shape) * dt.itemsize:
         raise WeightError(f"tensor {name!r}: payload size {e - s} B != shape {shape}")
-    return np.frombuffer(payload[s:e], dtype=dt).astype(_DTYPES[dtype]).reshape(shape)
+    arr = np.frombuffer(payload[s:e], dtype=dt).astype(_DTYPES[dtype])
+    try:  # numpy holds at most 64 dimensions, each within its index range
+        return arr.reshape(shape)
+    except ValueError as exc:
+        raise WeightError(f"tensor {name!r}: numpy cannot hold shape {shape}: {exc}") from exc
 
 
 def save_config(path, config: ModelConfig) -> None:
@@ -264,30 +268,20 @@ class GenerationParams:
 @dataclass
 class KVCache:
     """Per-layer keys and values for one generation stream, in the column
-    order of ``plan``, the ``AttentionPlan`` of the mode it last ran under.
-    Keys are held raw and in ``k_base``, rotated at their columns' base
-    positions.  Prefill writes the prompt's rows permuted into column order;
-    a decode step appends one column, builds no mask and leaves the plan
-    as it is.  Decoding under a mode with another plan re-lays the cache."""
+    order of ``plan``, the ``AttentionPlan`` of the mode it was prefilled
+    under.  Keys are held raw and in ``k_base``, rotated at their columns'
+    base positions.  Prefill writes the prompt's rows permuted into column
+    order; a decode step appends one column and builds no mask.  A stream
+    runs under one mode: decoding under another is refused."""
 
-    layout: SequenceLayout
+    plan: AttentionPlan
     k_raw: list[np.ndarray] = field(default_factory=list)  # per layer [t, n_kv, d_head]
     v: list[np.ndarray] = field(default_factory=list)
     k_base: list[np.ndarray] = field(default_factory=list)
-    plan: AttentionPlan | None = None
 
     @property
     def n_cached(self) -> int:
         return 0 if not self.k_raw else self.k_raw[0].shape[0]
-
-    def use_plan(self, plan: AttentionPlan, rope_theta: float) -> None:
-        """Switch to another mode's plan: re-permute the cache into its
-        column order and rotate the keys at its base positions."""
-        if s := self.n_cached:
-            take = np.argsort(self.plan.columns(0, s)[0])[plan.columns(0, s)[0]]
-            self.k_raw, self.v = [k[take] for k in self.k_raw], [v[take] for v in self.v]
-            self.k_base = [plan.rotate_keys(k, 0, rope_theta) for k in self.k_raw]
-        self.plan = plan
 
 
 def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
@@ -317,7 +311,7 @@ def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
     return x
 
 
-def _forward(model: Model, cache: KVCache, tokens: list[int], mode: AttentionMode) -> np.ndarray:
+def _forward(model: Model, cache: KVCache, tokens: list[int]) -> np.ndarray:
     """Run tokens as the rows after the cache, appending their keys and
     values; returns the logits of the last row."""
     cfg = model.config
@@ -325,8 +319,6 @@ def _forward(model: Model, cache: KVCache, tokens: list[int], mode: AttentionMod
     if q_start + len(tokens) > cfg.max_seq_len:
         raise ShapeError(f"sequence length {q_start + len(tokens)} exceeds "
                          f"max_seq_len {cfg.max_seq_len}")
-    if cache.plan is None or cache.plan.mode != mode:
-        cache.use_plan(AttentionPlan(mode, cache.layout), cfg.rope_theta)
     x = model.weights["embed.weight"][np.asarray(tokens, dtype=np.int64)]
     for layer in range(cfg.n_layers):
         x = _layer_forward(model, x, layer, cache, q_start)
@@ -346,8 +338,8 @@ def prefill(
         raise ShapeError("prefill: the prompt is empty")
     if len(tokens) != layout.n:
         raise ShapeError(f"token count {len(tokens)} != layout.n {layout.n}")
-    cache = KVCache(layout=layout)
-    return cache, _forward(model, cache, tokens, mode)
+    cache = KVCache(AttentionPlan(mode, layout))
+    return cache, _forward(model, cache, tokens)
 
 
 def decode_step(
@@ -356,10 +348,13 @@ def decode_step(
     token: int,
     mode: AttentionMode,
 ) -> np.ndarray:
-    """Append one token to the cache and return next-token logits."""
+    """Append one token to the cache and return next-token logits.  The
+    mode must be the one the cache was prefilled under."""
+    if mode != cache.plan.mode:
+        raise ValueError(f"decode_step: cache was prefilled under {cache.plan.mode}, not {mode}")
     if cache.n_cached == 0:
         raise ShapeError("decode_step: cache is empty; run prefill first")
-    return _forward(model, cache, [token], mode)
+    return _forward(model, cache, [token])
 
 
 def greedy_pick(logits: np.ndarray) -> int:

@@ -1,11 +1,16 @@
-"""The benchmark's tracer still finds every function it wraps.
+"""The benchmark still runs against the library.
 
 ``perfbench/tracer.py`` replaces posinv functions by module attribute
 name.  A refactor that renames or moves one of them breaks the traced
-benchmark run; this test installs the tracer the way ``perfbench/bench.py``
-does and runs one small pine prefill through it.
+benchmark run; the first test installs the tracer the way
+``perfbench/bench.py`` does and runs one small pine prefill through it.
+The second runs one short untraced benchmark end to end, so a library
+change that breaks the benchmark's own calls fails here too.
 """
 
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +19,8 @@ import posinv
 from posinv import AttentionMode, SegmentedPrompt, modes, oracle, pine, prefill, tokenize
 from posinv import model as model_mod
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_tracer_hooks_resolve_and_restore(tiny_config, tiny_model, monkeypatch):
@@ -40,3 +46,14 @@ def test_tracer_hooks_resolve_and_restore(tiny_config, tiny_model, monkeypatch):
     assert np.array_equal(traced, untraced)
     for (mod, attr), fn in originals.items():
         assert getattr(modules[mod], attr) is fn, f"{mod}.{attr}"
+
+
+def test_benchmark_smoke_run():
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "invariance_sweep",
+         "--seed", "0", "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

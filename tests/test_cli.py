@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -522,6 +523,31 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: ")
         assert not (tmp_path / "w.bin").exists()
+
+    def test_init_unallocatable_model_usage_error(self, tmp_path, capsys):
+        # The embedding would need 455 PiB, more than any address space:
+        # numpy refuses it at once, without allocating anything.
+        w, c = str(tmp_path / "w.bin"), str(tmp_path / "c.txt")
+        code = run_cli(["init", "--model", w, "--config", c, "--vocab-size", str(10**15)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: cannot allocate model: ")
+        assert not (tmp_path / "w.bin").exists()
+
+    def test_unholdable_tensor_shape_io_error(self, model_files, prompt_file, tmp_path, capsys):
+        # One header entry with a shape numpy cannot hold (70 dimensions).
+        w, c = model_files
+        data = Path(w).read_bytes()
+        (n,) = struct.unpack("<Q", data[:8])
+        header = json.loads(data[8:8 + n])
+        header["extra"] = {"dtype": "F32", "shape": [1] * 70, "data_offsets": [0, 4]}
+        blob = json.dumps(header).encode()
+        bad = tmp_path / "w.bin"
+        bad.write_bytes(struct.pack("<Q", len(blob)) + blob + data[8 + n:])
+        code = run_cli(["run", "--model", str(bad), "--config", c, "--prompt", prompt_file])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot load model") and "shape" in err
 
     def test_config_vocab_too_small_io_error(self, model_files, prompt_file, tmp_path, capsys):
         w, c = model_files

@@ -26,7 +26,7 @@ from posinv import (
     save_weights,
     tokenize,
 )
-from posinv import kernels, modes, pine
+from posinv import kernels, modes
 from posinv.kernels import ShapeError, row_block
 from posinv.model import load_config, load_tensors, save_tensors
 from posinv.rope import rotate
@@ -150,6 +150,11 @@ class TestMalformedContainer:
         ({"t": {**F32_ENTRY, "data_offsets": [-4, 4]}}, "data_offsets"),
         ({"t": {**F32_ENTRY, "data_offsets": [0, 4]}}, "payload size"),
         ({"t": "F32"}, "entry"),
+        # Shapes numpy cannot hold: more than 64 dimensions, or a dimension
+        # beyond its index range in an empty tensor.
+        ({"t": {**F32_ENTRY, "shape": [1] * 70, "data_offsets": [0, 4]}}, "shape"),
+        ({"t": {**F32_ENTRY, "shape": [0, 10**30], "data_offsets": [0, 0]}}, "shape"),
+        ({"t": {**F32_ENTRY, "shape": [0, 2**62, 4], "data_offsets": [0, 0]}}, "shape"),
     ])
     def test_typed_error(self, tmp_path, header, match):
         path = write_container(tmp_path / "w.bin", header, bytes(8))
@@ -288,9 +293,10 @@ class TestDecodeStep:
     def test_empty_cache_rejected(self, tiny_model):
         tokens, layout = tokenize(SegmentedPrompt("SYS", (), "q"))
         from posinv.model import KVCache
+        from posinv.modes import AttentionPlan
 
         with pytest.raises(ShapeError):
-            decode_step(tiny_model, KVCache(layout=layout), 5, VANILLA)
+            decode_step(tiny_model, KVCache(AttentionPlan(VANILLA, layout)), 5, VANILLA)
 
     def test_overflow_rejected(self, tiny_config):
         config = ModelConfig(**{**vars(tiny_config), "max_seq_len": 4})
@@ -366,11 +372,6 @@ class TestGenerate:
         assert runs[0] == runs[1] == runs[2]
 
 
-def storage_order(cache, x):
-    """A cached array back in storage order."""
-    return x[np.argsort(cache.plan.columns(0, len(x))[0])]
-
-
 class TestBaseRotatedCache:
     @pytest.mark.parametrize("variant", modes.VARIANTS)
     def test_cached_keys_rotated_once_at_base_positions(self, tiny_model, variant):
@@ -388,34 +389,20 @@ class TestBaseRotatedCache:
             assert np.array_equal(k_base, rotate(k_raw, modes.base_positions(mode, layout, s)[storage],
                                                  theta))
 
-    def test_decode_under_another_mode_rotates_the_cache_for_it(self, tiny_model):
-        # A cache filled under one mode and decoded under another holds the
-        # same raw keys and values in the new plan's column order, with keys
-        # rotated at the new base positions: vanilla -> pine moves the
-        # positions, canonical -> storage order moves only the columns.
+    def test_decode_under_another_mode_is_refused(self, tiny_model):
+        # A cache keeps the plan it was prefilled under: a decode step under
+        # another mode raises before it touches the cache.
         tokens, layout = tokenize(SegmentedPrompt("SYS", ("abc", "de", "fgh"), "qq"))
-        assert pine.canonical_order(layout) != list(range(layout.k))
-        theta = tiny_model.config.rope_theta
-        n = layout.n
-        for before, after, moved in [(VANILLA, PINE, "positions"),
-                                     (PINE, AttentionMode("pine", canonical=False), "columns")]:
+        for before, after in [(VANILLA, PINE), (PINE, AttentionMode("pine", canonical=False))]:
             cache, logits = prefill(tiny_model, tokens, layout, before)
-            old_order = cache.plan.order
-            same_positions = np.array_equal(modes.base_positions(before, layout, n),
-                                            modes.base_positions(after, layout, n))
-            assert same_positions == (moved == "columns")
-            k_raw = [storage_order(cache, k) for k in cache.k_raw]
-            v = [storage_order(cache, x) for x in cache.v]
-            decode_step(tiny_model, cache, int(np.argmax(logits)), after)
-            plan = cache.plan
-            assert plan.mode == after
-            assert np.array_equal(plan.order, old_order) == (moved == "positions")
-            storage = plan.columns(0, n + 1)[0]
-            base = modes.base_positions(after, layout, n + 1)[storage]
-            for layer in range(tiny_model.config.n_layers):
-                assert np.array_equal(cache.k_raw[layer][:n], k_raw[layer][plan.order])
-                assert np.array_equal(cache.v[layer][:n], v[layer][plan.order])
-                assert np.array_equal(cache.k_base[layer], rotate(cache.k_raw[layer], base, theta))
+            held = [[x.copy() for x in arrays] for arrays in (cache.k_raw, cache.k_base, cache.v)]
+            with pytest.raises(ValueError, match="prefilled under"):
+                decode_step(tiny_model, cache, int(np.argmax(logits)), after)
+            assert cache.n_cached == layout.n
+            assert cache.plan.mode == before
+            for arrays, copies in zip((cache.k_raw, cache.k_base, cache.v), held):
+                assert len(arrays) == len(copies)
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(arrays, copies))
 
 
 class TestTieEmbeddingsConfig:
