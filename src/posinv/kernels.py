@@ -50,7 +50,8 @@ def row_softmax(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
 
     Entries equal to -inf are treated as masked and map to exactly 0.
     A row with every entry masked has no well-defined distribution and
-    raises instead of returning NaNs.
+    raises instead of returning NaNs.  ``x`` is left unchanged: the
+    shift, exp and division run in place in one scratch array.
     """
     if x.shape[-1] < 1:
         raise ShapeError("row_softmax: empty rows")
@@ -58,9 +59,10 @@ def row_softmax(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
     row_max = np.max(z, axis=-1, keepdims=True)
     if not np.isfinite(row_max).all():
         raise NumericError("row_softmax: fully masked row")
-    e = np.exp(z - row_max)
-    out = e / np.sum(e, axis=-1, keepdims=True)
-    return _check_finite(out.astype(x.dtype, copy=False), "row_softmax")
+    z -= row_max
+    np.exp(z, out=z)
+    z /= np.sum(z, axis=-1, keepdims=True)
+    return _check_finite(z.astype(x.dtype, copy=False), "row_softmax")
 
 
 def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:

@@ -4,15 +4,17 @@ RMS-norm, rotary embeddings, grouped-query attention, gated FFN, greedy
 decoding.  Prefill builds a stream's attention plan (``modes.AttentionPlan``)
 once and binds it to the stream's KV cache, which stores keys and values
 in the plan's column order (prefix, documents by content hash, suffix,
-decoded tokens): prefill permutes the prompt's rows once, as it writes
-them, and attention reads keys as views.  Keys are held raw (pine's
+decoded tokens), one buffer per layer with each KV head's columns
+contiguous: prefill permutes the prompt's rows once, as it writes them,
+and attention reads keys as views.  Keys are held raw (pine's
 importance scores are position-free) and rotated once, when written, at a
 base position that never changes; the re-assigning modes move a
 document's per-group start onto the queries instead.
 
 Prefill and decoding share one forward pass: a decode step is the
-prefill of one more row after the cached ones.  That row appends a column
-to an unchanged plan and sees every cached key, so it builds no mask.
+prefill of one more row after the cached ones.  That row writes a column
+in place, after an unchanged plan's columns, and sees every cached key,
+so it builds no mask.
 """
 
 from __future__ import annotations
@@ -265,23 +267,64 @@ class GenerationParams:
     eos_token: int | None = None
 
 
+# Columns a prefill leaves free after the prompt, for decoding.
+_HEADROOM = 64
+
+
 @dataclass
 class KVCache:
     """Per-layer keys and values for one generation stream, in the column
     order of ``plan``, the ``AttentionPlan`` of the mode it was prefilled
     under.  Keys are held raw and in ``k_base``, rotated at their columns'
     base positions.  Prefill writes the prompt's rows permuted into column
-    order; a decode step appends one column and builds no mask.  A stream
-    runs under one mode: decoding under another is refused."""
+    order; a decode step writes one column and builds no mask.  A stream
+    runs under one mode: decoding under another is refused.
+
+    Each layer keeps one buffer, [3, n_kv_heads, capacity, d_head]: raw
+    keys, base-rotated keys and values, each head's columns contiguous.
+    Prefill sizes it to the prompt plus ``_HEADROOM`` columns; a step
+    writes its columns in place, and a full buffer doubles, up to
+    ``max_seq_len``.  ``k_raw``, ``k_base`` and ``v`` read the first
+    ``n_cached`` columns as per-layer [n_cached, n_kv_heads, d_head] views.
+    A step's columns count only once every layer has written them, so a
+    step that raises leaves the cache as it was."""
 
     plan: AttentionPlan
-    k_raw: list[np.ndarray] = field(default_factory=list)  # per layer [t, n_kv, d_head]
-    v: list[np.ndarray] = field(default_factory=list)
-    k_base: list[np.ndarray] = field(default_factory=list)
+    buffers: list[np.ndarray] = field(default_factory=list)
+    n_cached: int = 0
 
     @property
-    def n_cached(self) -> int:
-        return 0 if not self.k_raw else self.k_raw[0].shape[0]
+    def k_raw(self) -> list[np.ndarray]:
+        return self._views(0)
+
+    @property
+    def k_base(self) -> list[np.ndarray]:
+        return self._views(1)
+
+    @property
+    def v(self) -> list[np.ndarray]:
+        return self._views(2)
+
+    def _views(self, part: int) -> list[np.ndarray]:
+        return [buf[part, :, :self.n_cached].swapaxes(0, 1) for buf in self.buffers]
+
+    def write(self, layer: int, parts: tuple[np.ndarray, ...], limit: int) -> list[np.ndarray]:
+        """Write one layer's next columns: ``parts`` are its raw keys,
+        base-rotated keys and values, each [t, n_kv_heads, d_head].  Returns
+        the three views over the cached and the new columns; ``n_cached``
+        does not move."""
+        n, (t, n_kv, d) = self.n_cached, parts[0].shape
+        if layer == len(self.buffers):
+            self.buffers.append(np.empty((3, n_kv, min(n + t + _HEADROOM, limit), d),
+                                         dtype=parts[0].dtype))
+        buf = self.buffers[layer]
+        if n + t > buf.shape[2]:
+            grown = np.empty_like(buf, shape=(3, n_kv, min(max(n + t, 2 * buf.shape[2]), limit), d))
+            grown[:, :, :n] = buf[:, :, :n]
+            self.buffers[layer] = buf = grown
+        for part, x in zip(buf, parts):
+            part[:, n:n + t] = x.swapaxes(0, 1)
+        return [part[:, :n + t].swapaxes(0, 1) for part in buf]
 
 
 def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
@@ -296,13 +339,9 @@ def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
     v = matmul(h, w[p + "v_proj.weight"]).reshape(-1, cfg.n_kv_heads, cfg.d_head)
     k, v = plan.lay_out(k, q_start), plan.lay_out(v, q_start)
     k_base = plan.rotate_keys(k, q_start, cfg.rope_theta)
-    for stored, new in ((cache.k_raw, k), (cache.k_base, k_base), (cache.v, v)):
-        if len(stored) <= layer:
-            stored.append(new)
-        else:
-            stored[layer] = np.concatenate([stored[layer], new], axis=0)
-    attn = attention_forward(plan, q, cache.k_raw[layer], cache.v[layer], q_start=q_start,
-                             rope_theta=cfg.rope_theta, k_base=cache.k_base[layer])
+    k, k_base, v = cache.write(layer, (k, k_base, v), cfg.max_seq_len)
+    attn = attention_forward(plan, q, k, v, q_start=q_start, rope_theta=cfg.rope_theta,
+                             k_base=k_base)
     x = x + matmul(attn.reshape(attn.shape[0], -1), w[p + "o_proj.weight"])
     h2 = rms_norm(x, w[p + "ffn_norm.weight"], cfg.norm_eps)
     gate = matmul(h2, w[p + "gate_proj.weight"])
@@ -313,7 +352,8 @@ def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
 
 def _forward(model: Model, cache: KVCache, tokens: list[int]) -> np.ndarray:
     """Run tokens as the rows after the cache, appending their keys and
-    values; returns the logits of the last row."""
+    values once every layer and the logits have succeeded; returns the
+    logits of the last row."""
     cfg = model.config
     q_start = cache.n_cached
     if q_start + len(tokens) > cfg.max_seq_len:
@@ -323,7 +363,9 @@ def _forward(model: Model, cache: KVCache, tokens: list[int]) -> np.ndarray:
     for layer in range(cfg.n_layers):
         x = _layer_forward(model, x, layer, cache, q_start)
     h = rms_norm(x[-1:], model.weights["final_norm.weight"], cfg.norm_eps)
-    return matmul(h, model.head_matrix())[0]
+    logits = matmul(h, model.head_matrix())[0]
+    cache.n_cached = q_start + len(tokens)
+    return logits
 
 
 def prefill(

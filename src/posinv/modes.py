@@ -286,15 +286,19 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray,
     (``plan.rotate_keys``), computed here when None.  Returns
     [t, n_heads, d_head] in storage order.
 
-    Keys and values are per-KV-head views of the cache.  The rows, in column
-    order, run in blocks of ``row_block`` rows; each block scores only the
-    columns ``plan.kept_columns`` keeps for its rows (whole key blocks that
-    other rows of the block see, its own block up to its last row), with one
-    score product per run of kept columns and one value product per
-    contiguous span.  A block's mask (``build_mask``, over its rows and its
-    kept columns) sets hidden keys to NEG_INF before its one softmax per KV
-    head, so neither masks nor scores grow beyond one row block.  A lone suffix or decoded row sees every earlier
-    key in every mode, so a decode step builds no mask.
+    Keys and values are read as [n_kv_heads, s, d_head] views of the cache,
+    each head's columns contiguous.  The rows, in column order, run in
+    blocks of ``row_block`` rows, every KV head in one pass; each block
+    scores only the columns ``plan.kept_columns`` keeps for its rows (whole
+    key blocks that other rows of the block see, its own block up to its
+    last row), with one score product per run of kept columns and one value
+    product per contiguous span, each batched over the KV heads.  A block's
+    mask (``build_mask``, over its rows and its kept columns) sets hidden
+    keys to NEG_INF before its one softmax, so neither masks nor scores grow
+    beyond one row block per KV head.  Each head takes the rows and columns
+    a block of that head alone would, so its output is bitwise the same.
+    A lone suffix or decoded row sees every earlier key in every mode, so a
+    decode step builds no mask.
 
     No key is rotated again: RoPE scores depend only on relative positions,
     <R(p)q, R(c + o)k> = <R(p - c)q, R(o)k>, so a key block at base offset o
@@ -333,39 +337,38 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray,
     # the position p - c each is rotated to per shift: [shifts, n_kv, t, rep].
     q = np.ascontiguousarray(q_raw[rows - q_start].reshape(t, n_kv, rep, d_head).swapaxes(0, 1))
     pos = (q_pos[:, :, None] - shifts).reshape(t, n_kv, rep, -1).transpose(3, 1, 0, 2)
+    keys, vals = k_base.swapaxes(0, 1), v.swapaxes(0, 1)  # [n_kv, s, d]
     out = np.empty((t, n_heads, d_head), dtype=q_raw.dtype)
     for b in range(0, t, block):
         rb = slice(b, b + block)
         runs = plan.kept_columns(q_start + b, q_start + min(b + block, t), s)
         width = sum(c1 - c0 for c0, c1, _ in runs)
-        if masked:
-            cols = np.concatenate([np.arange(c0, c1) for c0, c1, _ in runs])  # the kept columns
-            hidden = ~build_mask(mode, layout, rows[rb], key_at[cols])[:, None, :]
         spans = _join([(c0, c1, 0) for c0, c1, _ in runs])  # the V product ignores shifts
-        # One rotation of the block's queries per shift, for every KV head.
+        # One rotation of the block's queries per shift, for every KV head:
+        # [shifts, n_kv, rows * rep, d].
         pos_b = pos[:, :, rb]
         q_rot = rotate(np.broadcast_to(q[:, rb], pos_b.shape + (d_head,)).reshape(-1, d_head),
                        pos_b.ravel(), rope_theta).reshape(pos_b.shape[:2] + (-1, d_head))
-        for g in range(n_kv):
-            heads = slice(g * rep, (g + 1) * rep)
-            keys, vals = k_base[:, g, :], v[:, g, :]
-            scores = np.empty((q_rot.shape[2], width), dtype=q_raw.dtype)
-            at = 0
-            for c0, c1, i in runs:
-                np.matmul(q_rot[i, g], keys[c0:c1].T, out=scores[:, at:at + c1 - c0])
-                at += c1 - c0
-            scores = scores.reshape(-1, rep, width)
-            if masked:
-                np.copyto(scores, NEG_INF, where=hidden)
-            w = row_softmax(scores.reshape(-1, width), scale).reshape(-1, rep, width)
-            if mode.rescales and late[rb].any():  # the rows at or after suffix_start
-                # A block with late rows keeps columns 0 .. its last row.
-                w[late[rb]] = sp_rescale(w[late[rb]], layout, layout.suffix_start, layout.k)
-            w = w.reshape(-1, width)
-            at = 0
-            for c0, c1, _ in spans:
-                part = w[:, at:at + c1 - c0] @ vals[c0:c1]
-                acc = part if at == 0 else acc + part
-                at += c1 - c0
-            out[rows[rb] - q_start, heads, :] = acc.reshape(-1, rep, d_head)
+        scores = np.empty((n_kv, q_rot.shape[2], width), dtype=q_raw.dtype)
+        at = 0
+        for c0, c1, i in runs:
+            np.matmul(q_rot[i], keys[:, c0:c1].swapaxes(1, 2), out=scores[:, :, at:at + c1 - c0])
+            at += c1 - c0
+        scores = scores.reshape(n_kv, -1, rep, width)
+        if masked:
+            cols = np.concatenate([np.arange(c0, c1) for c0, c1, _ in runs])  # the kept columns
+            hidden = ~build_mask(mode, layout, rows[rb], key_at[cols])[:, None, :]
+            np.copyto(scores, NEG_INF, where=hidden)
+        w = row_softmax(scores.reshape(-1, width), scale).reshape(scores.shape)
+        if mode.rescales and late[rb].any():  # the rows at or after suffix_start
+            # A block with late rows keeps columns 0 .. its last row.
+            w[:, late[rb]] = sp_rescale(w[:, late[rb]], layout, layout.suffix_start, layout.k)
+        w = w.reshape(n_kv, -1, width)
+        at = 0
+        for c0, c1, _ in spans:
+            part = w[:, :, at:at + c1 - c0] @ vals[:, c0:c1]
+            acc = part if at == 0 else acc + part
+            at += c1 - c0
+        out[rows[rb] - q_start] = acc.reshape(n_kv, -1, rep, d_head).swapaxes(0, 1).reshape(
+            -1, n_heads, d_head)
     return out

@@ -7,7 +7,7 @@ query.  Everything here is computed per layer and per head from
 pre-rotation queries and keys, which is what makes the resulting
 ordering independent of the input document order.  ``group_ordering``
 is the one scorer: it orders the documents for every query group of a
-layer at once, a few matrix products per KV head, and
+layer at once, one batched matrix product per row block, and
 ``document_starts`` turns its orders into each row's document starts.
 
 ``block_starts`` is the one rule that lays documents out: a document key
@@ -112,12 +112,13 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
     in ``plan``'s column order; own: each row's own document (-1: none),
     never a candidate and last in its group's order.  Groups follow
     ``_group_bounds``; aggregation and sort direction are ``plan.mode``'s.
-    Per KV head, its query heads' copies of each row are scored against all
-    document keys in ``canonical_order`` (``plan.ranked_cols``): one score
-    matrix and one ``row_softmax`` per ``row_block`` of rows.  One
-    ``reduceat`` sums (max: takes the maximum of) each document's columns,
-    another each group's rows, which gives every group's scores at once; only
-    the comparator sort runs per (group, head).  Returns
+    Each KV head's query heads' copies of each row are scored against all
+    its document keys in ``canonical_order`` (``plan.ranked_cols``): one
+    score product batched over the KV heads and one ``row_softmax`` per
+    ``row_block`` of rows.  One ``reduceat`` sums (max: takes the maximum
+    of) each document's columns, another each group's rows, which gives
+    every group's scores at once; only the comparator sort runs per
+    (group, head).  Returns
     orders[group][head] = (ordered documents, candidate scores).
     """
     layout, mode = plan.layout, plan.mode
@@ -126,21 +127,23 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
     reduce = np.maximum if mode.aggregation == "max" else np.add
     col_doc = plan.ranked_col_doc  # the document of each scored key column
     r, n_heads, d = q.shape
-    rep = n_heads // k_raw.shape[1]
+    n_kv = k_raw.shape[1]
+    rep = n_heads // n_kv
     block = row_block(len(k_raw), rep)
     bounds = _group_bounds(own)
     totals = np.empty((r, n_heads, layout.k), dtype=q.dtype)
     scale = 1.0 / np.sqrt(np.float32(d))
-    for g in range(k_raw.shape[1]):
-        heads = slice(g * rep, (g + 1) * rep)
-        keys_t = k_raw[plan.ranked_cols, g, :].T
-        for b in range(0, r, block):
-            rb = slice(b, b + block)
-            logits = (q[rb, heads].reshape(-1, d) @ keys_t).reshape(-1, rep, len(col_doc))
-            if (own[rb] >= 0).any():  # a suffix or decoded row (own -1) has no column to hide
-                np.copyto(logits, NEG_INF, where=(col_doc == own[rb, None])[:, None, :])
-            probs = row_softmax(logits.reshape(-1, len(col_doc)), scale).reshape(logits.shape)
-            totals[rb, heads] = reduce.reduceat(probs, plan.ranked_starts, axis=2)
+    # Each KV head's query heads: [n_kv, r, rep, d]; its keys, transposed: [n_kv, d, cols].
+    q_kv = q.reshape(r, n_kv, rep, d).swapaxes(0, 1)
+    keys_t = k_raw[plan.ranked_cols].transpose(1, 2, 0)
+    for b in range(0, r, block):
+        rb = slice(b, b + block)
+        logits = (q_kv[:, rb].reshape(n_kv, -1, d) @ keys_t).reshape(n_kv, -1, rep, len(col_doc))
+        if (own[rb] >= 0).any():  # a suffix or decoded row (own -1) has no column to hide
+            np.copyto(logits, NEG_INF, where=(col_doc == own[rb, None])[:, None, :])
+        probs = row_softmax(logits.reshape(-1, len(col_doc)), scale).reshape(logits.shape)
+        totals[rb] = reduce.reduceat(probs, plan.ranked_starts, axis=3).swapaxes(0, 1).reshape(
+            -1, n_heads, layout.k)
     # in float64, so the mean rounds as a division of the Python floats would
     group_totals = reduce.reduceat(totals, bounds, axis=0).astype(np.float64)
     if mode.aggregation == "mean":

@@ -60,6 +60,19 @@ class TestRowSoftmax:
         ref = e / e.sum()
         assert np.max(np.abs(row_softmax(row, 1.0) - ref)) < 1e-9
 
+    def test_input_unchanged_and_output_the_out_of_place_formula(self):
+        rng = np.random.default_rng(2)
+        x = rng.normal(scale=4.0, size=(37, 53)).astype(np.float32)
+        x[rng.random(x.shape) < 0.3] = NEG_INF
+        x[:, 0] = rng.normal(size=37)  # every row keeps a visible key
+        held = x.tobytes()
+        scale = 1.0 / np.sqrt(np.float32(32))
+        out = row_softmax(x, scale)
+        assert x.tobytes() == held
+        z = np.float32(scale) * x
+        e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+        assert out.tobytes() == (e / np.sum(e, axis=-1, keepdims=True)).tobytes()
+
     def test_fully_masked_row(self):
         with pytest.raises(NumericError, match="fully masked"):
             row_softmax(np.asarray([[NEG_INF, NEG_INF]], dtype=np.float32), 1.0)

@@ -27,6 +27,7 @@ from posinv import (
     tokenize,
 )
 from posinv import kernels, modes
+from posinv import model as model_mod
 from posinv.kernels import ShapeError, row_block
 from posinv.model import load_config, load_tensors, save_tensors
 from posinv.rope import rotate
@@ -403,6 +404,83 @@ class TestBaseRotatedCache:
             for arrays, copies in zip((cache.k_raw, cache.k_base, cache.v), held):
                 assert len(arrays) == len(copies)
                 assert all(x.tobytes() == y.tobytes() for x, y in zip(arrays, copies))
+
+
+class TestCacheBuffer:
+    """Each layer's keys and values live in one buffer that decode steps
+    write into in place; a step counts only once every layer is done."""
+
+    def test_failed_step_leaves_cache_unchanged(self, tiny_config, monkeypatch):
+        config = ModelConfig(**{**vars(tiny_config), "n_layers": 3})
+        model = Model(config, init_random(config, 2))
+        tokens, layout = tokenize(SegmentedPrompt("S", ("ab", "cd"), "q"))
+        cache, logits = prefill(model, tokens, layout, PINE)
+        tok = int(np.argmax(logits))
+        held = [[x.copy() for x in arrays] for arrays in (cache.k_raw, cache.k_base, cache.v)]
+        calls = []
+
+        def failing_swiglu(gate, up):
+            calls.append(None)
+            if len(calls) == 2:  # the second layer's FFN
+                raise MemoryError("injected")
+            return model_mod.swiglu(gate, up)
+
+        with monkeypatch.context() as m:
+            m.setattr(model_mod, "swiglu", failing_swiglu)
+            with pytest.raises(MemoryError, match="injected"):
+                decode_step(model, cache, tok, PINE)
+        assert cache.n_cached == layout.n
+        for arrays, copies in zip((cache.k_raw, cache.k_base, cache.v), held):
+            assert [x.shape for x in arrays] == [(layout.n, 1, 16)] * 3
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(arrays, copies))
+        fresh, _ = prefill(model, tokens, layout, PINE)
+        assert decode_step(model, cache, tok, PINE).tobytes() == \
+            decode_step(model, fresh, tok, PINE).tobytes()
+        assert cache.n_cached == fresh.n_cached == layout.n + 1
+
+    def test_decode_writes_in_place(self, tiny_model):
+        tokens, layout = tokenize(SegmentedPrompt("SYS", ("abc", "de", "fgh"), "qq"))
+        cache, logits = prefill(tiny_model, tokens, layout, PINE)
+        before = cache.k_base[0]
+        held = before.copy()
+        decode_step(tiny_model, cache, int(np.argmax(logits)), PINE)
+        after = cache.k_base[0]
+        assert np.shares_memory(before, after)
+        assert after.shape[0] == layout.n + 1
+        assert after[:layout.n].tobytes() == held.tobytes()
+
+    def test_growth_is_geometric_and_keeps_the_columns(self, tiny_config):
+        config = ModelConfig(**{**vars(tiny_config), "max_seq_len": 512})
+        model = Model(config, init_random(config, 0))
+        tokens, layout = tokenize(SegmentedPrompt("SYS: ", ("a" * 38, "b" * 38, "c" * 38,
+                                                            "d" * 41), " Q?"))
+        assert layout.n == 163
+        cache, logits = prefill(model, tokens, layout, PINE)
+        growths = 0
+        for _ in range(192):
+            buf, s = cache.buffers[0], cache.n_cached
+            logits = decode_step(model, cache, int(np.argmax(logits)), PINE)
+            if cache.buffers[0] is not buf:
+                growths += 1
+                assert cache.buffers[0][:, :, :s].tobytes() == buf[:, :, :s].tobytes()
+            assert cache.n_cached <= cache.buffers[0].shape[2] <= config.max_seq_len
+        assert 1 <= growths <= 3
+
+    def test_capacity_stops_at_max_seq_len(self, tiny_config):
+        tokens, layout = tokenize(SegmentedPrompt("S", ("ab", "cd"), "q"))
+        limit = layout.n + 80  # past the prefill's headroom, short of twice it
+        config = ModelConfig(**{**vars(tiny_config), "max_seq_len": limit})
+        model = Model(config, init_random(config, 0))
+        cache, logits = prefill(model, tokens, layout, PINE)
+        while cache.n_cached < limit:
+            logits = decode_step(model, cache, int(np.argmax(logits)), PINE)
+            assert cache.buffers[0].shape[2] <= limit
+        held = [x.copy() for x in (*cache.k_raw, *cache.k_base, *cache.v)]
+        with pytest.raises(ShapeError, match="max_seq_len"):
+            decode_step(model, cache, int(np.argmax(logits)), PINE)
+        assert cache.n_cached == limit
+        assert all(x.tobytes() == y.tobytes()
+                   for x, y in zip((*cache.k_raw, *cache.k_base, *cache.v), held))
 
 
 class TestTieEmbeddingsConfig:

@@ -15,7 +15,7 @@ from posinv import (
     tokenize,
 )
 from posinv import modes
-from posinv.kernels import NEG_INF, row_softmax
+from posinv.kernels import NEG_INF, row_block, row_softmax
 from posinv.modes import VARIANTS
 from posinv.pine import group_ordering
 from posinv.rope import rotate
@@ -432,6 +432,40 @@ def four_doc_prompt(doc_bytes):
     """k=4 prompt whose length grows with doc_bytes (n = 4 * doc_bytes + 8)."""
     docs = tuple(chr(ord("a") + j) * (doc_bytes - 1) + "." for j in range(4))
     return tokenize(SegmentedPrompt("SYS: ", docs, " Q?"))
+
+
+class TestKVHeadsInOnePass:
+    """A row block scores every KV head in one pass; each head's outputs
+    equal, bitwise, a call on that head alone."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_attention_equals_one_call_per_kv_head(self, variant):
+        _, layout = four_doc_prompt(73)  # n = 300
+        assert row_block(layout.n, 2) < layout.n // 2  # several row blocks
+        n = layout.n
+        q, k, v = random_qkv(layout.extend(1), 4, 2, 8, 11)
+        plan = AttentionPlan(AttentionMode(variant), layout)
+        k, v = plan.lay_out(k), plan.lay_out(v)
+        for rows, q_start, s in ((q[:n], 0, n), (q[n:], n, n + 1)):  # prefill, one decode row
+            both = attention_forward(plan, rows, k[:s], v[:s], q_start=q_start)
+            for g in range(2):
+                heads, kv = slice(2 * g, 2 * g + 2), slice(g, g + 1)
+                one = attention_forward(plan, rows[:, heads], k[:s, kv], v[:s, kv],
+                                        q_start=q_start)
+                assert both[:, heads].tobytes() == one.tobytes(), (variant, q_start, g)
+
+    @pytest.mark.parametrize("aggregation", ["mean", "sum", "max"])
+    def test_group_ordering_equals_one_call_per_kv_head(self, aggregation):
+        _, layout = four_doc_prompt(73)
+        q, k, _ = random_qkv(layout, 4, 2, 8, 12)
+        plan = AttentionPlan(AttentionMode("pine", aggregation), layout)
+        q, k = plan.lay_out(q), plan.lay_out(k)
+        p = layout.prefix_len
+        own = plan.col_doc[p:]
+        both = group_ordering(q[p:], k, plan, own)
+        for g in range(2):
+            one = group_ordering(q[p:, 2 * g:2 * g + 2], k[:, g:g + 1], plan, own)
+            assert [per_head[2 * g:2 * g + 2] for per_head in both] == one, g
 
 
 class TestBaseRotatedKeys:
