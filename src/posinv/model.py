@@ -6,10 +6,10 @@ once and binds it to the stream's KV cache, which stores keys and values
 in the plan's column order (prefix, documents by content hash, suffix,
 decoded tokens), one buffer per layer with each KV head's columns
 contiguous: prefill permutes the prompt's rows once, as it writes them,
-and attention reads keys as views.  Keys are held raw (pine's
-importance scores are position-free) and rotated once, when written, at a
-base position that never changes; the re-assigning modes move a
-document's per-group start onto the queries instead.
+and attention reads keys as views.  Keys are rotated once, when written,
+at a base position that never changes; the re-assigning modes move a
+document's per-group start onto the queries instead, and alone keep the
+raw keys of the prompt's documents for their position-free importance.
 
 Prefill and decoding share one forward pass: a decode step is the
 prefill of one more row after the cached ones.  That row writes a column
@@ -275,56 +275,53 @@ _HEADROOM = 64
 class KVCache:
     """Per-layer keys and values for one generation stream, in the column
     order of ``plan``, the ``AttentionPlan`` of the mode it was prefilled
-    under.  Keys are held raw and in ``k_base``, rotated at their columns'
-    base positions.  Prefill writes the prompt's rows permuted into column
-    order; a decode step writes one column and builds no mask.  A stream
-    runs under one mode: decoding under another is refused.
+    under.  Prefill writes the prompt's rows permuted into column order; a
+    decode step writes one column and builds no mask.  A stream runs under
+    one mode: decoding under another is refused.
 
-    Each layer keeps one buffer, [3, n_kv_heads, capacity, d_head]: raw
-    keys, base-rotated keys and values, each head's columns contiguous.
-    Prefill sizes it to the prompt plus ``_HEADROOM`` columns; a step
-    writes its columns in place, and a full buffer doubles, up to
-    ``max_seq_len``.  ``k_raw``, ``k_base`` and ``v`` read the first
-    ``n_cached`` columns as per-layer [n_cached, n_kv_heads, d_head] views.
-    A step's columns count only once every layer has written them, so a
-    step that raises leaves the cache as it was."""
+    Each layer keeps one buffer, [2, n_kv_heads, capacity, d_head]: keys
+    rotated at their columns' base positions, and values, each head's
+    columns contiguous.  Prefill sizes it to the prompt plus ``_HEADROOM``
+    columns; a step writes its columns in place, and a full buffer doubles,
+    up to ``max_seq_len``.  ``k_base`` and ``v`` read the first ``n_cached``
+    columns as per-layer [n_cached, n_kv_heads, d_head] views.  A step's
+    columns count only once every layer has written them, so a step that
+    raises leaves the cache as it was.  Only a plan that ``reorders`` holds
+    ``k_raw``: per layer, the raw keys before ``suffix_start``, written once
+    at prefill."""
 
     plan: AttentionPlan
     buffers: list[np.ndarray] = field(default_factory=list)
+    k_raw: list[np.ndarray] = field(default_factory=list)
     n_cached: int = 0
 
     @property
-    def k_raw(self) -> list[np.ndarray]:
-        return self._views(0)
-
-    @property
     def k_base(self) -> list[np.ndarray]:
-        return self._views(1)
+        return [buf[0, :, :self.n_cached].swapaxes(0, 1) for buf in self.buffers]
 
     @property
     def v(self) -> list[np.ndarray]:
-        return self._views(2)
+        return [buf[1, :, :self.n_cached].swapaxes(0, 1) for buf in self.buffers]
 
-    def _views(self, part: int) -> list[np.ndarray]:
-        return [buf[part, :, :self.n_cached].swapaxes(0, 1) for buf in self.buffers]
-
-    def write(self, layer: int, parts: tuple[np.ndarray, ...], limit: int) -> list[np.ndarray]:
-        """Write one layer's next columns: ``parts`` are its raw keys,
-        base-rotated keys and values, each [t, n_kv_heads, d_head].  Returns
-        the three views over the cached and the new columns; ``n_cached``
-        does not move."""
+    def write(self, layer: int, parts: tuple[np.ndarray, ...], limit: int) -> list:
+        """Write one layer's next columns: ``parts`` are its raw keys, rotated
+        keys and values, each [t, n_kv_heads, d_head].  Returns its ``k_raw``
+        (or None) and views of the other two over all its columns so far."""
         n, (t, n_kv, d) = self.n_cached, parts[0].shape
         if layer == len(self.buffers):
-            self.buffers.append(np.empty((3, n_kv, min(n + t + _HEADROOM, limit), d),
+            self.buffers.append(np.empty((2, n_kv, min(n + t + _HEADROOM, limit), d),
                                          dtype=parts[0].dtype))
+            if self.plan.reorders:
+                self.k_raw.append(parts[0][:self.plan.layout.suffix_start].copy())
         buf = self.buffers[layer]
         if n + t > buf.shape[2]:
-            grown = np.empty_like(buf, shape=(3, n_kv, min(max(n + t, 2 * buf.shape[2]), limit), d))
+            grown = np.empty_like(buf, shape=(2, n_kv, min(max(n + t, 2 * buf.shape[2]), limit), d))
             grown[:, :, :n] = buf[:, :, :n]
             self.buffers[layer] = buf = grown
-        for part, x in zip(buf, parts):
+        for part, x in zip(buf, parts[1:]):
             part[:, n:n + t] = x.swapaxes(0, 1)
-        return [part[:, :n + t].swapaxes(0, 1) for part in buf]
+        return [self.k_raw[layer] if self.k_raw else None,
+                *(part[:, :n + t].swapaxes(0, 1) for part in buf)]
 
 
 def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
@@ -359,7 +356,10 @@ def _forward(model: Model, cache: KVCache, tokens: list[int]) -> np.ndarray:
     if q_start + len(tokens) > cfg.max_seq_len:
         raise ShapeError(f"sequence length {q_start + len(tokens)} exceeds "
                          f"max_seq_len {cfg.max_seq_len}")
-    x = model.weights["embed.weight"][np.asarray(tokens, dtype=np.int64)]
+    ids = np.asarray(tokens)
+    if ids.dtype.kind not in "iu" or not ((ids >= 0) & (ids < cfg.vocab_size)).all():
+        raise ShapeError(f"token ids must be integers in 0 .. {cfg.vocab_size - 1}")
+    x = model.weights["embed.weight"][ids]
     for layer in range(cfg.n_layers):
         x = _layer_forward(model, x, layer, cache, q_start)
     h = rms_norm(x[-1:], model.weights["final_norm.weight"], cfg.norm_eps)

@@ -273,18 +273,18 @@ def _join(runs: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
     return joined
 
 
-def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray, v: np.ndarray,
-                      q_start: int = 0, rope_theta: float = 10000.0,
+def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray | None,
+                      v: np.ndarray, q_start: int = 0, rope_theta: float = 10000.0,
                       k_base: np.ndarray | None = None) -> np.ndarray:
     """One layer of multi-head attention under ``plan.mode``.
 
     q_raw: [t, n_heads, d_head] pre-rotation queries of the storage rows
     q_start .. q_start + t - 1, which must not cut the documents (prefill:
-    every row from 0; decode: the new token's).  k_raw/v: [s, n_kv_heads,
-    d_head], every cached token in the plan's column order, as the KV cache
-    holds them; k_base: those keys rotated at their base positions
-    (``plan.rotate_keys``), computed here when None.  Returns
-    [t, n_heads, d_head] in storage order.
+    every row from 0; decode: the new token's).  v: [s, n_kv_heads, d_head],
+    every cached token in column order, as the KV cache holds them; k_base:
+    their keys rotated at base positions (None: rotate k_raw here).  k_raw,
+    raw keys in column order, is otherwise read only before the suffix when
+    ``plan.reorders``, and may be None elsewhere.  Returns storage-order rows.
 
     Keys and values are read as [n_kv_heads, s, d_head] views of the cache,
     each head's columns contiguous.  The rows, in column order, run in
@@ -312,7 +312,7 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray,
     """
     mode, layout = plan.mode, plan.layout
     t, n_heads, d_head = q_raw.shape
-    s, n_kv = k_raw.shape[:2]
+    s, n_kv = v.shape[:2]
     rep = n_heads // n_kv
     if k_base is None:
         k_base = plan.rotate_keys(k_raw, 0, rope_theta)

@@ -85,8 +85,8 @@ def document_starts(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
     """Start of every document for each query row and head, k >= 2:
     [len(q), n_heads, k].  ``q``: pre-rotation queries of rows in column
     order that each belong to a query group; ``own``: each row's document
-    (-1: suffix or decoded); ``k_raw``: raw keys in ``plan``'s column order.
-    Each row gets its group's ``group_ordering`` order, by ``block_starts``."""
+    (-1: suffix or decoded); ``k_raw``: raw keys before the suffix, in
+    column order.  Each row gets its group's order, by ``block_starts``."""
     group_starts = [[block_starts(plan.layout, ordered) for ordered, _ in per_head]
                     for per_head in group_ordering(q, k_raw, plan, own)]
     return np.repeat(np.array(group_starts, dtype=np.int64),
@@ -108,17 +108,17 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
                    own: np.ndarray) -> list[list[tuple[list[int], dict[int, float]]]]:
     """Document order and scores of every query group at every head, k >= 2.
 
-    q: [r, n_heads, d] pre-rotation query rows; k_raw: [s, n_kv_heads, d]
-    in ``plan``'s column order; own: each row's own document (-1: none),
-    never a candidate and last in its group's order.  Groups follow
-    ``_group_bounds``; aggregation and sort direction are ``plan.mode``'s.
-    Each KV head's query heads' copies of each row are scored against all
-    its document keys in ``canonical_order`` (``plan.ranked_cols``): one
-    score product batched over the KV heads and one ``row_softmax`` per
-    ``row_block`` of rows.  One ``reduceat`` sums (max: takes the maximum
-    of) each document's columns, another each group's rows, which gives
-    every group's scores at once; only the comparator sort runs per
-    (group, head).  Returns
+    q: [r, n_heads, d] pre-rotation query rows; k_raw: [c, n_kv_heads, d],
+    at least the columns before the suffix, in ``plan``'s column order;
+    own: each row's document (-1: none), never a candidate and last in its
+    group's order.  Groups follow ``_group_bounds``; aggregation and sort
+    direction are ``plan.mode``'s.  Each KV head's query heads' copies of
+    each row are scored against all its document keys in ``canonical_order``
+    (``plan.ranked_cols``): one score product batched over the KV heads and
+    one ``row_softmax`` per ``row_block`` of rows (for n keys).  One
+    ``reduceat`` sums (max: takes the maximum of) each document's columns,
+    another each group's rows, which gives every group's scores at once;
+    only the comparator sort runs per (group, head).  Returns
     orders[group][head] = (ordered documents, candidate scores).
     """
     layout, mode = plan.layout, plan.mode
@@ -129,7 +129,7 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
     r, n_heads, d = q.shape
     n_kv = k_raw.shape[1]
     rep = n_heads // n_kv
-    block = row_block(len(k_raw), rep)
+    block = row_block(layout.n, rep)
     bounds = _group_bounds(own)
     totals = np.empty((r, n_heads, layout.k), dtype=q.dtype)
     scale = 1.0 / np.sqrt(np.float32(d))

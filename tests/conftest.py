@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from posinv import Model, ModelConfig, init_random
+from posinv import Model, ModelConfig, decode_step, init_random, prefill
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +29,17 @@ def random_config(rng: np.random.Generator) -> ModelConfig:
         d_model=n_heads * d_head, d_head=d_head,
         d_ff=int(rng.choice([32, 64])), vocab_size=260, max_seq_len=256,
     )
+
+
+def greedy_stream(model, tokens, layout, mode, steps):
+    """Yield one stream's prefill logits, then those of ``steps`` greedy decode steps."""
+    cache, logits = prefill(model, tokens, layout, mode)
+    yield logits
+    for _ in range(steps):
+        logits = decode_step(model, cache, int(np.argmax(logits)), mode)
+        yield logits
+
+
+def logits_digest(logits) -> str:
+    """SHA-256 of a sequence of logit arrays, bitwise."""
+    return hashlib.sha256(b"".join(x.tobytes() for x in logits)).hexdigest()

@@ -93,42 +93,56 @@ def test_invariant_modes_match_the_mode_table():
     assert {v for v in VARIANTS if AttentionMode(v).invariant} == set(INVARIANT_MODES)
 
 
-# Prefill logits of every order, one SHA-256 digest each, computed in a
-# child process so that OpenBLAS runs with 2 threads.
+# Prefill logits of every order, and those of ``steps`` greedy decode steps,
+# one SHA-256 digest each, computed in a child process so that OpenBLAS runs
+# with 2 threads; ``grew``: whether each run's cache outgrew its prefill size.
 REALISTIC_CHILD = """
 import hashlib, json, sys
-from posinv import (AttentionMode, Model, ModelConfig, SegmentedPrompt, init_random,
-                    permute_documents, prefill, tokenize)
+import numpy as np
+from posinv import (AttentionMode, Model, ModelConfig, SegmentedPrompt, decode_step,
+                    init_random, permute_documents, prefill, tokenize)
 
 spec = json.loads(sys.argv[1])
 config = ModelConfig(**spec["config"])
 model = Model(config, init_random(config, 7))
 prompt = SegmentedPrompt(spec["prefix"], tuple(spec["docs"]), spec["suffix"])
-digests = {}
+digests, grew = {}, []
 for variant in spec["modes"]:
+    mode = AttentionMode(variant)
     digests[variant] = []
     for order in spec["orders"]:
         tokens, layout = tokenize(permute_documents(prompt, order))
-        _, logits = prefill(model, tokens, layout, AttentionMode(variant))
-        digests[variant].append(hashlib.sha256(logits.tobytes()).hexdigest())
-print(json.dumps(digests))
+        cache, logits = prefill(model, tokens, layout, mode)
+        digest, capacity = hashlib.sha256(logits.tobytes()), cache.buffers[0].shape[2]
+        for _ in range(spec["steps"]):
+            logits = decode_step(model, cache, int(np.argmax(logits)), mode)
+            digest.update(logits.tobytes())
+        digests[variant].append(digest.hexdigest())
+        grew.append(cache.buffers[0].shape[2] > capacity)
+print(json.dumps({"digests": digests, "grew": grew}))
 """
 
 
-def test_invariance_at_realistic_size_with_two_blas_threads(lemma_config):
+def realistic_spec(lemma_config, modes, steps):
+    """n ~ 400, k = 6 unequal documents, 3 orders."""
     words = "alpha bravo charlie delta echo foxtrot golf hotel india juliet".split()
     lengths = (38, 71, 45, 64, 52, 58)  # unequal on purpose
     docs = ["".join(f"{words[(j + i) % 10]} " for i in range(20))[:n]
             for j, n in enumerate(lengths)]
-    spec = {
+    return {
         "config": {**vars(lemma_config), "max_seq_len": 512},
         "prefix": "system: answer from the passages below. ",
         "docs": docs,
         "suffix": " question: which passage is first?",
         "orders": [list(range(6)), [5, 4, 3, 2, 1, 0], [2, 0, 4, 1, 5, 3]],
-        "modes": [*INVARIANT_MODES, "vanilla"],
+        "modes": modes,
+        "steps": steps,
     }
-    _, layout = tokenize(SegmentedPrompt(spec["prefix"], tuple(docs), spec["suffix"]))
+
+
+def run_realistic_child(spec):
+    """The child's digests and growths, with OpenBLAS on 2 threads."""
+    _, layout = tokenize(SegmentedPrompt(spec["prefix"], tuple(spec["docs"]), spec["suffix"]))
     assert layout.k == 6 and 380 <= layout.n <= 420
     src = str(Path(posinv.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
@@ -136,12 +150,27 @@ def test_invariance_at_realistic_size_with_two_blas_threads(lemma_config):
     done = subprocess.run([sys.executable, "-c", REALISTIC_CHILD, json.dumps(spec)],
                           env=env, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
-    digests = json.loads(done.stdout)
+    return {**json.loads(done.stdout), "n": layout.n}
+
+
+def test_invariance_at_realistic_size_with_two_blas_threads(lemma_config):
+    out = run_realistic_child(realistic_spec(lemma_config, [*INVARIANT_MODES, "vanilla"], 0))
+    digests = out["digests"]
     for variant in INVARIANT_MODES:
         assert len(set(digests[variant])) == 1, variant
     # Control: an order-sensitive mode must tell these orders apart.
     assert len(set(digests["vanilla"])) == 3
-    report_pass(1, f"n={layout.n}, k=6, 3 orders, 2 BLAS threads: bitwise invariant")
+    report_pass(1, f"n={out['n']}, k=6, 3 orders, 2 BLAS threads: bitwise invariant")
+
+
+def test_decode_across_a_growth_invariant_with_two_blas_threads(lemma_config):
+    # Prefill leaves 64 free columns; decoding past them grows every buffer.
+    out = run_realistic_child(realistic_spec(lemma_config, ["pine", "vanilla"], 70))
+    assert all(out["grew"]) and len(out["grew"]) == 6
+    assert len(set(out["digests"]["pine"])) == 1
+    # Control: an order-sensitive mode must tell these orders apart.
+    assert len(set(out["digests"]["vanilla"])) > 1
+    report_pass(1, f"n={out['n']}, k=6, 3 orders, 70 decode steps past a growth: bitwise invariant")
 
 
 def test_decode_step_logits_bitwise_invariant(lemma_model):

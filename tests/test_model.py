@@ -1,6 +1,11 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +37,11 @@ from posinv.kernels import ShapeError, row_block
 from posinv.model import load_config, load_tensors, save_tensors
 from posinv.rope import rotate
 
+from conftest import greedy_stream, logits_digest
+
 VANILLA = AttentionMode("vanilla")
 PINE = AttentionMode("pine")
+RAW_KEY_MODES = ("pine", "pine_reverse")  # importance scores read raw keys (k >= 2)
 
 
 def checksum(weights):
@@ -308,6 +316,38 @@ class TestDecodeStep:
             decode_step(model, cache, 0, VANILLA)
 
 
+class TestTokenIds:
+    """Every token id needs an embedding row: a negative id would silently
+    read a row counted from the end of the table."""
+
+    @pytest.mark.parametrize("bad", [-5, -1, 260, 999, 2**70, 3.0])
+    def test_prefill_refuses_ids_outside_the_vocabulary(self, tiny_model, bad):
+        tokens, layout = tokenize(SegmentedPrompt("SYS", ("abc", "de"), "q"))
+        tokens[4] = bad
+        with pytest.raises(ShapeError, match="token ids"):
+            prefill(tiny_model, tokens, layout, PINE)
+
+    @pytest.mark.parametrize("bad", [-1, 260, 999, 2**70])
+    def test_refused_decode_step_leaves_the_cache_unchanged(self, tiny_model, bad):
+        tokens, layout = tokenize(SegmentedPrompt("SYS", ("abc", "de"), "q"))
+        cache, logits = prefill(tiny_model, tokens, layout, PINE)
+        held = [x.tobytes() for x in (*cache.buffers, *cache.k_raw)]  # headroom included
+        with pytest.raises(ShapeError, match="token ids"):
+            decode_step(tiny_model, cache, bad, PINE)
+        assert cache.n_cached == layout.n
+        assert [x.tobytes() for x in (*cache.buffers, *cache.k_raw)] == held
+        tok = int(np.argmax(logits))
+        fresh, _ = prefill(tiny_model, tokens, layout, PINE)
+        assert decode_step(tiny_model, cache, tok, PINE).tobytes() == \
+            decode_step(tiny_model, fresh, tok, PINE).tobytes()
+
+    def test_largest_id_is_accepted(self, tiny_model):
+        tokens, layout = tokenize(SegmentedPrompt("SYS", ("abc", "de"), "q"))
+        cache, _ = prefill(tiny_model, tokens, layout, PINE)
+        last = tiny_model.config.vocab_size - 1
+        assert np.isfinite(decode_step(tiny_model, cache, last, PINE)).all()
+
+
 class TestRowBlocks:
     """Prefill runs query rows in blocks; each block scores and masks only
     the key blocks its rows can see."""
@@ -375,20 +415,38 @@ class TestGenerate:
 
 class TestBaseRotatedCache:
     @pytest.mark.parametrize("variant", modes.VARIANTS)
-    def test_cached_keys_rotated_once_at_base_positions(self, tiny_model, variant):
+    def test_cached_keys_rotated_once_at_base_positions(self, tiny_config, variant, monkeypatch):
+        # Each layer's raw keys, in storage order, as its k_proj computes them.
+        config = ModelConfig(**{**vars(tiny_config), "n_layers": 2})
+        model = Model(config, init_random(config, 3))
+        k_proj = {id(model.weights[f"layers.{i}.k_proj.weight"]): i for i in range(2)}
+        raw = [[], []]
+
+        def recording_matmul(a, b):
+            out = kernels.matmul(a, b)
+            if id(b) in k_proj:
+                raw[k_proj[id(b)]].append(out.reshape(len(a), config.n_kv_heads, -1))
+            return out
+
+        monkeypatch.setattr(model_mod, "matmul", recording_matmul)
         mode = AttentionMode(variant)
         tokens, layout = tokenize(SegmentedPrompt("SYS", ("abc", "de", "fgh"), "qq"))
-        cache, logits = prefill(tiny_model, tokens, layout, mode)
+        cache, logits = prefill(model, tokens, layout, mode)
         for _ in range(2):
-            logits = decode_step(tiny_model, cache, int(np.argmax(logits)), mode)
-        theta = tiny_model.config.rope_theta
+            logits = decode_step(model, cache, int(np.argmax(logits)), mode)
         s = layout.n + 2
-        for k_raw, k_base in zip(cache.k_raw, cache.k_base):
-            # Column order: each column's storage row, rotated at its base position.
-            storage = cache.plan.columns(0, s)[0]
-            assert sorted(storage) == list(range(s))
-            assert np.array_equal(k_base, rotate(k_raw, modes.base_positions(mode, layout, s)[storage],
-                                                 theta))
+        storage = cache.plan.columns(0, s)[0]  # each column's storage row
+        assert sorted(storage) == list(range(s))
+        positions = modes.base_positions(mode, layout, s)[storage]
+        checked = 0
+        for layer, k_base in enumerate(cache.k_base):
+            k_raw = np.concatenate(raw[layer])[storage]  # in column order
+            assert np.array_equal(k_base, rotate(k_raw, positions, config.rope_theta))
+            if variant in RAW_KEY_MODES:  # importance reads the prompt's, before the suffix
+                assert cache.k_raw[layer].tobytes() == k_raw[:layout.suffix_start].tobytes()
+            checked += 1
+        assert checked == config.n_layers
+        assert len(cache.k_raw) == (config.n_layers if variant in RAW_KEY_MODES else 0)
 
     def test_decode_under_another_mode_is_refused(self, tiny_model):
         # A cache keeps the plan it was prefilled under: a decode step under
@@ -430,8 +488,9 @@ class TestCacheBuffer:
             with pytest.raises(MemoryError, match="injected"):
                 decode_step(model, cache, tok, PINE)
         assert cache.n_cached == layout.n
-        for arrays, copies in zip((cache.k_raw, cache.k_base, cache.v), held):
-            assert [x.shape for x in arrays] == [(layout.n, 1, 16)] * 3
+        for arrays, copies, rows in zip((cache.k_raw, cache.k_base, cache.v), held,
+                                        (layout.suffix_start, layout.n, layout.n)):
+            assert [x.shape for x in arrays] == [(rows, 1, 16)] * 3
             assert all(x.tobytes() == y.tobytes() for x, y in zip(arrays, copies))
         fresh, _ = prefill(model, tokens, layout, PINE)
         assert decode_step(model, cache, tok, PINE).tobytes() == \
@@ -481,6 +540,106 @@ class TestCacheBuffer:
         assert cache.n_cached == limit
         assert all(x.tobytes() == y.tobytes()
                    for x, y in zip((*cache.k_raw, *cache.k_base, *cache.v), held))
+
+
+class TestCacheContents:
+    """A cache holds rotated keys and values, which every mode reads, and raw
+    keys only where importance reads them: the prompt's columns before the
+    suffix, written once at prefill."""
+
+    @pytest.mark.parametrize("variant", modes.VARIANTS)
+    def test_raw_keys_only_where_importance_reads_them(self, tiny_config, variant):
+        config = ModelConfig(**{**vars(tiny_config), "n_layers": 2})
+        model = Model(config, init_random(config, 0))
+        for docs in [("abc", "de", "fgh"), ("abc",), ()]:
+            tokens, layout = tokenize(SegmentedPrompt("SYS", docs, "qq"))
+            cache, _ = prefill(model, tokens, layout, AttentionMode(variant))
+            assert [buf.shape[:2] for buf in cache.buffers] == [(2, 1)] * 2
+            if variant in RAW_KEY_MODES and layout.k >= 2:
+                assert [x.shape for x in cache.k_raw] == [(layout.suffix_start, 1, 16)] * 2
+            else:
+                assert cache.k_raw == [], (variant, layout.k)
+
+    def test_pine_raw_keys_written_once(self, tiny_config):
+        config = ModelConfig(**{**vars(tiny_config), "n_layers": 2})
+        model = Model(config, init_random(config, 0))
+        tokens, layout = tokenize(SegmentedPrompt("SYS", ("abc", "de", "fgh"), "qq"))
+        cache, logits = prefill(model, tokens, layout, PINE)
+        k_raw, buffer = list(cache.k_raw), cache.buffers[0]
+        held = [x.tobytes() for x in k_raw]
+        for _ in range(model_mod._HEADROOM + 6):  # past the headroom: the buffers grow
+            logits = decode_step(model, cache, int(np.argmax(logits)), PINE)
+            assert len(cache.k_raw) == 2
+            assert all(x is y for x, y in zip(cache.k_raw, k_raw))
+        assert cache.buffers[0] is not buffer
+        assert [x.tobytes() for x in cache.k_raw] == held
+
+
+# One stream served alone in a fresh process: its logits' digest per mode.
+SOLO_CHILD = """
+import json, sys
+from posinv import AttentionMode, Model, ModelConfig, SegmentedPrompt, init_random, tokenize
+from conftest import greedy_stream, logits_digest
+
+spec = json.loads(sys.argv[1])
+config = ModelConfig(**spec["config"])
+model = Model(config, init_random(config, 5))
+prefix, docs, suffix = spec["prompt"]
+tokens, layout = tokenize(SegmentedPrompt(prefix, tuple(docs), suffix))
+print(json.dumps({v: logits_digest(greedy_stream(model, tokens, layout, AttentionMode(v),
+                                                 spec["steps"])) for v in spec["modes"]}))
+"""
+
+
+class TestStreamIsolation:
+    """Streams share no state: served interleaved step by step, or in two
+    threads, each stream gives the logits it gives alone in a fresh process."""
+
+    MODES = ("pine", "sp", "vanilla")
+    # One layout, other contents: a stream that read the other's keys would
+    # raise no error, only give other logits.
+    PROMPTS = [("SYS: ", ["alpha bravo", "charlie", "delta echo fox"], " Q?"),
+               ("sys: ", ["golf hotel", "india j", "kilo lima mike"], " Q!")]
+
+    def test_interleaved_and_threaded_streams_match_solo(self):
+        config = ModelConfig(n_layers=2, n_heads=4, n_kv_heads=2, d_model=64, d_head=16,
+                             d_ff=128, vocab_size=260, max_seq_len=256)
+        model = Model(config, init_random(config, 5))
+        steps = model_mod._HEADROOM + 6  # past the headroom: the buffers grow
+        paths = [str(Path(model_mod.__file__).resolve().parents[1]),
+                 str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        inputs = [tokenize(SegmentedPrompt(a, tuple(b), c)) for a, b, c in self.PROMPTS]
+        served = {}
+        with ExitStack() as children:
+            solo = [children.enter_context(subprocess.Popen(
+                [sys.executable, "-c", SOLO_CHILD, json.dumps(
+                    {"config": vars(config), "prompt": prompt, "steps": steps,
+                     "modes": self.MODES})],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+                for prompt in self.PROMPTS]
+            for variant in self.MODES:
+                mode = AttentionMode(variant)
+                streams = [greedy_stream(model, *tl, mode, steps) for tl in inputs]
+                interleaved = list(zip(*streams))  # one step of each stream in turn
+                served[variant, "interleaved"] = [logits_digest(run) for run in zip(*interleaved)]
+                switch = sys.getswitchinterval()
+                sys.setswitchinterval(1e-5)  # hand the interpreter over often
+                try:
+                    with ThreadPoolExecutor(max_workers=2) as pool:
+                        runs = [pool.submit(lambda tl=tl, mode=mode: logits_digest(
+                            greedy_stream(model, *tl, mode, steps))) for tl in inputs]
+                        served[variant, "threads"] = [run.result(timeout=300) for run in runs]
+                finally:
+                    sys.setswitchinterval(switch)
+            for i, child in enumerate(solo):
+                out, err = child.communicate(timeout=600)
+                assert child.returncode == 0, err
+                solo[i] = json.loads(out)
+        for variant in self.MODES:
+            assert solo[0][variant] != solo[1][variant]  # two streams that differ
+            for how in ("interleaved", "threads"):
+                assert served[variant, how] == [s[variant] for s in solo], (variant, how)
 
 
 class TestTieEmbeddingsConfig:
