@@ -1,9 +1,9 @@
 """Dense numeric kernels shared by the whole runtime.
 
-All kernels are pure functions over numpy arrays, compute in a fixed
-reduction order (ascending index along the contracted axis), and never
-let NaN/Inf escape silently.  float32 is the working dtype; float64 is
-used only by oracle-side reference code.
+Kernels compute in a fixed reduction order (ascending index along the
+contracted axis) and never let NaN/Inf escape silently.  ``row_softmax``
+works in place in the caller's score buffer; the others are pure functions.
+float32 is the working dtype; float64 is used only by oracle-side code.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class NumericError(FloatingPointError):
     """A kernel produced a non-finite value."""
 
 
-def _check_finite(x: np.ndarray, where: str) -> np.ndarray:
+def check_finite(x: np.ndarray, where: str) -> np.ndarray:
     if not np.isfinite(x).all():
         raise NumericError(f"non-finite value produced by {where}")
     return x
@@ -42,43 +42,49 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     if a.dtype != b.dtype:
         raise ShapeError(f"matmul: dtype mismatch {a.dtype} vs {b.dtype}")
-    return _check_finite(a @ b, "matmul")
+    return check_finite(a @ b, "matmul")
 
 
-def row_softmax(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Row-wise softmax of ``scale * x`` with max-subtraction.
-
-    Entries equal to -inf are treated as masked and map to exactly 0.
-    A row with every entry masked has no well-defined distribution and
-    raises instead of returning NaNs.  ``x`` is left unchanged: the
-    shift, exp and division run in place in one scratch array.
+def row_softmax(x: np.ndarray, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized row-wise softmax of ``scale * x``, in place: ``x``, the
+    caller's score buffer, is scaled, shifted by its row max and
+    exponentiated, and ``(x, row sums)`` is returned; callers divide their
+    small outputs by the sums.  Masked (-inf) entries map to exactly 0 and
+    each row's max to exactly 1.  A fully masked row, or a NaN or +inf
+    score, has no distribution and raises.
     """
     if x.shape[-1] < 1:
         raise ShapeError("row_softmax: empty rows")
-    z = np.float32(scale) * x
-    row_max = np.max(z, axis=-1, keepdims=True)
-    if not np.isfinite(row_max).all():
-        raise NumericError("row_softmax: fully masked row")
-    z -= row_max
-    np.exp(z, out=z)
-    z /= np.sum(z, axis=-1, keepdims=True)
-    return _check_finite(z.astype(x.dtype, copy=False), "row_softmax")
+    x *= np.float32(scale)
+    row_max = np.max(x, axis=-1, keepdims=True)
+    if not np.isfinite(row_max).all():  # a NaN anywhere in a row makes its max NaN
+        bad = (np.isnan(row_max) | np.isposinf(row_max)).any()
+        raise NumericError(f"row_softmax: {'non-finite score' if bad else 'fully masked row'}")
+    x -= row_max
+    np.exp(x, out=x)
+    return x, np.sum(x, axis=-1, keepdims=True)
 
 
 def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
-    """Root-mean-square normalization per row, scaled by ``gain``."""
+    """Root-mean-square normalization per row, scaled by ``gain``, in one new array."""
     if eps <= 0:
         raise ValueError("rms_norm: eps must be positive")
     if gain.shape[-1] != x.shape[-1]:
         raise ShapeError(f"rms_norm: gain width {gain.shape} vs input {x.shape}")
-    ms = np.mean(np.square(x, dtype=x.dtype), axis=-1, keepdims=True)
-    out = x / np.sqrt(ms + np.asarray(eps, dtype=x.dtype)) * gain
-    return _check_finite(out, "rms_norm")
+    out = np.square(x, dtype=x.dtype)
+    ms = np.mean(out, axis=-1, keepdims=True)
+    np.divide(x, np.sqrt(ms + np.asarray(eps, dtype=x.dtype)), out=out)
+    out *= gain
+    return check_finite(out, "rms_norm")
 
 
 def swiglu(x_gate: np.ndarray, x_up: np.ndarray) -> np.ndarray:
-    """Gated activation: silu(x_gate) * x_up, elementwise."""
+    """Gated activation: silu(x_gate) * x_up, elementwise, in one new array."""
     if x_gate.shape != x_up.shape:
         raise ShapeError(f"swiglu: shape mismatch {x_gate.shape} vs {x_up.shape}")
-    silu = x_gate / (1.0 + np.exp(-x_gate, dtype=x_gate.dtype))
-    return _check_finite((silu * x_up).astype(x_gate.dtype, copy=False), "swiglu")
+    out = np.negative(x_gate)
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(x_gate, out, out=out)
+    out *= x_up
+    return check_finite(out, "swiglu")

@@ -34,7 +34,7 @@ from typing import Literal, NamedTuple, get_args
 import numpy as np
 
 from . import pine
-from .kernels import NEG_INF, row_block, row_softmax
+from .kernels import NEG_INF, check_finite, row_block, row_softmax
 from .prompts import SequenceLayout
 from .rope import rotate
 
@@ -137,9 +137,9 @@ def sp_rescale(weights: np.ndarray, layout: SequenceLayout, q_index: int, k: int
     renormalize; other queries (and k=0) pass through unchanged.  Documents
     fill keys prefix_len .. suffix_start - 1 in storage and in column order.
 
-    Attention passes the weights of the columns a row block keeps.  A block
-    with suffix rows keeps every column up to its last row, since those rows
-    see every earlier key, so its document columns are still that range.
+    Attention passes the exponentials of the columns a row block keeps.  A
+    block with suffix rows keeps every column up to its last row, since
+    those rows see every earlier key, so its document columns are that range.
     """
     if k <= 1 or q_index < layout.suffix_start:
         # 1/k scaling with k <= 1 is the identity; skipping it keeps the
@@ -292,11 +292,13 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
     scores only the columns ``plan.kept_columns`` keeps for its rows (whole
     key blocks that other rows of the block see, its own block up to its
     last row), with one score product per run of kept columns and one value
-    product per contiguous span, each batched over the KV heads.  A block's
-    mask (``build_mask``, over its rows and its kept columns) sets hidden
-    keys to NEG_INF before its one softmax, so neither masks nor scores grow
-    beyond one row block per KV head.  Each head takes the rows and columns
-    a block of that head alone would, so its output is bitwise the same.
+    product per contiguous span, each batched over the KV heads.  Scores go
+    into one workspace per call, of one row block per KV head; a block's
+    mask (``build_mask``, over its rows and kept columns) sets hidden keys
+    to NEG_INF there, ``row_softmax`` exponentiates them in place, and the
+    [rows, d_head] value products are divided by the row sums.  Each head
+    takes the rows and columns a block of that head alone would, so its
+    output is bitwise the same.
     A lone suffix or decoded row sees every earlier key in every mode, so a
     decode step builds no mask.
 
@@ -339,6 +341,7 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
     pos = (q_pos[:, :, None] - shifts).reshape(t, n_kv, rep, -1).transpose(3, 1, 0, 2)
     keys, vals = k_base.swapaxes(0, 1), v.swapaxes(0, 1)  # [n_kv, s, d]
     out = np.empty((t, n_heads, d_head), dtype=q_raw.dtype)
+    work = np.empty(n_kv * min(block, t) * rep * s, dtype=q_raw.dtype)  # every block's scores
     for b in range(0, t, block):
         rb = slice(b, b + block)
         runs = plan.kept_columns(q_start + b, q_start + min(b + block, t), s)
@@ -349,7 +352,7 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
         pos_b = pos[:, :, rb]
         q_rot = rotate(np.broadcast_to(q[:, rb], pos_b.shape + (d_head,)).reshape(-1, d_head),
                        pos_b.ravel(), rope_theta).reshape(pos_b.shape[:2] + (-1, d_head))
-        scores = np.empty((n_kv, q_rot.shape[2], width), dtype=q_raw.dtype)
+        scores = work[:n_kv * q_rot.shape[2] * width].reshape(n_kv, -1, width)
         at = 0
         for c0, c1, i in runs:
             np.matmul(q_rot[i], keys[:, c0:c1].swapaxes(1, 2), out=scores[:, :, at:at + c1 - c0])
@@ -359,16 +362,20 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
             cols = np.concatenate([np.arange(c0, c1) for c0, c1, _ in runs])  # the kept columns
             hidden = ~build_mask(mode, layout, rows[rb], key_at[cols])[:, None, :]
             np.copyto(scores, NEG_INF, where=hidden)
-        w = row_softmax(scores.reshape(-1, width), scale).reshape(scores.shape)
-        if mode.rescales and late[rb].any():  # the rows at or after suffix_start
-            # A block with late rows keeps columns 0 .. its last row.
-            w[:, late[rb]] = sp_rescale(w[:, late[rb]], layout, layout.suffix_start, layout.k)
-        w = w.reshape(n_kv, -1, width)
+        e, sums = row_softmax(scores.reshape(-1, width), scale)
+        e, sums = e.reshape(scores.shape), sums.reshape(n_kv, -1, rep, 1)
+        if mode.rescales and layout.k > 1 and late[rb].any():  # rows at or after suffix_start
+            # A block with late rows keeps columns 0 .. its last row.  sp_rescale
+            # renormalizes their exponentials, so their outputs take no division.
+            e[:, late[rb]] = sp_rescale(e[:, late[rb]], layout, layout.suffix_start, layout.k)
+            sums[:, late[rb]] = 1
+        e = e.reshape(n_kv, -1, width)
         at = 0
         for c0, c1, _ in spans:
-            part = w[:, :, at:at + c1 - c0] @ vals[:, c0:c1]
+            part = e[:, :, at:at + c1 - c0] @ vals[:, c0:c1]
             acc = part if at == 0 else acc + part
             at += c1 - c0
+        acc /= sums.reshape(n_kv, -1, 1)
         out[rows[rb] - q_start] = acc.reshape(n_kv, -1, rep, d_head).swapaxes(0, 1).reshape(
             -1, n_heads, d_head)
-    return out
+    return check_finite(out, "attention")

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Literal, Sequence
 
 import numpy as np
 
-from .kernels import NEG_INF, row_block, row_softmax
+from .kernels import NEG_INF, check_finite, row_block, row_softmax
 from .prompts import SequenceLayout
 
 if TYPE_CHECKING:
@@ -114,12 +114,13 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
     group's order.  Groups follow ``_group_bounds``; aggregation and sort
     direction are ``plan.mode``'s.  Each KV head's query heads' copies of
     each row are scored against all its document keys in ``canonical_order``
-    (``plan.ranked_cols``): one score product batched over the KV heads and
-    one ``row_softmax`` per ``row_block`` of rows (for n keys).  One
-    ``reduceat`` sums (max: takes the maximum of) each document's columns,
-    another each group's rows, which gives every group's scores at once;
-    only the comparator sort runs per (group, head).  Returns
-    orders[group][head] = (ordered documents, candidate scores).
+    (``plan.ranked_cols``): per ``row_block`` of rows (for n keys), one score
+    product batched over the KV heads into one workspace, exponentiated in
+    place by ``row_softmax``.  One ``reduceat`` sums (max: takes the maximum
+    of) each document's exponentials, which are then divided by their row's
+    sum; another ``reduceat`` takes each group's rows, which gives every
+    group's scores at once; only the comparator sort runs per (group, head).
+    Returns orders[group][head] = (ordered documents, candidate scores).
     """
     layout, mode = plan.layout, plan.mode
     if layout.k < 2:
@@ -136,14 +137,20 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
     # Each KV head's query heads: [n_kv, r, rep, d]; its keys, transposed: [n_kv, d, cols].
     q_kv = q.reshape(r, n_kv, rep, d).swapaxes(0, 1)
     keys_t = k_raw[plan.ranked_cols].transpose(1, 2, 0)
+    n_cols = len(col_doc)
+    work = np.empty(n_kv * min(block, r) * rep * n_cols, dtype=q.dtype)  # every block's logits
     for b in range(0, r, block):
         rb = slice(b, b + block)
-        logits = (q_kv[:, rb].reshape(n_kv, -1, d) @ keys_t).reshape(n_kv, -1, rep, len(col_doc))
+        q_b = q_kv[:, rb].reshape(n_kv, -1, d)
+        logits = np.matmul(q_b, keys_t, out=work[:q_b[..., 0].size * n_cols].reshape(
+            n_kv, -1, n_cols)).reshape(n_kv, -1, rep, n_cols)
         if (own[rb] >= 0).any():  # a suffix or decoded row (own -1) has no column to hide
             np.copyto(logits, NEG_INF, where=(col_doc == own[rb, None])[:, None, :])
-        probs = row_softmax(logits.reshape(-1, len(col_doc)), scale).reshape(logits.shape)
-        totals[rb] = reduce.reduceat(probs, plan.ranked_starts, axis=3).swapaxes(0, 1).reshape(
-            -1, n_heads, layout.k)
+        e, sums = row_softmax(logits.reshape(-1, n_cols), scale)
+        part = reduce.reduceat(e.reshape(logits.shape), plan.ranked_starts, axis=3)
+        part /= sums.reshape(n_kv, -1, rep, 1)
+        totals[rb] = part.swapaxes(0, 1).reshape(-1, n_heads, layout.k)
+    check_finite(totals, "group_ordering")
     # in float64, so the mean rounds as a division of the Python floats would
     group_totals = reduce.reduceat(totals, bounds, axis=0).astype(np.float64)
     if mode.aggregation == "mean":

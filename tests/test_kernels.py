@@ -44,38 +44,87 @@ class TestMatmul:
         assert np.array_equal(matmul(a, b), matmul(a, b))
 
 
+def softmax_parts64(x, scale):
+    """Float64 reference of row_softmax: the exponentials and row sums."""
+    z = float(np.float32(scale)) * np.asarray(x, dtype=np.float64)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e, e.sum(axis=-1, keepdims=True)
+
+
 class TestRowSoftmax:
     def test_uniform_logits(self):
-        out = row_softmax(f32([[0, 0, 0]]), 1.0)
-        assert np.allclose(out, [[1 / 3] * 3], atol=1e-7)
+        e, sums = row_softmax(f32([[0, 0, 0]]), 1.0)
+        assert np.array_equal(e, f32([[1, 1, 1]]))
+        assert np.array_equal(sums, f32([[3]]))
 
     def test_single_visible_key(self):
-        out = row_softmax(np.asarray([[NEG_INF, 0.0]], dtype=np.float32), 1.0)
-        assert out[0, 0] == 0.0
-        assert out[0, 1] == 1.0
+        e, sums = row_softmax(np.asarray([[NEG_INF, 0.0]], dtype=np.float32), 1.0)
+        assert e[0, 0] == 0.0
+        assert e[0, 1] == 1.0
+        assert sums[0, 0] == 1.0
 
     def test_float64_reference(self):
         row = np.asarray([[1.0, 2.0, 3.0]])
-        e = np.exp(row - 3.0)
-        ref = e / e.sum()
-        assert np.max(np.abs(row_softmax(row, 1.0) - ref)) < 1e-9
+        ref_e = np.exp(row - 3.0)
+        ref_sums = ref_e.sum(axis=-1, keepdims=True)
+        e, sums = row_softmax(row.copy(), 1.0)
+        assert e.dtype == sums.dtype == np.float64
+        assert np.max(np.abs(e - ref_e)) < 1e-9
+        assert np.max(np.abs(sums - ref_sums)) < 1e-9
+        assert np.max(np.abs(e / sums - ref_e / ref_sums)) < 1e-9
 
-    def test_input_unchanged_and_output_the_out_of_place_formula(self):
+    def test_float32_against_float64_reference(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(scale=4.0, size=(9, 31)).astype(np.float32)
+        x[rng.random(x.shape) < 0.3] = NEG_INF
+        x[:, 5] = rng.normal(size=9)  # every row keeps a visible key
+        scale = 1.0 / np.sqrt(np.float32(32))
+        ref_e, ref_sums = softmax_parts64(x, scale)
+        e, sums = row_softmax(x.copy(), scale)
+        assert np.max(np.abs(e - ref_e)) < 1e-6
+        assert np.max(np.abs(sums / ref_sums - 1)) < 1e-6
+        assert np.max(np.abs(e / sums - ref_e / ref_sums)) < 1e-6
+
+    def test_masked_entries_exactly_zero_and_row_max_exactly_one(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(scale=8.0, size=(40, 17)).astype(np.float32)
+        hidden = rng.random(x.shape) < 0.5
+        hidden[:, 3] = False
+        x[hidden] = NEG_INF
+        top = np.argmax(x, axis=-1)
+        e, _ = row_softmax(x, 0.7)
+        assert (e[hidden] == 0).all()
+        assert (e[np.arange(40), top] == 1).all()
+        assert ((e >= 0) & (e <= 1)).all()
+
+    def test_in_place_and_bitwise_the_out_of_place_formula(self):
         rng = np.random.default_rng(2)
         x = rng.normal(scale=4.0, size=(37, 53)).astype(np.float32)
         x[rng.random(x.shape) < 0.3] = NEG_INF
         x[:, 0] = rng.normal(size=37)  # every row keeps a visible key
-        held = x.tobytes()
         scale = 1.0 / np.sqrt(np.float32(32))
-        out = row_softmax(x, scale)
-        assert x.tobytes() == held
         z = np.float32(scale) * x
-        e = np.exp(z - np.max(z, axis=-1, keepdims=True))
-        assert out.tobytes() == (e / np.sum(e, axis=-1, keepdims=True)).tobytes()
+        ref_e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+        e, sums = row_softmax(x, scale)
+        assert e is x
+        assert e.tobytes() == ref_e.tobytes()
+        assert sums.tobytes() == np.sum(ref_e, axis=-1, keepdims=True).tobytes()
+
+    def test_empty_rows(self):
+        with pytest.raises(ShapeError, match="empty rows"):
+            row_softmax(np.zeros((2, 0), dtype=np.float32), 1.0)
 
     def test_fully_masked_row(self):
         with pytest.raises(NumericError, match="fully masked"):
             row_softmax(np.asarray([[NEG_INF, NEG_INF]], dtype=np.float32), 1.0)
+        with pytest.raises(NumericError, match="fully masked"):
+            row_softmax(np.asarray([[0.0, 1.0], [NEG_INF, NEG_INF]], dtype=np.float32), 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_score(self, bad):
+        for x in ([[bad, 0.0]], [[NEG_INF, bad]], [[NEG_INF, NEG_INF], [0.0, bad]]):
+            with pytest.raises(NumericError, match="non-finite score"):
+                row_softmax(np.asarray(x, dtype=np.float32), 1.0)
 
     @given(
         st.lists(st.floats(-50, 50, width=32), min_size=1, max_size=8),
@@ -83,9 +132,10 @@ class TestRowSoftmax:
     )
     @settings(max_examples=60, deadline=None)
     def test_rows_normalized(self, row, scale):
-        out = row_softmax(f32([row]), scale)
-        assert (out >= 0).all()
-        assert abs(float(out.sum()) - 1.0) < 1e-6
+        e, sums = row_softmax(f32([row]), scale)
+        assert ((e >= 0) & (e <= 1)).all()
+        assert e.max() == 1
+        assert abs(float((e / sums).sum()) - 1.0) < 1e-6
 
 
 class TestRmsNorm:
@@ -105,6 +155,16 @@ class TestRmsNorm:
         x64, g64 = x.astype(np.float64), g.astype(np.float64)
         ref = x64 / np.sqrt(np.mean(x64**2, axis=-1, keepdims=True) + 1e-5) * g64
         assert np.max(np.abs(rms_norm(x, g, 1e-5) - ref)) < 1e-6
+
+    def test_inputs_unchanged_and_output_the_out_of_place_formula(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(scale=3.0, size=(983, 512)).astype(np.float32)
+        g = rng.normal(size=512).astype(np.float32)
+        held = x.tobytes(), g.tobytes()
+        out = rms_norm(x, g, 1e-5)
+        assert (x.tobytes(), g.tobytes()) == held
+        ms = np.mean(np.square(x, dtype=x.dtype), axis=-1, keepdims=True)
+        assert out.tobytes() == (x / np.sqrt(ms + np.float32(1e-5)) * g).tobytes()
 
     def test_bad_eps(self):
         with pytest.raises(ValueError):
@@ -128,6 +188,16 @@ class TestSwiglu:
         g64, u64 = g.astype(np.float64), u.astype(np.float64)
         ref = g64 / (1 + np.exp(-g64)) * u64
         assert np.max(np.abs(swiglu(g, u) - ref)) < 1e-6
+
+    def test_inputs_unchanged_and_output_the_out_of_place_formula(self):
+        rng = np.random.default_rng(7)
+        g = rng.normal(scale=4.0, size=(983, 512)).astype(np.float32)
+        u = rng.normal(size=(983, 512)).astype(np.float32)
+        held = g.tobytes(), u.tobytes()
+        out = swiglu(g, u)
+        assert (g.tobytes(), u.tobytes()) == held
+        assert out.dtype == np.float32
+        assert out.tobytes() == (g / (1.0 + np.exp(-g, dtype=g.dtype)) * u).tobytes()
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

@@ -194,7 +194,9 @@ class TestAssignPositions:
                 pos = assign_positions(mode, layout, row, ordered)
                 scores = (rotate(q[row, h][None], [pos[row]], 10000.0)
                           @ rotate(k[:, h // 2], pos, 10000.0).T)
-                w = row_softmax(np.where(mask[row], scores, NEG_INF), 1 / np.sqrt(np.float32(8)))[0]
+                z = np.where(mask[row], scores[0].astype(np.float64) / np.sqrt(8.0), -np.inf)
+                w = np.exp(z - z.max())
+                w /= w.sum()
                 if mode.rescales:
                     w = sp_rescale(w, layout, row, layout.k)
                 assert np.allclose(w @ v[:, h // 2], out[row, h], rtol=0, atol=1e-6), (row, h)
@@ -228,6 +230,49 @@ class TestSpRescale:
         _, layout = running_example()
         row = np.full(8, 1 / 8, dtype=np.float32)
         assert np.array_equal(sp_rescale(row, layout, 2, 3), row)
+
+
+class TestSpDeferredRescale:
+    """Attention divides each row's value product by its sum once, after sp
+    has scaled the late rows' unnormalized document columns."""
+
+    PROMPT = SegmentedPrompt("SYS: ", ("a" * 40, "b" * 41, "c" * 39), " Q?" + "x" * 120)
+
+    def test_equals_normalize_then_rescale_in_float64(self):
+        _, layout = tokenize(self.PROMPT)
+        n, n_heads, d = layout.n, 4, 8
+        block = row_block(n, n_heads)
+        assert layout.suffix_start // block < (n - 1) // block  # suffix rows in two row blocks
+        q, k, v = random_qkv(layout, n_heads, 1, d, 11)
+        mode = AttentionMode("sp")
+        out = attend(mode, q, k, v, layout)
+        plan = AttentionPlan(mode, layout)
+        last = attention_forward(plan, q[n - 1:], plan.lay_out(k), plan.lay_out(v), q_start=n - 1)
+        late = np.arange(layout.suffix_start, n)
+        pos = assign_positions(mode, layout, layout.suffix_start)
+        keys = rotate(k[:, 0], pos, 10000.0).astype(np.float64)
+        mask = build_mask(mode, layout, late, range(n))
+        for h in range(n_heads):
+            qr = rotate(q[late, h], pos[late], 10000.0).astype(np.float64)
+            z = np.where(mask, qr @ keys.T / np.sqrt(d), -np.inf)
+            w = np.exp(z - z.max(axis=1, keepdims=True))
+            w = sp_rescale(w / w.sum(axis=1, keepdims=True), layout, layout.suffix_start, layout.k)
+            ref = w @ v[:, 0].astype(np.float64)
+            assert np.max(np.abs(out[late, h] - ref)) < 1e-6, h
+            assert np.max(np.abs(last[0, h] - ref[-1])) < 1e-6, h
+
+    @pytest.mark.parametrize("docs", [(), ("a" * 40,)], ids=["k0", "k1"])
+    def test_k_at_most_1_bitwise_unrescaled(self, docs):
+        _, layout = tokenize(SegmentedPrompt("SYS: ", docs, " Q?" + "x" * 200))
+        n = layout.n
+        assert layout.suffix_start // row_block(n, 4) < (n - 1) // row_block(n, 4)
+        q, k, v = random_qkv(layout, 4, 1, 8, 12)
+        assert np.array_equal(attend(AttentionMode("sp"), q, k, v, layout),
+                              attend(AttentionMode("pcw"), q, k, v, layout))
+        plans = [AttentionPlan(AttentionMode(m), layout) for m in ("sp", "pcw")]
+        sp_last, pcw_last = (attention_forward(p, q[n - 1:], p.lay_out(k), p.lay_out(v),
+                                               q_start=n - 1) for p in plans)
+        assert np.array_equal(sp_last, pcw_last)
 
 
 def attend(mode, q, k, v, layout):
