@@ -56,13 +56,13 @@ def row_softmax(x: np.ndarray, scale: float = 1.0) -> tuple[np.ndarray, np.ndarr
     if x.shape[-1] < 1:
         raise ShapeError("row_softmax: empty rows")
     x *= np.float32(scale)
-    row_max = np.max(x, axis=-1, keepdims=True)
+    row_max = np.maximum.reduce(x, axis=-1, keepdims=True)  # np.max without its wrapper
     if not np.isfinite(row_max).all():  # a NaN anywhere in a row makes its max NaN
         bad = (np.isnan(row_max) | np.isposinf(row_max)).any()
         raise NumericError(f"row_softmax: {'non-finite score' if bad else 'fully masked row'}")
     x -= row_max
     np.exp(x, out=x)
-    return x, np.sum(x, axis=-1, keepdims=True)
+    return x, np.add.reduce(x, axis=-1, keepdims=True)
 
 
 def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
@@ -72,7 +72,8 @@ def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
     if gain.shape[-1] != x.shape[-1]:
         raise ShapeError(f"rms_norm: gain width {gain.shape} vs input {x.shape}")
     out = np.square(x, dtype=x.dtype)
-    ms = np.mean(out, axis=-1, keepdims=True)
+    ms = np.add.reduce(out, axis=-1, keepdims=True)  # np.mean's sum and divide, without its wrapper
+    ms /= np.float32(x.shape[-1])
     np.divide(x, np.sqrt(ms + np.asarray(eps, dtype=x.dtype)), out=out)
     out *= gain
     return check_finite(out, "rms_norm")

@@ -325,11 +325,14 @@ class KVCache:
 
 
 def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
-                   q_start: int) -> np.ndarray:
+                   rows: tuple[np.ndarray, ...]) -> np.ndarray:
+    """One layer over the rows after the cache; ``rows`` is their
+    ``plan.columns``, for attention: storage index, base position and
+    document."""
     cfg = model.config
     w = model.weights
     p = f"layers.{layer}."
-    plan = cache.plan
+    plan, q_start = cache.plan, cache.n_cached
     h = rms_norm(x, w[p + "attn_norm.weight"], cfg.norm_eps)
     q = matmul(h, w[p + "q_proj.weight"]).reshape(-1, cfg.n_heads, cfg.d_head)
     k = matmul(h, w[p + "k_proj.weight"]).reshape(-1, cfg.n_kv_heads, cfg.d_head)
@@ -338,7 +341,7 @@ def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
     k_base = plan.rotate_keys(k, q_start, cfg.rope_theta)
     k, k_base, v = cache.write(layer, (k, k_base, v), cfg.max_seq_len)
     attn = attention_forward(plan, q, k, v, q_start=q_start, rope_theta=cfg.rope_theta,
-                             k_base=k_base)
+                             k_base=k_base, rows=rows)
     x = x + matmul(attn.reshape(attn.shape[0], -1), w[p + "o_proj.weight"])
     h2 = rms_norm(x, w[p + "ffn_norm.weight"], cfg.norm_eps)
     gate = matmul(h2, w[p + "gate_proj.weight"])
@@ -360,8 +363,9 @@ def _forward(model: Model, cache: KVCache, tokens: list[int]) -> np.ndarray:
     if ids.dtype.kind not in "iu" or not ((ids >= 0) & (ids < cfg.vocab_size)).all():
         raise ShapeError(f"token ids must be integers in 0 .. {cfg.vocab_size - 1}")
     x = model.weights["embed.weight"][ids]
+    rows = cache.plan.columns(q_start, q_start + len(tokens))
     for layer in range(cfg.n_layers):
-        x = _layer_forward(model, x, layer, cache, q_start)
+        x = _layer_forward(model, x, layer, cache, rows)
     h = rms_norm(x[-1:], model.weights["final_norm.weight"], cfg.norm_eps)
     logits = matmul(h, model.head_matrix())[0]
     cache.n_cached = q_start + len(tokens)

@@ -217,8 +217,10 @@ class AttentionPlan:
         region = slice(layout.prefix_len, layout.suffix_start)
         self.ranked_cols = region if mode.canonical else ranked[region]
         self.ranked_col_doc = self.col_doc[self.ranked_cols]
-        lens = [layout.doc_len(j) for j in self.ranked]
-        self.ranked_starts = np.cumsum([0, *lens[:-1]])  # each document's first ranked column
+        self.doc_lens = np.array([layout.doc_len(j) for j in range(layout.k)], dtype=np.int64)
+        self.ranked_lens = self.doc_lens[self.ranked]
+        # each document's first ranked column
+        self.ranked_starts = np.cumsum(self.ranked_lens) - self.ranked_lens
 
     def columns(self, c0: int, c1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Storage index, base position and document (-1: none) of columns c0 .. c1 - 1."""
@@ -254,12 +256,18 @@ class AttentionPlan:
 
     def lay_out(self, x: np.ndarray, c0: int = 0) -> np.ndarray:
         """Storage rows c0 .. c0 + len(x) - 1 of ``x`` in column order.  The
-        rows must not cut the documents: c0 is 0 or at least ``suffix_start``."""
+        rows must not cut the documents: c0 is 0 or at least ``suffix_start``,
+        from where a column is its storage index and ``x`` is returned as is."""
+        if c0 >= self.layout.suffix_start:
+            return x
         return x[self.columns(c0, c0 + len(x))[0] - c0]
 
     def rotate_keys(self, k: np.ndarray, c0: int, rope_theta: float) -> np.ndarray:
         """Keys of columns c0 .. c0 + len(k) - 1 rotated at their base positions:
-        what the KV cache holds next to the raw keys."""
+        what the KV cache holds.  From ``suffix_start`` on, a column's base
+        position is its index plus ``offset``."""
+        if c0 >= self.layout.suffix_start:
+            return rotate(k, np.arange(c0, c0 + len(k)) + self.offset, rope_theta)
         return rotate(k, self.columns(c0, c0 + len(k))[1], rope_theta)
 
 
@@ -275,7 +283,8 @@ def _join(runs: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
 
 def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray | None,
                       v: np.ndarray, q_start: int = 0, rope_theta: float = 10000.0,
-                      k_base: np.ndarray | None = None) -> np.ndarray:
+                      k_base: np.ndarray | None = None,
+                      rows: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """One layer of multi-head attention under ``plan.mode``.
 
     q_raw: [t, n_heads, d_head] pre-rotation queries of the storage rows
@@ -284,7 +293,10 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
     every cached token in column order, as the KV cache holds them; k_base:
     their keys rotated at base positions (None: rotate k_raw here).  k_raw,
     raw keys in column order, is otherwise read only before the suffix when
-    ``plan.reorders``, and may be None elsewhere.  Returns storage-order rows.
+    ``plan.reorders``, and may be None elsewhere.  rows: the queries'
+    ``plan.columns(q_start, q_start + t)``, when the caller has them (a
+    forward pass computes them once for every layer).  Returns
+    storage-order rows.
 
     Keys and values are read as [n_kv_heads, s, d_head] views of the cache,
     each head's columns contiguous.  The rows, in column order, run in
@@ -318,27 +330,30 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
     rep = n_heads // n_kv
     if k_base is None:
         k_base = plan.rotate_keys(k_raw, 0, rope_theta)
-    rows, q_base, own = plan.columns(q_start, q_start + t)  # the rows, in column order
+    rows, q_base, own = rows or plan.columns(q_start, q_start + t)  # the rows, in column order
     masked = t > 1 or q_start < layout.suffix_start  # a lone suffix or decoded row sees every key
     key_at = plan.columns(0, s)[0] if masked else None  # each column's storage index
     late = rows >= layout.suffix_start
     block = row_block(s, rep)
     scale = 1.0 / np.sqrt(np.float32(d_head))
-    q_pos = np.broadcast_to(q_base[:, None], (t, n_heads))
-    shifts = np.zeros((t, n_heads, 1), dtype=np.int64)  # each key block's query shift
+    # The position p - c each query head is rotated to per key block shift c:
+    # shift 0, then each document's start in ``plan.docs`` order.
+    pos = np.empty((t, n_heads, 1 + layout.k if plan.reorders else 1), dtype=np.int64)
+    pos[...] = q_base[:, None, None]
     if plan.reorders:
         first = int(np.count_nonzero(rows < layout.prefix_len))  # prefix rows: no query group
-        starts = np.zeros((t, n_heads, layout.k), dtype=np.int64)
-        starts[first:] = pine.document_starts(q_raw[rows[first:] - q_start], k_raw, plan,
-                                              own[first:])
-        own_start = starts[np.arange(t), :, np.maximum(own, 0)]
-        q_pos = q_pos + np.where(own[:, None] >= 0, own_start, 0)
-        shifts = np.concatenate([shifts, starts[..., plan.docs]], axis=2)
+        starts = pine.document_starts(q_raw[rows[first:] - q_start], k_raw, plan, own[first:])
+        if first:  # prefix rows keep their input positions
+            starts = np.concatenate([np.zeros((first, n_heads, layout.k), np.int64), starts])
+        mine = own >= 0
+        if mine.any():  # a document's rows sit at its start in their group's order
+            pos[mine] += starts[mine, :, own[mine]][..., None]
+        pos[..., 1:] -= starts[..., plan.docs]
 
     # Each KV head's query heads, rows in column order: [n_kv, t, rep, d], and
-    # the position p - c each is rotated to per shift: [shifts, n_kv, t, rep].
+    # their positions per shift: [shifts, n_kv, t, rep].
     q = np.ascontiguousarray(q_raw[rows - q_start].reshape(t, n_kv, rep, d_head).swapaxes(0, 1))
-    pos = (q_pos[:, :, None] - shifts).reshape(t, n_kv, rep, -1).transpose(3, 1, 0, 2)
+    pos = pos.reshape(t, n_kv, rep, -1).transpose(3, 1, 0, 2)
     keys, vals = k_base.swapaxes(0, 1), v.swapaxes(0, 1)  # [n_kv, s, d]
     out = np.empty((t, n_heads, d_head), dtype=q_raw.dtype)
     work = np.empty(n_kv * min(block, t) * rep * s, dtype=q_raw.dtype)  # every block's scores
@@ -350,8 +365,10 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
         # One rotation of the block's queries per shift, for every KV head:
         # [shifts, n_kv, rows * rep, d].
         pos_b = pos[:, :, rb]
-        q_rot = rotate(np.broadcast_to(q[:, rb], pos_b.shape + (d_head,)).reshape(-1, d_head),
-                       pos_b.ravel(), rope_theta).reshape(pos_b.shape[:2] + (-1, d_head))
+        q_b = np.empty(pos_b.shape + (d_head,), dtype=q.dtype)
+        q_b[...] = q[:, rb]
+        q_rot = rotate(q_b.reshape(-1, d_head), pos_b.ravel(),
+                       rope_theta).reshape(pos_b.shape[:2] + (-1, d_head))
         scores = work[:n_kv * q_rot.shape[2] * width].reshape(n_kv, -1, width)
         at = 0
         for c0, c1, i in runs:

@@ -12,10 +12,13 @@ layer at once, one batched matrix product per row block, and
 
 ``block_starts`` is the one rule that lays documents out: a document key
 sits at its document's start plus its offset inside the document.
+``document_starts`` applies the same rule to every (group, head) at once
+with array operations, and is tested against it.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cmp_to_key
 from typing import TYPE_CHECKING, Literal, Sequence
 
@@ -64,7 +67,7 @@ def order_documents(
     where the choice cannot affect attention output).
     """
     for j, s in scores.items():
-        if not np.isfinite(s):
+        if not math.isfinite(s):
             raise ValueError(f"non-finite importance score for document {j}")
     sign = 1 if direction == "closer" else -1
 
@@ -86,11 +89,19 @@ def document_starts(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
     [len(q), n_heads, k].  ``q``: pre-rotation queries of rows in column
     order that each belong to a query group; ``own``: each row's document
     (-1: suffix or decoded); ``k_raw``: raw keys before the suffix, in
-    column order.  Each row gets its group's order, by ``block_starts``."""
-    group_starts = [[block_starts(plan.layout, ordered) for ordered, _ in per_head]
-                    for per_head in group_ordering(q, k_raw, plan, own)]
-    return np.repeat(np.array(group_starts, dtype=np.int64),
-                     np.diff([*_group_bounds(own), len(own)]), axis=0)
+    column order.  Each row gets its group's order, laid out by the
+    ``block_starts`` rule for every (group, head) at once."""
+    orders = group_ordering(q, k_raw, plan, own)
+    ordered = np.array([[o for o, _ in per_head] for per_head in orders])  # [groups, heads, k]
+    g, h, k = ordered.shape
+    lens = plan.doc_lens[ordered]
+    at = np.cumsum(lens, axis=2)
+    at += plan.layout.prefix_len - lens  # the prefix and the documents ordered before
+    starts = np.empty_like(ordered)  # each start scattered to its document
+    starts.reshape(-1)[ordered + np.arange(0, g * h * k, k).reshape(g, h, 1)] = at
+    if len(orders) < len(own):  # a group of several rows: each row takes its group's starts
+        starts = np.repeat(starts, np.diff([*_group_bounds(own), len(own)]), axis=0)
+    return starts
 
 
 def block_starts(layout: SequenceLayout, ordered: Sequence[int]) -> list[int]:
@@ -154,14 +165,14 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
     # in float64, so the mean rounds as a division of the Python floats would
     group_totals = reduce.reduceat(totals, bounds, axis=0).astype(np.float64)
     if mode.aggregation == "mean":
-        group_totals /= [layout.doc_len(j) for j in plan.ranked]
-    orders = []
-    for a, group_scores in zip(bounds, group_totals.tolist()):
+        group_totals /= plan.ranked_lens
+    orders, direction = [], mode.direction
+    for mine, group_scores in zip(own[bounds].tolist(), group_totals.tolist()):
         per_head = []
         for values in group_scores:
-            scores = {j: v for j, v in zip(plan.ranked, values) if j != own[a]}
-            ordered = order_documents(scores, layout.doc_hashes, mode.direction)
-            per_head.append((ordered + [int(own[a])] if own[a] >= 0 else ordered, scores))
+            scores = {j: v for j, v in zip(plan.ranked, values) if j != mine}
+            ordered = order_documents(scores, layout.doc_hashes, direction)
+            per_head.append((ordered + [mine] if mine >= 0 else ordered, scores))
         orders.append(per_head)
     return orders
 

@@ -3,8 +3,9 @@
 ``perfbench/tracer.py`` replaces posinv functions by module attribute
 name.  A refactor that renames or moves one of them breaks the traced
 benchmark run; the first test installs the tracer the way
-``perfbench/bench.py`` does and runs one small pine prefill through it.
-The second runs one short untraced benchmark end to end, so a library
+``perfbench/bench.py`` does and runs one small pine prefill through it,
+and the second checks that a pine decode step reaches the hooked scorer.
+The last runs one short untraced benchmark end to end, so a library
 change that breaks the benchmark's own calls fails here too.
 """
 
@@ -16,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 import posinv
-from posinv import AttentionMode, SegmentedPrompt, modes, oracle, pine, prefill, tokenize
+from posinv import (AttentionMode, SegmentedPrompt, decode_step, modes, oracle, pine, prefill,
+                    tokenize)
 from posinv import model as model_mod
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,6 +48,25 @@ def test_tracer_hooks_resolve_and_restore(tiny_config, tiny_model, monkeypatch):
     assert np.array_equal(traced, untraced)
     for (mod, attr), fn in originals.items():
         assert getattr(modules[mod], attr) is fn, f"{mod}.{attr}"
+
+
+def test_pine_decode_step_orders_through_the_module_once_per_layer(tiny_config, tiny_model,
+                                                                   monkeypatch):
+    # The tracer's pine.group_ordering hook replaces the module attribute,
+    # so a decode step must look the scorer up through the module, once
+    # per layer, for its one row.
+    tokens, layout = tokenize(SegmentedPrompt("S", ("ab", "cde", "f"), "Q"))
+    mode = AttentionMode("pine")
+    cache, logits = prefill(tiny_model, tokens, layout, mode)
+    rows, scorer = [], pine.group_ordering
+
+    def counting(q, *args):
+        rows.append(len(q))
+        return scorer(q, *args)
+
+    monkeypatch.setattr(pine, "group_ordering", counting)
+    decode_step(tiny_model, cache, int(np.argmax(logits)), mode)
+    assert rows == [1] * tiny_config.n_layers
 
 
 def test_benchmark_smoke_run():

@@ -166,6 +166,18 @@ class TestRmsNorm:
         ms = np.mean(np.square(x, dtype=x.dtype), axis=-1, keepdims=True)
         assert out.tobytes() == (x / np.sqrt(ms + np.float32(1e-5)) * g).tobytes()
 
+    def test_bitwise_the_mean_formula_at_every_width(self):
+        # rms_norm takes np.mean's sum and division without its wrapper: the
+        # mean of squares is bitwise np.mean's, powers of two or not.
+        rng = np.random.default_rng(7)
+        for width in (1, 2, 3, 7, 31, 32, 100, 255, 256, 257, 511, 512, 983, 1000):
+            x = rng.normal(scale=3.0, size=(5, width)).astype(np.float32)
+            g = rng.normal(size=width).astype(np.float32)
+            ms = np.mean(np.square(x, dtype=x.dtype), axis=-1, keepdims=True)
+            ref = x / np.sqrt(ms + np.float32(1e-5)) * g
+            assert rms_norm(x, g, 1e-5).tobytes() == ref.tobytes(), width
+            assert rms_norm(x[:1], g, 1e-5).tobytes() == ref[:1].tobytes(), width
+
     def test_bad_eps(self):
         with pytest.raises(ValueError):
             rms_norm(f32([[1.0]]), f32([1.0]), 0.0)

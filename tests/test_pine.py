@@ -13,7 +13,9 @@ from posinv import (
     tokenize,
 )
 from posinv.pine import (
+    block_starts,
     comparison_count,
+    document_starts,
     group_ordering,
     reset_comparison_count,
 )
@@ -153,8 +155,9 @@ class TestOrderDocuments:
         assert order_documents({0: 0.5, 1: 0.5, 2: 0.5}, hashes, "closer") == [1, 2, 0]
 
     def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            order_documents({0: float("nan")}, (1,), "closer")
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="non-finite importance score for document 1"):
+                order_documents({0: 0.5, 1: bad}, (1, 2), "closer")
 
     def test_comparison_counter_grows(self):
         reset_comparison_count()
@@ -358,3 +361,34 @@ class TestGroupOrdering:
         k = np.ones((layout.n, 1, 8), dtype=np.float32)
         with pytest.raises(ValueError, match="k >= 2"):
             ordering(q, k, layout, np.full(1, -1))
+
+
+class TestDocumentStarts:
+    @pytest.mark.parametrize("canonical", [True, False])
+    @pytest.mark.parametrize("variant", ["pine", "pine_reverse"])
+    @pytest.mark.parametrize("aggregation", ["mean", "sum", "max"])
+    @pytest.mark.parametrize("k", [2, 5, 8])
+    def test_block_starts_of_group_ordering(self, k, aggregation, variant, canonical):
+        # The starts document_starts lays out for every row and head at once
+        # are block_starts of the order group_ordering gives the row's group:
+        # prefill rows (each document's rows one group, each suffix row its
+        # own) and a lone decoded row, over 4 query heads and 2 KV heads.
+        docs = tuple("abcdefgh"[j] * (1 + (3 * j) % 4) for j in range(k))
+        _, layout = tokenize(SegmentedPrompt("S", docs, "QR"))
+        plan = AttentionPlan(AttentionMode(variant, aggregation, canonical), layout)
+        rng = np.random.default_rng(k)
+        q = rng.normal(size=(layout.n + 1, 4, 8)).astype(np.float32)
+        keys = plan.lay_out(rng.normal(size=(layout.n, 2, 8)).astype(np.float32))
+        p = layout.prefix_len
+        cases = [(plan.lay_out(q[:layout.n])[p:], plan.col_doc[p:]),  # prefill rows
+                 (q[layout.n:], np.full(1, -1))]  # a decoded row
+        for rows, own in cases:
+            starts = document_starts(rows, keys, plan, own)
+            orders = group_ordering(rows, keys, plan, own)
+            assert starts.shape == (len(rows), 4, k)
+            group = -1
+            for i, mine in enumerate(own.tolist()):
+                group += mine < 0 or i == 0 or mine != own[i - 1]
+                for head, (ordered, _) in enumerate(orders[group]):
+                    assert starts[i, head].tolist() == block_starts(layout, ordered), (i, head)
+            assert group == len(orders) - 1
