@@ -13,13 +13,24 @@ import numpy as np
 # Additive mask sentinel: exp(-inf) == 0 exactly after softmax.
 NEG_INF = np.float32(-np.inf)
 
-# Scores per block of query rows: caps the [rows, keys] temporaries (peak RSS).
+# Scores per block of query rows: caps the [rows, keys] score workspace and
+# the row blocks an AttentionPlan lays out (peak RSS).
 _BLOCK_SCORES = 1 << 16
 
 
 def row_block(n_keys: int, rep: int) -> int:
     """Rows per block when ``rep`` heads score each row against ``n_keys`` keys."""
     return max(1, _BLOCK_SCORES // (n_keys * rep))
+
+
+def key_panel(k: np.ndarray, cols=slice(None)) -> np.ndarray:
+    """Columns ``cols`` of [c, n_kv_heads, d_head] keys as the [n_kv_heads,
+    d_head, columns] panel every score product multiplies by, each row
+    unit-stride, so that BLAS never takes a transposed key operand: a view
+    when ``k`` is a view of such a panel (the KV cache's), else one copy.
+    BLAS gives the cache's panel and a contiguous copy bitwise-equal products."""
+    panel = k.transpose(1, 2, 0)[:, :, cols]
+    return panel if panel.strides[2] == panel.itemsize else np.ascontiguousarray(panel)
 
 
 class ShapeError(ValueError):

@@ -4,17 +4,21 @@ RMS-norm, rotary embeddings, grouped-query attention, gated FFN, greedy
 decoding.  Prefill builds a stream's attention plan (``modes.AttentionPlan``)
 once and binds it to the stream's KV cache, which stores keys and values
 in the plan's column order (prefix, documents by content hash, suffix,
-decoded tokens), one buffer per layer with each KV head's columns
-contiguous: prefill permutes the prompt's rows once, as it writes them,
-and attention reads keys as views.  Keys are rotated once, when written,
-at a base position that never changes; the re-assigning modes move a
-document's per-group start onto the queries instead, and alone keep the
-raw keys of the prompt's documents for their position-free importance.
+decoded tokens), one buffer per layer with each KV head's keys as a
+[d_head, columns] panel and its values as [columns, d_head] rows: prefill
+permutes the prompt's rows once, as it writes them, and attention reads
+both as views, the keys as a unit-stride operand of every score product.
+Keys are rotated once, when written, at a base position that never
+changes; the re-assigning modes move a document's per-group start onto
+the queries instead, and alone keep the raw keys of the prompt's
+documents for their position-free importance.
 
 Prefill and decoding share one forward pass: a decode step is the
 prefill of one more row after the cached ones.  That row writes a column
 in place, after an unchanged plan's columns, and sees every cached key,
-so it builds no mask.
+so its one row block has no fill.  A forward pass plans its rows
+(``plan.columns``) and row blocks (``plan.row_blocks``) once, and every
+layer's attention replays them.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import ShapeError, matmul, rms_norm, swiglu
-from .modes import AttentionMode, AttentionPlan, attention_forward
+from .modes import AttentionMode, AttentionPlan, RowBlock, attention_forward
 from .prompts import BYTE_VOCAB, N_SPECIALS, SequenceLayout
 
 _DTYPES = {"F32": np.float32, "F64": np.float64}
@@ -279,16 +283,19 @@ class KVCache:
     decode step writes one column and builds no mask.  A stream runs under
     one mode: decoding under another is refused.
 
-    Each layer keeps one buffer, [2, n_kv_heads, capacity, d_head]: keys
-    rotated at their columns' base positions, and values, each head's
-    columns contiguous.  Prefill sizes it to the prompt plus ``_HEADROOM``
-    columns; a step writes its columns in place, and a full buffer doubles,
-    up to ``max_seq_len``.  ``k_base`` and ``v`` read the first ``n_cached``
+    Each layer keeps one buffer of [2, n_kv_heads, capacity, d_head] floats:
+    per KV head, its keys rotated at their columns' base positions, held as
+    a [d_head, capacity] panel (``_halves``), so that every score product
+    reads a unit-stride key operand, and its values as [capacity, d_head]
+    rows.  Prefill sizes it to the prompt plus ``_HEADROOM`` columns; a step
+    writes its columns in place, and a full buffer doubles, up to
+    ``max_seq_len``.  ``k_base`` and ``v`` read the first ``n_cached``
     columns as per-layer [n_cached, n_kv_heads, d_head] views.  A step's
     columns count only once every layer has written them, so a step that
     raises leaves the cache as it was.  Only a plan that ``reorders`` holds
     ``k_raw``: per layer, the raw keys before ``suffix_start``, written once
-    at prefill."""
+    at prefill, as a view of the same kind of [n_kv_heads, d_head, columns]
+    panel."""
 
     plan: AttentionPlan
     buffers: list[np.ndarray] = field(default_factory=list)
@@ -296,8 +303,13 @@ class KVCache:
     n_cached: int = 0
 
     @property
+    def capacity(self) -> int:
+        """Columns every layer holds before its buffer must grow."""
+        return self.buffers[0].shape[2] if self.buffers else 0
+
+    @property
     def k_base(self) -> list[np.ndarray]:
-        return [buf[0, :, :self.n_cached].swapaxes(0, 1) for buf in self.buffers]
+        return [_halves(buf)[0][:, :, :self.n_cached].transpose(2, 0, 1) for buf in self.buffers]
 
     @property
     def v(self) -> list[np.ndarray]:
@@ -312,23 +324,33 @@ class KVCache:
             self.buffers.append(np.empty((2, n_kv, min(n + t + _HEADROOM, limit), d),
                                          dtype=parts[0].dtype))
             if self.plan.reorders:
-                self.k_raw.append(parts[0][:self.plan.layout.suffix_start].copy())
+                raw = parts[0][:self.plan.layout.suffix_start].transpose(1, 2, 0)
+                self.k_raw.append(np.ascontiguousarray(raw).transpose(2, 0, 1))
         buf = self.buffers[layer]
         if n + t > buf.shape[2]:
             grown = np.empty_like(buf, shape=(2, n_kv, min(max(n + t, 2 * buf.shape[2]), limit), d))
-            grown[:, :, :n] = buf[:, :, :n]
+            (keys, vals), (new_keys, new_vals) = _halves(buf), _halves(grown)
+            new_keys[:, :, :n], new_vals[:, :n] = keys[:, :, :n], vals[:, :n]
             self.buffers[layer] = buf = grown
-        for part, x in zip(buf, parts[1:]):
-            part[:, n:n + t] = x.swapaxes(0, 1)
+        keys, vals = _halves(buf)
+        keys[:, :, n:n + t] = parts[1].transpose(1, 2, 0)
+        vals[:, n:n + t] = parts[2].swapaxes(0, 1)
         return [self.k_raw[layer] if self.k_raw else None,
-                *(part[:, :n + t].swapaxes(0, 1) for part in buf)]
+                keys[:, :, :n + t].transpose(2, 0, 1), vals[:, :n + t].swapaxes(0, 1)]
+
+
+def _halves(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A layer buffer's key panel, [n_kv_heads, d_head, capacity], and its
+    values, [n_kv_heads, capacity, d_head]."""
+    n_kv, capacity, d = buf.shape[1:]
+    return buf[0].reshape(n_kv, d, capacity), buf[1]
 
 
 def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
-                   rows: tuple[np.ndarray, ...]) -> np.ndarray:
+                   rows: tuple[np.ndarray, ...], blocks: list[RowBlock]) -> np.ndarray:
     """One layer over the rows after the cache; ``rows`` is their
-    ``plan.columns``, for attention: storage index, base position and
-    document."""
+    ``plan.columns`` (storage index, base position and document) and
+    ``blocks`` their ``plan.row_blocks``, which attention replays."""
     cfg = model.config
     w = model.weights
     p = f"layers.{layer}."
@@ -341,7 +363,7 @@ def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
     k_base = plan.rotate_keys(k, q_start, cfg.rope_theta)
     k, k_base, v = cache.write(layer, (k, k_base, v), cfg.max_seq_len)
     attn = attention_forward(plan, q, k, v, q_start=q_start, rope_theta=cfg.rope_theta,
-                             k_base=k_base, rows=rows)
+                             k_base=k_base, rows=rows, blocks=blocks)
     x = x + matmul(attn.reshape(attn.shape[0], -1), w[p + "o_proj.weight"])
     h2 = rms_norm(x, w[p + "ffn_norm.weight"], cfg.norm_eps)
     gate = matmul(h2, w[p + "gate_proj.weight"])
@@ -363,12 +385,14 @@ def _forward(model: Model, cache: KVCache, tokens: list[int]) -> np.ndarray:
     if ids.dtype.kind not in "iu" or not ((ids >= 0) & (ids < cfg.vocab_size)).all():
         raise ShapeError(f"token ids must be integers in 0 .. {cfg.vocab_size - 1}")
     x = model.weights["embed.weight"][ids]
-    rows = cache.plan.columns(q_start, q_start + len(tokens))
+    t, plan = len(tokens), cache.plan
+    rows = plan.columns(q_start, q_start + t)
+    blocks = plan.row_blocks(q_start, t, q_start + t, cfg.n_heads // cfg.n_kv_heads)
     for layer in range(cfg.n_layers):
-        x = _layer_forward(model, x, layer, cache, rows)
+        x = _layer_forward(model, x, layer, cache, rows, blocks)
     h = rms_norm(x[-1:], model.weights["final_norm.weight"], cfg.norm_eps)
     logits = matmul(h, model.head_matrix())[0]
-    cache.n_cached = q_start + len(tokens)
+    cache.n_cached = q_start + t
     return logits
 
 

@@ -20,9 +20,11 @@ The single shared core guarantees that whenever two modes produce the
 same mask and positions (e.g. k <= 1), their outputs are bitwise equal.
 It runs query rows in blocks, and a block scores only the key blocks
 (prefix, each document, suffix with the decoded tokens) that one of its
-rows can see: ``AttentionPlan.kept_columns`` decides this from the key
-blocks alone.  ``build_mask`` then builds each block's mask over its rows
-and its kept columns, so no mask grows beyond one row block.
+rows can see.  ``AttentionPlan.row_blocks`` decides this from the key
+blocks alone, once per forward pass, and gives each block's hidden
+scores as slice fills, so attention builds no mask; ``build_mask``, the
+one definition of visibility, builds only the plan's block-to-block
+table.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Literal, NamedTuple, get_args
 import numpy as np
 
 from . import pine
-from .kernels import NEG_INF, check_finite, row_block, row_softmax
+from .kernels import NEG_INF, check_finite, key_panel, row_block, row_softmax
 from .prompts import SequenceLayout
 from .rope import rotate
 
@@ -173,6 +175,17 @@ def base_positions(mode: AttentionMode, layout: SequenceLayout, total_len: int) 
     return pos
 
 
+class RowBlock(NamedTuple):
+    """One block of query rows as ``AttentionPlan.row_blocks`` plans it."""
+
+    rows: slice  # the block's rows, in column order, counted from the first row
+    runs: list[tuple[int, int, int]]  # kept columns: (first, end, query shift) runs
+    spans: list[tuple[int, int]]  # the same columns as contiguous spans
+    width: int  # kept columns
+    # Hidden scores: (rows, kept columns, mask), mask None for the whole rectangle.
+    fills: list[tuple[slice, slice, np.ndarray | None]]
+
+
 class AttentionPlan:
     """Where every key of one stream sits under one mode.  Built once per
     (layout, mode) and held by the KV cache, which stores its keys and
@@ -208,7 +221,7 @@ class AttentionPlan:
         self.block_starts = [c0 for c0, _, _ in self.key_blocks]
         # sees[a, b]: the rows of block a see every key of block b.  Between
         # two blocks the mask is all or nothing, so each block's first token
-        # stands for it.  A block's own keys are causal: see ``kept_columns``.
+        # stands for it.  A block's own keys are causal: see ``row_blocks``.
         firsts = self.columns(0, layout.suffix_start + 1)[0][self.block_starts]
         self.sees = build_mask(mode, layout, firsts, firsts)
         np.fill_diagonal(self.sees, False)
@@ -216,7 +229,6 @@ class AttentionPlan:
         # of the columns, or a gather of them when canonical is False.
         region = slice(layout.prefix_len, layout.suffix_start)
         self.ranked_cols = region if mode.canonical else ranked[region]
-        self.ranked_col_doc = self.col_doc[self.ranked_cols]
         self.doc_lens = np.array([layout.doc_len(j) for j in range(layout.k)], dtype=np.int64)
         self.ranked_lens = self.doc_lens[self.ranked]
         # each document's first ranked column
@@ -229,35 +241,77 @@ class AttentionPlan:
                 np.concatenate([self.base[c0:c1], past + self.offset]),
                 np.concatenate([self.col_doc[c0:c1], np.full(len(past), -1)]))
 
-    def kept_columns(self, r0: int, r1: int, s: int) -> list[tuple[int, int, int]]:
-        """The key columns, of s, that a block of query rows at columns
-        r0 .. r1 - 1 must score, as (first column, end column, query shift)
-        runs.
+    def row_blocks(self, q_start: int, t: int, s: int, rep: int) -> list[RowBlock]:
+        """How attention runs rows q_start .. q_start + t - 1, in column order,
+        against s keys when ``rep`` query heads share each KV head: blocks of
+        ``row_block`` rows, each with the key columns it must score and its
+        hidden scores as slice fills.  A forward pass plans this once for
+        all its layers.
 
-        A key block is kept whole when rows of another block see it, and up
-        to the last row when only its own rows, which see it causally, are in
-        the row block; otherwise no row sees it and it is skipped.  Adjacent
-        kept blocks with one shift form one run.  This reads only the column
-        structure, so the same rows keep the same columns whatever the
-        storage order of the documents.
+        A block keeps a key block whole when rows of another key block see
+        it, and up to its last row when only the key block's own rows, which
+        see it causally, are in the row block; otherwise no row sees it and
+        it is skipped.  Kept key blocks with one query shift form one run.
+        A segment of rows (the block's rows in one key block) hides a whole
+        kept key block that it does not see, and the keys after each of its
+        rows in its own key block (a staircase mask).  Between two key blocks
+        visibility is all or nothing (``sees``), and inside one a column's
+        order is its storage order, so the fills hide exactly what
+        ``build_mask`` hides.  This reads only the column structure, so the
+        same rows get the same plan whatever the storage order of the
+        documents.  A lone suffix or decoded row sees every key it keeps:
+        one block, no fills.
         """
-        lo, hi = (bisect_right(self.block_starts, c) - 1 for c in (r0, r1 - 1))
-        whole = self.sees[lo:hi + 1].any(axis=0).tolist()
-        kept = []
-        for b, (c0, c1, shift) in enumerate(self.key_blocks):
-            c1 = s if c1 is None else c1
-            if not whole[b]:
-                if not lo <= b <= hi:
+        self.check_rows(q_start, t, s)
+        block, starts = row_block(s, rep), self.block_starts
+        blocks = []
+        for b in range(0, t, block):
+            r0, r1 = q_start + b, q_start + min(b + block, t)
+            lo, hi = (bisect_right(starts, c) - 1 for c in (r0, r1 - 1))
+            # (key block, first row, end row) of each segment
+            segments = [(a, max(r0, starts[a]), starts[a + 1] if a < hi else r1)
+                        for a in range(lo, hi + 1)]
+            whole = self.sees[lo:hi + 1].any(axis=0).tolist()
+            runs, fills, width = [], [], 0
+            for kb, (c0, c1, shift) in enumerate(self.key_blocks):
+                c1 = s if c1 is None else c1
+                if not whole[kb]:
+                    if not lo <= kb <= hi:
+                        continue
+                    c1 = min(c1, r1)
+                if c0 >= c1:
                     continue
-                c1 = min(c1, r1)
-            if c0 < c1:
-                kept.append((c0, c1, shift))
-        return _join(kept)
+                cols = slice(width, width + c1 - c0)
+                for a, g0, g1 in segments:
+                    if a == kb:
+                        if c1 - 1 > g0:  # a key after the segment's first row
+                            fills.append((slice(g0 - r0, g1 - r0), cols,
+                                          np.arange(c0, c1) > np.arange(g0, g1)[:, None]))
+                    elif not self.sees[a, kb]:
+                        fills.append((slice(g0 - r0, g1 - r0), cols, None))
+                runs.append((c0, c1, shift))
+                width += c1 - c0
+            runs = _join(runs)
+            spans = [(c0, c1) for c0, c1, _ in _join([(c0, c1, 0) for c0, c1, _ in runs])]
+            blocks.append(RowBlock(slice(b, b + r1 - r0), runs, spans, width, fills))
+        return blocks
+
+    def check_rows(self, c0: int, t: int, s: int | None = None) -> None:
+        """Refuse rows c0 .. c0 + t - 1 that cut the documents, or that run
+        past the s keys: they must start at 0 and take at least the first
+        ``suffix_start`` rows, or start at or after ``suffix_start``."""
+        ss = self.layout.suffix_start
+        if c0 < 0 or 0 < c0 < ss or (c0 == 0 and t < ss):
+            raise ValueError(f"rows {c0} .. {c0 + t - 1} cut the documents: they must start at 0 "
+                             f"and take at least the first {ss} rows, or start at or after {ss}")
+        if s is not None and c0 + t > s:
+            raise ValueError(f"rows {c0} .. {c0 + t - 1} run past the {s} keys")
 
     def lay_out(self, x: np.ndarray, c0: int = 0) -> np.ndarray:
         """Storage rows c0 .. c0 + len(x) - 1 of ``x`` in column order.  The
-        rows must not cut the documents: c0 is 0 or at least ``suffix_start``,
-        from where a column is its storage index and ``x`` is returned as is."""
+        rows must not cut the documents (``check_rows``); from ``suffix_start``
+        on a column is its storage index and ``x`` is returned as is."""
+        self.check_rows(c0, len(x))
         if c0 >= self.layout.suffix_start:
             return x
         return x[self.columns(c0, c0 + len(x))[0] - c0]
@@ -265,7 +319,9 @@ class AttentionPlan:
     def rotate_keys(self, k: np.ndarray, c0: int, rope_theta: float) -> np.ndarray:
         """Keys of columns c0 .. c0 + len(k) - 1 rotated at their base positions:
         what the KV cache holds.  From ``suffix_start`` on, a column's base
-        position is its index plus ``offset``."""
+        position is its index plus ``offset``.  The rows must not cut the
+        documents (``check_rows``)."""
+        self.check_rows(c0, len(k))
         if c0 >= self.layout.suffix_start:
             return rotate(k, np.arange(c0, c0 + len(k)) + self.offset, rope_theta)
         return rotate(k, self.columns(c0, c0 + len(k))[1], rope_theta)
@@ -284,7 +340,8 @@ def _join(runs: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
 def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray | None,
                       v: np.ndarray, q_start: int = 0, rope_theta: float = 10000.0,
                       k_base: np.ndarray | None = None,
-                      rows: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+                      rows: tuple[np.ndarray, ...] | None = None,
+                      blocks: list[RowBlock] | None = None) -> np.ndarray:
     """One layer of multi-head attention under ``plan.mode``.
 
     q_raw: [t, n_heads, d_head] pre-rotation queries of the storage rows
@@ -296,23 +353,25 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
     ``plan.reorders``, and may be None elsewhere.  rows: the queries'
     ``plan.columns(q_start, q_start + t)``, when the caller has them (a
     forward pass computes them once for every layer).  Returns
-    storage-order rows.
+    storage-order rows.  Rows that cut the documents or run past the s keys
+    raise ``ValueError`` (``plan.check_rows``).
 
-    Keys and values are read as [n_kv_heads, s, d_head] views of the cache,
-    each head's columns contiguous.  The rows, in column order, run in
-    blocks of ``row_block`` rows, every KV head in one pass; each block
-    scores only the columns ``plan.kept_columns`` keeps for its rows (whole
-    key blocks that other rows of the block see, its own block up to its
-    last row), with one score product per run of kept columns and one value
-    product per contiguous span, each batched over the KV heads.  Scores go
-    into one workspace per call, of one row block per KV head; a block's
-    mask (``build_mask``, over its rows and kept columns) sets hidden keys
-    to NEG_INF there, ``row_softmax`` exponentiates them in place, and the
-    [rows, d_head] value products are divided by the row sums.  Each head
-    takes the rows and columns a block of that head alone would, so its
-    output is bitwise the same.
-    A lone suffix or decoded row sees every earlier key in every mode, so a
-    decode step builds no mask.
+    Keys are read as a unit-stride [n_kv_heads, d_head, s] panel
+    (``key_panel``: a view of the cache's, or one copy of keys laid out
+    otherwise) and values as [n_kv_heads, s, d_head].  The rows, in column
+    order, run in the blocks of ``blocks`` (None: ``plan.row_blocks``, which
+    a forward pass computes once for every layer), every KV head in one
+    pass; each block scores only the columns its plan keeps for its rows
+    (whole key blocks that other rows of the block see, its own block up
+    to its last row), with one score product per run of kept
+    columns and one value product per contiguous span, each batched over
+    the KV heads.  Scores go into one workspace per call, of one row block
+    per KV head; the block's fills set its hidden keys to NEG_INF there,
+    ``row_softmax`` exponentiates them in place, and the [rows, d_head]
+    value products are divided by the row sums.  Each head takes the rows
+    and columns a block of that head alone would, so its output is bitwise
+    the same.  A lone suffix or decoded row sees every earlier key in every
+    mode, so a decode step has no fill.
 
     No key is rotated again: RoPE scores depend only on relative positions,
     <R(p)q, R(c + o)k> = <R(p - c)q, R(o)k>, so a key block at base offset o
@@ -328,13 +387,13 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
     t, n_heads, d_head = q_raw.shape
     s, n_kv = v.shape[:2]
     rep = n_heads // n_kv
+    plan.check_rows(q_start, t, s)
     if k_base is None:
         k_base = plan.rotate_keys(k_raw, 0, rope_theta)
     rows, q_base, own = rows or plan.columns(q_start, q_start + t)  # the rows, in column order
-    masked = t > 1 or q_start < layout.suffix_start  # a lone suffix or decoded row sees every key
-    key_at = plan.columns(0, s)[0] if masked else None  # each column's storage index
+    if blocks is None:
+        blocks = plan.row_blocks(q_start, t, s, rep)
     late = rows >= layout.suffix_start
-    block = row_block(s, rep)
     scale = 1.0 / np.sqrt(np.float32(d_head))
     # The position p - c each query head is rotated to per key block shift c:
     # shift 0, then each document's start in ``plan.docs`` order.
@@ -354,14 +413,10 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
     # their positions per shift: [shifts, n_kv, t, rep].
     q = np.ascontiguousarray(q_raw[rows - q_start].reshape(t, n_kv, rep, d_head).swapaxes(0, 1))
     pos = pos.reshape(t, n_kv, rep, -1).transpose(3, 1, 0, 2)
-    keys, vals = k_base.swapaxes(0, 1), v.swapaxes(0, 1)  # [n_kv, s, d]
+    keys, vals = key_panel(k_base), v.swapaxes(0, 1)  # [n_kv, d, s] and [n_kv, s, d]
     out = np.empty((t, n_heads, d_head), dtype=q_raw.dtype)
-    work = np.empty(n_kv * min(block, t) * rep * s, dtype=q_raw.dtype)  # every block's scores
-    for b in range(0, t, block):
-        rb = slice(b, b + block)
-        runs = plan.kept_columns(q_start + b, q_start + min(b + block, t), s)
-        width = sum(c1 - c0 for c0, c1, _ in runs)
-        spans = _join([(c0, c1, 0) for c0, c1, _ in runs])  # the V product ignores shifts
+    work = np.empty(n_kv * min(row_block(s, rep), t) * rep * s, dtype=q_raw.dtype)  # any block's
+    for rb, runs, spans, width, fills in blocks:
         # One rotation of the block's queries per shift, for every KV head:
         # [shifts, n_kv, rows * rep, d].
         pos_b = pos[:, :, rb]
@@ -372,13 +427,14 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
         scores = work[:n_kv * q_rot.shape[2] * width].reshape(n_kv, -1, width)
         at = 0
         for c0, c1, i in runs:
-            np.matmul(q_rot[i], keys[:, c0:c1].swapaxes(1, 2), out=scores[:, :, at:at + c1 - c0])
+            np.matmul(q_rot[i], keys[:, :, c0:c1], out=scores[:, :, at:at + c1 - c0])
             at += c1 - c0
         scores = scores.reshape(n_kv, -1, rep, width)
-        if masked:
-            cols = np.concatenate([np.arange(c0, c1) for c0, c1, _ in runs])  # the kept columns
-            hidden = ~build_mask(mode, layout, rows[rb], key_at[cols])[:, None, :]
-            np.copyto(scores, NEG_INF, where=hidden)
+        for fill_rows, cols, after in fills:
+            if after is None:
+                scores[:, fill_rows, :, cols] = NEG_INF
+            else:
+                np.copyto(scores[:, fill_rows, :, cols], NEG_INF, where=after[:, None, :])
         e, sums = row_softmax(scores.reshape(-1, width), scale)
         e, sums = e.reshape(scores.shape), sums.reshape(n_kv, -1, rep, 1)
         if mode.rescales and layout.k > 1 and late[rb].any():  # rows at or after suffix_start
@@ -388,7 +444,7 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
             sums[:, late[rb]] = 1
         e = e.reshape(n_kv, -1, width)
         at = 0
-        for c0, c1, _ in spans:
+        for c0, c1 in spans:
             part = e[:, :, at:at + c1 - c0] @ vals[:, c0:c1]
             acc = part if at == 0 else acc + part
             at += c1 - c0

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Literal, Sequence
 
 import numpy as np
 
-from .kernels import NEG_INF, check_finite, row_block, row_softmax
+from .kernels import NEG_INF, check_finite, key_panel, row_block, row_softmax
 from .prompts import SequenceLayout
 
 if TYPE_CHECKING:
@@ -125,9 +125,11 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
     group's order.  Groups follow ``_group_bounds``; aggregation and sort
     direction are ``plan.mode``'s.  Each KV head's query heads' copies of
     each row are scored against all its document keys in ``canonical_order``
-    (``plan.ranked_cols``): per ``row_block`` of rows (for n keys), one score
-    product batched over the KV heads into one workspace, exponentiated in
-    place by ``row_softmax``.  One ``reduceat`` sums (max: takes the maximum
+    (``plan.ranked_cols``, read as a unit-stride ``key_panel``): per
+    ``row_block`` of rows (for n keys), one score product batched over the
+    KV heads into one workspace, where each group's own document is hidden
+    by one slice fill of its columns, exponentiated in place by
+    ``row_softmax``.  One ``reduceat`` sums (max: takes the maximum
     of) each document's exponentials, which are then divided by their row's
     sum; another ``reduceat`` takes each group's rows, which gives every
     group's scores at once; only the comparator sort runs per (group, head).
@@ -137,26 +139,31 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
     if layout.k < 2:
         raise ValueError(f"group_ordering needs k >= 2 documents, got {layout.k}")
     reduce = np.maximum if mode.aggregation == "max" else np.add
-    col_doc = plan.ranked_col_doc  # the document of each scored key column
     r, n_heads, d = q.shape
     n_kv = k_raw.shape[1]
     rep = n_heads // n_kv
     block = row_block(layout.n, rep)
     bounds = _group_bounds(own)
+    # (first row, end row, own document's ranked columns) of each group that has a document
+    span = {j: (c, c + n) for j, c, n in zip(plan.ranked, plan.ranked_starts.tolist(),
+                                             plan.ranked_lens.tolist())}
+    hidden = [(g0, g1, span[j]) for g0, g1, j in zip(bounds.tolist(), [*bounds[1:].tolist(), r],
+                                                   own[bounds].tolist()) if j >= 0]
     totals = np.empty((r, n_heads, layout.k), dtype=q.dtype)
     scale = 1.0 / np.sqrt(np.float32(d))
-    # Each KV head's query heads: [n_kv, r, rep, d]; its keys, transposed: [n_kv, d, cols].
+    # Each KV head's query heads: [n_kv, r, rep, d]; its key panel: [n_kv, d, cols].
     q_kv = q.reshape(r, n_kv, rep, d).swapaxes(0, 1)
-    keys_t = k_raw[plan.ranked_cols].transpose(1, 2, 0)
-    n_cols = len(col_doc)
+    keys = key_panel(k_raw, plan.ranked_cols)
+    n_cols = layout.suffix_start - layout.prefix_len  # every document column
     work = np.empty(n_kv * min(block, r) * rep * n_cols, dtype=q.dtype)  # every block's logits
     for b in range(0, r, block):
         rb = slice(b, b + block)
         q_b = q_kv[:, rb].reshape(n_kv, -1, d)
-        logits = np.matmul(q_b, keys_t, out=work[:q_b[..., 0].size * n_cols].reshape(
+        logits = np.matmul(q_b, keys, out=work[:q_b[..., 0].size * n_cols].reshape(
             n_kv, -1, n_cols)).reshape(n_kv, -1, rep, n_cols)
-        if (own[rb] >= 0).any():  # a suffix or decoded row (own -1) has no column to hide
-            np.copyto(logits, NEG_INF, where=(col_doc == own[rb, None])[:, None, :])
+        for g0, g1, (c0, c1) in hidden:  # each group's own document
+            if g0 < b + block and g1 > b:
+                logits[:, max(g0 - b, 0):g1 - b, :, c0:c1] = NEG_INF
         e, sums = row_softmax(logits.reshape(-1, n_cols), scale)
         part = reduce.reduceat(e.reshape(logits.shape), plan.ranked_starts, axis=3)
         part /= sums.reshape(n_kv, -1, rep, 1)

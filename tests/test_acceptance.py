@@ -113,12 +113,12 @@ for variant in spec["modes"]:
     for order in spec["orders"]:
         tokens, layout = tokenize(permute_documents(prompt, order))
         cache, logits = prefill(model, tokens, layout, mode)
-        digest, capacity = hashlib.sha256(logits.tobytes()), cache.buffers[0].shape[2]
+        digest, capacity = hashlib.sha256(logits.tobytes()), cache.capacity
         for _ in range(spec["steps"]):
             logits = decode_step(model, cache, int(np.argmax(logits)), mode)
             digest.update(logits.tobytes())
         digests[variant].append(digest.hexdigest())
-        grew.append(cache.buffers[0].shape[2] > capacity)
+        grew.append(cache.capacity > capacity)
 print(json.dumps({"digests": digests, "grew": grew}))
 """
 

@@ -370,6 +370,42 @@ class TestRowBlocks:
         assert block < layout.n  # several row blocks
         assert shapes and max(rows for rows, _ in shapes) <= block
 
+    @pytest.mark.parametrize("variant", modes.VARIANTS)
+    def test_masks_only_in_the_plan_and_one_block_plan_per_pass(self, tiny_config, variant,
+                                                                 monkeypatch):
+        # build_mask runs only while prefill builds the stream's AttentionPlan,
+        # and each forward pass plans its row blocks once, for all its layers.
+        config = ModelConfig(**{**vars(tiny_config), "n_layers": 3})
+        model = Model(config, init_random(config, 0))
+        tokens, layout = tokenize(SegmentedPrompt("SYS: ", ("alpha", "bravo two", "c"), " Q?"))
+        mode = AttentionMode(variant)
+        calls = {"plan": 0, "mask in plan": 0, "mask elsewhere": 0, "row_blocks": 0}
+        init, mask, row_blocks = modes.AttentionPlan.__init__, build_mask, \
+            modes.AttentionPlan.row_blocks
+
+        def counting_init(self, *args):
+            calls["plan"] += 1
+            try:
+                init(self, *args)
+            finally:
+                calls["plan"] -= 1
+
+        def counting_mask(*args):
+            calls["mask in plan" if calls["plan"] else "mask elsewhere"] += 1
+            return mask(*args)
+
+        def counting_row_blocks(self, *args):
+            calls["row_blocks"] += 1
+            return row_blocks(self, *args)
+
+        monkeypatch.setattr(modes.AttentionPlan, "__init__", counting_init)
+        monkeypatch.setattr(modes, "build_mask", counting_mask)
+        monkeypatch.setattr(modes.AttentionPlan, "row_blocks", counting_row_blocks)
+        cache, logits = prefill(model, tokens, layout, mode)
+        assert calls == {"plan": 0, "mask in plan": 1, "mask elsewhere": 0, "row_blocks": 1}
+        decode_step(model, cache, int(np.argmax(logits)), mode)
+        assert calls == {"plan": 0, "mask in plan": 1, "mask elsewhere": 0, "row_blocks": 2}
+
     def test_blocks_that_cut_documents(self, monkeypatch):
         # Row blocks of 4 rows start and end inside documents.
         config = ModelConfig(n_layers=2, n_heads=4, n_kv_heads=2, d_model=32, d_head=8,
@@ -518,11 +554,12 @@ class TestCacheBuffer:
         growths = 0
         for _ in range(192):
             buf, s = cache.buffers[0], cache.n_cached
+            held = [x.tobytes() for x in (*cache.k_base, *cache.v)]
             logits = decode_step(model, cache, int(np.argmax(logits)), PINE)
             if cache.buffers[0] is not buf:
                 growths += 1
-                assert cache.buffers[0][:, :, :s].tobytes() == buf[:, :, :s].tobytes()
-            assert cache.n_cached <= cache.buffers[0].shape[2] <= config.max_seq_len
+                assert [x[:s].tobytes() for x in (*cache.k_base, *cache.v)] == held
+            assert cache.n_cached <= cache.capacity <= config.max_seq_len
         assert 1 <= growths <= 3
 
     def test_capacity_stops_at_max_seq_len(self, tiny_config):
@@ -533,7 +570,7 @@ class TestCacheBuffer:
         cache, logits = prefill(model, tokens, layout, PINE)
         while cache.n_cached < limit:
             logits = decode_step(model, cache, int(np.argmax(logits)), PINE)
-            assert cache.buffers[0].shape[2] <= limit
+            assert cache.capacity <= limit
         held = [x.copy() for x in (*cache.k_raw, *cache.k_base, *cache.v)]
         with pytest.raises(ShapeError, match="max_seq_len"):
             decode_step(model, cache, int(np.argmax(logits)), PINE)

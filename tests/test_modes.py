@@ -1,4 +1,5 @@
 import itertools
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from posinv import (
     sp_rescale,
     tokenize,
 )
-from posinv import modes
-from posinv.kernels import NEG_INF, row_block, row_softmax
+from posinv import kernels, modes
+from posinv.kernels import NEG_INF, key_panel, row_block, row_softmax
 from posinv.modes import VARIANTS
 from posinv.pine import group_ordering
 from posinv.rope import rotate
@@ -591,3 +592,134 @@ class TestBaseRotatedKeys:
         mode = AttentionMode(variant)
         grown = modes.base_positions(mode, layout, layout.n + 5)
         assert np.array_equal(grown[: layout.n], modes.base_positions(mode, layout, layout.n))
+
+
+def k_doc_prompt(k):
+    """k documents of 9, 16 or 23 bytes between a 5-byte prefix and an 11-byte suffix."""
+    docs = tuple(chr(ord("a") + j) * (9 + 7 * (j % 3)) for j in range(k))
+    return tokenize(SegmentedPrompt("SYS: ", docs, " Q? " + "x" * 7))
+
+
+def hidden_by_fills(block):
+    """The scores a block's fills hide, over its rows and kept columns."""
+    hidden = np.zeros((block.rows.stop - block.rows.start, block.width), dtype=bool)
+    for rows, cols, after in block.fills:
+        if after is None:
+            hidden[rows, cols] = True
+        else:
+            hidden[rows, cols] |= after
+    return hidden
+
+
+class TestBlockPlan:
+    """A forward pass plans its row blocks once; each block's slice fills
+    hide exactly what ``build_mask`` hides over its rows and kept columns."""
+
+    REP = 2
+
+    def check(self, plan, q_start, t, s):
+        blocks = plan.row_blocks(q_start, t, s, self.REP)
+        key_at = plan.columns(0, s)[0]
+        assert blocks[0].rows.start == 0 and blocks[-1].rows.stop == t
+        for block in blocks:
+            r0, r1 = q_start + block.rows.start, q_start + block.rows.stop
+            cols = np.concatenate([np.arange(c0, c1) for c0, c1, _ in block.runs])
+            assert len(cols) == block.width
+            assert [c for c0, c1 in block.spans for c in range(c0, c1)] == cols.tolist()
+            expected = ~build_mask(plan.mode, plan.layout, plan.columns(r0, r1)[0], key_at[cols])
+            assert np.array_equal(hidden_by_fills(block), expected), (r0, r1)
+            if r1 > plan.layout.suffix_start:  # sp's late rows: columns 0 .. the last row
+                assert block.spans == [(0, r1)]
+        return blocks
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 8])
+    @pytest.mark.parametrize("canonical", [True, False])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_fills_are_the_mask(self, variant, canonical, k, monkeypatch):
+        _, layout = k_doc_prompt(k)
+        n = layout.n
+        plan = AttentionPlan(AttentionMode(variant, canonical=canonical), layout)
+        # 7-row blocks, which start and end inside key blocks
+        monkeypatch.setattr(kernels, "_BLOCK_SCORES", 7 * self.REP * n)
+        blocks = self.check(plan, 0, n, n)
+        assert len(blocks) >= 3
+        straddle = [b for b in blocks
+                    if len({bisect_right(plan.block_starts, c)
+                            for c in range(b.rows.start, b.rows.stop)}) > 1]
+        assert straddle
+        self.check(plan, layout.suffix_start, n - layout.suffix_start, n)  # the suffix rows alone
+        monkeypatch.undo()
+        for q_start in (n, n + 3):  # a lone decoded row: one block, no fills
+            (block,) = self.check(plan, q_start, 1, q_start + 1)
+            assert block.fills == [] and block.width == q_start + 1
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_fills_are_the_mask_at_a_realistic_size(self, variant):
+        _, layout = tokenize(SegmentedPrompt("SYS: ", tuple(c * (40 + 3 * i) for i, c in
+                                                           enumerate("abcdefgh")), " Q?"))
+        plan = AttentionPlan(AttentionMode(variant), layout)
+        assert len(self.check(plan, 0, layout.n, layout.n)) >= 3
+
+
+class TestRowsMustNotCutDocuments:
+    """Rows that start inside the prefix or the documents, or that stop
+    short of the suffix, would read the wrong storage rows: refused."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_rows_that_cut_documents_are_refused(self, variant):
+        _, layout = tokenize(SegmentedPrompt("S", ("zzz", "aa", "mmmm"), "Q"))
+        n = layout.n
+        assert layout.suffix_start == n - 1
+        q, k, v = random_qkv(layout, 2, 1, 8, 3)
+        plan = AttentionPlan(AttentionMode(variant), layout)
+        q, k, v = plan.lay_out(q), plan.lay_out(k), plan.lay_out(v)
+        for q_start, t in [(3, n - 3), (5, n - 5), (1, 2), (0, n - 2), (0, 1)]:
+            with pytest.raises(ValueError, match="cut the documents"):
+                attention_forward(plan, q[q_start:q_start + t], k, v, q_start=q_start)
+            with pytest.raises(ValueError, match="cut the documents"):
+                plan.lay_out(k[q_start:q_start + t], q_start)
+            with pytest.raises(ValueError, match="cut the documents"):
+                plan.rotate_keys(k[q_start:q_start + t], q_start, 10000.0)
+        with pytest.raises(ValueError, match="past the"):
+            attention_forward(plan, q[n - 1:], k[:n - 1], v[:n - 1], q_start=n - 1)
+        full = attention_forward(plan, q, k, v)
+        last = attention_forward(plan, q[n - 1:], k, v, q_start=n - 1)
+        assert np.max(np.abs(last - full[n - 1:])) < 1e-6
+
+
+class TestKeyPanels:
+    """The KV cache keeps rotated keys (and pine's raw prompt keys) as
+    [n_kv_heads, d_head, columns] panels; attention and the importance pass
+    read them as unit-stride views, and contiguous copies of the same keys
+    give the same bits."""
+
+    @pytest.mark.parametrize("canonical", [True, False])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_cache_views_and_contiguous_copies_agree_bitwise(self, variant, canonical):
+        from posinv import Model, ModelConfig, decode_step, init_random, prefill
+
+        config = ModelConfig(n_layers=1, n_heads=4, n_kv_heads=2, d_model=32, d_head=8,
+                             d_ff=64, vocab_size=260, max_seq_len=256)
+        model = Model(config, init_random(config, 4))
+        tokens, layout = four_doc_prompt(13)
+        mode = AttentionMode(variant, canonical=canonical)
+        cache, logits = prefill(model, tokens, layout, mode)
+        plan, n, p = cache.plan, layout.n, layout.prefix_len
+        rng = np.random.default_rng(9)
+        q = rng.normal(size=(n + 1, 4, 8)).astype(np.float32)
+        for rows, q_start, own in ((q[:n], 0, plan.col_doc[p:]), (q[n:], n, np.array([-1]))):
+            if q_start:
+                decode_step(model, cache, int(np.argmax(logits)), mode)
+            assert cache.n_cached < cache.capacity  # the views read a padded panel
+            views = (cache.k_raw[0] if cache.k_raw else None, cache.v[0], cache.k_base[0])
+            panel = key_panel(views[2])
+            assert panel.strides[2] == panel.itemsize
+            assert np.shares_memory(panel, cache.buffers[0])  # no copy
+            copies = [None if x is None else np.ascontiguousarray(x) for x in views]
+            got = [attention_forward(plan, rows, *x[:2], q_start=q_start, k_base=x[2])
+                   for x in (views, copies)]
+            assert got[0].tobytes() == got[1].tobytes(), q_start
+            importance = [group_ordering(rows[p:] if q_start == 0 else rows,
+                                         x[0] if x[0] is not None else x[2], plan, own)
+                          for x in (views, copies)]
+            assert importance[0] == importance[1], q_start

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from posinv import kernels
 from posinv import (
     AttentionMode,
     AttentionPlan,
@@ -352,6 +353,27 @@ class TestGroupOrdering:
         ref = hand_loop_scores(q, k, layout, rows, own, aggregation)
         assert got.keys() == ref.keys()
         assert np.allclose([got[j] for j in ref], list(ref.values()), rtol=1e-6, atol=0)
+
+    @pytest.mark.parametrize("aggregation", ["mean", "sum", "max"])
+    def test_groups_across_row_blocks_match_float64_hand_loop(self, aggregation, monkeypatch):
+        # Row blocks of 3 rows: a group's rows, and the own document each
+        # hides, run over several blocks.
+        _, layout = tokenize(SegmentedPrompt("S", ("abcdefg", "de", "fghijklm", "j"), "QRS"))
+        rng = np.random.default_rng(7)
+        q = rng.normal(size=(layout.n, 8)).astype(np.float32)
+        k = rng.normal(size=(layout.n, 8)).astype(np.float32)
+        plan = AttentionPlan(AttentionMode("pine", aggregation), layout)
+        monkeypatch.setattr(kernels, "_BLOCK_SCORES", 3 * layout.n)
+        p = layout.prefix_len
+        orders = group_ordering(plan.lay_out(q)[p:, None], plan.lay_out(k)[:, None], plan,
+                                plan.col_doc[p:])
+        suffix_rows = [(r, r + 1) for r in range(layout.suffix_start, layout.n)]
+        groups = [(layout.doc_spans[j], j) for j in plan.docs] + [(r, -1) for r in suffix_rows]
+        assert len(orders) == len(groups)
+        for (rows, own), per_head in zip(groups, orders):
+            got, ref = per_head[0][1], hand_loop_scores(q, k, layout, rows, own, aggregation)
+            assert got.keys() == ref.keys()
+            assert np.allclose([got[j] for j in ref], list(ref.values()), rtol=1e-6, atol=0)
 
     @pytest.mark.parametrize("docs", [(), ("ab",)], ids=["k0", "k1"])
     def test_fewer_than_two_documents_rejected(self, docs):
