@@ -36,7 +36,7 @@ def main():
     mode = AttentionMode("pine")
     plan = AttentionPlan(mode, layout)
     row = layout.suffix_start
-    [[(ordered, scores)]] = group_ordering(q[row : row + 1], plan.lay_out(k), plan,
+    [[(ordered, scores)]] = group_ordering(q[row : row + 1], k[plan.order], plan,
                                            np.full(1, -1))
     print("length-normalized document scores:")
     for j, s in sorted(scores.items()):

@@ -5,9 +5,9 @@ decoding.  Prefill builds a stream's attention plan (``modes.AttentionPlan``)
 once and binds it to the stream's KV cache, which stores keys and values
 in the plan's column order (prefix, documents by content hash, suffix,
 decoded tokens), one buffer per layer with each KV head's keys as a
-[d_head, columns] panel and its values as [columns, d_head] rows: prefill
-permutes the prompt's rows once, as it writes them, and attention reads
-both as views, the keys as a unit-stride operand of every score product.
+[d_head, columns] panel and its values as [columns, d_head] rows, which
+attention reads as views, the keys as a unit-stride operand of every
+score product.
 Keys are rotated once, when written, at a base position that never
 changes; the re-assigning modes move a document's per-group start onto
 the queries instead, and alone keep the raw keys of the prompt's
@@ -18,7 +18,9 @@ prefill of one more row after the cached ones.  That row writes a column
 in place, after an unchanged plan's columns, and sees every cached key,
 so its one row block has no fill.  A forward pass plans its rows
 (``plan.columns``) and row blocks (``plan.row_blocks``) once, and every
-layer's attention replays them.
+layer's attention replays them.  It embeds its tokens in column order, so
+every layer runs in that order: only the embedding and the pick of the
+last token's row read a storage index.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import modes
 from .kernels import ShapeError, matmul, rms_norm, swiglu
 from .modes import AttentionMode, AttentionPlan, RowBlock, attention_forward
 from .prompts import BYTE_VOCAB, N_SPECIALS, SequenceLayout
@@ -279,9 +282,9 @@ _HEADROOM = 64
 class KVCache:
     """Per-layer keys and values for one generation stream, in the column
     order of ``plan``, the ``AttentionPlan`` of the mode it was prefilled
-    under.  Prefill writes the prompt's rows permuted into column order; a
-    decode step writes one column and builds no mask.  A stream runs under
-    one mode: decoding under another is refused.
+    under.  Prefill writes the prompt's columns; a decode step writes one
+    more and builds no mask.  A stream runs under one mode: decoding under
+    another is refused.
 
     Each layer keeps one buffer of [2, n_kv_heads, capacity, d_head] floats:
     per KV head, its keys rotated at their columns' base positions, held as
@@ -317,8 +320,9 @@ class KVCache:
 
     def write(self, layer: int, parts: tuple[np.ndarray, ...], limit: int) -> list:
         """Write one layer's next columns: ``parts`` are its raw keys, rotated
-        keys and values, each [t, n_kv_heads, d_head].  Returns its ``k_raw``
-        (or None) and views of the other two over all its columns so far."""
+        keys and values, each [t, n_kv_heads, d_head] in column order.
+        Returns its ``k_raw`` (or None) and views of the other two over all
+        its columns so far."""
         n, (t, n_kv, d) = self.n_cached, parts[0].shape
         if layer == len(self.buffers):
             self.buffers.append(np.empty((2, n_kv, min(n + t + _HEADROOM, limit), d),
@@ -348,9 +352,11 @@ def _halves(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
                    rows: tuple[np.ndarray, ...], blocks: list[RowBlock]) -> np.ndarray:
-    """One layer over the rows after the cache; ``rows`` is their
-    ``plan.columns`` (storage index, base position and document) and
-    ``blocks`` their ``plan.row_blocks``, which attention replays."""
+    """One layer over the rows after the cache, in column order; ``rows`` is
+    their ``plan.columns`` (storage index, base position and document) and
+    ``blocks`` their ``plan.row_blocks``, which attention replays.  Keys are
+    rotated once, at their base positions, by ``modes.rotate``: looked up
+    there, as attention's query rotations are, so one hook sees both."""
     cfg = model.config
     w = model.weights
     p = f"layers.{layer}."
@@ -359,8 +365,7 @@ def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
     q = matmul(h, w[p + "q_proj.weight"]).reshape(-1, cfg.n_heads, cfg.d_head)
     k = matmul(h, w[p + "k_proj.weight"]).reshape(-1, cfg.n_kv_heads, cfg.d_head)
     v = matmul(h, w[p + "v_proj.weight"]).reshape(-1, cfg.n_kv_heads, cfg.d_head)
-    k, v = plan.lay_out(k, q_start), plan.lay_out(v, q_start)
-    k_base = plan.rotate_keys(k, q_start, cfg.rope_theta)
+    k_base = modes.rotate(k, rows[1], cfg.rope_theta)
     k, k_base, v = cache.write(layer, (k, k_base, v), cfg.max_seq_len)
     attn = attention_forward(plan, q, k, v, q_start=q_start, rope_theta=cfg.rope_theta,
                              k_base=k_base, rows=rows, blocks=blocks)
@@ -375,7 +380,8 @@ def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
 def _forward(model: Model, cache: KVCache, tokens: list[int]) -> np.ndarray:
     """Run tokens as the rows after the cache, appending their keys and
     values once every layer and the logits have succeeded; returns the
-    logits of the last row."""
+    logits of the last token.  The rows run in column order, where an
+    empty suffix leaves the last token's row inside the documents."""
     cfg = model.config
     q_start = cache.n_cached
     if q_start + len(tokens) > cfg.max_seq_len:
@@ -384,13 +390,14 @@ def _forward(model: Model, cache: KVCache, tokens: list[int]) -> np.ndarray:
     ids = np.asarray(tokens)
     if ids.dtype.kind not in "iu" or not ((ids >= 0) & (ids < cfg.vocab_size)).all():
         raise ShapeError(f"token ids must be integers in 0 .. {cfg.vocab_size - 1}")
-    x = model.weights["embed.weight"][ids]
     t, plan = len(tokens), cache.plan
     rows = plan.columns(q_start, q_start + t)
     blocks = plan.row_blocks(q_start, t, q_start + t, cfg.n_heads // cfg.n_kv_heads)
+    x = model.weights["embed.weight"][ids[rows[0] - q_start]]
     for layer in range(cfg.n_layers):
         x = _layer_forward(model, x, layer, cache, rows, blocks)
-    h = rms_norm(x[-1:], model.weights["final_norm.weight"], cfg.norm_eps)
+    last = rows[0].argmax()
+    h = rms_norm(x[last:last + 1], model.weights["final_norm.weight"], cfg.norm_eps)
     logits = matmul(h, model.head_matrix())[0]
     cache.n_cached = q_start + t
     return logits

@@ -307,25 +307,6 @@ class AttentionPlan:
         if s is not None and c0 + t > s:
             raise ValueError(f"rows {c0} .. {c0 + t - 1} run past the {s} keys")
 
-    def lay_out(self, x: np.ndarray, c0: int = 0) -> np.ndarray:
-        """Storage rows c0 .. c0 + len(x) - 1 of ``x`` in column order.  The
-        rows must not cut the documents (``check_rows``); from ``suffix_start``
-        on a column is its storage index and ``x`` is returned as is."""
-        self.check_rows(c0, len(x))
-        if c0 >= self.layout.suffix_start:
-            return x
-        return x[self.columns(c0, c0 + len(x))[0] - c0]
-
-    def rotate_keys(self, k: np.ndarray, c0: int, rope_theta: float) -> np.ndarray:
-        """Keys of columns c0 .. c0 + len(k) - 1 rotated at their base positions:
-        what the KV cache holds.  From ``suffix_start`` on, a column's base
-        position is its index plus ``offset``.  The rows must not cut the
-        documents (``check_rows``)."""
-        self.check_rows(c0, len(k))
-        if c0 >= self.layout.suffix_start:
-            return rotate(k, np.arange(c0, c0 + len(k)) + self.offset, rope_theta)
-        return rotate(k, self.columns(c0, c0 + len(k))[1], rope_theta)
-
 
 def _join(runs: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
     """Column runs (first, end, shift) with each touching pair of one shift joined."""
@@ -344,16 +325,16 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
                       blocks: list[RowBlock] | None = None) -> np.ndarray:
     """One layer of multi-head attention under ``plan.mode``.
 
-    q_raw: [t, n_heads, d_head] pre-rotation queries of the storage rows
-    q_start .. q_start + t - 1, which must not cut the documents (prefill:
-    every row from 0; decode: the new token's).  v: [s, n_kv_heads, d_head],
-    every cached token in column order, as the KV cache holds them; k_base:
-    their keys rotated at base positions (None: rotate k_raw here).  k_raw,
-    raw keys in column order, is otherwise read only before the suffix when
-    ``plan.reorders``, and may be None elsewhere.  rows: the queries'
-    ``plan.columns(q_start, q_start + t)``, when the caller has them (a
-    forward pass computes them once for every layer).  Returns
-    storage-order rows.  Rows that cut the documents or run past the s keys
+    q_raw: [t, n_heads, d_head] pre-rotation queries of columns q_start ..
+    q_start + t - 1, in column order, which must not cut the documents
+    (prefill: every row from 0; decode: the new token's).  v: [s, n_kv_heads,
+    d_head], every cached token in column order, as the KV cache holds them;
+    k_base: their keys rotated at base positions (None: rotate k_raw here).
+    k_raw, raw keys in column order, is otherwise read only before the
+    suffix when ``plan.reorders``, and may be None elsewhere.  rows: the
+    queries' ``plan.columns(q_start, q_start + t)``, when the caller has them
+    (a forward pass computes them once for every layer).  Returns the rows
+    in column order.  Rows that cut the documents or run past the s keys
     raise ``ValueError`` (``plan.check_rows``).
 
     Keys are read as a unit-stride [n_kv_heads, d_head, s] panel
@@ -389,19 +370,19 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
     rep = n_heads // n_kv
     plan.check_rows(q_start, t, s)
     if k_base is None:
-        k_base = plan.rotate_keys(k_raw, 0, rope_theta)
-    rows, q_base, own = rows or plan.columns(q_start, q_start + t)  # the rows, in column order
+        k_base = rotate(k_raw, plan.columns(0, s)[1], rope_theta)
+    _, q_base, own = rows or plan.columns(q_start, q_start + t)
     if blocks is None:
         blocks = plan.row_blocks(q_start, t, s, rep)
-    late = rows >= layout.suffix_start
+    late = np.arange(q_start, q_start + t) >= layout.suffix_start
     scale = 1.0 / np.sqrt(np.float32(d_head))
     # The position p - c each query head is rotated to per key block shift c:
     # shift 0, then each document's start in ``plan.docs`` order.
     pos = np.empty((t, n_heads, 1 + layout.k if plan.reorders else 1), dtype=np.int64)
     pos[...] = q_base[:, None, None]
     if plan.reorders:
-        first = int(np.count_nonzero(rows < layout.prefix_len))  # prefix rows: no query group
-        starts = pine.document_starts(q_raw[rows[first:] - q_start], k_raw, plan, own[first:])
+        first = 0 if q_start else layout.prefix_len  # the prefix rows come first: no query group
+        starts = pine.document_starts(q_raw[first:], k_raw, plan, own[first:])
         if first:  # prefix rows keep their input positions
             starts = np.concatenate([np.zeros((first, n_heads, layout.k), np.int64), starts])
         mine = own >= 0
@@ -409,9 +390,9 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
             pos[mine] += starts[mine, :, own[mine]][..., None]
         pos[..., 1:] -= starts[..., plan.docs]
 
-    # Each KV head's query heads, rows in column order: [n_kv, t, rep, d], and
-    # their positions per shift: [shifts, n_kv, t, rep].
-    q = np.ascontiguousarray(q_raw[rows - q_start].reshape(t, n_kv, rep, d_head).swapaxes(0, 1))
+    # Each KV head's query heads: [n_kv, t, rep, d], and their positions per
+    # shift: [shifts, n_kv, t, rep].
+    q = np.ascontiguousarray(q_raw.reshape(t, n_kv, rep, d_head).swapaxes(0, 1))
     pos = pos.reshape(t, n_kv, rep, -1).transpose(3, 1, 0, 2)
     keys, vals = key_panel(k_base), v.swapaxes(0, 1)  # [n_kv, d, s] and [n_kv, s, d]
     out = np.empty((t, n_heads, d_head), dtype=q_raw.dtype)
@@ -449,6 +430,6 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
             acc = part if at == 0 else acc + part
             at += c1 - c0
         acc /= sums.reshape(n_kv, -1, 1)
-        out[rows[rb] - q_start] = acc.reshape(n_kv, -1, rep, d_head).swapaxes(0, 1).reshape(
+        out[rb] = acc.reshape(n_kv, -1, rep, d_head).swapaxes(0, 1).reshape(
             -1, n_heads, d_head)
     return check_finite(out, "attention")

@@ -251,7 +251,8 @@ def importance_scores(q, kk, layout, rows, own, aggregation="mean"):
     head; keys by storage index."""
     plan = AttentionPlan(AttentionMode("pine", aggregation), layout)
     a, b = rows
-    orders = group_ordering(q[a:b, None], plan.lay_out(kk)[:, None], plan, np.full(b - a, own))
+    keys = kk[plan.columns(0, len(kk))[0]]
+    orders = group_ordering(q[a:b, None], keys[:, None], plan, np.full(b - a, own))
     return [per_head[0][1] for per_head in orders]
 
 

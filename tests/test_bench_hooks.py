@@ -25,26 +25,41 @@ ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
 
-def test_tracer_hooks_resolve_and_restore(tiny_config, tiny_model, monkeypatch):
+def test_tracer_hooks_resolve_and_restore(tiny_config, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracer import HOOKS, Tracer
 
+    config = posinv.ModelConfig(**{**vars(tiny_config), "n_layers": 2})
+    model = posinv.Model(config, posinv.init_random(config, 3))
+    # Every rotation that reaches the tracer's rope.rotate hook: keys are
+    # [t, n_kv_heads, d_head], attention's query rows two-dimensional.
+    rotated, rotate = [], modes.rotate
+
+    def recording_rotate(x, *args):
+        rotated.append(x.shape)
+        return rotate(x, *args)
+
+    monkeypatch.setattr(modes, "rotate", recording_rotate)
     modules = {"api": posinv, "model": model_mod, "modes": modes, "pine": pine, "oracle": oracle}
     originals = {(mod, attr): getattr(modules[mod], attr)
                  for _, sites in HOOKS for mod, attr in sites}
     tokens, layout = tokenize(SegmentedPrompt("S", ("ab", "cde", "f"), "Q"))
-    _, untraced = prefill(tiny_model, tokens, layout, AttentionMode("pine"))
+    _, untraced = prefill(model, tokens, layout, AttentionMode("pine"))
 
-    tracer = Tracer(modules, vocab=tiny_config.vocab_size, d_ff=tiny_config.d_ff)
+    rotated.clear()
+    tracer = Tracer(modules, vocab=config.vocab_size, d_ff=config.d_ff)
     try:
         tracer.install()
-        _, traced = posinv.prefill(tiny_model, tokens, layout, AttentionMode("pine"))
+        _, traced = posinv.prefill(model, tokens, layout, AttentionMode("pine"))
     finally:
         tracer.uninstall()
 
     table = tracer.table()
     assert table["pine.group_ordering"][0] > 0
     assert table["kernels.row_softmax"][0] > 0
+    assert table["rope.rotate"][0] == len(rotated)
+    key_rotations = [shape for shape in rotated if len(shape) == 3]
+    assert key_rotations == [(layout.n, config.n_kv_heads, config.d_head)] * config.n_layers
     assert np.array_equal(traced, untraced)
     for (mod, attr), fn in originals.items():
         assert getattr(modules[mod], attr) is fn, f"{mod}.{attr}"

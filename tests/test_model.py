@@ -428,6 +428,30 @@ class TestRowBlocks:
             assert np.max(np.abs(logits[0] - default[variant])) <= 1e-6, variant
 
 
+class TestColumnOrder:
+    """A forward pass runs its rows in column order from the embedding on;
+    the logits are the last storage token's, which is not the last column
+    when the suffix is empty and the last stored document is not the last
+    one by content hash."""
+
+    @pytest.mark.parametrize("canonical", [True, False])
+    @pytest.mark.parametrize("variant", modes.VARIANTS)
+    def test_empty_suffix_logits_match_dense_reference(self, variant, canonical):
+        config = ModelConfig(n_layers=2, n_heads=4, n_kv_heads=2, d_model=32, d_head=8,
+                             d_ff=64, vocab_size=260, max_seq_len=128)
+        model = Model(config, init_random(config, 5))
+        tokens, layout = tokenize(SegmentedPrompt("SYS: ", ("zeta doc", "alpha", "mid text"), ""))
+        assert layout.k == 3 and layout.suffix_start == layout.n
+        mode = AttentionMode(variant, canonical=canonical)
+        plan = modes.AttentionPlan(mode, layout)
+        assert plan.ranked[-1] != layout.k - 1
+        if canonical:  # the last token's row is not the last column
+            assert plan.order[-1] != layout.n - 1
+        _, logits = prefill(model, tokens, layout, mode)
+        ref = dense_reference(model, tokens, layout, mode)
+        assert np.max(np.abs(logits - ref)) <= 1e-4
+
+
 class TestGenerate:
     def test_empty_budget(self, tiny_model):
         tokens, layout = tokenize(SegmentedPrompt("SYS", (), "q"))
@@ -452,7 +476,7 @@ class TestGenerate:
 class TestBaseRotatedCache:
     @pytest.mark.parametrize("variant", modes.VARIANTS)
     def test_cached_keys_rotated_once_at_base_positions(self, tiny_config, variant, monkeypatch):
-        # Each layer's raw keys, in storage order, as its k_proj computes them.
+        # Each layer's raw keys, in column order, as its k_proj computes them.
         config = ModelConfig(**{**vars(tiny_config), "n_layers": 2})
         model = Model(config, init_random(config, 3))
         k_proj = {id(model.weights[f"layers.{i}.k_proj.weight"]): i for i in range(2)}
@@ -476,7 +500,7 @@ class TestBaseRotatedCache:
         positions = modes.base_positions(mode, layout, s)[storage]
         checked = 0
         for layer, k_base in enumerate(cache.k_base):
-            k_raw = np.concatenate(raw[layer])[storage]  # in column order
+            k_raw = np.concatenate(raw[layer])
             assert np.array_equal(k_base, rotate(k_raw, positions, config.rope_theta))
             if variant in RAW_KEY_MODES:  # importance reads the prompt's, before the suffix
                 assert cache.k_raw[layer].tobytes() == k_raw[:layout.suffix_start].tobytes()

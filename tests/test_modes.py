@@ -190,7 +190,8 @@ class TestAssignPositions:
                 if mode.reassigns and group is not None:
                     a, b, own = group
                     plan = AttentionPlan(mode, layout)
-                    ordered = group_ordering(q[a:b, h, None], plan.lay_out(k)[:, h // 2, None],
+                    keys = k[plan.columns(0, len(k))[0]]
+                    ordered = group_ordering(q[a:b, h, None], keys[:, h // 2, None],
                                              plan, np.full(b - a, own))[0][0][0]
                 pos = assign_positions(mode, layout, row, ordered)
                 scores = (rotate(q[row, h][None], [pos[row]], 10000.0)
@@ -248,7 +249,8 @@ class TestSpDeferredRescale:
         mode = AttentionMode("sp")
         out = attend(mode, q, k, v, layout)
         plan = AttentionPlan(mode, layout)
-        last = attention_forward(plan, q[n - 1:], plan.lay_out(k), plan.lay_out(v), q_start=n - 1)
+        cols = plan.columns(0, n)[0]
+        last = attention_forward(plan, q[n - 1:], k[cols], v[cols], q_start=n - 1)
         late = np.arange(layout.suffix_start, n)
         pos = assign_positions(mode, layout, layout.suffix_start)
         keys = rotate(k[:, 0], pos, 10000.0).astype(np.float64)
@@ -271,16 +273,21 @@ class TestSpDeferredRescale:
         assert np.array_equal(attend(AttentionMode("sp"), q, k, v, layout),
                               attend(AttentionMode("pcw"), q, k, v, layout))
         plans = [AttentionPlan(AttentionMode(m), layout) for m in ("sp", "pcw")]
-        sp_last, pcw_last = (attention_forward(p, q[n - 1:], p.lay_out(k), p.lay_out(v),
-                                               q_start=n - 1) for p in plans)
+        cols = plans[0].columns(0, n)[0]  # k <= 1: storage order in both plans
+        sp_last, pcw_last = (attention_forward(p, q[n - 1:], k[cols], v[cols], q_start=n - 1)
+                             for p in plans)
         assert np.array_equal(sp_last, pcw_last)
 
 
 def attend(mode, q, k, v, layout):
-    """attention_forward of the whole sequence on storage-order keys and
-    values, laid out in the columns of the stream's plan."""
+    """attention_forward of the whole sequence on storage-order queries, keys
+    and values, laid out in the columns of the stream's plan; its rows are
+    read back in storage order."""
     plan = AttentionPlan(mode, layout)
-    return attention_forward(plan, q, plan.lay_out(k), plan.lay_out(v))
+    cols = plan.columns(0, len(q))[0]
+    out = np.empty_like(q)
+    out[cols] = attention_forward(plan, q[cols], k[cols], v[cols])
+    return out
 
 
 def random_qkv(layout, n_heads, n_kv, d_head, seed):
@@ -491,7 +498,7 @@ class TestKVHeadsInOnePass:
         n = layout.n
         q, k, v = random_qkv(layout.extend(1), 4, 2, 8, 11)
         plan = AttentionPlan(AttentionMode(variant), layout)
-        k, v = plan.lay_out(k), plan.lay_out(v)
+        q, k, v = (x[plan.columns(0, len(x))[0]] for x in (q, k, v))
         for rows, q_start, s in ((q[:n], 0, n), (q[n:], n, n + 1)):  # prefill, one decode row
             both = attention_forward(plan, rows, k[:s], v[:s], q_start=q_start)
             for g in range(2):
@@ -505,7 +512,7 @@ class TestKVHeadsInOnePass:
         _, layout = four_doc_prompt(73)
         q, k, _ = random_qkv(layout, 4, 2, 8, 12)
         plan = AttentionPlan(AttentionMode("pine", aggregation), layout)
-        q, k = plan.lay_out(q), plan.lay_out(k)
+        q, k = (x[plan.columns(0, len(x))[0]] for x in (q, k))
         p = layout.prefix_len
         own = plan.col_doc[p:]
         both = group_ordering(q[p:], k, plan, own)
@@ -552,10 +559,9 @@ class TestBaseRotatedKeys:
         q, k, v = random_qkv(layout.extend(2), 4, 2, 8, 6)
         mode = AttentionMode(variant, canonical=canonical)
         plan = AttentionPlan(mode, layout)
-        k, v = plan.lay_out(k), plan.lay_out(v)
-        k_base = np.concatenate([plan.rotate_keys(k[:n], 0, 10000.0),
-                                 plan.rotate_keys(k[n:n + 1], n, 10000.0),
-                                 plan.rotate_keys(k[n + 1:], n + 1, 10000.0)])
+        q, k, v = (x[plan.columns(0, len(x))[0]] for x in (q, k, v))
+        k_base = np.concatenate([rotate(k[c0:c1], plan.columns(c0, c1)[1], 10000.0)
+                                 for c0, c1 in ((0, n), (n, n + 1), (n + 1, n + 2))])
         own = attention_forward(plan, q[:n], k[:n], v[:n])
         cached = attention_forward(plan, q[:n], k[:n], v[:n], k_base=k_base[:n])
         assert np.array_equal(own, cached)
@@ -672,14 +678,10 @@ class TestRowsMustNotCutDocuments:
         assert layout.suffix_start == n - 1
         q, k, v = random_qkv(layout, 2, 1, 8, 3)
         plan = AttentionPlan(AttentionMode(variant), layout)
-        q, k, v = plan.lay_out(q), plan.lay_out(k), plan.lay_out(v)
+        q, k, v = (x[plan.columns(0, len(x))[0]] for x in (q, k, v))
         for q_start, t in [(3, n - 3), (5, n - 5), (1, 2), (0, n - 2), (0, 1)]:
             with pytest.raises(ValueError, match="cut the documents"):
                 attention_forward(plan, q[q_start:q_start + t], k, v, q_start=q_start)
-            with pytest.raises(ValueError, match="cut the documents"):
-                plan.lay_out(k[q_start:q_start + t], q_start)
-            with pytest.raises(ValueError, match="cut the documents"):
-                plan.rotate_keys(k[q_start:q_start + t], q_start, 10000.0)
         with pytest.raises(ValueError, match="past the"):
             attention_forward(plan, q[n - 1:], k[:n - 1], v[:n - 1], q_start=n - 1)
         full = attention_forward(plan, q, k, v)

@@ -176,18 +176,22 @@ def random_head(layout, seed, d=8):
 
 def pine_attention(q, k, v, layout, variant="pine"):
     """Single-head full-sequence attention under the pine mode (or ``variant``)
-    on storage-order keys and values, laid out in the plan's columns."""
+    on storage-order queries, keys and values, laid out in the plan's
+    columns; its rows are read back in storage order."""
     plan = AttentionPlan(AttentionMode(variant), layout)
-    return attention_forward(
-        plan, q[:, None, :], plan.lay_out(k)[:, None, :], plan.lay_out(v)[:, None, :]
+    cols = plan.columns(0, len(q))[0]
+    out = np.empty_like(q)
+    out[cols] = attention_forward(
+        plan, q[cols, None, :], k[cols, None, :], v[cols, None, :]
     )[:, 0, :]
+    return out
 
 
 def ordering(q, k, layout, own, aggregation="mean"):
     """group_ordering of query rows against storage-order keys, laid out
     in the columns of pine's plan."""
     plan = AttentionPlan(AttentionMode("pine", aggregation), layout)
-    return group_ordering(q, plan.lay_out(k), plan, own)
+    return group_ordering(q, k[plan.columns(0, len(k))[0]], plan, own)
 
 
 class TestPineAttention:
@@ -317,8 +321,9 @@ class TestGroupOrdering:
         def by_hash(perm):
             toks, layout = tokenize(permute_documents(prompt, perm))
             plan = AttentionPlan(AttentionMode("pine", aggregation), layout)
-            q = plan.lay_out(np.stack([per_token[t][0] for t in toks]))
-            k = plan.lay_out(np.stack([per_token[t][1] for t in toks]))
+            cols = plan.columns(0, len(toks))[0]
+            q = np.stack([per_token[t][0] for t in toks])[cols]
+            k = np.stack([per_token[t][1] for t in toks])[cols]
             p = layout.prefix_len
             orders = group_ordering(q[p:], k, plan, plan.col_doc[p:])
             h = layout.doc_hashes
@@ -365,8 +370,8 @@ class TestGroupOrdering:
         plan = AttentionPlan(AttentionMode("pine", aggregation), layout)
         monkeypatch.setattr(kernels, "_BLOCK_SCORES", 3 * layout.n)
         p = layout.prefix_len
-        orders = group_ordering(plan.lay_out(q)[p:, None], plan.lay_out(k)[:, None], plan,
-                                plan.col_doc[p:])
+        cols = plan.columns(0, layout.n)[0]
+        orders = group_ordering(q[cols][p:, None], k[cols][:, None], plan, plan.col_doc[p:])
         suffix_rows = [(r, r + 1) for r in range(layout.suffix_start, layout.n)]
         groups = [(layout.doc_spans[j], j) for j in plan.docs] + [(r, -1) for r in suffix_rows]
         assert len(orders) == len(groups)
@@ -400,9 +405,10 @@ class TestDocumentStarts:
         plan = AttentionPlan(AttentionMode(variant, aggregation, canonical), layout)
         rng = np.random.default_rng(k)
         q = rng.normal(size=(layout.n + 1, 4, 8)).astype(np.float32)
-        keys = plan.lay_out(rng.normal(size=(layout.n, 2, 8)).astype(np.float32))
+        cols = plan.columns(0, layout.n)[0]
+        keys = rng.normal(size=(layout.n, 2, 8)).astype(np.float32)[cols]
         p = layout.prefix_len
-        cases = [(plan.lay_out(q[:layout.n])[p:], plan.col_doc[p:]),  # prefill rows
+        cases = [(q[cols][p:], plan.col_doc[p:]),  # prefill rows
                  (q[layout.n:], np.full(1, -1))]  # a decoded row
         for rows, own in cases:
             starts = document_starts(rows, keys, plan, own)
