@@ -1,5 +1,6 @@
-"""Command-line surface: generation, mode comparison, invariance suites,
-bias scans, and overhead benchmarking.
+"""Command-line surface: generation, mode comparison, invariance suites
+and bias scans.  ``comparator_counts_per_token`` measures pine's sorting
+cost per decoded token.
 
 Exit codes: 0 success / assertions hold; 1 usage error; 2 model or
 prompt I/O error; 3 invariance assertion failure.
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import statistics
 import sys
 import time
 
@@ -311,40 +311,6 @@ def comparator_counts_per_token(model: Model, k_values: list[int], doc_len: int 
     return counts
 
 
-def cmd_bench(args) -> int:
-    if args.repeats < 3:
-        raise CliError("bench needs --repeats >= 3", USAGE_ERROR)
-    model, _, tokens, layout, report = _load_request(args)
-    modes = _modes(args)
-    baseline = _mode("vanilla", args)
-    if baseline not in modes:
-        modes.insert(0, baseline)
-    medians = {}
-    print("mode\tmedian_s\tratio_vs_vanilla")
-    for mode in modes:
-        times = []
-        params = GenerationParams(max_new_tokens=args.max_new_tokens, mode=mode)
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            generate(model, tokens, layout, params)
-            times.append(time.perf_counter() - t0)
-        medians[mode.variant] = statistics.median(times)
-    for mode in modes:
-        ratio = medians[mode.variant] / medians[baseline.variant]
-        print(f"{mode.variant}\t{medians[mode.variant]:.4f}\t{ratio:.2f}")
-    counts = comparator_counts_per_token(model, [2, 4, 8, 16, 32])
-    print("k\tcomparator_invocations_per_decoded_token")
-    for k, c in counts.items():
-        print(f"{k}\t{c}")
-    report["results"] = {
-        "median_s": medians,
-        "ratio_vs_vanilla": {m: medians[m] / medians[baseline.variant] for m in medians},
-        "comparator_counts": counts,
-    }
-    _write_report(args, report)
-    return 0
-
-
 def _count(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -409,13 +375,6 @@ def build_parser() -> _Parser:
     p.add_argument("--scan", required=True, help="scan config JSON")
     p.add_argument("--modes", default="vanilla,pine")
     p.set_defaults(func=cmd_bias_scan)
-
-    p = sub.add_parser("bench", help="wall-time and sorting-cost benchmark")
-    _add_common(p)
-    p.add_argument("--modes", default="vanilla,pine")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--max-new-tokens", type=_count, default=8)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

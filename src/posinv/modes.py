@@ -112,16 +112,18 @@ def assign_positions(mode: AttentionMode, layout: SequenceLayout, q_index: int,
                      ordered_docs: list[int] | None = None) -> np.ndarray:
     """Every key's position, by storage index, as ``attention_forward``
     applies it for query ``q_index``, whose own position is ``pos[q_index]``:
-    ``base_positions`` plus, in re-assigning modes with k >= 2, each
-    document's ``pine.block_starts`` start in ``ordered_docs``, the query
-    group's order (a permutation, as pine.group_ordering gives).  Prefix
-    queries have no group: storage order gives back their input positions.
-    Decoded queries take ``layout.extend``.
+    the ``AttentionPlan``'s base positions plus, in re-assigning modes with
+    k >= 2, each document's ``pine.laid_out`` start in ``ordered_docs``, the
+    query group's order (a permutation, as pine.group_ordering gives).
+    Prefix queries have no group: storage order gives back their input
+    positions.  ``q_index`` must be one of the layout's n tokens; a decoded
+    query is asked of ``layout.extend``, whose suffix holds it.
     """
     if not 0 <= q_index < layout.n:
         raise ValueError(f"q_index {q_index} is outside the {layout.n} tokens")
-    pos = base_positions(mode, layout, layout.n)
-    if mode.reassigns and layout.k >= 2:
+    plan = AttentionPlan(mode, layout)
+    base = plan.base.copy()
+    if plan.reorders:
         if q_index < layout.prefix_len:
             ordered_docs = range(layout.k)
         elif ordered_docs is None:
@@ -129,26 +131,25 @@ def assign_positions(mode: AttentionMode, layout: SequenceLayout, q_index: int,
         elif sorted(ordered_docs) != list(range(layout.k)):
             raise ValueError(f"ordered_docs {list(ordered_docs)} is not a permutation of "
                              f"the {layout.k} documents")
-        for (s, e), start in zip(layout.doc_spans, pine.block_starts(layout, ordered_docs)):
-            pos[s:e] += start
+        starts = pine.laid_out(plan, np.asarray(ordered_docs, dtype=np.int64))
+        base += np.where(plan.col_doc >= 0, starts[plan.col_doc], 0)
+    pos = np.empty_like(base)
+    pos[plan.order] = base  # each column back to its storage index
     return pos
 
 
-def sp_rescale(weights: np.ndarray, layout: SequenceLayout, q_index: int, k: int) -> np.ndarray:
-    """Scale document-key attention of suffix/decoded queries by 1/k and
-    renormalize; other queries (and k=0) pass through unchanged.  Documents
+def sp_rescale(weights: np.ndarray, layout: SequenceLayout) -> np.ndarray:
+    """Scale the document-key attention of suffix or decoded queries by 1/k
+    (k >= 2: with k <= 1 attention does not call it, which keeps those rows
+    bitwise equal to the unrescaled computation) and renormalize.  Documents
     fill keys prefix_len .. suffix_start - 1 in storage and in column order.
 
     Attention passes the exponentials of the columns a row block keeps.  A
     block with suffix rows keeps every column up to its last row, since
     those rows see every earlier key, so its document columns are that range.
     """
-    if k <= 1 or q_index < layout.suffix_start:
-        # 1/k scaling with k <= 1 is the identity; skipping it keeps the
-        # row bitwise equal to the unrescaled computation.
-        return weights
     scaled = weights.copy()
-    scaled[..., layout.prefix_len:layout.suffix_start] /= np.float32(k)
+    scaled[..., layout.prefix_len:layout.suffix_start] /= np.float32(layout.k)
     return (scaled / scaled.sum(axis=-1, keepdims=True)).astype(weights.dtype, copy=False)
 
 
@@ -158,7 +159,7 @@ def base_positions(mode: AttentionMode, layout: SequenceLayout, total_len: int) 
 
     pcw/sp: every document from the prefix boundary, the suffix after the
     longest.  Re-assigning modes with k >= 2: a document key's offset
-    inside its own document (attention adds its ``pine.block_starts`` start
+    inside its own document (attention adds its ``pine.laid_out`` start
     on the query side); prefix and suffix keys keep their input positions.
     Every other mode: the input position.  A key's base position never
     changes as the sequence grows.
@@ -319,40 +320,37 @@ def _join(runs: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
 
 
 def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray | None,
-                      v: np.ndarray, q_start: int = 0, rope_theta: float = 10000.0,
-                      k_base: np.ndarray | None = None,
-                      rows: tuple[np.ndarray, ...] | None = None,
-                      blocks: list[RowBlock] | None = None) -> np.ndarray:
+                      v: np.ndarray, q_start: int, rope_theta: float, k_base: np.ndarray,
+                      rows: tuple[np.ndarray, ...], blocks: list[RowBlock]) -> np.ndarray:
     """One layer of multi-head attention under ``plan.mode``.
 
     q_raw: [t, n_heads, d_head] pre-rotation queries of columns q_start ..
     q_start + t - 1, in column order, which must not cut the documents
     (prefill: every row from 0; decode: the new token's).  v: [s, n_kv_heads,
     d_head], every cached token in column order, as the KV cache holds them;
-    k_base: their keys rotated at base positions (None: rotate k_raw here).
-    k_raw, raw keys in column order, is otherwise read only before the
-    suffix when ``plan.reorders``, and may be None elsewhere.  rows: the
-    queries' ``plan.columns(q_start, q_start + t)``, when the caller has them
-    (a forward pass computes them once for every layer).  Returns the rows
-    in column order.  Rows that cut the documents or run past the s keys
-    raise ``ValueError`` (``plan.check_rows``).
+    k_base: their keys rotated at base positions.  k_raw, raw keys in column
+    order, is read only before the suffix when ``plan.reorders``, and may
+    be None elsewhere.  rows: the queries' ``plan.columns(q_start, q_start +
+    t)``, and blocks: their ``plan.row_blocks``, which a forward pass
+    computes once for every layer.  Returns the rows in column order.
+    Rows that cut the documents or run past the s keys raise
+    ``ValueError`` (``plan.check_rows``).
 
     Keys are read as a unit-stride [n_kv_heads, d_head, s] panel
     (``key_panel``: a view of the cache's, or one copy of keys laid out
     otherwise) and values as [n_kv_heads, s, d_head].  The rows, in column
-    order, run in the blocks of ``blocks`` (None: ``plan.row_blocks``, which
-    a forward pass computes once for every layer), every KV head in one
-    pass; each block scores only the columns its plan keeps for its rows
-    (whole key blocks that other rows of the block see, its own block up
-    to its last row), with one score product per run of kept
-    columns and one value product per contiguous span, each batched over
-    the KV heads.  Scores go into one workspace per call, of one row block
-    per KV head; the block's fills set its hidden keys to NEG_INF there,
-    ``row_softmax`` exponentiates them in place, and the [rows, d_head]
-    value products are divided by the row sums.  Each head takes the rows
-    and columns a block of that head alone would, so its output is bitwise
-    the same.  A lone suffix or decoded row sees every earlier key in every
-    mode, so a decode step has no fill.
+    order, run in the blocks of ``blocks``, every KV head in one pass; each
+    block scores only the columns its plan keeps for its rows (whole key
+    blocks that other rows of the block see, its own block up to its last
+    row), with one score product per run of kept columns and one value
+    product per contiguous span, each batched over the KV heads.  Scores go
+    into one workspace per call, of one row block per KV head; the block's
+    fills set its hidden keys to NEG_INF there, ``row_softmax``
+    exponentiates them in place, and the [rows, d_head] value products are
+    divided by the row sums.  Each head takes the rows and columns a block
+    of that head alone would, so its output is bitwise the same.  A lone
+    suffix or decoded row sees every earlier key in every mode, so a decode
+    step has no fill.
 
     No key is rotated again: RoPE scores depend only on relative positions,
     <R(p)q, R(c + o)k> = <R(p - c)q, R(o)k>, so a key block at base offset o
@@ -369,11 +367,7 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
     s, n_kv = v.shape[:2]
     rep = n_heads // n_kv
     plan.check_rows(q_start, t, s)
-    if k_base is None:
-        k_base = rotate(k_raw, plan.columns(0, s)[1], rope_theta)
-    _, q_base, own = rows or plan.columns(q_start, q_start + t)
-    if blocks is None:
-        blocks = plan.row_blocks(q_start, t, s, rep)
+    _, q_base, own = rows
     late = np.arange(q_start, q_start + t) >= layout.suffix_start
     scale = 1.0 / np.sqrt(np.float32(d_head))
     # The position p - c each query head is rotated to per key block shift c:
@@ -421,7 +415,7 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
         if mode.rescales and layout.k > 1 and late[rb].any():  # rows at or after suffix_start
             # A block with late rows keeps columns 0 .. its last row.  sp_rescale
             # renormalizes their exponentials, so their outputs take no division.
-            e[:, late[rb]] = sp_rescale(e[:, late[rb]], layout, layout.suffix_start, layout.k)
+            e[:, late[rb]] = sp_rescale(e[:, late[rb]], layout)
             sums[:, late[rb]] = 1
         e = e.reshape(n_kv, -1, width)
         at = 0

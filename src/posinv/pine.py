@@ -10,17 +10,17 @@ is the one scorer: it orders the documents for every query group of a
 layer at once, one batched matrix product per row block, and
 ``document_starts`` turns its orders into each row's document starts.
 
-``block_starts`` is the one rule that lays documents out: a document key
+``laid_out`` is the one rule that lays documents out: a document key
 sits at its document's start plus its offset inside the document.
-``document_starts`` applies the same rule to every (group, head) at once
-with array operations, and is tested against it.
+``document_starts`` applies it to every (group, head) at once, and
+``modes.assign_positions`` to one order.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cmp_to_key
-from typing import TYPE_CHECKING, Literal, Sequence
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
@@ -89,30 +89,28 @@ def document_starts(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
     [len(q), n_heads, k].  ``q``: pre-rotation queries of rows in column
     order that each belong to a query group; ``own``: each row's document
     (-1: suffix or decoded); ``k_raw``: raw keys before the suffix, in
-    column order.  Each row gets its group's order, laid out by the
-    ``block_starts`` rule for every (group, head) at once."""
+    column order.  Each row gets its group's order, ``laid_out`` for every
+    (group, head) at once."""
     orders = group_ordering(q, k_raw, plan, own)
-    ordered = np.array([[o for o, _ in per_head] for per_head in orders])  # [groups, heads, k]
-    g, h, k = ordered.shape
-    lens = plan.doc_lens[ordered]
-    at = np.cumsum(lens, axis=2)
-    at += plan.layout.prefix_len - lens  # the prefix and the documents ordered before
-    starts = np.empty_like(ordered)  # each start scattered to its document
-    starts.reshape(-1)[ordered + np.arange(0, g * h * k, k).reshape(g, h, 1)] = at
+    starts = laid_out(plan, np.array([[o for o, _ in per_head] for per_head in orders]))
     if len(orders) < len(own):  # a group of several rows: each row takes its group's starts
         starts = np.repeat(starts, np.diff([*_group_bounds(own), len(own)]), axis=0)
     return starts
 
 
-def block_starts(layout: SequenceLayout, ordered: Sequence[int]) -> list[int]:
-    """Start position of each document (indexed by document) when all are
-    laid out contiguously from the prefix boundary in ``ordered`` order;
-    storage order gives back their input starts."""
-    at, cursor = [0] * layout.k, layout.prefix_len
-    for j in ordered:
-        s, e = layout.doc_spans[j]
-        at[j], cursor = cursor, cursor + e - s
-    return at
+def laid_out(plan: AttentionPlan, ordered: np.ndarray) -> np.ndarray:
+    """Start position of each document, [..., k] indexed by document, when
+    all are laid out contiguously from the prefix boundary in the order of
+    each ``ordered[..., :]`` (a permutation of the k documents); storage
+    order gives back their input starts."""
+    k = ordered.shape[-1]
+    flat = ordered.reshape(-1, k)
+    lens = plan.doc_lens[flat]
+    at = np.cumsum(lens, axis=1)
+    at += plan.layout.prefix_len - lens  # the prefix and the documents ordered before
+    starts = np.empty_like(flat)  # each start scattered to its document
+    starts.reshape(-1)[flat + np.arange(0, flat.size, k)[:, None]] = at
+    return starts.reshape(ordered.shape)
 
 
 def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,

@@ -3,7 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from posinv import Model, ModelConfig, decode_step, init_random, prefill
+from posinv import (AttentionPlan, Model, ModelConfig, attention_forward, decode_step,
+                    init_random, prefill)
+from posinv.rope import rotate
 
 
 @pytest.fixture(scope="session")
@@ -43,3 +45,28 @@ def greedy_stream(model, tokens, layout, mode, steps):
 def logits_digest(logits) -> str:
     """SHA-256 of a sequence of logit arrays, bitwise."""
     return hashlib.sha256(b"".join(x.tobytes() for x in logits)).hexdigest()
+
+
+def attention(plan, q, k, v, q_start=0, k_base=None):
+    """``attention_forward`` of columns q_start .. q_start + len(q) - 1 of
+    ``plan``, with q, k and v in column order, given what a forward pass
+    gives it: the rows' plan columns and row blocks, and ``k_base``, by
+    default k rotated at its base positions in one call (k may be None
+    when ``k_base`` is given and attention reads no raw key)."""
+    t, s = len(q), len(v)
+    if k_base is None:
+        k_base = rotate(k, plan.columns(0, s)[1], 10000.0)
+    return attention_forward(plan, q, k, v, q_start, 10000.0, k_base,
+                             plan.columns(q_start, q_start + t),
+                             plan.row_blocks(q_start, t, s, q.shape[1] // v.shape[1]))
+
+
+def attend(mode, q, k, v, layout):
+    """``attention`` of the whole sequence on storage-order queries, keys
+    and values, laid out in the columns of the stream's plan; its rows are
+    read back in storage order."""
+    plan = AttentionPlan(mode, layout)
+    cols = plan.columns(0, len(q))[0]
+    out = np.empty_like(q)
+    out[cols] = attention(plan, q[cols], k[cols], v[cols])
+    return out

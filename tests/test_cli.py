@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -10,7 +12,8 @@ import numpy as np
 import pytest
 
 import posinv
-from posinv.cli import main
+from posinv import Model, load_weights
+from posinv.cli import build_parser, comparator_counts_per_token, main
 
 PROMPT = {"prefix": "SYS: ", "documents": ["alpha doc", "bravo doc", "chrly"], "suffix": " Q?"}
 SCAN = {
@@ -266,45 +269,20 @@ class TestBiasScan:
         assert isinstance(pair, list) and len(pair) == 2
 
 
-class TestBench:
-    def test_reports_ratio_and_counts(self, model_files, prompt_file, capsys):
-        w, c = model_files
-        assert run_cli(["bench", "--model", w, "--config", c, "--prompt", prompt_file,
-                        "--modes", "vanilla,pine", "--repeats", "3",
-                        "--max-new-tokens", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "ratio_vs_vanilla" in out
-        assert "comparator_invocations_per_decoded_token" in out
+class TestSubcommands:
+    def test_readme_lists_the_parser_subcommands(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = re.search(r"with subcommands\s+`([^`]+)`", readme).group(1)
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert [name.strip() for name in listed.split("|")] == list(sub.choices)
 
-    def test_no_canonical_reduction_times_vanilla_once(self, model_files, prompt_file,
-                                                       tmp_path, capsys):
-        # The vanilla baseline is built like the listed modes, so it is found
-        # among them under --no-canonical-reduction too.
+    def test_removed_bench_is_a_usage_error(self, model_files, prompt_file, capsys):
         w, c = model_files
-        report = tmp_path / "report.json"
-        assert run_cli(["bench", "--model", w, "--config", c, "--prompt", prompt_file,
-                        "--modes", "pine,vanilla", "--repeats", "3", "--max-new-tokens", "1",
-                        "--no-canonical-reduction", "--report-out", str(report)]) == 0
-        out = capsys.readouterr().out
-        assert [line.split("\t")[0] for line in out.splitlines()[1:3]] == ["pine", "vanilla"]
-        assert sum(line.startswith("vanilla\t") for line in out.splitlines()) == 1
-        assert list(json.loads(report.read_text())["results"]["median_s"]) == ["pine", "vanilla"]
-
-    def test_too_few_repeats(self, model_files, prompt_file, capsys):
-        w, c = model_files
-        code = run_cli(["bench", "--model", w, "--config", c, "--prompt", prompt_file,
-                        "--repeats", "2"])
-        capsys.readouterr()
+        code = run_cli(["bench", "--model", w, "--config", c, "--prompt", prompt_file])
+        out, err = capsys.readouterr()
         assert code == 1
-
-    def test_too_few_repeats_checked_before_loading(self, tmp_path, prompt_file, capsys):
-        # A usage error is reported before any file is read, as in invariance.
-        missing = str(tmp_path / "missing")
-        code = run_cli(["bench", "--model", missing, "--config", missing, "--prompt", prompt_file,
-                        "--repeats", "1"])
-        _, err = capsys.readouterr()
-        assert code == 1
-        assert "--repeats" in err
+        assert out == ""
+        assert "invalid choice: 'bench'" in err
 
 
 class TestConfigHash:
@@ -410,7 +388,7 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert "empty" in err
 
-    @pytest.mark.parametrize("cmd", ["run", "compare", "invariance", "bench"])
+    @pytest.mark.parametrize("cmd", ["run", "compare", "invariance"])
     def test_negative_max_new_tokens_usage_error(self, model_files, prompt_file, cmd, capsys):
         w, c = model_files
         code = run_cli([cmd, "--model", w, "--config", c, "--prompt", prompt_file,
@@ -420,7 +398,7 @@ class TestExitCodes:
         assert out == ""
         assert "--max-new-tokens" in err
 
-    @pytest.mark.parametrize("cmd", ["run", "compare", "invariance", "bench"])
+    @pytest.mark.parametrize("cmd", ["run", "compare", "invariance"])
     @pytest.mark.parametrize("field", ["prefix", "documents", "suffix"])
     def test_unencodable_prompt_io_error(self, model_files, tmp_path, cmd, field, capsys):
         w, c = model_files
@@ -614,7 +592,7 @@ class TestEmptySuffix:
 
 
 class TestRefuseWhatCannotFit:
-    @pytest.mark.parametrize("cmd", ["run", "compare", "invariance", "bench"])
+    @pytest.mark.parametrize("cmd", ["run", "compare", "invariance"])
     def test_generation_past_max_seq_len_usage_error(self, short_model_files, tmp_path, cmd,
                                                      capsys):
         w, c = short_model_files
@@ -649,20 +627,11 @@ class TestRefuseWhatCannotFit:
         assert out == ""
         assert "max_seq_len 24" in err
 
-    def test_bench_skips_comparator_prompts_that_do_not_fit(self, short_model_files, tmp_path,
-                                                            capsys):
-        w, c = short_model_files
-        p = tmp_path / "p.json"
-        p.write_text(json.dumps(ELEVEN_TOKENS))
-        report = tmp_path / "report.json"
-        code = run_cli(["bench", "--model", w, "--config", c, "--prompt", str(p),
-                        "--repeats", "3", "--max-new-tokens", "1",
-                        "--report-out", str(report)])
-        capsys.readouterr()
-        assert code == 0
+    def test_bench_skips_comparator_prompts_that_do_not_fit(self, short_model_files):
         # "sys:", k documents of 3 bytes and "q?", plus one decoded token:
         # k = 2 and 4 fit in 24 positions, 8 does not.
-        assert list(json.loads(report.read_text())["results"]["comparator_counts"]) == ["2", "4"]
+        model = Model(*load_weights(*short_model_files))
+        assert list(comparator_counts_per_token(model, [2, 4, 8])) == [2, 4]
 
 
 def test_config_tie_embeddings_not_boolean_io_error(model_files, prompt_file, tmp_path, capsys):
@@ -677,7 +646,7 @@ def test_config_tie_embeddings_not_boolean_io_error(model_files, prompt_file, tm
 
 
 class TestEmptyModeList:
-    @pytest.mark.parametrize("cmd", ["compare", "invariance", "bias-scan", "bench"])
+    @pytest.mark.parametrize("cmd", ["compare", "invariance", "bias-scan"])
     def test_usage_error(self, model_files, prompt_file, tmp_path, cmd, capsys):
         # An empty list would test nothing and pass.
         w, c = model_files

@@ -11,7 +11,7 @@ JSON value, or the good object with fields dropped or swapped for any
 JSON value, run by a command on a good model.
 
 A third draws the model: ``init`` flags, mostly ones that build a model,
-then one ``run``, ``compare``, ``invariance`` or ``bench`` command on it.
+then one ``run``, ``compare`` or ``invariance`` command on it.
 """
 
 import json
@@ -77,8 +77,7 @@ COUNT = texts("-1", "0", "1", "3", "x")
 
 @st.composite
 def argvs(draw):
-    cmd = draw(st.sampled_from(["init", "run", "compare", "invariance", "bias-scan", "bench",
-                                "bogus"]))
+    cmd = draw(st.sampled_from(["init", "run", "compare", "invariance", "bias-scan", "bogus"]))
     args = [cmd]
     if cmd == "init":
         args += draw(flag("--model", OUT, required=True))
@@ -103,14 +102,12 @@ def argvs(draw):
         args += draw(flag("--mode", texts(*VARIANTS, "bogus")))
     if cmd != "run":
         args += draw(flag("--modes", MODES))
-    if cmd in ("run", "compare", "invariance", "bench"):
+    if cmd in ("run", "compare", "invariance"):
         args += draw(flag("--max-new-tokens", COUNT))
     if cmd == "invariance":
         args += draw(flag("--limit", texts("-1", "1", "2", "3", "x")))
         args += draw(flag("--seed", COUNT))
         args += draw(flag("--tolerance", texts("0", "1e-4", "-1", "nan", "inf", "x")))
-    if cmd == "bench":
-        args += draw(flag("--repeats", texts("0", "3", "x")))
     return args
 
 
@@ -142,17 +139,15 @@ def contents(good):
 @st.composite
 def file_runs(draw):
     """(command argv without the file, file flag, file contents)."""
-    cmd = draw(st.sampled_from(["run", "compare", "invariance", "bias-scan", "bench"]))
+    cmd = draw(st.sampled_from(["run", "compare", "invariance", "bias-scan"]))
     args = [cmd, "--model", "in:w.bin", "--config", "in:c.txt"]
     if cmd == "bias-scan":
         return args + ["--modes", "vanilla,pine"], "--scan", draw(contents(SCAN))
     args += ["--max-new-tokens", draw(st.sampled_from(["0", "1"]))]
     if cmd == "invariance":
         args += ["--limit", "2"]
-    if cmd in ("compare", "bench"):
+    if cmd == "compare":
         args += ["--modes", "vanilla,pine"]
-    if cmd == "bench":
-        args += ["--repeats", "3"]
     return args, "--prompt", draw(contents(PROMPT))
 
 
@@ -168,7 +163,7 @@ MODEL_FLAGS = [("--n-layers", ("1", "2")), ("--n-heads", ("2", "4")),
 def model_runs(draw):
     """(init flags, command argv without --model, --config and --prompt)."""
     init = [a for name, values in MODEL_FLAGS for a in draw(flag(name, texts(*values)))]
-    cmd = draw(st.sampled_from(["run", "compare", "invariance", "bench"]))
+    cmd = draw(st.sampled_from(["run", "compare", "invariance"]))
     args = [cmd]
     args += draw(flag("--mode", texts(*VARIANTS))) if cmd == "run" else draw(flag("--modes", MODES))
     args += draw(flag("--aggregation", texts("mean", "sum", "max")))
@@ -177,8 +172,6 @@ def model_runs(draw):
     args += draw(flag("--max-new-tokens", texts("0", "1", "2")))
     if cmd == "invariance":
         args += ["--limit", draw(st.sampled_from(["2", "3"]))]
-    if cmd == "bench":
-        args += ["--repeats", "3"]
     return init, args
 
 

@@ -21,6 +21,8 @@ from posinv.modes import VARIANTS
 from posinv.pine import group_ordering
 from posinv.rope import rotate
 
+from conftest import attend, attention
+
 
 def running_example():
     """1-token prefix, three 2-token documents, 1-token suffix."""
@@ -199,22 +201,17 @@ class TestAssignPositions:
                 z = np.where(mask[row], scores[0].astype(np.float64) / np.sqrt(8.0), -np.inf)
                 w = np.exp(z - z.max())
                 w /= w.sum()
-                if mode.rescales:
-                    w = sp_rescale(w, layout, row, layout.k)
+                if mode.rescales and row >= layout.suffix_start:
+                    w = sp_rescale(w, layout)
                 assert np.allclose(w @ v[:, h // 2], out[row, h], rtol=0, atol=1e-6), (row, h)
 
 
 class TestSpRescale:
-    def test_k1_unchanged(self):
-        _, layout = tokenize(SegmentedPrompt("S", ("AB",), "Q"))
-        row = np.asarray([0.5, 0.25, 0.25, 0.0], dtype=np.float32)
-        assert np.array_equal(sp_rescale(row, layout, 3, 1), row)
-
     def test_all_mass_on_documents_unchanged(self):
         _, layout = running_example()
         row = np.zeros(8, dtype=np.float32)
         row[1:7] = 1 / 6
-        out = sp_rescale(row, layout, 7, 3)
+        out = sp_rescale(row, layout)
         assert np.allclose(out, row, atol=1e-7)
 
     def test_arithmetic_oracle(self):
@@ -224,14 +221,9 @@ class TestSpRescale:
         row = np.zeros(layout.n, dtype=np.float32)
         row[1] = 0.6  # doc token
         row[0] = 0.4  # prefix token
-        out = sp_rescale(row, layout, layout.suffix_start, 2)
+        out = sp_rescale(row, layout)
         assert abs(float(out[1]) - 0.3 / 0.7) < 1e-6
         assert abs(float(out[0]) - 0.4 / 0.7) < 1e-6
-
-    def test_non_suffix_query_passthrough(self):
-        _, layout = running_example()
-        row = np.full(8, 1 / 8, dtype=np.float32)
-        assert np.array_equal(sp_rescale(row, layout, 2, 3), row)
 
 
 class TestSpDeferredRescale:
@@ -250,7 +242,7 @@ class TestSpDeferredRescale:
         out = attend(mode, q, k, v, layout)
         plan = AttentionPlan(mode, layout)
         cols = plan.columns(0, n)[0]
-        last = attention_forward(plan, q[n - 1:], k[cols], v[cols], q_start=n - 1)
+        last = attention(plan, q[n - 1:], k[cols], v[cols], q_start=n - 1)
         late = np.arange(layout.suffix_start, n)
         pos = assign_positions(mode, layout, layout.suffix_start)
         keys = rotate(k[:, 0], pos, 10000.0).astype(np.float64)
@@ -259,7 +251,7 @@ class TestSpDeferredRescale:
             qr = rotate(q[late, h], pos[late], 10000.0).astype(np.float64)
             z = np.where(mask, qr @ keys.T / np.sqrt(d), -np.inf)
             w = np.exp(z - z.max(axis=1, keepdims=True))
-            w = sp_rescale(w / w.sum(axis=1, keepdims=True), layout, layout.suffix_start, layout.k)
+            w = sp_rescale(w / w.sum(axis=1, keepdims=True), layout)
             ref = w @ v[:, 0].astype(np.float64)
             assert np.max(np.abs(out[late, h] - ref)) < 1e-6, h
             assert np.max(np.abs(last[0, h] - ref[-1])) < 1e-6, h
@@ -274,20 +266,9 @@ class TestSpDeferredRescale:
                               attend(AttentionMode("pcw"), q, k, v, layout))
         plans = [AttentionPlan(AttentionMode(m), layout) for m in ("sp", "pcw")]
         cols = plans[0].columns(0, n)[0]  # k <= 1: storage order in both plans
-        sp_last, pcw_last = (attention_forward(p, q[n - 1:], k[cols], v[cols], q_start=n - 1)
+        sp_last, pcw_last = (attention(p, q[n - 1:], k[cols], v[cols], q_start=n - 1)
                              for p in plans)
         assert np.array_equal(sp_last, pcw_last)
-
-
-def attend(mode, q, k, v, layout):
-    """attention_forward of the whole sequence on storage-order queries, keys
-    and values, laid out in the columns of the stream's plan; its rows are
-    read back in storage order."""
-    plan = AttentionPlan(mode, layout)
-    cols = plan.columns(0, len(q))[0]
-    out = np.empty_like(q)
-    out[cols] = attention_forward(plan, q[cols], k[cols], v[cols])
-    return out
 
 
 def random_qkv(layout, n_heads, n_kv, d_head, seed):
@@ -500,11 +481,10 @@ class TestKVHeadsInOnePass:
         plan = AttentionPlan(AttentionMode(variant), layout)
         q, k, v = (x[plan.columns(0, len(x))[0]] for x in (q, k, v))
         for rows, q_start, s in ((q[:n], 0, n), (q[n:], n, n + 1)):  # prefill, one decode row
-            both = attention_forward(plan, rows, k[:s], v[:s], q_start=q_start)
+            both = attention(plan, rows, k[:s], v[:s], q_start=q_start)
             for g in range(2):
                 heads, kv = slice(2 * g, 2 * g + 2), slice(g, g + 1)
-                one = attention_forward(plan, rows[:, heads], k[:s, kv], v[:s, kv],
-                                        q_start=q_start)
+                one = attention(plan, rows[:, heads], k[:s, kv], v[:s, kv], q_start=q_start)
                 assert both[:, heads].tobytes() == one.tobytes(), (variant, q_start, g)
 
     @pytest.mark.parametrize("aggregation", ["mean", "sum", "max"])
@@ -552,8 +532,8 @@ class TestBaseRotatedKeys:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_cached_base_keys_equal_own_rotation_bitwise(self, variant, canonical):
         # Keys rotated piecewise as the cache writes them (prompt, then one
-        # row per decode step) give the same attention, bitwise, as
-        # attention_forward rotating the raw keys itself.
+        # row per decode step) give the same attention, bitwise, as keys
+        # rotated in one whole-sequence call.
         _, layout = tokenize(SegmentedPrompt("SYS: ", ("alpha doc", "bravo!", "charlie c"), " Q?"))
         n = layout.n
         q, k, v = random_qkv(layout.extend(2), 4, 2, 8, 6)
@@ -562,11 +542,11 @@ class TestBaseRotatedKeys:
         q, k, v = (x[plan.columns(0, len(x))[0]] for x in (q, k, v))
         k_base = np.concatenate([rotate(k[c0:c1], plan.columns(c0, c1)[1], 10000.0)
                                  for c0, c1 in ((0, n), (n, n + 1), (n + 1, n + 2))])
-        own = attention_forward(plan, q[:n], k[:n], v[:n])
-        cached = attention_forward(plan, q[:n], k[:n], v[:n], k_base=k_base[:n])
+        own = attention(plan, q[:n], k[:n], v[:n])
+        cached = attention(plan, q[:n], k[:n], v[:n], k_base=k_base[:n])
         assert np.array_equal(own, cached)
-        own = attention_forward(plan, q[-1:], k, v, q_start=n + 1)
-        cached = attention_forward(plan, q[-1:], k, v, q_start=n + 1, k_base=k_base)
+        own = attention(plan, q[-1:], k, v, q_start=n + 1)
+        cached = attention(plan, q[-1:], k, v, q_start=n + 1, k_base=k_base)
         assert np.array_equal(own, cached)
 
     def test_base_positions_shared_block(self):
@@ -679,13 +659,18 @@ class TestRowsMustNotCutDocuments:
         q, k, v = random_qkv(layout, 2, 1, 8, 3)
         plan = AttentionPlan(AttentionMode(variant), layout)
         q, k, v = (x[plan.columns(0, len(x))[0]] for x in (q, k, v))
+        # attention_forward checks its rows itself, whatever plan it is given
+        whole = dict(k_base=rotate(k, plan.columns(0, n)[1], 10000.0),
+                     rows=plan.columns(0, n), blocks=plan.row_blocks(0, n, n, 2))
         for q_start, t in [(3, n - 3), (5, n - 5), (1, 2), (0, n - 2), (0, 1)]:
             with pytest.raises(ValueError, match="cut the documents"):
-                attention_forward(plan, q[q_start:q_start + t], k, v, q_start=q_start)
+                attention(plan, q[q_start:q_start + t], k, v, q_start=q_start)
+            with pytest.raises(ValueError, match="cut the documents"):
+                attention_forward(plan, q[q_start:q_start + t], k, v, q_start, 10000.0, **whole)
         with pytest.raises(ValueError, match="past the"):
-            attention_forward(plan, q[n - 1:], k[:n - 1], v[:n - 1], q_start=n - 1)
-        full = attention_forward(plan, q, k, v)
-        last = attention_forward(plan, q[n - 1:], k, v, q_start=n - 1)
+            attention(plan, q[n - 1:], k[:n - 1], v[:n - 1], q_start=n - 1)
+        full = attention(plan, q, k, v)
+        last = attention(plan, q[n - 1:], k, v, q_start=n - 1)
         assert np.max(np.abs(last - full[n - 1:])) < 1e-6
 
 
@@ -718,7 +703,7 @@ class TestKeyPanels:
             assert panel.strides[2] == panel.itemsize
             assert np.shares_memory(panel, cache.buffers[0])  # no copy
             copies = [None if x is None else np.ascontiguousarray(x) for x in views]
-            got = [attention_forward(plan, rows, *x[:2], q_start=q_start, k_base=x[2])
+            got = [attention(plan, rows, *x[:2], q_start=q_start, k_base=x[2])
                    for x in (views, copies)]
             assert got[0].tobytes() == got[1].tobytes(), q_start
             importance = [group_ordering(rows[p:] if q_start == 0 else rows,

@@ -8,18 +8,19 @@ from posinv import (
     AttentionMode,
     AttentionPlan,
     SegmentedPrompt,
-    attention_forward,
     order_documents,
     permute_documents,
     tokenize,
 )
 from posinv.pine import (
-    block_starts,
     comparison_count,
     document_starts,
     group_ordering,
+    laid_out,
     reset_comparison_count,
 )
+
+from conftest import attend
 
 
 def one_token_docs(k):
@@ -175,16 +176,9 @@ def random_head(layout, seed, d=8):
 
 
 def pine_attention(q, k, v, layout, variant="pine"):
-    """Single-head full-sequence attention under the pine mode (or ``variant``)
-    on storage-order queries, keys and values, laid out in the plan's
-    columns; its rows are read back in storage order."""
-    plan = AttentionPlan(AttentionMode(variant), layout)
-    cols = plan.columns(0, len(q))[0]
-    out = np.empty_like(q)
-    out[cols] = attention_forward(
-        plan, q[cols, None, :], k[cols, None, :], v[cols, None, :]
-    )[:, 0, :]
-    return out
+    """Single-head full-sequence ``attend`` under the pine mode (or
+    ``variant``) on storage-order queries, keys and values."""
+    return attend(AttentionMode(variant), q[:, None], k[:, None], v[:, None], layout)[:, 0]
 
 
 def ordering(q, k, layout, own, aggregation="mean"):
@@ -390,7 +384,26 @@ class TestGroupOrdering:
             ordering(q, k, layout, np.full(1, -1))
 
 
+def block_starts(layout, ordered):
+    """Start of each document (indexed by document) when all are laid out
+    contiguously from the prefix boundary in ``ordered`` order, by hand:
+    the reference for ``pine.laid_out``."""
+    at, cursor = [0] * layout.k, layout.prefix_len
+    for j in ordered:
+        s, e = layout.doc_spans[j]
+        at[j], cursor = cursor, cursor + e - s
+    return at
+
+
 class TestDocumentStarts:
+    @pytest.mark.parametrize("canonical", [True, False])
+    @pytest.mark.parametrize("k", [2, 5, 8])
+    def test_storage_order_gives_input_starts(self, k, canonical):
+        docs = tuple("abcdefgh"[j] * (1 + (3 * j) % 4) for j in range(k))
+        _, layout = tokenize(SegmentedPrompt("S", docs, "QR"))
+        plan = AttentionPlan(AttentionMode("pine", canonical=canonical), layout)
+        assert laid_out(plan, np.arange(k)).tolist() == [s for s, _ in layout.doc_spans]
+
     @pytest.mark.parametrize("canonical", [True, False])
     @pytest.mark.parametrize("variant", ["pine", "pine_reverse"])
     @pytest.mark.parametrize("aggregation", ["mean", "sum", "max"])
