@@ -23,13 +23,13 @@ def row_block(n_keys: int, rep: int) -> int:
     return max(1, _BLOCK_SCORES // (n_keys * rep))
 
 
-def key_panel(k: np.ndarray, cols=slice(None)) -> np.ndarray:
-    """Columns ``cols`` of [c, n_kv_heads, d_head] keys as the [n_kv_heads,
-    d_head, columns] panel every score product multiplies by, each row
-    unit-stride, so that BLAS never takes a transposed key operand: a view
-    when ``k`` is a view of such a panel (the KV cache's), else one copy.
-    BLAS gives the cache's panel and a contiguous copy bitwise-equal products."""
-    panel = k.transpose(1, 2, 0)[:, :, cols]
+def key_panel(k: np.ndarray) -> np.ndarray:
+    """[c, n_kv_heads, d_head] keys as the [n_kv_heads, d_head, c] panel
+    every score product multiplies by, each row unit-stride, so that BLAS
+    never takes a transposed key operand: a view when ``k`` is a view of
+    such a panel (the KV cache's), else one copy.  BLAS gives the cache's
+    panel and a contiguous copy bitwise-equal products."""
+    panel = k.transpose(1, 2, 0)
     return panel if panel.strides[2] == panel.itemsize else np.ascontiguousarray(panel)
 
 
@@ -42,7 +42,7 @@ class NumericError(FloatingPointError):
 
 
 def check_finite(x: np.ndarray, where: str) -> np.ndarray:
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):  # x.all() without its wrapper
         raise NumericError(f"non-finite value produced by {where}")
     return x
 
@@ -68,7 +68,8 @@ def row_softmax(x: np.ndarray, scale: float = 1.0) -> tuple[np.ndarray, np.ndarr
         raise ShapeError("row_softmax: empty rows")
     x *= np.float32(scale)
     row_max = np.maximum.reduce(x, axis=-1, keepdims=True)  # np.max without its wrapper
-    if not np.isfinite(row_max).all():  # a NaN anywhere in a row makes its max NaN
+    # a NaN anywhere in a row makes its max NaN
+    if not np.logical_and.reduce(np.isfinite(row_max), axis=None):
         bad = (np.isnan(row_max) | np.isposinf(row_max)).any()
         raise NumericError(f"row_softmax: {'non-finite score' if bad else 'fully masked row'}")
     x -= row_max
@@ -85,7 +86,8 @@ def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
     out = np.square(x, dtype=x.dtype)
     ms = np.add.reduce(out, axis=-1, keepdims=True)  # np.mean's sum and divide, without its wrapper
     ms /= np.float32(x.shape[-1])
-    np.divide(x, np.sqrt(ms + np.asarray(eps, dtype=x.dtype)), out=out)
+    ms += np.asarray(eps, dtype=x.dtype)
+    np.divide(x, np.sqrt(ms, out=ms), out=out)
     out *= gain
     return check_finite(out, "rms_norm")
 

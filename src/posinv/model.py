@@ -296,9 +296,10 @@ class KVCache:
     columns as per-layer [n_cached, n_kv_heads, d_head] views.  A step's
     columns count only once every layer has written them, so a step that
     raises leaves the cache as it was.  Only a plan that ``reorders`` holds
-    ``k_raw``: per layer, the raw keys before ``suffix_start``, written once
+    ``k_raw``: per layer, the raw keys before ``suffix_start``, with the
+    documents in ``plan.ranked`` order (``plan.ranked_cols``), written once
     at prefill, as a view of the same kind of [n_kv_heads, d_head, columns]
-    panel."""
+    panel, so the importance pass reads its documents as one slice."""
 
     plan: AttentionPlan
     buffers: list[np.ndarray] = field(default_factory=list)
@@ -328,7 +329,7 @@ class KVCache:
             self.buffers.append(np.empty((2, n_kv, min(n + t + _HEADROOM, limit), d),
                                          dtype=parts[0].dtype))
             if self.plan.reorders:
-                raw = parts[0][:self.plan.layout.suffix_start].transpose(1, 2, 0)
+                raw = parts[0][self.plan.ranked_cols].transpose(1, 2, 0)
                 self.k_raw.append(np.ascontiguousarray(raw).transpose(2, 0, 1))
         buf = self.buffers[layer]
         if n + t > buf.shape[2]:

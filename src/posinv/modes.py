@@ -131,7 +131,7 @@ def assign_positions(mode: AttentionMode, layout: SequenceLayout, q_index: int,
         elif sorted(ordered_docs) != list(range(layout.k)):
             raise ValueError(f"ordered_docs {list(ordered_docs)} is not a permutation of "
                              f"the {layout.k} documents")
-        starts = pine.laid_out(plan, np.asarray(ordered_docs, dtype=np.int64))
+        starts = pine.laid_out(plan, [ordered_docs])[0]
         base += np.where(plan.col_doc >= 0, starts[plan.col_doc], 0)
     pos = np.empty_like(base)
     pos[plan.order] = base  # each column back to its storage index
@@ -226,14 +226,17 @@ class AttentionPlan:
         firsts = self.columns(0, layout.suffix_start + 1)[0][self.block_starts]
         self.sees = build_mask(mode, layout, firsts, firsts)
         np.fill_diagonal(self.sees, False)
-        # The importance pass reads the documents in ``ranked`` order: a slice
-        # of the columns, or a gather of them when canonical is False.
-        region = slice(layout.prefix_len, layout.suffix_start)
-        self.ranked_cols = region if mode.canonical else ranked[region]
+        # The importance pass reads the raw keys before the suffix with the
+        # documents in ``ranked`` order: these columns, a slice when canonical.
+        # The KV cache gathers them once, at prefill.
+        self.ranked_cols = (slice(0, layout.suffix_start) if mode.canonical
+                            else ranked[:layout.suffix_start])
         self.doc_lens = np.array([layout.doc_len(j) for j in range(layout.k)], dtype=np.int64)
         self.ranked_lens = self.doc_lens[self.ranked]
-        # each document's first ranked column
+        # each ranked document's first column, and each document's (first, end) columns
         self.ranked_starts = np.cumsum(self.ranked_lens) - self.ranked_lens
+        self.ranked_spans = {j: (c, c + n) for j, c, n in zip(
+            self.ranked, self.ranked_starts.tolist(), self.ranked_lens.tolist())}
 
     def columns(self, c0: int, c1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Storage index, base position and document (-1: none) of columns c0 .. c1 - 1."""
@@ -328,9 +331,10 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
     q_start + t - 1, in column order, which must not cut the documents
     (prefill: every row from 0; decode: the new token's).  v: [s, n_kv_heads,
     d_head], every cached token in column order, as the KV cache holds them;
-    k_base: their keys rotated at base positions.  k_raw, raw keys in column
-    order, is read only before the suffix when ``plan.reorders``, and may
-    be None elsewhere.  rows: the queries' ``plan.columns(q_start, q_start +
+    k_base: their keys rotated at base positions.  k_raw, the raw keys
+    before the suffix as the KV cache holds them (``plan.ranked_cols`` of
+    the columns), is read only when ``plan.reorders``, and may be None
+    elsewhere.  rows: the queries' ``plan.columns(q_start, q_start +
     t)``, and blocks: their ``plan.row_blocks``, which a forward pass
     computes once for every layer.  Returns the rows in column order.
     Rows that cut the documents or run past the s keys raise
@@ -350,14 +354,18 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
     divided by the row sums.  Each head takes the rows and columns a block
     of that head alone would, so its output is bitwise the same.  A lone
     suffix or decoded row sees every earlier key in every mode, so a decode
-    step has no fill.
+    step has no fill; under a plan that reorders it takes ``_lone_row``,
+    which makes the block path's products with fewer array calls.
 
     No key is rotated again: RoPE scores depend only on relative positions,
     <R(p)q, R(c + o)k> = <R(p - c)q, R(o)k>, so a key block at base offset o
-    and assigned start c is scored with the query rotated by p - c.  Only
-    the re-assigning modes have blocks with c != 0: ``pine.document_starts``
-    scores every (query head, row) against every document in one importance
-    pass and gives each document's start in the row's group order.  With
+    and assigned start c is scored with the query rotated by p - c.  A
+    block's queries are rotated to all their shifts in one ``rotate``, or,
+    when the plan does not reorder, by one phase per row shared by its
+    heads.  Only the re-assigning modes have blocks with c != 0:
+    ``pine.document_starts`` scores every (query head, row) against every
+    document in one importance pass and gives each document's start in the
+    row's group order.  With
     ``mode.canonical`` the kept columns depend only on the column order, so
     every block of rows makes the same products, on keys in the same
     columns, whatever the document order: bitwise invariance.
@@ -368,38 +376,43 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
     rep = n_heads // n_kv
     plan.check_rows(q_start, t, s)
     _, q_base, own = rows
-    late = np.arange(q_start, q_start + t) >= layout.suffix_start
     scale = 1.0 / np.sqrt(np.float32(d_head))
-    # The position p - c each query head is rotated to per key block shift c:
-    # shift 0, then each document's start in ``plan.docs`` order.
-    pos = np.empty((t, n_heads, 1 + layout.k if plan.reorders else 1), dtype=np.int64)
-    pos[...] = q_base[:, None, None]
+    keys, vals = key_panel(k_base), v.swapaxes(0, 1)  # [n_kv, d, s] and [n_kv, s, d]
+    if plan.reorders and t == 1 and q_start >= layout.suffix_start:
+        return _lone_row(plan, q_raw, k_raw, keys, vals, q_base[0], own, rope_theta, scale,
+                         blocks[0])
+    late = None  # sp's rows at or after suffix_start
+    if mode.rescales and layout.k > 1:
+        late = np.arange(q_start, q_start + t) >= layout.suffix_start
     if plan.reorders:
-        first = 0 if q_start else layout.prefix_len  # the prefix rows come first: no query group
-        starts = pine.document_starts(q_raw[first:], k_raw, plan, own[first:])
-        if first:  # prefix rows keep their input positions
-            starts = np.concatenate([np.zeros((first, n_heads, layout.k), np.int64), starts])
-        mine = own >= 0
-        if mine.any():  # a document's rows sit at its start in their group's order
+        # The position p - c each query head is rotated to per key block shift
+        # c: shift 0, then each document's start in ``plan.docs`` order.
+        pos = np.empty((t, n_heads, 1 + layout.k), dtype=np.int64)
+        pos[...] = q_base[:, None, None]
+        if q_start:  # rows past the documents: each is its own group, with no document
+            starts = pine.document_starts(q_raw, k_raw, plan, own)
+        else:  # the prefix rows come first, keep their input positions and have no group
+            first = layout.prefix_len
+            starts = np.concatenate([np.zeros((first, n_heads, layout.k), np.int64),
+                                     pine.document_starts(q_raw[first:], k_raw, plan, own[first:])])
+            mine = own >= 0  # a document's rows sit at its start in their group's order
             pos[mine] += starts[mine, :, own[mine]][..., None]
         pos[..., 1:] -= starts[..., plan.docs]
-
-    # Each KV head's query heads: [n_kv, t, rep, d], and their positions per
-    # shift: [shifts, n_kv, t, rep].
-    q = np.ascontiguousarray(q_raw.reshape(t, n_kv, rep, d_head).swapaxes(0, 1))
-    pos = pos.reshape(t, n_kv, rep, -1).transpose(3, 1, 0, 2)
-    keys, vals = key_panel(k_base), v.swapaxes(0, 1)  # [n_kv, d, s] and [n_kv, s, d]
+        # Each KV head's query heads: [n_kv, t, rep, d], and their positions
+        # per shift: [shifts, n_kv, t, rep].
+        q = np.ascontiguousarray(q_raw.reshape(t, n_kv, rep, d_head).swapaxes(0, 1))
+        pos = pos.reshape(t, n_kv, rep, -1).transpose(3, 1, 0, 2)
     out = np.empty((t, n_heads, d_head), dtype=q_raw.dtype)
     work = np.empty(n_kv * min(row_block(s, rep), t) * rep * s, dtype=q_raw.dtype)  # any block's
     for rb, runs, spans, width, fills in blocks:
-        # One rotation of the block's queries per shift, for every KV head:
-        # [shifts, n_kv, rows * rep, d].
-        pos_b = pos[:, :, rb]
-        q_b = np.empty(pos_b.shape + (d_head,), dtype=q.dtype)
-        q_b[...] = q[:, rb]
-        q_rot = rotate(q_b.reshape(-1, d_head), pos_b.ravel(),
-                       rope_theta).reshape(pos_b.shape[:2] + (-1, d_head))
-        scores = work[:n_kv * q_rot.shape[2] * width].reshape(n_kv, -1, width)
+        # The block's queries rotated per shift, for every KV head: [shifts, n_kv, rows * rep, d].
+        if plan.reorders:  # one rotation of every query head to each of its shifts
+            q_rot = rotate(q[None, :, rb], pos[:, :, rb], rope_theta)
+        else:  # one phase per row, shared by its heads
+            q_rot = rotate(q_raw[rb], q_base[rb], rope_theta).reshape(
+                -1, n_kv, rep, d_head).swapaxes(0, 1)[None]
+        q_rot = list(q_rot.reshape(len(q_rot), n_kv, -1, d_head))  # one view per shift
+        scores = work[:q_rot[0].size // d_head * width].reshape(n_kv, -1, width)
         at = 0
         for c0, c1, i in runs:
             np.matmul(q_rot[i], keys[:, :, c0:c1], out=scores[:, :, at:at + c1 - c0])
@@ -411,19 +424,50 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
             else:
                 np.copyto(scores[:, fill_rows, :, cols], NEG_INF, where=after[:, None, :])
         e, sums = row_softmax(scores.reshape(-1, width), scale)
-        e, sums = e.reshape(scores.shape), sums.reshape(n_kv, -1, rep, 1)
-        if mode.rescales and layout.k > 1 and late[rb].any():  # rows at or after suffix_start
+        if late is not None and late[rb].any():
             # A block with late rows keeps columns 0 .. its last row.  sp_rescale
             # renormalizes their exponentials, so their outputs take no division.
+            e, sums = e.reshape(scores.shape), sums.reshape(n_kv, -1, rep, 1)
             e[:, late[rb]] = sp_rescale(e[:, late[rb]], layout)
             sums[:, late[rb]] = 1
-        e = e.reshape(n_kv, -1, width)
-        at = 0
-        for c0, c1 in spans:
-            part = e[:, :, at:at + c1 - c0] @ vals[:, c0:c1]
-            acc = part if at == 0 else acc + part
-            at += c1 - c0
-        acc /= sums.reshape(n_kv, -1, 1)
+        acc = _weighted_values(e.reshape(n_kv, -1, width), sums.reshape(n_kv, -1, 1), vals, spans)
         out[rb] = acc.reshape(n_kv, -1, rep, d_head).swapaxes(0, 1).reshape(
             -1, n_heads, d_head)
     return check_finite(out, "attention")
+
+
+def _lone_row(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray, keys: np.ndarray,
+              vals: np.ndarray, p: int, own: np.ndarray, rope_theta: float, scale: float,
+              block: RowBlock) -> np.ndarray:
+    """``attention_forward`` of one row at or past ``suffix_start``, at
+    position p, under a plan that reorders: its one block keeps every column
+    and has no fill.  Each query head's rotations, to p and to p minus each
+    document's start, are one ``rotate``, and the block's runs, softmax and
+    value spans make the block path's products, with fewer array calls."""
+    n_heads, d_head = q_raw.shape[1:]
+    n_kv = keys.shape[0]
+    starts = pine.document_starts(q_raw, k_raw, plan, own)[0]  # [n_heads, k]
+    pos = np.empty((1 + plan.layout.k, n_heads), dtype=np.int64)  # per shift
+    pos[0] = p
+    np.subtract(p, starts.T[plan.docs], out=pos[1:])
+    q_rot = list(rotate(q_raw, pos, rope_theta).reshape(len(pos), n_kv, -1, d_head))
+    scores = np.empty((n_kv, n_heads // n_kv, block.width), dtype=q_raw.dtype)
+    for c0, c1, i in block.runs:  # every column kept: a run's columns are its scores'
+        np.matmul(q_rot[i], keys[:, :, c0:c1], out=scores[:, :, c0:c1])
+    e, sums = row_softmax(scores.reshape(-1, block.width), scale)
+    acc = _weighted_values(e.reshape(scores.shape), sums.reshape(n_kv, -1, 1), vals, block.spans)
+    return check_finite(acc.reshape(1, n_heads, d_head), "attention")
+
+
+def _weighted_values(e: np.ndarray, sums: np.ndarray, vals: np.ndarray,
+                     spans: list[tuple[int, int]]) -> np.ndarray:
+    """[n_kv, rows, d] outputs: the exponentials ``e`` of the kept columns,
+    [n_kv, rows, width], times the values of each contiguous span of them,
+    divided by the row ``sums``."""
+    at = 0
+    for c0, c1 in spans:
+        part = e[:, :, at:at + c1 - c0] @ vals[:, c0:c1]
+        acc = part if at == 0 else acc + part
+        at += c1 - c0
+    acc /= sums
+    return acc

@@ -3,6 +3,14 @@
 Consecutive pairs (x[2i], x[2i+1]) of each head vector are rotated by
 angle pos * theta**(-2i/d), so attention logits depend only on relative
 positions.  Rotation preserves the vector norm.
+
+Read as the complex number x[2i] + i·x[2i+1], a pair's rotation is one
+multiply by the phase e^{i·pos·θ_i} = cos + i·sin (RoFormer's form).
+``rotate`` gathers the phases from a read-only table of every position
+below a power of two, built once per (d_head, theta, size), and makes
+one complex multiply, broadcast over heads and over the positions a row
+is rotated to.  Each element's product reads only its own pair and
+phase, so a row gets the same bits alone, inside a block or broadcast.
 """
 
 from __future__ import annotations
@@ -13,13 +21,10 @@ import numpy as np
 
 from .kernels import ShapeError
 
-
-def rope_angles(positions: np.ndarray, d_head: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """cos/sin tables of shape (len(positions), d_head // 2)."""
-    if d_head % 2 != 0:
-        raise ShapeError(f"rope: head dimension must be even, got {d_head}")
-    ang = np.asarray(positions, dtype=np.float32)[:, None] * _inv_freq(d_head, theta)[None, :]
-    return np.cos(ang), np.sin(ang)
+# Positions the smallest phase table holds; larger tables double it.
+_MIN_TABLE = 64
+# Positions below 2**24 are exact in the float32 angle.
+_MAX_POSITION = 1 << 24
 
 
 @lru_cache(maxsize=16)
@@ -32,16 +37,41 @@ def _inv_freq(d_head: int, theta: float) -> np.ndarray:
     return inv_freq
 
 
+@lru_cache(maxsize=16)
+def _phase_table(d_head: int, theta: float, size: int) -> np.ndarray:
+    """[size, d_head // 2] complex64 phases cos + i·sin of the float32 angle
+    pos * theta**(-2i/d), for every pos < size; read-only, like ``_inv_freq``."""
+    ang = np.arange(size, dtype=np.float32)[:, None] * _inv_freq(d_head, theta)
+    table = np.empty(ang.shape, dtype=np.complex64)
+    table.real, table.imag = np.cos(ang), np.sin(ang)
+    table.flags.writeable = False
+    return table
+
+
 def rotate(x: np.ndarray, positions, theta: float) -> np.ndarray:
-    """Rotate rows of x ([t, d_head] or [t, n_heads, d_head]) by their
-    positions; every head of a row shares its position."""
-    x = np.atleast_2d(x)
-    cos, sin = rope_angles(np.asarray(positions), x.shape[-1], theta)
-    if x.ndim == 3:
-        cos, sin = cos[:, None, :], sin[:, None, :]
-    even = x[..., 0::2]
-    odd = x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
-    return out
+    """Rotate float32 x [..., d_head] by integer ``positions``, whose shape is
+    x's leading axes: each row of x gets its own position, and the axes of x
+    after them (the heads) share it.  Where x has size 1 on a leading axis,
+    it is rotated to each of the positions along it.  Positions that do not
+    match x's leading axes raise ``ShapeError``."""
+    d_head = x.shape[-1]
+    if d_head % 2 != 0:
+        raise ShapeError(f"rope: head dimension must be even, got {d_head}")
+    pos = np.asarray(positions)
+    if pos.ndim >= x.ndim or (x.shape[:pos.ndim] != pos.shape and any(
+            a != b and a != 1 for a, b in zip(x.shape, pos.shape))):
+        raise ShapeError(f"rope: positions of shape {pos.shape} do not match the "
+                         f"leading axes of x {x.shape}")
+    if pos.dtype.kind not in "iu":
+        raise ShapeError(f"rope: positions must be integers, got {pos.dtype}")
+    if x.dtype != np.float32:
+        raise ShapeError(f"rope: x must be float32, got {x.dtype}")
+    # one maximum bounds both ends: a negative position reads as 2**63 or more
+    top = int(np.maximum.reduce(pos.astype(np.uint64), axis=None, initial=0))
+    if top >= _MAX_POSITION:
+        raise ValueError(f"rope: positions must lie in 0 .. {_MAX_POSITION - 1}")
+    table = _phase_table(d_head, theta, max(_MIN_TABLE, 1 << top.bit_length()))
+    phase = table[pos].reshape(pos.shape + (1,) * (x.ndim - 1 - pos.ndim) + (d_head // 2,))
+    if x.strides[-1] != x.itemsize:  # the pairs must be adjacent to read as complex
+        x = x.copy()
+    return (x.view(np.complex64) * phase).view(np.float32)

@@ -47,16 +47,19 @@ def logits_digest(logits) -> str:
     return hashlib.sha256(b"".join(x.tobytes() for x in logits)).hexdigest()
 
 
-def attention(plan, q, k, v, q_start=0, k_base=None):
+def attention(plan, q, k, v, q_start=0, k_base=None, k_raw=None):
     """``attention_forward`` of columns q_start .. q_start + len(q) - 1 of
     ``plan``, with q, k and v in column order, given what a forward pass
-    gives it: the rows' plan columns and row blocks, and ``k_base``, by
-    default k rotated at its base positions in one call (k may be None
+    gives it: the rows' plan columns and row blocks, ``k_base``, by default
+    k rotated at its base positions in one call, and ``k_raw``, by default
+    k's columns in the order the KV cache holds raw keys (k may be None
     when ``k_base`` is given and attention reads no raw key)."""
     t, s = len(q), len(v)
     if k_base is None:
         k_base = rotate(k, plan.columns(0, s)[1], 10000.0)
-    return attention_forward(plan, q, k, v, q_start, 10000.0, k_base,
+    if k_raw is None and k is not None:
+        k_raw = k[plan.ranked_cols]
+    return attention_forward(plan, q, k_raw, v, q_start, 10000.0, k_base,
                              plan.columns(q_start, q_start + t),
                              plan.row_blocks(q_start, t, s, q.shape[1] // v.shape[1]))
 

@@ -503,10 +503,31 @@ class TestBaseRotatedCache:
             k_raw = np.concatenate(raw[layer])
             assert np.array_equal(k_base, rotate(k_raw, positions, config.rope_theta))
             if variant in RAW_KEY_MODES:  # importance reads the prompt's, before the suffix
-                assert cache.k_raw[layer].tobytes() == k_raw[:layout.suffix_start].tobytes()
+                assert cache.k_raw[layer].tobytes() == k_raw[cache.plan.ranked_cols].tobytes()
             checked += 1
         assert checked == config.n_layers
         assert len(cache.k_raw) == (config.n_layers if variant in RAW_KEY_MODES else 0)
+
+    @pytest.mark.parametrize("canonical", [True, False])
+    @pytest.mark.parametrize("variant", sorted(RAW_KEY_MODES))
+    def test_raw_keys_held_with_documents_in_ranked_order(self, tiny_config, variant, canonical):
+        # The cache writes the raw keys before the suffix once, with the
+        # documents in canonical order, so the importance pass reads them as
+        # one slice whether or not the columns are in that order.
+        model = Model(tiny_config, init_random(tiny_config, 3))
+        mode = AttentionMode(variant, canonical=canonical)
+        tokens, layout = tokenize(SegmentedPrompt("SYS", ("zzz", "de", "abcd"), "qq"))
+        cache, _ = prefill(model, tokens, layout, mode)
+        plan = cache.plan
+        ranked = [t for j in plan.ranked for t in tokens[slice(*layout.doc_spans[j])]]
+        k_proj = model.weights["layers.0.k_proj.weight"]
+        h = kernels.rms_norm(model.weights["embed.weight"][ranked],
+                             model.weights["layers.0.attn_norm.weight"], tiny_config.norm_eps)
+        doc_keys = cache.k_raw[0][layout.prefix_len:]
+        assert doc_keys.shape[0] == layout.suffix_start - layout.prefix_len
+        assert plan.ranked != list(range(layout.k))  # storage order would read other keys
+        assert np.max(np.abs(doc_keys.reshape(len(ranked), -1) - kernels.matmul(h, k_proj))) < 1e-6
+        assert canonical == isinstance(plan.ranked_cols, slice)
 
     def test_decode_under_another_mode_is_refused(self, tiny_model):
         # A cache keeps the plan it was prefilled under: a decode step under

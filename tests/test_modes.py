@@ -703,10 +703,41 @@ class TestKeyPanels:
             assert panel.strides[2] == panel.itemsize
             assert np.shares_memory(panel, cache.buffers[0])  # no copy
             copies = [None if x is None else np.ascontiguousarray(x) for x in views]
-            got = [attention(plan, rows, *x[:2], q_start=q_start, k_base=x[2])
+            got = [attention(plan, rows, None, x[1], q_start=q_start, k_base=x[2], k_raw=x[0])
                    for x in (views, copies)]
             assert got[0].tobytes() == got[1].tobytes(), q_start
             importance = [group_ordering(rows[p:] if q_start == 0 else rows,
                                          x[0] if x[0] is not None else x[2], plan, own)
                           for x in (views, copies)]
             assert importance[0] == importance[1], q_start
+
+
+class TestLoneDecodedRow:
+    """A lone row at or past suffix_start under a plan that reorders takes its
+    own branch of attention_forward (``modes._lone_row``), which must give
+    what the block path gives the same row inside a 2-row call."""
+
+    @pytest.mark.parametrize("k", [2, 5, 8])
+    @pytest.mark.parametrize("canonical", [True, False])
+    @pytest.mark.parametrize("aggregation", ["mean", "sum", "max"])
+    @pytest.mark.parametrize("variant", ["pine", "pine_reverse"])
+    def test_lone_row_equals_the_block_path(self, variant, aggregation, canonical, k,
+                                            monkeypatch):
+        _, layout = k_doc_prompt(k)
+        n = layout.n
+        plan = AttentionPlan(AttentionMode(variant, aggregation, canonical), layout)
+        cols = plan.columns(0, n + 2)[0]
+        q, kk, v = (x[cols] for x in random_qkv(layout.extend(2), 4, 2, 8, 20 + k))
+        lone, branch = [], modes._lone_row
+
+        def counting(*args):
+            lone.append(1)
+            return branch(*args)
+
+        monkeypatch.setattr(modes, "_lone_row", counting)
+        pair = attention(plan, q[n:], kk, v, q_start=n)  # two decoded rows: the block path
+        assert lone == []
+        for r in range(2):
+            one = attention(plan, q[n + r:n + r + 1], kk[:n + r + 1], v[:n + r + 1], q_start=n + r)
+            assert np.max(np.abs(one[0] - pair[r])) < 1e-6, r
+        assert len(lone) == 2

@@ -402,7 +402,7 @@ class TestDocumentStarts:
         docs = tuple("abcdefgh"[j] * (1 + (3 * j) % 4) for j in range(k))
         _, layout = tokenize(SegmentedPrompt("S", docs, "QR"))
         plan = AttentionPlan(AttentionMode("pine", canonical=canonical), layout)
-        assert laid_out(plan, np.arange(k)).tolist() == [s for s, _ in layout.doc_spans]
+        assert laid_out(plan, [range(k)])[0].tolist() == [s for s, _ in layout.doc_spans]
 
     @pytest.mark.parametrize("canonical", [True, False])
     @pytest.mark.parametrize("variant", ["pine", "pine_reverse"])
@@ -419,7 +419,7 @@ class TestDocumentStarts:
         rng = np.random.default_rng(k)
         q = rng.normal(size=(layout.n + 1, 4, 8)).astype(np.float32)
         cols = plan.columns(0, layout.n)[0]
-        keys = rng.normal(size=(layout.n, 2, 8)).astype(np.float32)[cols]
+        keys = rng.normal(size=(layout.n, 2, 8)).astype(np.float32)[cols][plan.ranked_cols]
         p = layout.prefix_len
         cases = [(q[cols][p:], plan.col_doc[p:]),  # prefill rows
                  (q[layout.n:], np.full(1, -1))]  # a decoded row

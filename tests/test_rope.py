@@ -30,6 +30,69 @@ class TestRotate:
         with pytest.raises(ShapeError):
             rotate(np.zeros((1, 3), dtype=np.float32), [0], 10000.0)
 
+    @pytest.mark.parametrize("positions", [[3], [1, 2], [[0, 1]] * 5, np.zeros((5, 16, 1), int)])
+    def test_positions_must_match_leading_axes(self, positions):
+        # One position per row: a lone position is not shared by five rows.
+        with pytest.raises(ShapeError, match="do not match"):
+            rotate(np.ones((5, 16), dtype=np.float32), positions, 10000.0)
+
+    def test_out_of_range_or_fractional_positions_rejected(self):
+        x = np.ones((2, 8), dtype=np.float32)
+        for bad in ([0, -1], [0, 1 << 24]):
+            with pytest.raises(ValueError, match="must lie in"):
+                rotate(x, bad, 10000.0)
+        with pytest.raises(ShapeError, match="integers"):
+            rotate(x, [0.0, 1.5], 10000.0)
+
+
+class TestRotationIsElementwise:
+    """A row's rotation reads only its own pairs and phases, so it gives the
+    same bits however it is batched: the argument behind every bitwise
+    invariance claim, and behind keys rotated piecewise as the cache writes
+    them."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(5)
+        self.x = rng.normal(size=(37, 3, 16)).astype(np.float32)
+        self.pos = rng.integers(0, 200, size=37)
+        self.block = rotate(self.x, self.pos, 10000.0)
+
+    def test_alone_equals_inside_a_block(self):
+        for i in range(len(self.x)):
+            alone = rotate(self.x[i:i + 1], self.pos[i:i + 1], 10000.0)
+            assert alone.tobytes() == self.block[i:i + 1].tobytes(), i
+            for h in range(3):
+                head = rotate(self.x[i:i + 1, h], self.pos[i:i + 1], 10000.0)
+                assert head.tobytes() == self.block[i:i + 1, h].tobytes(), (i, h)
+        for rows in (slice(None, None, 2), slice(None, None, -1)):
+            strided = rotate(self.x[rows], self.pos[rows], 10000.0)
+            assert strided.tobytes() == self.block[rows].tobytes(), rows
+
+    def test_broadcast_over_heads_and_shifts(self):
+        rng = np.random.default_rng(6)
+        shifts = rng.integers(0, 200, size=(5, 37))
+        shifts[0] = self.pos
+        every = rotate(self.x[None], shifts, 10000.0)  # each row at 5 positions
+        assert every.shape == (5, 37, 3, 16)
+        assert every[0].tobytes() == self.block.tobytes()
+        per_head = rotate(self.x, np.repeat(self.pos[:, None], 3, axis=1), 10000.0)
+        assert per_head.tobytes() == self.block.tobytes()
+        for s in range(5):
+            for i in range(0, 37, 6):
+                alone = rotate(self.x[i:i + 1], shifts[s, i:i + 1], 10000.0)
+                assert every[s, i:i + 1].tobytes() == alone.tobytes(), (s, i)
+
+    def test_tables_of_other_sizes_agree(self):
+        # A position of 5000 makes the call gather from an 8192-row table.
+        far = rotate(np.concatenate([self.x, self.x[:1]]), np.append(self.pos, 5000), 10000.0)
+        assert far[:37].tobytes() == self.block.tobytes()
+
+    def test_position_zero_is_identity_in_every_table(self):
+        for top in (0, 63, 64, 5000):
+            x = np.concatenate([self.x, self.x[:1]])
+            out = rotate(x, np.append(np.zeros(37, int), top), 10000.0)
+            assert out[:37].tobytes() == self.x.tobytes(), top
+
 
 class TestApplyRope:
     def test_multi_head_matches_per_head(self):
@@ -48,7 +111,10 @@ class TestRopeAngles:
         assert not table.flags.writeable
         exponents = np.arange(0, 16, 2, dtype=np.float32) / np.float32(16)
         assert np.array_equal(table, np.float32(10000.0) ** (-exponents))
+        phases = rope._phase_table(16, 10000.0, 4096)
+        assert rope._phase_table(16, 10000.0, 4096) is phases
+        assert not phases.flags.writeable
         pos = np.array([0, 3, 250, 4095])
-        cos, sin = rope.rope_angles(pos, 16, 10000.0)
         ang = pos.astype(np.float32)[:, None] * (np.float32(10000.0) ** (-exponents))[None, :]
-        assert np.array_equal(cos, np.cos(ang)) and np.array_equal(sin, np.sin(ang))
+        assert np.array_equal(phases[pos].real, np.cos(ang))
+        assert np.array_equal(phases[pos].imag, np.sin(ang))
