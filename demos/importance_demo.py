@@ -17,7 +17,7 @@ from posinv import (
     assign_positions,
     tokenize,
 )
-from posinv.pine import group_ordering
+from posinv.pine import group_ordering, query_groups
 
 
 def main():
@@ -32,12 +32,14 @@ def main():
     k = rng.normal(size=(layout.n, 1, d)).astype(np.float32)
 
     # score the suffix token's view of the three documents; the plan holds
-    # the keys in its column order, as the KV cache does
+    # the keys in its column order, as the KV cache does: one
+    # [KV heads, d, columns] panel
     mode = AttentionMode("pine")
     plan = AttentionPlan(mode, layout)
     row = layout.suffix_start
-    [[(ordered, scores)]] = group_ordering(q[row : row + 1], k[plan.order], plan,
-                                           np.full(1, -1))
+    keys = np.ascontiguousarray(k[plan.order].transpose(1, 2, 0))
+    [[(ordered, scores)]] = group_ordering(q[row : row + 1], keys, plan,
+                                           query_groups(np.full(1, -1), 0))
     print("length-normalized document scores:")
     for j, s in sorted(scores.items()):
         print(f"  doc {j} (len {layout.doc_len(j)}): {s:.4f}")

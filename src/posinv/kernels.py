@@ -23,16 +23,6 @@ def row_block(n_keys: int, rep: int) -> int:
     return max(1, _BLOCK_SCORES // (n_keys * rep))
 
 
-def key_panel(k: np.ndarray) -> np.ndarray:
-    """[c, n_kv_heads, d_head] keys as the [n_kv_heads, d_head, c] panel
-    every score product multiplies by, each row unit-stride, so that BLAS
-    never takes a transposed key operand: a view when ``k`` is a view of
-    such a panel (the KV cache's), else one copy.  BLAS gives the cache's
-    panel and a contiguous copy bitwise-equal products."""
-    panel = k.transpose(1, 2, 0)
-    return panel if panel.strides[2] == panel.itemsize else np.ascontiguousarray(panel)
-
-
 class ShapeError(ValueError):
     """Operand shapes are incompatible with the kernel's contract."""
 

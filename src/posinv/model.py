@@ -5,9 +5,9 @@ decoding.  Prefill builds a stream's attention plan (``modes.AttentionPlan``)
 once and binds it to the stream's KV cache, which stores keys and values
 in the plan's column order (prefix, documents by content hash, suffix,
 decoded tokens), one buffer per layer with each KV head's keys as a
-[d_head, columns] panel and its values as [columns, d_head] rows, which
-attention reads as views, the keys as a unit-stride operand of every
-score product.
+[d_head, columns] panel and its values as [columns, d_head] rows.  The
+cache hands attention these panels as views, and attention reads them as
+they are, the keys as a unit-stride operand of every score product.
 Keys are rotated once, when written, at a base position that never
 changes; the re-assigning modes move a document's per-group start onto
 the queries instead, and alone keep the raw keys of the prompt's
@@ -17,10 +17,11 @@ Prefill and decoding share one forward pass: a decode step is the
 prefill of one more row after the cached ones.  That row writes a column
 in place, after an unchanged plan's columns, and sees every cached key,
 so its one row block has no fill.  A forward pass plans its rows
-(``plan.columns``) and row blocks (``plan.row_blocks``) once, and every
-layer's attention replays them.  It embeds its tokens in column order, so
-every layer runs in that order: only the embedding and the pick of the
-last token's row read a storage index.
+(``plan.columns``), row blocks (``plan.row_blocks``) and, when the plan
+reorders, pine's query groups (``pine.query_groups``) once, and every
+layer's attention replays them, for one row or many alike.  It embeds
+its tokens in column order, so every layer runs in that order: only the
+embedding and the pick of the last token's row read a storage index.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import modes
+from . import modes, pine
 from .kernels import ShapeError, matmul, rms_norm, swiglu
 from .modes import AttentionMode, AttentionPlan, RowBlock, attention_forward
 from .prompts import BYTE_VOCAB, N_SPECIALS, SequenceLayout
@@ -292,14 +293,16 @@ class KVCache:
     reads a unit-stride key operand, and its values as [capacity, d_head]
     rows.  Prefill sizes it to the prompt plus ``_HEADROOM`` columns; a step
     writes its columns in place, and a full buffer doubles, up to
-    ``max_seq_len``.  ``k_base`` and ``v`` read the first ``n_cached``
-    columns as per-layer [n_cached, n_kv_heads, d_head] views.  A step's
-    columns count only once every layer has written them, so a step that
-    raises leaves the cache as it was.  Only a plan that ``reorders`` holds
-    ``k_raw``: per layer, the raw keys before ``suffix_start``, with the
-    documents in ``plan.ranked`` order (``plan.ranked_cols``), written once
-    at prefill, as a view of the same kind of [n_kv_heads, d_head, columns]
-    panel, so the importance pass reads its documents as one slice."""
+    ``max_seq_len``.  The cache has one layout, the one attention reads:
+    ``write`` returns, and ``k_base`` and ``v`` read, the first columns as
+    per-layer views of the buffer, keys [n_kv_heads, d_head, columns] and
+    values [n_kv_heads, columns, d_head].  A step's columns count only once
+    every layer has written them, so a step that raises leaves the cache as
+    it was.  Only a plan that ``reorders`` holds ``k_raw``: per layer, the
+    raw keys before ``suffix_start``, with the documents in ``plan.ranked``
+    order (``plan.ranked_cols``), written once at prefill as the same kind
+    of [n_kv_heads, d_head, columns] panel, so the importance pass reads its
+    documents as one slice."""
 
     plan: AttentionPlan
     buffers: list[np.ndarray] = field(default_factory=list)
@@ -313,16 +316,16 @@ class KVCache:
 
     @property
     def k_base(self) -> list[np.ndarray]:
-        return [_halves(buf)[0][:, :, :self.n_cached].transpose(2, 0, 1) for buf in self.buffers]
+        return [_halves(buf)[0][:, :, :self.n_cached] for buf in self.buffers]
 
     @property
     def v(self) -> list[np.ndarray]:
-        return [buf[1, :, :self.n_cached].swapaxes(0, 1) for buf in self.buffers]
+        return [buf[1, :, :self.n_cached] for buf in self.buffers]
 
     def write(self, layer: int, parts: tuple[np.ndarray, ...], limit: int) -> list:
         """Write one layer's next columns: ``parts`` are its raw keys, rotated
         keys and values, each [t, n_kv_heads, d_head] in column order.
-        Returns its ``k_raw`` (or None) and views of the other two over all
+        Returns its ``k_raw`` (or None) and the key and value panels of all
         its columns so far."""
         n, (t, n_kv, d) = self.n_cached, parts[0].shape
         if layer == len(self.buffers):
@@ -330,7 +333,7 @@ class KVCache:
                                          dtype=parts[0].dtype))
             if self.plan.reorders:
                 raw = parts[0][self.plan.ranked_cols].transpose(1, 2, 0)
-                self.k_raw.append(np.ascontiguousarray(raw).transpose(2, 0, 1))
+                self.k_raw.append(np.ascontiguousarray(raw))
         buf = self.buffers[layer]
         if n + t > buf.shape[2]:
             grown = np.empty_like(buf, shape=(2, n_kv, min(max(n + t, 2 * buf.shape[2]), limit), d))
@@ -340,8 +343,7 @@ class KVCache:
         keys, vals = _halves(buf)
         keys[:, :, n:n + t] = parts[1].transpose(1, 2, 0)
         vals[:, n:n + t] = parts[2].swapaxes(0, 1)
-        return [self.k_raw[layer] if self.k_raw else None,
-                keys[:, :, :n + t].transpose(2, 0, 1), vals[:, :n + t].swapaxes(0, 1)]
+        return [self.k_raw[layer] if self.k_raw else None, keys[:, :, :n + t], vals[:, :n + t]]
 
 
 def _halves(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -352,10 +354,12 @@ def _halves(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
-                   rows: tuple[np.ndarray, ...], blocks: list[RowBlock]) -> np.ndarray:
+                   rows: tuple[np.ndarray, ...], blocks: list[RowBlock],
+                   groups: pine.QueryGroups | None) -> np.ndarray:
     """One layer over the rows after the cache, in column order; ``rows`` is
-    their ``plan.columns`` (storage index, base position and document) and
-    ``blocks`` their ``plan.row_blocks``, which attention replays.  Keys are
+    their ``plan.columns`` (storage index, base position and document),
+    ``blocks`` their ``plan.row_blocks`` and ``groups`` their
+    ``pine.query_groups``, which attention replays.  Keys are
     rotated once, at their base positions, by ``modes.rotate``: looked up
     there, as attention's query rotations are, so one hook sees both."""
     cfg = model.config
@@ -369,7 +373,7 @@ def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
     k_base = modes.rotate(k, rows[1], cfg.rope_theta)
     k, k_base, v = cache.write(layer, (k, k_base, v), cfg.max_seq_len)
     attn = attention_forward(plan, q, k, v, q_start=q_start, rope_theta=cfg.rope_theta,
-                             k_base=k_base, rows=rows, blocks=blocks)
+                             k_base=k_base, rows=rows, blocks=blocks, groups=groups)
     x = x + matmul(attn.reshape(attn.shape[0], -1), w[p + "o_proj.weight"])
     h2 = rms_norm(x, w[p + "ffn_norm.weight"], cfg.norm_eps)
     gate = matmul(h2, w[p + "gate_proj.weight"])
@@ -394,9 +398,12 @@ def _forward(model: Model, cache: KVCache, tokens: list[int]) -> np.ndarray:
     t, plan = len(tokens), cache.plan
     rows = plan.columns(q_start, q_start + t)
     blocks = plan.row_blocks(q_start, t, q_start + t, cfg.n_heads // cfg.n_kv_heads)
+    groups = None  # pine's query groups; a prefill's prefix rows come first and have none
+    if plan.reorders:
+        groups = pine.query_groups(rows[2], 0 if q_start else plan.layout.prefix_len)
     x = model.weights["embed.weight"][ids[rows[0] - q_start]]
     for layer in range(cfg.n_layers):
-        x = _layer_forward(model, x, layer, cache, rows, blocks)
+        x = _layer_forward(model, x, layer, cache, rows, blocks, groups)
     last = rows[0].argmax()
     h = rms_norm(x[last:last + 1], model.weights["final_norm.weight"], cfg.norm_eps)
     logits = matmul(h, model.head_matrix())[0]

@@ -36,7 +36,7 @@ from typing import Literal, NamedTuple, get_args
 import numpy as np
 
 from . import pine
-from .kernels import NEG_INF, check_finite, key_panel, row_block, row_softmax
+from .kernels import NEG_INF, check_finite, row_block, row_softmax
 from .prompts import SequenceLayout
 from .rope import rotate
 
@@ -79,12 +79,10 @@ class AttentionMode:
             raise ValueError(f"unknown aggregation {self.aggregation!r}")
         if not isinstance(self.canonical, bool):
             raise ValueError(f"canonical must be a bool, got {self.canonical!r}")
-
-    def __getattr__(self, name: str):
-        """The variant's rules: doc_mask, positions, rescales, invariant, direction."""
-        if name in _Rules._fields:
-            return getattr(_MODE_TABLE[self.variant], name)
-        raise AttributeError(name)
+        # the variant's rules, read as plain attributes: doc_mask, positions,
+        # rescales, invariant, direction
+        for name, value in zip(_Rules._fields, _MODE_TABLE[self.variant]):
+            object.__setattr__(self, name, value)
 
     @property
     def reassigns(self) -> bool:
@@ -324,38 +322,39 @@ def _join(runs: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
 
 def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray | None,
                       v: np.ndarray, q_start: int, rope_theta: float, k_base: np.ndarray,
-                      rows: tuple[np.ndarray, ...], blocks: list[RowBlock]) -> np.ndarray:
+                      rows: tuple[np.ndarray, ...], blocks: list[RowBlock],
+                      groups: pine.QueryGroups | None) -> np.ndarray:
     """One layer of multi-head attention under ``plan.mode``.
 
     q_raw: [t, n_heads, d_head] pre-rotation queries of columns q_start ..
     q_start + t - 1, in column order, which must not cut the documents
-    (prefill: every row from 0; decode: the new token's).  v: [s, n_kv_heads,
-    d_head], every cached token in column order, as the KV cache holds them;
-    k_base: their keys rotated at base positions.  k_raw, the raw keys
-    before the suffix as the KV cache holds them (``plan.ranked_cols`` of
-    the columns), is read only when ``plan.reorders``, and may be None
-    elsewhere.  rows: the queries' ``plan.columns(q_start, q_start +
-    t)``, and blocks: their ``plan.row_blocks``, which a forward pass
-    computes once for every layer.  Returns the rows in column order.
-    Rows that cut the documents or run past the s keys raise
-    ``ValueError`` (``plan.check_rows``).
+    (prefill: every row from 0; decode: the new token's).  The keys and
+    values of every cached token, in column order, are the panels the KV
+    cache holds: k_base, [n_kv_heads, d_head, s], the keys rotated at base
+    positions, and v, [n_kv_heads, s, d_head]; each is read as it is, the
+    keys as the unit-stride operand of every score product.  k_raw, the
+    raw keys before the suffix as the KV cache holds them ([n_kv_heads,
+    d_head, columns]: ``plan.ranked_cols`` of the columns), is read only
+    when ``plan.reorders``, and may be None elsewhere.  rows: the queries'
+    ``plan.columns(q_start, q_start + t)``, blocks: their
+    ``plan.row_blocks``, and groups: their ``pine.query_groups`` (None
+    when the plan does not reorder), which a forward pass computes once for
+    every layer.  Returns the rows in column order.  Rows that cut the
+    documents or run past the s keys raise ``ValueError``
+    (``plan.check_rows``).
 
-    Keys are read as a unit-stride [n_kv_heads, d_head, s] panel
-    (``key_panel``: a view of the cache's, or one copy of keys laid out
-    otherwise) and values as [n_kv_heads, s, d_head].  The rows, in column
-    order, run in the blocks of ``blocks``, every KV head in one pass; each
-    block scores only the columns its plan keeps for its rows (whole key
-    blocks that other rows of the block see, its own block up to its last
-    row), with one score product per run of kept columns and one value
-    product per contiguous span, each batched over the KV heads.  Scores go
-    into one workspace per call, of one row block per KV head; the block's
-    fills set its hidden keys to NEG_INF there, ``row_softmax``
-    exponentiates them in place, and the [rows, d_head] value products are
-    divided by the row sums.  Each head takes the rows and columns a block
-    of that head alone would, so its output is bitwise the same.  A lone
-    suffix or decoded row sees every earlier key in every mode, so a decode
-    step has no fill; under a plan that reorders it takes ``_lone_row``,
-    which makes the block path's products with fewer array calls.
+    The rows, in column order, run in the blocks of ``blocks``, every KV
+    head in one pass; each block scores only the columns its plan keeps for
+    its rows (whole key blocks that other rows of the block see, its own
+    block up to its last row), with one score product per run of kept
+    columns and one value product per contiguous span, each batched over
+    the KV heads.  Scores go into one workspace per call, of one row block
+    per KV head; the block's fills set its hidden keys to NEG_INF there,
+    ``row_softmax`` exponentiates them in place, and the [rows, d_head]
+    value products are divided by the row sums.  Each head takes the rows
+    and columns a block of that head alone would, so its output is bitwise
+    the same.  A lone suffix or decoded row sees every earlier key in every
+    mode, so a decode step is one block with no fill.
 
     No key is rotated again: RoPE scores depend only on relative positions,
     <R(p)q, R(c + o)k> = <R(p - c)q, R(o)k>, so a key block at base offset o
@@ -363,59 +362,51 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
     block's queries are rotated to all their shifts in one ``rotate``, or,
     when the plan does not reorder, by one phase per row shared by its
     heads.  Only the re-assigning modes have blocks with c != 0:
-    ``pine.document_starts`` scores every (query head, row) against every
-    document in one importance pass and gives each document's start in the
-    row's group order.  With
+    ``pine.document_starts`` scores every (query head, row) of ``groups``
+    against every document in one importance pass and gives each document's
+    start in the row's group order.  With
     ``mode.canonical`` the kept columns depend only on the column order, so
     every block of rows makes the same products, on keys in the same
     columns, whatever the document order: bitwise invariance.
     """
     mode, layout = plan.mode, plan.layout
     t, n_heads, d_head = q_raw.shape
-    s, n_kv = v.shape[:2]
+    n_kv, s = v.shape[:2]
     rep = n_heads // n_kv
     plan.check_rows(q_start, t, s)
-    _, q_base, own = rows
+    q_base = rows[1]
     scale = 1.0 / np.sqrt(np.float32(d_head))
-    keys, vals = key_panel(k_base), v.swapaxes(0, 1)  # [n_kv, d, s] and [n_kv, s, d]
-    if plan.reorders and t == 1 and q_start >= layout.suffix_start:
-        return _lone_row(plan, q_raw, k_raw, keys, vals, q_base[0], own, rope_theta, scale,
-                         blocks[0])
     late = None  # sp's rows at or after suffix_start
     if mode.rescales and layout.k > 1:
         late = np.arange(q_start, q_start + t) >= layout.suffix_start
     if plan.reorders:
         # The position p - c each query head is rotated to per key block shift
-        # c: shift 0, then each document's start in ``plan.docs`` order.
-        pos = np.empty((t, n_heads, 1 + layout.k), dtype=np.int64)
-        pos[...] = q_base[:, None, None]
-        if q_start:  # rows past the documents: each is its own group, with no document
-            starts = pine.document_starts(q_raw, k_raw, plan, own)
-        else:  # the prefix rows come first, keep their input positions and have no group
-            first = layout.prefix_len
-            starts = np.concatenate([np.zeros((first, n_heads, layout.k), np.int64),
-                                     pine.document_starts(q_raw[first:], k_raw, plan, own[first:])])
-            mine = own >= 0  # a document's rows sit at its start in their group's order
-            pos[mine] += starts[mine, :, own[mine]][..., None]
-        pos[..., 1:] -= starts[..., plan.docs]
-        # Each KV head's query heads: [n_kv, t, rep, d], and their positions
-        # per shift: [shifts, n_kv, t, rep].
-        q = np.ascontiguousarray(q_raw.reshape(t, n_kv, rep, d_head).swapaxes(0, 1))
-        pos = pos.reshape(t, n_kv, rep, -1).transpose(3, 1, 0, 2)
+        # c, [shifts, t, n_heads]: shift 0, then each document's start in
+        # ``plan.docs`` order.  The rows before ``groups.first`` (the prefix's)
+        # keep their input positions.
+        first = groups.first
+        starts = pine.document_starts(q_raw[first:], k_raw, plan, groups)
+        pos = np.empty((1 + layout.k, t, n_heads), dtype=np.int64)
+        pos[...] = q_base[:, None]
+        for g0, g1, j in groups.owned:  # a document's rows sit at its start in their group's order
+            pos[:, first + g0:first + g1] += starts[g0, :, j]
+        pos[1:, first:] -= starts.transpose(2, 0, 1)[plan.docs]
     out = np.empty((t, n_heads, d_head), dtype=q_raw.dtype)
     work = np.empty(n_kv * min(row_block(s, rep), t) * rep * s, dtype=q_raw.dtype)  # any block's
     for rb, runs, spans, width, fills in blocks:
-        # The block's queries rotated per shift, for every KV head: [shifts, n_kv, rows * rep, d].
+        # The block's queries rotated per shift: [shifts, rows, n_heads, d].
         if plan.reorders:  # one rotation of every query head to each of its shifts
-            q_rot = rotate(q[None, :, rb], pos[:, :, rb], rope_theta)
+            q_rot = rotate(q_raw[None, rb], pos[:, rb], rope_theta)
         else:  # one phase per row, shared by its heads
-            q_rot = rotate(q_raw[rb], q_base[rb], rope_theta).reshape(
-                -1, n_kv, rep, d_head).swapaxes(0, 1)[None]
-        q_rot = list(q_rot.reshape(len(q_rot), n_kv, -1, d_head))  # one view per shift
+            q_rot = rotate(q_raw[rb], q_base[rb], rope_theta)[None]
+        # Each KV head's query heads, one [n_kv, rows * rep, d] operand per shift
+        # (a view for one row).
+        q_rot = list(q_rot.reshape(len(q_rot), -1, n_kv, rep, d_head).swapaxes(1, 2).reshape(
+            len(q_rot), n_kv, -1, d_head))
         scores = work[:q_rot[0].size // d_head * width].reshape(n_kv, -1, width)
         at = 0
         for c0, c1, i in runs:
-            np.matmul(q_rot[i], keys[:, :, c0:c1], out=scores[:, :, at:at + c1 - c0])
+            np.matmul(q_rot[i], k_base[:, :, c0:c1], out=scores[:, :, at:at + c1 - c0])
             at += c1 - c0
         scores = scores.reshape(n_kv, -1, rep, width)
         for fill_rows, cols, after in fills:
@@ -430,44 +421,13 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
             e, sums = e.reshape(scores.shape), sums.reshape(n_kv, -1, rep, 1)
             e[:, late[rb]] = sp_rescale(e[:, late[rb]], layout)
             sums[:, late[rb]] = 1
-        acc = _weighted_values(e.reshape(n_kv, -1, width), sums.reshape(n_kv, -1, 1), vals, spans)
+        e, at = e.reshape(n_kv, -1, width), 0
+        for c0, c1 in spans:  # the [rows, d_head] value products, one per span
+            part = e[:, :, at:at + c1 - c0] @ v[:, c0:c1]
+            acc = part if at == 0 else acc + part
+            at += c1 - c0
+        acc /= sums.reshape(n_kv, -1, 1)
         out[rb] = acc.reshape(n_kv, -1, rep, d_head).swapaxes(0, 1).reshape(
             -1, n_heads, d_head)
     return check_finite(out, "attention")
 
-
-def _lone_row(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray, keys: np.ndarray,
-              vals: np.ndarray, p: int, own: np.ndarray, rope_theta: float, scale: float,
-              block: RowBlock) -> np.ndarray:
-    """``attention_forward`` of one row at or past ``suffix_start``, at
-    position p, under a plan that reorders: its one block keeps every column
-    and has no fill.  Each query head's rotations, to p and to p minus each
-    document's start, are one ``rotate``, and the block's runs, softmax and
-    value spans make the block path's products, with fewer array calls."""
-    n_heads, d_head = q_raw.shape[1:]
-    n_kv = keys.shape[0]
-    starts = pine.document_starts(q_raw, k_raw, plan, own)[0]  # [n_heads, k]
-    pos = np.empty((1 + plan.layout.k, n_heads), dtype=np.int64)  # per shift
-    pos[0] = p
-    np.subtract(p, starts.T[plan.docs], out=pos[1:])
-    q_rot = list(rotate(q_raw, pos, rope_theta).reshape(len(pos), n_kv, -1, d_head))
-    scores = np.empty((n_kv, n_heads // n_kv, block.width), dtype=q_raw.dtype)
-    for c0, c1, i in block.runs:  # every column kept: a run's columns are its scores'
-        np.matmul(q_rot[i], keys[:, :, c0:c1], out=scores[:, :, c0:c1])
-    e, sums = row_softmax(scores.reshape(-1, block.width), scale)
-    acc = _weighted_values(e.reshape(scores.shape), sums.reshape(n_kv, -1, 1), vals, block.spans)
-    return check_finite(acc.reshape(1, n_heads, d_head), "attention")
-
-
-def _weighted_values(e: np.ndarray, sums: np.ndarray, vals: np.ndarray,
-                     spans: list[tuple[int, int]]) -> np.ndarray:
-    """[n_kv, rows, d] outputs: the exponentials ``e`` of the kept columns,
-    [n_kv, rows, width], times the values of each contiguous span of them,
-    divided by the row ``sums``."""
-    at = 0
-    for c0, c1 in spans:
-        part = e[:, :, at:at + c1 - c0] @ vals[:, c0:c1]
-        acc = part if at == 0 else acc + part
-        at += c1 - c0
-    acc /= sums
-    return acc

@@ -9,9 +9,11 @@ ordering independent of the input document order.  ``group_ordering``
 is the one scorer: it orders the documents for every query group of a
 layer at once, one batched matrix product per row block, and
 ``document_starts`` turns its orders into each row's document starts.
-A decode step's lone row takes the same path with no group bookkeeping,
-and the comparator sort, ``order_documents``, builds nothing per call but
-its comparator.
+Both read the raw keys as the KV cache holds them, a [n_kv_heads,
+d_head, columns] panel, and take the groups that ``query_groups`` forms
+once per forward pass, so a decode step's lone row, a group of its own,
+runs the same path as a prefill's rows.  The comparator sort,
+``order_documents``, builds nothing per call but its comparator.
 
 ``laid_out`` is the one rule that lays documents out: a document key
 sits at its document's start plus its offset inside the document.
@@ -23,11 +25,11 @@ from __future__ import annotations
 
 import math
 from functools import cmp_to_key
-from typing import TYPE_CHECKING, Literal, Sequence
+from typing import TYPE_CHECKING, Literal, NamedTuple, Sequence, get_args
 
 import numpy as np
 
-from .kernels import NEG_INF, check_finite, key_panel, row_block, row_softmax
+from .kernels import NEG_INF, check_finite, row_block, row_softmax
 from .prompts import SequenceLayout
 
 if TYPE_CHECKING:
@@ -35,6 +37,7 @@ if TYPE_CHECKING:
 
 Aggregation = Literal["mean", "sum", "max"]
 Direction = Literal["closer", "reversed"]
+_DIRECTIONS = get_args(Direction)
 
 # Comparator invocation counter, used to exhibit the k log k sorting cost.
 _comparisons = 0
@@ -67,8 +70,11 @@ def order_documents(
     ends up adjacent to the query block.  direction="reversed" puts the
     most important document farthest away.  Ties break by content hash
     (permutation-invariant), then input index (identical contents only,
-    where the choice cannot affect attention output).
+    where the choice cannot affect attention output).  Any other direction
+    raises ``ValueError``.
     """
+    if direction not in _DIRECTIONS:
+        raise ValueError(f"unknown sort direction {direction!r}: expected one of {_DIRECTIONS}")
     if not math.isfinite(sum(scores.values())):  # one check; the loop names a culprit
         for j, s in scores.items():
             if not math.isfinite(s):
@@ -89,19 +95,39 @@ def order_documents(
     return sorted(scores, key=cmp_to_key(cmp))
 
 
+class QueryGroups(NamedTuple):
+    """The query groups of a forward pass's rows, which ``query_groups``
+    forms once for every layer: consecutive rows of one document form one
+    group, and every other row is its own.  Rows are counted from
+    ``first``: the rows before it (a prefill's prefix) have no group."""
+
+    first: int
+    bounds: list[int]  # each group's first row
+    docs: list[int]  # each group's own document (-1: none)
+    owned: list[tuple[int, int, int]]  # (first row, end row, document) of each group with one
+
+
+def query_groups(own: np.ndarray, first: int) -> QueryGroups:
+    """The groups of rows ``first`` on, given each row's own document (-1: none)."""
+    mine = own[first:].tolist()
+    bounds = [i for i, j in enumerate(mine) if j < 0 or i == 0 or j != mine[i - 1]]
+    docs = [mine[i] for i in bounds]
+    owned = [(g0, g1, j) for g0, g1, j in zip(bounds, [*bounds[1:], len(mine)], docs) if j >= 0]
+    return QueryGroups(first, bounds, docs, owned)
+
+
 def document_starts(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
-                    own: np.ndarray) -> np.ndarray:
+                    groups: QueryGroups) -> np.ndarray:
     """Start of every document for each query row and head, k >= 2:
-    [len(q), n_heads, k].  ``q``: pre-rotation queries of rows in column
-    order that each belong to a query group; ``own``: each row's document
-    (-1: suffix or decoded); ``k_raw``: as ``group_ordering`` reads it.
+    [len(q), n_heads, k].  ``q``: pre-rotation queries of the rows of
+    ``groups``, in column order; ``k_raw``: as ``group_ordering`` reads it.
     Each row gets its group's order, ``laid_out`` for every (group, head)
     at once."""
-    orders = group_ordering(q, k_raw, plan, own)
+    orders = group_ordering(q, k_raw, plan, groups)
     starts = laid_out(plan, [o for per_head in orders for o, _ in per_head])
     starts = starts.reshape(len(orders), -1, plan.layout.k)
-    if len(orders) < len(own):  # a group of several rows: each row takes its group's starts
-        starts = np.repeat(starts, np.diff([*_group_bounds(own), len(own)]), axis=0)
+    if len(orders) < len(q):  # a group of several rows: each row takes its group's starts
+        starts = np.repeat(starts, np.diff([*groups.bounds, len(q)]), axis=0)
     return starts
 
 
@@ -122,26 +148,24 @@ def laid_out(plan: AttentionPlan, orders: Sequence[Sequence[int]]) -> np.ndarray
 
 
 def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
-                   own: np.ndarray) -> list[list[tuple[list[int], dict[int, float]]]]:
+                   groups: QueryGroups) -> list[list[tuple[list[int], dict[int, float]]]]:
     """Document order and scores of every query group at every head, k >= 2.
 
-    q: [r, n_heads, d] pre-rotation query rows; k_raw: [c, n_kv_heads, d],
-    the raw keys of at least the columns before the suffix, with the
-    documents in ``plan.ranked`` order (``plan.ranked_cols`` of the columns,
-    as the KV cache holds them; the column order itself when canonical);
-    own: each row's document (-1: none), never a candidate and last in its
-    group's order.  Groups follow ``_group_bounds``, and a lone row is its
-    own group; aggregation and sort direction are ``plan.mode``'s.  Each KV
-    head's query heads' copies of each row are scored against all its
-    document keys in ``canonical_order`` (one slice of ``k_raw``, read as a
-    unit-stride ``key_panel``): per ``row_block`` of rows (for n keys), one
-    score product batched over the KV heads into one workspace, where each
-    group's own document is hidden by one slice fill of its columns, and
-    ``_document_mass`` gives each document's share of the row's softmax.
-    Another ``reduceat`` takes each group's rows, which gives every group's
-    scores at once; only the comparator sort runs per (group, head).  A
-    lone row (a decode step's) is one product and needs no group bounds
-    and no group reduction.
+    q: [r, n_heads, d] pre-rotation query rows, the rows of ``groups``;
+    k_raw: [n_kv_heads, d, c], the raw keys of at least the columns before
+    the suffix as the KV cache holds them, a unit-stride panel with the
+    documents in ``plan.ranked`` order (``plan.ranked_cols`` of the
+    columns; the column order itself when canonical).  A group's own
+    document is never a candidate and comes last in its order; aggregation
+    and sort direction are ``plan.mode``'s.  Each KV head's query heads'
+    copies of each row are scored against all its document keys in
+    ``canonical_order`` (one slice of ``k_raw``): per ``row_block`` of rows
+    (for n keys), one score product batched over the KV heads into one
+    workspace, where each group's own document is hidden by one slice fill
+    of its columns, and ``_document_mass`` gives each document's share of
+    the row's softmax.  Another ``reduceat`` takes each group's rows, which
+    gives every group's scores at once; only the comparator sort runs per
+    (group, head).  A lone row, a decode step's, is one block and one group.
     Returns orders[group][head] = (ordered documents, candidate scores).
     """
     layout, mode = plan.layout, plan.mode
@@ -149,46 +173,33 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
         raise ValueError(f"group_ordering needs k >= 2 documents, got {layout.k}")
     reduce = np.maximum if mode.aggregation == "max" else np.add
     r, n_heads, d = q.shape
-    n_kv = k_raw.shape[1]
+    n_kv = k_raw.shape[0]
     rep = n_heads // n_kv
     scale = 1.0 / np.sqrt(np.float32(d))
-    keys = key_panel(k_raw[layout.prefix_len:layout.suffix_start])  # [n_kv, d, cols]
+    keys = k_raw[:, :, layout.prefix_len:layout.suffix_start]  # [n_kv, d, cols]
     n_cols = keys.shape[2]  # every document column
-    if r == 1:  # a lone row is its own group: one product, no group bookkeeping
-        mine = own.tolist()
-        logits = np.matmul(q.reshape(n_kv, rep, d), keys)
-        if mine[0] >= 0:
-            c0, c1 = plan.ranked_spans[mine[0]]
-            logits[..., c0:c1] = NEG_INF
-        totals = _document_mass(logits, plan, reduce, scale).reshape(1, n_heads, layout.k)
-    else:
-        firsts = _group_bounds(own)
-        bounds, mine = firsts.tolist(), own[firsts].tolist()
-        # (first row, end row, own document's ranked columns) of each group that has one
-        hidden = [(g0, g1, plan.ranked_spans[j])
-                  for g0, g1, j in zip(bounds, [*bounds[1:], r], mine) if j >= 0]
-        totals = np.empty((r, n_heads, layout.k), dtype=q.dtype)
-        q_kv = q.reshape(r, n_kv, rep, d).swapaxes(0, 1)  # each KV head's query heads
-        block = row_block(layout.n, rep)
-        work = np.empty(n_kv * min(block, r) * rep * n_cols, dtype=q.dtype)  # every block's logits
-        for b in range(0, r, block):
-            rb = slice(b, b + block)
-            q_b = q_kv[:, rb].reshape(n_kv, -1, d)
-            logits = np.matmul(q_b, keys, out=work[:q_b[..., 0].size * n_cols].reshape(
-                n_kv, -1, n_cols)).reshape(n_kv, -1, rep, n_cols)
-            for g0, g1, (c0, c1) in hidden:  # each group's own document
-                if g0 < b + block and g1 > b:
-                    logits[:, max(g0 - b, 0):g1 - b, :, c0:c1] = NEG_INF
-            part = _document_mass(logits, plan, reduce, scale)
-            totals[rb] = part.swapaxes(0, 1).reshape(-1, n_heads, layout.k)
+    totals = np.empty((r, n_heads, layout.k), dtype=q.dtype)
+    q_kv = q.reshape(r, n_kv, rep, d).swapaxes(0, 1)  # each KV head's query heads
+    block = row_block(layout.n, rep)
+    work = np.empty(n_kv * min(block, r) * rep * n_cols, dtype=q.dtype)  # every block's logits
+    for b in range(0, r, block):
+        rb = slice(b, b + block)
+        q_b = q_kv[:, rb].reshape(n_kv, -1, d)
+        logits = np.matmul(q_b, keys, out=work[:q_b[..., 0].size * n_cols].reshape(
+            n_kv, -1, n_cols)).reshape(n_kv, -1, rep, n_cols)
+        for g0, g1, j in groups.owned:  # each group's own document
+            if g0 < b + block and g1 > b:
+                c0, c1 = plan.ranked_spans[j]
+                logits[:, max(g0 - b, 0):g1 - b, :, c0:c1] = NEG_INF
+        part = _document_mass(logits, plan, reduce, scale)
+        totals[rb] = part.swapaxes(0, 1).reshape(-1, n_heads, layout.k)
     check_finite(totals, "group_ordering")
     # in float64, so the mean rounds as a division of the Python floats would
-    group_totals = totals if r == 1 else reduce.reduceat(totals, bounds, axis=0)
-    group_totals = group_totals.astype(np.float64)
+    group_totals = reduce.reduceat(totals, groups.bounds, axis=0).astype(np.float64)
     if mode.aggregation == "mean":
         group_totals /= plan.ranked_lens
     orders, direction, hashes = [], mode.direction, layout.doc_hashes
-    for j, group_scores in zip(mine, group_totals.tolist()):
+    for j, group_scores in zip(groups.docs, group_totals.tolist()):
         per_head = []
         for values in group_scores:
             scores = dict(zip(plan.ranked, values))
@@ -210,15 +221,6 @@ def _document_mass(logits: np.ndarray, plan: AttentionPlan, reduce: np.ufunc,
     part = reduce.reduceat(e, plan.ranked_starts, axis=1)
     part /= sums
     return part.reshape(*logits.shape[:-1], -1)
-
-
-def _group_bounds(own: np.ndarray) -> np.ndarray:
-    """First row of each query group, given each row's own document (-1:
-    none): consecutive rows of one document form one group, and every
-    other row is its own."""
-    new_group = np.ones(len(own), dtype=bool)
-    new_group[1:] = (own[1:] != own[:-1]) | (own[1:] < 0)
-    return np.flatnonzero(new_group)
 
 
 def doc_id_array(layout: SequenceLayout, total_len: int) -> np.ndarray:

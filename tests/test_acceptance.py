@@ -38,10 +38,10 @@ from posinv import (
 )
 from posinv.cli import comparator_counts_per_token, main as cli_main
 from posinv.modes import VARIANTS
-from posinv.pine import group_ordering
+from posinv.pine import group_ordering, query_groups
 from posinv.rope import rotate
 
-from conftest import random_config
+from conftest import key_panel, random_config
 
 INVARIANT_MODES = ("pine", "pine_reverse", "pcw", "sp")
 ALL_MODES = ("vanilla", "nia", "pcw", "sp", "pine", "pine_noreassign", "pine_reverse")
@@ -252,7 +252,8 @@ def importance_scores(q, kk, layout, rows, own, aggregation="mean"):
     plan = AttentionPlan(AttentionMode("pine", aggregation), layout)
     a, b = rows
     keys = kk[plan.columns(0, len(kk))[0]]
-    orders = group_ordering(q[a:b, None], keys[:, None], plan, np.full(b - a, own))
+    orders = group_ordering(q[a:b, None], key_panel(keys[:, None]), plan,
+                            query_groups(np.full(b - a, own), 0))
     return [per_head[0][1] for per_head in orders]
 
 

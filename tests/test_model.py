@@ -31,13 +31,13 @@ from posinv import (
     save_weights,
     tokenize,
 )
-from posinv import kernels, modes
+from posinv import kernels, modes, pine
 from posinv import model as model_mod
 from posinv.kernels import ShapeError, row_block
 from posinv.model import load_config, load_tensors, save_tensors
 from posinv.rope import rotate
 
-from conftest import greedy_stream, logits_digest
+from conftest import greedy_stream, key_panel, logits_digest
 
 VANILLA = AttentionMode("vanilla")
 PINE = AttentionMode("pine")
@@ -374,14 +374,16 @@ class TestRowBlocks:
     def test_masks_only_in_the_plan_and_one_block_plan_per_pass(self, tiny_config, variant,
                                                                  monkeypatch):
         # build_mask runs only while prefill builds the stream's AttentionPlan,
-        # and each forward pass plans its row blocks once, for all its layers.
+        # and each forward pass plans its row blocks, and pine its query
+        # groups, once, for all its layers.
         config = ModelConfig(**{**vars(tiny_config), "n_layers": 3})
         model = Model(config, init_random(config, 0))
         tokens, layout = tokenize(SegmentedPrompt("SYS: ", ("alpha", "bravo two", "c"), " Q?"))
         mode = AttentionMode(variant)
-        calls = {"plan": 0, "mask in plan": 0, "mask elsewhere": 0, "row_blocks": 0}
+        calls = {"plan": 0, "mask in plan": 0, "mask elsewhere": 0, "row_blocks": 0, "groups": 0}
         init, mask, row_blocks = modes.AttentionPlan.__init__, build_mask, \
             modes.AttentionPlan.row_blocks
+        query_groups = pine.query_groups
 
         def counting_init(self, *args):
             calls["plan"] += 1
@@ -398,13 +400,21 @@ class TestRowBlocks:
             calls["row_blocks"] += 1
             return row_blocks(self, *args)
 
+        def counting_groups(*args):
+            calls["groups"] += 1
+            return query_groups(*args)
+
         monkeypatch.setattr(modes.AttentionPlan, "__init__", counting_init)
         monkeypatch.setattr(modes, "build_mask", counting_mask)
         monkeypatch.setattr(modes.AttentionPlan, "row_blocks", counting_row_blocks)
+        monkeypatch.setattr(pine, "query_groups", counting_groups)
         cache, logits = prefill(model, tokens, layout, mode)
-        assert calls == {"plan": 0, "mask in plan": 1, "mask elsewhere": 0, "row_blocks": 1}
+        grouped = int(cache.plan.reorders)
+        assert calls == {"plan": 0, "mask in plan": 1, "mask elsewhere": 0, "row_blocks": 1,
+                         "groups": grouped}
         decode_step(model, cache, int(np.argmax(logits)), mode)
-        assert calls == {"plan": 0, "mask in plan": 1, "mask elsewhere": 0, "row_blocks": 2}
+        assert calls == {"plan": 0, "mask in plan": 1, "mask elsewhere": 0, "row_blocks": 2,
+                         "groups": 2 * grouped}
 
     def test_blocks_that_cut_documents(self, monkeypatch):
         # Row blocks of 4 rows start and end inside documents.
@@ -499,11 +509,12 @@ class TestBaseRotatedCache:
         assert sorted(storage) == list(range(s))
         positions = modes.base_positions(mode, layout, s)[storage]
         checked = 0
-        for layer, k_base in enumerate(cache.k_base):
+        for layer, k_base in enumerate(cache.k_base):  # [n_kv_heads, d_head, columns] panels
             k_raw = np.concatenate(raw[layer])
-            assert np.array_equal(k_base, rotate(k_raw, positions, config.rope_theta))
+            assert np.array_equal(k_base, key_panel(rotate(k_raw, positions, config.rope_theta)))
             if variant in RAW_KEY_MODES:  # importance reads the prompt's, before the suffix
-                assert cache.k_raw[layer].tobytes() == k_raw[cache.plan.ranked_cols].tobytes()
+                assert cache.k_raw[layer].tobytes() == \
+                    key_panel(k_raw[cache.plan.ranked_cols]).tobytes()
             checked += 1
         assert checked == config.n_layers
         assert len(cache.k_raw) == (config.n_layers if variant in RAW_KEY_MODES else 0)
@@ -523,7 +534,7 @@ class TestBaseRotatedCache:
         k_proj = model.weights["layers.0.k_proj.weight"]
         h = kernels.rms_norm(model.weights["embed.weight"][ranked],
                              model.weights["layers.0.attn_norm.weight"], tiny_config.norm_eps)
-        doc_keys = cache.k_raw[0][layout.prefix_len:]
+        doc_keys = cache.k_raw[0][:, :, layout.prefix_len:].transpose(2, 0, 1)
         assert doc_keys.shape[0] == layout.suffix_start - layout.prefix_len
         assert plan.ranked != list(range(layout.k))  # storage order would read other keys
         assert np.max(np.abs(doc_keys.reshape(len(ranked), -1) - kernels.matmul(h, k_proj))) < 1e-6
@@ -569,9 +580,10 @@ class TestCacheBuffer:
             with pytest.raises(MemoryError, match="injected"):
                 decode_step(model, cache, tok, PINE)
         assert cache.n_cached == layout.n
-        for arrays, copies, rows in zip((cache.k_raw, cache.k_base, cache.v), held,
-                                        (layout.suffix_start, layout.n, layout.n)):
-            assert [x.shape for x in arrays] == [(rows, 1, 16)] * 3
+        for arrays, copies, shape in zip((cache.k_raw, cache.k_base, cache.v), held,
+                                         ((1, 16, layout.suffix_start), (1, 16, layout.n),
+                                          (1, layout.n, 16))):
+            assert [x.shape for x in arrays] == [shape] * 3
             assert all(x.tobytes() == y.tobytes() for x, y in zip(arrays, copies))
         fresh, _ = prefill(model, tokens, layout, PINE)
         assert decode_step(model, cache, tok, PINE).tobytes() == \
@@ -586,8 +598,8 @@ class TestCacheBuffer:
         decode_step(tiny_model, cache, int(np.argmax(logits)), PINE)
         after = cache.k_base[0]
         assert np.shares_memory(before, after)
-        assert after.shape[0] == layout.n + 1
-        assert after[:layout.n].tobytes() == held.tobytes()
+        assert after.shape[2] == layout.n + 1
+        assert after[:, :, :layout.n].tobytes() == held.tobytes()
 
     def test_growth_is_geometric_and_keeps_the_columns(self, tiny_config):
         config = ModelConfig(**{**vars(tiny_config), "max_seq_len": 512})
@@ -603,7 +615,8 @@ class TestCacheBuffer:
             logits = decode_step(model, cache, int(np.argmax(logits)), PINE)
             if cache.buffers[0] is not buf:
                 growths += 1
-                assert [x[:s].tobytes() for x in (*cache.k_base, *cache.v)] == held
+                assert [x[..., :s].tobytes() for x in cache.k_base] + \
+                    [x[:, :s].tobytes() for x in cache.v] == held
             assert cache.n_cached <= cache.capacity <= config.max_seq_len
         assert 1 <= growths <= 3
 
@@ -638,7 +651,7 @@ class TestCacheContents:
             cache, _ = prefill(model, tokens, layout, AttentionMode(variant))
             assert [buf.shape[:2] for buf in cache.buffers] == [(2, 1)] * 2
             if variant in RAW_KEY_MODES and layout.k >= 2:
-                assert [x.shape for x in cache.k_raw] == [(layout.suffix_start, 1, 16)] * 2
+                assert [x.shape for x in cache.k_raw] == [(1, 16, layout.suffix_start)] * 2
             else:
                 assert cache.k_raw == [], (variant, layout.k)
 
@@ -661,7 +674,7 @@ class TestCacheContents:
 SOLO_CHILD = """
 import json, sys
 from posinv import AttentionMode, Model, ModelConfig, SegmentedPrompt, init_random, tokenize
-from conftest import greedy_stream, logits_digest
+from conftest import greedy_stream, key_panel, logits_digest
 
 spec = json.loads(sys.argv[1])
 config = ModelConfig(**spec["config"])

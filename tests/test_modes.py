@@ -16,12 +16,12 @@ from posinv import (
     tokenize,
 )
 from posinv import kernels, modes
-from posinv.kernels import NEG_INF, key_panel, row_block, row_softmax
+from posinv.kernels import row_block, row_softmax
 from posinv.modes import VARIANTS
-from posinv.pine import group_ordering
+from posinv.pine import group_ordering, query_groups
 from posinv.rope import rotate
 
-from conftest import attend, attention
+from conftest import attend, attention, groups_of, key_panel
 
 
 def running_example():
@@ -192,9 +192,9 @@ class TestAssignPositions:
                 if mode.reassigns and group is not None:
                     a, b, own = group
                     plan = AttentionPlan(mode, layout)
-                    keys = k[plan.columns(0, len(k))[0]]
-                    ordered = group_ordering(q[a:b, h, None], keys[:, h // 2, None],
-                                             plan, np.full(b - a, own))[0][0][0]
+                    keys = key_panel(k[plan.columns(0, len(k))[0]][:, h // 2, None])
+                    ordered = group_ordering(q[a:b, h, None], keys, plan,
+                                             query_groups(np.full(b - a, own), 0))[0][0][0]
                 pos = assign_positions(mode, layout, row, ordered)
                 scores = (rotate(q[row, h][None], [pos[row]], 10000.0)
                           @ rotate(k[:, h // 2], pos, 10000.0).T)
@@ -493,11 +493,11 @@ class TestKVHeadsInOnePass:
         q, k, _ = random_qkv(layout, 4, 2, 8, 12)
         plan = AttentionPlan(AttentionMode("pine", aggregation), layout)
         q, k = (x[plan.columns(0, len(x))[0]] for x in (q, k))
+        groups = query_groups(plan.col_doc, layout.prefix_len)
         p = layout.prefix_len
-        own = plan.col_doc[p:]
-        both = group_ordering(q[p:], k, plan, own)
+        both = group_ordering(q[p:], key_panel(k), plan, groups)
         for g in range(2):
-            one = group_ordering(q[p:, 2 * g:2 * g + 2], k[:, g:g + 1], plan, own)
+            one = group_ordering(q[p:, 2 * g:2 * g + 2], key_panel(k[:, g:g + 1]), plan, groups)
             assert [per_head[2 * g:2 * g + 2] for per_head in both] == one, g
 
 
@@ -660,13 +660,16 @@ class TestRowsMustNotCutDocuments:
         plan = AttentionPlan(AttentionMode(variant), layout)
         q, k, v = (x[plan.columns(0, len(x))[0]] for x in (q, k, v))
         # attention_forward checks its rows itself, whatever plan it is given
-        whole = dict(k_base=rotate(k, plan.columns(0, n)[1], 10000.0),
-                     rows=plan.columns(0, n), blocks=plan.row_blocks(0, n, n, 2))
+        whole = dict(k_base=key_panel(rotate(k, plan.columns(0, n)[1], 10000.0)),
+                     rows=plan.columns(0, n), blocks=plan.row_blocks(0, n, n, 2),
+                     groups=groups_of(plan, 0, n))
+        k_raw, values = key_panel(k[plan.ranked_cols]), np.ascontiguousarray(v.swapaxes(0, 1))
         for q_start, t in [(3, n - 3), (5, n - 5), (1, 2), (0, n - 2), (0, 1)]:
             with pytest.raises(ValueError, match="cut the documents"):
                 attention(plan, q[q_start:q_start + t], k, v, q_start=q_start)
             with pytest.raises(ValueError, match="cut the documents"):
-                attention_forward(plan, q[q_start:q_start + t], k, v, q_start, 10000.0, **whole)
+                attention_forward(plan, q[q_start:q_start + t], k_raw, values, q_start, 10000.0,
+                                  **whole)
         with pytest.raises(ValueError, match="past the"):
             attention(plan, q[n - 1:], k[:n - 1], v[:n - 1], q_start=n - 1)
         full = attention(plan, q, k, v)
@@ -676,68 +679,76 @@ class TestRowsMustNotCutDocuments:
 
 class TestKeyPanels:
     """The KV cache keeps rotated keys (and pine's raw prompt keys) as
-    [n_kv_heads, d_head, columns] panels; attention and the importance pass
-    read them as unit-stride views, and contiguous copies of the same keys
-    give the same bits."""
+    [n_kv_heads, d_head, columns] panels and values as [n_kv_heads, columns,
+    d_head], and ``KVCache.write`` hands attention those panels: views of
+    the cache, which attention and the importance pass read as they are, and
+    which give the same bits as contiguous copies of them."""
 
     @pytest.mark.parametrize("canonical", [True, False])
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_cache_views_and_contiguous_copies_agree_bitwise(self, variant, canonical):
-        from posinv import Model, ModelConfig, decode_step, init_random, prefill
+    def test_cache_views_and_contiguous_copies_agree_bitwise(self, variant, canonical,
+                                                             monkeypatch):
+        from posinv import KVCache, Model, ModelConfig, decode_step, init_random, prefill
 
         config = ModelConfig(n_layers=1, n_heads=4, n_kv_heads=2, d_model=32, d_head=8,
                              d_ff=64, vocab_size=260, max_seq_len=256)
         model = Model(config, init_random(config, 4))
         tokens, layout = four_doc_prompt(13)
         mode = AttentionMode(variant, canonical=canonical)
+        written, write = [], KVCache.write
+
+        def recording_write(cache, *args):
+            panels = write(cache, *args)
+            written.append(panels)
+            return panels
+
+        monkeypatch.setattr(KVCache, "write", recording_write)
         cache, logits = prefill(model, tokens, layout, mode)
+        decode_step(model, cache, int(np.argmax(logits)), mode)
         plan, n, p = cache.plan, layout.n, layout.prefix_len
+        assert cache.n_cached < cache.capacity  # the panels are views of a padded buffer
         rng = np.random.default_rng(9)
         q = rng.normal(size=(n + 1, 4, 8)).astype(np.float32)
-        for rows, q_start, own in ((q[:n], 0, plan.col_doc[p:]), (q[n:], n, np.array([-1]))):
-            if q_start:
-                decode_step(model, cache, int(np.argmax(logits)), mode)
-            assert cache.n_cached < cache.capacity  # the views read a padded panel
-            views = (cache.k_raw[0] if cache.k_raw else None, cache.v[0], cache.k_base[0])
-            panel = key_panel(views[2])
-            assert panel.strides[2] == panel.itemsize
-            assert np.shares_memory(panel, cache.buffers[0])  # no copy
-            copies = [None if x is None else np.ascontiguousarray(x) for x in views]
-            got = [attention(plan, rows, None, x[1], q_start=q_start, k_base=x[2], k_raw=x[0])
-                   for x in (views, copies)]
+        for rows, q_start, panels in ((q[:n], 0, written[0]), (q[n:], n, written[1])):
+            k_raw, k_base, v = panels
+            s = q_start + len(rows)
+            assert k_base.shape == (2, 8, s) and v.shape == (2, s, 8)
+            assert np.shares_memory(k_base, cache.buffers[0])  # no copy
+            assert np.shares_memory(v, cache.buffers[0])
+            assert k_raw is (cache.k_raw[0] if plan.reorders else None)
+            for panel in (k_base, k_raw):  # keys: a unit-stride column axis
+                assert panel is None or panel.strides[2] == panel.itemsize
+            copies = [None if x is None else np.ascontiguousarray(x) for x in panels]
+            row_plan = (plan.columns(q_start, s), plan.row_blocks(q_start, len(rows), s, 2),
+                        groups_of(plan, q_start, len(rows)))
+            got = [attention_forward(plan, rows, x[0], x[2], q_start, 10000.0, x[1], *row_plan)
+                   for x in (panels, copies)]
             assert got[0].tobytes() == got[1].tobytes(), q_start
-            importance = [group_ordering(rows[p:] if q_start == 0 else rows,
-                                         x[0] if x[0] is not None else x[2], plan, own)
-                          for x in (views, copies)]
+            first = 0 if q_start else p
+            groups = query_groups(row_plan[0][2], first)
+            importance = [group_ordering(rows[first:], x[0] if x[0] is not None else x[1], plan,
+                                         groups) for x in (panels, copies)]
             assert importance[0] == importance[1], q_start
 
 
 class TestLoneDecodedRow:
-    """A lone row at or past suffix_start under a plan that reorders takes its
-    own branch of attention_forward (``modes._lone_row``), which must give
-    what the block path gives the same row inside a 2-row call."""
+    """A lone row at or past suffix_start, a decode step's, runs the block
+    path as one block of one row and, under a plan that reorders, one query
+    group of its own: it must give what the same row gets inside a 2-row
+    call, in every mode."""
 
     @pytest.mark.parametrize("k", [2, 5, 8])
     @pytest.mark.parametrize("canonical", [True, False])
     @pytest.mark.parametrize("aggregation", ["mean", "sum", "max"])
-    @pytest.mark.parametrize("variant", ["pine", "pine_reverse"])
-    def test_lone_row_equals_the_block_path(self, variant, aggregation, canonical, k,
-                                            monkeypatch):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_lone_row_equals_the_block_path(self, variant, aggregation, canonical, k):
         _, layout = k_doc_prompt(k)
         n = layout.n
         plan = AttentionPlan(AttentionMode(variant, aggregation, canonical), layout)
         cols = plan.columns(0, n + 2)[0]
         q, kk, v = (x[cols] for x in random_qkv(layout.extend(2), 4, 2, 8, 20 + k))
-        lone, branch = [], modes._lone_row
-
-        def counting(*args):
-            lone.append(1)
-            return branch(*args)
-
-        monkeypatch.setattr(modes, "_lone_row", counting)
-        pair = attention(plan, q[n:], kk, v, q_start=n)  # two decoded rows: the block path
-        assert lone == []
+        pair = attention(plan, q[n:], kk, v, q_start=n)  # two decoded rows in one block
+        assert len(plan.row_blocks(n, 2, n + 2, 2)) == 1
         for r in range(2):
             one = attention(plan, q[n + r:n + r + 1], kk[:n + r + 1], v[:n + r + 1], q_start=n + r)
             assert np.max(np.abs(one[0] - pair[r])) < 1e-6, r
-        assert len(lone) == 2

@@ -17,10 +17,11 @@ from posinv.pine import (
     document_starts,
     group_ordering,
     laid_out,
+    query_groups,
     reset_comparison_count,
 )
 
-from conftest import attend
+from conftest import attend, key_panel
 
 
 def one_token_docs(k):
@@ -156,6 +157,13 @@ class TestOrderDocuments:
         hashes = (500, 100, 300)
         assert order_documents({0: 0.5, 1: 0.5, 2: 0.5}, hashes, "closer") == [1, 2, 0]
 
+    @pytest.mark.parametrize("direction", ["close", "closest", "reverse", "", None, 1])
+    def test_unknown_direction_rejected(self, direction):
+        # Only "closer" sorts ascending and "reversed" descending; any other
+        # direction is an error, not quietly the reversed sort.
+        with pytest.raises(ValueError, match="unknown sort direction"):
+            order_documents({0: 0.1, 1: 0.5, 2: 0.3}, (3, 2, 1), direction)
+
     def test_nan_rejected(self):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="non-finite importance score for document 1"):
@@ -185,7 +193,8 @@ def ordering(q, k, layout, own, aggregation="mean"):
     """group_ordering of query rows against storage-order keys, laid out
     in the columns of pine's plan."""
     plan = AttentionPlan(AttentionMode("pine", aggregation), layout)
-    return group_ordering(q, k[plan.columns(0, len(k))[0]], plan, own)
+    return group_ordering(q, key_panel(k[plan.columns(0, len(k))[0]]), plan,
+                          query_groups(own, 0))
 
 
 class TestPineAttention:
@@ -319,7 +328,7 @@ class TestGroupOrdering:
             q = np.stack([per_token[t][0] for t in toks])[cols]
             k = np.stack([per_token[t][1] for t in toks])[cols]
             p = layout.prefix_len
-            orders = group_ordering(q[p:], k, plan, plan.col_doc[p:])
+            orders = group_ordering(q[p:], key_panel(k), plan, query_groups(plan.col_doc, p))
             h = layout.doc_hashes
             return [[([h[j] for j in ordered], {h[j]: v for j, v in scores.items()})
                      for ordered, scores in per_head] for per_head in orders]
@@ -365,7 +374,8 @@ class TestGroupOrdering:
         monkeypatch.setattr(kernels, "_BLOCK_SCORES", 3 * layout.n)
         p = layout.prefix_len
         cols = plan.columns(0, layout.n)[0]
-        orders = group_ordering(q[cols][p:, None], k[cols][:, None], plan, plan.col_doc[p:])
+        orders = group_ordering(q[cols][p:, None], key_panel(k[cols][:, None]), plan,
+                                query_groups(plan.col_doc, p))
         suffix_rows = [(r, r + 1) for r in range(layout.suffix_start, layout.n)]
         groups = [(layout.doc_spans[j], j) for j in plan.docs] + [(r, -1) for r in suffix_rows]
         assert len(orders) == len(groups)
@@ -420,12 +430,13 @@ class TestDocumentStarts:
         q = rng.normal(size=(layout.n + 1, 4, 8)).astype(np.float32)
         cols = plan.columns(0, layout.n)[0]
         keys = rng.normal(size=(layout.n, 2, 8)).astype(np.float32)[cols][plan.ranked_cols]
+        keys = key_panel(keys)
         p = layout.prefix_len
         cases = [(q[cols][p:], plan.col_doc[p:]),  # prefill rows
                  (q[layout.n:], np.full(1, -1))]  # a decoded row
         for rows, own in cases:
-            starts = document_starts(rows, keys, plan, own)
-            orders = group_ordering(rows, keys, plan, own)
+            starts = document_starts(rows, keys, plan, query_groups(own, 0))
+            orders = group_ordering(rows, keys, plan, query_groups(own, 0))
             assert starts.shape == (len(rows), 4, k)
             group = -1
             for i, mine in enumerate(own.tolist()):
