@@ -16,10 +16,10 @@ documents for their position-free importance.
 Prefill and decoding share one forward pass: a decode step is the
 prefill of one more row after the cached ones.  That row writes a column
 in place, after an unchanged plan's columns, and sees every cached key,
-so its one row block has no fill.  A forward pass plans its rows
-(``plan.columns``), row blocks (``plan.row_blocks``) and, when the plan
-reorders, pine's query groups (``pine.query_groups``) once, and every
-layer's attention replays them, for one row or many alike.  It embeds
+so its one row block has no fill.  A forward pass plans its rows once,
+as one ``modes.Rows`` (``plan.rows``: their columns, row blocks and
+pine's query groups), and every layer's attention replays it, for one
+row or many alike.  It embeds
 its tokens in column order, so every layer runs in that order: only the
 embedding and the pick of the last token's row read a storage index.
 """
@@ -33,13 +33,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import modes, pine
+from . import modes
 from .kernels import ShapeError, matmul, rms_norm, swiglu
-from .modes import AttentionMode, AttentionPlan, RowBlock, attention_forward
+from .modes import AttentionMode, AttentionPlan, Rows, attention_forward
 from .prompts import BYTE_VOCAB, N_SPECIALS, SequenceLayout
 
-_DTYPES = {"F32": np.float32, "F64": np.float64}
-_DTYPE_NAMES = {np.dtype(np.float32): "F32", np.dtype(np.float64): "F64"}
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
@@ -114,10 +112,12 @@ class Weights:
         for name, shape in schema.items():
             if name not in self.tensors:
                 raise WeightError(f"missing tensor {name!r}")
-            got = self.tensors[name].shape
-            if tuple(got) != shape:
-                raise WeightError(f"tensor {name!r} has shape {tuple(got)}, expected {shape}")
-            if not np.isfinite(self.tensors[name]).all():
+            got = self.tensors[name]
+            if got.shape != shape:
+                raise WeightError(f"tensor {name!r} has shape {got.shape}, expected {shape}")
+            if got.dtype != np.float32:  # the runtime computes in float32 only
+                raise WeightError(f"tensor {name!r} has dtype {got.dtype}, expected float32")
+            if not np.isfinite(got).all():
                 raise WeightError(f"tensor {name!r} contains non-finite values")
         return self
 
@@ -135,8 +135,8 @@ class Model:
 
 # ---------------------------------------------------------------------------
 # Weight container: 8-byte little-endian header length, UTF-8 JSON header
-# mapping tensor names to {dtype, shape, data_offsets}, then a contiguous
-# little-endian payload.
+# mapping tensor names to {dtype ("F32" only), shape, data_offsets}, then a
+# contiguous little-endian payload.
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
@@ -145,11 +145,11 @@ def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
     payload = []
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name])
-        if arr.dtype not in _DTYPE_NAMES:
+        if arr.dtype != np.float32:
             raise WeightError(f"tensor {name!r}: unsupported dtype {arr.dtype}")
-        raw = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
+        raw = arr.astype("<f4").tobytes()
         header[name] = {
-            "dtype": _DTYPE_NAMES[arr.dtype],
+            "dtype": "F32",
             "shape": list(arr.shape),
             "data_offsets": [offset, offset + len(raw)],
         }
@@ -186,7 +186,7 @@ def _read_tensor(name: str, meta, payload: bytes) -> np.ndarray:
     if not isinstance(meta, dict) or not {"dtype", "shape", "data_offsets"} <= meta.keys():
         raise WeightError(f"tensor {name!r}: entry needs dtype, shape and data_offsets")
     dtype, shape, offsets = meta["dtype"], meta["shape"], meta["data_offsets"]
-    if not isinstance(dtype, str) or dtype not in _DTYPES:
+    if dtype != "F32":
         raise WeightError(f"tensor {name!r}: unsupported dtype {dtype!r}")
     if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
         raise WeightError(f"tensor {name!r}: bad shape {shape!r}")
@@ -195,11 +195,10 @@ def _read_tensor(name: str, meta, payload: bytes) -> np.ndarray:
             and 0 <= offsets[0] <= offsets[1] <= len(payload)):
         raise WeightError(f"tensor {name!r}: data_offsets {offsets!r} outside the "
                           f"{len(payload)}-byte payload")
-    dt = np.dtype(_DTYPES[dtype]).newbyteorder("<")
     s, e = offsets
-    if e - s != math.prod(shape) * dt.itemsize:
+    if e - s != math.prod(shape) * 4:
         raise WeightError(f"tensor {name!r}: payload size {e - s} B != shape {shape}")
-    arr = np.frombuffer(payload[s:e], dtype=dt).astype(_DTYPES[dtype])
+    arr = np.frombuffer(payload[s:e], dtype="<f4").astype(np.float32)
     try:  # numpy holds at most 64 dimensions, each within its index range
         return arr.reshape(shape)
     except ValueError as exc:
@@ -354,26 +353,21 @@ def _halves(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
-                   rows: tuple[np.ndarray, ...], blocks: list[RowBlock],
-                   groups: pine.QueryGroups | None) -> np.ndarray:
+                   rows: Rows) -> np.ndarray:
     """One layer over the rows after the cache, in column order; ``rows`` is
-    their ``plan.columns`` (storage index, base position and document),
-    ``blocks`` their ``plan.row_blocks`` and ``groups`` their
-    ``pine.query_groups``, which attention replays.  Keys are
-    rotated once, at their base positions, by ``modes.rotate``: looked up
-    there, as attention's query rotations are, so one hook sees both."""
+    their ``plan.rows``, which attention replays.  Keys are rotated once, at
+    their base positions, by ``modes.rotate``: looked up there, as
+    attention's query rotations are, so one hook sees both."""
     cfg = model.config
     w = model.weights
     p = f"layers.{layer}."
-    plan, q_start = cache.plan, cache.n_cached
     h = rms_norm(x, w[p + "attn_norm.weight"], cfg.norm_eps)
     q = matmul(h, w[p + "q_proj.weight"]).reshape(-1, cfg.n_heads, cfg.d_head)
     k = matmul(h, w[p + "k_proj.weight"]).reshape(-1, cfg.n_kv_heads, cfg.d_head)
     v = matmul(h, w[p + "v_proj.weight"]).reshape(-1, cfg.n_kv_heads, cfg.d_head)
-    k_base = modes.rotate(k, rows[1], cfg.rope_theta)
+    k_base = modes.rotate(k, rows.base, cfg.rope_theta)
     k, k_base, v = cache.write(layer, (k, k_base, v), cfg.max_seq_len)
-    attn = attention_forward(plan, q, k, v, q_start=q_start, rope_theta=cfg.rope_theta,
-                             k_base=k_base, rows=rows, blocks=blocks, groups=groups)
+    attn = attention_forward(cache.plan, q, k, v, k_base, rows, cfg.rope_theta)
     x = x + matmul(attn.reshape(attn.shape[0], -1), w[p + "o_proj.weight"])
     h2 = rms_norm(x, w[p + "ffn_norm.weight"], cfg.norm_eps)
     gate = matmul(h2, w[p + "gate_proj.weight"])
@@ -395,19 +389,14 @@ def _forward(model: Model, cache: KVCache, tokens: list[int]) -> np.ndarray:
     ids = np.asarray(tokens)
     if ids.dtype.kind not in "iu" or not ((ids >= 0) & (ids < cfg.vocab_size)).all():
         raise ShapeError(f"token ids must be integers in 0 .. {cfg.vocab_size - 1}")
-    t, plan = len(tokens), cache.plan
-    rows = plan.columns(q_start, q_start + t)
-    blocks = plan.row_blocks(q_start, t, q_start + t, cfg.n_heads // cfg.n_kv_heads)
-    groups = None  # pine's query groups; a prefill's prefix rows come first and have none
-    if plan.reorders:
-        groups = pine.query_groups(rows[2], 0 if q_start else plan.layout.prefix_len)
-    x = model.weights["embed.weight"][ids[rows[0] - q_start]]
+    rows = cache.plan.rows(q_start, len(tokens), cfg.n_heads // cfg.n_kv_heads)
+    x = model.weights["embed.weight"][ids[rows.index - q_start]]
     for layer in range(cfg.n_layers):
-        x = _layer_forward(model, x, layer, cache, rows, blocks, groups)
-    last = rows[0].argmax()
+        x = _layer_forward(model, x, layer, cache, rows)
+    last = rows.index.argmax()
     h = rms_norm(x[last:last + 1], model.weights["final_norm.weight"], cfg.norm_eps)
     logits = matmul(h, model.head_matrix())[0]
-    cache.n_cached = q_start + t
+    cache.n_cached = q_start + len(tokens)
     return logits
 
 

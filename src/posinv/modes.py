@@ -20,11 +20,11 @@ The single shared core guarantees that whenever two modes produce the
 same mask and positions (e.g. k <= 1), their outputs are bitwise equal.
 It runs query rows in blocks, and a block scores only the key blocks
 (prefix, each document, suffix with the decoded tokens) that one of its
-rows can see.  ``AttentionPlan.row_blocks`` decides this from the key
-blocks alone, once per forward pass, and gives each block's hidden
-scores as slice fills, so attention builds no mask; ``build_mask``, the
-one definition of visibility, builds only the plan's block-to-block
-table.
+rows can see.  ``AttentionPlan.rows`` plans a forward pass's rows once:
+``row_blocks`` decides this from the key blocks alone and gives each
+block's hidden scores as slice fills, so attention builds no mask;
+``build_mask``, the one definition of visibility, builds only the plan's
+block-to-block table.
 """
 
 from __future__ import annotations
@@ -185,6 +185,16 @@ class RowBlock(NamedTuple):
     fills: list[tuple[slice, slice, np.ndarray | None]]
 
 
+class Rows(NamedTuple):
+    """A forward pass's rows, columns ``start`` on, as ``AttentionPlan.rows`` plans them."""
+
+    start: int
+    index: np.ndarray  # storage index per row
+    base: np.ndarray  # base position per row
+    blocks: list[RowBlock]
+    groups: pine.QueryGroups | None  # pine's query groups; None when the plan does not reorder
+
+
 class AttentionPlan:
     """Where every key of one stream sits under one mode.  Built once per
     (layout, mode) and held by the KV cache, which stores its keys and
@@ -243,12 +253,26 @@ class AttentionPlan:
                 np.concatenate([self.base[c0:c1], past + self.offset]),
                 np.concatenate([self.col_doc[c0:c1], np.full(len(past), -1)]))
 
-    def row_blocks(self, q_start: int, t: int, s: int, rep: int) -> list[RowBlock]:
+    def rows(self, q_start: int, t: int, rep: int) -> Rows:
+        """Plan rows q_start .. q_start + t - 1 once for a forward pass's
+        layers: their columns, ``row_blocks`` and, when the plan reorders,
+        pine's query groups (a prefill's prefix rows are in none).  Rows
+        that cut the documents are refused: they must start at 0 and take
+        the first ``suffix_start`` rows or more, or start at or after it."""
+        ss = self.layout.suffix_start
+        if q_start < 0 or 0 < q_start < ss or (q_start == 0 and t < ss):
+            raise ValueError(f"rows {q_start} .. {q_start + t - 1} cut the documents: they must "
+                             f"start at 0 and take {ss} rows or more, or start at or after {ss}")
+        index, base, doc = self.columns(q_start, q_start + t)
+        groups = (pine.query_groups(doc, 0 if q_start else self.layout.prefix_len)
+                  if self.reorders else None)
+        return Rows(q_start, index, base, self.row_blocks(q_start, t, rep), groups)
+
+    def row_blocks(self, q_start: int, t: int, rep: int) -> list[RowBlock]:
         """How attention runs rows q_start .. q_start + t - 1, in column order,
-        against s keys when ``rep`` query heads share each KV head: blocks of
-        ``row_block`` rows, each with the key columns it must score and its
-        hidden scores as slice fills.  A forward pass plans this once for
-        all its layers.
+        against the q_start + t keys up to the last row, when ``rep`` query
+        heads share each KV head: blocks of ``row_block`` rows, each with the
+        key columns it must score and its hidden scores as slice fills.
 
         A block keeps a key block whole when rows of another key block see
         it, and up to its last row when only the key block's own rows, which
@@ -264,7 +288,7 @@ class AttentionPlan:
         documents.  A lone suffix or decoded row sees every key it keeps:
         one block, no fills.
         """
-        self.check_rows(q_start, t, s)
+        s = q_start + t
         block, starts = row_block(s, rep), self.block_starts
         blocks = []
         for b in range(0, t, block):
@@ -298,17 +322,6 @@ class AttentionPlan:
             blocks.append(RowBlock(slice(b, b + r1 - r0), runs, spans, width, fills))
         return blocks
 
-    def check_rows(self, c0: int, t: int, s: int | None = None) -> None:
-        """Refuse rows c0 .. c0 + t - 1 that cut the documents, or that run
-        past the s keys: they must start at 0 and take at least the first
-        ``suffix_start`` rows, or start at or after ``suffix_start``."""
-        ss = self.layout.suffix_start
-        if c0 < 0 or 0 < c0 < ss or (c0 == 0 and t < ss):
-            raise ValueError(f"rows {c0} .. {c0 + t - 1} cut the documents: they must start at 0 "
-                             f"and take at least the first {ss} rows, or start at or after {ss}")
-        if s is not None and c0 + t > s:
-            raise ValueError(f"rows {c0} .. {c0 + t - 1} run past the {s} keys")
-
 
 def _join(runs: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
     """Column runs (first, end, shift) with each touching pair of one shift joined."""
@@ -321,30 +334,24 @@ def _join(runs: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
 
 
 def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray | None,
-                      v: np.ndarray, q_start: int, rope_theta: float, k_base: np.ndarray,
-                      rows: tuple[np.ndarray, ...], blocks: list[RowBlock],
-                      groups: pine.QueryGroups | None) -> np.ndarray:
+                      v: np.ndarray, k_base: np.ndarray, rows: Rows,
+                      rope_theta: float) -> np.ndarray:
     """One layer of multi-head attention under ``plan.mode``.
 
-    q_raw: [t, n_heads, d_head] pre-rotation queries of columns q_start ..
-    q_start + t - 1, in column order, which must not cut the documents
-    (prefill: every row from 0; decode: the new token's).  The keys and
-    values of every cached token, in column order, are the panels the KV
-    cache holds: k_base, [n_kv_heads, d_head, s], the keys rotated at base
-    positions, and v, [n_kv_heads, s, d_head]; each is read as it is, the
-    keys as the unit-stride operand of every score product.  k_raw, the
-    raw keys before the suffix as the KV cache holds them ([n_kv_heads,
-    d_head, columns]: ``plan.ranked_cols`` of the columns), is read only
-    when ``plan.reorders``, and may be None elsewhere.  rows: the queries'
-    ``plan.columns(q_start, q_start + t)``, blocks: their
-    ``plan.row_blocks``, and groups: their ``pine.query_groups`` (None
-    when the plan does not reorder), which a forward pass computes once for
-    every layer.  Returns the rows in column order.  Rows that cut the
-    documents or run past the s keys raise ``ValueError``
-    (``plan.check_rows``).
+    q_raw: [t, n_heads, d_head] pre-rotation queries of the t rows of
+    ``rows``, the forward pass's ``plan.rows``, in column order.  The keys
+    and values of every cached token up to the last row, in column order,
+    are the panels the KV cache holds: k_base, [n_kv_heads, d_head, s], the
+    keys rotated at base positions, and v, [n_kv_heads, s, d_head]; each is
+    read as it is, the keys as the unit-stride operand of every score
+    product.  k_raw, the raw keys before the suffix as the KV cache holds
+    them ([n_kv_heads, d_head, columns]: ``plan.ranked_cols`` of the
+    columns), is read only when ``plan.reorders``, and may be None
+    elsewhere.  Returns the rows in column order.  Queries or keys that do
+    not match ``rows`` raise ``ValueError``.
 
-    The rows, in column order, run in the blocks of ``blocks``, every KV
-    head in one pass; each block scores only the columns its plan keeps for
+    The rows run in the blocks of ``rows.blocks``, every KV head in one
+    pass; each block scores only the columns its plan keeps for
     its rows (whole key blocks that other rows of the block see, its own
     block up to its last row), with one score product per run of kept
     columns and one value product per contiguous span, each batched over
@@ -359,10 +366,10 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
     No key is rotated again: RoPE scores depend only on relative positions,
     <R(p)q, R(c + o)k> = <R(p - c)q, R(o)k>, so a key block at base offset o
     and assigned start c is scored with the query rotated by p - c.  A
-    block's queries are rotated to all their shifts in one ``rotate``, or,
-    when the plan does not reorder, by one phase per row shared by its
-    heads.  Only the re-assigning modes have blocks with c != 0:
-    ``pine.document_starts`` scores every (query head, row) of ``groups``
+    block's queries are rotated to all their shifts in one ``rotate``; when
+    the plan does not reorder, there is one shift, and its heads share one
+    phase per row.  Only the re-assigning modes have blocks with c != 0:
+    ``pine.document_starts`` scores every (query head, row) of ``rows.groups``
     against every document in one importance pass and gives each document's
     start in the row's group order.  With
     ``mode.canonical`` the kept columns depend only on the column order, so
@@ -373,32 +380,31 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
     t, n_heads, d_head = q_raw.shape
     n_kv, s = v.shape[:2]
     rep = n_heads // n_kv
-    plan.check_rows(q_start, t, s)
-    q_base = rows[1]
+    if t != len(rows.index) or s != rows.start + t or k_base.shape[2] != s:
+        raise ValueError(f"{t} queries and {s} keys do not match the {len(rows.index)} rows "
+                         f"from {rows.start}")
     scale = 1.0 / np.sqrt(np.float32(d_head))
     late = None  # sp's rows at or after suffix_start
     if mode.rescales and layout.k > 1:
-        late = np.arange(q_start, q_start + t) >= layout.suffix_start
+        late = np.arange(rows.start, s) >= layout.suffix_start
+    # The position p - c each query is rotated to per key block shift c: [1, t]
+    # when the plan does not reorder, else [shifts, t, n_heads]: shift 0, then
+    # each document's start in ``plan.docs`` order.  The rows before
+    # ``groups.first`` (the prefix's) keep their input positions.
+    pos, groups = rows.base[None], rows.groups
     if plan.reorders:
-        # The position p - c each query head is rotated to per key block shift
-        # c, [shifts, t, n_heads]: shift 0, then each document's start in
-        # ``plan.docs`` order.  The rows before ``groups.first`` (the prefix's)
-        # keep their input positions.
         first = groups.first
         starts = pine.document_starts(q_raw[first:], k_raw, plan, groups)
         pos = np.empty((1 + layout.k, t, n_heads), dtype=np.int64)
-        pos[...] = q_base[:, None]
+        pos[...] = rows.base[:, None]
         for g0, g1, j in groups.owned:  # a document's rows sit at its start in their group's order
             pos[:, first + g0:first + g1] += starts[g0, :, j]
         pos[1:, first:] -= starts.transpose(2, 0, 1)[plan.docs]
     out = np.empty((t, n_heads, d_head), dtype=q_raw.dtype)
     work = np.empty(n_kv * min(row_block(s, rep), t) * rep * s, dtype=q_raw.dtype)  # any block's
-    for rb, runs, spans, width, fills in blocks:
-        # The block's queries rotated per shift: [shifts, rows, n_heads, d].
-        if plan.reorders:  # one rotation of every query head to each of its shifts
-            q_rot = rotate(q_raw[None, rb], pos[:, rb], rope_theta)
-        else:  # one phase per row, shared by its heads
-            q_rot = rotate(q_raw[rb], q_base[rb], rope_theta)[None]
+    for rb, runs, spans, width, fills in rows.blocks:
+        # The block's queries rotated to each shift in one call: [shifts, rows, n_heads, d].
+        q_rot = rotate(q_raw[None, rb], pos[:, rb], rope_theta)
         # Each KV head's query heads, one [n_kv, rows * rep, d] operand per shift
         # (a view for one row).
         q_rot = list(q_rot.reshape(len(q_rot), -1, n_kv, rep, d_head).swapaxes(1, 2).reshape(

@@ -162,10 +162,10 @@ def _ref_ordering(
     own_doc,
     d_head: int,
     aggregation: str,
-    direction: str,
+    reverse: bool,
 ) -> list[int]:
-    """Importance-sorted candidate document order (least important first),
-    with the query document (if any) appended last."""
+    """Importance-sorted candidate document order (least important first, or
+    last when ``reverse``), with the query document (if any) appended last."""
     cands = sorted(
         (j for j in range(layout.k) if j != own_doc),
         key=lambda j: (layout.doc_hashes[j], j),
@@ -191,7 +191,6 @@ def _ref_ordering(
             scores[j] = sums[j]
         else:
             scores[j] = maxes[j]
-    reverse = direction == "reversed"
     ordered = sorted(cands, key=lambda j: (-scores[j] if reverse else scores[j],
                                            layout.doc_hashes[j], j))
     if own_doc is not None:
@@ -234,6 +233,7 @@ def dense_reference(
         raise ValueError(f"dense_reference: sequence length {len(tokens)} exceeds cap")
     cfg = model.config
     variant = mode.variant
+    reverse = variant == "pine_reverse"  # from the name, not the runtime's mode table
     w = {name: arr.astype(np.float64) for name, arr in model.weights.tensors.items()}
     n = len(tokens)
     x = np.stack([w["embed.weight"][t] for t in tokens])
@@ -266,13 +266,13 @@ def dense_reference(
                             s, e = layout.doc_spans[own]
                             doc_orderings[own] = _ref_ordering(
                                 q[s:e, head], k[:, g], layout, own,
-                                cfg.d_head, mode.aggregation, mode.direction,
+                                cfg.d_head, mode.aggregation, reverse,
                             )
                         ordered = doc_orderings[own]
                     elif qi >= layout.suffix_start:
                         ordered = _ref_ordering(
                             q[qi : qi + 1, head], k[:, g], layout, None,
-                            cfg.d_head, mode.aggregation, mode.direction,
+                            cfg.d_head, mode.aggregation, reverse,
                         )
                 pos = _ref_positions(variant, layout, n, ordered)
                 vis = [t for t in range(n) if _ref_visible(variant, layout, qi, t)]

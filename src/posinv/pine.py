@@ -178,7 +178,7 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
     scale = 1.0 / np.sqrt(np.float32(d))
     keys = k_raw[:, :, layout.prefix_len:layout.suffix_start]  # [n_kv, d, cols]
     n_cols = keys.shape[2]  # every document column
-    totals = np.empty((r, n_heads, layout.k), dtype=q.dtype)
+    totals = np.empty((n_kv, r, rep, layout.k), dtype=q.dtype)  # as _document_mass gives them
     q_kv = q.reshape(r, n_kv, rep, d).swapaxes(0, 1)  # each KV head's query heads
     block = row_block(layout.n, rep)
     work = np.empty(n_kv * min(block, r) * rep * n_cols, dtype=q.dtype)  # every block's logits
@@ -191,11 +191,11 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
             if g0 < b + block and g1 > b:
                 c0, c1 = plan.ranked_spans[j]
                 logits[:, max(g0 - b, 0):g1 - b, :, c0:c1] = NEG_INF
-        part = _document_mass(logits, plan, reduce, scale)
-        totals[rb] = part.swapaxes(0, 1).reshape(-1, n_heads, layout.k)
+        totals[:, rb] = _document_mass(logits, plan, reduce, scale)
     check_finite(totals, "group_ordering")
-    # in float64, so the mean rounds as a division of the Python floats would
-    group_totals = reduce.reduceat(totals, groups.bounds, axis=0).astype(np.float64)
+    # [groups, n_heads, k] in float64, so the mean rounds as Python floats' division would
+    group_totals = reduce.reduceat(totals, groups.bounds, axis=1).swapaxes(0, 1).reshape(
+        -1, n_heads, layout.k).astype(np.float64)
     if mode.aggregation == "mean":
         group_totals /= plan.ranked_lens
     orders, direction, hashes = [], mode.direction, layout.doc_hashes

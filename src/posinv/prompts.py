@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 BOS_TOKEN = 256
@@ -52,8 +52,8 @@ class SequenceLayout:
     """Partition of the token sequence into prefix / documents / suffix.
 
     Spans are half-open [start, end) storage-index ranges, contiguous and
-    ordered prefix < docs < suffix.  ``doc_hashes`` are stable 64-bit
-    content hashes of each document's token ids, used for
+    ordered prefix < docs < suffix.  ``doc_hashes``, one per document, are
+    stable 64-bit content hashes of its token ids, used for
     permutation-invariant tie-breaking downstream.
     """
 
@@ -61,7 +61,11 @@ class SequenceLayout:
     prefix_len: int
     doc_spans: tuple[tuple[int, int], ...]
     suffix_start: int
-    doc_hashes: tuple[int, ...] = field(default=())
+    doc_hashes: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.doc_hashes) != len(self.doc_spans):
+            raise PromptError(f"{len(self.doc_hashes)} content hashes for {self.k} documents")
 
     @property
     def k(self) -> int:

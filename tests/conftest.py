@@ -5,7 +5,6 @@ import pytest
 
 from posinv import (AttentionPlan, Model, ModelConfig, attention_forward, decode_step,
                     init_random, prefill)
-from posinv.pine import query_groups
 from posinv.rope import rotate
 
 
@@ -54,34 +53,23 @@ def key_panel(k):
     return np.ascontiguousarray(k.transpose(1, 2, 0))
 
 
-def groups_of(plan, q_start, t):
-    """The ``pine.query_groups`` a forward pass gives attention for columns
-    q_start .. q_start + t - 1 of ``plan`` (None when it does not reorder)."""
-    if not plan.reorders:
-        return None
-    return query_groups(plan.columns(q_start, q_start + t)[2],
-                        0 if q_start else plan.layout.prefix_len)
-
-
 def attention(plan, q, k, v, q_start=0, k_base=None, k_raw=None):
     """``attention_forward`` of columns q_start .. q_start + len(q) - 1 of
     ``plan``, with q, k and v in column order, given what a forward pass
-    gives it: the rows' plan columns, row blocks and query groups,
-    ``k_base``, by default k rotated at its base positions in one call, and
-    ``k_raw``, by default k's columns in the order the KV cache holds raw
-    keys (k may be None when ``k_base`` is given and attention reads no raw
-    key).  Keys and values are [columns, KV heads, d_head] here, and are
-    laid out as the KV cache's panels."""
+    gives it: the rows' ``plan.rows``, ``k_base``, by default k rotated at
+    its base positions in one call, and ``k_raw``, by default k's columns
+    in the order the KV cache holds raw keys (k may be None when ``k_base``
+    is given and attention reads no raw key).  Keys and values are
+    [columns, KV heads, d_head] here, and are laid out as the KV cache's
+    panels."""
     t, s = len(q), len(v)
     if k_base is None:
         k_base = rotate(k, plan.columns(0, s)[1], 10000.0)
     if k_raw is None and k is not None:
         k_raw = k[plan.ranked_cols]
     return attention_forward(plan, q, None if k_raw is None else key_panel(k_raw),
-                             np.ascontiguousarray(v.swapaxes(0, 1)), q_start, 10000.0,
-                             key_panel(k_base), plan.columns(q_start, q_start + t),
-                             plan.row_blocks(q_start, t, s, q.shape[1] // v.shape[1]),
-                             groups_of(plan, q_start, t))
+                             np.ascontiguousarray(v.swapaxes(0, 1)), key_panel(k_base),
+                             plan.rows(q_start, t, q.shape[1] // v.shape[1]), 10000.0)
 
 
 def attend(mode, q, k, v, layout):

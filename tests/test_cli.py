@@ -377,6 +377,28 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: cannot load model") and "non-finite" in err
 
+    @pytest.mark.parametrize("wide", ["all", "one"])
+    def test_float64_weights_io_error(self, model_files, prompt_file, tmp_path, wide, capsys):
+        # The runtime computes in float32 only: F64 tensors, in every tensor or
+        # in one, are refused when the container loads.
+        from posinv.model import load_tensors
+
+        w, c = model_files
+        header, payload = {}, b""
+        for name, arr in sorted(load_tensors(w).items()):
+            f64 = wide == "all" or name == "embed.weight"
+            raw = arr.astype("<f8" if f64 else "<f4").tobytes()
+            header[name] = {"dtype": "F64" if f64 else "F32", "shape": list(arr.shape),
+                            "data_offsets": [len(payload), len(payload) + len(raw)]}
+            payload += raw
+        blob = json.dumps(header).encode()
+        bad = tmp_path / "w.bin"
+        bad.write_bytes(struct.pack("<Q", len(blob)) + blob + payload)
+        code = run_cli(["run", "--model", str(bad), "--config", c, "--prompt", prompt_file])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot load model") and "F64" in err
+
     def test_empty_prompt_usage_error(self, model_files, tmp_path, capsys):
         w, c = model_files
         p = tmp_path / "empty.json"

@@ -20,6 +20,7 @@ from posinv import (
     ModelConfig,
     SegmentedPrompt,
     WeightError,
+    Weights,
     build_mask,
     decode_step,
     dense_reference,
@@ -135,6 +136,16 @@ class TestWeightIO:
         with pytest.raises(WeightError, match="embed.weight"):
             load_weights(wpath, cpath)
 
+    def test_non_float32_tensor_refused(self, tmp_path, tiny_model):
+        # The runtime computes in float32 only: neither validation nor the
+        # container takes another dtype.
+        tensors = dict(tiny_model.weights.tensors)
+        tensors["layers.0.k_proj.weight"] = tensors["layers.0.k_proj.weight"].astype(np.float64)
+        with pytest.raises(WeightError, match="layers.0.k_proj.weight.*float32"):
+            Weights(tensors).validate(tiny_model.config)
+        with pytest.raises(WeightError, match="unsupported dtype"):
+            save_tensors(tmp_path / "w.bin", tensors)
+
 
 
 def write_container(path, header, payload=b"", header_len=None):
@@ -164,6 +175,8 @@ class TestMalformedContainer:
         ({"t": {**F32_ENTRY, "shape": [1] * 70, "data_offsets": [0, 4]}}, "shape"),
         ({"t": {**F32_ENTRY, "shape": [0, 10**30], "data_offsets": [0, 0]}}, "shape"),
         ({"t": {**F32_ENTRY, "shape": [0, 2**62, 4], "data_offsets": [0, 0]}}, "shape"),
+        # The runtime computes in float32 only.
+        ({"t": {**F32_ENTRY, "dtype": "F64", "data_offsets": [0, 16]}}, "dtype"),
     ])
     def test_typed_error(self, tmp_path, header, match):
         path = write_container(tmp_path / "w.bin", header, bytes(8))

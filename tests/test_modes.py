@@ -21,7 +21,7 @@ from posinv.modes import VARIANTS
 from posinv.pine import group_ordering, query_groups
 from posinv.rope import rotate
 
-from conftest import attend, attention, groups_of, key_panel
+from conftest import attend, attention, key_panel
 
 
 def running_example():
@@ -603,9 +603,9 @@ class TestBlockPlan:
 
     REP = 2
 
-    def check(self, plan, q_start, t, s):
-        blocks = plan.row_blocks(q_start, t, s, self.REP)
-        key_at = plan.columns(0, s)[0]
+    def check(self, plan, q_start, t):
+        blocks = plan.row_blocks(q_start, t, self.REP)
+        key_at = plan.columns(0, q_start + t)[0]
         assert blocks[0].rows.start == 0 and blocks[-1].rows.stop == t
         for block in blocks:
             r0, r1 = q_start + block.rows.start, q_start + block.rows.stop
@@ -627,16 +627,16 @@ class TestBlockPlan:
         plan = AttentionPlan(AttentionMode(variant, canonical=canonical), layout)
         # 7-row blocks, which start and end inside key blocks
         monkeypatch.setattr(kernels, "_BLOCK_SCORES", 7 * self.REP * n)
-        blocks = self.check(plan, 0, n, n)
+        blocks = self.check(plan, 0, n)
         assert len(blocks) >= 3
         straddle = [b for b in blocks
                     if len({bisect_right(plan.block_starts, c)
                             for c in range(b.rows.start, b.rows.stop)}) > 1]
         assert straddle
-        self.check(plan, layout.suffix_start, n - layout.suffix_start, n)  # the suffix rows alone
+        self.check(plan, layout.suffix_start, n - layout.suffix_start)  # the suffix rows alone
         monkeypatch.undo()
         for q_start in (n, n + 3):  # a lone decoded row: one block, no fills
-            (block,) = self.check(plan, q_start, 1, q_start + 1)
+            (block,) = self.check(plan, q_start, 1)
             assert block.fills == [] and block.width == q_start + 1
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -644,12 +644,14 @@ class TestBlockPlan:
         _, layout = tokenize(SegmentedPrompt("SYS: ", tuple(c * (40 + 3 * i) for i, c in
                                                            enumerate("abcdefgh")), " Q?"))
         plan = AttentionPlan(AttentionMode(variant), layout)
-        assert len(self.check(plan, 0, layout.n, layout.n)) >= 3
+        assert len(self.check(plan, 0, layout.n)) >= 3
 
 
 class TestRowsMustNotCutDocuments:
     """Rows that start inside the prefix or the documents, or that stop
-    short of the suffix, would read the wrong storage rows: refused."""
+    short of the suffix, would read the wrong storage rows: ``plan.rows``
+    refuses them, and attention refuses queries or keys that do not match
+    the rows it is given."""
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_rows_that_cut_documents_are_refused(self, variant):
@@ -659,19 +661,20 @@ class TestRowsMustNotCutDocuments:
         q, k, v = random_qkv(layout, 2, 1, 8, 3)
         plan = AttentionPlan(AttentionMode(variant), layout)
         q, k, v = (x[plan.columns(0, len(x))[0]] for x in (q, k, v))
-        # attention_forward checks its rows itself, whatever plan it is given
-        whole = dict(k_base=key_panel(rotate(k, plan.columns(0, n)[1], 10000.0)),
-                     rows=plan.columns(0, n), blocks=plan.row_blocks(0, n, n, 2),
-                     groups=groups_of(plan, 0, n))
-        k_raw, values = key_panel(k[plan.ranked_cols]), np.ascontiguousarray(v.swapaxes(0, 1))
         for q_start, t in [(3, n - 3), (5, n - 5), (1, 2), (0, n - 2), (0, 1)]:
             with pytest.raises(ValueError, match="cut the documents"):
-                attention(plan, q[q_start:q_start + t], k, v, q_start=q_start)
+                plan.rows(q_start, t, 2)
             with pytest.raises(ValueError, match="cut the documents"):
-                attention_forward(plan, q[q_start:q_start + t], k_raw, values, q_start, 10000.0,
-                                  **whole)
-        with pytest.raises(ValueError, match="past the"):
-            attention(plan, q[n - 1:], k[:n - 1], v[:n - 1], q_start=n - 1)
+                attention(plan, q[q_start:q_start + t], k, v, q_start=q_start)
+        k_base = key_panel(rotate(k, plan.columns(0, n)[1], 10000.0))
+        k_raw, values = key_panel(k[plan.ranked_cols]), np.ascontiguousarray(v.swapaxes(0, 1))
+        whole, last = plan.rows(0, n, 2), plan.rows(n - 1, 1, 2)
+        for rows, q_rows, keys, vals in [
+                (whole, q[1:], k_base, values),  # a query short of the rows
+                (last, q[n - 1:], k_base[..., :n - 1], values[:, :n - 1]),  # keys end too soon
+                (whole, q, k_base[..., :n - 1], values)]:  # a key panel short of the values
+            with pytest.raises(ValueError, match="do not match the"):
+                attention_forward(plan, q_rows, k_raw, vals, keys, rows, 10000.0)
         full = attention(plan, q, k, v)
         last = attention(plan, q[n - 1:], k, v, q_start=n - 1)
         assert np.max(np.abs(last - full[n - 1:])) < 1e-6
@@ -719,15 +722,21 @@ class TestKeyPanels:
             for panel in (k_base, k_raw):  # keys: a unit-stride column axis
                 assert panel is None or panel.strides[2] == panel.itemsize
             copies = [None if x is None else np.ascontiguousarray(x) for x in panels]
-            row_plan = (plan.columns(q_start, s), plan.row_blocks(q_start, len(rows), s, 2),
-                        groups_of(plan, q_start, len(rows)))
-            got = [attention_forward(plan, rows, x[0], x[2], q_start, 10000.0, x[1], *row_plan)
+            planned = plan.rows(q_start, len(rows), 2)
+            got = [attention_forward(plan, rows, x[0], x[2], x[1], planned, 10000.0)
                    for x in (panels, copies)]
             assert got[0].tobytes() == got[1].tobytes(), q_start
-            first = 0 if q_start else p
-            groups = query_groups(row_plan[0][2], first)
-            importance = [group_ordering(rows[first:], x[0] if x[0] is not None else x[1], plan,
-                                         groups) for x in (panels, copies)]
+            # pine's query groups start after a prefill's prefix and at a decoded
+            # row; a plan that does not reorder has none, and the importance pass
+            # is run here with a pine plan's groups over the same columns.
+            groups = planned.groups
+            assert (groups is None) == (not plan.reorders)
+            if groups is None:
+                groups = AttentionPlan(AttentionMode("pine", canonical=canonical),
+                                       layout).rows(q_start, len(rows), 2).groups
+            assert groups.first == (0 if q_start else p)
+            importance = [group_ordering(rows[groups.first:], x[0] if x[0] is not None else x[1],
+                                         plan, groups) for x in (panels, copies)]
             assert importance[0] == importance[1], q_start
 
 
@@ -748,7 +757,7 @@ class TestLoneDecodedRow:
         cols = plan.columns(0, n + 2)[0]
         q, kk, v = (x[cols] for x in random_qkv(layout.extend(2), 4, 2, 8, 20 + k))
         pair = attention(plan, q[n:], kk, v, q_start=n)  # two decoded rows in one block
-        assert len(plan.row_blocks(n, 2, n + 2, 2)) == 1
+        assert len(plan.row_blocks(n, 2, 2)) == 1
         for r in range(2):
             one = attention(plan, q[n + r:n + r + 1], kk[:n + r + 1], v[:n + r + 1], q_start=n + r)
             assert np.max(np.abs(one[0] - pair[r])) < 1e-6, r

@@ -99,6 +99,21 @@ class TestDenseReference:
         ref = dense_reference(model, tokens, layout, mode)
         assert np.max(np.abs(logits - ref)) < 1e-4
 
+    @pytest.mark.parametrize("variant", ["pine", "pine_reverse"])
+    def test_sort_direction_not_shared_with_the_runtime(self, tiny_model, variant, monkeypatch):
+        # The oracle takes pine's sort direction from the variant's name, so a
+        # runtime whose mode table swaps the two directions disagrees with it.
+        from posinv import modes
+
+        for name, direction in (("pine", "reversed"), ("pine_reverse", "closer")):
+            monkeypatch.setitem(modes._MODE_TABLE, name,
+                                modes._MODE_TABLE[name]._replace(direction=direction))
+        tokens, layout = tokenize(SegmentedPrompt("S", ("AB", "CD", "EF"), "Q"))
+        mode = AttentionMode(variant)
+        _, logits = prefill(tiny_model, tokens, layout, mode)
+        ref = dense_reference(tiny_model, tokens, layout, mode)
+        assert np.max(np.abs(logits - ref)) > 1e-4
+
     def test_size_cap(self, tiny_model):
         tokens = [0] * 600
         _, layout = tokenize(SegmentedPrompt("x", (), ""))

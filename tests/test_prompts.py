@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from posinv.prompts import (
     PromptError,
     SegmentedPrompt,
+    SequenceLayout,
     detokenize,
     parse_prompt_file,
     permute_documents,
@@ -145,6 +146,13 @@ class TestTokenize:
         _, a = tokenize(p)
         _, b = tokenize(permute_documents(p, [1, 0]))
         assert a.doc_hashes == (b.doc_hashes[1], b.doc_hashes[0])
+
+    @pytest.mark.parametrize("hashes", [(), (7,), (7, 8, 9)])
+    def test_one_hash_per_document(self, hashes):
+        # Every document needs a content hash: the canonical order sorts by them.
+        with pytest.raises(PromptError, match="hashes for 2 documents"):
+            SequenceLayout(n=6, prefix_len=1, doc_spans=((1, 3), (3, 5)), suffix_start=5,
+                           doc_hashes=hashes)
 
 
 class TestPermuteDocuments:
