@@ -46,17 +46,17 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return check_finite(a @ b, "matmul")
 
 
-def row_softmax(x: np.ndarray, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized row-wise softmax of ``scale * x``, in place: ``x``, the
-    caller's score buffer, is scaled, shifted by its row max and
-    exponentiated, and ``(x, row sums)`` is returned; callers divide their
-    small outputs by the sums.  Masked (-inf) entries map to exactly 0 and
-    each row's max to exactly 1.  A fully masked row, or a NaN or +inf
-    score, has no distribution and raises.
+def row_softmax(x: np.ndarray, *, sums: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Unnormalized row-wise softmax of ``x``, in place: ``x``, the caller's
+    already-scaled score buffer, is shifted by its row max and
+    exponentiated, and ``(x, row sums)`` is returned, or ``(x, None)`` when
+    ``sums`` is False; callers divide their small outputs by the sums.
+    Masked (-inf) entries map to exactly 0 and each row's max to exactly 1.
+    A fully masked row, or a NaN or +inf score, has no distribution and
+    raises.
     """
     if x.shape[-1] < 1:
         raise ShapeError("row_softmax: empty rows")
-    x *= np.float32(scale)
     row_max = np.maximum.reduce(x, axis=-1, keepdims=True)  # np.max without its wrapper
     # a NaN anywhere in a row makes its max NaN
     if not np.logical_and.reduce(np.isfinite(row_max), axis=None):
@@ -64,7 +64,7 @@ def row_softmax(x: np.ndarray, scale: float = 1.0) -> tuple[np.ndarray, np.ndarr
         raise NumericError(f"row_softmax: {'non-finite score' if bad else 'fully masked row'}")
     x -= row_max
     np.exp(x, out=x)
-    return x, np.add.reduce(x, axis=-1, keepdims=True)
+    return x, np.add.reduce(x, axis=-1, keepdims=True) if sums else None
 
 
 def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:

@@ -355,13 +355,15 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
     its rows (whole key blocks that other rows of the block see, its own
     block up to its last row), with one score product per run of kept
     columns and one value product per contiguous span, each batched over
-    the KV heads.  Scores go into one workspace per call, of one row block
-    per KV head; the block's fills set its hidden keys to NEG_INF there,
-    ``row_softmax`` exponentiates them in place, and the [rows, d_head]
-    value products are divided by the row sums.  Each head takes the rows
-    and columns a block of that head alone would, so its output is bitwise
-    the same.  A lone suffix or decoded row sees every earlier key in every
-    mode, so a decode step is one block with no fill.
+    the KV heads.  The queries are scaled by 1/sqrt(d_head) once, before
+    any product, so the scores arrive scaled.  Scores go into one
+    workspace per call, of one row block per KV head; the block's fills
+    set its hidden keys to NEG_INF there, ``row_softmax`` exponentiates
+    them in place, and the [rows, d_head] value products are divided by
+    the row sums.  Each head takes the rows and columns a block of that
+    head alone would, so its output is bitwise the same.  A lone suffix or
+    decoded row sees every earlier key in every mode, so a decode step is
+    one block with no fill.
 
     No key is rotated again: RoPE scores depend only on relative positions,
     <R(p)q, R(c + o)k> = <R(p - c)q, R(o)k>, so a key block at base offset o
@@ -383,7 +385,6 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
     if t != len(rows.index) or s != rows.start + t or k_base.shape[2] != s:
         raise ValueError(f"{t} queries and {s} keys do not match the {len(rows.index)} rows "
                          f"from {rows.start}")
-    scale = 1.0 / np.sqrt(np.float32(d_head))
     late = None  # sp's rows at or after suffix_start
     if mode.rescales and layout.k > 1:
         late = np.arange(rows.start, s) >= layout.suffix_start
@@ -400,11 +401,12 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
         for g0, g1, j in groups.owned:  # a document's rows sit at its start in their group's order
             pos[:, first + g0:first + g1] += starts[g0, :, j]
         pos[1:, first:] -= starts.transpose(2, 0, 1)[plan.docs]
+    q = q_raw * (1.0 / np.sqrt(np.float32(d_head)))  # the softmax scale, on the queries
     out = np.empty((t, n_heads, d_head), dtype=q_raw.dtype)
     work = np.empty(n_kv * min(row_block(s, rep), t) * rep * s, dtype=q_raw.dtype)  # any block's
     for rb, runs, spans, width, fills in rows.blocks:
         # The block's queries rotated to each shift in one call: [shifts, rows, n_heads, d].
-        q_rot = rotate(q_raw[None, rb], pos[:, rb], rope_theta)
+        q_rot = rotate(q[None, rb], pos[:, rb], rope_theta)
         # Each KV head's query heads, one [n_kv, rows * rep, d] operand per shift
         # (a view for one row).
         q_rot = list(q_rot.reshape(len(q_rot), -1, n_kv, rep, d_head).swapaxes(1, 2).reshape(
@@ -420,7 +422,7 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
                 scores[:, fill_rows, :, cols] = NEG_INF
             else:
                 np.copyto(scores[:, fill_rows, :, cols], NEG_INF, where=after[:, None, :])
-        e, sums = row_softmax(scores.reshape(-1, width), scale)
+        e, sums = row_softmax(scores.reshape(-1, width))
         if late is not None and late[rb].any():
             # A block with late rows keeps columns 0 .. its last row.  sp_rescale
             # renormalizes their exponentials, so their outputs take no division.

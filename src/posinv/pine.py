@@ -7,7 +7,8 @@ query.  Everything here is computed per layer and per head from
 pre-rotation queries and keys, which is what makes the resulting
 ordering independent of the input document order.  ``group_ordering``
 is the one scorer: it orders the documents for every query group of a
-layer at once, one batched matrix product per row block, and
+layer at once, with batched matrix products per row block (a block
+inside one document's group skips that document's columns), and
 ``document_starts`` turns its orders into each row's document starts.
 Both read the raw keys as the KV cache holds them, a [n_kv_heads,
 d_head, columns] panel, and take the groups that ``query_groups`` forms
@@ -157,15 +158,20 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
     documents in ``plan.ranked`` order (``plan.ranked_cols`` of the
     columns; the column order itself when canonical).  A group's own
     document is never a candidate and comes last in its order; aggregation
-    and sort direction are ``plan.mode``'s.  Each KV head's query heads'
-    copies of each row are scored against all its document keys in
-    ``canonical_order`` (one slice of ``k_raw``): per ``row_block`` of rows
-    (for n keys), one score product batched over the KV heads into one
-    workspace, where each group's own document is hidden by one slice fill
-    of its columns, and ``_document_mass`` gives each document's share of
-    the row's softmax.  Another ``reduceat`` takes each group's rows, which
-    gives every group's scores at once; only the comparator sort runs per
-    (group, head).  A lone row, a decode step's, is one block and one group.
+    and sort direction are ``plan.mode``'s.  The queries are scaled by
+    1/sqrt(d) before any product.  Each KV head's query heads' copies of
+    each row are scored against its document keys in ``canonical_order``
+    (one slice of ``k_raw``), per ``row_block`` of rows (for n keys), into
+    one workspace, batched over the KV heads.  A block whose rows all lie
+    in one document's group scores only the other documents' columns, one
+    product on each side of that document's span, and gives it 0; any
+    other block (one that straddles two groups, or holds suffix or decoded
+    rows) makes one product over every document column and hides each
+    group's own document by one slice fill of -inf.  ``_document_mass``
+    gives each document's share of the row's softmax.  Another ``reduceat``
+    takes each group's rows, which gives every group's scores at once;
+    only the comparator sort runs per (group, head).  A lone row, a decode
+    step's, is one block and one group.
     Returns orders[group][head] = (ordered documents, candidate scores).
     """
     layout, mode = plan.layout, plan.mode
@@ -175,23 +181,39 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
     r, n_heads, d = q.shape
     n_kv = k_raw.shape[0]
     rep = n_heads // n_kv
-    scale = 1.0 / np.sqrt(np.float32(d))
     keys = k_raw[:, :, layout.prefix_len:layout.suffix_start]  # [n_kv, d, cols]
     n_cols = keys.shape[2]  # every document column
-    totals = np.empty((n_kv, r, rep, layout.k), dtype=q.dtype)  # as _document_mass gives them
-    q_kv = q.reshape(r, n_kv, rep, d).swapaxes(0, 1)  # each KV head's query heads
+    # as _document_mass gives them; zero where a block inside one group skips its document
+    totals = np.zeros((n_kv, r, rep, layout.k), dtype=q.dtype)
+    # each KV head's query heads, scaled by the softmax's 1/sqrt(d)
+    q_kv = (q * (1.0 / np.sqrt(np.float32(d)))).reshape(r, n_kv, rep, d).swapaxes(0, 1)
     block = row_block(layout.n, rep)
     work = np.empty(n_kv * min(block, r) * rep * n_cols, dtype=q.dtype)  # every block's logits
     for b in range(0, r, block):
         rb = slice(b, b + block)
         q_b = q_kv[:, rb].reshape(n_kv, -1, d)
-        logits = np.matmul(q_b, keys, out=work[:q_b[..., 0].size * n_cols].reshape(
-            n_kv, -1, n_cols)).reshape(n_kv, -1, rep, n_cols)
+        mine, hidden = None, []
         for g0, g1, j in groups.owned:  # each group's own document
             if g0 < b + block and g1 > b:
-                c0, c1 = plan.ranked_spans[j]
-                logits[:, max(g0 - b, 0):g1 - b, :, c0:c1] = NEG_INF
-        totals[:, rb] = _document_mass(logits, plan, reduce, scale)
+                if g0 <= b and (g1 >= b + block or g1 == r):
+                    mine = j  # every row of the block is in this group
+                hidden.append((max(g0 - b, 0), g1 - b, *plan.ranked_spans[j]))
+        if mine is None:
+            logits = np.matmul(q_b, keys, out=work[:q_b[..., 0].size * n_cols].reshape(
+                n_kv, -1, n_cols)).reshape(n_kv, -1, rep, n_cols)
+            for g0, g1, c0, c1 in hidden:
+                logits[:, g0:g1, :, c0:c1] = NEG_INF
+            totals[:, rb] = _document_mass(logits, reduce, plan.ranked_starts)
+        else:  # score only the other documents' columns
+            c0, c1 = plan.ranked_spans[mine]
+            width = n_cols - (c1 - c0)
+            logits = work[:q_b[..., 0].size * width].reshape(n_kv, -1, width)
+            np.matmul(q_b, keys[:, :, :c0], out=logits[:, :, :c0])
+            np.matmul(q_b, keys[:, :, c1:], out=logits[:, :, c0:])
+            i = plan.ranked.index(mine)
+            part = _document_mass(logits.reshape(n_kv, -1, rep, width), reduce, np.concatenate(
+                [plan.ranked_starts[:i], plan.ranked_starts[i + 1:] - (c1 - c0)]))
+            totals[:, rb, :, :i], totals[:, rb, :, i + 1:] = part[..., :i], part[..., i:]
     check_finite(totals, "group_ordering")
     # [groups, n_heads, k] in float64, so the mean rounds as Python floats' division would
     group_totals = reduce.reduceat(totals, groups.bounds, axis=1).swapaxes(0, 1).reshape(
@@ -211,15 +233,16 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
     return orders
 
 
-def _document_mass(logits: np.ndarray, plan: AttentionPlan, reduce: np.ufunc,
-                   scale: float) -> np.ndarray:
+def _document_mass(logits: np.ndarray, reduce: np.ufunc, starts: np.ndarray) -> np.ndarray:
     """Each document's share of the softmax of every row of ``logits``
-    ([..., document columns], in ranked order): [..., k].  ``row_softmax``
-    exponentiates the rows in place; one ``reduceat`` sums (max: takes the
-    maximum of) each document's exponentials, divided by the row's sum."""
-    e, sums = row_softmax(logits.reshape(-1, logits.shape[-1]), scale)
-    part = reduce.reduceat(e, plan.ranked_starts, axis=1)
-    part /= sums
+    ([..., columns], documents in ranked order from ``starts``): [...,
+    len(starts)].  ``row_softmax`` exponentiates the rows in place; one
+    ``reduceat`` sums (max: takes the maximum of) each document's
+    exponentials.  A sum's parts add up to the row's sum, so they are
+    divided by their own total; the maxima are divided by the row's sum."""
+    e, sums = row_softmax(logits.reshape(-1, logits.shape[-1]), sums=reduce is np.maximum)
+    part = reduce.reduceat(e, starts, axis=1)
+    part /= np.add.reduce(part, axis=1, keepdims=True) if sums is None else sums
     return part.reshape(*logits.shape[:-1], -1)
 
 

@@ -5,8 +5,9 @@ name.  A refactor that renames or moves one of them breaks the traced
 benchmark run; the first test installs the tracer the way
 ``perfbench/bench.py`` does and runs one small pine prefill through it,
 and the second checks that a pine decode step reaches the hooked scorer.
-The last runs one short untraced benchmark end to end, so a library
-change that breaks the benchmark's own calls fails here too.
+The last runs short untraced benchmarks end to end, with their oracle and
+invariance checks, so a library change that breaks the benchmark's own
+calls or checks fails here too.
 """
 
 import json
@@ -15,6 +16,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import posinv
 from posinv import (AttentionMode, SegmentedPrompt, decode_step, modes, oracle, pine, prefill,
@@ -84,9 +86,12 @@ def test_pine_decode_step_orders_through_the_module_once_per_layer(tiny_config, 
     assert rows == [1] * tiny_config.n_layers
 
 
-def test_benchmark_smoke_run():
+# rag_prefill (n = 983, k = 8) is the one workload whose importance pass has
+# row blocks inside one document's group.
+@pytest.mark.parametrize("workload", ["invariance_sweep", "rag_prefill"])
+def test_benchmark_smoke_run(workload):
     done = subprocess.run(
-        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "invariance_sweep",
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
          "--seed", "0", "--seconds", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr

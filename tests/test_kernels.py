@@ -44,21 +44,21 @@ class TestMatmul:
         assert np.array_equal(matmul(a, b), matmul(a, b))
 
 
-def softmax_parts64(x, scale):
+def softmax_parts64(z):
     """Float64 reference of row_softmax: the exponentials and row sums."""
-    z = float(np.float32(scale)) * np.asarray(x, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e, e.sum(axis=-1, keepdims=True)
 
 
 class TestRowSoftmax:
     def test_uniform_logits(self):
-        e, sums = row_softmax(f32([[0, 0, 0]]), 1.0)
+        e, sums = row_softmax(f32([[0, 0, 0]]))
         assert np.array_equal(e, f32([[1, 1, 1]]))
         assert np.array_equal(sums, f32([[3]]))
 
     def test_single_visible_key(self):
-        e, sums = row_softmax(np.asarray([[NEG_INF, 0.0]], dtype=np.float32), 1.0)
+        e, sums = row_softmax(np.asarray([[NEG_INF, 0.0]], dtype=np.float32))
         assert e[0, 0] == 0.0
         assert e[0, 1] == 1.0
         assert sums[0, 0] == 1.0
@@ -67,7 +67,7 @@ class TestRowSoftmax:
         row = np.asarray([[1.0, 2.0, 3.0]])
         ref_e = np.exp(row - 3.0)
         ref_sums = ref_e.sum(axis=-1, keepdims=True)
-        e, sums = row_softmax(row.copy(), 1.0)
+        e, sums = row_softmax(row.copy())
         assert e.dtype == sums.dtype == np.float64
         assert np.max(np.abs(e - ref_e)) < 1e-9
         assert np.max(np.abs(sums - ref_sums)) < 1e-9
@@ -78,9 +78,9 @@ class TestRowSoftmax:
         x = rng.normal(scale=4.0, size=(9, 31)).astype(np.float32)
         x[rng.random(x.shape) < 0.3] = NEG_INF
         x[:, 5] = rng.normal(size=9)  # every row keeps a visible key
-        scale = 1.0 / np.sqrt(np.float32(32))
-        ref_e, ref_sums = softmax_parts64(x, scale)
-        e, sums = row_softmax(x.copy(), scale)
+        x *= 1.0 / np.sqrt(np.float32(32))  # scores arrive scaled
+        ref_e, ref_sums = softmax_parts64(x)
+        e, sums = row_softmax(x.copy())
         assert np.max(np.abs(e - ref_e)) < 1e-6
         assert np.max(np.abs(sums / ref_sums - 1)) < 1e-6
         assert np.max(np.abs(e / sums - ref_e / ref_sums)) < 1e-6
@@ -91,8 +91,9 @@ class TestRowSoftmax:
         hidden = rng.random(x.shape) < 0.5
         hidden[:, 3] = False
         x[hidden] = NEG_INF
+        x *= np.float32(0.7)  # scores arrive scaled
         top = np.argmax(x, axis=-1)
-        e, _ = row_softmax(x, 0.7)
+        e, _ = row_softmax(x)
         assert (e[hidden] == 0).all()
         assert (e[np.arange(40), top] == 1).all()
         assert ((e >= 0) & (e <= 1)).all()
@@ -102,29 +103,38 @@ class TestRowSoftmax:
         x = rng.normal(scale=4.0, size=(37, 53)).astype(np.float32)
         x[rng.random(x.shape) < 0.3] = NEG_INF
         x[:, 0] = rng.normal(size=37)  # every row keeps a visible key
-        scale = 1.0 / np.sqrt(np.float32(32))
-        z = np.float32(scale) * x
+        z = x * (1.0 / np.sqrt(np.float32(32)))  # scores arrive scaled
         ref_e = np.exp(z - np.max(z, axis=-1, keepdims=True))
-        e, sums = row_softmax(x, scale)
-        assert e is x
+        e, sums = row_softmax(z)
+        assert e is z
         assert e.tobytes() == ref_e.tobytes()
         assert sums.tobytes() == np.sum(ref_e, axis=-1, keepdims=True).tobytes()
 
+    def test_without_row_sums(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(scale=4.0, size=(6, 11)).astype(np.float32)
+        ref_e, _ = row_softmax(x.copy())
+        e, sums = row_softmax(x, sums=False)
+        assert e is x and sums is None
+        assert e.tobytes() == ref_e.tobytes()
+        with pytest.raises(TypeError):
+            row_softmax(x, 0.5)  # no scale argument: callers pass scaled scores
+
     def test_empty_rows(self):
         with pytest.raises(ShapeError, match="empty rows"):
-            row_softmax(np.zeros((2, 0), dtype=np.float32), 1.0)
+            row_softmax(np.zeros((2, 0), dtype=np.float32))
 
     def test_fully_masked_row(self):
         with pytest.raises(NumericError, match="fully masked"):
-            row_softmax(np.asarray([[NEG_INF, NEG_INF]], dtype=np.float32), 1.0)
+            row_softmax(np.asarray([[NEG_INF, NEG_INF]], dtype=np.float32))
         with pytest.raises(NumericError, match="fully masked"):
-            row_softmax(np.asarray([[0.0, 1.0], [NEG_INF, NEG_INF]], dtype=np.float32), 1.0)
+            row_softmax(np.asarray([[0.0, 1.0], [NEG_INF, NEG_INF]], dtype=np.float32))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_score(self, bad):
         for x in ([[bad, 0.0]], [[NEG_INF, bad]], [[NEG_INF, NEG_INF], [0.0, bad]]):
             with pytest.raises(NumericError, match="non-finite score"):
-                row_softmax(np.asarray(x, dtype=np.float32), 1.0)
+                row_softmax(np.asarray(x, dtype=np.float32))
 
     @given(
         st.lists(st.floats(-50, 50, width=32), min_size=1, max_size=8),
@@ -132,7 +142,7 @@ class TestRowSoftmax:
     )
     @settings(max_examples=60, deadline=None)
     def test_rows_normalized(self, row, scale):
-        e, sums = row_softmax(f32([row]), scale)
+        e, sums = row_softmax(f32([row]) * np.float32(scale))  # scores arrive scaled
         assert ((e >= 0) & (e <= 1)).all()
         assert e.max() == 1
         assert abs(float((e / sums).sum()) - 1.0) < 1e-6

@@ -352,9 +352,9 @@ class TestAttentionForward:
         q, k, v = random_qkv(layout, n_heads, 2, 8, 5)
         calls = []
 
-        def counting_softmax(x, scale=1.0):
+        def counting_softmax(x, **kwargs):
             calls.append(np.atleast_2d(x).shape[0])
-            return row_softmax(x, scale)
+            return row_softmax(x, **kwargs)
 
         monkeypatch.setattr(modes, "row_softmax", counting_softmax)
         mode = AttentionMode(variant)
@@ -377,9 +377,9 @@ class TestAttentionForward:
         q, k, v = random_qkv(layout, n_heads, 1, 8, 8)
         scored = []
 
-        def recording_softmax(x, scale=1.0):
+        def recording_softmax(x, **kwargs):
             scored.append(x.size)
-            return row_softmax(x, scale)
+            return row_softmax(x, **kwargs)
 
         monkeypatch.setattr(modes, "row_softmax", recording_softmax)
         mode = AttentionMode(variant)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from posinv import kernels
+from posinv import kernels, pine
 from posinv import (
     AttentionMode,
     AttentionPlan,
@@ -383,6 +383,40 @@ class TestGroupOrdering:
             got, ref = per_head[0][1], hand_loop_scores(q, k, layout, rows, own, aggregation)
             assert got.keys() == ref.keys()
             assert np.allclose([got[j] for j in ref], list(ref.values()), rtol=1e-6, atol=0)
+
+    def test_one_group_blocks_skip_their_own_document(self, monkeypatch):
+        # Row blocks of 3 rows: a block whose rows all lie in document j's
+        # group is exponentiated over every document column but j's, while a
+        # block straddling two groups, or holding suffix rows, takes them all.
+        _, layout = tokenize(SegmentedPrompt("S", ("abcdefg", "de", "fghijklm", "j"), "QRS"))
+        rng = np.random.default_rng(8)
+        q = rng.normal(size=(layout.n, 8)).astype(np.float32)
+        k = rng.normal(size=(layout.n, 8)).astype(np.float32)
+        plan = AttentionPlan(AttentionMode("pine"), layout)
+        monkeypatch.setattr(kernels, "_BLOCK_SCORES", 3 * layout.n)
+        widths, row_softmax = [], pine.row_softmax
+
+        def recording(x, *args, **kwargs):
+            widths.append(x.shape[-1])
+            return row_softmax(x, *args, **kwargs)
+
+        monkeypatch.setattr(pine, "row_softmax", recording)
+        p, n_cols = layout.prefix_len, layout.suffix_start - layout.prefix_len
+        cols = plan.columns(0, layout.n)[0]
+        group_ordering(q[cols][p:, None], key_panel(k[cols][:, None]), plan,
+                       query_groups(plan.col_doc, p))
+        owners = plan.col_doc[p:].tolist()
+        blocks = [owners[b:b + 3] for b in range(0, len(owners), 3)]
+        assert len(widths) == len(blocks)
+        kinds = set()
+        for rows, width in zip(blocks, widths):
+            if len(set(rows)) == 1 and rows[0] >= 0:  # inside one document's group
+                kinds.add("one group")
+                assert width == n_cols - layout.doc_len(rows[0])
+            else:
+                kinds.add("suffix" if -1 in rows else "straddling")
+                assert width == n_cols
+        assert kinds == {"one group", "straddling", "suffix"}
 
     @pytest.mark.parametrize("docs", [(), ("ab",)], ids=["k0", "k1"])
     def test_fewer_than_two_documents_rejected(self, docs):
