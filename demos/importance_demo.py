@@ -38,10 +38,10 @@ def main():
     plan = AttentionPlan(mode, layout)
     row = layout.suffix_start
     keys = np.ascontiguousarray(k[plan.order].transpose(1, 2, 0))
-    [[(ordered, scores)]] = group_ordering(q[row : row + 1], keys, plan,
-                                           query_groups(np.full(1, -1), 0))
+    got = group_ordering(q[row : row + 1], keys, plan, query_groups(np.full(1, -1), 0))
+    [[ordered]], [[scores]] = got.orders, got.scores
     print("length-normalized document scores:")
-    for j, s in sorted(scores.items()):
+    for j, s in enumerate(scores):
         print(f"  doc {j} (len {layout.doc_len(j)}): {s:.4f}")
 
     print(f"\nkey order, least important first: {ordered}")

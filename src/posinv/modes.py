@@ -129,7 +129,8 @@ def assign_positions(mode: AttentionMode, layout: SequenceLayout, q_index: int,
         elif sorted(ordered_docs) != list(range(layout.k)):
             raise ValueError(f"ordered_docs {list(ordered_docs)} is not a permutation of "
                              f"the {layout.k} documents")
-        starts = pine.laid_out(plan, [ordered_docs])[0]
+        starts = np.array(pine.laid_out(ordered_docs, plan.doc_lens.tolist(),
+                                        layout.prefix_len, [0] * layout.k))
         base += np.where(plan.col_doc >= 0, starts[plan.col_doc], 0)
     pos = np.empty_like(base)
     pos[plan.order] = base  # each column back to its storage index
@@ -211,6 +212,7 @@ class AttentionPlan:
         self.mode, self.layout = mode, layout
         self.reorders = mode.reassigns and layout.k >= 2  # document starts vary per query group
         self.ranked = pine.canonical_order(layout)
+        self.rank = np.argsort(self.ranked)  # each document's place in ``ranked``
         ranked = np.concatenate([np.arange(layout.prefix_len),
                                  *(np.arange(*layout.doc_spans[j]) for j in self.ranked),
                                  np.arange(layout.suffix_start, layout.n)])

@@ -6,19 +6,19 @@ out contiguously so that more important documents sit closer to the
 query.  Everything here is computed per layer and per head from
 pre-rotation queries and keys, which is what makes the resulting
 ordering independent of the input document order.  ``group_ordering``
-is the one scorer: it orders the documents for every query group of a
+is the one scorer: it scores the documents for every query group of a
 layer at once, with batched matrix products per row block (a block
-inside one document's group skips that document's columns), and
-``document_starts`` turns its orders into each row's document starts.
-Both read the raw keys as the KV cache holds them, a [n_kv_heads,
-d_head, columns] panel, and take the groups that ``query_groups`` forms
-once per forward pass, so a decode step's lone row, a group of its own,
-runs the same path as a prefill's rows.  The comparator sort,
-``order_documents``, builds nothing per call but its comparator.
+inside one document's group skips that document's columns), then sorts
+and lays out each (group, head)'s documents in one loop.  It reads the
+raw keys as the KV cache holds them, a [n_kv_heads, d_head, columns]
+panel, and takes the groups that ``query_groups`` forms once per forward
+pass, so a decode step's lone row, a group of its own, runs the same
+path as a prefill's rows.  ``ranked_sort`` is the one counted comparator
+sort: it sorts ranked positions, whose order is the tie rule.
 
 ``laid_out`` is the one rule that lays documents out: a document key
 sits at its document's start plus its offset inside the document.
-``document_starts`` applies it to every (group, head) at once, and
+``group_ordering`` applies it to each order as it is sorted, and
 ``modes.assign_positions`` to one order.
 """
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from functools import cmp_to_key
-from typing import TYPE_CHECKING, Literal, NamedTuple, Sequence, get_args
+from typing import TYPE_CHECKING, Callable, Iterable, Literal, NamedTuple, Sequence, get_args
 
 import numpy as np
 
@@ -60,40 +60,47 @@ def canonical_order(layout: SequenceLayout) -> list[int]:
     return sorted(range(layout.k), key=lambda j: (layout.doc_hashes[j], j))
 
 
-def order_documents(
-    scores: dict[int, float],
-    doc_hashes: tuple[int, ...],
-    direction: Direction = "closer",
-) -> list[int]:
-    """Sort candidate documents into key-block order.
-
-    direction="closer": ascending score, so the most important document
-    ends up adjacent to the query block.  direction="reversed" puts the
-    most important document farthest away.  Ties break by content hash
-    (permutation-invariant), then input index (identical contents only,
-    where the choice cannot affect attention output).  Any other direction
-    raises ``ValueError``.
-    """
+def ranked_sort(direction: Direction) -> Callable[[Sequence[float], list[int]], list[int]]:
+    """The counted comparator sort: ``sort(row, candidates)`` sorts ranked
+    positions (indices into ``canonical_order``) by their scores in
+    ``row``, ascending for "closer" (the most important document ends up
+    adjacent to the query block) and descending for "reversed"; any other
+    direction raises ``ValueError``.  Ties break by position: content hash,
+    then input index.  Each comparison adds one to the counter."""
     if direction not in _DIRECTIONS:
         raise ValueError(f"unknown sort direction {direction!r}: expected one of {_DIRECTIONS}")
-    if not math.isfinite(sum(scores.values())):  # one check; the loop names a culprit
-        for j, s in scores.items():
-            if not math.isfinite(s):
-                raise ValueError(f"non-finite importance score for document {j}")
     sign = 1 if direction == "closer" else -1
+    row: Sequence[float] = ()
 
     def cmp(a: int, b: int) -> int:
         global _comparisons
         _comparisons += 1
-        sa, sb = scores[a], scores[b]
+        sa, sb = row[a], row[b]
         if sa != sb:
             return sign if sa > sb else -sign
-        ha, hb = doc_hashes[a], doc_hashes[b]
-        if ha != hb:
-            return -1 if ha < hb else 1
         return (a > b) - (a < b)
 
-    return sorted(scores, key=cmp_to_key(cmp))
+    key = cmp_to_key(cmp)
+
+    def sort(scores: Sequence[float], candidates: list[int]) -> list[int]:
+        nonlocal row
+        row = scores
+        return sorted(candidates, key=key)
+
+    return sort
+
+
+def order_documents(scores: dict[int, float], doc_hashes: tuple[int, ...],
+                    direction: Direction = "closer") -> list[int]:
+    """Candidate documents in key-block order: one ``ranked_sort`` of their
+    ranked positions, in the order of ``scores``.  A non-finite score or an
+    unknown direction raises ``ValueError``."""
+    sort = ranked_sort(direction)
+    for j, s in scores.items():
+        if not math.isfinite(s):
+            raise ValueError(f"non-finite importance score for document {j}")
+    ranked = sorted(scores, key=lambda j: (doc_hashes[j], j))
+    return [ranked[i] for i in sort([*map(scores.get, ranked)], [*map(ranked.index, scores)])]
 
 
 class QueryGroups(NamedTuple):
@@ -117,40 +124,39 @@ def query_groups(own: np.ndarray, first: int) -> QueryGroups:
     return QueryGroups(first, bounds, docs, owned)
 
 
+class Ordering(NamedTuple):
+    """What ``group_ordering`` gives the G query groups of a call at its H heads."""
+
+    orders: list[list[list[int]]]  # [group][head]: the documents in key-block order
+    scores: np.ndarray  # [G, H, k] float64 by document; a group's own document scores 0
+    starts: np.ndarray  # [G, H, k] int64: each document's ``laid_out`` start in the order
+
+
 def document_starts(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
                     groups: QueryGroups) -> np.ndarray:
     """Start of every document for each query row and head, k >= 2:
-    [len(q), n_heads, k].  ``q``: pre-rotation queries of the rows of
-    ``groups``, in column order; ``k_raw``: as ``group_ordering`` reads it.
-    Each row gets its group's order, ``laid_out`` for every (group, head)
-    at once."""
-    orders = group_ordering(q, k_raw, plan, groups)
-    starts = laid_out(plan, [o for per_head in orders for o, _ in per_head])
-    starts = starts.reshape(len(orders), -1, plan.layout.k)
-    if len(orders) < len(q):  # a group of several rows: each row takes its group's starts
+    [len(q), n_heads, k], each row's group's ``group_ordering`` starts
+    (``q``, the rows of ``groups``, and ``k_raw`` as it reads them)."""
+    starts = group_ordering(q, k_raw, plan, groups).starts
+    if len(starts) < len(q):  # a group of several rows: each row takes its group's starts
         starts = np.repeat(starts, np.diff([*groups.bounds, len(q)]), axis=0)
     return starts
 
 
-def laid_out(plan: AttentionPlan, orders: Sequence[Sequence[int]]) -> np.ndarray:
-    """Start position of each document, [len(orders), k] indexed by document,
-    when all are laid out contiguously from the prefix boundary in each of
-    ``orders`` (permutations of the k documents); storage order gives back
-    their input starts.  The orders are the comparator sort's lists, so the
-    starts are summed over them in Python, into one flat array."""
-    k, lens = plan.layout.k, plan.doc_lens.tolist()
-    starts = [0] * (len(orders) * k)
-    for base, order in zip(range(0, len(starts), k), orders):
-        at = plan.layout.prefix_len  # the prefix and the documents ordered before
-        for j in order:
-            starts[base + j] = at
-            at += lens[j]
-    return np.array(starts, dtype=np.int64).reshape(-1, k)
+def laid_out(order: Iterable[int], lens: Sequence[int], at: int, starts: list[int],
+             base: int = 0) -> list[int]:
+    """Lay the documents out contiguously from position ``at`` in ``order``,
+    each at ``at`` plus the lengths ``lens`` of those before it: document
+    j's start goes to ``starts[base + j]``.  Returns ``starts``."""
+    for j in order:
+        starts[base + j] = at
+        at += lens[j]
+    return starts
 
 
 def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
-                   groups: QueryGroups) -> list[list[tuple[list[int], dict[int, float]]]]:
-    """Document order and scores of every query group at every head, k >= 2.
+                   groups: QueryGroups) -> Ordering:
+    """Document order, scores and starts of every query group at every head, k >= 2.
 
     q: [r, n_heads, d] pre-rotation query rows, the rows of ``groups``;
     k_raw: [n_kv_heads, d, c], the raw keys of at least the columns before
@@ -158,21 +164,21 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
     documents in ``plan.ranked`` order (``plan.ranked_cols`` of the
     columns; the column order itself when canonical).  A group's own
     document is never a candidate and comes last in its order; aggregation
-    and sort direction are ``plan.mode``'s.  The queries are scaled by
-    1/sqrt(d) before any product.  Each KV head's query heads' copies of
-    each row are scored against its document keys in ``canonical_order``
-    (one slice of ``k_raw``), per ``row_block`` of rows (for n keys), into
-    one workspace, batched over the KV heads.  A block whose rows all lie
+    and sort direction are ``plan.mode``'s.  The queries, scaled by
+    1/sqrt(d), are scored against the document keys (one slice of
+    ``k_raw``) per ``row_block`` of rows (for n keys), into one workspace,
+    batched over the KV heads.  A block whose rows all lie
     in one document's group scores only the other documents' columns, one
     product on each side of that document's span, and gives it 0; any
     other block (one that straddles two groups, or holds suffix or decoded
     rows) makes one product over every document column and hides each
     group's own document by one slice fill of -inf.  ``_document_mass``
     gives each document's share of the row's softmax.  Another ``reduceat``
-    takes each group's rows, which gives every group's scores at once;
-    only the comparator sort runs per (group, head).  A lone row, a decode
-    step's, is one block and one group.
-    Returns orders[group][head] = (ordered documents, candidate scores).
+    takes each group's rows, which gives every group's scores at once.
+    Per (group, head) one ``ranked_sort``, built once per call, sorts the
+    candidates' ranked positions by the float64 score row, and ``laid_out``
+    lays the order out at once.  A decode step's lone row is one block and
+    one group.
     """
     layout, mode = plan.layout, plan.mode
     if layout.k < 2:
@@ -220,17 +226,19 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
         -1, n_heads, layout.k).astype(np.float64)
     if mode.aggregation == "mean":
         group_totals /= plan.ranked_lens
-    orders, direction, hashes = [], mode.direction, layout.doc_hashes
-    for j, group_scores in zip(groups.docs, group_totals.tolist()):
-        per_head = []
-        for values in group_scores:
-            scores = dict(zip(plan.ranked, values))
-            if j >= 0:
-                del scores[j]
-            ordered = order_documents(scores, hashes, direction)
-            per_head.append((ordered + [j] if j >= 0 else ordered, scores))
+    sort, ranked, lens = ranked_sort(mode.direction), plan.ranked, plan.doc_lens.tolist()
+    orders, starts, base, k = [], [0] * group_totals.size, 0, layout.k
+    for j, rows in zip(groups.docs, group_totals.tolist()):
+        candidates = [i for i, doc in enumerate(ranked) if doc != j]  # ranked positions
+        own, per_head = [j] if j >= 0 else [], []
+        for row in rows:
+            order = [*map(ranked.__getitem__, sort(row, candidates)), *own]
+            laid_out(order, lens, layout.prefix_len, starts, base)
+            per_head.append(order)
+            base += k
         orders.append(per_head)
-    return orders
+    return Ordering(orders, group_totals.take(plan.rank, axis=2),
+                    np.array(starts, dtype=np.int64).reshape(group_totals.shape))
 
 
 def _document_mass(logits: np.ndarray, reduce: np.ufunc, starts: np.ndarray) -> np.ndarray:

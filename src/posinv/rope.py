@@ -24,7 +24,7 @@ from .kernels import ShapeError
 # Positions the smallest phase table holds; larger tables double it.
 _MIN_TABLE = 64
 # Positions below 2**24 are exact in the float32 angle.
-_MAX_POSITION = 1 << 24
+_POSITION_BITS = 24
 
 
 @lru_cache(maxsize=16)
@@ -66,11 +66,11 @@ def rotate(x: np.ndarray, positions, theta: float) -> np.ndarray:
         raise ShapeError(f"rope: positions must be integers, got {pos.dtype}")
     if x.dtype != np.float32:
         raise ShapeError(f"rope: x must be float32, got {x.dtype}")
-    # one maximum bounds both ends: a negative position reads as 2**63 or more
-    top = int(np.maximum.reduce(pos.astype(np.uint64), axis=None, initial=0))
-    if top >= _MAX_POSITION:
-        raise ValueError(f"rope: positions must lie in 0 .. {_MAX_POSITION - 1}")
-    table = _phase_table(d_head, theta, max(_MIN_TABLE, 1 << top.bit_length()))
+    # one OR bounds both ends (a negative position sets the sign) and has the max's bit length
+    bits = int(np.bitwise_or.reduce(pos, axis=None))
+    if bits >> _POSITION_BITS:
+        raise ValueError(f"rope: positions must lie in 0 .. {(1 << _POSITION_BITS) - 1}")
+    table = _phase_table(d_head, theta, max(_MIN_TABLE, 1 << bits.bit_length()))
     phase = table[pos].reshape(pos.shape + (1,) * (x.ndim - 1 - pos.ndim) + (d_head // 2,))
     if x.strides[-1] != x.itemsize:  # the pairs must be adjacent to read as complex
         x = x.copy()

@@ -252,9 +252,9 @@ def importance_scores(q, kk, layout, rows, own, aggregation="mean"):
     plan = AttentionPlan(AttentionMode("pine", aggregation), layout)
     a, b = rows
     keys = kk[plan.columns(0, len(kk))[0]]
-    orders = group_ordering(q[a:b, None], key_panel(keys[:, None]), plan,
-                            query_groups(np.full(b - a, own), 0))
-    return [per_head[0][1] for per_head in orders]
+    scores = group_ordering(q[a:b, None], key_panel(keys[:, None]), plan,
+                            query_groups(np.full(b - a, own), 0)).scores
+    return [{j: s for j, s in enumerate(row.tolist()) if j != own} for row in scores[:, 0]]
 
 
 def test_criterion_05_importance_correctness():
@@ -368,6 +368,14 @@ def test_criterion_08_ordering_cost_growth(lemma_model, lemma_prompt):
         times[variant] = time.perf_counter() - t0
     ratio = times["pine"] / times["vanilla"]
     report_pass(8, f"comparator counts track k log k; pine/vanilla wall-time ratio {ratio:.2f}")
+
+
+def test_comparator_counts_are_pinned(lemma_model):
+    # Criterion 8's exact counts, recorded before the ordering pass took one
+    # comparator per call over ranked positions: the sorts must see the same
+    # candidates in the same input order and compare them the same way.
+    counts = comparator_counts_per_token(lemma_model, [2, 4, 8, 16, 32])
+    assert counts == {2: 8, 4: 44, 8: 128, 16: 370, 32: 964}
 
 
 def test_criterion_09_cache_consistency():

@@ -87,8 +87,9 @@ def test_pine_decode_step_orders_through_the_module_once_per_layer(tiny_config, 
 
 
 # rag_prefill (n = 983, k = 8) is the one workload whose importance pass has
-# row blocks inside one document's group.
-@pytest.mark.parametrize("workload", ["invariance_sweep", "rag_prefill"])
+# row blocks inside one document's group; long_decode checks its 191 pine
+# decode steps bitwise across orders.
+@pytest.mark.parametrize("workload", ["invariance_sweep", "rag_prefill", "long_decode"])
 def test_benchmark_smoke_run(workload):
     done = subprocess.run(
         [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,

@@ -194,7 +194,7 @@ class TestAssignPositions:
                     plan = AttentionPlan(mode, layout)
                     keys = key_panel(k[plan.columns(0, len(k))[0]][:, h // 2, None])
                     ordered = group_ordering(q[a:b, h, None], keys, plan,
-                                             query_groups(np.full(b - a, own), 0))[0][0][0]
+                                             query_groups(np.full(b - a, own), 0)).orders[0][0]
                 pos = assign_positions(mode, layout, row, ordered)
                 scores = (rotate(q[row, h][None], [pos[row]], 10000.0)
                           @ rotate(k[:, h // 2], pos, 10000.0).T)
@@ -413,10 +413,13 @@ class TestAttentionForward:
                     return fn(*args, **kwargs)
                 return wrapped
 
+            def counting_sorts(direction, ranked_sort=pine.ranked_sort):
+                return counting("sort", ranked_sort(direction))  # each (group, head)'s sort
+
             with monkeypatch.context() as m:
                 m.setattr(modes, "row_softmax", counting("modes", row_softmax))
                 m.setattr(pine, "row_softmax", counting("pine", row_softmax))
-                m.setattr(pine, "order_documents", counting("sort", pine.order_documents))
+                m.setattr(pine, "ranked_sort", counting_sorts)
                 attend(AttentionMode("pine"), q, k, v, layout)
             assert calls["sort"] == n_heads * (layout.k + layout.n - layout.suffix_start)
             counts.append((calls["modes"], calls["pine"]))
@@ -498,7 +501,10 @@ class TestKVHeadsInOnePass:
         both = group_ordering(q[p:], key_panel(k), plan, groups)
         for g in range(2):
             one = group_ordering(q[p:, 2 * g:2 * g + 2], key_panel(k[:, g:g + 1]), plan, groups)
-            assert [per_head[2 * g:2 * g + 2] for per_head in both] == one, g
+            assert [per_head[2 * g:2 * g + 2] for per_head in both.orders] == one.orders, g
+            for got in ("scores", "starts"):
+                part = getattr(both, got)[:, 2 * g:2 * g + 2]
+                assert part.tobytes() == getattr(one, got).tobytes(), (g, got)
 
 
 class TestBaseRotatedKeys:
@@ -737,7 +743,10 @@ class TestKeyPanels:
             assert groups.first == (0 if q_start else p)
             importance = [group_ordering(rows[groups.first:], x[0] if x[0] is not None else x[1],
                                          plan, groups) for x in (panels, copies)]
-            assert importance[0] == importance[1], q_start
+            a, b = importance
+            assert a.orders == b.orders, q_start
+            assert a.scores.tobytes() == b.scores.tobytes(), q_start
+            assert a.starts.tobytes() == b.starts.tobytes(), q_start
 
 
 class TestLoneDecodedRow:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posinv import kernels, pine
 from posinv import (
@@ -18,6 +20,7 @@ from posinv.pine import (
     group_ordering,
     laid_out,
     query_groups,
+    ranked_sort,
     reset_comparison_count,
 )
 
@@ -42,9 +45,11 @@ def one_suffix_row(q_row, doc_keys):
 
 def group_scores(q, k, layout, rows, own, aggregation="mean"):
     """One head's scores of the query group at storage rows ``rows``, whose
-    own document is ``own`` (-1: a single suffix row), from group_ordering."""
+    own document is ``own`` (-1: a single suffix row), from group_ordering:
+    {candidate document: score}."""
     a, b = rows
-    return ordering(q[a:b, None], k[:, None], layout, np.full(b - a, own), aggregation)[0][0][1]
+    scores = ordering(q[a:b, None], k[:, None], layout, np.full(b - a, own), aggregation).scores
+    return {j: s for j, s in enumerate(scores[0, 0].tolist()) if j != own}
 
 
 def hand_loop_scores(q, k, layout, rows, own, aggregation):
@@ -101,8 +106,7 @@ class TestTokenImportance:
         k = rng.normal(size=(layout.n, 8)).astype(np.float32)
         a = layout.suffix_start
         orders = ordering(q[a:, None], k[:, None], layout, np.full(layout.n - a, -1), "sum")
-        for i, per_head in enumerate(orders):
-            scores = per_head[0][1]
+        for i, scores in enumerate(orders.scores[:, 0]):
             ref = hand_loop_scores(q, k, layout, (a + i, a + i + 1), -1, "sum")
             assert max(abs(scores[j] - ref[j]) for j in ref) < 1e-6
 
@@ -168,6 +172,31 @@ class TestOrderDocuments:
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="non-finite importance score for document 1"):
                 order_documents({0: 0.5, 1: bad}, (1, 2), "closer")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_ranked_sort_orders_as_order_documents(self, data):
+        # group_ordering sorts ranked positions (content hash, then input
+        # index) by a float64 row; order_documents sorts a dict of the same
+        # candidates in ranked order.  Scores are drawn from a few values and
+        # contents from a few hashes, so exact ties reach both tie rules.
+        k = data.draw(st.integers(2, 8))
+        hashes = tuple(data.draw(st.lists(st.sampled_from([5, 17, 99]), min_size=k, max_size=k)))
+        scores = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0, 1),
+                                    min_size=k, max_size=k))
+        own = data.draw(st.integers(-1, k - 1))  # -1: a group with no document of its own
+        direction = data.draw(st.sampled_from(["closer", "reversed"]))
+        ranked = sorted(range(k), key=lambda j: (hashes[j], j))
+        reset_comparison_count()
+        got = ranked_sort(direction)([scores[j] for j in ranked],
+                                     [i for i, j in enumerate(ranked) if j != own])
+        got, count = [ranked[i] for i in got], comparison_count()
+        candidates = {j: scores[j] for j in ranked if j != own}
+        reset_comparison_count()
+        assert got == order_documents(candidates, hashes, direction)
+        assert comparison_count() == count
+        sign = 1 if direction == "closer" else -1
+        assert got == sorted(candidates, key=lambda j: (sign * scores[j], hashes[j], j))
 
     def test_comparison_counter_grows(self):
         reset_comparison_count()
@@ -328,10 +357,13 @@ class TestGroupOrdering:
             q = np.stack([per_token[t][0] for t in toks])[cols]
             k = np.stack([per_token[t][1] for t in toks])[cols]
             p = layout.prefix_len
-            orders = group_ordering(q[p:], key_panel(k), plan, query_groups(plan.col_doc, p))
+            groups = query_groups(plan.col_doc, p)
+            got = group_ordering(q[p:], key_panel(k), plan, groups)
             h = layout.doc_hashes
-            return [[([h[j] for j in ordered], {h[j]: v for j, v in scores.items()})
-                     for ordered, scores in per_head] for per_head in orders]
+            return [[([h[j] for j in ordered], {h[j]: v for j, v in enumerate(scores) if j != own})
+                     for ordered, scores in zip(per_head, per_group)]
+                    for own, per_head, per_group in zip(groups.docs, got.orders,
+                                                        got.scores.tolist())]
 
         ref = by_hash([0, 1, 2, 3, 4])
         assert len(ref) == 5 + 2 and len(ref[0]) == 4
@@ -344,9 +376,9 @@ class TestGroupOrdering:
         q = rng.normal(size=(layout.n, 8)).astype(np.float32)
         k = rng.normal(size=(layout.n, 8)).astype(np.float32)
         a, b = layout.doc_spans[1]
-        ordered, scores = ordering(q[a:b, None], k[:, None], layout, np.full(b - a, 1))[0][0]
-        assert ordered[-1] == 1
-        assert 1 not in scores
+        got = ordering(q[a:b, None], k[:, None], layout, np.full(b - a, 1))
+        assert got.orders[0][0][-1] == 1
+        assert got.scores[0, 0, 1] == 0.0
 
     @pytest.mark.parametrize("group", ["suffix_row", "document_group"])
     @pytest.mark.parametrize("aggregation", ["mean", "sum", "max"])
@@ -378,10 +410,9 @@ class TestGroupOrdering:
                                 query_groups(plan.col_doc, p))
         suffix_rows = [(r, r + 1) for r in range(layout.suffix_start, layout.n)]
         groups = [(layout.doc_spans[j], j) for j in plan.docs] + [(r, -1) for r in suffix_rows]
-        assert len(orders) == len(groups)
-        for (rows, own), per_head in zip(groups, orders):
-            got, ref = per_head[0][1], hand_loop_scores(q, k, layout, rows, own, aggregation)
-            assert got.keys() == ref.keys()
+        assert len(orders.orders) == len(groups)
+        for (rows, own), got in zip(groups, orders.scores[:, 0]):
+            ref = hand_loop_scores(q, k, layout, rows, own, aggregation)
             assert np.allclose([got[j] for j in ref], list(ref.values()), rtol=1e-6, atol=0)
 
     def test_one_group_blocks_skip_their_own_document(self, monkeypatch):
@@ -439,6 +470,51 @@ def block_starts(layout, ordered):
     return at
 
 
+class TestOrderingGoldens:
+    """Orders recorded before the ordering pass took one comparator per call
+    over ranked positions, asserted bit for bit through ``document_starts``.
+    Every document key is one raw key vector, so exact ties reach the hash
+    rule; documents 0 and 2 have identical contents, so the input index
+    decides between them.  A string lists one row's documents in key-block
+    order, least important first: each storage row from the first
+    document's on, then a decoded row."""
+
+    GOLDEN = {
+        ("pine", "mean"): "23410 23410 02341 02341 02341 03412 03412 02413 02413 02314 "
+                          "02341 02341 02341",
+        ("pine", "sum"): "42310 42310 40231 40231 40231 40312 40312 40213 40213 02314 "
+                         "40231 40231 40231",
+        ("pine", "max"): "23410 23410 02341 02341 02341 03412 03412 02413 02413 02314 "
+                         "02341 02341 02341",
+        ("pine_reverse", "mean"): "23410 23410 02341 02341 02341 03412 03412 02413 02413 10234 "
+                                  "10234 10234 10234",
+        ("pine_reverse", "sum"): "12340 12340 02341 02341 02341 10342 10342 10243 10243 10234 "
+                                 "10234 10234 10234",
+        ("pine_reverse", "max"): "23410 23410 02341 02341 02341 03412 03412 02413 02413 02314 "
+                                 "02341 02341 02341",
+    }
+
+    @pytest.mark.parametrize("canonical", [True, False])
+    @pytest.mark.parametrize("variant, aggregation", list(GOLDEN))
+    def test_document_starts(self, variant, aggregation, canonical):
+        _, layout = tokenize(SegmentedPrompt("S", ("ab", "cde", "ab", "fg", "h"), "QR"))
+        rng = np.random.default_rng(26)
+        q = rng.normal(size=(layout.n + 1, 4, 8)).astype(np.float32)
+        k = rng.normal(size=(layout.n, 2, 8)).astype(np.float32)
+        k[layout.prefix_len:layout.suffix_start] = rng.normal(size=(2, 8)).astype(np.float32)
+        plan = AttentionPlan(AttentionMode(variant, aggregation, canonical), layout)
+        cols = plan.columns(0, layout.n)[0]
+        keys = key_panel(k[cols][plan.ranked_cols])
+        p = layout.prefix_len
+        prefill = document_starts(q[cols][p:], keys, plan, query_groups(plan.col_doc, p))
+        decoded = document_starts(q[layout.n:], keys, plan, query_groups(np.full(1, -1), 0))
+        got = np.empty_like(prefill)
+        got[cols[p:] - p] = prefill  # the rows back in storage order
+        orders = self.GOLDEN[variant, aggregation].split()
+        want = np.array([[block_starts(layout, map(int, o))] * 4 for o in orders], dtype=np.int64)
+        assert np.concatenate([got, decoded]).tobytes() == want.tobytes()
+
+
 class TestDocumentStarts:
     @pytest.mark.parametrize("canonical", [True, False])
     @pytest.mark.parametrize("k", [2, 5, 8])
@@ -446,7 +522,8 @@ class TestDocumentStarts:
         docs = tuple("abcdefgh"[j] * (1 + (3 * j) % 4) for j in range(k))
         _, layout = tokenize(SegmentedPrompt("S", docs, "QR"))
         plan = AttentionPlan(AttentionMode("pine", canonical=canonical), layout)
-        assert laid_out(plan, [range(k)])[0].tolist() == [s for s, _ in layout.doc_spans]
+        starts = laid_out(range(k), plan.doc_lens.tolist(), layout.prefix_len, [0] * k)
+        assert starts == [s for s, _ in layout.doc_spans]
 
     @pytest.mark.parametrize("canonical", [True, False])
     @pytest.mark.parametrize("variant", ["pine", "pine_reverse"])
@@ -470,11 +547,11 @@ class TestDocumentStarts:
                  (q[layout.n:], np.full(1, -1))]  # a decoded row
         for rows, own in cases:
             starts = document_starts(rows, keys, plan, query_groups(own, 0))
-            orders = group_ordering(rows, keys, plan, query_groups(own, 0))
+            orders = group_ordering(rows, keys, plan, query_groups(own, 0)).orders
             assert starts.shape == (len(rows), 4, k)
             group = -1
             for i, mine in enumerate(own.tolist()):
                 group += mine < 0 or i == 0 or mine != own[i - 1]
-                for head, (ordered, _) in enumerate(orders[group]):
+                for head, ordered in enumerate(orders[group]):
                     assert starts[i, head].tolist() == block_starts(layout, ordered), (i, head)
             assert group == len(orders) - 1

@@ -44,6 +44,34 @@ class TestRotate:
         with pytest.raises(ShapeError, match="integers"):
             rotate(x, [0.0, 1.5], 10000.0)
 
+    @pytest.mark.parametrize("bad", [np.array([3, -1]), np.array([3, 1 << 24]),
+                                     np.array([3, 1 << 63], dtype=np.uint64)],
+                             ids=["-1", "2**24", "uint64 2**63"])
+    def test_positions_outside_24_bits_rejected(self, bad):
+        with pytest.raises(ValueError, match="must lie in 0 .. 16777215"):
+            rotate(np.ones((2, 8), dtype=np.float32), bad, 10000.0)
+
+    def test_largest_position_accepted(self, monkeypatch):
+        # 2**24 - 1 is rotated from a table of 2**24 positions, stood in for
+        # here by one that builds only the phases it is asked for.
+        sizes = []
+
+        class Phases:
+            def __init__(self, d_head, theta, size):
+                sizes.append(size)
+                self.inv_freq = rope._inv_freq(d_head, theta)
+
+            def __getitem__(self, pos):
+                ang = pos.astype(np.float32)[..., None] * self.inv_freq
+                return (np.cos(ang) + 1j * np.sin(ang)).astype(np.complex64)
+
+        monkeypatch.setattr(rope, "_phase_table", Phases)
+        x = np.ones((2, 8), dtype=np.float32)
+        out = rotate(x, np.array([0, (1 << 24) - 1]), 10000.0)
+        assert sizes == [1 << 24]
+        assert out[0].tobytes() == x[0].tobytes()
+        assert np.allclose(np.linalg.norm(out[1]), np.linalg.norm(x[1]), rtol=1e-6)
+
 
 class TestRotationIsElementwise:
     """A row's rotation reads only its own pairs and phases, so it gives the
