@@ -18,10 +18,15 @@ prefill of one more row after the cached ones.  That row writes a column
 in place, after an unchanged plan's columns, and sees every cached key,
 so its one row block has no fill.  A forward pass plans its rows once,
 as one ``modes.Rows`` (``plan.rows``: their columns, row blocks and
-pine's query groups), and every layer's attention replays it, for one
-row or many alike.  It embeds
-its tokens in column order, so every layer runs in that order: only the
-embedding and the pick of the last token's row read a storage index.
+pine's query groups), and attention replays it, for one row or many
+alike.  It embeds its tokens in column order, so every layer runs in that
+order: only the embedding and the pick of the last token's row read a
+storage index.  Only that row's logits are read, so when it is the last
+of several rows (a prompt with a suffix), the last layer writes every
+row's keys and values but runs that row alone past them, planned as a
+decode step at its column is.  Every other pass, such as a prompt with an
+empty suffix, whose last token sits inside a document, runs every row
+through every layer.
 """
 
 from __future__ import annotations
@@ -353,20 +358,25 @@ def _halves(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
-                   rows: Rows) -> np.ndarray:
+                   rows: Rows, tail: Rows | None = None) -> np.ndarray:
     """One layer over the rows after the cache, in column order; ``rows`` is
-    their ``plan.rows``, which attention replays.  Keys are rotated once, at
-    their base positions, by ``modes.rotate``: looked up there, as
-    attention's query rotations are, so one hook sees both."""
+    their ``plan.rows``.  Every row writes its keys and values to the cache;
+    given ``tail``, the ``plan.rows`` of the last row alone, only that row
+    runs on through attention and the FFN, and the layer returns it alone.
+    Keys are rotated once, at their base positions, by ``modes.rotate``:
+    looked up there, as attention's query rotations are, so one hook sees
+    both."""
     cfg = model.config
     w = model.weights
     p = f"layers.{layer}."
     h = rms_norm(x, w[p + "attn_norm.weight"], cfg.norm_eps)
-    q = matmul(h, w[p + "q_proj.weight"]).reshape(-1, cfg.n_heads, cfg.d_head)
     k = matmul(h, w[p + "k_proj.weight"]).reshape(-1, cfg.n_kv_heads, cfg.d_head)
     v = matmul(h, w[p + "v_proj.weight"]).reshape(-1, cfg.n_kv_heads, cfg.d_head)
     k_base = modes.rotate(k, rows.base, cfg.rope_theta)
     k, k_base, v = cache.write(layer, (k, k_base, v), cfg.max_seq_len)
+    if tail is not None:
+        x, h, rows = x[-1:], h[-1:], tail
+    q = matmul(h, w[p + "q_proj.weight"]).reshape(-1, cfg.n_heads, cfg.d_head)
     attn = attention_forward(cache.plan, q, k, v, k_base, rows, cfg.rope_theta)
     x = x + matmul(attn.reshape(attn.shape[0], -1), w[p + "o_proj.weight"])
     h2 = rms_norm(x, w[p + "ffn_norm.weight"], cfg.norm_eps)
@@ -380,23 +390,28 @@ def _forward(model: Model, cache: KVCache, tokens: list[int]) -> np.ndarray:
     """Run tokens as the rows after the cache, appending their keys and
     values once every layer and the logits have succeeded; returns the
     logits of the last token.  The rows run in column order, where an
-    empty suffix leaves the last token's row inside the documents."""
+    empty suffix leaves the last token's row inside the documents.  When
+    several rows end in the last column, the last layer runs that row alone
+    (``tail``) past the keys and values of every row."""
     cfg = model.config
-    q_start = cache.n_cached
-    if q_start + len(tokens) > cfg.max_seq_len:
-        raise ShapeError(f"sequence length {q_start + len(tokens)} exceeds "
-                         f"max_seq_len {cfg.max_seq_len}")
+    plan, q_start, t = cache.plan, cache.n_cached, len(tokens)
+    s = q_start + t
+    if s > cfg.max_seq_len:
+        raise ShapeError(f"sequence length {s} exceeds max_seq_len {cfg.max_seq_len}")
     ids = np.asarray(tokens)
     if ids.dtype.kind not in "iu" or not ((ids >= 0) & (ids < cfg.vocab_size)).all():
         raise ShapeError(f"token ids must be integers in 0 .. {cfg.vocab_size - 1}")
-    rows = cache.plan.rows(q_start, len(tokens), cfg.n_heads // cfg.n_kv_heads)
+    rep = cfg.n_heads // cfg.n_kv_heads
+    rows = plan.rows(q_start, t, rep)
+    tail = plan.rows(s - 1, 1, rep) if t > 1 and s > plan.layout.suffix_start else None
     x = model.weights["embed.weight"][ids[rows.index - q_start]]
     for layer in range(cfg.n_layers):
-        x = _layer_forward(model, x, layer, cache, rows)
-    last = rows.index.argmax()
+        x = _layer_forward(model, x, layer, cache, rows,
+                           tail if layer == cfg.n_layers - 1 else None)
+    last = 0 if tail is not None else rows.index.argmax()
     h = rms_norm(x[last:last + 1], model.weights["final_norm.weight"], cfg.norm_eps)
     logits = matmul(h, model.head_matrix())[0]
-    cache.n_cached = q_start + len(tokens)
+    cache.n_cached = s
     return logits
 
 

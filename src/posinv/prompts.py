@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 BOS_TOKEN = 256
-EOS_TOKEN = 257
 N_SPECIALS = 2
 BYTE_VOCAB = 256
 
@@ -70,13 +69,6 @@ class SequenceLayout:
     @property
     def k(self) -> int:
         return len(self.doc_spans)
-
-    def doc_of(self, index: int) -> int | None:
-        """Document number owning a storage index, or None outside docs."""
-        for j, (s, e) in enumerate(self.doc_spans):
-            if s <= index < e:
-                return j
-        return None
 
     def doc_len(self, j: int) -> int:
         s, e = self.doc_spans[j]

@@ -33,6 +33,14 @@ def random_config(rng: np.random.Generator) -> ModelConfig:
     )
 
 
+def doc_of(layout, index):
+    """Document number owning a storage index, or None outside the documents."""
+    for j, (s, e) in enumerate(layout.doc_spans):
+        if s <= index < e:
+            return j
+    return None
+
+
 def greedy_stream(model, tokens, layout, mode, steps):
     """Yield one stream's prefill logits, then those of ``steps`` greedy decode steps."""
     cache, logits = prefill(model, tokens, layout, mode)

@@ -388,12 +388,12 @@ class TestRowBlocks:
                                                                  monkeypatch):
         # build_mask runs only while prefill builds the stream's AttentionPlan,
         # and each forward pass plans its row blocks, and pine its query
-        # groups, once, for all its layers.
-        config = ModelConfig(**{**vars(tiny_config), "n_layers": 3})
-        model = Model(config, init_random(config, 0))
+        # groups, once for all its layers: a prefill with a suffix plans its
+        # rows and, for the last layer, its last row alone, however deep the
+        # model; a decode step plans its one row.
         tokens, layout = tokenize(SegmentedPrompt("SYS: ", ("alpha", "bravo two", "c"), " Q?"))
         mode = AttentionMode(variant)
-        calls = {"plan": 0, "mask in plan": 0, "mask elsewhere": 0, "row_blocks": 0, "groups": 0}
+        calls = {}
         init, mask, row_blocks = modes.AttentionPlan.__init__, build_mask, \
             modes.AttentionPlan.row_blocks
         query_groups = pine.query_groups
@@ -421,13 +421,18 @@ class TestRowBlocks:
         monkeypatch.setattr(modes, "build_mask", counting_mask)
         monkeypatch.setattr(modes.AttentionPlan, "row_blocks", counting_row_blocks)
         monkeypatch.setattr(pine, "query_groups", counting_groups)
-        cache, logits = prefill(model, tokens, layout, mode)
-        grouped = int(cache.plan.reorders)
-        assert calls == {"plan": 0, "mask in plan": 1, "mask elsewhere": 0, "row_blocks": 1,
-                         "groups": grouped}
-        decode_step(model, cache, int(np.argmax(logits)), mode)
-        assert calls == {"plan": 0, "mask in plan": 1, "mask elsewhere": 0, "row_blocks": 2,
-                         "groups": 2 * grouped}
+        for n_layers in (1, 3):
+            config = ModelConfig(**{**vars(tiny_config), "n_layers": n_layers})
+            model = Model(config, init_random(config, 0))
+            calls.update({"plan": 0, "mask in plan": 0, "mask elsewhere": 0, "row_blocks": 0,
+                          "groups": 0})
+            cache, logits = prefill(model, tokens, layout, mode)
+            grouped = int(cache.plan.reorders)
+            assert calls == {"plan": 0, "mask in plan": 1, "mask elsewhere": 0, "row_blocks": 2,
+                             "groups": 2 * grouped}
+            decode_step(model, cache, int(np.argmax(logits)), mode)
+            assert calls == {"plan": 0, "mask in plan": 1, "mask elsewhere": 0, "row_blocks": 3,
+                             "groups": 3 * grouped}
 
     def test_blocks_that_cut_documents(self, monkeypatch):
         # Row blocks of 4 rows start and end inside documents.
@@ -449,6 +454,97 @@ class TestRowBlocks:
             ref = dense_reference(model, tokens, layout, mode)
             assert np.max(np.abs(logits[0] - ref)) <= 1e-4, variant
             assert np.max(np.abs(logits[0] - default[variant])) <= 1e-6, variant
+
+
+class TestLastLayerRows:
+    """Only the last token's logits are read: when several rows end in the last
+    column, the last layer runs that row alone past its keys and values."""
+
+    CONFIG = ModelConfig(n_layers=3, n_heads=4, n_kv_heads=2, d_model=32, d_head=8,
+                         d_ff=64, vocab_size=260, max_seq_len=128)
+    DOCS = ("zeta doc", "alpha", "mid text")
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return Model(self.CONFIG, init_random(self.CONFIG, 4))
+
+    @staticmethod
+    def spy(model, monkeypatch):
+        """Per layer call, the rows attention ran and the rows of the q_proj product."""
+        seen = {"attention": [], "q_proj": []}
+        attention, matmul = model_mod.attention_forward, model_mod.matmul
+        q_weights = [model.weights[f"layers.{i}.q_proj.weight"]
+                     for i in range(model.config.n_layers)]
+
+        def spying_attention(plan, q_raw, k_raw, v, k_base, rows, rope_theta):
+            seen["attention"].append(rows)
+            return attention(plan, q_raw, k_raw, v, k_base, rows, rope_theta)
+
+        def spying_matmul(a, b):
+            if any(b is w for w in q_weights):
+                seen["q_proj"].append(a.shape[0])
+            return matmul(a, b)
+
+        monkeypatch.setattr(model_mod, "attention_forward", spying_attention)
+        monkeypatch.setattr(model_mod, "matmul", spying_matmul)
+        return seen
+
+    @pytest.mark.parametrize("variant", modes.VARIANTS)
+    def test_suffix_prefill_runs_the_last_row_alone_in_the_last_layer(self, model, variant,
+                                                                       monkeypatch):
+        tokens, layout = tokenize(SegmentedPrompt("SYS: ", self.DOCS, " Q?"))
+        t, last = layout.n, model.config.n_layers - 1
+        seen = self.spy(model, monkeypatch)
+        cache, _ = prefill(model, tokens, layout, AttentionMode(variant))
+        assert seen["q_proj"] == [t] * last + [1]
+        assert [len(rows.index) for rows in seen["attention"]] == [t] * last + [1]
+        tail = seen["attention"][-1]  # planned as a decode step at the last column is
+        assert tail.start == t - 1 and tail.index.tolist() == [t - 1]
+        assert len(tail.blocks) == 1 and tail.blocks[0].fills == []
+        assert tail.groups == (pine.QueryGroups(0, [0], [-1], []) if cache.plan.reorders
+                               else None)
+
+    @pytest.mark.parametrize("variant", modes.VARIANTS)
+    @pytest.mark.parametrize("segments", [("SYS: ", DOCS, ""), ("x", (), "")],
+                             ids=["empty-suffix", "one-token"])
+    def test_prefill_without_a_suffix_row_runs_every_row(self, model, variant, segments,
+                                                         monkeypatch):
+        tokens, layout = tokenize(SegmentedPrompt(*segments))
+        seen = self.spy(model, monkeypatch)
+        prefill(model, tokens, layout, AttentionMode(variant))
+        assert seen["q_proj"] == [layout.n] * model.config.n_layers
+        assert [len(rows.index) for rows in seen["attention"]] == \
+            [layout.n] * model.config.n_layers
+
+    @pytest.mark.parametrize("variant", modes.VARIANTS)
+    def test_decode_step_runs_one_row_per_layer(self, model, variant, monkeypatch):
+        mode = AttentionMode(variant)
+        tokens, layout = tokenize(SegmentedPrompt("SYS: ", self.DOCS, " Q?"))
+        cache, logits = prefill(model, tokens, layout, mode)
+        seen = self.spy(model, monkeypatch)
+        decode_step(model, cache, int(np.argmax(logits)), mode)
+        assert seen["q_proj"] == [1] * model.config.n_layers
+        assert [rows.index.tolist() for rows in seen["attention"]] == \
+            [[layout.n]] * model.config.n_layers
+
+    @pytest.mark.parametrize("variant", modes.VARIANTS)
+    def test_cache_equals_every_row_through_every_layer(self, model, variant):
+        mode = AttentionMode(variant)
+        tokens, layout = tokenize(SegmentedPrompt("SYS: ", self.DOCS, " Q?"))
+        cache, logits = prefill(model, tokens, layout, mode)
+        ref = model_mod.KVCache(modes.AttentionPlan(mode, layout))
+        cfg = model.config
+        rows = ref.plan.rows(0, layout.n, cfg.n_heads // cfg.n_kv_heads)
+        x = model.weights["embed.weight"][np.asarray(tokens)[rows.index]]
+        for layer in range(cfg.n_layers):
+            x = model_mod._layer_forward(model, x, layer, ref, rows)
+        ref.n_cached = layout.n
+        assert len(cache.k_base) == len(cache.v) == cfg.n_layers
+        assert len(cache.k_raw) == len(ref.k_raw) == (cfg.n_layers if ref.plan.reorders else 0)
+        for got, want in ((cache.k_base, ref.k_base), (cache.v, ref.v), (cache.k_raw, ref.k_raw)):
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+        h = kernels.rms_norm(x[-1:], model.weights["final_norm.weight"], cfg.norm_eps)
+        assert np.max(np.abs(logits - kernels.matmul(h, model.head_matrix())[0])) <= 1e-6
 
 
 class TestColumnOrder:

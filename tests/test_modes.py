@@ -21,7 +21,7 @@ from posinv.modes import VARIANTS
 from posinv.pine import group_ordering, query_groups
 from posinv.rope import rotate
 
-from conftest import attend, attention, key_panel
+from conftest import attend, attention, doc_of, key_panel
 
 
 def running_example():
@@ -77,7 +77,7 @@ class TestBuildMask:
         _, layout = running_example()
         m = build_mask(AttentionMode("nia"), layout, range(8), range(8))
         for q, k in itertools.product(range(1, 7), range(1, 7)):
-            dq, dk = layout.doc_of(q), layout.doc_of(k)
+            dq, dk = doc_of(layout, q), doc_of(layout, k)
             if dq != dk:
                 assert not m[q, k]
 

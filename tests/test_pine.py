@@ -24,7 +24,7 @@ from posinv.pine import (
     reset_comparison_count,
 )
 
-from conftest import attend, key_panel
+from conftest import attend, doc_of, key_panel
 
 
 def one_token_docs(k):
@@ -257,11 +257,8 @@ class TestPineAttention:
         d = q.shape[1]
         n = layout.n
 
-        def doc_of(t):
-            return layout.doc_of(t)
-
         for qi in range(n):
-            own = doc_of(qi)
+            own = doc_of(layout, qi)
             if own is None and qi < layout.suffix_start:
                 ordered = None  # prefix row: vanilla
             else:
@@ -282,7 +279,7 @@ class TestPineAttention:
                     exps = [math.exp(z - mx) for z in logits]
                     tot = sum(exps)
                     for e, t in zip(exps, key_idx):
-                        sums[doc_of(t)] += e / tot
+                        sums[doc_of(layout, t)] += e / tot
                 scores = {
                     j: sums[j] / (layout.doc_spans[j][1] - layout.doc_spans[j][0])
                     for j in cands
@@ -300,7 +297,7 @@ class TestPineAttention:
                     cursor += e - s
             vis = []
             for t in range(n):
-                dq, dk = doc_of(qi), doc_of(t)
+                dq, dk = doc_of(layout, qi), doc_of(layout, t)
                 if dq is not None and dk is not None and dq != dk:
                     vis.append(t)
                 elif t <= qi:
