@@ -24,7 +24,6 @@ from .oracle import (
     DivergenceReport,
     dense_reference,
     enumerate_orders,
-    permutation_vote,
     run_suite,
 )
 from .pine import order_documents

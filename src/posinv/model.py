@@ -27,6 +27,13 @@ row's keys and values but runs that row alone past them, planned as a
 decode step at its column is.  Every other pass, such as a prompt with an
 empty suffix, whose last token sits inside a document, runs every row
 through every layer.
+
+One pass serves one stream or several, each with its own cache, plan and
+tokens: the embedding, norms, projections, FFN, residual adds and LM head
+run once over the stacked rows of every stream, and each stream's key
+rotation, cache write and attention on its own rows.  ``prefill``,
+``decode_step`` and ``generate`` pass one stream, whose rows are used as
+they are; ``oracle.run_suite`` passes a batch of document orders.
 """
 
 from __future__ import annotations
@@ -357,27 +364,43 @@ def _halves(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return buf[0].reshape(n_kv, d, capacity), buf[1]
 
 
-def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
-                   rows: Rows, tail: Rows | None = None) -> np.ndarray:
-    """One layer over the rows after the cache, in column order; ``rows`` is
-    their ``plan.rows``.  Every row writes its keys and values to the cache;
-    given ``tail``, the ``plan.rows`` of the last row alone, only that row
-    runs on through attention and the FFN, and the layer returns it alone.
-    Keys are rotated once, at their base positions, by ``modes.rotate``:
-    looked up there, as attention's query rotations are, so one hook sees
-    both."""
+def _stack(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts as one array, rows after rows; one part is returned as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _layer_forward(model: Model, x: np.ndarray, layer: int, streams: list,
+                   tails: tuple[list[slice], list] | None = None) -> np.ndarray:
+    """One layer over ``x``, the stacked rows of every stream.  ``streams``
+    holds per stream its cache, the ``plan.rows`` of its rows (the rows
+    after its cache, in column order) and their slice of ``x``.  Norms,
+    projections, FFN and residual adds run once over the stacked rows; key
+    rotation, cache write and attention run per stream.  Every row writes
+    its keys and values; given ``tails``, the slices of ``x`` that run on
+    and the streams they form (a stream's last row alone, with its own
+    ``plan.rows``, or every row), only those rows run on, and the layer
+    returns them.  Keys are rotated once, at their base positions, by
+    ``modes.rotate``: looked up there, as attention's query rotations are,
+    so one hook sees both."""
     cfg = model.config
     w = model.weights
     p = f"layers.{layer}."
     h = rms_norm(x, w[p + "attn_norm.weight"], cfg.norm_eps)
     k = matmul(h, w[p + "k_proj.weight"]).reshape(-1, cfg.n_kv_heads, cfg.d_head)
     v = matmul(h, w[p + "v_proj.weight"]).reshape(-1, cfg.n_kv_heads, cfg.d_head)
-    k_base = modes.rotate(k, rows.base, cfg.rope_theta)
-    k, k_base, v = cache.write(layer, (k, k_base, v), cfg.max_seq_len)
-    if tail is not None:
-        x, h, rows = x[-1:], h[-1:], tail
+    panels = []
+    for cache, rows, sl in streams:
+        parts = (k[sl], modes.rotate(k[sl], rows.base, cfg.rope_theta), v[sl])
+        panels.append(cache.write(layer, parts, cfg.max_seq_len))
+    del k, v, parts  # the caches hold them now: free them before attention
+    if tails is not None:
+        keep, streams = tails
+        x, h = _stack([x[sl] for sl in keep]), _stack([h[sl] for sl in keep])
     q = matmul(h, w[p + "q_proj.weight"]).reshape(-1, cfg.n_heads, cfg.d_head)
-    attn = attention_forward(cache.plan, q, k, v, k_base, rows, cfg.rope_theta)
+    attn = []
+    for (cache, rows, sl), (k_raw, keys, vals) in zip(streams, panels):
+        attn.append(attention_forward(cache.plan, q[sl], k_raw, vals, keys, rows, cfg.rope_theta))
+    attn = _stack(attn)
     x = x + matmul(attn.reshape(attn.shape[0], -1), w[p + "o_proj.weight"])
     h2 = rms_norm(x, w[p + "ffn_norm.weight"], cfg.norm_eps)
     gate = matmul(h2, w[p + "gate_proj.weight"])
@@ -386,64 +409,77 @@ def _layer_forward(model: Model, x: np.ndarray, layer: int, cache: KVCache,
     return x
 
 
-def _forward(model: Model, cache: KVCache, tokens: list[int]) -> np.ndarray:
-    """Run tokens as the rows after the cache, appending their keys and
-    values once every layer and the logits have succeeded; returns the
-    logits of the last token.  The rows run in column order, where an
-    empty suffix leaves the last token's row inside the documents.  When
-    several rows end in the last column, the last layer runs that row alone
-    (``tail``) past the keys and values of every row."""
+def _forward(model: Model, caches: list[KVCache], tokens: list[list[int]]) -> list[np.ndarray]:
+    """One forward pass over one stream or several: each stream's tokens run
+    as the rows after its cache, in column order (an empty suffix leaves
+    the last token's row inside the documents), and append their keys and
+    values once every layer and the logits have succeeded; returns each
+    stream's logits of its last token.  Every stream is checked before any
+    compute.  The streams' rows are stacked, one stream's used as they are.
+    When several of a stream's rows end in its last column, the last layer
+    runs that row alone (its tail) past the keys and values of every row."""
     cfg = model.config
-    plan, q_start, t = cache.plan, cache.n_cached, len(tokens)
-    s = q_start + t
-    if s > cfg.max_seq_len:
-        raise ShapeError(f"sequence length {s} exceeds max_seq_len {cfg.max_seq_len}")
-    ids = np.asarray(tokens)
-    if ids.dtype.kind not in "iu" or not ((ids >= 0) & (ids < cfg.vocab_size)).all():
-        raise ShapeError(f"token ids must be integers in 0 .. {cfg.vocab_size - 1}")
     rep = cfg.n_heads // cfg.n_kv_heads
-    rows = plan.rows(q_start, t, rep)
-    tail = plan.rows(s - 1, 1, rep) if t > 1 and s > plan.layout.suffix_start else None
-    x = model.weights["embed.weight"][ids[rows.index - q_start]]
+    streams, keep, ran, column_ids = [], [], [], []  # ran: the streams the last layer runs on
+    at = on = 0  # the next stream's first row in x, and in the rows that run on
+    for cache, toks in zip(caches, tokens):
+        q_start, t = cache.n_cached, len(toks)
+        s = q_start + t
+        if s > cfg.max_seq_len:
+            raise ShapeError(f"sequence length {s} exceeds max_seq_len {cfg.max_seq_len}")
+        ids = np.asarray(toks)
+        if ids.dtype.kind not in "iu" or not ((ids >= 0) & (ids < cfg.vocab_size)).all():
+            raise ShapeError(f"token ids must be integers in 0 .. {cfg.vocab_size - 1}")
+        rows = cache.plan.rows(q_start, t, rep)
+        streams.append((cache, rows, slice(at, at + t)))
+        column_ids.append(ids[rows.index - q_start])
+        if t > 1 and s > cache.plan.layout.suffix_start:  # its last row alone
+            rows = cache.plan.rows(s - 1, 1, rep)
+        keep.append(slice(at + t - len(rows.index), at + t))
+        ran.append((cache, rows, slice(on, on + len(rows.index))))
+        at, on = at + t, on + len(rows.index)
+    x = model.weights["embed.weight"][_stack(column_ids)]
+    tails = (keep, ran) if on < at else None
     for layer in range(cfg.n_layers):
-        x = _layer_forward(model, x, layer, cache, rows,
-                           tail if layer == cfg.n_layers - 1 else None)
-    last = 0 if tail is not None else rows.index.argmax()
-    h = rms_norm(x[last:last + 1], model.weights["final_norm.weight"], cfg.norm_eps)
-    logits = matmul(h, model.head_matrix())[0]
-    cache.n_cached = s
-    return logits
+        x = _layer_forward(model, x, layer, streams, tails if layer == cfg.n_layers - 1 else None)
+    lasts = [sl.start + int(rows.index.argmax()) for _, rows, sl in ran]  # each last token's row
+    h = rms_norm(_stack([x[i:i + 1] for i in lasts]), model.weights["final_norm.weight"],
+                 cfg.norm_eps)
+    logits = matmul(h, model.head_matrix())
+    for cache, toks in zip(caches, tokens):
+        cache.n_cached += len(toks)
+    return list(logits)
 
 
-def prefill(
-    model: Model,
-    tokens: list[int],
-    layout: SequenceLayout,
-    mode: AttentionMode,
-) -> tuple[KVCache, np.ndarray]:
+def _prefill(model: Model, prompts: list[tuple[list[int], SequenceLayout]],
+             mode: AttentionMode) -> tuple[list[KVCache], list[np.ndarray]]:
+    """Prefill several prompts under one mode in one forward pass; returns
+    each prompt's filled cache and the logits of its last token."""
+    for tokens, layout in prompts:
+        if len(tokens) == 0:
+            raise ShapeError("prefill: the prompt is empty")
+        if len(tokens) != layout.n:
+            raise ShapeError(f"token count {len(tokens)} != layout.n {layout.n}")
+    caches = [KVCache(AttentionPlan(mode, layout)) for _, layout in prompts]
+    return caches, _forward(model, caches, [tokens for tokens, _ in prompts])
+
+
+def prefill(model: Model, tokens: list[int], layout: SequenceLayout,
+            mode: AttentionMode) -> tuple[KVCache, np.ndarray]:
     """Run the whole prompt; returns the filled cache and the logits of
     the last prompt token."""
-    if len(tokens) == 0:
-        raise ShapeError("prefill: the prompt is empty")
-    if len(tokens) != layout.n:
-        raise ShapeError(f"token count {len(tokens)} != layout.n {layout.n}")
-    cache = KVCache(AttentionPlan(mode, layout))
-    return cache, _forward(model, cache, tokens)
+    (cache,), (logits,) = _prefill(model, [(tokens, layout)], mode)
+    return cache, logits
 
 
-def decode_step(
-    model: Model,
-    cache: KVCache,
-    token: int,
-    mode: AttentionMode,
-) -> np.ndarray:
+def decode_step(model: Model, cache: KVCache, token: int, mode: AttentionMode) -> np.ndarray:
     """Append one token to the cache and return next-token logits.  The
     mode must be the one the cache was prefilled under."""
     if mode != cache.plan.mode:
         raise ValueError(f"decode_step: cache was prefilled under {cache.plan.mode}, not {mode}")
     if cache.n_cached == 0:
         raise ShapeError("decode_step: cache is empty; run prefill first")
-    return _forward(model, cache, [token])
+    return _forward(model, [cache], [[token]])[0]
 
 
 def greedy_pick(logits: np.ndarray) -> int:
@@ -451,29 +487,31 @@ def greedy_pick(logits: np.ndarray) -> int:
     return int(np.argmax(logits))
 
 
-def generate(
-    model: Model,
-    tokens: list[int],
-    layout: SequenceLayout,
-    params: GenerationParams,
-) -> list[int]:
+def generate(model: Model, tokens: list[int], layout: SequenceLayout,
+             params: GenerationParams) -> list[int]:
     cache, logits = prefill(model, tokens, layout, params.mode)
-    return _greedy_decode(model, cache, logits, params)
+    return _greedy_decode(model, [cache], [logits], params)[0]
 
 
-def _greedy_decode(model: Model, cache: KVCache, logits: np.ndarray,
-                   params: GenerationParams) -> list[int]:
-    """Greedy tokens from a prefilled cache and its last logits."""
-    out: list[int] = []
-    for _ in range(params.max_new_tokens):
-        tok = greedy_pick(logits)
-        out.append(tok)
-        if params.eos_token is not None and tok == params.eos_token:
-            break
-        if len(out) == params.max_new_tokens:
-            break
-        logits = decode_step(model, cache, tok, params.mode)
-    return out
+def _greedy_decode(model: Model, caches: list[KVCache], logits: list[np.ndarray],
+                   params: GenerationParams) -> list[list[int]]:
+    """Greedy tokens of each stream from its cache, prefilled under
+    ``params.mode``, and its last logits.  The streams decode in lockstep:
+    each step is one forward pass over every stream that has not yet
+    stopped (at ``eos_token`` or ``max_new_tokens``)."""
+    outs: list[list[int]] = [[] for _ in caches]
+    logits = list(logits)
+    live = list(range(len(caches))) if params.max_new_tokens > 0 else []
+    while live:
+        for i in live:
+            outs[i].append(greedy_pick(logits[i]))
+        live = [i for i in live
+                if len(outs[i]) < params.max_new_tokens and outs[i][-1] != params.eos_token]
+        if live:
+            step = _forward(model, [caches[i] for i in live], [outs[i][-1:] for i in live])
+            for i, row in zip(live, step):
+                logits[i] = row
+    return outs
 
 
 def continuation_logprob(

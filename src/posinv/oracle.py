@@ -4,21 +4,21 @@
 float64 forward pass built from explicit per-row loops.  It shares no
 attention, masking, ordering, or rotation code with the runtime, so an
 agreement within tolerance is meaningful evidence rather than a shared
-bug.
+bug.  ``run_suite`` serves every given order of one document set through
+the runtime, a batch of orders per forward pass, and reports their spread.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import re
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-# perfbench's tracer wraps oracle.generate by name, so it stays imported here.
-from .model import GenerationParams, Model, _greedy_decode, generate, prefill  # noqa: F401
+# perfbench's tracer wraps oracle.prefill and oracle.generate by name, so they stay imported here.
+from .model import (GenerationParams, Model, _greedy_decode, _prefill, generate,  # noqa: F401
+                    prefill)
 from .modes import AttentionMode
 from .prompts import SegmentedPrompt, SequenceLayout, permute_documents, tokenize
 
@@ -55,6 +55,12 @@ def enumerate_orders(k: int, limit: int, seed: int = 0) -> list[tuple[int, ...]]
     return orders
 
 
+# Stacked prompt rows per batch of orders: at most this many, so that the
+# stacked activations keep peak memory flat (all 24 orders of n = 55 in one
+# batch raised the benchmark's peak RSS by about 11%).
+_BATCH_ROWS = 512
+
+
 def run_suite(
     model: Model,
     prompt: SegmentedPrompt,
@@ -66,15 +72,25 @@ def run_suite(
     """Prefill + greedy generation for every document order; measures the
     spread of final-prompt-token logits and greedy-output equality.  The
     mode also fixes the reduction order, so a mode that reduces documents
-    in storage order is the control whose spread is float rounding."""
-    logit_sets = []
-    outputs = []
-    for perm in orders:
-        tokens, layout = tokenize(permute_documents(prompt, perm), bos=bos)
-        cache, logits = prefill(model, tokens, layout, mode)
-        logit_sets.append(logits)
-        params = GenerationParams(max_new_tokens=new_tokens, mode=mode)
-        outputs.append(_greedy_decode(model, cache, logits, params))
+    in storage order is the control whose spread is float rounding.
+
+    The orders run in batches of equal size, each prefilled in one forward
+    pass and then decoded greedily in lockstep, so each weight product
+    serves every order of a batch.  A batch holds at most ``_BATCH_ROWS``
+    prompt rows.  The last batch is padded to full size with repeats of
+    its last order, whose results are dropped: BLAS gives identical rows
+    the same bits at any row offset of one product, but not across
+    products of other sizes."""
+    prompts = [tokenize(permute_documents(prompt, perm), bos=bos) for perm in orders]
+    n_batches = max(1, -(-sum(layout.n for _, layout in prompts) // _BATCH_ROWS))
+    size = -(-len(prompts) // n_batches)
+    params = GenerationParams(max_new_tokens=new_tokens, mode=mode)
+    logit_sets, outputs = [], []
+    for b in range(0, len(prompts), max(size, 1)):
+        batch = prompts[b:b + size]
+        caches, logits = _prefill(model, batch + batch[-1:] * (size - len(batch)), mode)
+        logit_sets += logits[:len(batch)]
+        outputs += _greedy_decode(model, caches, logits, params)[:len(batch)]
     max_diff = 0.0
     witness = None
     for a in range(len(orders)):
@@ -92,24 +108,6 @@ def run_suite(
         greedy_outputs=outputs,
         witness_pair=witness,
     )
-
-
-def permutation_vote(outputs: list[str], extractor: str) -> str:
-    """Modal extracted answer across generated texts; ties go to the
-    lexicographically smallest answer."""
-    if not outputs:
-        raise ValueError("permutation_vote: no outputs")
-    pattern = re.compile(extractor)
-    answers = []
-    for text in outputs:
-        m = pattern.search(text)
-        if m:
-            answers.append(m.group(1) if m.groups() else m.group(0))
-    if not answers:
-        raise ValueError(f"extractor {extractor!r} matched nothing in any output")
-    counts = Counter(answers)
-    best = max(counts.values())
-    return min(a for a, c in counts.items() if c == best)
 
 
 # ---------------------------------------------------------------------------

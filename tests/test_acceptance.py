@@ -173,6 +173,57 @@ def test_decode_across_a_growth_invariant_with_two_blas_threads(lemma_config):
     report_pass(1, f"n={out['n']}, k=6, 3 orders, 70 decode steps past a growth: bitwise invariant")
 
 
+# run_suite over every order of one document set, in a child process so that
+# OpenBLAS runs with 2 threads; ``batches``: the streams of each batched prefill.
+SUITE_CHILD = """
+import json, sys
+from posinv import (AttentionMode, Model, ModelConfig, SegmentedPrompt, enumerate_orders,
+                    init_random, oracle, run_suite)
+
+spec = json.loads(sys.argv[1])
+config = ModelConfig(**spec["config"])
+model = Model(config, init_random(config, 0))
+prompt = SegmentedPrompt(spec["prefix"], tuple(spec["docs"]), spec["suffix"])
+batches, batched = [], oracle._prefill
+
+def recording(model_, prompts, mode):
+    batches.append(len(prompts))
+    return batched(model_, prompts, mode)
+
+oracle._prefill = recording
+reports = {variant: run_suite(model, prompt, AttentionMode(variant), enumerate_orders(4, 24), 4)
+           for variant in spec["modes"]}
+print(json.dumps({"reports": {v: r.to_dict() for v, r in reports.items()},
+                  "batches": batches}))
+"""
+
+
+def test_batched_run_suite_bitwise_with_two_blas_threads():
+    # The reference model (4 layers, 8 query heads over 2 KV heads, d_head 32,
+    # d_ff 512) and a k = 4, n = 64 prompt: run_suite stacks several orders'
+    # rows in each weight product and relies on BLAS giving identical rows
+    # the same bits at any row offset, which threads could break.
+    config = ModelConfig(n_layers=4, n_heads=8, n_kv_heads=2, d_model=256, d_head=32,
+                         d_ff=512, vocab_size=260)
+    spec = {"config": vars(config), "prefix": "a city report\n",
+            "docs": ["river b", "the museum", "old harbor", "market"],
+            "suffix": "\nwhich was first?", "modes": ["pine", "sp"]}
+    n = tokenize(SegmentedPrompt(spec["prefix"], tuple(spec["docs"]), spec["suffix"]))[1].n
+    src = str(Path(posinv.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", SUITE_CHILD, json.dumps(spec)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["batches"] == [8] * 6  # 3 batches of 8 orders per mode
+    for variant, rep in out["reports"].items():
+        assert rep["permutations_tested"] == 24
+        assert rep["max_abs_logit_diff"] == 0.0, variant
+        assert rep["outputs_identical"], variant
+    report_pass(1, f"n={n}, k=4, 24 orders in batches of 8, 2 BLAS threads: bitwise invariant")
+
+
 def test_decode_step_logits_bitwise_invariant(lemma_model):
     # run_suite compares prefill logits and greedy tokens; this also pins
     # the logits of every decode step.

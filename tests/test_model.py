@@ -537,7 +537,7 @@ class TestLastLayerRows:
         rows = ref.plan.rows(0, layout.n, cfg.n_heads // cfg.n_kv_heads)
         x = model.weights["embed.weight"][np.asarray(tokens)[rows.index]]
         for layer in range(cfg.n_layers):
-            x = model_mod._layer_forward(model, x, layer, ref, rows)
+            x = model_mod._layer_forward(model, x, layer, [(ref, rows, slice(0, layout.n))])
         ref.n_cached = layout.n
         assert len(cache.k_base) == len(cache.v) == cfg.n_layers
         assert len(cache.k_raw) == len(ref.k_raw) == (cfg.n_layers if ref.plan.reorders else 0)
@@ -844,6 +844,70 @@ class TestStreamIsolation:
             assert solo[0][variant] != solo[1][variant]  # two streams that differ
             for how in ("interleaved", "threads"):
                 assert served[variant, how] == [s[variant] for s in solo], (variant, how)
+
+
+class TestBatchedStreams:
+    """One forward pass serves several streams: each stream gets the logits
+    and greedy tokens it gets alone, and one refused stream refuses the pass."""
+
+    CONFIG = ModelConfig(n_layers=3, n_heads=4, n_kv_heads=2, d_model=32, d_head=8,
+                         d_ff=64, vocab_size=260, max_seq_len=64)
+    # unequal lengths; the third has an empty suffix, so its last token sits
+    # in a document and every row runs through the last layer
+    PROMPTS = [("SYS: ", ("zeta doc", "alpha", "mid text"), " Q?"),
+               ("sys: ", ("mid text", "zeta doc", "alpha"), " longer Q!"),
+               ("s", ("one", "two words"), ""),
+               ("only a prefix", (), " and a suffix")]
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return Model(self.CONFIG, init_random(self.CONFIG, 6))
+
+    @pytest.mark.parametrize("variant", modes.VARIANTS)
+    def test_each_stream_matches_its_single_stream_pass(self, model, variant, monkeypatch):
+        mode = AttentionMode(variant)
+        prompts = [tokenize(SegmentedPrompt(*p)) for p in self.PROMPTS]
+        q_weights = model.weights[f"layers.{model.config.n_layers - 1}.q_proj.weight"]
+        last_q_rows, matmul = [], model_mod.matmul
+
+        def spying_matmul(a, b):
+            if b is q_weights:
+                last_q_rows.append(a.shape[0])
+            return matmul(a, b)
+
+        monkeypatch.setattr(model_mod, "matmul", spying_matmul)
+        caches, logits = model_mod._prefill(model, prompts, mode)
+        monkeypatch.undo()
+        # one last-layer query row per stream with a suffix, every row otherwise
+        assert last_q_rows == [sum([1, 1, prompts[2][1].n, 1])]
+        solo = [prefill(model, tokens, layout, mode) for tokens, layout in prompts]
+        for got, (_, want) in zip(logits, solo):
+            assert np.max(np.abs(got - want)) <= 1e-6
+        for _ in range(3):  # lockstep decode steps, each stream its own greedy token
+            toks = [[int(np.argmax(x))] for x in logits]
+            logits = model_mod._forward(model, caches, toks)
+            for got, (cache, _), tok in zip(logits, solo, toks):
+                assert np.max(np.abs(got - decode_step(model, cache, tok[0], mode))) <= 1e-6
+        caches, logits = model_mod._prefill(model, prompts, mode)
+        params = GenerationParams(max_new_tokens=5, mode=mode)
+        outs = model_mod._greedy_decode(model, caches, logits, params)
+        assert outs == [generate(model, tokens, layout, params) for tokens, layout in prompts]
+
+    def test_one_stream_past_max_seq_len_refuses_the_pass_before_any_compute(self, model,
+                                                                             monkeypatch):
+        mode = AttentionMode("pine")
+        prompts = [tokenize(SegmentedPrompt(*p)) for p in self.PROMPTS[:2]]
+        caches, _ = model_mod._prefill(model, prompts, mode)
+        full, _ = prefill(model, *tokenize(SegmentedPrompt("A" * self.CONFIG.max_seq_len, (), "")),
+                          mode)
+        caches.append(full)
+        before = [(c.n_cached, c.capacity) for c in caches]
+        products = []
+        monkeypatch.setattr(model_mod, "matmul", lambda a, b: products.append(1))
+        with pytest.raises(ShapeError, match="max_seq_len"):
+            model_mod._forward(model, caches, [[65]] * len(caches))
+        assert products == []
+        assert [(c.n_cached, c.capacity) for c in caches] == before
 
 
 class TestTieEmbeddingsConfig:

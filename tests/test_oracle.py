@@ -1,4 +1,6 @@
 import math
+import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -7,11 +9,11 @@ import pytest
 from posinv import (
     AttentionMode,
     Model,
+    ModelConfig,
     SegmentedPrompt,
     dense_reference,
     enumerate_orders,
     init_random,
-    permutation_vote,
     prefill,
     run_suite,
     tokenize,
@@ -121,6 +123,24 @@ class TestDenseReference:
             dense_reference(tiny_model, tokens, layout, AttentionMode("vanilla"))
 
 
+def permutation_vote(outputs: list[str], extractor: str) -> str:
+    """Modal extracted answer across generated texts; ties go to the
+    lexicographically smallest answer."""
+    if not outputs:
+        raise ValueError("permutation_vote: no outputs")
+    pattern = re.compile(extractor)
+    answers = []
+    for text in outputs:
+        m = pattern.search(text)
+        if m:
+            answers.append(m.group(1) if m.groups() else m.group(0))
+    if not answers:
+        raise ValueError(f"extractor {extractor!r} matched nothing in any output")
+    counts = Counter(answers)
+    best = max(counts.values())
+    return min(a for a, c in counts.items() if c == best)
+
+
 class TestPermutationVote:
     def test_majority(self):
         assert permutation_vote(["[[A]]", "[[A]]", "[[B]]"], r"\[\[([AB])\]\]") == "A"
@@ -143,14 +163,19 @@ class TestRunSuitePrefills:
 
         mode = AttentionMode("pine")
         orders = enumerate_orders(3, 10)
-        calls = []
+        calls, batched = [], model._prefill
 
         def counting_prefill(*args, **kwargs):
             calls.append(1)
             return prefill(*args, **kwargs)
 
+        def counting_streams(model_, prompts, mode_):
+            calls.extend(1 for _ in prompts)  # one per prefilled stream
+            return batched(model_, prompts, mode_)
+
         monkeypatch.setattr(oracle, "prefill", counting_prefill)
         monkeypatch.setattr(model, "prefill", counting_prefill)
+        monkeypatch.setattr(oracle, "_prefill", counting_streams)
         rep = run_suite(tiny_model, prompt, mode, orders, 5)
         assert len(calls) == len(orders)
         monkeypatch.undo()
@@ -158,3 +183,35 @@ class TestRunSuitePrefills:
         for perm, out in zip(orders, rep.greedy_outputs):
             tokens, layout = tokenize(permute_documents(prompt, perm))
             assert out == generate(tiny_model, tokens, layout, params)
+
+
+class TestRunSuiteBatches:
+    """run_suite prefills and decodes its orders in batches of one size: a
+    short last batch is padded with repeats of its last order, since a
+    product of another size may round a row differently."""
+
+    @pytest.mark.parametrize("variant", ["pcw", "sp", "pine", "pine_reverse"])
+    def test_uneven_split_stays_bitwise(self, variant, monkeypatch):
+        from posinv import model as model_mod
+        from posinv import oracle
+
+        config = ModelConfig(n_layers=2, n_heads=4, n_kv_heads=2, d_model=64, d_head=16,
+                             d_ff=128, vocab_size=260, max_seq_len=256)
+        model = Model(config, init_random(config, 5))
+        prompt = SegmentedPrompt("system: answer it\n",
+                                 ("alpha one", "bravo", "charlie three", "delta"), "\nwhich one?")
+        n = tokenize(prompt)[1].n
+        orders = enumerate_orders(4, 10, seed=1)
+        sizes, batched = [], model_mod._prefill
+
+        def recording(model_, prompts, mode_):
+            sizes.append(len(prompts))
+            return batched(model_, prompts, mode_)
+
+        monkeypatch.setattr(oracle, "_BATCH_ROWS", 3 * n)  # 10 orders: 3, 3, 3 and 1
+        monkeypatch.setattr(oracle, "_prefill", recording)
+        rep = run_suite(model, prompt, AttentionMode(variant), orders, 3)
+        assert sizes == [3, 3, 3, 3]
+        assert rep.permutations_tested == len(rep.greedy_outputs) == 10
+        assert rep.max_abs_logit_diff == 0.0
+        assert rep.outputs_identical
