@@ -18,15 +18,15 @@ prefill of one more row after the cached ones.  That row writes a column
 in place, after an unchanged plan's columns, and sees every cached key,
 so its one row block has no fill.  A forward pass plans its rows once,
 as one ``modes.Rows`` (``plan.rows``: their columns, row blocks and
-pine's query groups), and attention replays it, for one row or many
-alike.  It embeds its tokens in column order, so every layer runs in that
-order: only the embedding and the pick of the last token's row read a
-storage index.  Only that row's logits are read, so when it is the last
-of several rows (a prompt with a suffix), the last layer writes every
-row's keys and values but runs that row alone past them, planned as a
-decode step at its column is.  Every other pass, such as a prompt with an
-empty suffix, whose last token sits inside a document, runs every row
-through every layer.
+pine's query groups; a lone row's, the plan's kept one), and attention
+replays it, for one row or many alike.  It embeds its tokens in column
+order, so every layer runs in that order: only the embedding and the
+pick of the last token's row read a storage index.  Only that row's
+logits are read, so when it is the last of several rows (a prompt with a
+suffix), the last layer writes every row's keys and values but runs that
+row alone past them, planned as a decode step at its column is.  Every
+other pass, such as a prompt with an empty suffix, whose last token sits
+inside a document, runs every row through every layer.
 
 One pass serves one stream or several, each with its own cache, plan and
 tokens: the embedding, norms, projections, FFN, residual adds and LM head
@@ -300,7 +300,7 @@ class KVCache:
 
     Each layer keeps one buffer of [2, n_kv_heads, capacity, d_head] floats:
     per KV head, its keys rotated at their columns' base positions, held as
-    a [d_head, capacity] panel (``_halves``), so that every score product
+    a [d_head, capacity] panel (``halves``), so that every score product
     reads a unit-stride key operand, and its values as [capacity, d_head]
     rows.  Prefill sizes it to the prompt plus ``_HEADROOM`` columns; a step
     writes its columns in place, and a full buffer doubles, up to
@@ -319,6 +319,7 @@ class KVCache:
     buffers: list[np.ndarray] = field(default_factory=list)
     k_raw: list[np.ndarray] = field(default_factory=list)
     n_cached: int = 0
+    halves: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)  # buffers' views
 
     @property
     def capacity(self) -> int:
@@ -327,11 +328,11 @@ class KVCache:
 
     @property
     def k_base(self) -> list[np.ndarray]:
-        return [_halves(buf)[0][:, :, :self.n_cached] for buf in self.buffers]
+        return [keys[:, :, :self.n_cached] for keys, _ in self.halves]
 
     @property
     def v(self) -> list[np.ndarray]:
-        return [buf[1, :, :self.n_cached] for buf in self.buffers]
+        return [vals[:, :self.n_cached] for _, vals in self.halves]
 
     def write(self, layer: int, parts: tuple[np.ndarray, ...], limit: int) -> list:
         """Write one layer's next columns: ``parts`` are its raw keys, rotated
@@ -342,16 +343,17 @@ class KVCache:
         if layer == len(self.buffers):
             self.buffers.append(np.empty((2, n_kv, min(n + t + _HEADROOM, limit), d),
                                          dtype=parts[0].dtype))
+            self.halves.append(_halves(self.buffers[-1]))
             if self.plan.reorders:
                 raw = parts[0][self.plan.ranked_cols].transpose(1, 2, 0)
                 self.k_raw.append(np.ascontiguousarray(raw))
         buf = self.buffers[layer]
         if n + t > buf.shape[2]:
             grown = np.empty_like(buf, shape=(2, n_kv, min(max(n + t, 2 * buf.shape[2]), limit), d))
-            (keys, vals), (new_keys, new_vals) = _halves(buf), _halves(grown)
+            (keys, vals), (new_keys, new_vals) = self.halves[layer], _halves(grown)
             new_keys[:, :, :n], new_vals[:, :n] = keys[:, :, :n], vals[:, :n]
-            self.buffers[layer] = buf = grown
-        keys, vals = _halves(buf)
+            self.buffers[layer], self.halves[layer] = grown, (new_keys, new_vals)
+        keys, vals = self.halves[layer]
         keys[:, :, n:n + t] = parts[1].transpose(1, 2, 0)
         vals[:, n:n + t] = parts[2].swapaxes(0, 1)
         return [self.k_raw[layer] if self.k_raw else None, keys[:, :, :n + t], vals[:, :n + t]]
@@ -383,16 +385,16 @@ def _layer_forward(model: Model, x: np.ndarray, layer: int, streams: list,
     ``modes.rotate``: looked up there, as attention's query rotations are,
     so one hook sees both."""
     cfg = model.config
-    w = model.weights
+    w = model.weights.tensors
     p = f"layers.{layer}."
     h = rms_norm(x, w[p + "attn_norm.weight"], cfg.norm_eps)
     k = matmul(h, w[p + "k_proj.weight"]).reshape(-1, cfg.n_kv_heads, cfg.d_head)
     v = matmul(h, w[p + "v_proj.weight"]).reshape(-1, cfg.n_kv_heads, cfg.d_head)
     panels = []
     for cache, rows, sl in streams:
-        parts = (k[sl], modes.rotate(k[sl], rows.base, cfg.rope_theta), v[sl])
+        parts = (ks := k[sl], modes.rotate(ks, rows.base, cfg.rope_theta), v[sl])
         panels.append(cache.write(layer, parts, cfg.max_seq_len))
-    del k, v, parts  # the caches hold them now: free them before attention
+    del k, v, ks, parts  # the caches hold them now: free them before attention
     if tails is not None:
         keep, streams = tails
         x, h = _stack([x[sl] for sl in keep]), _stack([h[sl] for sl in keep])
@@ -428,7 +430,8 @@ def _forward(model: Model, caches: list[KVCache], tokens: list[list[int]]) -> li
         if s > cfg.max_seq_len:
             raise ShapeError(f"sequence length {s} exceeds max_seq_len {cfg.max_seq_len}")
         ids = np.asarray(toks)
-        if ids.dtype.kind not in "iu" or not ((ids >= 0) & (ids < cfg.vocab_size)).all():
+        if ids.dtype.kind not in "iu" or not all(
+                0 <= i < cfg.vocab_size for i in ids.ravel().tolist()):
             raise ShapeError(f"token ids must be integers in 0 .. {cfg.vocab_size - 1}")
         rows = cache.plan.rows(q_start, t, rep)
         streams.append((cache, rows, slice(at, at + t)))

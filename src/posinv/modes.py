@@ -22,7 +22,8 @@ It runs query rows in blocks, and a block scores only the key blocks
 (prefix, each document, suffix with the decoded tokens) that one of its
 rows can see.  ``AttentionPlan.rows`` plans a forward pass's rows once:
 ``row_blocks`` decides this from the key blocks alone and gives each
-block's hidden scores as slice fills, so attention builds no mask;
+block's hidden scores as slice fills, so attention builds no mask (a lone
+row past the documents takes the plan that the AttentionPlan keeps);
 ``build_mask``, the one definition of visibility, builds only the plan's
 block-to-block table.
 """
@@ -129,8 +130,7 @@ def assign_positions(mode: AttentionMode, layout: SequenceLayout, q_index: int,
         elif sorted(ordered_docs) != list(range(layout.k)):
             raise ValueError(f"ordered_docs {list(ordered_docs)} is not a permutation of "
                              f"the {layout.k} documents")
-        starts = np.array(pine.laid_out(ordered_docs, plan.doc_lens.tolist(),
-                                        layout.prefix_len, [0] * layout.k))
+        starts = np.array(pine.laid_out(ordered_docs, plan.doc_lens, layout.prefix_len, [0] * layout.k))
         base += np.where(plan.col_doc >= 0, starts[plan.col_doc], 0)
     pos = np.empty_like(base)
     pos[plan.order] = base  # each column back to its storage index
@@ -200,6 +200,7 @@ class AttentionPlan:
     """Where every key of one stream sits under one mode.  Built once per
     (layout, mode) and held by the KV cache, which stores its keys and
     values in the plan's column order, so attention reads them as views.
+    Like that cache, it serves one thread at a time: its counted sort keeps its row.
 
     Columns run: prefix, documents (``docs``: ``pine.canonical_order``, or
     storage order when ``mode.canonical`` is False), suffix, then decoded
@@ -241,12 +242,21 @@ class AttentionPlan:
         # The KV cache gathers them once, at prefill.
         self.ranked_cols = (slice(0, layout.suffix_start) if mode.canonical
                             else ranked[:layout.suffix_start])
-        self.doc_lens = np.array([layout.doc_len(j) for j in range(layout.k)], dtype=np.int64)
-        self.ranked_lens = self.doc_lens[self.ranked]
+        self.doc_lens = [layout.doc_len(j) for j in range(layout.k)]
+        self.ranked_lens = np.array(self.doc_lens, dtype=np.int64)[self.ranked]
         # each ranked document's first column, and each document's (first, end) columns
         self.ranked_starts = np.cumsum(self.ranked_lens) - self.ranked_lens
         self.ranked_spans = {j: (c, c + n) for j, c, n in zip(
             self.ranked, self.ranked_starts.tolist(), self.ranked_lens.tolist())}
+        # group_ordering's sort and each own document's (-1: none) candidates, as ranked positions
+        self.sort = pine.ranked_sort(mode.direction)
+        self.candidates = {j: [i for i, d in enumerate(self.ranked) if d != j]
+                           for j in range(-1, layout.k)}
+        self.shift_docs = np.array(self.docs, dtype=np.int64)
+        # ``rows``' kept plan of a lone row past the documents: the last run ends at the row
+        self.lone_runs = _join([(c0, c1 or layout.suffix_start + 1, i)
+                                for c0, c1, i in self.key_blocks])
+        self.lone_groups = pine.query_groups(np.full(1, -1), 0) if self.reorders else None
 
     def columns(self, c0: int, c1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Storage index, base position and document (-1: none) of columns c0 .. c1 - 1."""
@@ -260,11 +270,20 @@ class AttentionPlan:
         layers: their columns, ``row_blocks`` and, when the plan reorders,
         pine's query groups (a prefill's prefix rows are in none).  Rows
         that cut the documents are refused: they must start at 0 and take
-        the first ``suffix_start`` rows or more, or start at or after it."""
+        the first ``suffix_start`` rows or more, or start at or after it.
+        A lone row from ``suffix_start`` on (a decode step's, or a prefill's
+        last row) sees every key: it takes the plan kept at construction,
+        whose index, base position and last run's end alone are set here."""
         ss = self.layout.suffix_start
         if q_start < 0 or 0 < q_start < ss or (q_start == 0 and t < ss):
             raise ValueError(f"rows {q_start} .. {q_start + t - 1} cut the documents: they must "
                              f"start at 0 and take {ss} rows or more, or start at or after {ss}")
+        if t == 1 and q_start >= ss:
+            *runs, (c0, _, shift) = self.lone_runs
+            block = RowBlock(slice(0, 1), [*runs, (c0, q_start + 1, shift)], [(0, q_start + 1)],
+                             q_start + 1, [])
+            return Rows(q_start, np.array([q_start]), np.array([q_start + self.offset]), [block],
+                        self.lone_groups)
         index, base, doc = self.columns(q_start, q_start + t)
         groups = (pine.query_groups(doc, 0 if q_start else self.layout.prefix_len)
                   if self.reorders else None)
@@ -398,11 +417,12 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
     if plan.reorders:
         first = groups.first
         starts = pine.document_starts(q_raw[first:], k_raw, plan, groups)
-        pos = np.empty((1 + layout.k, t, n_heads), dtype=np.int64)
-        pos[...] = rows.base[:, None]
+        pos = np.empty((t, n_heads, 1 + layout.k), dtype=np.int64)
+        pos[...] = rows.base[:, None, None]
         for g0, g1, j in groups.owned:  # a document's rows sit at its start in their group's order
-            pos[:, first + g0:first + g1] += starts[g0, :, j]
-        pos[1:, first:] -= starts.transpose(2, 0, 1)[plan.docs]
+            pos[first + g0:first + g1] += starts[g0, :, j, None]
+        pos[first:, :, 1:] -= starts.take(plan.shift_docs, axis=2)
+        pos = pos.transpose(2, 0, 1)
     q = q_raw * (1.0 / np.sqrt(np.float32(d_head)))  # the softmax scale, on the queries
     out = np.empty((t, n_heads, d_head), dtype=q_raw.dtype)
     work = np.empty(n_kv * min(row_block(s, rep), t) * rep * s, dtype=q_raw.dtype)  # any block's

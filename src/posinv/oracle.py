@@ -80,7 +80,10 @@ def run_suite(
     prompt rows.  The last batch is padded to full size with repeats of
     its last order, whose results are dropped: BLAS gives identical rows
     the same bits at any row offset of one product, but not across
-    products of other sizes."""
+    products of other sizes.  Fewer than two distinct orders compare
+    nothing, and are refused with ``ValueError``."""
+    if len(set(map(tuple, orders))) < 2:
+        raise ValueError("run_suite needs at least 2 distinct document orders to compare")
     prompts = [tokenize(permute_documents(prompt, perm), bos=bos) for perm in orders]
     n_batches = max(1, -(-sum(layout.n for _, layout in prompts) // _BATCH_ROWS))
     size = -(-len(prompts) // n_batches)

@@ -11,10 +11,12 @@ layer at once, with batched matrix products per row block (a block
 inside one document's group skips that document's columns), then sorts
 and lays out each (group, head)'s documents in one loop.  It reads the
 raw keys as the KV cache holds them, a [n_kv_heads, d_head, columns]
-panel, and takes the groups that ``query_groups`` forms once per forward
-pass, so a decode step's lone row, a group of its own, runs the same
-path as a prefill's rows.  ``ranked_sort`` is the one counted comparator
-sort: it sorts ranked positions, whose order is the tie rule.
+panel, the groups that ``query_groups`` forms once per forward pass (a
+decode step's lone row, a group of its own, runs the same path as a
+prefill's rows), and the ``AttentionPlan``'s sort and candidates, so a
+decode step pays per layer one score product, the softmax's document
+masses and one counted sort per head.  ``ranked_sort`` is the one counted
+comparator sort: it sorts ranked positions, whose order is the tie rule.
 
 ``laid_out`` is the one rule that lays documents out: a document key
 sits at its document's start plus its offset inside the document.
@@ -128,8 +130,10 @@ class Ordering(NamedTuple):
     """What ``group_ordering`` gives the G query groups of a call at its H heads."""
 
     orders: list[list[list[int]]]  # [group][head]: the documents in key-block order
-    scores: np.ndarray  # [G, H, k] float64 by document; a group's own document scores 0
     starts: np.ndarray  # [G, H, k] int64: each document's ``laid_out`` start in the order
+    ranked_scores: np.ndarray  # [G, H, k] float64 by ranked position; own document 0
+    rank: np.ndarray  # each document's ranked position
+    scores = property(lambda self: self.ranked_scores.take(self.rank, axis=2))  # by document
 
 
 def document_starts(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
@@ -173,16 +177,15 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
     other block (one that straddles two groups, or holds suffix or decoded
     rows) makes one product over every document column and hides each
     group's own document by one slice fill of -inf.  ``_document_mass``
-    gives each document's share of the row's softmax.  Another ``reduceat``
-    takes each group's rows, which gives every group's scores at once.
-    Per (group, head) one ``ranked_sort``, built once per call, sorts the
-    candidates' ranked positions by the float64 score row, and ``laid_out``
-    lays the order out at once.  A decode step's lone row is one block and
-    one group.
+    gives each document's share of the row's softmax.  Where a group has
+    several rows, another ``reduceat`` takes each group's rows.  Per (group,
+    head) ``plan.sort``, the plan's ``ranked_sort``, sorts the group's
+    ``plan.candidates`` by the float64 score row, and ``laid_out`` lays the
+    order out at once.  ``scores`` are taken by document only when read.
     """
-    layout, mode = plan.layout, plan.mode
-    if layout.k < 2:
-        raise ValueError(f"group_ordering needs k >= 2 documents, got {layout.k}")
+    layout, mode, k = plan.layout, plan.mode, plan.layout.k
+    if k < 2:
+        raise ValueError(f"group_ordering needs k >= 2 documents, got {k}")
     reduce = np.maximum if mode.aggregation == "max" else np.add
     r, n_heads, d = q.shape
     n_kv = k_raw.shape[0]
@@ -190,7 +193,7 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
     keys = k_raw[:, :, layout.prefix_len:layout.suffix_start]  # [n_kv, d, cols]
     n_cols = keys.shape[2]  # every document column
     # as _document_mass gives them; zero where a block inside one group skips its document
-    totals = np.zeros((n_kv, r, rep, layout.k), dtype=q.dtype)
+    totals = np.zeros((n_kv, r, rep, k), dtype=q.dtype)
     # each KV head's query heads, scaled by the softmax's 1/sqrt(d)
     q_kv = (q * (1.0 / np.sqrt(np.float32(d)))).reshape(r, n_kv, rep, d).swapaxes(0, 1)
     block = row_block(layout.n, rep)
@@ -205,7 +208,7 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
                     mine = j  # every row of the block is in this group
                 hidden.append((max(g0 - b, 0), g1 - b, *plan.ranked_spans[j]))
         if mine is None:
-            logits = np.matmul(q_b, keys, out=work[:q_b[..., 0].size * n_cols].reshape(
+            logits = np.matmul(q_b, keys, out=work[:q_b.size // d * n_cols].reshape(
                 n_kv, -1, n_cols)).reshape(n_kv, -1, rep, n_cols)
             for g0, g1, c0, c1 in hidden:
                 logits[:, g0:g1, :, c0:c1] = NEG_INF
@@ -213,7 +216,7 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
         else:  # score only the other documents' columns
             c0, c1 = plan.ranked_spans[mine]
             width = n_cols - (c1 - c0)
-            logits = work[:q_b[..., 0].size * width].reshape(n_kv, -1, width)
+            logits = work[:q_b.size // d * width].reshape(n_kv, -1, width)
             np.matmul(q_b, keys[:, :, :c0], out=logits[:, :, :c0])
             np.matmul(q_b, keys[:, :, c1:], out=logits[:, :, c0:])
             i = plan.ranked.index(mine)
@@ -221,24 +224,25 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
                 [plan.ranked_starts[:i], plan.ranked_starts[i + 1:] - (c1 - c0)]))
             totals[:, rb, :, :i], totals[:, rb, :, i + 1:] = part[..., :i], part[..., i:]
     check_finite(totals, "group_ordering")
+    if len(groups.bounds) < r:  # some group has several rows: reduce them
+        totals = reduce.reduceat(totals, groups.bounds, axis=1)
     # [groups, n_heads, k] in float64, so the mean rounds as Python floats' division would
-    group_totals = reduce.reduceat(totals, groups.bounds, axis=1).swapaxes(0, 1).reshape(
-        -1, n_heads, layout.k).astype(np.float64)
-    if mode.aggregation == "mean":
-        group_totals /= plan.ranked_lens
-    sort, ranked, lens = ranked_sort(mode.direction), plan.ranked, plan.doc_lens.tolist()
-    orders, starts, base, k = [], [0] * group_totals.size, 0, layout.k
+    group_totals = totals.swapaxes(0, 1).reshape(-1, n_heads, k)
+    group_totals = (np.divide(group_totals, plan.ranked_lens, dtype=np.float64)
+                    if mode.aggregation == "mean" else group_totals.astype(np.float64))
+    sort, doc, lens, at = plan.sort, plan.ranked.__getitem__, plan.doc_lens, layout.prefix_len
+    orders, starts, base = [], [0] * group_totals.size, 0
     for j, rows in zip(groups.docs, group_totals.tolist()):
-        candidates = [i for i, doc in enumerate(ranked) if doc != j]  # ranked positions
+        candidates = plan.candidates[j]  # ranked positions
         own, per_head = [j] if j >= 0 else [], []
         for row in rows:
-            order = [*map(ranked.__getitem__, sort(row, candidates)), *own]
-            laid_out(order, lens, layout.prefix_len, starts, base)
+            order = [*map(doc, sort(row, candidates)), *own]
+            laid_out(order, lens, at, starts, base)
             per_head.append(order)
             base += k
         orders.append(per_head)
-    return Ordering(orders, group_totals.take(plan.rank, axis=2),
-                    np.array(starts, dtype=np.int64).reshape(group_totals.shape))
+    return Ordering(orders, np.array(starts, dtype=np.int64).reshape(group_totals.shape),
+                    group_totals, plan.rank)
 
 
 def _document_mass(logits: np.ndarray, reduce: np.ufunc, starts: np.ndarray) -> np.ndarray:

@@ -387,10 +387,11 @@ class TestRowBlocks:
     def test_masks_only_in_the_plan_and_one_block_plan_per_pass(self, tiny_config, variant,
                                                                  monkeypatch):
         # build_mask runs only while prefill builds the stream's AttentionPlan,
-        # and each forward pass plans its row blocks, and pine its query
-        # groups, once for all its layers: a prefill with a suffix plans its
-        # rows and, for the last layer, its last row alone, however deep the
-        # model; a decode step plans its one row.
+        # and a prefill plans its row blocks, and pine its query groups, once
+        # for all its layers, however deep the model.  A lone row past
+        # suffix_start (the prefill's last row, which its last layer runs
+        # alone, and every decode step's) takes the plan's kept plan, whose
+        # one query group the plan forms once: decoding plans nothing.
         tokens, layout = tokenize(SegmentedPrompt("SYS: ", ("alpha", "bravo two", "c"), " Q?"))
         mode = AttentionMode(variant)
         calls = {}
@@ -428,11 +429,12 @@ class TestRowBlocks:
                           "groups": 0})
             cache, logits = prefill(model, tokens, layout, mode)
             grouped = int(cache.plan.reorders)
-            assert calls == {"plan": 0, "mask in plan": 1, "mask elsewhere": 0, "row_blocks": 2,
-                             "groups": 2 * grouped}
-            decode_step(model, cache, int(np.argmax(logits)), mode)
-            assert calls == {"plan": 0, "mask in plan": 1, "mask elsewhere": 0, "row_blocks": 3,
-                             "groups": 3 * grouped}
+            planned = {"plan": 0, "mask in plan": 1, "mask elsewhere": 0, "row_blocks": 1,
+                       "groups": 2 * grouped}
+            assert calls == planned
+            for _ in range(3):
+                logits = decode_step(model, cache, int(np.argmax(logits)), mode)
+                assert calls == planned
 
     def test_blocks_that_cut_documents(self, monkeypatch):
         # Row blocks of 4 rows start and end inside documents.
@@ -728,6 +730,25 @@ class TestCacheBuffer:
                     [x[:, :s].tobytes() for x in cache.v] == held
             assert cache.n_cached <= cache.capacity <= config.max_seq_len
         assert 1 <= growths <= 3
+
+    @pytest.mark.parametrize("variant", modes.VARIANTS)
+    def test_decode_across_a_growth_equals_a_cache_with_room(self, tiny_config, variant,
+                                                              monkeypatch):
+        # Decode steps take the plan's kept lone-row plan; a buffer that grows
+        # under them must give the logits of one that never had to.
+        model = Model(tiny_config, init_random(tiny_config, 0))
+        tokens, layout = tokenize(SegmentedPrompt("SYS: ", ("alpha", "bravo two", "c"), " Q?"))
+        mode, steps = AttentionMode(variant), model_mod._HEADROOM + 6
+        grown, logits = prefill(model, tokens, layout, mode)
+        monkeypatch.setattr(model_mod, "_HEADROOM", tiny_config.max_seq_len)
+        roomy, _ = prefill(model, tokens, layout, mode)
+        buffer, capacity = grown.buffers[0], roomy.capacity
+        assert capacity >= layout.n + steps
+        for _ in range(steps):  # past the headroom: the first buffer grows
+            tok = int(np.argmax(logits))
+            logits = decode_step(model, grown, tok, mode)
+            assert decode_step(model, roomy, tok, mode).tobytes() == logits.tobytes()
+        assert grown.buffers[0] is not buffer and roomy.capacity == capacity
 
     def test_capacity_stops_at_max_seq_len(self, tiny_config):
         tokens, layout = tokenize(SegmentedPrompt("S", ("ab", "cd"), "q"))

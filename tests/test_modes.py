@@ -653,6 +653,32 @@ class TestBlockPlan:
         assert len(self.check(plan, 0, layout.n)) >= 3
 
 
+class TestKeptLonePlan:
+    """A lone row at or past suffix_start sees every key, so ``plan.rows``
+    gives it the plan the AttentionPlan keeps: it must equal the plan that
+    ``row_blocks``, ``columns`` and ``query_groups`` build for that row, at
+    every column a decode step can reach."""
+
+    MAX_SEQ_LEN = 96
+
+    @pytest.mark.parametrize("prefix, suffix", [("SYS: ", " Q?"), ("", " Q?"), ("SYS: ", "")])
+    @pytest.mark.parametrize("docs", [(), ("alpha",), ("alpha", "bravo two", "c")])
+    @pytest.mark.parametrize("canonical", [True, False])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_kept_plan_equals_the_general_plan(self, variant, canonical, docs, prefix, suffix):
+        _, layout = tokenize(SegmentedPrompt(prefix, docs, suffix))
+        plan = AttentionPlan(AttentionMode(variant, canonical=canonical), layout)
+        rep = 2
+        for c in range(max(layout.suffix_start, 1), self.MAX_SEQ_LEN):
+            got = plan.rows(c, 1, rep)
+            index, base, doc = plan.columns(c, c + 1)
+            assert got.start == c
+            for field, want in ((got.index, index), (got.base, base)):
+                assert field.dtype == want.dtype and np.array_equal(field, want), c
+            assert got.blocks == plan.row_blocks(c, 1, rep), c
+            assert got.groups == (query_groups(doc, 0) if plan.reorders else None), c
+
+
 class TestRowsMustNotCutDocuments:
     """Rows that start inside the prefix or the documents, or that stop
     short of the suffix, would read the wrong storage rows: ``plan.rows``

@@ -66,6 +66,13 @@ class TestRunSuite:
                 break
         assert found
 
+    @pytest.mark.parametrize("orders", [[], [(0, 1, 2)], [(2, 0, 1), (2, 0, 1)]])
+    def test_fewer_than_two_distinct_orders_refused(self, tiny_model, prompt, orders):
+        # One order, or one repeated, has no spread to measure: a verdict of
+        # "identical" would pass without testing anything.
+        with pytest.raises(ValueError, match="at least 2 distinct"):
+            run_suite(tiny_model, prompt, AttentionMode("vanilla"), orders, 2)
+
     def test_report_shape(self, tiny_model, prompt):
         rep = run_suite(tiny_model, prompt, AttentionMode("sp"), enumerate_orders(3, 10), 4)
         d = rep.to_dict()

@@ -519,7 +519,7 @@ class TestDocumentStarts:
         docs = tuple("abcdefgh"[j] * (1 + (3 * j) % 4) for j in range(k))
         _, layout = tokenize(SegmentedPrompt("S", docs, "QR"))
         plan = AttentionPlan(AttentionMode("pine", canonical=canonical), layout)
-        starts = laid_out(range(k), plan.doc_lens.tolist(), layout.prefix_len, [0] * k)
+        starts = laid_out(range(k), plan.doc_lens, layout.prefix_len, [0] * k)
         assert starts == [s for s, _ in layout.doc_spans]
 
     @pytest.mark.parametrize("canonical", [True, False])
