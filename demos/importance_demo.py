@@ -38,7 +38,7 @@ def main():
     plan = AttentionPlan(mode, layout)
     row = layout.suffix_start
     keys = np.ascontiguousarray(k[plan.order].transpose(1, 2, 0))
-    got = group_ordering(q[row : row + 1], keys, plan, query_groups(np.full(1, -1), 0))
+    got = group_ordering(q[row : row + 1], keys, [plan], query_groups(np.full(1, -1), 0))
     [[ordered]], [[scores]] = got.orders, got.scores
     print("length-normalized document scores:")
     for j, s in enumerate(scores):

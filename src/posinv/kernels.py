@@ -8,6 +8,8 @@ float32 is the working dtype; float64 is used only by oracle-side code.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 # Additive mask sentinel: exp(-inf) == 0 exactly after softmax.
@@ -29,6 +31,12 @@ class ShapeError(ValueError):
 
 class NumericError(FloatingPointError):
     """A kernel produced a non-finite value."""
+
+
+@lru_cache(maxsize=16)
+def softmax_scale(d_head: int) -> np.float32:
+    """1/sqrt(d_head) as the float32 scalar both attention passes scale their queries by."""
+    return np.float32(1.0 / np.sqrt(np.float32(d_head)))
 
 
 def check_finite(x: np.ndarray, where: str) -> np.ndarray:

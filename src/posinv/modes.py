@@ -37,7 +37,7 @@ from typing import Literal, NamedTuple, get_args
 import numpy as np
 
 from . import pine
-from .kernels import NEG_INF, check_finite, row_block, row_softmax
+from .kernels import NEG_INF, check_finite, row_block, row_softmax, softmax_scale
 from .prompts import SequenceLayout
 from .rope import rotate
 
@@ -131,7 +131,7 @@ def assign_positions(mode: AttentionMode, layout: SequenceLayout, q_index: int,
             raise ValueError(f"ordered_docs {list(ordered_docs)} is not a permutation of "
                              f"the {layout.k} documents")
         starts = np.array(pine.laid_out(ordered_docs, plan.doc_lens, layout.prefix_len, [0] * layout.k))
-        base += np.where(plan.col_doc >= 0, starts[plan.col_doc], 0)
+        base += np.where(plan.col_rank >= 0, starts[plan.ranked][plan.col_rank], 0)
     pos = np.empty_like(base)
     pos[plan.order] = base  # each column back to its storage index
     return pos
@@ -221,7 +221,8 @@ class AttentionPlan:
         self.order = ranked if mode.canonical else np.arange(layout.n)  # storage index per column
         pos = base_positions(mode, layout, layout.n + 1)
         self.base, self.offset = pos[self.order], int(pos[-1]) - layout.n
-        self.col_doc = pine.doc_id_array(layout, layout.n)[self.order]
+        col_doc = pine.doc_id_array(layout, layout.n)[self.order]
+        self.col_rank = np.append(self.rank, -1)[col_doc]  # each column's document's; -1: none
         # Key blocks: prefix, each document of ``docs``, then the suffix with
         # the decoded tokens (end None).  (first column, end column, query
         # shift): shift 1 + i for the i-th document when the plan reorders,
@@ -246,24 +247,33 @@ class AttentionPlan:
         self.ranked_lens = np.array(self.doc_lens, dtype=np.int64)[self.ranked]
         # each ranked document's first column, and each document's (first, end) columns
         self.ranked_starts = np.cumsum(self.ranked_lens) - self.ranked_lens
-        self.ranked_spans = {j: (c, c + n) for j, c, n in zip(
-            self.ranked, self.ranked_starts.tolist(), self.ranked_lens.tolist())}
-        # group_ordering's sort and each own document's (-1: none) candidates, as ranked positions
+        self.ranked_spans = [(c, c + n) for c, n in zip(self.ranked_starts.tolist(),
+                                                        self.ranked_lens.tolist())]
+        # group_ordering's sort and the candidates of each own ranked position (-1: none)
         self.sort = pine.ranked_sort(mode.direction)
-        self.candidates = {j: [i for i, d in enumerate(self.ranked) if d != j]
-                           for j in range(-1, layout.k)}
-        self.shift_docs = np.array(self.docs, dtype=np.int64)
+        self.candidates = {j: [i for i in range(layout.k) if i != j] for j in range(-1, layout.k)}
+        self.shift_ranks = self.rank[self.docs]  # the ranked position of each shift's document
         # ``rows``' kept plan of a lone row past the documents: the last run ends at the row
         self.lone_runs = _join([(c0, c1 or layout.suffix_start + 1, i)
                                 for c0, c1, i in self.key_blocks])
         self.lone_groups = pine.query_groups(np.full(1, -1), 0) if self.reorders else None
+        # Everything that ``rows`` and attention read of the plan but a stream's own
+        # positions and document ids: the key blocks and ``sees``, and when the
+        # plan reorders, its documents in ranked positions.  Streams whose plans
+        # have one shape share one attention call.  Under canonical reduction the
+        # orders of one document set have one shape unless ``sees`` differs (vanilla).
+        ranked = (tuple(self.ranked_lens.tolist()), tuple(self.shift_ranks.tolist()))
+        self.shape = (mode, layout.n, layout.k, layout.prefix_len, layout.suffix_start,
+                      tuple(self.key_blocks), self.sees.tobytes(),
+                      ranked if self.reorders else None)
 
     def columns(self, c0: int, c1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Storage index, base position and document (-1: none) of columns c0 .. c1 - 1."""
+        """Storage index, base position and ranked position of the document (-1:
+        none) of columns c0 .. c1 - 1."""
         past = np.arange(max(c0, self.layout.n), c1)
         return (np.concatenate([self.order[c0:c1], past]),
                 np.concatenate([self.base[c0:c1], past + self.offset]),
-                np.concatenate([self.col_doc[c0:c1], np.full(len(past), -1)]))
+                np.concatenate([self.col_rank[c0:c1], np.full(len(past), -1)]))
 
     def rows(self, q_start: int, t: int, rep: int) -> Rows:
         """Plan rows q_start .. q_start + t - 1 once for a forward pass's
@@ -354,37 +364,44 @@ def _join(runs: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
     return joined
 
 
-def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray | None,
-                      v: np.ndarray, k_base: np.ndarray, rows: Rows,
+def attention_forward(plans: list[AttentionPlan], q_raw: np.ndarray, k_raw: np.ndarray | None,
+                      v: np.ndarray, k_base: np.ndarray, rows: list[Rows],
                       rope_theta: float) -> np.ndarray:
-    """One layer of multi-head attention under ``plan.mode``.
+    """One layer of multi-head attention under the mode of ``plans``, the
+    plans of S streams that share one ``AttentionPlan.shape``, in one call.
 
-    q_raw: [t, n_heads, d_head] pre-rotation queries of the t rows of
-    ``rows``, the forward pass's ``plan.rows``, in column order.  The keys
-    and values of every cached token up to the last row, in column order,
-    are the panels the KV cache holds: k_base, [n_kv_heads, d_head, s], the
-    keys rotated at base positions, and v, [n_kv_heads, s, d_head]; each is
-    read as it is, the keys as the unit-stride operand of every score
-    product.  k_raw, the raw keys before the suffix as the KV cache holds
-    them ([n_kv_heads, d_head, columns]: ``plan.ranked_cols`` of the
-    columns), is read only when ``plan.reorders``, and may be None
-    elsewhere.  Returns the rows in column order.  Queries or keys that do
-    not match ``rows`` raise ``ValueError``.
+    ``rows``: each stream's ``plan.rows`` of the forward pass, the same rows
+    of each; the first stream's row blocks and query groups serve every
+    stream, and each keeps its own base positions.  q_raw: [S * t, n_heads,
+    d_head] pre-rotation queries of each stream's t rows in column order,
+    stacked stream after stream.  The keys and values of every cached token
+    up to the last row, in column order, are the panels the KV caches hold,
+    each stream's KV heads after the last's: k_base, [S * n_kv_heads,
+    d_head, s], the keys rotated at base positions, and v, [S * n_kv_heads,
+    s, d_head]; one stream's are its cache's views.  Each is read as it is,
+    the keys as the unit-stride operand of every score product.  k_raw,
+    the raw keys before the suffix as the KV caches hold them ([S *
+    n_kv_heads, d_head, columns]: ``plan.ranked_cols`` of the columns), is
+    read only when the plans reorder, and may be None elsewhere.  Returns
+    the rows as q_raw stacks them.  Queries or keys that do not match
+    ``rows`` raise ``ValueError``.
 
-    The rows run in the blocks of ``rows.blocks``, every KV head in one
-    pass; each block scores only the columns its plan keeps for
-    its rows (whole key blocks that other rows of the block see, its own
-    block up to its last row), with one score product per run of kept
-    columns and one value product per contiguous span, each batched over
-    the KV heads.  The queries are scaled by 1/sqrt(d_head) once, before
-    any product, so the scores arrive scaled.  Scores go into one
-    workspace per call, of one row block per KV head; the block's fills
-    set its hidden keys to NEG_INF there, ``row_softmax`` exponentiates
-    them in place, and the [rows, d_head] value products are divided by
-    the row sums.  Each head takes the rows and columns a block of that
-    head alone would, so its output is bitwise the same.  A lone suffix or
-    decoded row sees every earlier key in every mode, so a decode step is
-    one block with no fill.
+    The rows run in the blocks of the shared rows, every stream and KV head
+    in one pass; each block scores only the columns its plan keeps for its
+    rows (whole key blocks that other rows of the block see, its own block
+    up to its last row), with one score product per run of kept columns and
+    one value product per contiguous span, each batched over the streams'
+    KV heads.  The queries are scaled by ``kernels.softmax_scale`` once,
+    before any product, so the scores arrive scaled.  Scores go into one
+    workspace per call, of one row block per KV head of each stream; the
+    block's fills set its hidden keys to NEG_INF there, ``row_softmax``
+    exponentiates them in place, and the [rows, d_head] value products are
+    divided by the row sums.  Each (stream, head) takes the rows and
+    columns a block of that head alone would, so its output is bitwise the
+    same: streams share only the plan structure that was compared equal,
+    never a score, a sort or an output.  A lone suffix or decoded row sees
+    every earlier key in every mode, so a decode step is one block with no
+    fill.
 
     No key is rotated again: RoPE scores depend only on relative positions,
     <R(p)q, R(c + o)k> = <R(p - c)q, R(o)k>, so a key block at base offset o
@@ -392,53 +409,62 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
     block's queries are rotated to all their shifts in one ``rotate``; when
     the plan does not reorder, there is one shift, and its heads share one
     phase per row.  Only the re-assigning modes have blocks with c != 0:
-    ``pine.document_starts`` scores every (query head, row) of ``rows.groups``
-    against every document in one importance pass and gives each document's
-    start in the row's group order.  With
+    ``pine.document_starts`` scores every (stream, query head, row) of the
+    query groups against every document in one importance pass and gives
+    each ranked position's start in the row's group order.  With
     ``mode.canonical`` the kept columns depend only on the column order, so
     every block of rows makes the same products, on keys in the same
     columns, whatever the document order: bitwise invariance.
     """
+    plan, shared = plans[0], rows[0]
     mode, layout = plan.mode, plan.layout
-    t, n_heads, d_head = q_raw.shape
-    n_kv, s = v.shape[:2]
+    n_streams, (n, n_heads, d_head), (m, s) = len(plans), q_raw.shape, v.shape[:2]
+    t, n_kv = len(shared.index), m // n_streams  # m: every stream's KV heads
     rep = n_heads // n_kv
-    if t != len(rows.index) or s != rows.start + t or k_base.shape[2] != s:
-        raise ValueError(f"{t} queries and {s} keys do not match the {len(rows.index)} rows "
-                         f"from {rows.start}")
+    if (n != n_streams * t or s != shared.start + t or k_base.shape[2] != s
+            or len(rows) != n_streams):
+        raise ValueError(f"{n} queries and {s} keys of {n_streams} streams do not match the "
+                         f"{len(rows)} x {t} rows from {shared.start}")
     late = None  # sp's rows at or after suffix_start
     if mode.rescales and layout.k > 1:
-        late = np.arange(rows.start, s) >= layout.suffix_start
-    # The position p - c each query is rotated to per key block shift c: [1, t]
-    # when the plan does not reorder, else [shifts, t, n_heads]: shift 0, then
+        late = np.arange(shared.start, s) >= layout.suffix_start
+    # The position p - c each query is rotated to per key block shift c: [1, S * t]
+    # when the plan does not reorder, else [shifts, S * t, n_heads]: shift 0, then
     # each document's start in ``plan.docs`` order.  The rows before
     # ``groups.first`` (the prefix's) keep their input positions.
-    pos, groups = rows.base[None], rows.groups
+    base = shared.base if n_streams == 1 else np.concatenate([r.base for r in rows])
+    pos, groups = base[None], shared.groups
     if plan.reorders:
         first = groups.first
-        starts = pine.document_starts(q_raw[first:], k_raw, plan, groups)
-        pos = np.empty((t, n_heads, 1 + layout.k), dtype=np.int64)
-        pos[...] = rows.base[:, None, None]
+        q_groups = q_raw.reshape(n_streams, t, n_heads, d_head)[:, first:]
+        starts = pine.document_starts(q_groups.reshape(-1, n_heads, d_head), k_raw, plans,
+                                      groups).reshape(n_streams, t - first, n_heads, layout.k)
+        each = np.empty((n_streams, t, n_heads, 1 + layout.k), dtype=np.int64)  # per stream
+        each[...] = pos.reshape(n_streams, t, 1, 1)
         for g0, g1, j in groups.owned:  # a document's rows sit at its start in their group's order
-            pos[first + g0:first + g1] += starts[g0, :, j, None]
-        pos[first:, :, 1:] -= starts.take(plan.shift_docs, axis=2)
-        pos = pos.transpose(2, 0, 1)
-    q = q_raw * (1.0 / np.sqrt(np.float32(d_head)))  # the softmax scale, on the queries
-    out = np.empty((t, n_heads, d_head), dtype=q_raw.dtype)
-    work = np.empty(n_kv * min(row_block(s, rep), t) * rep * s, dtype=q_raw.dtype)  # any block's
-    for rb, runs, spans, width, fills in rows.blocks:
-        # The block's queries rotated to each shift in one call: [shifts, rows, n_heads, d].
-        q_rot = rotate(q[None, rb], pos[:, rb], rope_theta)
-        # Each KV head's query heads, one [n_kv, rows * rep, d] operand per shift
-        # (a view for one row).
-        q_rot = list(q_rot.reshape(len(q_rot), -1, n_kv, rep, d_head).swapaxes(1, 2).reshape(
-            len(q_rot), n_kv, -1, d_head))
-        scores = work[:q_rot[0].size // d_head * width].reshape(n_kv, -1, width)
+            each[:, first + g0:first + g1] += starts[:, g0, None, :, j, None]
+        each[:, first:, :, 1:] -= starts.take(plan.shift_ranks, axis=3)
+        pos = each.reshape(n, n_heads, -1).transpose(2, 0, 1)
+    q = q_raw * softmax_scale(d_head)
+    out = np.empty_like(q)
+    work = np.empty(m * min(row_block(s, rep), t) * rep * s, dtype=q_raw.dtype)  # any block's
+    for rb, runs, spans, width, fills in shared.blocks:
+        # The block's rows of every stream: a slice when there is one stream, or
+        # when the block holds every row.
+        sel = rb if n_streams == 1 else slice(0, n) if rb.stop - rb.start == t else (
+            np.arange(0, n, t)[:, None] + np.arange(t)[rb]).ravel()
+        # The block's queries rotated to each shift in one call: [shifts, S * rows, n_heads, d].
+        q_rot = rotate(q[None, sel], pos[:, sel], rope_theta)
+        # Each stream's KV heads' query heads, one [S * n_kv, rows * rep, d] operand
+        # per shift (a view for one row of one stream).
+        q_rot = list(q_rot.reshape(len(q_rot), n_streams, -1, n_kv, rep, d_head).swapaxes(2, 3)
+                     .reshape(len(q_rot), m, -1, d_head))
+        scores = work[:q_rot[0].size // d_head * width].reshape(m, -1, width)
         at = 0
         for c0, c1, i in runs:
             np.matmul(q_rot[i], k_base[:, :, c0:c1], out=scores[:, :, at:at + c1 - c0])
             at += c1 - c0
-        scores = scores.reshape(n_kv, -1, rep, width)
+        scores = scores.reshape(m, -1, rep, width)
         for fill_rows, cols, after in fills:
             if after is None:
                 scores[:, fill_rows, :, cols] = NEG_INF
@@ -448,16 +474,15 @@ def attention_forward(plan: AttentionPlan, q_raw: np.ndarray, k_raw: np.ndarray 
         if late is not None and late[rb].any():
             # A block with late rows keeps columns 0 .. its last row.  sp_rescale
             # renormalizes their exponentials, so their outputs take no division.
-            e, sums = e.reshape(scores.shape), sums.reshape(n_kv, -1, rep, 1)
+            e, sums = e.reshape(scores.shape), sums.reshape(m, -1, rep, 1)
             e[:, late[rb]] = sp_rescale(e[:, late[rb]], layout)
             sums[:, late[rb]] = 1
-        e, at = e.reshape(n_kv, -1, width), 0
+        e, at = e.reshape(m, -1, width), 0
         for c0, c1 in spans:  # the [rows, d_head] value products, one per span
             part = e[:, :, at:at + c1 - c0] @ v[:, c0:c1]
             acc = part if at == 0 else acc + part
             at += c1 - c0
-        acc /= sums.reshape(n_kv, -1, 1)
-        out[rb] = acc.reshape(n_kv, -1, rep, d_head).swapaxes(0, 1).reshape(
+        acc /= sums.reshape(m, -1, 1)
+        out[sel] = acc.reshape(n_streams, n_kv, -1, rep, d_head).transpose(0, 2, 1, 3, 4).reshape(
             -1, n_heads, d_head)
     return check_finite(out, "attention")
-

@@ -94,14 +94,7 @@ def run_suite(
         caches, logits = _prefill(model, batch + batch[-1:] * (size - len(batch)), mode)
         logit_sets += logits[:len(batch)]
         outputs += _greedy_decode(model, caches, logits, params)[:len(batch)]
-    max_diff = 0.0
-    witness = None
-    for a in range(len(orders)):
-        for b in range(a + 1, len(orders)):
-            d = float(np.max(np.abs(logit_sets[a] - logit_sets[b])))
-            if d > max_diff:
-                max_diff = d
-                witness = (a, b)
+    max_diff, witness = spread(logit_sets)
     identical = all(o == outputs[0] for o in outputs)
     return DivergenceReport(
         mode=mode.variant,
@@ -111,6 +104,28 @@ def run_suite(
         greedy_outputs=outputs,
         witness_pair=witness,
     )
+
+
+def spread(logit_sets: list[np.ndarray]) -> tuple[float, tuple[int, int] | None]:
+    """The largest |difference| between two of the rows, over every pair and
+    entry, and the lexicographically first pair (a < b) that reaches it;
+    None when every row is equal.  One reduction: float32 rounding is
+    monotonic, so the largest rounded difference of an entry is its rounded
+    max minus min, and only entries whose range reaches the maximum can
+    give a pair that does.  Row a reaches it when its farthest later row,
+    the later maximum or minimum, does in such an entry."""
+    x = np.stack(logit_sets)
+    ranges = np.max(x, axis=0) - np.min(x, axis=0)
+    top = ranges.max()
+    if not top > 0:
+        return 0.0, None
+    hot = x[:, ranges == top]  # [rows, the entries whose range reaches top]
+    later_max = np.maximum.accumulate(hot[::-1], axis=0)[::-1][1:]
+    later_min = np.minimum.accumulate(hot[::-1], axis=0)[::-1][1:]
+    reach = np.maximum(later_max - hot[:-1], hot[:-1] - later_min) == top
+    a = int(np.argmax(reach.any(axis=1)))
+    b = a + 1 + int(np.argmax((np.abs(hot[a + 1:] - hot[a]) == top).any(axis=1)))
+    return float(top), (a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,21 @@ query.  Everything here is computed per layer and per head from
 pre-rotation queries and keys, which is what makes the resulting
 ordering independent of the input document order.  ``group_ordering``
 is the one scorer: it scores the documents for every query group of a
-layer at once, with batched matrix products per row block (a block
-inside one document's group skips that document's columns), then sorts
-and lays out each (group, head)'s documents in one loop.  It reads the
-raw keys as the KV cache holds them, a [n_kv_heads, d_head, columns]
-panel, the groups that ``query_groups`` forms once per forward pass (a
+layer at once, for one stream or for several whose plans share one
+shape, with batched matrix products per row block (a block inside one
+document's group skips that document's columns), then sorts and lays
+out each (stream, group, head)'s documents in one loop.  It reads the
+raw keys as the KV caches hold them, [n_kv_heads, d_head, columns]
+panels, the groups that ``query_groups`` forms once per forward pass (a
 decode step's lone row, a group of its own, runs the same path as a
 prefill's rows), and the ``AttentionPlan``'s sort and candidates, so a
 decode step pays per layer one score product, the softmax's document
-masses and one counted sort per head.  ``ranked_sort`` is the one counted
-comparator sort: it sorts ranked positions, whose order is the tie rule.
+masses and one counted sort per head.  Groups, candidates, scores and
+starts are all held in ranked positions (indices into
+``canonical_order``), which the orders of one document set share under
+canonical reduction; input document ids appear only when an
+``Ordering`` is read.  ``ranked_sort`` is the one counted comparator
+sort: it sorts ranked positions, whose order is the tie rule.
 
 ``laid_out`` is the one rule that lays documents out: a document key
 sits at its document's start plus its offset inside the document.
@@ -32,7 +37,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Literal, NamedTuple, Seque
 
 import numpy as np
 
-from .kernels import NEG_INF, check_finite, row_block, row_softmax
+from .kernels import NEG_INF, row_block, row_softmax, softmax_scale
 from .prompts import SequenceLayout
 
 if TYPE_CHECKING:
@@ -109,16 +114,20 @@ class QueryGroups(NamedTuple):
     """The query groups of a forward pass's rows, which ``query_groups``
     forms once for every layer: consecutive rows of one document form one
     group, and every other row is its own.  Rows are counted from
-    ``first``: the rows before it (a prefill's prefix) have no group."""
+    ``first``: the rows before it (a prefill's prefix) have no group.  A
+    group's document is its ranked position (an index into
+    ``canonical_order``), so every order of one document set under
+    canonical reduction has the same groups."""
 
     first: int
     bounds: list[int]  # each group's first row
-    docs: list[int]  # each group's own document (-1: none)
-    owned: list[tuple[int, int, int]]  # (first row, end row, document) of each group with one
+    docs: list[int]  # each group's own document's ranked position (-1: none)
+    owned: list[tuple[int, int, int]]  # (first row, end row, ranked position) of each owned group
 
 
 def query_groups(own: np.ndarray, first: int) -> QueryGroups:
-    """The groups of rows ``first`` on, given each row's own document (-1: none)."""
+    """The groups of rows ``first`` on, given each row's own document's
+    ranked position (-1: none)."""
     mine = own[first:].tolist()
     bounds = [i for i, j in enumerate(mine) if j < 0 or i == 0 or j != mine[i - 1]]
     docs = [mine[i] for i in bounds]
@@ -127,23 +136,38 @@ def query_groups(own: np.ndarray, first: int) -> QueryGroups:
 
 
 class Ordering(NamedTuple):
-    """What ``group_ordering`` gives the G query groups of a call at its H heads."""
+    """What ``group_ordering`` gives the G query groups of each of its S
+    streams at H heads, the streams' groups one after another."""
 
-    orders: list[list[list[int]]]  # [group][head]: the documents in key-block order
-    starts: np.ndarray  # [G, H, k] int64: each document's ``laid_out`` start in the order
-    ranked_scores: np.ndarray  # [G, H, k] float64 by ranked position; own document 0
-    rank: np.ndarray  # each document's ranked position
-    scores = property(lambda self: self.ranked_scores.take(self.rank, axis=2))  # by document
+    ranked_orders: list[list[list[int]]]  # [stream's group][head]: key-block order, ranked
+    starts: np.ndarray  # [S * G, H, k] int64: each ranked position's ``laid_out`` start
+    ranked_scores: np.ndarray  # [S * G, H, k] float64 by ranked position; own document 0
+    plans: list[AttentionPlan]  # each stream's, whose ``ranked`` and ``rank`` give its documents
+
+    @property
+    def orders(self) -> list[list[list[int]]]:
+        """[stream's group][head]: the documents in key-block order."""
+        size = len(self.ranked_orders) // len(self.plans)  # groups per stream
+        return [[[self.plans[g // size].ranked[i] for i in order] for order in per_head]
+                for g, per_head in enumerate(self.ranked_orders)]
+
+    @property
+    def scores(self) -> np.ndarray:
+        """[S * G, H, k] the scores by document."""
+        per_stream = np.split(self.ranked_scores, len(self.plans))
+        return np.concatenate([s.take(p.rank, axis=2) for s, p in zip(per_stream, self.plans)])
 
 
-def document_starts(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
+def document_starts(q: np.ndarray, k_raw: np.ndarray, plans: list[AttentionPlan],
                     groups: QueryGroups) -> np.ndarray:
-    """Start of every document for each query row and head, k >= 2:
+    """Start of every ranked position for each query row and head, k >= 2:
     [len(q), n_heads, k], each row's group's ``group_ordering`` starts
-    (``q``, the rows of ``groups``, and ``k_raw`` as it reads them)."""
-    starts = group_ordering(q, k_raw, plan, groups).starts
+    (``q``, the rows of ``groups`` of each stream stacked, and ``k_raw``
+    as it reads them)."""
+    starts = group_ordering(q, k_raw, plans, groups).starts
     if len(starts) < len(q):  # a group of several rows: each row takes its group's starts
-        starts = np.repeat(starts, np.diff([*groups.bounds, len(q)]), axis=0)
+        sizes = np.diff([*groups.bounds, len(q) // len(plans)])
+        starts = np.repeat(starts, np.tile(sizes, len(plans)), axis=0)
     return starts
 
 
@@ -158,49 +182,57 @@ def laid_out(order: Iterable[int], lens: Sequence[int], at: int, starts: list[in
     return starts
 
 
-def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
+def group_ordering(q: np.ndarray, k_raw: np.ndarray, plans: list[AttentionPlan],
                    groups: QueryGroups) -> Ordering:
-    """Document order, scores and starts of every query group at every head, k >= 2.
+    """Document order, scores and starts of every query group at every
+    head, k >= 2, for S streams whose plans share one ``shape``: their
+    groups, documents' lengths and candidates are the same in ranked
+    positions, and the first plan's serve them all.
 
-    q: [r, n_heads, d] pre-rotation query rows, the rows of ``groups``;
-    k_raw: [n_kv_heads, d, c], the raw keys of at least the columns before
-    the suffix as the KV cache holds them, a unit-stride panel with the
-    documents in ``plan.ranked`` order (``plan.ranked_cols`` of the
-    columns; the column order itself when canonical).  A group's own
+    q: [S * r, n_heads, d] pre-rotation query rows, the rows of ``groups``
+    of each stream, stacked; k_raw: [S * n_kv_heads, d, c], each stream's
+    raw keys of at least the columns before the suffix as its KV cache
+    holds them, unit-stride panels with the documents in ranked order
+    (``plan.ranked_cols`` of the columns; the column order itself when
+    canonical), each stream's KV heads after the last's.  A group's own
     document is never a candidate and comes last in its order; aggregation
-    and sort direction are ``plan.mode``'s.  The queries, scaled by
-    1/sqrt(d), are scored against the document keys (one slice of
-    ``k_raw``) per ``row_block`` of rows (for n keys), into one workspace,
-    batched over the KV heads.  A block whose rows all lie
-    in one document's group scores only the other documents' columns, one
-    product on each side of that document's span, and gives it 0; any
-    other block (one that straddles two groups, or holds suffix or decoded
-    rows) makes one product over every document column and hides each
-    group's own document by one slice fill of -inf.  ``_document_mass``
-    gives each document's share of the row's softmax.  Where a group has
-    several rows, another ``reduceat`` takes each group's rows.  Per (group,
-    head) ``plan.sort``, the plan's ``ranked_sort``, sorts the group's
-    ``plan.candidates`` by the float64 score row, and ``laid_out`` lays the
-    order out at once.  ``scores`` are taken by document only when read.
+    and sort direction are the mode's.  The queries, scaled by
+    ``kernels.softmax_scale``, are scored against the document keys (one
+    slice of ``k_raw``) per ``row_block`` of rows (for n keys), into one
+    workspace, every stream's KV heads in one product.  A block whose rows
+    all lie in one document's group scores only the other documents'
+    columns, one product on each side of that document's span, and gives
+    it 0; any other block (one that straddles two groups, or holds suffix
+    or decoded rows) makes one product over every document column and
+    hides each group's own document by one slice fill of -inf.
+    ``_document_mass`` gives each document's share of the row's softmax.
+    Where a group has several rows, another ``reduceat`` takes each group's
+    rows.  Per (stream, group, head) ``plan.sort``, the plan's
+    ``ranked_sort``, sorts the group's ``plan.candidates`` by the float64
+    score row, and ``laid_out`` lays the order out at once.  The
+    ``Ordering`` turns orders and scores into documents, through each
+    stream's own plan, only when they are read.
     """
+    plan = plans[0]
     layout, mode, k = plan.layout, plan.mode, plan.layout.k
     if k < 2:
         raise ValueError(f"group_ordering needs k >= 2 documents, got {k}")
     reduce = np.maximum if mode.aggregation == "max" else np.add
-    r, n_heads, d = q.shape
-    n_kv = k_raw.shape[0]
+    n_streams, (rows, n_heads, d), m = len(plans), q.shape, k_raw.shape[0]
+    r, n_kv = rows // n_streams, m // n_streams  # m: every stream's KV heads
     rep = n_heads // n_kv
-    keys = k_raw[:, :, layout.prefix_len:layout.suffix_start]  # [n_kv, d, cols]
+    keys = k_raw[:, :, layout.prefix_len:layout.suffix_start]  # [m, d, cols]
     n_cols = keys.shape[2]  # every document column
     # as _document_mass gives them; zero where a block inside one group skips its document
-    totals = np.zeros((n_kv, r, rep, k), dtype=q.dtype)
-    # each KV head's query heads, scaled by the softmax's 1/sqrt(d)
-    q_kv = (q * (1.0 / np.sqrt(np.float32(d)))).reshape(r, n_kv, rep, d).swapaxes(0, 1)
+    totals = np.zeros((m, r, rep, k), dtype=q.dtype)
+    # each stream's KV heads' query heads, scaled by the softmax's 1/sqrt(d)
+    q_kv = (q * softmax_scale(d)).reshape(n_streams, r, n_kv, rep, d).swapaxes(1, 2).reshape(
+        m, r, rep, d)
     block = row_block(layout.n, rep)
-    work = np.empty(n_kv * min(block, r) * rep * n_cols, dtype=q.dtype)  # every block's logits
+    work = np.empty(m * min(block, r) * rep * n_cols, dtype=q.dtype)  # every block's logits
     for b in range(0, r, block):
         rb = slice(b, b + block)
-        q_b = q_kv[:, rb].reshape(n_kv, -1, d)
+        q_b = q_kv[:, rb].reshape(m, -1, d)
         mine, hidden = None, []
         for g0, g1, j in groups.owned:  # each group's own document
             if g0 < b + block and g1 > b:
@@ -209,40 +241,41 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan,
                 hidden.append((max(g0 - b, 0), g1 - b, *plan.ranked_spans[j]))
         if mine is None:
             logits = np.matmul(q_b, keys, out=work[:q_b.size // d * n_cols].reshape(
-                n_kv, -1, n_cols)).reshape(n_kv, -1, rep, n_cols)
+                m, -1, n_cols)).reshape(m, -1, rep, n_cols)
             for g0, g1, c0, c1 in hidden:
                 logits[:, g0:g1, :, c0:c1] = NEG_INF
             totals[:, rb] = _document_mass(logits, reduce, plan.ranked_starts)
         else:  # score only the other documents' columns
             c0, c1 = plan.ranked_spans[mine]
             width = n_cols - (c1 - c0)
-            logits = work[:q_b.size // d * width].reshape(n_kv, -1, width)
+            logits = work[:q_b.size // d * width].reshape(m, -1, width)
             np.matmul(q_b, keys[:, :, :c0], out=logits[:, :, :c0])
             np.matmul(q_b, keys[:, :, c1:], out=logits[:, :, c0:])
-            i = plan.ranked.index(mine)
-            part = _document_mass(logits.reshape(n_kv, -1, rep, width), reduce, np.concatenate(
-                [plan.ranked_starts[:i], plan.ranked_starts[i + 1:] - (c1 - c0)]))
-            totals[:, rb, :, :i], totals[:, rb, :, i + 1:] = part[..., :i], part[..., i:]
-    check_finite(totals, "group_ordering")
+            part = _document_mass(logits.reshape(m, -1, rep, width), reduce, np.concatenate(
+                [plan.ranked_starts[:mine], plan.ranked_starts[mine + 1:] - (c1 - c0)]))
+            totals[:, rb, :, :mine] = part[..., :mine]
+            totals[:, rb, :, mine + 1:] = part[..., mine:]
     if len(groups.bounds) < r:  # some group has several rows: reduce them
         totals = reduce.reduceat(totals, groups.bounds, axis=1)
-    # [groups, n_heads, k] in float64, so the mean rounds as Python floats' division would
-    group_totals = totals.swapaxes(0, 1).reshape(-1, n_heads, k)
+    # [streams * groups, n_heads, k] in float64, so the mean rounds as Python floats' division would
+    group_totals = totals.reshape(n_streams, n_kv, -1, rep, k).transpose(0, 2, 1, 3, 4).reshape(
+        -1, n_heads, k)
     group_totals = (np.divide(group_totals, plan.ranked_lens, dtype=np.float64)
                     if mode.aggregation == "mean" else group_totals.astype(np.float64))
-    sort, doc, lens, at = plan.sort, plan.ranked.__getitem__, plan.doc_lens, layout.prefix_len
+    sort, lens, at = plan.sort, plan.ranked_lens.tolist(), layout.prefix_len
     orders, starts, base = [], [0] * group_totals.size, 0
-    for j, rows in zip(groups.docs, group_totals.tolist()):
-        candidates = plan.candidates[j]  # ranked positions
-        own, per_head = [j] if j >= 0 else [], []
+    for j, rows in zip(groups.docs * n_streams, group_totals.tolist()):
+        candidates, per_head = plan.candidates[j], []  # ranked positions
         for row in rows:
-            order = [*map(doc, sort(row, candidates)), *own]
+            order = sort(row, candidates)
+            if j >= 0:
+                order.append(j)
             laid_out(order, lens, at, starts, base)
             per_head.append(order)
             base += k
         orders.append(per_head)
     return Ordering(orders, np.array(starts, dtype=np.int64).reshape(group_totals.shape),
-                    group_totals, plan.rank)
+                    group_totals, plans)
 
 
 def _document_mass(logits: np.ndarray, reduce: np.ufunc, starts: np.ndarray) -> np.ndarray:

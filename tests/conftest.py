@@ -61,6 +61,12 @@ def key_panel(k):
     return np.ascontiguousarray(k.transpose(1, 2, 0))
 
 
+def ranked(plan, own):
+    """Each own document of ``own`` (-1: none) as its ranked position in
+    ``plan``, as query groups take it."""
+    return np.append(plan.rank, -1)[own]
+
+
 def attention(plan, q, k, v, q_start=0, k_base=None, k_raw=None):
     """``attention_forward`` of columns q_start .. q_start + len(q) - 1 of
     ``plan``, with q, k and v in column order, given what a forward pass
@@ -69,15 +75,15 @@ def attention(plan, q, k, v, q_start=0, k_base=None, k_raw=None):
     in the order the KV cache holds raw keys (k may be None when ``k_base``
     is given and attention reads no raw key).  Keys and values are
     [columns, KV heads, d_head] here, and are laid out as the KV cache's
-    panels."""
+    panels, as the one stream of the call."""
     t, s = len(q), len(v)
     if k_base is None:
         k_base = rotate(k, plan.columns(0, s)[1], 10000.0)
     if k_raw is None and k is not None:
         k_raw = k[plan.ranked_cols]
-    return attention_forward(plan, q, None if k_raw is None else key_panel(k_raw),
+    return attention_forward([plan], q, None if k_raw is None else key_panel(k_raw),
                              np.ascontiguousarray(v.swapaxes(0, 1)), key_panel(k_base),
-                             plan.rows(q_start, t, q.shape[1] // v.shape[1]), 10000.0)
+                             [plan.rows(q_start, t, q.shape[1] // v.shape[1])], 10000.0)
 
 
 def attend(mode, q, k, v, layout):

@@ -41,7 +41,7 @@ from posinv.modes import VARIANTS
 from posinv.pine import group_ordering, query_groups
 from posinv.rope import rotate
 
-from conftest import key_panel, random_config
+from conftest import key_panel, random_config, ranked
 
 INVARIANT_MODES = ("pine", "pine_reverse", "pcw", "sp")
 ALL_MODES = ("vanilla", "nia", "pcw", "sp", "pine", "pine_noreassign", "pine_reverse")
@@ -303,8 +303,8 @@ def importance_scores(q, kk, layout, rows, own, aggregation="mean"):
     plan = AttentionPlan(AttentionMode("pine", aggregation), layout)
     a, b = rows
     keys = kk[plan.columns(0, len(kk))[0]]
-    scores = group_ordering(q[a:b, None], key_panel(keys[:, None]), plan,
-                            query_groups(np.full(b - a, own), 0)).scores
+    scores = group_ordering(q[a:b, None], key_panel(keys[:, None]), [plan],
+                            query_groups(ranked(plan, np.full(b - a, own)), 0)).scores
     return [{j: s for j, s in enumerate(row.tolist()) if j != own} for row in scores[:, 0]]
 
 

@@ -478,9 +478,10 @@ class TestLastLayerRows:
         q_weights = [model.weights[f"layers.{i}.q_proj.weight"]
                      for i in range(model.config.n_layers)]
 
-        def spying_attention(plan, q_raw, k_raw, v, k_base, rows, rope_theta):
-            seen["attention"].append(rows)
-            return attention(plan, q_raw, k_raw, v, k_base, rows, rope_theta)
+        def spying_attention(plans, q_raw, k_raw, v, k_base, rows, rope_theta):
+            (one_stream,) = rows
+            seen["attention"].append(one_stream)
+            return attention(plans, q_raw, k_raw, v, k_base, rows, rope_theta)
 
         def spying_matmul(a, b):
             if any(b is w for w in q_weights):
@@ -539,7 +540,8 @@ class TestLastLayerRows:
         rows = ref.plan.rows(0, layout.n, cfg.n_heads // cfg.n_kv_heads)
         x = model.weights["embed.weight"][np.asarray(tokens)[rows.index]]
         for layer in range(cfg.n_layers):
-            x = model_mod._layer_forward(model, x, layer, [(ref, rows, slice(0, layout.n))])
+            x = model_mod._layer_forward(model, x, layer, [model_mod._Group(
+                (ref,), [ref.plan], (rows,), rows.base, slice(0, layout.n))])
         ref.n_cached = layout.n
         assert len(cache.k_base) == len(cache.v) == cfg.n_layers
         assert len(cache.k_raw) == len(ref.k_raw) == (cfg.n_layers if ref.plan.reorders else 0)
@@ -929,6 +931,88 @@ class TestBatchedStreams:
             model_mod._forward(model, caches, [[65]] * len(caches))
         assert products == []
         assert [(c.n_cached, c.capacity) for c in caches] == before
+
+
+class TestGroupedStreams:
+    """Streams whose plans share one shape and that run the same rows share one
+    key rotation and one attention call per layer.  A grouped call must give
+    every stream bitwise what one call per stream gives it inside the same
+    pass, and streams whose plans differ must never share a call."""
+
+    CONFIG = ModelConfig(n_layers=2, n_heads=4, n_kv_heads=2, d_model=32, d_head=8,
+                         d_ff=64, vocab_size=260, max_seq_len=96)
+    # Two document sets of equal lengths (so even canonical-off plans of the
+    # modes that keep positions coincide, and one group holds streams of
+    # different contents), and one set of unequal lengths.
+    EQUAL = [("sys: ", ("abcd", "efgh", "ijkl"), " q?"), ("sys: ", ("mnop", "qrst", "uvwx"), " q?")]
+    UNEQUAL = [("SYS: ", ("zeta doc", "alpha", "mid text"), " Q?")]
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return Model(self.CONFIG, init_random(self.CONFIG, 8))
+
+    @staticmethod
+    def run(model, prompts, mode, steps, grouped, monkeypatch):
+        """Prefill the prompts in one pass, then decode ``steps``, each a list
+        of the streams still live (one stopped by EOS leaves the pass), with
+        greedy tokens; returns every pass's logits, the caches and the
+        streams of each attention call.  Ungrouped, every plan's shape is
+        made its own, so each stream runs its own calls."""
+        if not grouped:
+            init = modes.AttentionPlan.__init__
+
+            def own_shape(plan, *args):
+                init(plan, *args)
+                plan.shape = (plan.shape, id(plan))
+
+            monkeypatch.setattr(modes.AttentionPlan, "__init__", own_shape)
+        calls, attention = [], model_mod.attention_forward
+
+        def spying(plans, *args):
+            calls.append(plans)
+            return attention(plans, *args)
+
+        monkeypatch.setattr(model_mod, "attention_forward", spying)
+        caches, logits = model_mod._prefill(model, prompts, mode)
+        passes = [logits]
+        for live in steps:
+            passes.append(model_mod._forward(model, [caches[i] for i in live],
+                                             [[int(np.argmax(passes[0][i]))] for i in live]))
+        monkeypatch.undo()
+        return passes, caches, calls
+
+    @pytest.mark.parametrize("prompts", ["equal", "unequal"])
+    @pytest.mark.parametrize("canonical", [True, False])
+    @pytest.mark.parametrize("variant", modes.VARIANTS)
+    def test_grouped_calls_equal_one_call_per_stream(self, model, variant, canonical, prompts,
+                                                    monkeypatch):
+        sets = self.EQUAL if prompts == "equal" else self.UNEQUAL
+        orders = ([0, 1, 2], [2, 0, 1], [1, 2, 0], [0, 2, 1])
+        streams = [tokenize(permute_documents(SegmentedPrompt(*p), order))
+                   for p in sets for order in orders]
+        mode = AttentionMode(variant, canonical=canonical)
+        steps = [range(len(streams)), [0, 2, 3, 5, 6, 7][:len(streams) - 2], [0, 3]]
+        for block_scores in (kernels._BLOCK_SCORES, 5 * 4 * 2):  # one row block, or several
+            monkeypatch.setattr(kernels, "_BLOCK_SCORES", block_scores)
+            got = self.run(model, streams, mode, steps, True, monkeypatch)
+            monkeypatch.setattr(kernels, "_BLOCK_SCORES", block_scores)
+            want = self.run(model, streams, mode, steps, False, monkeypatch)
+            for a, b in zip(got[0], want[0]):
+                assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
+            for a, b in zip(got[1], want[1]):
+                for panels in ("k_base", "v", "k_raw"):
+                    assert ([x.tobytes() for x in getattr(a, panels)]
+                            == [x.tobytes() for x in getattr(b, panels)]), panels
+            assert all(len(plans) == 1 for plans in want[2])
+            for plans in got[2]:  # a call's streams share one plan shape
+                assert all(plan.shape == plans[0].shape for plan in plans)
+            sizes = [len(plans) for plans in got[2]]
+            vanilla = mode.doc_mask == "causal"
+            if canonical and not vanilla or (not canonical and prompts == "equal"
+                                             and not mode.reassigns):
+                assert sizes[0] == len(streams), sizes  # one call serves every stream
+            if canonical and vanilla and prompts == "unequal":  # every order its own plan
+                assert max(sizes) == 1, sizes
 
 
 class TestTieEmbeddingsConfig:

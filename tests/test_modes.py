@@ -21,7 +21,7 @@ from posinv.modes import VARIANTS
 from posinv.pine import group_ordering, query_groups
 from posinv.rope import rotate
 
-from conftest import attend, attention, doc_of, key_panel
+from conftest import attend, attention, doc_of, key_panel, ranked
 
 
 def running_example():
@@ -193,8 +193,8 @@ class TestAssignPositions:
                     a, b, own = group
                     plan = AttentionPlan(mode, layout)
                     keys = key_panel(k[plan.columns(0, len(k))[0]][:, h // 2, None])
-                    ordered = group_ordering(q[a:b, h, None], keys, plan,
-                                             query_groups(np.full(b - a, own), 0)).orders[0][0]
+                    ordered = group_ordering(q[a:b, h, None], keys, [plan], query_groups(
+                        ranked(plan, np.full(b - a, own)), 0)).orders[0][0]
                 pos = assign_positions(mode, layout, row, ordered)
                 scores = (rotate(q[row, h][None], [pos[row]], 10000.0)
                           @ rotate(k[:, h // 2], pos, 10000.0).T)
@@ -496,11 +496,12 @@ class TestKVHeadsInOnePass:
         q, k, _ = random_qkv(layout, 4, 2, 8, 12)
         plan = AttentionPlan(AttentionMode("pine", aggregation), layout)
         q, k = (x[plan.columns(0, len(x))[0]] for x in (q, k))
-        groups = query_groups(plan.col_doc, layout.prefix_len)
+        groups = query_groups(plan.col_rank, layout.prefix_len)
         p = layout.prefix_len
-        both = group_ordering(q[p:], key_panel(k), plan, groups)
+        both = group_ordering(q[p:], key_panel(k), [plan], groups)
         for g in range(2):
-            one = group_ordering(q[p:, 2 * g:2 * g + 2], key_panel(k[:, g:g + 1]), plan, groups)
+            one = group_ordering(q[p:, 2 * g:2 * g + 2], key_panel(k[:, g:g + 1]), [plan],
+                                 groups)
             assert [per_head[2 * g:2 * g + 2] for per_head in both.orders] == one.orders, g
             for got in ("scores", "starts"):
                 part = getattr(both, got)[:, 2 * g:2 * g + 2]
@@ -706,7 +707,7 @@ class TestRowsMustNotCutDocuments:
                 (last, q[n - 1:], k_base[..., :n - 1], values[:, :n - 1]),  # keys end too soon
                 (whole, q, k_base[..., :n - 1], values)]:  # a key panel short of the values
             with pytest.raises(ValueError, match="do not match the"):
-                attention_forward(plan, q_rows, k_raw, vals, keys, rows, 10000.0)
+                attention_forward([plan], q_rows, k_raw, vals, keys, [rows], 10000.0)
         full = attention(plan, q, k, v)
         last = attention(plan, q[n - 1:], k, v, q_start=n - 1)
         assert np.max(np.abs(last - full[n - 1:])) < 1e-6
@@ -755,7 +756,7 @@ class TestKeyPanels:
                 assert panel is None or panel.strides[2] == panel.itemsize
             copies = [None if x is None else np.ascontiguousarray(x) for x in panels]
             planned = plan.rows(q_start, len(rows), 2)
-            got = [attention_forward(plan, rows, x[0], x[2], x[1], planned, 10000.0)
+            got = [attention_forward([plan], rows, x[0], x[2], x[1], [planned], 10000.0)
                    for x in (panels, copies)]
             assert got[0].tobytes() == got[1].tobytes(), q_start
             # pine's query groups start after a prefill's prefix and at a decoded
@@ -768,7 +769,7 @@ class TestKeyPanels:
                                        layout).rows(q_start, len(rows), 2).groups
             assert groups.first == (0 if q_start else p)
             importance = [group_ordering(rows[groups.first:], x[0] if x[0] is not None else x[1],
-                                         plan, groups) for x in (panels, copies)]
+                                         [plan], groups) for x in (panels, copies)]
             a, b = importance
             assert a.orders == b.orders, q_start
             assert a.scores.tobytes() == b.scores.tobytes(), q_start

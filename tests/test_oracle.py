@@ -222,3 +222,79 @@ class TestRunSuiteBatches:
         assert rep.permutations_tested == len(rep.greedy_outputs) == 10
         assert rep.max_abs_logit_diff == 0.0
         assert rep.outputs_identical
+
+
+class TestSpread:
+    """run_suite's spread is one reduction over the stacked logits: it must
+    give what the loop over every pair of orders gives, the largest
+    |difference| and the lexicographically first pair reaching it (None at 0)."""
+
+    @staticmethod
+    def pairwise(logit_sets):
+        max_diff, witness = 0.0, None
+        for a in range(len(logit_sets)):
+            for b in range(a + 1, len(logit_sets)):
+                d = float(np.max(np.abs(logit_sets[a] - logit_sets[b])))
+                if d > max_diff:
+                    max_diff, witness = d, (a, b)
+        return max_diff, witness
+
+    @pytest.mark.parametrize("kind", ["normal", "ties", "ulps", "large"])
+    def test_equals_the_pairwise_loop(self, kind):
+        from posinv.oracle import spread
+
+        rng = np.random.default_rng(["normal", "ties", "ulps", "large"].index(kind))
+        for _ in range(300):
+            n, v = int(rng.integers(2, 9)), int(rng.integers(1, 6))
+            if kind == "normal":
+                x = rng.normal(size=(n, v))
+            elif kind == "ties":  # few distinct values: many pairs reach the maximum
+                x = rng.integers(-3, 4, size=(n, v)) * 0.25
+            elif kind == "ulps":  # differences of a few ulp
+                x = 1.5 + rng.integers(-2, 3, size=(n, v)) * np.spacing(np.float32(1.5))
+            else:  # differences that round: unequal pairs reach one float32 maximum
+                x = 1e8 + rng.integers(0, 16, size=(n, v))
+            rows = list(np.asarray(x, dtype=np.float32))
+            got, want = spread(rows), self.pairwise(rows)
+            assert got == want and type(got[0]) is float, (got, want)
+
+    def test_all_equal_rows(self):
+        from posinv.oracle import spread
+
+        rows = [np.full(7, 0.375, dtype=np.float32)] * 5
+        assert spread(rows) == (0.0, None) == self.pairwise(rows)
+
+
+class TestRunSuiteAttentionCalls:
+    """run_suite's orders of one document set share a plan shape under
+    canonical reduction, so each forward pass makes one attention call per
+    layer for its whole batch (pine and sp); canonical vanilla orders see
+    each other's documents differently and make one call per stream."""
+
+    @pytest.mark.parametrize("variant", ["pine", "sp", "vanilla"])
+    def test_calls_per_layer_per_pass_per_batch(self, tiny_model, variant, monkeypatch):
+        from posinv import model as model_mod
+        from posinv import oracle
+
+        prompt = SegmentedPrompt("system: answer it\n",
+                                 ("alpha one", "bravo", "charlie three", "delta"), "\nwhich one?")
+        n = tokenize(prompt)[1].n
+        orders, new_tokens = enumerate_orders(4, 24), 3
+        calls, batches, attention, batched = [], [], model_mod.attention_forward, oracle._prefill
+
+        def spying(plans, *args):
+            calls.append(len(plans))
+            return attention(plans, *args)
+
+        def recording(model_, prompts, mode_):
+            batches.append(len(prompts))
+            return batched(model_, prompts, mode_)
+
+        monkeypatch.setattr(oracle, "_BATCH_ROWS", 8 * n)  # 24 orders: 3 batches of 8
+        monkeypatch.setattr(model_mod, "attention_forward", spying)
+        monkeypatch.setattr(oracle, "_prefill", recording)
+        rep = run_suite(tiny_model, prompt, AttentionMode(variant), orders, new_tokens)
+        assert batches == [8, 8, 8] and rep.permutations_tested == 24
+        passes = new_tokens  # a prefill, then a decode pass per greedy token after the first
+        per_call = 1 if variant == "vanilla" else 8
+        assert calls == [per_call] * (tiny_model.config.n_layers * passes * 3 * 8 // per_call)

@@ -24,7 +24,7 @@ from posinv.pine import (
     reset_comparison_count,
 )
 
-from conftest import attend, doc_of, key_panel
+from conftest import attend, doc_of, key_panel, ranked
 
 
 def one_token_docs(k):
@@ -222,8 +222,8 @@ def ordering(q, k, layout, own, aggregation="mean"):
     """group_ordering of query rows against storage-order keys, laid out
     in the columns of pine's plan."""
     plan = AttentionPlan(AttentionMode("pine", aggregation), layout)
-    return group_ordering(q, key_panel(k[plan.columns(0, len(k))[0]]), plan,
-                          query_groups(own, 0))
+    return group_ordering(q, key_panel(k[plan.columns(0, len(k))[0]]), [plan],
+                          query_groups(ranked(plan, own), 0))
 
 
 class TestPineAttention:
@@ -354,13 +354,12 @@ class TestGroupOrdering:
             q = np.stack([per_token[t][0] for t in toks])[cols]
             k = np.stack([per_token[t][1] for t in toks])[cols]
             p = layout.prefix_len
-            groups = query_groups(plan.col_doc, p)
-            got = group_ordering(q[p:], key_panel(k), plan, groups)
-            h = layout.doc_hashes
+            groups = query_groups(plan.col_rank, p)
+            got = group_ordering(q[p:], key_panel(k), [plan], groups)
+            h, owners = layout.doc_hashes, [plan.ranked[j] if j >= 0 else -1 for j in groups.docs]
             return [[([h[j] for j in ordered], {h[j]: v for j, v in enumerate(scores) if j != own})
                      for ordered, scores in zip(per_head, per_group)]
-                    for own, per_head, per_group in zip(groups.docs, got.orders,
-                                                        got.scores.tolist())]
+                    for own, per_head, per_group in zip(owners, got.orders, got.scores.tolist())]
 
         ref = by_hash([0, 1, 2, 3, 4])
         assert len(ref) == 5 + 2 and len(ref[0]) == 4
@@ -403,8 +402,8 @@ class TestGroupOrdering:
         monkeypatch.setattr(kernels, "_BLOCK_SCORES", 3 * layout.n)
         p = layout.prefix_len
         cols = plan.columns(0, layout.n)[0]
-        orders = group_ordering(q[cols][p:, None], key_panel(k[cols][:, None]), plan,
-                                query_groups(plan.col_doc, p))
+        orders = group_ordering(q[cols][p:, None], key_panel(k[cols][:, None]), [plan],
+                                query_groups(plan.col_rank, p))
         suffix_rows = [(r, r + 1) for r in range(layout.suffix_start, layout.n)]
         groups = [(layout.doc_spans[j], j) for j in plan.docs] + [(r, -1) for r in suffix_rows]
         assert len(orders.orders) == len(groups)
@@ -431,16 +430,16 @@ class TestGroupOrdering:
         monkeypatch.setattr(pine, "row_softmax", recording)
         p, n_cols = layout.prefix_len, layout.suffix_start - layout.prefix_len
         cols = plan.columns(0, layout.n)[0]
-        group_ordering(q[cols][p:, None], key_panel(k[cols][:, None]), plan,
-                       query_groups(plan.col_doc, p))
-        owners = plan.col_doc[p:].tolist()
+        group_ordering(q[cols][p:, None], key_panel(k[cols][:, None]), [plan],
+                       query_groups(plan.col_rank, p))
+        owners = plan.col_rank[p:].tolist()
         blocks = [owners[b:b + 3] for b in range(0, len(owners), 3)]
         assert len(widths) == len(blocks)
         kinds = set()
         for rows, width in zip(blocks, widths):
             if len(set(rows)) == 1 and rows[0] >= 0:  # inside one document's group
                 kinds.add("one group")
-                assert width == n_cols - layout.doc_len(rows[0])
+                assert width == n_cols - plan.ranked_lens[rows[0]]
             else:
                 kinds.add("suffix" if -1 in rows else "straddling")
                 assert width == n_cols
@@ -503,13 +502,14 @@ class TestOrderingGoldens:
         cols = plan.columns(0, layout.n)[0]
         keys = key_panel(k[cols][plan.ranked_cols])
         p = layout.prefix_len
-        prefill = document_starts(q[cols][p:], keys, plan, query_groups(plan.col_doc, p))
-        decoded = document_starts(q[layout.n:], keys, plan, query_groups(np.full(1, -1), 0))
+        prefill = document_starts(q[cols][p:], keys, [plan], query_groups(plan.col_rank, p))
+        decoded = document_starts(q[layout.n:], keys, [plan], query_groups(np.full(1, -1), 0))
         got = np.empty_like(prefill)
         got[cols[p:] - p] = prefill  # the rows back in storage order
         orders = self.GOLDEN[variant, aggregation].split()
         want = np.array([[block_starts(layout, map(int, o))] * 4 for o in orders], dtype=np.int64)
-        assert np.concatenate([got, decoded]).tobytes() == want.tobytes()
+        by_document = np.concatenate([got, decoded]).take(plan.rank, axis=2)
+        assert by_document.tobytes() == want.tobytes()
 
 
 class TestDocumentStarts:
@@ -540,11 +540,12 @@ class TestDocumentStarts:
         keys = rng.normal(size=(layout.n, 2, 8)).astype(np.float32)[cols][plan.ranked_cols]
         keys = key_panel(keys)
         p = layout.prefix_len
-        cases = [(q[cols][p:], plan.col_doc[p:]),  # prefill rows
+        cases = [(q[cols][p:], plan.col_rank[p:]),  # prefill rows
                  (q[layout.n:], np.full(1, -1))]  # a decoded row
         for rows, own in cases:
-            starts = document_starts(rows, keys, plan, query_groups(own, 0))
-            orders = group_ordering(rows, keys, plan, query_groups(own, 0)).orders
+            starts = document_starts(rows, keys, [plan], query_groups(own, 0))
+            starts = starts.take(plan.rank, axis=2)  # by document
+            orders = group_ordering(rows, keys, [plan], query_groups(own, 0)).orders
             assert starts.shape == (len(rows), 4, k)
             group = -1
             for i, mine in enumerate(own.tolist()):
