@@ -943,9 +943,13 @@ class TestGroupedStreams:
                          d_ff=64, vocab_size=260, max_seq_len=96)
     # Two document sets of equal lengths (so even canonical-off plans of the
     # modes that keep positions coincide, and one group holds streams of
-    # different contents), and one set of unequal lengths.
-    EQUAL = [("sys: ", ("abcd", "efgh", "ijkl"), " q?"), ("sys: ", ("mnop", "qrst", "uvwx"), " q?")]
-    UNEQUAL = [("SYS: ", ("zeta doc", "alpha", "mid text"), " Q?")]
+    # different contents), one set of unequal lengths, and that set beside one
+    # with an empty suffix, so that one pass's last layer runs grouped last
+    # rows beside streams that run every row.
+    SETS = {"equal": [("sys: ", ("abcd", "efgh", "ijkl"), " q?"),
+                      ("sys: ", ("mnop", "qrst", "uvwx"), " q?")],
+            "unequal": [("SYS: ", ("zeta doc", "alpha", "mid text"), " Q?")]}
+    SETS["empty-suffix"] = [*SETS["unequal"], ("s: ", ("one", "two words", "three"), "")]
 
     @pytest.fixture(scope="class")
     def model(self):
@@ -981,15 +985,14 @@ class TestGroupedStreams:
         monkeypatch.undo()
         return passes, caches, calls
 
-    @pytest.mark.parametrize("prompts", ["equal", "unequal"])
+    @pytest.mark.parametrize("prompts", list(SETS))
     @pytest.mark.parametrize("canonical", [True, False])
     @pytest.mark.parametrize("variant", modes.VARIANTS)
     def test_grouped_calls_equal_one_call_per_stream(self, model, variant, canonical, prompts,
                                                     monkeypatch):
-        sets = self.EQUAL if prompts == "equal" else self.UNEQUAL
         orders = ([0, 1, 2], [2, 0, 1], [1, 2, 0], [0, 2, 1])
         streams = [tokenize(permute_documents(SegmentedPrompt(*p), order))
-                   for p in sets for order in orders]
+                   for p in self.SETS[prompts] for order in orders]
         mode = AttentionMode(variant, canonical=canonical)
         steps = [range(len(streams)), [0, 2, 3, 5, 6, 7][:len(streams) - 2], [0, 3]]
         for block_scores in (kernels._BLOCK_SCORES, 5 * 4 * 2):  # one row block, or several
@@ -1010,8 +1013,9 @@ class TestGroupedStreams:
             vanilla = mode.doc_mask == "causal"
             if canonical and not vanilla or (not canonical and prompts == "equal"
                                              and not mode.reassigns):
-                assert sizes[0] == len(streams), sizes  # one call serves every stream
-            if canonical and vanilla and prompts == "unequal":  # every order its own plan
+                # one call serves every stream of equal lengths, the first set's orders
+                assert sizes[0] == (len(streams) if prompts == "equal" else len(orders)), sizes
+            if canonical and vanilla and prompts != "equal":  # every order its own plan
                 assert max(sizes) == 1, sizes
 
 
