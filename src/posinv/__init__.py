@@ -26,7 +26,6 @@ from .oracle import (
     enumerate_orders,
     run_suite,
 )
-from .pine import order_documents
 from .prompts import (
     PromptError,
     SegmentedPrompt,

@@ -31,13 +31,12 @@ inside a document, runs every row through every layer.
 One pass serves one stream or several, each with its own cache, plan and
 tokens: the embedding, norms, projections, FFN, residual adds and LM head
 run once over the stacked rows of every stream.  Neighbouring streams
-whose plans share one ``AttentionPlan.shape`` and that run the same rows
-form a group, compared once per pass: its key rotation and attention
-(pine's importance pass with it) run as one call per layer over the
-group's stacked rows, sharing only that compared structure, and each
-stream writes its own cache.  ``prefill``, ``decode_step`` and
-``generate`` pass one stream, whose rows are used as they are;
-``oracle.run_suite`` passes a batch of document orders.
+whose rows read the same plan form a group, compared once per pass: its
+key rotation and attention (pine's importance pass with it) run as one
+call per layer over the group's stacked rows, sharing only that compared
+structure, and each stream writes its own cache.  ``prefill``,
+``decode_step`` and ``generate`` pass one stream, whose rows are used as
+they are; ``oracle.run_suite`` passes a batch of document orders.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -377,16 +377,19 @@ def _stack(parts: list[np.ndarray]) -> np.ndarray:
 
 
 class _Group(NamedTuple):
-    """Streams whose plans share one ``shape`` and that run the same rows,
-    as a forward pass runs them: their rows sit in ``sl`` of the stacked
-    rows, one stream after another, and share one key rotation and one
-    attention call per layer."""
+    """Streams whose rows read the same plan (see ``_forward``), as a
+    forward pass runs them: their rows sit in ``sl`` of the stacked rows,
+    one stream after another, and share one key rotation and one attention
+    call per layer.  The last layer runs ``tail``: each stream's last row
+    alone (with its own ``plan.rows``), or ``rows``."""
 
     caches: tuple[KVCache, ...]
     plans: list[AttentionPlan]
     rows: tuple[Rows, ...]  # each stream's ``plan.rows``
     base: np.ndarray  # the base position of each row of ``sl``
     sl: slice
+    tail: tuple[Rows, ...]
+    keep: slice  # the rows of ``sl`` that ``tail`` runs
 
 
 def _write(caches: tuple[KVCache, ...], layer: int, parts: tuple[np.ndarray, ...],
@@ -404,16 +407,15 @@ def _write(caches: tuple[KVCache, ...], layer: int, parts: tuple[np.ndarray, ...
 
 
 def _layer_forward(model: Model, x: np.ndarray, layer: int, groups: list[_Group],
-                   tails: tuple[list[slice], list[_Group]] | None = None) -> np.ndarray:
+                   last: bool = False) -> np.ndarray:
     """One layer over ``x``, the stacked rows of every stream, in ``groups``.
     Norms, projections, FFN and residual adds run once over the stacked
     rows; key rotation and attention once per group, the cache writes per
-    stream.  Every row writes its keys and values; given ``tails``, the
-    slices of ``x`` that run on and the groups they form (a stream's last
-    row alone, with its own ``plan.rows``, or every row), only those rows
-    run on, and the layer returns them.  Keys are rotated once, at their
-    base positions, by ``modes.rotate``: looked up there, as attention's
-    query rotations are, so one hook sees both."""
+    stream.  Every row writes its keys and values; in the ``last`` layer
+    only each group's ``tail`` runs on, and the layer returns those rows.
+    Keys are rotated once, at their base positions, by ``modes.rotate``:
+    looked up there, as attention's query rotations are, so one hook sees
+    both."""
     cfg = model.config
     w = model.weights.tensors
     p = f"layers.{layer}."
@@ -421,17 +423,20 @@ def _layer_forward(model: Model, x: np.ndarray, layer: int, groups: list[_Group]
     k = matmul(h, w[p + "k_proj.weight"]).reshape(-1, cfg.n_kv_heads, cfg.d_head)
     v = matmul(h, w[p + "v_proj.weight"]).reshape(-1, cfg.n_kv_heads, cfg.d_head)
     panels = []  # per group: its raw key, key and value panels
-    for caches, _, _, base, sl in groups:
+    for caches, _, _, base, sl, _, _ in groups:
         parts = (ks := k[sl], modes.rotate(ks, base, cfg.rope_theta), v[sl])
         panels.append(_write(caches, layer, parts, cfg.max_seq_len))
     del k, v, ks, parts  # the caches hold them now: free them before attention
-    if tails is not None:
-        keep, groups = tails
-        x, h = _stack([x[sl] for sl in keep]), _stack([h[sl] for sl in keep])
+    if last and any(group.keep != group.sl for group in groups):
+        x, h = (np.concatenate([a[group.keep] for group in groups]) for a in (x, h))
     q = matmul(h, w[p + "q_proj.weight"]).reshape(-1, cfg.n_heads, cfg.d_head)
-    attn = []
-    for (_, plans, rows, _, sl), (k_raw, keys, vals) in zip(groups, panels):
-        attn.append(attention_forward(plans, q[sl], k_raw, vals, keys, rows, cfg.rope_theta))
+    attn, at = [], 0
+    for group, (k_raw, keys, vals) in zip(groups, panels):
+        rows = group.tail if last else group.rows
+        u = len(rows) * len(rows[0].index)
+        attn.append(attention_forward(group.plans, q[at:at + u], k_raw, vals, keys, rows,
+                                      cfg.rope_theta))
+        at += u
     attn = _stack(attn)
     x = x + matmul(attn.reshape(attn.shape[0], -1), w[p + "o_proj.weight"])
     h2 = rms_norm(x, w[p + "ffn_norm.weight"], cfg.norm_eps)
@@ -447,14 +452,14 @@ def _forward(model: Model, caches: list[KVCache], tokens: list[list[int]]) -> li
     the last token's row inside the documents), and append their keys and
     values once every layer and the logits have succeeded; returns each
     stream's logits of its last token.  Every stream is checked before any
-    compute.  Neighbouring streams whose plans have one ``shape`` and that
-    run the same rows form a ``_Group``, compared once per pass; the
-    streams' rows are stacked, one stream's used as they are.  When several
-    of a stream's rows end in its last column, the last layer runs that row
-    alone (its tail) past the keys and values of every row."""
+    compute.  Neighbouring streams whose rows read the same plan form a
+    ``_Group``: one ``shape``, the same rows and, where ``row_blocks`` plans
+    them, one ``sees`` (a lone row from ``suffix_start`` on reads none).
+    When several of a stream's rows end in its last column, the last layer
+    runs that row alone (its tail) past the keys and values of every row."""
     cfg = model.config
     rep = cfg.n_heads // cfg.n_kv_heads
-    members, column_ids, keys = [], [], []  # per group its streams' (cache, rows), and its key
+    streams, column_ids = [], []  # per stream: what its rows read of its plan, cache and rows
     for cache, toks in zip(caches, tokens):
         q_start, t = cache.n_cached, len(toks)
         s = q_start + t
@@ -464,36 +469,30 @@ def _forward(model: Model, caches: list[KVCache], tokens: list[list[int]]) -> li
         if ids.dtype.kind not in "iu" or not all(
                 0 <= i < cfg.vocab_size for i in ids.ravel().tolist()):
             raise ShapeError(f"token ids must be integers in 0 .. {cfg.vocab_size - 1}")
-        rows = cache.plan.rows(q_start, t, rep)
+        plan = cache.plan
+        rows = plan.rows(q_start, t, rep)
         column_ids.append(ids[rows.index - q_start])
-        key = (cache.plan.shape, q_start, t)
-        if keys and key == keys[-1]:
-            members[-1].append((cache, rows))
-        else:
-            keys.append(key)
-            members.append([(cache, rows)])
-    groups, ran, keep = [], [], []  # ran: the groups the last layer runs on
-    at = on = 0  # the next group's first row in x, and in the rows that run on
-    for streams in members:
-        group, rows = zip(*streams)
+        lone = t == 1 and q_start >= plan.layout.suffix_start
+        streams.append(((plan.shape, q_start, t, None if lone else plan.sees.tobytes()),
+                        cache, rows))
+    groups, lasts = [], []  # lasts: each last token's row in the rows the last layer runs
+    at = on = 0  # the next group's first row in x, and in the rows the last layer runs
+    for _, members in groupby(streams, key=lambda stream: stream[0]):
+        _, group, rows = zip(*members)
         plans, (q_start, t) = [cache.plan for cache in group], (rows[0].start, len(rows[0].index))
         end = at + t * len(group)
-        groups.append(_Group(group, plans, rows, _stack([r.base for r in rows]), slice(at, end)))
+        tail, keep = rows, slice(at, end)
         if t > 1 and q_start + t > plans[0].layout.suffix_start:  # each stream's last row alone
-            rows = tuple(plan.rows(q_start + t - 1, 1, rep) for plan in plans)
-            keep += [slice(b - 1, b) for b in range(at + t, end + 1, t)]
-        else:
-            keep.append(slice(at, end))
-        u = len(rows[0].index) * len(group)
-        ran.append(groups[-1] if u == end - at and on == at else _Group(
-            group, plans, rows, _stack([r.base for r in rows]), slice(on, on + u)))
-        at, on = end, on + u
+            tail = tuple(plan.rows(q_start + t - 1, 1, rep) for plan in plans)
+            keep = slice(at + t - 1, end, t)
+        groups.append(_Group(group, plans, rows, _stack([r.base for r in rows]), slice(at, end),
+                             tail, keep))
+        u = len(tail[0].index)
+        lasts += [on + b * u + int(r.index.argmax()) for b, r in enumerate(tail)]
+        at, on = end, on + u * len(group)
     x = model.weights["embed.weight"][_stack(column_ids)]
-    tails = (keep, ran) if on < at else None
     for layer in range(cfg.n_layers):
-        x = _layer_forward(model, x, layer, groups, tails if layer == cfg.n_layers - 1 else None)
-    lasts = [group.sl.start + b * len(r.index) + int(r.index.argmax())  # each last token's row
-             for group in ran for b, r in enumerate(group.rows)]
+        x = _layer_forward(model, x, layer, groups, layer == cfg.n_layers - 1)
     h = rms_norm(_stack([x[i:i + 1] for i in lasts]), model.weights["final_norm.weight"],
                  cfg.norm_eps)
     logits = matmul(h, model.head_matrix())

@@ -130,8 +130,9 @@ def assign_positions(mode: AttentionMode, layout: SequenceLayout, q_index: int,
         elif sorted(ordered_docs) != list(range(layout.k)):
             raise ValueError(f"ordered_docs {list(ordered_docs)} is not a permutation of "
                              f"the {layout.k} documents")
-        starts = np.array(pine.laid_out(ordered_docs, plan.doc_lens, layout.prefix_len, [0] * layout.k))
-        base += np.where(plan.col_rank >= 0, starts[plan.ranked][plan.col_rank], 0)
+        ranked = plan.rank[list(ordered_docs)]  # the order in ranked positions
+        starts = np.array(pine.laid_out(ranked, plan.ranked_lens, layout.prefix_len, [0] * layout.k))
+        base += np.where(plan.col_rank >= 0, starts[plan.col_rank], 0)
     pos = np.empty_like(base)
     pos[plan.order] = base  # each column back to its storage index
     return pos
@@ -231,11 +232,10 @@ class AttentionPlan:
         shifts = [0, *(range(1, layout.k + 1) if self.reorders else [0] * layout.k)]
         self.key_blocks = [(c0, c1, i) for c0, c1, i in zip(edges, edges[1:], shifts) if c0 < c1]
         self.key_blocks.append((layout.suffix_start, None, 0))
-        self.block_starts = [c0 for c0, _, _ in self.key_blocks]
         # sees[a, b]: the rows of block a see every key of block b.  Between
         # two blocks the mask is all or nothing, so each block's first token
         # stands for it.  A block's own keys are causal: see ``row_blocks``.
-        firsts = self.columns(0, layout.suffix_start + 1)[0][self.block_starts]
+        firsts = self.columns(0, layout.suffix_start + 1)[0][[c0 for c0, _, _ in self.key_blocks]]
         self.sees = build_mask(mode, layout, firsts, firsts)
         np.fill_diagonal(self.sees, False)
         # The importance pass reads the raw keys before the suffix with the
@@ -243,12 +243,9 @@ class AttentionPlan:
         # The KV cache gathers them once, at prefill.
         self.ranked_cols = (slice(0, layout.suffix_start) if mode.canonical
                             else ranked[:layout.suffix_start])
-        self.doc_lens = [layout.doc_len(j) for j in range(layout.k)]
-        self.ranked_lens = np.array(self.doc_lens, dtype=np.int64)[self.ranked]
-        # each ranked document's first column, and each document's (first, end) columns
+        # each ranked document's length, and its first column among the documents'
+        self.ranked_lens = np.array([layout.doc_len(j) for j in self.ranked], dtype=np.int64)
         self.ranked_starts = np.cumsum(self.ranked_lens) - self.ranked_lens
-        self.ranked_spans = [(c, c + n) for c, n in zip(self.ranked_starts.tolist(),
-                                                        self.ranked_lens.tolist())]
         # group_ordering's sort and the candidates of each own ranked position (-1: none)
         self.sort = pine.ranked_sort(mode.direction)
         self.candidates = {j: [i for i in range(layout.k) if i != j] for j in range(-1, layout.k)}
@@ -257,15 +254,14 @@ class AttentionPlan:
         self.lone_runs = _join([(c0, c1 or layout.suffix_start + 1, i)
                                 for c0, c1, i in self.key_blocks])
         self.lone_groups = pine.query_groups(np.full(1, -1), 0) if self.reorders else None
-        # Everything that ``rows`` and attention read of the plan but a stream's own
-        # positions and document ids: the key blocks and ``sees``, and when the
-        # plan reorders, its documents in ranked positions.  Streams whose plans
-        # have one shape share one attention call.  Under canonical reduction the
-        # orders of one document set have one shape unless ``sees`` differs (vanilla).
+        # What ``rows`` and attention read of the plan but a stream's own positions
+        # and document ids, and ``sees``, which only ``row_blocks`` reads: the key
+        # blocks and, when the plan reorders, its documents in ranked positions.
+        # Under canonical reduction the orders of one document set have one shape;
+        # ``model._forward`` also compares ``sees`` for rows that ``row_blocks`` plans.
         ranked = (tuple(self.ranked_lens.tolist()), tuple(self.shift_ranks.tolist()))
         self.shape = (mode, layout.n, layout.k, layout.prefix_len, layout.suffix_start,
-                      tuple(self.key_blocks), self.sees.tobytes(),
-                      ranked if self.reorders else None)
+                      tuple(self.key_blocks), ranked if self.reorders else None)
 
     def columns(self, c0: int, c1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Storage index, base position and ranked position of the document (-1:
@@ -320,7 +316,7 @@ class AttentionPlan:
         one block, no fills.
         """
         s = q_start + t
-        block, starts = row_block(s, rep), self.block_starts
+        block, starts = row_block(s, rep), [c0 for c0, _, _ in self.key_blocks]
         blocks = []
         for b in range(0, t, block):
             r0, r1 = q_start + b, q_start + min(b + block, t)
@@ -409,9 +405,9 @@ def attention_forward(plans: list[AttentionPlan], q_raw: np.ndarray, k_raw: np.n
     block's queries are rotated to all their shifts in one ``rotate``; when
     the plan does not reorder, there is one shift, and its heads share one
     phase per row.  Only the re-assigning modes have blocks with c != 0:
-    ``pine.document_starts`` scores every (stream, query head, row) of the
-    query groups against every document in one importance pass and gives
-    each ranked position's start in the row's group order.  With
+    ``pine.group_ordering`` scores every (stream, query group, head) against
+    every document in one importance pass and gives each ranked position's
+    start in the group's order, which each row of a group of several takes.  With
     ``mode.canonical`` the kept columns depend only on the column order, so
     every block of rows makes the same products, on keys in the same
     columns, whatever the document order: bitwise invariance.
@@ -437,8 +433,11 @@ def attention_forward(plans: list[AttentionPlan], q_raw: np.ndarray, k_raw: np.n
     if plan.reorders:
         first = groups.first
         q_groups = q_raw.reshape(n_streams, t, n_heads, d_head)[:, first:]
-        starts = pine.document_starts(q_groups.reshape(-1, n_heads, d_head), k_raw, plans,
-                                      groups).reshape(n_streams, t - first, n_heads, layout.k)
+        starts = pine.group_ordering(q_groups.reshape(-1, n_heads, d_head), k_raw, plans,
+                                     groups).starts  # one row per group
+        if len(groups.bounds) < t - first:  # a group of several rows: each row takes its starts
+            starts = starts.repeat(np.tile(np.diff([*groups.bounds, t - first]), n_streams), 0)
+        starts = starts.reshape(n_streams, t - first, n_heads, layout.k)
         each = np.empty((n_streams, t, n_heads, 1 + layout.k), dtype=np.int64)  # per stream
         each[...] = pos.reshape(n_streams, t, 1, 1)
         for g0, g1, j in groups.owned:  # a document's rows sit at its start in their group's order

@@ -6,32 +6,32 @@ out contiguously so that more important documents sit closer to the
 query.  Everything here is computed per layer and per head from
 pre-rotation queries and keys, which is what makes the resulting
 ordering independent of the input document order.  ``group_ordering``
-is the one scorer: it scores the documents for every query group of a
-layer at once, for one stream or for several whose plans share one
-shape, with batched matrix products per row block (a block inside one
-document's group skips that document's columns), then sorts and lays
-out each (stream, group, head)'s documents in one loop.  It reads the
-raw keys as the KV caches hold them, [n_kv_heads, d_head, columns]
-panels, the groups that ``query_groups`` forms once per forward pass (a
-decode step's lone row, a group of its own, runs the same path as a
-prefill's rows), and the ``AttentionPlan``'s sort and candidates, so a
-decode step pays per layer one score product, the softmax's document
-masses and one counted sort per head.  Groups, candidates, scores and
-starts are all held in ranked positions (indices into
-``canonical_order``), which the orders of one document set share under
-canonical reduction; input document ids appear only when an
-``Ordering`` is read.  ``ranked_sort`` is the one counted comparator
-sort: it sorts ranked positions, whose order is the tie rule.
+is the one scorer, which ``modes.attention_forward`` calls per layer:
+it scores the documents for every query group of the layer's rows at
+once, for one stream or for several whose plans share one shape, with
+batched matrix products per row block (a block inside one document's
+group skips that document's columns), then sorts and lays out each
+(stream, group, head)'s documents in one loop.  It reads the raw keys
+as the KV caches hold them, [n_kv_heads, d_head, columns] panels, the
+groups that ``query_groups`` forms once per forward pass (a decode
+step's lone row, a group of its own, runs the same path as a prefill's
+rows), and the ``AttentionPlan``'s sort, candidates and ranked document
+lengths, so a decode step pays per layer one score product, the
+softmax's document masses and one counted sort per head.  Groups,
+candidates, scores, starts and lengths are held in ranked positions
+(indices into ``canonical_order``), which the orders of one document
+set share under canonical reduction; input document ids appear only
+when an ``Ordering`` is read.  ``ranked_sort`` is the one counted
+comparator sort: it sorts ranked positions, whose order is the tie rule.
 
 ``laid_out`` is the one rule that lays documents out: a document key
 sits at its document's start plus its offset inside the document.
 ``group_ordering`` applies it to each order as it is sorted, and
-``modes.assign_positions`` to one order.
+``modes.assign_positions`` to one order, both in ranked positions.
 """
 
 from __future__ import annotations
 
-import math
 from functools import cmp_to_key
 from typing import TYPE_CHECKING, Callable, Iterable, Literal, NamedTuple, Sequence, get_args
 
@@ -97,19 +97,6 @@ def ranked_sort(direction: Direction) -> Callable[[Sequence[float], list[int]], 
     return sort
 
 
-def order_documents(scores: dict[int, float], doc_hashes: tuple[int, ...],
-                    direction: Direction = "closer") -> list[int]:
-    """Candidate documents in key-block order: one ``ranked_sort`` of their
-    ranked positions, in the order of ``scores``.  A non-finite score or an
-    unknown direction raises ``ValueError``."""
-    sort = ranked_sort(direction)
-    for j, s in scores.items():
-        if not math.isfinite(s):
-            raise ValueError(f"non-finite importance score for document {j}")
-    ranked = sorted(scores, key=lambda j: (doc_hashes[j], j))
-    return [ranked[i] for i in sort([*map(scores.get, ranked)], [*map(ranked.index, scores)])]
-
-
 class QueryGroups(NamedTuple):
     """The query groups of a forward pass's rows, which ``query_groups``
     forms once for every layer: consecutive rows of one document form one
@@ -158,19 +145,6 @@ class Ordering(NamedTuple):
         return np.concatenate([s.take(p.rank, axis=2) for s, p in zip(per_stream, self.plans)])
 
 
-def document_starts(q: np.ndarray, k_raw: np.ndarray, plans: list[AttentionPlan],
-                    groups: QueryGroups) -> np.ndarray:
-    """Start of every ranked position for each query row and head, k >= 2:
-    [len(q), n_heads, k], each row's group's ``group_ordering`` starts
-    (``q``, the rows of ``groups`` of each stream stacked, and ``k_raw``
-    as it reads them)."""
-    starts = group_ordering(q, k_raw, plans, groups).starts
-    if len(starts) < len(q):  # a group of several rows: each row takes its group's starts
-        sizes = np.diff([*groups.bounds, len(q) // len(plans)])
-        starts = np.repeat(starts, np.tile(sizes, len(plans)), axis=0)
-    return starts
-
-
 def laid_out(order: Iterable[int], lens: Sequence[int], at: int, starts: list[int],
              base: int = 0) -> list[int]:
     """Lay the documents out contiguously from position ``at`` in ``order``,
@@ -209,8 +183,9 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plans: list[AttentionPlan],
     Where a group has several rows, another ``reduceat`` takes each group's
     rows.  Per (stream, group, head) ``plan.sort``, the plan's
     ``ranked_sort``, sorts the group's ``plan.candidates`` by the float64
-    score row, and ``laid_out`` lays the order out at once.  The
-    ``Ordering`` turns orders and scores into documents, through each
+    score row, and ``laid_out`` lays the order out at once: one row of
+    starts per group, which attention hands each of the group's rows.
+    The ``Ordering`` turns orders and scores into documents, through each
     stream's own plan, only when they are read.
     """
     plan = plans[0]
@@ -238,7 +213,8 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plans: list[AttentionPlan],
             if g0 < b + block and g1 > b:
                 if g0 <= b and (g1 >= b + block or g1 == r):
                     mine = j  # every row of the block is in this group
-                hidden.append((max(g0 - b, 0), g1 - b, *plan.ranked_spans[j]))
+                c0 = plan.ranked_starts[j]  # the document's span
+                hidden.append((max(g0 - b, 0), g1 - b, c0, c0 + plan.ranked_lens[j]))
         if mine is None:
             logits = np.matmul(q_b, keys, out=work[:q_b.size // d * n_cols].reshape(
                 m, -1, n_cols)).reshape(m, -1, rep, n_cols)
@@ -246,7 +222,8 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plans: list[AttentionPlan],
                 logits[:, g0:g1, :, c0:c1] = NEG_INF
             totals[:, rb] = _document_mass(logits, reduce, plan.ranked_starts)
         else:  # score only the other documents' columns
-            c0, c1 = plan.ranked_spans[mine]
+            c0 = plan.ranked_starts[mine]
+            c1 = c0 + plan.ranked_lens[mine]
             width = n_cols - (c1 - c0)
             logits = work[:q_b.size // d * width].reshape(m, -1, width)
             np.matmul(q_b, keys[:, :, :c0], out=logits[:, :, :c0])

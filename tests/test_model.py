@@ -6,6 +6,7 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -539,9 +540,10 @@ class TestLastLayerRows:
         cfg = model.config
         rows = ref.plan.rows(0, layout.n, cfg.n_heads // cfg.n_kv_heads)
         x = model.weights["embed.weight"][np.asarray(tokens)[rows.index]]
+        every = slice(0, layout.n)
+        group = model_mod._Group((ref,), [ref.plan], (rows,), rows.base, every, (rows,), every)
         for layer in range(cfg.n_layers):
-            x = model_mod._layer_forward(model, x, layer, [model_mod._Group(
-                (ref,), [ref.plan], (rows,), rows.base, slice(0, layout.n))])
+            x = model_mod._layer_forward(model, x, layer, [group])
         ref.n_cached = layout.n
         assert len(cache.k_base) == len(cache.v) == cfg.n_layers
         assert len(cache.k_raw) == len(ref.k_raw) == (cfg.n_layers if ref.plan.reorders else 0)
@@ -934,8 +936,9 @@ class TestBatchedStreams:
 
 
 class TestGroupedStreams:
-    """Streams whose plans share one shape and that run the same rows share one
-    key rotation and one attention call per layer.  A grouped call must give
+    """Streams whose rows read the same plan (one shape, the same rows and, where
+    ``row_blocks`` plans them, one ``sees``) share one key rotation and one
+    attention call per layer.  A grouped call must give
     every stream bitwise what one call per stream gives it inside the same
     pass, and streams whose plans differ must never share a call."""
 
@@ -1015,8 +1018,19 @@ class TestGroupedStreams:
                                              and not mode.reassigns):
                 # one call serves every stream of equal lengths, the first set's orders
                 assert sizes[0] == (len(streams) if prompts == "equal" else len(orders)), sizes
-            if canonical and vanilla and prompts != "equal":  # every order its own plan
-                assert max(sizes) == 1, sizes
+            if canonical and vanilla and prompts != "equal":
+                # A prefill's rows read ``sees``, which differs per order: one call per
+                # stream.  A decode step's lone rows read none, so neighbouring live
+                # orders of one document set at one length share a call.
+                prefill = self.CONFIG.n_layers * len(streams)
+                assert sizes[:prefill] == [1] * prefill, sizes
+                done, decode = [0] * len(streams), []  # decode steps each stream has taken
+                for live in steps:
+                    runs = groupby(live, key=lambda i: (i // len(orders), done[i]))
+                    decode += [len(list(same)) for _, same in runs] * self.CONFIG.n_layers
+                    for i in live:
+                        done[i] += 1
+                assert sizes[prefill:] == decode, sizes
 
 
 class TestTieEmbeddingsConfig:

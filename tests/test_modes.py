@@ -636,9 +636,9 @@ class TestBlockPlan:
         monkeypatch.setattr(kernels, "_BLOCK_SCORES", 7 * self.REP * n)
         blocks = self.check(plan, 0, n)
         assert len(blocks) >= 3
+        starts = [c0 for c0, _, _ in plan.key_blocks]
         straddle = [b for b in blocks
-                    if len({bisect_right(plan.block_starts, c)
-                            for c in range(b.rows.start, b.rows.stop)}) > 1]
+                    if len({bisect_right(starts, c) for c in range(b.rows.start, b.rows.stop)}) > 1]
         assert straddle
         self.check(plan, layout.suffix_start, n - layout.suffix_start)  # the suffix rows alone
         monkeypatch.undo()

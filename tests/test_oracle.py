@@ -268,8 +268,10 @@ class TestSpread:
 class TestRunSuiteAttentionCalls:
     """run_suite's orders of one document set share a plan shape under
     canonical reduction, so each forward pass makes one attention call per
-    layer for its whole batch (pine and sp); canonical vanilla orders see
-    each other's documents differently and make one call per stream."""
+    layer for its whole batch (pine and sp).  Canonical vanilla orders see
+    each other's documents differently, so their prefill makes one call per
+    stream; a decode step's lone rows read no visibility table, so each
+    decode pass makes one call per layer for the batch."""
 
     @pytest.mark.parametrize("variant", ["pine", "sp", "vanilla"])
     def test_calls_per_layer_per_pass_per_batch(self, tiny_model, variant, monkeypatch):
@@ -296,5 +298,6 @@ class TestRunSuiteAttentionCalls:
         rep = run_suite(tiny_model, prompt, AttentionMode(variant), orders, new_tokens)
         assert batches == [8, 8, 8] and rep.permutations_tested == 24
         passes = new_tokens  # a prefill, then a decode pass per greedy token after the first
-        per_call = 1 if variant == "vanilla" else 8
-        assert calls == [per_call] * (tiny_model.config.n_layers * passes * 3 * 8 // per_call)
+        layers = tiny_model.config.n_layers
+        prefill = [1] * (layers * 8) if variant == "vanilla" else [8] * layers
+        assert calls == (prefill + [8] * (layers * (passes - 1))) * 3

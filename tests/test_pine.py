@@ -10,13 +10,11 @@ from posinv import (
     AttentionMode,
     AttentionPlan,
     SegmentedPrompt,
-    order_documents,
     permute_documents,
     tokenize,
 )
 from posinv.pine import (
     comparison_count,
-    document_starts,
     group_ordering,
     laid_out,
     query_groups,
@@ -147,38 +145,36 @@ class TestDocImportance:
 
 
 class TestOrderDocuments:
+    """``ranked_sort`` orders ranked positions (indices into the documents
+    sorted by content hash, then input index) by a score row."""
+
     def test_proof_example(self):
         # For a query document D1 with Sim(D1,D2) > Sim(D1,D3), keys sort
-        # [D3 | D2 | D1]; the candidate order here is D3 then D2.
-        hashes = (111, 222, 333)
-        assert order_documents({1: 0.7, 2: 0.3}, hashes, "closer") == [2, 1]
+        # [D3 | D2 | D1]; the candidate order here is D3 then D2.  The hashes
+        # (111, 222, 333) rank the documents in input order.
+        assert ranked_sort("closer")([0.0, 0.7, 0.3], [1, 2]) == [2, 1]
 
     def test_reversed_direction(self):
-        hashes = (111, 222, 333)
-        assert order_documents({1: 0.7, 2: 0.3}, hashes, "reversed") == [1, 2]
+        assert ranked_sort("reversed")([0.0, 0.7, 0.3], [1, 2]) == [1, 2]
 
     def test_tie_break_by_content_hash(self):
-        hashes = (500, 100, 300)
-        assert order_documents({0: 0.5, 1: 0.5, 2: 0.5}, hashes, "closer") == [1, 2, 0]
+        # hashes (500, 100, 300) rank documents 1, 2, 0: equal scores keep that order
+        ranked = [1, 2, 0]
+        order = ranked_sort("closer")([0.5, 0.5, 0.5], [0, 1, 2])
+        assert [ranked[i] for i in order] == [1, 2, 0]
 
     @pytest.mark.parametrize("direction", ["close", "closest", "reverse", "", None, 1])
     def test_unknown_direction_rejected(self, direction):
         # Only "closer" sorts ascending and "reversed" descending; any other
         # direction is an error, not quietly the reversed sort.
         with pytest.raises(ValueError, match="unknown sort direction"):
-            order_documents({0: 0.1, 1: 0.5, 2: 0.3}, (3, 2, 1), direction)
-
-    def test_nan_rejected(self):
-        for bad in (float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ValueError, match="non-finite importance score for document 1"):
-                order_documents({0: 0.5, 1: bad}, (1, 2), "closer")
+            ranked_sort(direction)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_ranked_sort_orders_as_order_documents(self, data):
+    def test_ranked_sort_orders_by_score_then_content_hash(self, data):
         # group_ordering sorts ranked positions (content hash, then input
-        # index) by a float64 row; order_documents sorts a dict of the same
-        # candidates in ranked order.  Scores are drawn from a few values and
+        # index) by a float64 row.  Scores are drawn from a few values and
         # contents from a few hashes, so exact ties reach both tie rules.
         k = data.draw(st.integers(2, 8))
         hashes = tuple(data.draw(st.lists(st.sampled_from([5, 17, 99]), min_size=k, max_size=k)))
@@ -187,20 +183,16 @@ class TestOrderDocuments:
         own = data.draw(st.integers(-1, k - 1))  # -1: a group with no document of its own
         direction = data.draw(st.sampled_from(["closer", "reversed"]))
         ranked = sorted(range(k), key=lambda j: (hashes[j], j))
-        reset_comparison_count()
         got = ranked_sort(direction)([scores[j] for j in ranked],
                                      [i for i, j in enumerate(ranked) if j != own])
-        got, count = [ranked[i] for i in got], comparison_count()
+        got = [ranked[i] for i in got]
         candidates = {j: scores[j] for j in ranked if j != own}
-        reset_comparison_count()
-        assert got == order_documents(candidates, hashes, direction)
-        assert comparison_count() == count
         sign = 1 if direction == "closer" else -1
         assert got == sorted(candidates, key=lambda j: (sign * scores[j], hashes[j], j))
 
     def test_comparison_counter_grows(self):
         reset_comparison_count()
-        order_documents({i: float(i) for i in range(8)}, tuple(range(8)), "closer")
+        ranked_sort("closer")([float(i) for i in range(8)], list(range(8)))
         assert comparison_count() > 0
 
 
@@ -328,9 +320,9 @@ class TestComplexity:
         ratios = []
         rng = np.random.default_rng(3)
         for k in (2, 4, 8, 16, 32):
-            scores = {i: float(rng.random()) for i in range(k)}
+            scores = [float(rng.random()) for _ in range(k)]
             reset_comparison_count()
-            order_documents(scores, tuple(range(k)), "closer")
+            ranked_sort("closer")(scores, list(range(k)))
             ratios.append(comparison_count() / (k * math.log2(k)))
         assert max(ratios) / min(ratios) <= 2.0
 
@@ -466,9 +458,16 @@ def block_starts(layout, ordered):
     return at
 
 
+def row_starts(q, keys, plan, groups):
+    """Each query row's start of every ranked position, [rows, heads, k]: its
+    group's ``group_ordering`` starts, as attention takes them."""
+    starts = group_ordering(q, keys, [plan], groups).starts
+    return np.repeat(starts, np.diff([*groups.bounds, len(q)]), axis=0)
+
+
 class TestOrderingGoldens:
     """Orders recorded before the ordering pass took one comparator per call
-    over ranked positions, asserted bit for bit through ``document_starts``.
+    over ranked positions, asserted bit for bit through ``row_starts``.
     Every document key is one raw key vector, so exact ties reach the hash
     rule; documents 0 and 2 have identical contents, so the input index
     decides between them.  A string lists one row's documents in key-block
@@ -502,8 +501,8 @@ class TestOrderingGoldens:
         cols = plan.columns(0, layout.n)[0]
         keys = key_panel(k[cols][plan.ranked_cols])
         p = layout.prefix_len
-        prefill = document_starts(q[cols][p:], keys, [plan], query_groups(plan.col_rank, p))
-        decoded = document_starts(q[layout.n:], keys, [plan], query_groups(np.full(1, -1), 0))
+        prefill = row_starts(q[cols][p:], keys, plan, query_groups(plan.col_rank, p))
+        decoded = row_starts(q[layout.n:], keys, plan, query_groups(np.full(1, -1), 0))
         got = np.empty_like(prefill)
         got[cols[p:] - p] = prefill  # the rows back in storage order
         orders = self.GOLDEN[variant, aggregation].split()
@@ -519,15 +518,15 @@ class TestDocumentStarts:
         docs = tuple("abcdefgh"[j] * (1 + (3 * j) % 4) for j in range(k))
         _, layout = tokenize(SegmentedPrompt("S", docs, "QR"))
         plan = AttentionPlan(AttentionMode("pine", canonical=canonical), layout)
-        starts = laid_out(range(k), plan.doc_lens, layout.prefix_len, [0] * k)
-        assert starts == [s for s, _ in layout.doc_spans]
+        starts = laid_out(plan.rank, plan.ranked_lens, layout.prefix_len, [0] * k)  # ranked
+        assert [starts[r] for r in plan.rank] == [s for s, _ in layout.doc_spans]
 
     @pytest.mark.parametrize("canonical", [True, False])
     @pytest.mark.parametrize("variant", ["pine", "pine_reverse"])
     @pytest.mark.parametrize("aggregation", ["mean", "sum", "max"])
     @pytest.mark.parametrize("k", [2, 5, 8])
     def test_block_starts_of_group_ordering(self, k, aggregation, variant, canonical):
-        # The starts document_starts lays out for every row and head at once
+        # The starts row_starts lays out for every row and head at once
         # are block_starts of the order group_ordering gives the row's group:
         # prefill rows (each document's rows one group, each suffix row its
         # own) and a lone decoded row, over 4 query heads and 2 KV heads.
@@ -543,7 +542,7 @@ class TestDocumentStarts:
         cases = [(q[cols][p:], plan.col_rank[p:]),  # prefill rows
                  (q[layout.n:], np.full(1, -1))]  # a decoded row
         for rows, own in cases:
-            starts = document_starts(rows, keys, [plan], query_groups(own, 0))
+            starts = row_starts(rows, keys, plan, query_groups(own, 0))
             starts = starts.take(plan.rank, axis=2)  # by document
             orders = group_ordering(rows, keys, [plan], query_groups(own, 0)).orders
             assert starts.shape == (len(rows), 4, k)
