@@ -18,8 +18,7 @@ from .model import (
     prefill,
     save_weights,
 )
-from .modes import (AttentionMode, AttentionPlan, assign_positions, attention_forward,
-                    build_mask, sp_rescale)
+from .modes import AttentionMode, AttentionPlan, assign_positions, attention_forward, build_mask
 from .oracle import (
     DivergenceReport,
     dense_reference,

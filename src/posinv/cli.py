@@ -305,9 +305,9 @@ def comparator_counts_per_token(model: Model, k_values: list[int], doc_len: int 
             continue
         mode = AttentionMode("pine")
         cache, logits = prefill(model, tokens, layout, mode)
-        pine.reset_comparison_count()
+        before = pine.comparison_count()
         decode_step(model, cache, int(np.argmax(logits)), mode)
-        counts[k] = pine.comparison_count()
+        counts[k] = pine.comparison_count() - before
     return counts
 
 

@@ -286,9 +286,10 @@ def init_random(config: ModelConfig, seed: int) -> Weights:
 
 @dataclass
 class GenerationParams:
+    """Greedy generation of ``max_new_tokens`` tokens, no fewer, under ``mode``."""
+
     max_new_tokens: int
     mode: AttentionMode
-    eos_token: int | None = None
 
 
 # Columns a prefill leaves free after the prompt, for decoding.
@@ -545,22 +546,15 @@ def generate(model: Model, tokens: list[int], layout: SequenceLayout,
 
 def _greedy_decode(model: Model, caches: list[KVCache], logits: list[np.ndarray],
                    params: GenerationParams) -> list[list[int]]:
-    """Greedy tokens of each stream from its cache, prefilled under
-    ``params.mode``, and its last logits.  The streams decode in lockstep:
-    each step is one forward pass over every stream that has not yet
-    stopped (at ``eos_token`` or ``max_new_tokens``)."""
+    """``params.max_new_tokens`` greedy tokens of each stream from its
+    cache, prefilled under ``params.mode``, and its last logits.  The
+    streams decode in lockstep: each step is one forward pass over them all."""
     outs: list[list[int]] = [[] for _ in caches]
-    logits = list(logits)
-    live = list(range(len(caches))) if params.max_new_tokens > 0 else []
-    while live:
-        for i in live:
-            outs[i].append(greedy_pick(logits[i]))
-        live = [i for i in live
-                if len(outs[i]) < params.max_new_tokens and outs[i][-1] != params.eos_token]
-        if live:
-            step = _forward(model, [caches[i] for i in live], [outs[i][-1:] for i in live])
-            for i, row in zip(live, step):
-                logits[i] = row
+    for step in range(params.max_new_tokens):
+        for out, row in zip(outs, logits):
+            out.append(greedy_pick(row))
+        if step + 1 < params.max_new_tokens:
+            logits = _forward(model, caches, [out[-1:] for out in outs])
     return outs
 
 

@@ -5,14 +5,14 @@ Seven variants share one attention core over blocks of query rows:
   vanilla          causal mask, input positions
   nia              causal mask minus inter-document pairs, input positions
   pcw              nia mask, all documents sharing one position block
-  sp               pcw plus 1/k rescaling of suffix->document attention
+  sp               pcw plus a 1/k weight on suffix->document attention
   pine             bidirectional inter-document mask, importance-sorted
                    key positions (most important closest to the query)
   pine_noreassign  pine mask, input positions (ablation; not invariant)
   pine_reverse     pine with the sort direction flipped
 
 ``_MODE_TABLE`` is the one place these rules live.  Masks, positions,
-the sp rescale and the CLI's invariance verdict all read them as
+sp's score bias and the CLI's invariance verdict all read them as
 attributes of ``AttentionMode``.  Only the float64 oracle in
 ``oracle.py`` keeps its own copy, so that it stays independent.
 
@@ -45,7 +45,7 @@ from .rope import rotate
 class _Rules(NamedTuple):
     doc_mask: Literal["causal", "separate", "bidirectional"]  # between documents
     positions: Literal["input", "shared", "importance"]  # key positions
-    rescales: bool  # sp: scale suffix->document attention by 1/k
+    rescales: bool  # sp: weight suffix->document attention by 1/k (a -log k score bias)
     invariant: bool  # outputs independent of the document order
     direction: pine.Direction = "closer"  # sort order of "importance" positions
 
@@ -136,21 +136,6 @@ def assign_positions(mode: AttentionMode, layout: SequenceLayout, q_index: int,
     pos = np.empty_like(base)
     pos[plan.order] = base  # each column back to its storage index
     return pos
-
-
-def sp_rescale(weights: np.ndarray, layout: SequenceLayout) -> np.ndarray:
-    """Scale the document-key attention of suffix or decoded queries by 1/k
-    (k >= 2: with k <= 1 attention does not call it, which keeps those rows
-    bitwise equal to the unrescaled computation) and renormalize.  Documents
-    fill keys prefix_len .. suffix_start - 1 in storage and in column order.
-
-    Attention passes the exponentials of the columns a row block keeps.  A
-    block with suffix rows keeps every column up to its last row, since
-    those rows see every earlier key, so its document columns are that range.
-    """
-    scaled = weights.copy()
-    scaled[..., layout.prefix_len:layout.suffix_start] /= np.float32(layout.k)
-    return (scaled / scaled.sum(axis=-1, keepdims=True)).astype(weights.dtype, copy=False)
 
 
 def base_positions(mode: AttentionMode, layout: SequenceLayout, total_len: int) -> np.ndarray:
@@ -392,12 +377,15 @@ def attention_forward(plans: list[AttentionPlan], q_raw: np.ndarray, k_raw: np.n
     workspace per call, of one row block per KV head of each stream; the
     block's fills set its hidden keys to NEG_INF there, ``row_softmax``
     exponentiates them in place, and the [rows, d_head] value products are
-    divided by the row sums.  Each (stream, head) takes the rows and
-    columns a block of that head alone would, so its output is bitwise the
-    same: streams share only the plan structure that was compared equal,
-    never a score, a sort or an output.  A lone suffix or decoded row sees
-    every earlier key in every mode, so a decode step is one block with no
-    fill.
+    divided by the row sums.  sp (k >= 2) weights the document keys by 1/k
+    for rows from ``suffix_start`` on by a float32 -log k on their scores in
+    columns ``prefix_len .. suffix_start`` (the document columns of a block
+    that keeps every column up to its last row) before the softmax.  Each
+    (stream, head) takes the rows and columns a block of that head alone
+    would, so its output is bitwise the same: streams share only the plan
+    structure that was compared equal, never a score, a sort or an output.
+    A lone suffix or decoded row sees every earlier key in every mode, so a
+    decode step is one block with no fill.
 
     No key is rotated again: RoPE scores depend only on relative positions,
     <R(p)q, R(c + o)k> = <R(p - c)q, R(o)k>, so a key block at base offset o
@@ -421,9 +409,9 @@ def attention_forward(plans: list[AttentionPlan], q_raw: np.ndarray, k_raw: np.n
             or len(rows) != n_streams):
         raise ValueError(f"{n} queries and {s} keys of {n_streams} streams do not match the "
                          f"{len(rows)} x {t} rows from {shared.start}")
-    late = None  # sp's rows at or after suffix_start
+    late, bias = t, None  # sp (k >= 2): its rows from ``late`` on weight documents by 1/k
     if mode.rescales and layout.k > 1:
-        late = np.arange(shared.start, s) >= layout.suffix_start
+        late, bias = max(layout.suffix_start - shared.start, 0), -np.float32(np.log(layout.k))
     # The position p - c each query is rotated to per key block shift c: [1, S * t]
     # when the plan does not reorder, else [shifts, S * t, n_heads]: shift 0, then
     # each document's start in ``plan.docs`` order.  The rows before
@@ -469,13 +457,9 @@ def attention_forward(plans: list[AttentionPlan], q_raw: np.ndarray, k_raw: np.n
                 scores[:, fill_rows, :, cols] = NEG_INF
             else:
                 np.copyto(scores[:, fill_rows, :, cols], NEG_INF, where=after[:, None, :])
+        if rb.stop > late:  # a block with sp's late rows keeps columns 0 .. its last row
+            scores[:, max(late - rb.start, 0):, :, layout.prefix_len:layout.suffix_start] += bias
         e, sums = row_softmax(scores.reshape(-1, width))
-        if late is not None and late[rb].any():
-            # A block with late rows keeps columns 0 .. its last row.  sp_rescale
-            # renormalizes their exponentials, so their outputs take no division.
-            e, sums = e.reshape(scores.shape), sums.reshape(m, -1, rep, 1)
-            e[:, late[rb]] = sp_rescale(e[:, late[rb]], layout)
-            sums[:, late[rb]] = 1
         e, at = e.reshape(m, -1, width), 0
         for c0, c1 in spans:  # the [rows, d_head] value products, one per span
             part = e[:, :, at:at + c1 - c0] @ v[:, c0:c1]

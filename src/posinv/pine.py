@@ -51,11 +51,6 @@ _DIRECTIONS = get_args(Direction)
 _comparisons = 0
 
 
-def reset_comparison_count() -> None:
-    global _comparisons
-    _comparisons = 0
-
-
 def comparison_count() -> int:
     return _comparisons
 
@@ -126,17 +121,18 @@ class Ordering(NamedTuple):
     """What ``group_ordering`` gives the G query groups of each of its S
     streams at H heads, the streams' groups one after another."""
 
-    ranked_orders: list[list[list[int]]]  # [stream's group][head]: key-block order, ranked
     starts: np.ndarray  # [S * G, H, k] int64: each ranked position's ``laid_out`` start
     ranked_scores: np.ndarray  # [S * G, H, k] float64 by ranked position; own document 0
     plans: list[AttentionPlan]  # each stream's, whose ``ranked`` and ``rank`` give its documents
 
     @property
     def orders(self) -> list[list[list[int]]]:
-        """[stream's group][head]: the documents in key-block order."""
-        size = len(self.ranked_orders) // len(self.plans)  # groups per stream
-        return [[[self.plans[g // size].ranked[i] for i in order] for order in per_head]
-                for g, per_head in enumerate(self.ranked_orders)]
+        """[stream's group][head]: the documents in key-block order.  Every
+        document has a token, so the starts rise strictly along an order
+        (the own document, laid out last, sorts last): their argsort is it."""
+        per_stream = np.split(self.starts.argsort(axis=2), len(self.plans))
+        return np.concatenate([np.take(p.ranked, order)
+                               for order, p in zip(per_stream, self.plans)]).tolist()
 
     @property
     def scores(self) -> np.ndarray:
@@ -158,10 +154,10 @@ def laid_out(order: Iterable[int], lens: Sequence[int], at: int, starts: list[in
 
 def group_ordering(q: np.ndarray, k_raw: np.ndarray, plans: list[AttentionPlan],
                    groups: QueryGroups) -> Ordering:
-    """Document order, scores and starts of every query group at every
-    head, k >= 2, for S streams whose plans share one ``shape``: their
-    groups, documents' lengths and candidates are the same in ranked
-    positions, and the first plan's serve them all.
+    """Scores and starts, which give the document order, of every query
+    group at every head, k >= 2, for S streams whose plans share one
+    ``shape``: their groups, documents' lengths and candidates are the same
+    in ranked positions, and the first plan's serve them all.
 
     q: [S * r, n_heads, d] pre-rotation query rows, the rows of ``groups``
     of each stream, stacked; k_raw: [S * n_kv_heads, d, c], each stream's
@@ -183,10 +179,11 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plans: list[AttentionPlan],
     Where a group has several rows, another ``reduceat`` takes each group's
     rows.  Per (stream, group, head) ``plan.sort``, the plan's
     ``ranked_sort``, sorts the group's ``plan.candidates`` by the float64
-    score row, and ``laid_out`` lays the order out at once: one row of
-    starts per group, which attention hands each of the group's rows.
-    The ``Ordering`` turns orders and scores into documents, through each
-    stream's own plan, only when they are read.
+    score row, and ``laid_out`` lays the order, with the own document
+    appended, out at once: one row of starts per group, which attention
+    hands each of the group's rows; the order itself is not kept.  The
+    ``Ordering`` reads orders off the starts and turns them and the scores
+    into documents, through each stream's own plan, only when they are read.
     """
     plan = plans[0]
     layout, mode, k = plan.layout, plan.mode, plan.layout.k
@@ -240,19 +237,14 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plans: list[AttentionPlan],
     group_totals = (np.divide(group_totals, plan.ranked_lens, dtype=np.float64)
                     if mode.aggregation == "mean" else group_totals.astype(np.float64))
     sort, lens, at = plan.sort, plan.ranked_lens.tolist(), layout.prefix_len
-    orders, starts, base = [], [0] * group_totals.size, 0
+    starts, base = [0] * group_totals.size, 0
     for j, rows in zip(groups.docs * n_streams, group_totals.tolist()):
-        candidates, per_head = plan.candidates[j], []  # ranked positions
+        candidates, own = plan.candidates[j], [j] if j >= 0 else []  # ranked positions
         for row in rows:
-            order = sort(row, candidates)
-            if j >= 0:
-                order.append(j)
-            laid_out(order, lens, at, starts, base)
-            per_head.append(order)
+            laid_out(sort(row, candidates) + own, lens, at, starts, base)
             base += k
-        orders.append(per_head)
-    return Ordering(orders, np.array(starts, dtype=np.int64).reshape(group_totals.shape),
-                    group_totals, plans)
+    return Ordering(np.array(starts, dtype=np.int64).reshape(group_totals.shape), group_totals,
+                    plans)
 
 
 def _document_mass(logits: np.ndarray, reduce: np.ufunc, starts: np.ndarray) -> np.ndarray:

@@ -583,14 +583,6 @@ class TestGenerate:
         params = GenerationParams(max_new_tokens=0, mode=VANILLA)
         assert generate(tiny_model, tokens, layout, params) == []
 
-    def test_immediate_eos(self, tiny_model):
-        tokens, layout = tokenize(SegmentedPrompt("SYS", (), "q"))
-        _, logits = prefill(tiny_model, tokens, layout, VANILLA)
-        eos = int(np.argmax(logits))
-        params = GenerationParams(max_new_tokens=5, mode=VANILLA, eos_token=eos)
-        out = generate(tiny_model, tokens, layout, params)
-        assert out == [eos]
-
     def test_run_to_run_determinism(self, tiny_model):
         tokens, layout = tokenize(SegmentedPrompt("SYS", ("ab", "cd"), "q"))
         params = GenerationParams(max_new_tokens=6, mode=PINE)

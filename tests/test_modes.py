@@ -12,7 +12,6 @@ from posinv import (
     attention_forward,
     build_mask,
     permute_documents,
-    sp_rescale,
     tokenize,
 )
 from posinv import kernels, modes
@@ -202,59 +201,57 @@ class TestAssignPositions:
                 w = np.exp(z - z.max())
                 w /= w.sum()
                 if mode.rescales and row >= layout.suffix_start:
-                    w = sp_rescale(w, layout)
+                    w = sp_weighted(w, layout)
                 assert np.allclose(w @ v[:, h // 2], out[row, h], rtol=0, atol=1e-6), (row, h)
 
 
-class TestSpRescale:
-    def test_all_mass_on_documents_unchanged(self):
-        _, layout = running_example()
-        row = np.zeros(8, dtype=np.float32)
-        row[1:7] = 1 / 6
-        out = sp_rescale(row, layout)
-        assert np.allclose(out, row, atol=1e-7)
-
-    def test_arithmetic_oracle(self):
-        # Row [doc: 0.6, prefix: 0.4] with k=2: scale doc mass by 1/2 and
-        # renormalize -> [0.3, 0.4] / 0.7.
-        _, layout = tokenize(SegmentedPrompt("p", ("ab", "cd"), "s"))
-        row = np.zeros(layout.n, dtype=np.float32)
-        row[1] = 0.6  # doc token
-        row[0] = 0.4  # prefix token
-        out = sp_rescale(row, layout)
-        assert abs(float(out[1]) - 0.3 / 0.7) < 1e-6
-        assert abs(float(out[0]) - 0.4 / 0.7) < 1e-6
+def sp_weighted(w, layout):
+    """sp's weighting of float64 attention rows ``w`` of queries from
+    ``suffix_start`` on, k >= 2: the document keys scaled by 1/k, then
+    each row renormalized."""
+    w = w.copy()
+    w[..., layout.prefix_len:layout.suffix_start] /= layout.k
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 class TestSpDeferredRescale:
-    """Attention divides each row's value product by its sum once, after sp
-    has scaled the late rows' unnormalized document columns."""
+    """sp weights the late rows' document keys by 1/k as a score bias of
+    -log k before the softmax; those rows then take the division by their
+    row sums that every row takes."""
 
     PROMPT = SegmentedPrompt("SYS: ", ("a" * 40, "b" * 41, "c" * 39), " Q?" + "x" * 120)
 
-    def test_equals_normalize_then_rescale_in_float64(self):
+    @pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "storage"])
+    def test_equals_normalize_then_rescale_in_float64(self, canonical):
+        # Every prompt row, the last prompt row alone, and a row decoded at
+        # a column past the prompt into a cache that has grown.
         _, layout = tokenize(self.PROMPT)
-        n, n_heads, d = layout.n, 4, 8
+        n, n_heads, d, extra = layout.n, 4, 8, 4
         block = row_block(n, n_heads)
         assert layout.suffix_start // block < (n - 1) // block  # suffix rows in two row blocks
-        q, k, v = random_qkv(layout, n_heads, 1, d, 11)
-        mode = AttentionMode("sp")
-        out = attend(mode, q, k, v, layout)
+        assert layout.suffix_start % block  # a block holds document and suffix rows
+        grown = layout.extend(extra)
+        q, k, v = random_qkv(grown, n_heads, 1, d, 11)
+        mode = AttentionMode("sp", canonical=canonical)
+        out = attend(mode, q[:n], k[:n], v[:n], layout)
         plan = AttentionPlan(mode, layout)
-        cols = plan.columns(0, n)[0]
-        last = attention(plan, q[n - 1:], k[cols], v[cols], q_start=n - 1)
-        late = np.arange(layout.suffix_start, n)
-        pos = assign_positions(mode, layout, layout.suffix_start)
+        cols = plan.columns(0, n + extra)[0]
+        last = attention(plan, q[n - 1:n], k[cols[:n]], v[cols[:n]], q_start=n - 1)
+        decoded = attention(plan, q[-1:], k[cols], v[cols], q_start=n + extra - 1)
+        pos = assign_positions(mode, grown, layout.suffix_start)
         keys = rotate(k[:, 0], pos, 10000.0).astype(np.float64)
-        mask = build_mask(mode, layout, late, range(n))
+        mask = build_mask(mode, layout, range(n + extra), range(n + extra))
+        late = np.arange(n + extra) >= layout.suffix_start
         for h in range(n_heads):
-            qr = rotate(q[late, h], pos[late], 10000.0).astype(np.float64)
+            qr = rotate(q[:, h], pos, 10000.0).astype(np.float64)
             z = np.where(mask, qr @ keys.T / np.sqrt(d), -np.inf)
             w = np.exp(z - z.max(axis=1, keepdims=True))
-            w = sp_rescale(w / w.sum(axis=1, keepdims=True), layout)
+            w /= w.sum(axis=1, keepdims=True)
+            w[late] = sp_weighted(w[late], layout)
             ref = w @ v[:, 0].astype(np.float64)
-            assert np.max(np.abs(out[late, h] - ref)) < 1e-6, h
-            assert np.max(np.abs(last[0, h] - ref[-1])) < 1e-6, h
+            assert np.max(np.abs(out[:, h] - ref[:n])) < 1e-6, h
+            assert np.max(np.abs(last[0, h] - ref[n - 1])) < 1e-6, h
+            assert np.max(np.abs(decoded[0, h] - ref[-1])) < 1e-6, h
 
     @pytest.mark.parametrize("docs", [(), ("a" * 40,)], ids=["k0", "k1"])
     def test_k_at_most_1_bitwise_unrescaled(self, docs):
