@@ -4,7 +4,6 @@ from types import ModuleType as _ModuleType
 
 from .kernels import NEG_INF, NumericError, ShapeError, matmul, rms_norm, row_softmax, swiglu
 from .model import (
-    GenerationParams,
     KVCache,
     Model,
     ModelConfig,

@@ -19,7 +19,6 @@ import numpy as np
 from . import pine
 from .kernels import NumericError, ShapeError
 from .model import (
-    GenerationParams,
     Model,
     ModelConfig,
     WeightError,
@@ -163,8 +162,7 @@ def cmd_run(args) -> int:
     model, _, tokens, layout, report = _load_request(args)
     mode = _mode(args.mode, args)
     t0 = time.perf_counter()
-    params = GenerationParams(max_new_tokens=args.max_new_tokens, mode=mode)
-    out = generate(model, tokens, layout, params)
+    out = generate(model, tokens, layout, mode, args.max_new_tokens)
     report["timings"]["generate_s"] = time.perf_counter() - t0
     text = detokenize(out)
     report["results"] = {"mode": mode.variant, "tokens": out, "text": text}
@@ -178,8 +176,7 @@ def cmd_compare(args) -> int:
     results = {}
     for mode in _modes(args):
         t0 = time.perf_counter()
-        params = GenerationParams(max_new_tokens=args.max_new_tokens, mode=mode)
-        out = generate(model, tokens, layout, params)
+        out = generate(model, tokens, layout, mode, args.max_new_tokens)
         results[mode.variant] = {"tokens": out, "text": detokenize(out)}
         report["timings"][mode.variant + "_s"] = time.perf_counter() - t0
         print(f"{mode.variant}\t{results[mode.variant]['text']!r}")
@@ -284,8 +281,7 @@ def cmd_bias_scan(args) -> int:
             if metric == "gold_token_logprob":
                 value = continuation_logprob(model, tokens, layout, mode, gold_tokens)
             else:  # exact_match
-                params = GenerationParams(max_new_tokens=len(gold_tokens), mode=mode)
-                value = float(generate(model, tokens, layout, params) == gold_tokens)
+                value = float(generate(model, tokens, layout, mode, len(gold_tokens)) == gold_tokens)
             rows.append({"mode": mode.variant, "gold_position": p, "value": value})
             print(f"{mode.variant}\t{p}\t{value:.6f}")
     report["results"] = {"metric": metric, "rows": rows}

@@ -284,14 +284,6 @@ def init_random(config: ModelConfig, seed: int) -> Weights:
     return Weights(tensors).validate(config)
 
 
-@dataclass
-class GenerationParams:
-    """Greedy generation of ``max_new_tokens`` tokens, no fewer, under ``mode``."""
-
-    max_new_tokens: int
-    mode: AttentionMode
-
-
 # Columns a prefill leaves free after the prompt, for decoding.
 _HEADROOM = 64
 
@@ -538,22 +530,23 @@ def greedy_pick(logits: np.ndarray) -> int:
     return int(np.argmax(logits))
 
 
-def generate(model: Model, tokens: list[int], layout: SequenceLayout,
-             params: GenerationParams) -> list[int]:
-    cache, logits = prefill(model, tokens, layout, params.mode)
-    return _greedy_decode(model, [cache], [logits], params)[0]
+def generate(model: Model, tokens: list[int], layout: SequenceLayout, mode: AttentionMode,
+             max_new_tokens: int) -> list[int]:
+    """Greedy generation of ``max_new_tokens`` tokens, no fewer, under ``mode``."""
+    cache, logits = prefill(model, tokens, layout, mode)
+    return _greedy_decode(model, [cache], [logits], max_new_tokens)[0]
 
 
 def _greedy_decode(model: Model, caches: list[KVCache], logits: list[np.ndarray],
-                   params: GenerationParams) -> list[list[int]]:
-    """``params.max_new_tokens`` greedy tokens of each stream from its
-    cache, prefilled under ``params.mode``, and its last logits.  The
-    streams decode in lockstep: each step is one forward pass over them all."""
+                   max_new_tokens: int) -> list[list[int]]:
+    """``max_new_tokens`` greedy tokens of each stream from its prefilled
+    cache and its last logits.  The streams decode in lockstep: each step
+    is one forward pass over them all."""
     outs: list[list[int]] = [[] for _ in caches]
-    for step in range(params.max_new_tokens):
+    for step in range(max_new_tokens):
         for out, row in zip(outs, logits):
             out.append(greedy_pick(row))
-        if step + 1 < params.max_new_tokens:
+        if step + 1 < max_new_tokens:
             logits = _forward(model, caches, [out[-1:] for out in outs])
     return outs
 

@@ -1,11 +1,12 @@
-"""Brute-force machinery that makes the invariance guarantees testable.
+"""Machinery that makes the invariance guarantees testable.
 
-``dense_reference`` is a deliberately slow, structurally independent
-float64 forward pass built from explicit per-row loops.  It shares no
-attention, masking, ordering, or rotation code with the runtime, so an
-agreement within tolerance is meaningful evidence rather than a shared
-bug.  ``run_suite`` serves every given order of one document set through
-the runtime, a batch of orders per forward pass, and reports their spread.
+``dense_reference`` is a structurally independent float64 forward pass:
+one visibility matrix, and per (layer, head, query group) one rotation
+and one softmax product, all from its own rules.  It shares no attention,
+masking, ordering, or rotation code with the runtime, so an agreement
+within tolerance is meaningful evidence rather than a shared bug.
+``run_suite`` serves every given order of one document set through the
+runtime, a batch of orders per forward pass, and reports their spread.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 # perfbench's tracer wraps oracle.prefill and oracle.generate by name, so they stay imported here.
-from .model import (GenerationParams, Model, _greedy_decode, _prefill, generate,  # noqa: F401
-                    prefill)
+from .model import Model, _greedy_decode, _prefill, generate, prefill  # noqa: F401
 from .modes import AttentionMode
 from .prompts import SegmentedPrompt, SequenceLayout, permute_documents, tokenize
 
@@ -87,13 +87,12 @@ def run_suite(
     prompts = [tokenize(permute_documents(prompt, perm), bos=bos) for perm in orders]
     n_batches = max(1, -(-sum(layout.n for _, layout in prompts) // _BATCH_ROWS))
     size = -(-len(prompts) // n_batches)
-    params = GenerationParams(max_new_tokens=new_tokens, mode=mode)
     logit_sets, outputs = [], []
     for b in range(0, len(prompts), max(size, 1)):
         batch = prompts[b:b + size]
         caches, logits = _prefill(model, batch + batch[-1:] * (size - len(batch)), mode)
         logit_sets += logits[:len(batch)]
-        outputs += _greedy_decode(model, caches, logits, params)[:len(batch)]
+        outputs += _greedy_decode(model, caches, logits, new_tokens)[:len(batch)]
     max_diff, witness = spread(logit_sets)
     identical = all(o == outputs[0] for o in outputs)
     return DivergenceReport(
@@ -132,110 +131,47 @@ def spread(logit_sets: list[np.ndarray]) -> tuple[float, tuple[int, int] | None]
 # Independent dense float64 reference.
 
 
-_ORACLE_SIZE_CAP = 512
+_ORACLE_SIZE_CAP = 2048
 
 
-def _ref_doc_of(layout: SequenceLayout, idx: int):
-    for j, (s, e) in enumerate(layout.doc_spans):
-        if s <= idx < e:
-            return j
-    return None
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis; -inf entries get weight 0."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def _ref_visible(variant: str, layout: SequenceLayout, q: int, k: int) -> bool:
-    dq = _ref_doc_of(layout, q)
-    dk = _ref_doc_of(layout, k)
-    if dq is not None and dk is not None and dq != dk:
-        if variant in ("nia", "pcw", "sp"):
-            return False
-        if variant.startswith("pine"):
-            return True
-    return k <= q
-
-
-def _ref_rope(vec: np.ndarray, pos: int, theta: float) -> np.ndarray:
-    d = vec.shape[0]
-    out = np.empty(d, dtype=np.float64)
-    for i in range(0, d, 2):
-        ang = pos * theta ** (-(i) / d)
-        c, s = math.cos(ang), math.sin(ang)
-        out[i] = vec[i] * c - vec[i + 1] * s
-        out[i + 1] = vec[i] * s + vec[i + 1] * c
+def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rows of x turned pairwise: (x[2i], x[2i+1]) by the angle whose
+    cos and sin are column i of that row's ``cos`` and ``sin``."""
+    out = np.empty_like(x)
+    out[:, 0::2] = x[:, 0::2] * cos - x[:, 1::2] * sin
+    out[:, 1::2] = x[:, 0::2] * sin + x[:, 1::2] * cos
     return out
 
 
-def _ref_softmax(logits: list[float]) -> list[float]:
-    m = max(logits)
-    exps = [math.exp(z - m) for z in logits]
-    total = sum(exps)
-    return [e / total for e in exps]
-
-
-def _ref_ordering(
-    q_rows: np.ndarray,
-    k_head: np.ndarray,
-    layout: SequenceLayout,
-    own_doc,
-    d_head: int,
-    aggregation: str,
-    reverse: bool,
-) -> list[int]:
-    """Importance-sorted candidate document order (least important first, or
-    last when ``reverse``), with the query document (if any) appended last."""
-    cands = sorted(
-        (j for j in range(layout.k) if j != own_doc),
-        key=lambda j: (layout.doc_hashes[j], j),
-    )
-    if not cands:
-        return [own_doc] if own_doc is not None else []
-    key_idx = [t for j in cands for t in range(*layout.doc_spans[j])]
-    sums = {j: 0.0 for j in cands}
-    maxes = {j: 0.0 for j in cands}
-    for qi in range(q_rows.shape[0]):
-        logits = [float(np.dot(q_rows[qi], k_head[t])) / math.sqrt(d_head) for t in key_idx]
-        probs = _ref_softmax(logits)
-        for t_pos, t in enumerate(key_idx):
-            j = _ref_doc_of(layout, t)
-            sums[j] += probs[t_pos]
-            maxes[j] = max(maxes[j], probs[t_pos])
-    scores = {}
-    for j in cands:
-        length = layout.doc_spans[j][1] - layout.doc_spans[j][0]
+def _ref_order(q_rows: np.ndarray, keys: np.ndarray, inverse: np.ndarray, layout: SequenceLayout,
+               own: int, aggregation: str, reverse: bool) -> list[int]:
+    """Every document but ``own`` (-1: none) from least to most important
+    (most to least when ``reverse``), equal scores by content hash, then
+    ``own``.  A row's importance weights are its softmax over those
+    documents' raw keys; a score aggregates them over the rows and tokens of
+    a document.  ``keys`` are the distinct raw document keys and ``inverse``
+    maps each document column to its key, so equal keys get equal bits."""
+    z = (q_rows @ keys.T)[:, inverse] / math.sqrt(q_rows.shape[-1])
+    starts = [s - layout.prefix_len for s, _ in layout.doc_spans]
+    if own >= 0:
+        s, e = layout.doc_spans[own]
+        z[:, s - layout.prefix_len:e - layout.prefix_len] = -np.inf
+    p = _softmax(z)
+    if aggregation == "max":
+        scores = np.maximum.reduceat(p.max(axis=0), starts)
+    else:
+        scores = np.add.reduceat(p.sum(axis=0), starts)
         if aggregation == "mean":
-            scores[j] = sums[j] / length
-        elif aggregation == "sum":
-            scores[j] = sums[j]
-        else:
-            scores[j] = maxes[j]
-    ordered = sorted(cands, key=lambda j: (-scores[j] if reverse else scores[j],
-                                           layout.doc_hashes[j], j))
-    if own_doc is not None:
-        ordered.append(own_doc)
-    return ordered
-
-
-def _ref_positions(
-    variant: str,
-    layout: SequenceLayout,
-    total: int,
-    ordered_docs: list[int] | None,
-) -> list[int]:
-    pos = list(range(total))
-    if variant in ("pcw", "sp"):
-        max_len = max((e - s for s, e in layout.doc_spans), default=0)
-        for s, e in layout.doc_spans:
-            for o in range(e - s):
-                pos[s + o] = layout.prefix_len + o
-        for t in range(layout.suffix_start, total):
-            pos[t] = layout.prefix_len + max_len + (t - layout.suffix_start)
-    elif variant in ("pine", "pine_reverse") and ordered_docs is not None:
-        cursor = layout.prefix_len
-        for j in ordered_docs:
-            s, e = layout.doc_spans[j]
-            for o in range(e - s):
-                pos[s + o] = cursor + o
-            cursor += e - s
-    return pos
+            scores = scores / [layout.doc_len(j) for j in range(layout.k)]
+    ordered = sorted((j for j in range(layout.k) if j != own),
+                     key=lambda j: (-scores[j] if reverse else scores[j], layout.doc_hashes[j], j))
+    return ordered + ([own] if own >= 0 else [])
 
 
 def dense_reference(
@@ -244,69 +180,78 @@ def dense_reference(
     layout: SequenceLayout,
     mode: AttentionMode,
 ) -> np.ndarray:
-    """Last-token logits from an explicit-loop float64 forward pass."""
-    if len(tokens) > _ORACLE_SIZE_CAP:
-        raise ValueError(f"dense_reference: sequence length {len(tokens)} exceeds cap")
+    """Last-token logits from a float64 forward pass with its own rules.
+
+    Rows whose keys sit at the same positions form a query group, and each
+    (layer, head, query group) takes one product of its rotated queries
+    with the rotated keys.  Only pine and pine_reverse with k >= 2 move
+    positions per group: the prefix, each document's rows, and each suffix
+    row alone.  The visibility, positions, rotation, importance order and
+    sp's weighting after the softmax are all written out here."""
+    n = len(tokens)
+    if n > _ORACLE_SIZE_CAP:
+        raise ValueError(f"dense_reference: sequence length {n} exceeds cap {_ORACLE_SIZE_CAP}")
     cfg = model.config
     variant = mode.variant
     reverse = variant == "pine_reverse"  # from the name, not the runtime's mode table
     w = {name: arr.astype(np.float64) for name, arr in model.weights.tensors.items()}
-    n = len(tokens)
-    x = np.stack([w["embed.weight"][t] for t in tokens])
+    d, rep, pre, suf = cfg.d_head, cfg.n_heads // cfg.n_kv_heads, layout.prefix_len, layout.suffix_start
+    doc = np.full(n, -1)
+    pos = np.arange(n)
+    for j, (s, e) in enumerate(layout.doc_spans):
+        doc[s:e] = j
+        if variant in ("pcw", "sp"):
+            pos[s:e] = pre + np.arange(e - s)
+    if variant in ("pcw", "sp"):
+        pos[suf:] = pre + max(map(layout.doc_len, range(layout.k)), default=0) + np.arange(n - suf)
+    visible = np.arange(n)[None, :] <= np.arange(n)[:, None]
+    across = (doc[:, None] >= 0) & (doc[None, :] >= 0) & (doc[:, None] != doc[None, :])
+    if variant in ("nia", "pcw", "sp"):
+        visible = visible & ~across
+    elif variant.startswith("pine"):
+        visible = visible | across
+    # every position, given or re-assigned, lies in 0 .. n - 1
+    angles = np.arange(n)[:, None] * cfg.rope_theta ** (-np.arange(0, d, 2) / d)
+    cos, sin = np.cos(angles), np.sin(angles)
+    reassigning = variant in ("pine", "pine_reverse") and layout.k >= 2
+    groups = [(0, n)]
+    if reassigning:  # the prefix, if any, each document's rows, each suffix row
+        groups = [(0, pre)][:pre] + list(layout.doc_spans) + [(t, t + 1) for t in range(suf, n)]
 
     def norm(mat: np.ndarray, gain: np.ndarray) -> np.ndarray:
-        out = np.empty_like(mat)
-        for i in range(mat.shape[0]):
-            ms = float(np.mean(mat[i] * mat[i]))
-            out[i] = mat[i] / math.sqrt(ms + cfg.norm_eps) * gain
-        return out
+        return mat / np.sqrt(np.mean(mat * mat, axis=-1, keepdims=True) + cfg.norm_eps) * gain
 
+    x = w["embed.weight"][tokens]
     for layer in range(cfg.n_layers):
         p = f"layers.{layer}."
         h = norm(x, w[p + "attn_norm.weight"])
-        q = (h @ w[p + "q_proj.weight"]).reshape(n, cfg.n_heads, cfg.d_head)
-        k = (h @ w[p + "k_proj.weight"]).reshape(n, cfg.n_kv_heads, cfg.d_head)
-        v = (h @ w[p + "v_proj.weight"]).reshape(n, cfg.n_kv_heads, cfg.d_head)
-        rep = cfg.n_heads // cfg.n_kv_heads
-        attn = np.zeros((n, cfg.n_heads, cfg.d_head), dtype=np.float64)
+        q = (h @ w[p + "q_proj.weight"]).reshape(n, cfg.n_heads, d)
+        k = (h @ w[p + "k_proj.weight"]).reshape(n, cfg.n_kv_heads, d)
+        v = (h @ w[p + "v_proj.weight"]).reshape(n, cfg.n_kv_heads, d)
+        attn = np.zeros((n, cfg.n_heads, d))
         for head in range(cfg.n_heads):
             g = head // rep
-            reassigning = variant in ("pine", "pine_reverse") and layout.k >= 2
-            doc_orderings: dict = {}
-            for qi in range(n):
-                ordered = None
-                if reassigning:
-                    own = _ref_doc_of(layout, qi)
-                    if own is not None:
-                        if own not in doc_orderings:
-                            s, e = layout.doc_spans[own]
-                            doc_orderings[own] = _ref_ordering(
-                                q[s:e, head], k[:, g], layout, own,
-                                cfg.d_head, mode.aggregation, reverse,
-                            )
-                        ordered = doc_orderings[own]
-                    elif qi >= layout.suffix_start:
-                        ordered = _ref_ordering(
-                            q[qi : qi + 1, head], k[:, g], layout, None,
-                            cfg.d_head, mode.aggregation, reverse,
-                        )
-                pos = _ref_positions(variant, layout, n, ordered)
-                vis = [t for t in range(n) if _ref_visible(variant, layout, qi, t)]
-                q_rot = _ref_rope(q[qi, head], pos[qi], cfg.rope_theta)
-                logits = []
-                for t in vis:
-                    k_rot = _ref_rope(k[t, g], pos[t], cfg.rope_theta)
-                    logits.append(float(np.dot(q_rot, k_rot)) / math.sqrt(cfg.d_head))
-                weights = _ref_softmax(logits)
-                if variant == "sp" and layout.k > 1 and qi >= layout.suffix_start:
-                    scaled = [
-                        wt / layout.k if _ref_doc_of(layout, t) is not None else wt
-                        for wt, t in zip(weights, vis)
-                    ]
-                    total = sum(scaled)
-                    weights = [wt / total for wt in scaled]
-                for wt, t in zip(weights, vis):
-                    attn[qi, head] += wt * v[t, g]
+            if reassigning and head % rep == 0:  # the distinct raw document keys of KV head g
+                keys, inverse = np.unique(k[pre:suf, g], axis=0, return_inverse=True)
+                inverse = inverse.reshape(-1)
+            for a, b in groups:
+                at = pos
+                if reassigning and a >= pre:
+                    at = pos.copy()
+                    cursor = pre
+                    for j in _ref_order(q[a:b, head], keys, inverse, layout, int(doc[a]),
+                                        mode.aggregation, reverse):
+                        s, e = layout.doc_spans[j]
+                        at[s:e] = cursor + np.arange(e - s)
+                        cursor += e - s
+                q_rot = _rotate(q[a:b, head], cos[at[a:b]], sin[at[a:b]])
+                k_rot = _rotate(k[:, g], cos[at], sin[at])
+                weights = _softmax(np.where(visible[a:b], q_rot @ k_rot.T / math.sqrt(d), -np.inf))
+                if variant == "sp" and layout.k > 1:  # sp's one group holds every row
+                    late = weights[suf:]
+                    late[:, pre:suf] /= layout.k
+                    late /= late.sum(axis=-1, keepdims=True)
+                attn[a:b, head] = weights @ v[:, g]
         x = x + attn.reshape(n, -1) @ w[p + "o_proj.weight"]
         h2 = norm(x, w[p + "ffn_norm.weight"])
         gate = h2 @ w[p + "gate_proj.weight"]

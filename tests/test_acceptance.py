@@ -19,7 +19,6 @@ import posinv
 from posinv import (
     AttentionMode,
     AttentionPlan,
-    GenerationParams,
     Model,
     ModelConfig,
     SegmentedPrompt,
@@ -413,9 +412,8 @@ def test_criterion_08_ordering_cost_growth(lemma_model, lemma_prompt):
     tokens, layout = tokenize(lemma_prompt)
     times = {}
     for variant in ("vanilla", "pine"):
-        params = GenerationParams(max_new_tokens=4, mode=AttentionMode(variant))
         t0 = time.perf_counter()
-        generate(lemma_model, tokens, layout, params)
+        generate(lemma_model, tokens, layout, AttentionMode(variant), 4)
         times[variant] = time.perf_counter() - t0
     ratio = times["pine"] / times["vanilla"]
     report_pass(8, f"comparator counts track k log k; pine/vanilla wall-time ratio {ratio:.2f}")

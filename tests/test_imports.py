@@ -1,4 +1,5 @@
-"""Every module-level import of the runtime is used.
+"""Every module-level import of the runtime is used, and the float64
+oracle takes no rule from the runtime it checks.
 
 A parse of each module with ``ast`` stands in for a linter's unused-import
 rule.  ``__init__.py`` is skipped, since its imports are the package's
@@ -40,3 +41,42 @@ def test_no_unused_module_level_import(module):
 def test_an_unused_import_is_flagged():
     source = "import math\nimport numpy as np\nfrom os import path  # noqa\n\nx = np.zeros(1)\n"
     assert unused_imports(source) == ["math (line 1)"]
+
+
+RUNTIME_ONLY = {"pine", "rope", "kernels"}
+MODE_FIELDS = {"variant", "aggregation"}
+
+
+def oracle_dependencies(source: str) -> list[str]:
+    """What ``source``, the float64 oracle, takes from the runtime that
+    would let it share a bug with it: an import of ``pine``, ``rope`` or
+    ``kernels``, a name of ``modes`` other than ``AttentionMode``, and a
+    read of a mode field other than ``variant`` and ``aggregation``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names]
+            modules = [node.module] if node.module else names
+            for module in (m.removeprefix("posinv.") for m in modules):
+                if module in RUNTIME_ONLY or module == "modes" and names != ["AttentionMode"]:
+                    found.append(f"from {module} import {', '.join(names)} (line {node.lineno})")
+        elif isinstance(node, ast.Import):
+            found += [f"import {a.name} (line {node.lineno})" for a in node.names
+                      if a.name.removeprefix("posinv.") in RUNTIME_ONLY | {"modes"}]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "mode" and node.attr not in MODE_FIELDS):
+            found.append(f"mode.{node.attr} (line {node.lineno})")
+    return found
+
+
+def test_oracle_shares_no_runtime_rule():
+    assert oracle_dependencies((SRC / "oracle.py").read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("planted", [
+    "from .rope import rotate", "from .modes import AttentionMode, build_mask",
+    "from . import kernels", "import posinv.pine", "def f(mode):\n    return mode.canonical",
+])
+def test_a_shared_rule_is_flagged(planted):
+    source = "from .modes import AttentionMode\n\ndef g(mode):\n    return mode.variant\n"
+    assert len(oracle_dependencies(source + planted + "\n")) == 1

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from posinv import (
     AttentionMode,
-    GenerationParams,
     Model,
     ModelConfig,
     SegmentedPrompt,
@@ -580,13 +579,11 @@ class TestColumnOrder:
 class TestGenerate:
     def test_empty_budget(self, tiny_model):
         tokens, layout = tokenize(SegmentedPrompt("SYS", (), "q"))
-        params = GenerationParams(max_new_tokens=0, mode=VANILLA)
-        assert generate(tiny_model, tokens, layout, params) == []
+        assert generate(tiny_model, tokens, layout, VANILLA, 0) == []
 
     def test_run_to_run_determinism(self, tiny_model):
         tokens, layout = tokenize(SegmentedPrompt("SYS", ("ab", "cd"), "q"))
-        params = GenerationParams(max_new_tokens=6, mode=PINE)
-        runs = [generate(tiny_model, tokens, layout, params) for _ in range(3)]
+        runs = [generate(tiny_model, tokens, layout, PINE, 6) for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
 
 
@@ -906,9 +903,8 @@ class TestBatchedStreams:
             for got, (cache, _), tok in zip(logits, solo, toks):
                 assert np.max(np.abs(got - decode_step(model, cache, tok[0], mode))) <= 1e-6
         caches, logits = model_mod._prefill(model, prompts, mode)
-        params = GenerationParams(max_new_tokens=5, mode=mode)
-        outs = model_mod._greedy_decode(model, caches, logits, params)
-        assert outs == [generate(model, tokens, layout, params) for tokens, layout in prompts]
+        outs = model_mod._greedy_decode(model, caches, logits, 5)
+        assert outs == [generate(model, tokens, layout, mode, 5) for tokens, layout in prompts]
 
     def test_one_stream_past_max_seq_len_refuses_the_pass_before_any_compute(self, model,
                                                                              monkeypatch):

@@ -2,6 +2,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,10 +125,48 @@ class TestDenseReference:
         assert np.max(np.abs(logits - ref)) > 1e-4
 
     def test_size_cap(self, tiny_model):
-        tokens = [0] * 600
+        from posinv.oracle import _ORACLE_SIZE_CAP
+
+        tokens = [0] * (_ORACLE_SIZE_CAP + 1)
         _, layout = tokenize(SegmentedPrompt("x", (), ""))
         with pytest.raises(ValueError, match="cap"):
             dense_reference(tiny_model, tokens, layout, AttentionMode("vanilla"))
+
+
+# ROADMAP item 1: equal raw key columns can get float32 importance scores a
+# few ulp apart, so rounding, not the content hash, decides a max-aggregation
+# tie.  On this prompt that moves the logits far past the tolerance.
+TIE_DEFECT = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: importance ties split by rounding")
+
+
+class TestReferenceSize:
+    """The runtime against the oracle at the benchmark's reference size:
+    perfbench's rag_prefill prompt of seed 2, round 0 (n = 983, k = 8), on
+    its reference model, with canonical reduction."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+            from workloads import WORKLOADS, make_round
+        prefix, docs, suffix, _ = make_round(WORKLOADS["rag_prefill"], 2, 0)
+        tokens, layout = tokenize(SegmentedPrompt(prefix, docs, suffix))
+        assert (layout.n, layout.k) == (983, 8)
+        config = ModelConfig(n_layers=4, n_heads=8, n_kv_heads=2, d_model=256, d_head=32,
+                             d_ff=512, vocab_size=260)
+        return Model(config, init_random(config, 0)), tokens, layout
+
+    @pytest.mark.parametrize("variant, aggregation", [
+        *((v, "mean") for v in ALL_MODES),
+        ("pine", "sum"), ("pine_reverse", "sum"),
+        pytest.param("pine", "max", marks=TIE_DEFECT),
+        pytest.param("pine_reverse", "max", marks=TIE_DEFECT),
+    ])
+    def test_runtime_agrees_with_the_oracle(self, case, variant, aggregation):
+        model, tokens, layout = case
+        mode = AttentionMode(variant, aggregation)
+        _, logits = prefill(model, tokens, layout, mode)
+        assert np.max(np.abs(logits - dense_reference(model, tokens, layout, mode))) <= 1e-4
 
 
 def permutation_vote(outputs: list[str], extractor: str) -> str:
@@ -166,7 +205,7 @@ class TestPermutationVote:
 class TestRunSuitePrefills:
     def test_one_prefill_per_order_and_outputs_match_generate(self, tiny_model, prompt,
                                                               monkeypatch):
-        from posinv import GenerationParams, generate, model, oracle, permute_documents
+        from posinv import generate, model, oracle, permute_documents
 
         mode = AttentionMode("pine")
         orders = enumerate_orders(3, 10)
@@ -186,10 +225,9 @@ class TestRunSuitePrefills:
         rep = run_suite(tiny_model, prompt, mode, orders, 5)
         assert len(calls) == len(orders)
         monkeypatch.undo()
-        params = GenerationParams(max_new_tokens=5, mode=mode)
         for perm, out in zip(orders, rep.greedy_outputs):
             tokens, layout = tokenize(permute_documents(prompt, perm))
-            assert out == generate(tiny_model, tokens, layout, params)
+            assert out == generate(tiny_model, tokens, layout, mode, 5)
 
 
 class TestRunSuiteBatches:
