@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import modes
+from . import modes, pine
 from .kernels import ShapeError, matmul, rms_norm, swiglu
 from .modes import AttentionMode, AttentionPlan, Rows, attention_forward
 from .prompts import BYTE_VOCAB, N_SPECIALS, SequenceLayout
@@ -311,9 +311,14 @@ class KVCache:
     raw keys before ``suffix_start``, with the documents in ``plan.ranked``
     order (``plan.ranked_cols``), written once at prefill as the same kind
     of [n_kv_heads, d_head, columns] panel, so the importance pass reads its
-    documents as one slice."""
+    documents as one slice.  Such a cache also holds layer 0's
+    ``pine.KeySet``, which a prefill's forward pass builds from its token
+    ids and whose keys its layer-0 write gathers once from the panel, one
+    column per distinct token; layer 0's importance pass reads it in place
+    of the panel."""
 
     plan: AttentionPlan
+    key_set: pine.KeySet | None = None
     buffers: list[np.ndarray] = field(default_factory=list)
     k_raw: list[np.ndarray] = field(default_factory=list)
     n_cached: int = 0
@@ -343,8 +348,10 @@ class KVCache:
                                          dtype=parts[0].dtype))
             self.halves.append(_halves(self.buffers[-1]))
             if self.plan.reorders:
-                raw = parts[0][self.plan.ranked_cols].transpose(1, 2, 0)
-                self.k_raw.append(np.ascontiguousarray(raw))
+                raw = np.ascontiguousarray(parts[0][self.plan.ranked_cols].transpose(1, 2, 0))
+                self.k_raw.append(raw)
+                if layer == 0:
+                    self.key_set = self.key_set._replace(keys=raw[:, :, self.key_set.first])
         buf = self.buffers[layer]
         if n + t > buf.shape[2]:
             grown = np.empty_like(buf, shape=(2, n_kv, min(max(n + t, 2 * buf.shape[2]), limit), d))
@@ -389,14 +396,22 @@ def _write(caches: tuple[KVCache, ...], layer: int, parts: tuple[np.ndarray, ...
            limit: int) -> list:
     """Write each stream's rows of ``parts`` (raw keys, rotated keys and
     values, the streams' rows one after another) into its cache; returns
-    ``KVCache.write``'s raw key (or None), key and value panels, each
-    concatenated over the streams' KV heads: one stream's are its cache's views."""
+    what the importance pass reads (layer 0's key sets where the caches
+    hold them, else ``KVCache.write``'s raw key panel or None) and the key
+    and value panels, each over the streams' KV heads: one stream's are its
+    cache's own."""
     if len(caches) == 1:
-        return caches[0].write(layer, parts, limit)
-    t = len(parts[0]) // len(caches)
-    written = [cache.write(layer, [part[i:i + t] for part in parts], limit)
-               for cache, i in zip(caches, range(0, len(parts[0]), t))]
-    return [None if panels[0] is None else np.concatenate(panels) for panels in zip(*written)]
+        written = caches[0].write(layer, parts, limit)
+    else:
+        t = len(parts[0]) // len(caches)
+        written = [cache.write(layer, [part[i:i + t] for part in parts], limit)
+                   for cache, i in zip(caches, range(0, len(parts[0]), t))]
+        written = [None if panels[0] is None else np.concatenate(panels)
+                   for panels in zip(*written)]
+    if layer == 0 and caches[0].key_set is not None:  # one count matrix: see ``_forward``
+        keys = _stack([cache.key_set.keys for cache in caches])
+        return [caches[0].key_set._replace(keys=keys), *written[1:]]
+    return written
 
 
 def _layer_forward(model: Model, x: np.ndarray, layer: int, groups: list[_Group],
@@ -446,8 +461,9 @@ def _forward(model: Model, caches: list[KVCache], tokens: list[list[int]]) -> li
     values once every layer and the logits have succeeded; returns each
     stream's logits of its last token.  Every stream is checked before any
     compute.  Neighbouring streams whose rows read the same plan form a
-    ``_Group``: one ``shape``, the same rows and, where ``row_blocks`` plans
-    them, one ``sees`` (a lone row from ``suffix_start`` on reads none).
+    ``_Group``: one ``shape``, the same rows, where ``row_blocks`` plans
+    them one ``sees`` (a lone row from ``suffix_start`` on reads none), and
+    one count matrix of their layer-0 key sets.
     When several of a stream's rows end in its last column, the last layer
     runs that row alone (its tail) past the keys and values of every row."""
     cfg = model.config
@@ -465,8 +481,11 @@ def _forward(model: Model, caches: list[KVCache], tokens: list[list[int]]) -> li
         plan = cache.plan
         rows = plan.rows(q_start, t, rep)
         column_ids.append(ids[rows.index - q_start])
+        if plan.reorders and q_start == 0:  # a prefill: its layer 0 fills the keys
+            cache.key_set = pine.key_set(column_ids[-1], plan)
         lone = t == 1 and q_start >= plan.layout.suffix_start
-        streams.append(((plan.shape, q_start, t, None if lone else plan.sees.tobytes()),
+        counts = None if cache.key_set is None else cache.key_set.counts.tobytes()
+        streams.append(((plan.shape, q_start, t, None if lone else plan.sees.tobytes(), counts),
                         cache, rows))
     groups, lasts = [], []  # lasts: each last token's row in the rows the last layer runs
     at = on = 0  # the next group's first row in x, and in the rows the last layer runs

@@ -345,7 +345,8 @@ def _join(runs: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
     return joined
 
 
-def attention_forward(plans: list[AttentionPlan], q_raw: np.ndarray, k_raw: np.ndarray | None,
+def attention_forward(plans: list[AttentionPlan], q_raw: np.ndarray,
+                      k_raw: np.ndarray | pine.KeySet | None,
                       v: np.ndarray, k_base: np.ndarray, rows: list[Rows],
                       rope_theta: float) -> np.ndarray:
     """One layer of multi-head attention under the mode of ``plans``, the
@@ -362,10 +363,10 @@ def attention_forward(plans: list[AttentionPlan], q_raw: np.ndarray, k_raw: np.n
     s, d_head]; one stream's are its cache's views.  Each is read as it is,
     the keys as the unit-stride operand of every score product.  k_raw,
     the raw keys before the suffix as the KV caches hold them ([S *
-    n_kv_heads, d_head, columns]: ``plan.ranked_cols`` of the columns), is
-    read only when the plans reorder, and may be None elsewhere.  Returns
-    the rows as q_raw stacks them.  Queries or keys that do not match
-    ``rows`` raise ``ValueError``.
+    n_kv_heads, d_head, columns]: ``plan.ranked_cols`` of the columns; at
+    layer 0 their ``pine.KeySet``), is read only when the plans reorder,
+    and may be None elsewhere.  Returns the rows as q_raw stacks them.
+    Queries or keys that do not match ``rows`` raise ``ValueError``.
 
     The rows run in the blocks of the shared rows, every stream and KV head
     in one pass; each block scores only the columns its plan keeps for its

@@ -12,16 +12,21 @@ once, for one stream or for several whose plans share one shape, with
 batched matrix products per row block (a block inside one document's
 group skips that document's columns), then sorts and lays out each
 (stream, group, head)'s documents in one loop.  It reads the raw keys
-as the KV caches hold them, [n_kv_heads, d_head, columns] panels, the
-groups that ``query_groups`` forms once per forward pass (a decode
-step's lone row, a group of its own, runs the same path as a prefill's
-rows), and the ``AttentionPlan``'s sort, candidates and ranked document
-lengths, so a decode step pays per layer one score product, the
-softmax's document masses and one counted sort per head.  Groups,
-candidates, scores, starts and lengths are held in ranked positions
-(indices into ``canonical_order``), which the orders of one document
-set share under canonical reduction; input document ids appear only
-when an ``Ordering`` is read.  ``ranked_sort`` is the one counted
+as the KV caches hold them, [n_kv_heads, d_head, columns] panels, or at
+layer 0 the caches' ``KeySet``: a raw key there depends only on its
+token, so the pass scores one key per distinct token and sums (max:
+takes the maximum of) each document's exponentials through a count
+matrix.  Identical keys then get identical scores by construction, and
+an exact tie goes to the content hash.  It also reads the groups that
+``query_groups`` forms once per forward pass (a decode step's lone row,
+a group of its own, runs the same path as a prefill's rows), and the
+``AttentionPlan``'s sort, candidates and ranked document lengths, so a
+decode step pays per layer one score product, the softmax's document
+masses and one counted sort per head.  Groups, candidates, scores,
+starts and lengths are held in ranked positions (indices into
+``canonical_order``), which the orders of one document set share under
+canonical reduction; input document ids appear only when an
+``Ordering`` is read.  ``ranked_sort`` is the one counted
 comparator sort: it sorts ranked positions, whose order is the tie rule.
 
 ``laid_out`` is the one rule that lays documents out: a document key
@@ -152,7 +157,7 @@ def laid_out(order: Iterable[int], lens: Sequence[int], at: int, starts: list[in
     return starts
 
 
-def group_ordering(q: np.ndarray, k_raw: np.ndarray, plans: list[AttentionPlan],
+def group_ordering(q: np.ndarray, k_raw: np.ndarray | KeySet, plans: list[AttentionPlan],
                    groups: QueryGroups) -> Ordering:
     """Scores and starts, which give the document order, of every query
     group at every head, k >= 2, for S streams whose plans share one
@@ -164,15 +169,16 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plans: list[AttentionPlan],
     raw keys of at least the columns before the suffix as its KV cache
     holds them, unit-stride panels with the documents in ranked order
     (``plan.ranked_cols`` of the columns; the column order itself when
-    canonical), each stream's KV heads after the last's.  A group's own
-    document is never a candidate and comes last in its order; aggregation
-    and sort direction are the mode's.  The queries, scaled by
-    ``kernels.softmax_scale``, are scored against the document keys (one
-    slice of ``k_raw``) per ``row_block`` of rows (for n keys), into one
-    workspace, every stream's KV heads in one product.  A block whose rows
-    all lie in one document's group scores only the other documents'
-    columns, one product on each side of that document's span, and gives
-    it 0; any other block (one that straddles two groups, or holds suffix
+    canonical), each stream's KV heads after the last's; or the streams'
+    layer-0 ``KeySet``, whose keys decide the reduction (``_key_set_mass``).
+    A group's own document is never a candidate and comes last in its
+    order; aggregation and sort direction are the mode's.  Against a panel
+    the queries, scaled by ``kernels.softmax_scale``, are scored against
+    the document keys (one slice of ``k_raw``) per ``row_block`` of rows
+    (for n keys), into one workspace, every stream's KV heads in one
+    product.  A block whose rows all lie in one document's group scores
+    only the other documents' columns, one product on each side of that
+    document's span, and gives it 0; any other block (one that straddles two groups, or holds suffix
     or decoded rows) makes one product over every document column and
     hides each group's own document by one slice fill of -inf.
     ``_document_mass`` gives each document's share of the row's softmax.
@@ -190,18 +196,45 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plans: list[AttentionPlan],
     if k < 2:
         raise ValueError(f"group_ordering needs k >= 2 documents, got {k}")
     reduce = np.maximum if mode.aggregation == "max" else np.add
-    n_streams, (rows, n_heads, d), m = len(plans), q.shape, k_raw.shape[0]
-    r, n_kv = rows // n_streams, m // n_streams  # m: every stream's KV heads
+    distinct = isinstance(k_raw, KeySet)
+    n_streams, (rows, n_heads, d) = len(plans), q.shape
+    m = (k_raw.keys if distinct else k_raw).shape[0]  # every stream's KV heads
+    r, n_kv = rows // n_streams, m // n_streams
     rep = n_heads // n_kv
-    keys = k_raw[:, :, layout.prefix_len:layout.suffix_start]  # [m, d, cols]
-    n_cols = keys.shape[2]  # every document column
-    # as _document_mass gives them; zero where a block inside one group skips its document
-    totals = np.zeros((m, r, rep, k), dtype=q.dtype)
     # each stream's KV heads' query heads, scaled by the softmax's 1/sqrt(d)
     q_kv = (q * softmax_scale(d)).reshape(n_streams, r, n_kv, rep, d).swapaxes(1, 2).reshape(
         m, r, rep, d)
+    totals = (_key_set_mass if distinct else _column_mass)(q_kv, k_raw, plan, groups, reduce)
+    if len(groups.bounds) < r:  # some group has several rows: reduce them
+        totals = reduce.reduceat(totals, groups.bounds, axis=1)
+    # [streams * groups, n_heads, k] in float64, so the mean rounds as Python floats' division would
+    group_totals = totals.reshape(n_streams, n_kv, -1, rep, k).transpose(0, 2, 1, 3, 4).reshape(
+        -1, n_heads, k)
+    group_totals = (np.divide(group_totals, plan.ranked_lens, dtype=np.float64)
+                    if mode.aggregation == "mean" else group_totals.astype(np.float64))
+    sort, lens, at = plan.sort, plan.ranked_lens.tolist(), layout.prefix_len
+    starts, base = [0] * group_totals.size, 0
+    for j, rows in zip(groups.docs * n_streams, group_totals.tolist()):
+        candidates, own = plan.candidates[j], [j] if j >= 0 else []  # ranked positions
+        for row in rows:
+            laid_out(sort(row, candidates) + own, lens, at, starts, base)
+            base += k
+    return Ordering(np.array(starts, dtype=np.int64).reshape(group_totals.shape), group_totals,
+                    plans)
+
+
+def _column_mass(q_kv: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan, groups: QueryGroups,
+                 reduce: np.ufunc) -> np.ndarray:
+    """Every row's document masses, [m, r, rep, k], against a raw key panel's
+    document columns, one ``_document_mass`` per block of rows."""
+    m, r, rep, d = q_kv.shape
+    layout = plan.layout
+    keys = k_raw[:, :, layout.prefix_len:layout.suffix_start]  # [m, d, cols]
+    n_cols = keys.shape[2]  # every document column
+    # as _document_mass gives them; zero where a block inside one group skips its document
+    totals = np.zeros((m, r, rep, layout.k), dtype=q_kv.dtype)
     block = row_block(layout.n, rep)
-    work = np.empty(m * min(block, r) * rep * n_cols, dtype=q.dtype)  # every block's logits
+    work = np.empty(m * min(block, r) * rep * n_cols, dtype=q_kv.dtype)  # every block's logits
     for b in range(0, r, block):
         rb = slice(b, b + block)
         q_b = q_kv[:, rb].reshape(m, -1, d)
@@ -229,22 +262,68 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray, plans: list[AttentionPlan],
                 [plan.ranked_starts[:mine], plan.ranked_starts[mine + 1:] - (c1 - c0)]))
             totals[:, rb, :, :mine] = part[..., :mine]
             totals[:, rb, :, mine + 1:] = part[..., mine:]
-    if len(groups.bounds) < r:  # some group has several rows: reduce them
-        totals = reduce.reduceat(totals, groups.bounds, axis=1)
-    # [streams * groups, n_heads, k] in float64, so the mean rounds as Python floats' division would
-    group_totals = totals.reshape(n_streams, n_kv, -1, rep, k).transpose(0, 2, 1, 3, 4).reshape(
-        -1, n_heads, k)
-    group_totals = (np.divide(group_totals, plan.ranked_lens, dtype=np.float64)
-                    if mode.aggregation == "mean" else group_totals.astype(np.float64))
-    sort, lens, at = plan.sort, plan.ranked_lens.tolist(), layout.prefix_len
-    starts, base = [0] * group_totals.size, 0
-    for j, rows in zip(groups.docs * n_streams, group_totals.tolist()):
-        candidates, own = plan.candidates[j], [j] if j >= 0 else []  # ranked positions
-        for row in rows:
-            laid_out(sort(row, candidates) + own, lens, at, starts, base)
-            base += k
-    return Ordering(np.array(starts, dtype=np.int64).reshape(group_totals.shape), group_totals,
-                    plans)
+    return totals
+
+
+def _key_set_mass(q_kv: np.ndarray, keys: KeySet, plan: AttentionPlan, groups: QueryGroups,
+                  reduce: np.ufunc) -> np.ndarray:
+    """Every row's document masses, [m, r, rep, k], against a ``KeySet``,
+    one product per ``row_block`` of rows: the rows of each group hide
+    the tokens only its own document holds, and ``row_softmax``
+    exponentiates the rest.  ``e @ counts`` gives every document's mass
+    (max: the largest exponential of the tokens each document holds); the
+    own document's is zeroed and the rest sum to the row's total."""
+    m, r, rep, d = q_kv.shape
+    totals = np.empty((m, r, rep, plan.layout.k), dtype=q_kv.dtype)
+    block = row_block(keys.held.size if reduce is np.maximum else len(keys.counts), rep)
+    for b in range(0, r, block):
+        e = np.matmul(q_kv[:, b:b + block].reshape(m, -1, d), keys.keys)  # [m, rows * rep, tokens]
+        owned = [(max(g0 - b, 0) * rep, (g1 - b) * rep, j) for g0, g1, j in groups.owned
+                 if g0 < b + block and g1 > b]  # each group's rows in e
+        for x0, x1, j in owned:
+            e[:, x0:x1, keys.hidden[j]] = NEG_INF
+        row_softmax(e, sums=False)
+        sums = e @ keys.counts
+        mass = np.maximum.reduce(e[:, :, keys.held], axis=3) if reduce is np.maximum else sums
+        for x0, x1, j in owned:
+            sums[:, x0:x1, j] = mass[:, x0:x1, j] = 0
+        mass /= np.add.reduce(sums, axis=2, keepdims=True)
+        totals[:, b:b + block] = mass.reshape(m, -1, rep, mass.shape[2])
+    return totals
+
+
+class KeySet(NamedTuple):
+    """Layer 0's document keys, one per distinct token, as ``key_set``
+    builds them and the KV cache fills ``keys`` at prefill.  A raw key at
+    layer 0 depends only on its token (the norm and ``k_proj`` see only the
+    embedding; RoPE comes later), so a token's key stands for every column
+    that holds it.  Tokens run by id and documents by ranked position, so
+    the orders of one document set, with or without canonical reduction,
+    share everything here but ``keys`` and ``first``."""
+
+    keys: np.ndarray | None  # [n_kv_heads, d, tokens]: each token's raw key
+    first: np.ndarray  # each token's first document column in the raw key panel
+    counts: np.ndarray  # [tokens, k] float32: the token's columns in each ranked document
+    held: np.ndarray  # [k, most tokens of a document]: each ranked document's, its first repeated
+    hidden: np.ndarray  # [k, tokens] bool: the tokens each ranked document alone holds
+
+
+def key_set(ids: np.ndarray, plan: AttentionPlan) -> KeySet:
+    """The key set, with no keys yet, of a prompt under ``plan`` from its
+    token ids in column order: ids are exact, so ``np.unique`` of the
+    document columns' ids gives the tokens, with no key compared."""
+    layout = plan.layout
+    docs = ids[plan.ranked_cols][layout.prefix_len:]  # the raw key panel's document columns'
+    tokens, first, inverse = np.unique(docs, return_index=True, return_inverse=True)
+    doc = np.repeat(np.arange(layout.k), plan.ranked_lens)  # each column's ranked document
+    counts = np.bincount(inverse * layout.k + doc, minlength=len(tokens) * layout.k).reshape(
+        -1, layout.k).astype(np.float32)
+    held = (counts > 0).T
+    n_held = np.count_nonzero(held, axis=1)
+    order = np.argsort(~held, axis=1, kind="stable")[:, :n_held.max()]  # held tokens first
+    return KeySet(None, first + layout.prefix_len, counts,
+                  np.where(np.arange(order.shape[1]) < n_held[:, None], order, order[:, :1]),
+                  held & (np.count_nonzero(held, axis=0) == 1))
 
 
 def _document_mass(logits: np.ndarray, reduce: np.ufunc, starts: np.ndarray) -> np.ndarray:

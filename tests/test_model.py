@@ -458,6 +458,34 @@ class TestRowBlocks:
             assert np.max(np.abs(logits[0] - default[variant])) <= 1e-6, variant
 
 
+class TestLayerZeroKeySet:
+    """Pine's layer-0 key set rests on a premise: a raw key at layer 0
+    depends only on its token, as the norm and ``k_proj`` see only the
+    embedding.  An input that made it depend on the position would break
+    the key set, and this fails on it."""
+
+    @pytest.mark.parametrize("canonical", [True, False])
+    @pytest.mark.parametrize("variant", ["pine", "pine_reverse"])
+    @pytest.mark.parametrize("workload", ["rag_prefill", "long_decode"])
+    def test_every_document_column_holds_its_tokens_key(self, workload, variant, canonical,
+                                                        monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import WORKLOADS, make_round
+
+        prefix, docs, suffix, _ = make_round(WORKLOADS[workload], 1, 0)
+        tokens, layout = tokenize(SegmentedPrompt(prefix, docs, suffix))
+        config = ModelConfig(n_layers=1, n_heads=8, n_kv_heads=2, d_model=256, d_head=32,
+                             d_ff=64, vocab_size=260)
+        cache, _ = prefill(Model(config, init_random(config, 0)), tokens, layout,
+                           AttentionMode(variant, canonical=canonical))
+        plan, p = cache.plan, layout.prefix_len
+        ids = np.asarray(tokens)[plan.order][plan.ranked_cols][p:]  # the panel's document columns
+        distinct = np.unique(ids)
+        assert cache.key_set.keys.shape == (2, 32, len(distinct)) and len(distinct) < len(ids)
+        token_keys = cache.key_set.keys[:, :, np.searchsorted(distinct, ids)]
+        assert cache.k_raw[0][:, :, p:].tobytes() == token_keys.tobytes()
+
+
 class TestLastLayerRows:
     """Only the last token's logits are read: when several rows end in the last
     column, the last layer runs that row alone past its keys and values."""
@@ -538,7 +566,10 @@ class TestLastLayerRows:
         ref = model_mod.KVCache(modes.AttentionPlan(mode, layout))
         cfg = model.config
         rows = ref.plan.rows(0, layout.n, cfg.n_heads // cfg.n_kv_heads)
-        x = model.weights["embed.weight"][np.asarray(tokens)[rows.index]]
+        ids = np.asarray(tokens)[rows.index]  # the column ids
+        if ref.plan.reorders:
+            ref.key_set = pine.key_set(ids, ref.plan)
+        x = model.weights["embed.weight"][ids]
         every = slice(0, layout.n)
         group = model_mod._Group((ref,), [ref.plan], (rows,), rows.base, every, (rows,), every)
         for layer in range(cfg.n_layers):
@@ -548,6 +579,12 @@ class TestLastLayerRows:
         assert len(cache.k_raw) == len(ref.k_raw) == (cfg.n_layers if ref.plan.reorders else 0)
         for got, want in ((cache.k_base, ref.k_base), (cache.v, ref.v), (cache.k_raw, ref.k_raw)):
             assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+        assert (cache.key_set is None) == (ref.key_set is None) == (not ref.plan.reorders)
+        if ref.plan.reorders:  # layer 0's key set, every array of it bitwise
+            def arrays(key_set):
+                return [x.tobytes() for x in (key_set.keys, key_set.first, key_set.counts,
+                                              key_set.held, key_set.hidden)]
+            assert arrays(cache.key_set) == arrays(ref.key_set)
         h = kernels.rms_norm(x[-1:], model.weights["final_norm.weight"], cfg.norm_eps)
         assert np.max(np.abs(logits - kernels.matmul(h, model.head_matrix())[0])) <= 1e-6
 
@@ -924,8 +961,9 @@ class TestBatchedStreams:
 
 
 class TestGroupedStreams:
-    """Streams whose rows read the same plan (one shape, the same rows and, where
-    ``row_blocks`` plans them, one ``sees``) share one key rotation and one
+    """Streams whose rows read the same plan (one shape, the same rows, where
+    ``row_blocks`` plans them one ``sees``, and under pine one layer-0 count
+    matrix) share one key rotation and one
     attention call per layer.  A grouped call must give
     every stream bitwise what one call per stream gives it inside the same
     pass, and streams whose plans differ must never share a call."""
@@ -1004,8 +1042,10 @@ class TestGroupedStreams:
             vanilla = mode.doc_mask == "causal"
             if canonical and not vanilla or (not canonical and prompts == "equal"
                                              and not mode.reassigns):
-                # one call serves every stream of equal lengths, the first set's orders
-                assert sizes[0] == (len(streams) if prompts == "equal" else len(orders)), sizes
+                # one call serves every stream of equal lengths, the first set's orders;
+                # pine's streams also share one layer-0 key set: one document set's orders
+                assert sizes[0] == (len(streams) if prompts == "equal" and not mode.reassigns
+                                    else len(orders)), sizes
             if canonical and vanilla and prompts != "equal":
                 # A prefill's rows read ``sees``, which differs per order: one call per
                 # stream.  A decode step's lone rows read none, so neighbouring live

@@ -133,12 +133,6 @@ class TestDenseReference:
             dense_reference(tiny_model, tokens, layout, AttentionMode("vanilla"))
 
 
-# ROADMAP item 1: equal raw key columns can get float32 importance scores a
-# few ulp apart, so rounding, not the content hash, decides a max-aggregation
-# tie.  On this prompt that moves the logits far past the tolerance.
-TIE_DEFECT = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: importance ties split by rounding")
-
-
 class TestReferenceSize:
     """The runtime against the oracle at the benchmark's reference size:
     perfbench's rag_prefill prompt of seed 2, round 0 (n = 983, k = 8), on
@@ -158,9 +152,7 @@ class TestReferenceSize:
 
     @pytest.mark.parametrize("variant, aggregation", [
         *((v, "mean") for v in ALL_MODES),
-        ("pine", "sum"), ("pine_reverse", "sum"),
-        pytest.param("pine", "max", marks=TIE_DEFECT),
-        pytest.param("pine_reverse", "max", marks=TIE_DEFECT),
+        ("pine", "sum"), ("pine_reverse", "sum"), ("pine", "max"), ("pine_reverse", "max"),
     ])
     def test_runtime_agrees_with_the_oracle(self, case, variant, aggregation):
         model, tokens, layout = case

@@ -9,8 +9,12 @@ from posinv import kernels, pine
 from posinv import (
     AttentionMode,
     AttentionPlan,
+    Model,
+    ModelConfig,
     SegmentedPrompt,
+    init_random,
     permute_documents,
+    prefill,
     tokenize,
 )
 from posinv.pine import (
@@ -551,3 +555,92 @@ class TestDocumentStarts:
                 for head, ordered in enumerate(orders[group]):
                     assert starts[i, head].tolist() == block_starts(layout, ordered), (i, head)
             assert group == len(orders) - 1
+
+
+def seeded_docs(k, seed):
+    """k documents of seeded words, which share letters and spaces; each
+    ends in a capital that only it holds."""
+    rng = np.random.default_rng(seed)
+    words = ("the", "river", "court", "data", "model", "bridge", "on", "a")
+    return tuple(" ".join(rng.choice(words, size=int(rng.integers(1, 5)))) + " " + chr(65 + j)
+                 for j in range(k))
+
+
+class TestKeySet:
+    """Layer 0's importance pass scores one raw key per distinct token
+    (``pine.KeySet``) where the other layers score every document column."""
+
+    @pytest.mark.parametrize("canonical", [True, False])
+    @pytest.mark.parametrize("aggregation", ["mean", "sum", "max"])
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_key_set_matches_the_column_path(self, k, aggregation, canonical):
+        # The same queries through both paths, prefill rows and a decoded row,
+        # 4 query heads over 2 KV heads: equal orders and scores within
+        # rounding.  One document also holds a token no other holds, and its
+        # rows' queries point along that token's key, with a logit about 140
+        # above the rest: a row max that took that hidden token in would
+        # leave every other exponential 0.
+        toks, layout = tokenize(SegmentedPrompt("SYS: ", seeded_docs(k, k), " Q?"))
+        plan = AttentionPlan(AttentionMode("pine", aggregation, canonical), layout)
+        rng = np.random.default_rng(40 + k)
+        table = rng.normal(size=(260, 2, 8)).astype(np.float32)
+        table[:, :, 0] = 0
+        table[ord("A"), :, 0] = 400  # the first document's own token
+        cols = plan.columns(0, layout.n)[0]
+        ids = np.asarray(toks)[cols]
+        panel = key_panel(table[ids][plan.ranked_cols])
+        key_set = pine.key_set(ids, plan)
+        key_set = key_set._replace(keys=panel[:, :, key_set.first])
+        q = rng.normal(size=(layout.n + 1, 4, 8)).astype(np.float32)
+        q[:, :, 0] = 0
+        q[slice(*layout.doc_spans[0]), :, 0] = 1
+        p = layout.prefix_len
+        cases = [(q[cols][p:], query_groups(plan.col_rank, p)),  # prefill rows
+                 (q[layout.n:], query_groups(np.full(1, -1), 0))]  # a decoded row
+        for rows, groups in cases:
+            got = group_ordering(rows, key_set, [plan], groups)
+            want = group_ordering(rows, panel, [plan], groups)
+            assert got.orders == want.orders
+            assert np.allclose(got.ranked_scores, want.ranked_scores, rtol=1e-6, atol=0)
+
+    @pytest.mark.parametrize("variant", ["pine", "pine_reverse"])
+    def test_documents_tied_on_one_token_score_bitwise_equal(self, variant, monkeypatch):
+        # 3-8 documents each hold "#", at column offsets that vary with the
+        # layout, and suffix rows' queries point along its layer-0 raw key, so
+        # under max aggregation "#" is every document's largest exponential:
+        # the documents tie exactly, and must get one score, whichever column
+        # they read it at, so that the content hash orders them.
+        config = ModelConfig(n_layers=1, n_heads=8, n_kv_heads=2, d_model=256, d_head=32,
+                             d_ff=64, vocab_size=260)
+        model = Model(config, init_random(config, 0))
+        mode, rows, scorer = AttentionMode(variant, "max"), 12, pine.group_ordering
+        words = " ".join(seeded_docs(8, 3))
+        for k, step in ((k, step) for k in range(3, 9) for step in range(1, 13)):
+            docs = tuple(words[:1 + step * j] + "#" + "xyzw" * j for j in range(k))
+            tokens, layout = tokenize(SegmentedPrompt("SYS: ", docs, " Q? abcdefgh"))
+            calls = []
+
+            def spying(q, keys, plans, groups):
+                calls.append((keys, plans))
+                return scorer(q, keys, plans, groups)
+
+            monkeypatch.setattr(pine, "group_ordering", spying)
+            cache, _ = prefill(model, tokens, layout, mode)
+            monkeypatch.undo()
+            (keys, plans), plan, p = calls[0], cache.plan, layout.prefix_len  # layer 0's
+            ranked = np.asarray(tokens)[plan.order][plan.ranked_cols][p:]
+            shared = cache.k_raw[0][:, :, p + ranked.tolist().index(ord("#"))]  # [KV heads, d]
+            q = np.repeat(shared, 4, axis=0)[None] * np.linspace(0.5, 3, rows)[:, None, None]
+            q = q.astype(np.float32)
+            got = scorer(q, keys, plans, query_groups(np.full(rows, -1), 0))
+            # "#" is every document's largest logit at every row and head
+            logits = np.einsum("rkd,kdc->rkc", q[:, ::4].astype(np.float64),
+                               cache.k_raw[0][:, :, p:].astype(np.float64))
+            for j in range(k):
+                c0 = plan.ranked_starts[j]
+                c1 = c0 + plan.ranked_lens[j]
+                assert (logits[:, :, c0:c1].argmax(axis=2)
+                        == ranked[c0:c1].tolist().index(ord("#"))).all()
+            scores = got.ranked_scores
+            assert (scores == scores[:, :, :1]).all(), (k, step, np.ptp(scores, axis=2).max())
+            assert got.orders == [[plan.ranked] * 8] * rows  # ties go by content hash either way
