@@ -33,11 +33,13 @@ def main():
 
     # score the suffix token's view of the three documents; the plan holds
     # the keys in its column order, as the KV cache does: one
-    # [KV heads, d, columns] panel
+    # [KV heads, d, columns] panel, whose document columns the scorer reads
+    # as the plan's key set of one key per column
     mode = AttentionMode("pine")
     plan = AttentionPlan(mode, layout)
     row = layout.suffix_start
-    keys = np.ascontiguousarray(k[plan.order].transpose(1, 2, 0))
+    panel = np.ascontiguousarray(k[plan.order].transpose(1, 2, 0))
+    keys = plan.column_set._replace(keys=panel[:, :, layout.prefix_len : layout.suffix_start])
     got = group_ordering(q[row : row + 1], keys, [plan], query_groups(np.full(1, -1), 0))
     [[ordered]], [[scores]] = got.orders, got.scores
     print("length-normalized document scores:")

@@ -311,11 +311,11 @@ class KVCache:
     raw keys before ``suffix_start``, with the documents in ``plan.ranked``
     order (``plan.ranked_cols``), written once at prefill as the same kind
     of [n_kv_heads, d_head, columns] panel, so the importance pass reads its
-    documents as one slice.  Such a cache also holds layer 0's
-    ``pine.KeySet``, which a prefill's forward pass builds from its token
-    ids and whose keys its layer-0 write gathers once from the panel, one
-    column per distinct token; layer 0's importance pass reads it in place
-    of the panel."""
+    documents as one slice, one key per column (``plan.column_set``).  Such
+    a cache also holds layer 0's ``pine.KeySet``, which a prefill's forward
+    pass builds from its token ids and whose keys its layer-0 write gathers
+    once from the panel, one column per distinct token; layer 0's
+    importance pass reads it in place of the panel."""
 
     plan: AttentionPlan
     key_set: pine.KeySet | None = None
@@ -396,10 +396,11 @@ def _write(caches: tuple[KVCache, ...], layer: int, parts: tuple[np.ndarray, ...
            limit: int) -> list:
     """Write each stream's rows of ``parts`` (raw keys, rotated keys and
     values, the streams' rows one after another) into its cache; returns
-    what the importance pass reads (layer 0's key sets where the caches
-    hold them, else ``KVCache.write``'s raw key panel or None) and the key
-    and value panels, each over the streams' KV heads: one stream's are its
-    cache's own."""
+    the ``pine.KeySet`` the importance pass reads where the caches hold raw
+    keys (layer 0's key sets, else the plan's ``column_set`` over
+    ``KVCache.write``'s raw key panels' document columns, a view), else
+    None, and the key and value panels, each over the streams' KV heads:
+    one stream's are its cache's own."""
     if len(caches) == 1:
         written = caches[0].write(layer, parts, limit)
     else:
@@ -408,10 +409,13 @@ def _write(caches: tuple[KVCache, ...], layer: int, parts: tuple[np.ndarray, ...
                    for cache, i in zip(caches, range(0, len(parts[0]), t))]
         written = [None if panels[0] is None else np.concatenate(panels)
                    for panels in zip(*written)]
-    if layer == 0 and caches[0].key_set is not None:  # one count matrix: see ``_forward``
-        keys = _stack([cache.key_set.keys for cache in caches])
-        return [caches[0].key_set._replace(keys=keys), *written[1:]]
-    return written
+    raw, layout = written[0], caches[0].plan.layout
+    if raw is not None and layer == 0:  # one count matrix: see ``_forward``
+        raw = caches[0].key_set._replace(keys=_stack([cache.key_set.keys for cache in caches]))
+    elif raw is not None:
+        raw = caches[0].plan.column_set._replace(
+            keys=raw[:, :, layout.prefix_len:layout.suffix_start])
+    return [raw, *written[1:]]
 
 
 def _layer_forward(model: Model, x: np.ndarray, layer: int, groups: list[_Group],

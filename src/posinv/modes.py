@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, NamedTuple, get_args
 
 import numpy as np
@@ -228,9 +229,8 @@ class AttentionPlan:
         # The KV cache gathers them once, at prefill.
         self.ranked_cols = (slice(0, layout.suffix_start) if mode.canonical
                             else ranked[:layout.suffix_start])
-        # each ranked document's length, and its first column among the documents'
+        # each ranked document's length
         self.ranked_lens = np.array([layout.doc_len(j) for j in self.ranked], dtype=np.int64)
-        self.ranked_starts = np.cumsum(self.ranked_lens) - self.ranked_lens
         # group_ordering's sort and the candidates of each own ranked position (-1: none)
         self.sort = pine.ranked_sort(mode.direction)
         self.candidates = {j: [i for i in range(layout.k) if i != j] for j in range(-1, layout.k)}
@@ -247,6 +247,15 @@ class AttentionPlan:
         ranked = (tuple(self.ranked_lens.tolist()), tuple(self.shift_ranks.tolist()))
         self.shape = (mode, layout.n, layout.k, layout.prefix_len, layout.suffix_start,
                       tuple(self.key_blocks), ranked if self.reorders else None)
+
+    @cached_property
+    def column_set(self) -> pine.KeySet:
+        """The key set, with no keys, that the importance pass scores at every
+        layer but the first: ``pine.key_set`` of one distinct id per column of
+        the raw key panel, so its counts are 0/1 and each document alone holds
+        its own columns.  Built on first use: only plans whose pass runs pay."""
+        panel_cols = np.arange(self.layout.suffix_start)[self.ranked_cols]
+        return pine.key_set(np.argsort(panel_cols), self)  # each column's place in the panel
 
     def columns(self, c0: int, c1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Storage index, base position and ranked position of the document (-1:
@@ -346,7 +355,7 @@ def _join(runs: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
 
 
 def attention_forward(plans: list[AttentionPlan], q_raw: np.ndarray,
-                      k_raw: np.ndarray | pine.KeySet | None,
+                      k_raw: pine.KeySet | None,
                       v: np.ndarray, k_base: np.ndarray, rows: list[Rows],
                       rope_theta: float) -> np.ndarray:
     """One layer of multi-head attention under the mode of ``plans``, the
@@ -362,9 +371,9 @@ def attention_forward(plans: list[AttentionPlan], q_raw: np.ndarray,
     d_head, s], the keys rotated at base positions, and v, [S * n_kv_heads,
     s, d_head]; one stream's are its cache's views.  Each is read as it is,
     the keys as the unit-stride operand of every score product.  k_raw,
-    the raw keys before the suffix as the KV caches hold them ([S *
-    n_kv_heads, d_head, columns]: ``plan.ranked_cols`` of the columns; at
-    layer 0 their ``pine.KeySet``), is read only when the plans reorder,
+    the streams' raw document keys as ``pine.group_ordering`` reads them
+    (a ``pine.KeySet``: at layer 0 the KV caches', else ``plan.column_set``
+    over the caches' raw key panels), is read only when the plans reorder,
     and may be None elsewhere.  Returns the rows as q_raw stacks them.
     Queries or keys that do not match ``rows`` raise ``ValueError``.
 

@@ -9,15 +9,16 @@ ordering independent of the input document order.  ``group_ordering``
 is the one scorer, which ``modes.attention_forward`` calls per layer:
 it scores the documents for every query group of the layer's rows at
 once, for one stream or for several whose plans share one shape, with
-batched matrix products per row block (a block inside one document's
-group skips that document's columns), then sorts and lays out each
-(stream, group, head)'s documents in one loop.  It reads the raw keys
-as the KV caches hold them, [n_kv_heads, d_head, columns] panels, or at
-layer 0 the caches' ``KeySet``: a raw key there depends only on its
-token, so the pass scores one key per distinct token and sums (max:
-takes the maximum of) each document's exponentials through a count
-matrix.  Identical keys then get identical scores by construction, and
-an exact tie goes to the content hash.  It also reads the groups that
+one batched matrix product per row block, then sorts and lays out each
+(stream, group, head)'s documents in one loop.  Every layer's keys reach
+it as a ``KeySet``: a set of keys and a count matrix of which documents
+hold each.  At layer 0 a raw key depends only on its token, so the KV
+caches' set holds one key per distinct token; at the other layers the
+plan's ``column_set`` holds one per document column of the raw key
+panels.  The pass sums (max: takes the maximum of) each document's
+exponentials through the count matrix.  At layer 0 identical keys are
+one key, so they get identical scores by construction, and an exact tie
+goes to the content hash.  It also reads the groups that
 ``query_groups`` forms once per forward pass (a decode step's lone row,
 a group of its own, runs the same path as a prefill's rows), and the
 ``AttentionPlan``'s sort, candidates and ranked document lengths, so a
@@ -26,8 +27,8 @@ masses and one counted sort per head.  Groups, candidates, scores,
 starts and lengths are held in ranked positions (indices into
 ``canonical_order``), which the orders of one document set share under
 canonical reduction; input document ids appear only when an
-``Ordering`` is read.  ``ranked_sort`` is the one counted
-comparator sort: it sorts ranked positions, whose order is the tie rule.
+``Ordering`` is read.  ``ranked_sort`` is the one counted comparator
+sort: it sorts ranked positions, whose order is the tie rule.
 
 ``laid_out`` is the one rule that lays documents out: a document key
 sits at its document's start plus its offset inside the document.
@@ -157,7 +158,7 @@ def laid_out(order: Iterable[int], lens: Sequence[int], at: int, starts: list[in
     return starts
 
 
-def group_ordering(q: np.ndarray, k_raw: np.ndarray | KeySet, plans: list[AttentionPlan],
+def group_ordering(q: np.ndarray, keys: KeySet, plans: list[AttentionPlan],
                    groups: QueryGroups) -> Ordering:
     """Scores and starts, which give the document order, of every query
     group at every head, k >= 2, for S streams whose plans share one
@@ -165,46 +166,35 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray | KeySet, plans: list[Attent
     in ranked positions, and the first plan's serve them all.
 
     q: [S * r, n_heads, d] pre-rotation query rows, the rows of ``groups``
-    of each stream, stacked; k_raw: [S * n_kv_heads, d, c], each stream's
-    raw keys of at least the columns before the suffix as its KV cache
-    holds them, unit-stride panels with the documents in ranked order
-    (``plan.ranked_cols`` of the columns; the column order itself when
-    canonical), each stream's KV heads after the last's; or the streams'
-    layer-0 ``KeySet``, whose keys decide the reduction (``_key_set_mass``).
-    A group's own document is never a candidate and comes last in its
-    order; aggregation and sort direction are the mode's.  Against a panel
-    the queries, scaled by ``kernels.softmax_scale``, are scored against
-    the document keys (one slice of ``k_raw``) per ``row_block`` of rows
-    (for n keys), into one workspace, every stream's KV heads in one
-    product.  A block whose rows all lie in one document's group scores
-    only the other documents' columns, one product on each side of that
-    document's span, and gives it 0; any other block (one that straddles two groups, or holds suffix
-    or decoded rows) makes one product over every document column and
-    hides each group's own document by one slice fill of -inf.
-    ``_document_mass`` gives each document's share of the row's softmax.
-    Where a group has several rows, another ``reduceat`` takes each group's
-    rows.  Per (stream, group, head) ``plan.sort``, the plan's
-    ``ranked_sort``, sorts the group's ``plan.candidates`` by the float64
-    score row, and ``laid_out`` lays the order, with the own document
-    appended, out at once: one row of starts per group, which attention
-    hands each of the group's rows; the order itself is not kept.  The
-    ``Ordering`` reads orders off the starts and turns them and the scores
-    into documents, through each stream's own plan, only when they are read.
+    of each stream, stacked; keys: the streams' ``KeySet``, its keys [S *
+    n_kv_heads, d, keys] with each stream's KV heads after the last's: at
+    layer 0 the caches' (one key per distinct token), at the other layers
+    the plan's ``column_set`` over the raw key panels' document columns
+    (one key per column).  A group's own document is never a candidate and
+    comes last in its order; aggregation and sort direction are the mode's.
+    ``_key_set_mass`` gives each document's share of every row's softmax;
+    where a group has several rows, a ``reduceat`` takes each group's rows.
+    Per (stream, group, head) ``plan.sort``, the plan's ``ranked_sort``,
+    sorts the group's ``plan.candidates`` by the float64 score row, and
+    ``laid_out`` lays the order, with the own document appended, out at
+    once: one row of starts per group, which attention hands each of the
+    group's rows; the order itself is not kept.  The ``Ordering`` reads
+    orders off the starts and turns them and the scores into documents,
+    through each stream's own plan, only when they are read.
     """
     plan = plans[0]
     layout, mode, k = plan.layout, plan.mode, plan.layout.k
     if k < 2:
         raise ValueError(f"group_ordering needs k >= 2 documents, got {k}")
     reduce = np.maximum if mode.aggregation == "max" else np.add
-    distinct = isinstance(k_raw, KeySet)
     n_streams, (rows, n_heads, d) = len(plans), q.shape
-    m = (k_raw.keys if distinct else k_raw).shape[0]  # every stream's KV heads
+    m = keys.keys.shape[0]  # every stream's KV heads
     r, n_kv = rows // n_streams, m // n_streams
     rep = n_heads // n_kv
     # each stream's KV heads' query heads, scaled by the softmax's 1/sqrt(d)
     q_kv = (q * softmax_scale(d)).reshape(n_streams, r, n_kv, rep, d).swapaxes(1, 2).reshape(
         m, r, rep, d)
-    totals = (_key_set_mass if distinct else _column_mass)(q_kv, k_raw, plan, groups, reduce)
+    totals = _key_set_mass(q_kv, keys, groups, reduce)
     if len(groups.bounds) < r:  # some group has several rows: reduce them
         totals = reduce.reduceat(totals, groups.bounds, axis=1)
     # [streams * groups, n_heads, k] in float64, so the mean rounds as Python floats' division would
@@ -223,61 +213,20 @@ def group_ordering(q: np.ndarray, k_raw: np.ndarray | KeySet, plans: list[Attent
                     plans)
 
 
-def _column_mass(q_kv: np.ndarray, k_raw: np.ndarray, plan: AttentionPlan, groups: QueryGroups,
-                 reduce: np.ufunc) -> np.ndarray:
-    """Every row's document masses, [m, r, rep, k], against a raw key panel's
-    document columns, one ``_document_mass`` per block of rows."""
-    m, r, rep, d = q_kv.shape
-    layout = plan.layout
-    keys = k_raw[:, :, layout.prefix_len:layout.suffix_start]  # [m, d, cols]
-    n_cols = keys.shape[2]  # every document column
-    # as _document_mass gives them; zero where a block inside one group skips its document
-    totals = np.zeros((m, r, rep, layout.k), dtype=q_kv.dtype)
-    block = row_block(layout.n, rep)
-    work = np.empty(m * min(block, r) * rep * n_cols, dtype=q_kv.dtype)  # every block's logits
-    for b in range(0, r, block):
-        rb = slice(b, b + block)
-        q_b = q_kv[:, rb].reshape(m, -1, d)
-        mine, hidden = None, []
-        for g0, g1, j in groups.owned:  # each group's own document
-            if g0 < b + block and g1 > b:
-                if g0 <= b and (g1 >= b + block or g1 == r):
-                    mine = j  # every row of the block is in this group
-                c0 = plan.ranked_starts[j]  # the document's span
-                hidden.append((max(g0 - b, 0), g1 - b, c0, c0 + plan.ranked_lens[j]))
-        if mine is None:
-            logits = np.matmul(q_b, keys, out=work[:q_b.size // d * n_cols].reshape(
-                m, -1, n_cols)).reshape(m, -1, rep, n_cols)
-            for g0, g1, c0, c1 in hidden:
-                logits[:, g0:g1, :, c0:c1] = NEG_INF
-            totals[:, rb] = _document_mass(logits, reduce, plan.ranked_starts)
-        else:  # score only the other documents' columns
-            c0 = plan.ranked_starts[mine]
-            c1 = c0 + plan.ranked_lens[mine]
-            width = n_cols - (c1 - c0)
-            logits = work[:q_b.size // d * width].reshape(m, -1, width)
-            np.matmul(q_b, keys[:, :, :c0], out=logits[:, :, :c0])
-            np.matmul(q_b, keys[:, :, c1:], out=logits[:, :, c0:])
-            part = _document_mass(logits.reshape(m, -1, rep, width), reduce, np.concatenate(
-                [plan.ranked_starts[:mine], plan.ranked_starts[mine + 1:] - (c1 - c0)]))
-            totals[:, rb, :, :mine] = part[..., :mine]
-            totals[:, rb, :, mine + 1:] = part[..., mine:]
-    return totals
-
-
-def _key_set_mass(q_kv: np.ndarray, keys: KeySet, plan: AttentionPlan, groups: QueryGroups,
+def _key_set_mass(q_kv: np.ndarray, keys: KeySet, groups: QueryGroups,
                   reduce: np.ufunc) -> np.ndarray:
     """Every row's document masses, [m, r, rep, k], against a ``KeySet``,
-    one product per ``row_block`` of rows: the rows of each group hide
-    the tokens only its own document holds, and ``row_softmax``
-    exponentiates the rest.  ``e @ counts`` gives every document's mass
-    (max: the largest exponential of the tokens each document holds); the
-    own document's is zeroed and the rest sum to the row's total."""
+    one product per ``row_block`` of rows (queries scaled by
+    ``kernels.softmax_scale``): each group's rows hide the keys only its
+    own document holds, and ``row_softmax`` exponentiates the rest.
+    ``e @ counts`` gives every document's mass (max: the largest
+    exponential of the keys each document holds); the own document's is
+    zeroed and the rest sum to the row's total."""
     m, r, rep, d = q_kv.shape
-    totals = np.empty((m, r, rep, plan.layout.k), dtype=q_kv.dtype)
+    totals = np.empty((m, r, rep, len(keys.held)), dtype=q_kv.dtype)
     block = row_block(keys.held.size if reduce is np.maximum else len(keys.counts), rep)
     for b in range(0, r, block):
-        e = np.matmul(q_kv[:, b:b + block].reshape(m, -1, d), keys.keys)  # [m, rows * rep, tokens]
+        e = np.matmul(q_kv[:, b:b + block].reshape(m, -1, d), keys.keys)  # [m, rows * rep, keys]
         owned = [(max(g0 - b, 0) * rep, (g1 - b) * rep, j) for g0, g1, j in groups.owned
                  if g0 < b + block and g1 > b]  # each group's rows in e
         for x0, x1, j in owned:
@@ -293,19 +242,21 @@ def _key_set_mass(q_kv: np.ndarray, keys: KeySet, plan: AttentionPlan, groups: Q
 
 
 class KeySet(NamedTuple):
-    """Layer 0's document keys, one per distinct token, as ``key_set``
-    builds them and the KV cache fills ``keys`` at prefill.  A raw key at
-    layer 0 depends only on its token (the norm and ``k_proj`` see only the
-    embedding; RoPE comes later), so a token's key stands for every column
-    that holds it.  Tokens run by id and documents by ranked position, so
-    the orders of one document set, with or without canonical reduction,
-    share everything here but ``keys`` and ``first``."""
+    """The document keys that the importance pass scores and what each
+    ranked document holds of them, as ``key_set`` builds them from ids.  At
+    layer 0 a key stands for a distinct token: a raw key there depends only
+    on its token (the norm and ``k_proj`` see only the embedding; RoPE
+    comes later), and the KV cache fills ``keys`` at prefill.  At the other
+    layers one stands for a document column (``AttentionPlan.column_set``).
+    Keys run by id and documents by ranked position, so the orders of one
+    document set, with or without canonical reduction, share everything
+    here but ``keys`` and ``first``."""
 
-    keys: np.ndarray | None  # [n_kv_heads, d, tokens]: each token's raw key
-    first: np.ndarray  # each token's first document column in the raw key panel
-    counts: np.ndarray  # [tokens, k] float32: the token's columns in each ranked document
-    held: np.ndarray  # [k, most tokens of a document]: each ranked document's, its first repeated
-    hidden: np.ndarray  # [k, tokens] bool: the tokens each ranked document alone holds
+    keys: np.ndarray | None  # [n_kv_heads, d, keys]: each id's raw key
+    first: np.ndarray  # each id's first document column in the raw key panel
+    counts: np.ndarray  # [keys, k] float32: the id's columns in each ranked document
+    held: np.ndarray  # [k, most keys of a document]: each ranked document's, its first repeated
+    hidden: np.ndarray  # [k, keys] bool: the keys each ranked document alone holds
 
 
 def key_set(ids: np.ndarray, plan: AttentionPlan) -> KeySet:
@@ -324,19 +275,6 @@ def key_set(ids: np.ndarray, plan: AttentionPlan) -> KeySet:
     return KeySet(None, first + layout.prefix_len, counts,
                   np.where(np.arange(order.shape[1]) < n_held[:, None], order, order[:, :1]),
                   held & (np.count_nonzero(held, axis=0) == 1))
-
-
-def _document_mass(logits: np.ndarray, reduce: np.ufunc, starts: np.ndarray) -> np.ndarray:
-    """Each document's share of the softmax of every row of ``logits``
-    ([..., columns], documents in ranked order from ``starts``): [...,
-    len(starts)].  ``row_softmax`` exponentiates the rows in place; one
-    ``reduceat`` sums (max: takes the maximum of) each document's
-    exponentials.  A sum's parts add up to the row's sum, so they are
-    divided by their own total; the maxima are divided by the row's sum."""
-    e, sums = row_softmax(logits.reshape(-1, logits.shape[-1]), sums=reduce is np.maximum)
-    part = reduce.reduceat(e, starts, axis=1)
-    part /= np.add.reduce(part, axis=1, keepdims=True) if sums is None else sums
-    return part.reshape(*logits.shape[:-1], -1)
 
 
 def doc_id_array(layout: SequenceLayout, total_len: int) -> np.ndarray:

@@ -61,6 +61,13 @@ def key_panel(k):
     return np.ascontiguousarray(k.transpose(1, 2, 0))
 
 
+def column_keys(plan, panel):
+    """What the importance pass reads at every layer but the first:
+    ``plan.column_set`` over a raw key panel's document columns."""
+    layout = plan.layout
+    return plan.column_set._replace(keys=panel[:, :, layout.prefix_len:layout.suffix_start])
+
+
 def ranked(plan, own):
     """Each own document of ``own`` (-1: none) as its ranked position in
     ``plan``, as query groups take it."""
@@ -75,13 +82,15 @@ def attention(plan, q, k, v, q_start=0, k_base=None, k_raw=None):
     in the order the KV cache holds raw keys (k may be None when ``k_base``
     is given and attention reads no raw key).  Keys and values are
     [columns, KV heads, d_head] here, and are laid out as the KV cache's
-    panels, as the one stream of the call."""
+    panels, as the one stream of the call; a plan that reorders reads the
+    raw keys as ``column_keys`` of their panel."""
     t, s = len(q), len(v)
     if k_base is None:
         k_base = rotate(k, plan.columns(0, s)[1], 10000.0)
     if k_raw is None and k is not None:
         k_raw = k[plan.ranked_cols]
-    return attention_forward([plan], q, None if k_raw is None else key_panel(k_raw),
+    keys = column_keys(plan, key_panel(k_raw)) if plan.reorders and k_raw is not None else None
+    return attention_forward([plan], q, keys,
                              np.ascontiguousarray(v.swapaxes(0, 1)), key_panel(k_base),
                              [plan.rows(q_start, t, q.shape[1] // v.shape[1])], 10000.0)
 

@@ -37,10 +37,10 @@ from posinv import (
 )
 from posinv.cli import comparator_counts_per_token, main as cli_main
 from posinv.modes import VARIANTS
-from posinv.pine import group_ordering, query_groups
+from posinv.pine import comparison_count, group_ordering, query_groups
 from posinv.rope import rotate
 
-from conftest import key_panel, random_config, ranked
+from conftest import column_keys, key_panel, random_config, ranked
 
 INVARIANT_MODES = ("pine", "pine_reverse", "pcw", "sp")
 ALL_MODES = ("vanilla", "nia", "pcw", "sp", "pine", "pine_noreassign", "pine_reverse")
@@ -302,7 +302,7 @@ def importance_scores(q, kk, layout, rows, own, aggregation="mean"):
     plan = AttentionPlan(AttentionMode("pine", aggregation), layout)
     a, b = rows
     keys = kk[plan.columns(0, len(kk))[0]]
-    scores = group_ordering(q[a:b, None], key_panel(keys[:, None]), [plan],
+    scores = group_ordering(q[a:b, None], column_keys(plan, key_panel(keys[:, None])), [plan],
                             query_groups(ranked(plan, np.full(b - a, own)), 0)).scores
     return [{j: s for j, s in enumerate(row.tolist()) if j != own} for row in scores[:, 0]]
 
@@ -423,8 +423,29 @@ def test_comparator_counts_are_pinned(lemma_model):
     # Criterion 8's exact counts, recorded before the ordering pass took one
     # comparator per call over ranked positions: the sorts must see the same
     # candidates in the same input order and compare them the same way.
+    # k = 32 repeats six documents, whose copies score equal up to rounding:
+    # it read 964 until layers 1-3 scored one key per column, where a
+    # layer-1 head's two "bbb" documents went from one ulp apart to tied.
     counts = comparator_counts_per_token(lemma_model, [2, 4, 8, 16, 32])
-    assert counts == {2: 8, 4: 44, 8: 128, 16: 370, 32: 964}
+    assert counts == {2: 8, 4: 44, 8: 128, 16: 370, 32: 966}
+
+
+def test_comparator_counts_on_distinct_documents_are_pinned(lemma_model):
+    # The sort's counts for one decoded token on documents that all differ
+    # ("aaa", "bba", ..., "zza", "aab", ...).  The prompt above repeats
+    # documents from k = 27 on, and copies of one document score equal up
+    # to rounding, so its counts move with how the masses round.  Here the
+    # scores of one sort lie at least 7.9e-6 apart, relative: these counts
+    # pin the sort itself.
+    counts, mode = {}, AttentionMode("pine")
+    for k in (2, 4, 8, 16, 26, 32):
+        docs = tuple(chr(ord("a") + j % 26) * 2 + chr(ord("a") + j // 26) for j in range(k))
+        tokens, layout = tokenize(SegmentedPrompt("sys:", docs, "q?"))
+        cache, logits = prefill(lemma_model, tokens, layout, mode)
+        before = comparison_count()
+        decode_step(lemma_model, cache, int(np.argmax(logits)), mode)
+        counts[k] = comparison_count() - before
+    assert counts == {2: 8, 4: 44, 8: 124, 16: 353, 26: 726, 32: 953}
 
 
 def test_criterion_09_cache_consistency():

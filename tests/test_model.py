@@ -486,6 +486,30 @@ class TestLayerZeroKeySet:
         assert cache.k_raw[0][:, :, p:].tobytes() == token_keys.tobytes()
 
 
+class TestColumnSet:
+    """Every layer but the first scores the plan's ``column_set``, one key per
+    document column, which a plan builds once, on first use: plans whose
+    importance pass never runs never build it."""
+
+    @pytest.mark.parametrize("variant", modes.VARIANTS)
+    def test_only_plans_that_reorder_build_it(self, variant):
+        config = ModelConfig(n_layers=2, n_heads=4, n_kv_heads=2, d_model=32, d_head=8,
+                             d_ff=64, vocab_size=260)
+        model = Model(config, init_random(config, 0))
+        tokens, layout = tokenize(SegmentedPrompt("S", ("ab", "cde", "fg"), "Q?"))
+        mode = AttentionMode(variant)
+        cache, logits = prefill(model, tokens, layout, mode)
+        plan, built = cache.plan, cache.plan.__dict__.get("column_set")
+        decode_step(model, cache, int(np.argmax(logits)), mode)
+        assert ("column_set" in plan.__dict__) == plan.reorders
+        if plan.reorders:
+            assert plan.__dict__["column_set"] is built  # the prefill's, reused
+            counts = built.counts  # [document columns, k]: each column in its own document
+            assert np.array_equal(counts, np.repeat(np.eye(3, dtype=np.float32),
+                                                    plan.ranked_lens, axis=0))
+            assert np.array_equal(built.hidden, counts.T > 0)
+
+
 class TestLastLayerRows:
     """Only the last token's logits are read: when several rows end in the last
     column, the last layer runs that row alone past its keys and values."""

@@ -20,7 +20,7 @@ from posinv.modes import VARIANTS
 from posinv.pine import group_ordering, query_groups
 from posinv.rope import rotate
 
-from conftest import attend, attention, doc_of, key_panel, ranked
+from conftest import attend, attention, column_keys, doc_of, key_panel, ranked
 
 
 def running_example():
@@ -191,7 +191,8 @@ class TestAssignPositions:
                 if mode.reassigns and group is not None:
                     a, b, own = group
                     plan = AttentionPlan(mode, layout)
-                    keys = key_panel(k[plan.columns(0, len(k))[0]][:, h // 2, None])
+                    cols = plan.columns(0, len(k))[0]
+                    keys = column_keys(plan, key_panel(k[cols][:, h // 2, None]))
                     ordered = group_ordering(q[a:b, h, None], keys, [plan], query_groups(
                         ranked(plan, np.full(b - a, own)), 0)).orders[0][0]
                 pos = assign_positions(mode, layout, row, ordered)
@@ -386,9 +387,12 @@ class TestAttentionForward:
         assert n_heads * visible <= sum(scored) < ceiling * n_heads * n * n
 
     def test_pine_softmax_calls_independent_of_query_groups(self, monkeypatch):
-        # Pine scores every group at once: the softmax calls of one call
-        # depend on n, not on k or on the suffix rows (each its own group),
-        # while the comparator sort still runs once per (head, group).
+        # Pine scores every group at once: attention's softmax calls depend on
+        # n, and the importance pass's on how many document columns it scores,
+        # one ``row_block`` of rows a call, not on k or on the suffix rows
+        # (each its own group), while the comparator sort still runs once per
+        # (head, group).  The first two prompts have equally many document
+        # columns; the third has fewer, so fewer, larger blocks.
         from posinv import pine
 
         n_heads = 4
@@ -419,9 +423,12 @@ class TestAttentionForward:
                 m.setattr(pine, "ranked_sort", counting_sorts)
                 attend(AttentionMode("pine"), q, k, v, layout)
             assert calls["sort"] == n_heads * (layout.k + layout.n - layout.suffix_start)
+            block = row_block(layout.suffix_start - layout.prefix_len, n_heads)
+            assert calls["pine"] == -(-(layout.n - layout.prefix_len) // block)
             counts.append((calls["modes"], calls["pine"]))
-        assert counts[0][0] > 1 and counts[0][1] > 1
-        assert counts[0] == counts[1] == counts[2]
+        assert counts[0][0] > 1 and counts[2][1] > 1
+        assert counts[0] == counts[1]  # the same columns: k and the groups do not count
+        assert counts[2][0] == counts[0][0] and counts[2][1] < counts[0][1]  # fewer columns
 
     def test_permutation_invariance_and_witness(self):
         prompt = SegmentedPrompt("S", ("ab", "cde", "fghi"), "Q")
@@ -495,10 +502,10 @@ class TestKVHeadsInOnePass:
         q, k = (x[plan.columns(0, len(x))[0]] for x in (q, k))
         groups = query_groups(plan.col_rank, layout.prefix_len)
         p = layout.prefix_len
-        both = group_ordering(q[p:], key_panel(k), [plan], groups)
+        both = group_ordering(q[p:], column_keys(plan, key_panel(k)), [plan], groups)
         for g in range(2):
-            one = group_ordering(q[p:, 2 * g:2 * g + 2], key_panel(k[:, g:g + 1]), [plan],
-                                 groups)
+            keys = column_keys(plan, key_panel(k[:, g:g + 1]))
+            one = group_ordering(q[p:, 2 * g:2 * g + 2], keys, [plan], groups)
             assert [per_head[2 * g:2 * g + 2] for per_head in both.orders] == one.orders, g
             for got in ("scores", "starts"):
                 part = getattr(both, got)[:, 2 * g:2 * g + 2]
@@ -697,7 +704,8 @@ class TestRowsMustNotCutDocuments:
             with pytest.raises(ValueError, match="cut the documents"):
                 attention(plan, q[q_start:q_start + t], k, v, q_start=q_start)
         k_base = key_panel(rotate(k, plan.columns(0, n)[1], 10000.0))
-        k_raw, values = key_panel(k[plan.ranked_cols]), np.ascontiguousarray(v.swapaxes(0, 1))
+        k_raw = column_keys(plan, key_panel(k[plan.ranked_cols]))
+        values = np.ascontiguousarray(v.swapaxes(0, 1))
         whole, last = plan.rows(0, n, 2), plan.rows(n - 1, 1, 2)
         for rows, q_rows, keys, vals in [
                 (whole, q[1:], k_base, values),  # a query short of the rows
@@ -753,8 +761,9 @@ class TestKeyPanels:
                 assert panel is None or panel.strides[2] == panel.itemsize
             copies = [None if x is None else np.ascontiguousarray(x) for x in panels]
             planned = plan.rows(q_start, len(rows), 2)
-            got = [attention_forward([plan], rows, x[0], x[2], x[1], [planned], 10000.0)
-                   for x in (panels, copies)]
+            raw = [None if x[0] is None else column_keys(plan, x[0]) for x in (panels, copies)]
+            got = [attention_forward([plan], rows, keys, x[2], x[1], [planned], 10000.0)
+                   for keys, x in zip(raw, (panels, copies))]
             assert got[0].tobytes() == got[1].tobytes(), q_start
             # pine's query groups start after a prefill's prefix and at a decoded
             # row; a plan that does not reorder has none, and the importance pass
@@ -765,9 +774,8 @@ class TestKeyPanels:
                 groups = AttentionPlan(AttentionMode("pine", canonical=canonical),
                                        layout).rows(q_start, len(rows), 2).groups
             assert groups.first == (0 if q_start else p)
-            importance = [group_ordering(rows[groups.first:], x[0] if x[0] is not None else x[1],
-                                         [plan], groups) for x in (panels, copies)]
-            a, b = importance
+            keys = [column_keys(plan, x[1] if x[0] is None else x[0]) for x in (panels, copies)]
+            a, b = (group_ordering(rows[groups.first:], x, [plan], groups) for x in keys)
             assert a.orders == b.orders, q_start
             assert a.scores.tobytes() == b.scores.tobytes(), q_start
             assert a.starts.tobytes() == b.starts.tobytes(), q_start

@@ -25,7 +25,7 @@ from posinv.pine import (
     ranked_sort,
 )
 
-from conftest import attend, doc_of, key_panel, ranked
+from conftest import attend, column_keys, doc_of, key_panel, ranked
 
 
 def one_token_docs(k):
@@ -217,7 +217,7 @@ def ordering(q, k, layout, own, aggregation="mean"):
     """group_ordering of query rows against storage-order keys, laid out
     in the columns of pine's plan."""
     plan = AttentionPlan(AttentionMode("pine", aggregation), layout)
-    return group_ordering(q, key_panel(k[plan.columns(0, len(k))[0]]), [plan],
+    return group_ordering(q, column_keys(plan, key_panel(k[plan.columns(0, len(k))[0]])), [plan],
                           query_groups(ranked(plan, own), 0))
 
 
@@ -350,7 +350,7 @@ class TestGroupOrdering:
             k = np.stack([per_token[t][1] for t in toks])[cols]
             p = layout.prefix_len
             groups = query_groups(plan.col_rank, p)
-            got = group_ordering(q[p:], key_panel(k), [plan], groups)
+            got = group_ordering(q[p:], column_keys(plan, key_panel(k)), [plan], groups)
             h, owners = layout.doc_hashes, [plan.ranked[j] if j >= 0 else -1 for j in groups.docs]
             return [[([h[j] for j in ordered], {h[j]: v for j, v in enumerate(scores) if j != own})
                      for ordered, scores in zip(per_head, per_group)]
@@ -387,67 +387,53 @@ class TestGroupOrdering:
 
     @pytest.mark.parametrize("aggregation", ["mean", "sum", "max"])
     def test_groups_across_row_blocks_match_float64_hand_loop(self, aggregation, monkeypatch):
-        # Row blocks of 3 rows: a group's rows, and the own document each
-        # hides, run over several blocks.
+        # Row blocks of 2 or 3 rows: a group's rows, and the own document each
+        # hides, run over several blocks, and the blocks lie inside one group,
+        # straddle two or hold suffix rows.  In each kind of block a group's
+        # own document scores exactly 0 and sorts last.  The first document's
+        # rows also score its own keys about 140 above the rest: a row max
+        # that took them in would leave every other exponential 0.
         _, layout = tokenize(SegmentedPrompt("S", ("abcdefg", "de", "fghijklm", "j"), "QRS"))
         rng = np.random.default_rng(7)
         q = rng.normal(size=(layout.n, 8)).astype(np.float32)
         k = rng.normal(size=(layout.n, 8)).astype(np.float32)
+        q[:, 0] = k[:, 0] = 0
+        q[slice(*layout.doc_spans[0]), 0], k[slice(*layout.doc_spans[0]), 0] = 1, 400
         plan = AttentionPlan(AttentionMode("pine", aggregation), layout)
         monkeypatch.setattr(kernels, "_BLOCK_SCORES", 3 * layout.n)
-        p = layout.prefix_len
-        cols = plan.columns(0, layout.n)[0]
-        orders = group_ordering(q[cols][p:, None], key_panel(k[cols][:, None]), [plan],
-                                query_groups(plan.col_rank, p))
-        suffix_rows = [(r, r + 1) for r in range(layout.suffix_start, layout.n)]
-        groups = [(layout.doc_spans[j], j) for j in plan.docs] + [(r, -1) for r in suffix_rows]
-        assert len(orders.orders) == len(groups)
-        for (rows, own), got in zip(groups, orders.scores[:, 0]):
-            ref = hand_loop_scores(q, k, layout, rows, own, aggregation)
-            assert np.allclose([got[j] for j in ref], list(ref.values()), rtol=1e-6, atol=0)
-
-    def test_one_group_blocks_skip_their_own_document(self, monkeypatch):
-        # Row blocks of 3 rows: a block whose rows all lie in document j's
-        # group is exponentiated over every document column but j's, while a
-        # block straddling two groups, or holding suffix rows, takes them all.
-        _, layout = tokenize(SegmentedPrompt("S", ("abcdefg", "de", "fghijklm", "j"), "QRS"))
-        rng = np.random.default_rng(8)
-        q = rng.normal(size=(layout.n, 8)).astype(np.float32)
-        k = rng.normal(size=(layout.n, 8)).astype(np.float32)
-        plan = AttentionPlan(AttentionMode("pine"), layout)
-        monkeypatch.setattr(kernels, "_BLOCK_SCORES", 3 * layout.n)
-        widths, row_softmax = [], pine.row_softmax
+        block_rows, row_softmax = [], pine.row_softmax
 
         def recording(x, *args, **kwargs):
-            widths.append(x.shape[-1])
+            block_rows.append(x.shape[1])  # one head: a row each
             return row_softmax(x, *args, **kwargs)
 
         monkeypatch.setattr(pine, "row_softmax", recording)
-        p, n_cols = layout.prefix_len, layout.suffix_start - layout.prefix_len
+        p = layout.prefix_len
         cols = plan.columns(0, layout.n)[0]
-        group_ordering(q[cols][p:, None], key_panel(k[cols][:, None]), [plan],
-                       query_groups(plan.col_rank, p))
-        owners = plan.col_rank[p:].tolist()
-        blocks = [owners[b:b + 3] for b in range(0, len(owners), 3)]
-        assert len(widths) == len(blocks)
-        kinds = set()
-        for rows, width in zip(blocks, widths):
-            if len(set(rows)) == 1 and rows[0] >= 0:  # inside one document's group
-                kinds.add("one group")
-                assert width == n_cols - plan.ranked_lens[rows[0]]
-            else:
-                kinds.add("suffix" if -1 in rows else "straddling")
-                assert width == n_cols
-        assert kinds == {"one group", "straddling", "suffix"}
+        orders = group_ordering(q[cols][p:, None], column_keys(plan, key_panel(k[cols][:, None])),
+                                [plan], query_groups(plan.col_rank, p))
+        suffix_rows = [(r, r + 1) for r in range(layout.suffix_start, layout.n)]
+        groups = [(layout.doc_spans[j], j) for j in plan.docs] + [(r, -1) for r in suffix_rows]
+        assert len(orders.orders) == len(groups)
+        for (rows, own), got, [ordered] in zip(groups, orders.scores[:, 0], orders.orders):
+            ref = hand_loop_scores(q, k, layout, rows, own, aggregation)
+            assert np.allclose([got[j] for j in ref], list(ref.values()), rtol=1e-6, atol=0)
+            if own >= 0:
+                assert got[own] == 0 and ordered[-1] == own
+        owners, ends = plan.col_rank[p:].tolist(), np.cumsum([0, *block_rows]).tolist()
+        blocks = [owners[b0:b1] for b0, b1 in zip(ends, ends[1:])]
+        assert ends[-1] == len(owners) and len(blocks) < len(owners)
+        assert {"suffix" if -1 in rows else "one group" if len(set(rows)) == 1 else "straddling"
+                for rows in blocks} == {"one group", "straddling", "suffix"}
 
     @pytest.mark.parametrize("docs", [(), ("ab",)], ids=["k0", "k1"])
     def test_fewer_than_two_documents_rejected(self, docs):
         # With k < 2 there is nothing to order; the runtime never asks.
         _, layout = tokenize(SegmentedPrompt("S", docs, "Q"))
+        plan = AttentionPlan(AttentionMode("pine"), layout)
         q = np.ones((1, 1, 8), dtype=np.float32)
-        k = np.ones((layout.n, 1, 8), dtype=np.float32)
         with pytest.raises(ValueError, match="k >= 2"):
-            ordering(q, k, layout, np.full(1, -1))
+            group_ordering(q, None, [plan], query_groups(np.full(1, -1), 0))
 
 
 def block_starts(layout, ordered):
@@ -502,7 +488,7 @@ class TestOrderingGoldens:
         k[layout.prefix_len:layout.suffix_start] = rng.normal(size=(2, 8)).astype(np.float32)
         plan = AttentionPlan(AttentionMode(variant, aggregation, canonical), layout)
         cols = plan.columns(0, layout.n)[0]
-        keys = key_panel(k[cols][plan.ranked_cols])
+        keys = column_keys(plan, key_panel(k[cols][plan.ranked_cols]))
         p = layout.prefix_len
         prefill = row_starts(q[cols][p:], keys, plan, query_groups(plan.col_rank, p))
         decoded = row_starts(q[layout.n:], keys, plan, query_groups(np.full(1, -1), 0))
@@ -540,7 +526,7 @@ class TestDocumentStarts:
         q = rng.normal(size=(layout.n + 1, 4, 8)).astype(np.float32)
         cols = plan.columns(0, layout.n)[0]
         keys = rng.normal(size=(layout.n, 2, 8)).astype(np.float32)[cols][plan.ranked_cols]
-        keys = key_panel(keys)
+        keys = column_keys(plan, key_panel(keys))
         p = layout.prefix_len
         cases = [(q[cols][p:], plan.col_rank[p:]),  # prefill rows
                  (q[layout.n:], np.full(1, -1))]  # a decoded row
@@ -568,18 +554,19 @@ def seeded_docs(k, seed):
 
 class TestKeySet:
     """Layer 0's importance pass scores one raw key per distinct token
-    (``pine.KeySet``) where the other layers score every document column."""
+    (``pine.KeySet``) where the other layers score one key per document
+    column (``AttentionPlan.column_set``)."""
 
     @pytest.mark.parametrize("canonical", [True, False])
     @pytest.mark.parametrize("aggregation", ["mean", "sum", "max"])
     @pytest.mark.parametrize("k", range(2, 9))
-    def test_key_set_matches_the_column_path(self, k, aggregation, canonical):
-        # The same queries through both paths, prefill rows and a decoded row,
-        # 4 query heads over 2 KV heads: equal orders and scores within
-        # rounding.  One document also holds a token no other holds, and its
-        # rows' queries point along that token's key, with a logit about 140
-        # above the rest: a row max that took that hidden token in would
-        # leave every other exponential 0.
+    def test_token_key_set_matches_float64_hand_loop(self, k, aggregation, canonical):
+        # A prompt's token key set, on prefill rows and a decoded row, 4 query
+        # heads over 2 KV heads: every group's scores at every head match
+        # ``hand_loop_scores`` over every document column.  One document also
+        # holds a token no other holds, and its rows' queries point along that
+        # token's key, with a logit about 140 above the rest: a row max that
+        # took that hidden token in would leave every other exponential 0.
         toks, layout = tokenize(SegmentedPrompt("SYS: ", seeded_docs(k, k), " Q?"))
         plan = AttentionPlan(AttentionMode("pine", aggregation, canonical), layout)
         rng = np.random.default_rng(40 + k)
@@ -588,20 +575,26 @@ class TestKeySet:
         table[ord("A"), :, 0] = 400  # the first document's own token
         cols = plan.columns(0, layout.n)[0]
         ids = np.asarray(toks)[cols]
-        panel = key_panel(table[ids][plan.ranked_cols])
         key_set = pine.key_set(ids, plan)
-        key_set = key_set._replace(keys=panel[:, :, key_set.first])
+        key_set = key_set._replace(keys=key_panel(table[ids][plan.ranked_cols])[:, :, key_set.first])
         q = rng.normal(size=(layout.n + 1, 4, 8)).astype(np.float32)
         q[:, :, 0] = 0
         q[slice(*layout.doc_spans[0]), :, 0] = 1
-        p = layout.prefix_len
-        cases = [(q[cols][p:], query_groups(plan.col_rank, p)),  # prefill rows
-                 (q[layout.n:], query_groups(np.full(1, -1), 0))]  # a decoded row
-        for rows, groups in cases:
-            got = group_ordering(rows, key_set, [plan], groups)
-            want = group_ordering(rows, panel, [plan], groups)
-            assert got.orders == want.orders
-            assert np.allclose(got.ranked_scores, want.ranked_scores, rtol=1e-6, atol=0)
+        p, n = layout.prefix_len, layout.n
+        suffix_rows = [((r, r + 1), -1) for r in range(layout.suffix_start, n)]
+        cases = [(q[cols][p:], query_groups(plan.col_rank, p),  # prefill rows
+                  [(layout.doc_spans[j], j) for j in plan.docs] + suffix_rows),
+                 (q[n:], query_groups(np.full(1, -1), 0), [((n, n + 1), -1)])]  # a decoded row
+        k_tokens = table[toks]  # by storage index
+        for rows, groups, where in cases:
+            got = group_ordering(rows, key_set, [plan], groups).scores
+            assert len(got) == len(where)
+            for (span, own), per_head in zip(where, got):
+                for h, scores in enumerate(per_head):
+                    ref = hand_loop_scores(q[:, h], k_tokens[:, h // 2], layout, span, own,
+                                           aggregation)
+                    assert np.allclose([scores[j] for j in ref], list(ref.values()), rtol=1e-6,
+                                       atol=0), (span, h)
 
     @pytest.mark.parametrize("variant", ["pine", "pine_reverse"])
     def test_documents_tied_on_one_token_score_bitwise_equal(self, variant, monkeypatch):
@@ -636,9 +629,8 @@ class TestKeySet:
             # "#" is every document's largest logit at every row and head
             logits = np.einsum("rkd,kdc->rkc", q[:, ::4].astype(np.float64),
                                cache.k_raw[0][:, :, p:].astype(np.float64))
-            for j in range(k):
-                c0 = plan.ranked_starts[j]
-                c1 = c0 + plan.ranked_lens[j]
+            ends = np.cumsum([0, *plan.ranked_lens])  # each ranked document's columns
+            for c0, c1 in zip(ends, ends[1:]):
                 assert (logits[:, :, c0:c1].argmax(axis=2)
                         == ranked[c0:c1].tolist().index(ord("#"))).all()
             scores = got.ranked_scores
